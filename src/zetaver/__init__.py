@@ -70,7 +70,6 @@ from .afe import (
 )
 from .fourier import (
     FourierCoeffSet,
-    TailEstimate,
     highfreq_tail_check,
     parseval_fourth_moment,
     parseval_second_moment,

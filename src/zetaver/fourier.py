@@ -14,13 +14,14 @@ import math
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .identities import IdentityReport
 from .quadrature import (
     OscSpec,
     _NODES,
     _WG_FULL,
     _WGK_FULL,
+    _march_panels,
     integrate_finite,
     integrate_oscillatory,
 )
@@ -37,7 +38,6 @@ _2PI = 2.0 * math.pi
 
 __all__ = [
     "FourierCoeffSet",
-    "TailEstimate",
     "rane_representation",
     "tail_lemma_check",
     "qn_direct",
@@ -63,17 +63,6 @@ class FourierCoeffSet:
 
     def __getitem__(self, n: int) -> complex:
         return self.coeffs[n]
-
-
-@dataclasses.dataclass
-class TailEstimate:
-    eta: float
-    bound_constant: float
-    claimed_order: str
-
-    def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +99,8 @@ def tail_lemma_check(s: complex, alpha: float, eta: float, cfg: EvalConfig = DEF
     sigma, t = s.real, s.imag
     if sigma <= 0.0 or t <= 0.0:
         raise DomainError("requires sigma > 0 and t > 0")
-    est = TailEstimate(eta, 0.0, "t * alpha^(-sigma-1)")
+    if eta <= 0.0:
+        raise DomainError("requires eta > 0")
     if alpha < t / _2PI + eta:
         raise DomainError("requires alpha >= t/2pi + eta")
     z1 = complex(hurwitz_zeta1(s, alpha, cfg))
@@ -122,7 +112,6 @@ def tail_lemma_check(s: complex, alpha: float, eta: float, cfg: EvalConfig = DEF
     return {
         "s": s,
         "alpha": alpha,
-        "estimate": est,
         "tail_abs": abs(bracket),
         "ratio": ratio,
         "deriv_abs": abs(dbracket),
@@ -268,20 +257,23 @@ def _osc_zeta1_integral(terms, n: int, a: float, b: float, t_content: float,
     )
 
 
-def _semi_infinite_osc(terms, n: int, decay: float, t_content: float,
-                       cfg: EvalConfig, abs_tol: float):
-    """int_1^inf F(alpha) e^{-2 pi i n alpha} d(alpha): numeric head on
-    [1, A] plus the closed-form power tail from A."""
+def _certified_powers(terms, n: int, cfg: EvalConfig, abs_tol: float):
+    """Power expansion of a term list past the tail abscissa A for index n,
+    moving A out by 1.6x until the remainder is below abs_tol; returns
+    (powers, remainder, A)."""
     A = _tail_abscissa(terms, n)
-    powers = None
-    rem = math.inf
     for _ in range(4):
         powers, rem = _terms_to_powers(terms, A, cfg, abs_tol / 4.0)
         if rem <= abs_tol:
-            break
+            return powers, rem, A
         A *= 1.6
-    if rem > abs_tol:
-        raise ConvergenceError("power expansion of the tail failed to certify")
+    raise ConvergenceError("power expansion of the tail failed to certify")
+
+
+def _semi_infinite_osc(terms, n: int, t_content: float, cfg: EvalConfig, abs_tol: float):
+    """int_1^inf F(alpha) e^{-2 pi i n alpha} d(alpha): numeric head on
+    [1, A] plus the closed-form power tail from A."""
+    powers, rem, A = _certified_powers(terms, n, cfg, abs_tol)
     if n == 0 and any(q.real >= -1.0 for q in powers):
         raise DivergenceError("tail carries a non-integrable power at n = 0")
     head = _osc_zeta1_integral(terms, n, 1.0, A, t_content, cfg, abs_tol=abs_tol / 2.0)
@@ -303,9 +295,8 @@ def qn_direct(n: int, u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG,
     if not (u.real > 1.0 and v.real > 1.0):
         raise DomainError("direct mode needs Re u > 1, Re v > 1")
     t_content = abs(u.imag) + abs(v.imag)
-    decay = (u + v).real - 1.0
-    val_u, _, _ = _semi_infinite_osc([(1.0 + 0j, u, -v)], n, decay, t_content, cfg, abs_tol)
-    val_v, _, _ = _semi_infinite_osc([(1.0 + 0j, v, -u)], n, decay, t_content, cfg, abs_tol)
+    val_u, _, _ = _semi_infinite_osc([(1.0 + 0j, u, -v)], n, t_content, cfg, abs_tol)
+    val_v, _, _ = _semi_infinite_osc([(1.0 + 0j, v, -u)], n, t_content, cfg, abs_tol)
     return complex(fourier_coeff_a(n, u + v, cfg) + val_u + val_v)
 
 
@@ -354,9 +345,8 @@ def qn_continued(n: int, u: complex, v: complex, eta: float = 1.0,
             iu = _osc_zeta1_integral(terms_u, n, 1.0, B, t_content, cfg, abs_tol=abs_tol)
             iv = _osc_zeta1_integral(terms_v, n, 1.0, B, t_content, cfg, abs_tol=abs_tol)
         return complex(lead + iu.value + iv.value)
-    decay = (u + v).real + 1.0  # regularized bracket is O(t alpha^{-Re(u+v)-1})
-    val_u, _, _ = _semi_infinite_osc(terms_u, n, decay, t_content, cfg, abs_tol)
-    val_v, _, _ = _semi_infinite_osc(terms_v, n, decay, t_content, cfg, abs_tol)
+    val_u, _, _ = _semi_infinite_osc(terms_u, n, t_content, cfg, abs_tol)
+    val_v, _, _ = _semi_infinite_osc(terms_v, n, t_content, cfg, abs_tol)
     return complex(lead + val_u + val_v)
 
 
@@ -381,6 +371,66 @@ def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
         coeffs[n] = one(n)
         coeffs[-n] = coeffs[n].conjugate() if hermitian else one(-n)
     return FourierCoeffSet((u, v), (-n_max, n_max), coeffs, mode)
+
+
+# ---------------------------------------------------------------------------
+# All Fourier coefficients of one function on one panel set.
+# ---------------------------------------------------------------------------
+
+# Indices n per block of the phase sum: the (block, nodes) phase array is the
+# largest temporary, so peak memory does not grow with the number of n.
+_PHASE_BLOCK = 8
+
+
+def _zeta1_pair_cycles(t: float):
+    """Local cycles per unit of a^{-v} zeta1(u, a) with |Im u| = |Im v| = t:
+    the log-phase of a^{-v}, the log-phase of zeta1 in 1 + a, and the
+    content of its Dirichlet kernel."""
+    n_kernel = math.sqrt(max(t, 1.0) / _2PI)
+    return lambda x: t / (_2PI * x) + t / (_2PI * (1.0 + x)) + n_kernel + 1.0
+
+
+def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
+    """int_a^b values(x) e^{-2 pi i n x} dx for every n in ns.
+
+    One panel set is marched for max |n| plus cycles(x), the frequency
+    content of values, and values is evaluated once on it; every n is then
+    a phase sum over the same nodes, with the embedded G7/K15 difference as
+    its error.  While the largest error exceeds tol the panel density rises
+    from 2.5 points per cycle by 1.7x, up to 20.9; a tol still missed there
+    raises ConvergenceError.  The n are integers, so the phase
+    needs only the fractional part of each node (exact in floating point),
+    which keeps its argument below 2 pi |n|.  Returns (coeffs, errs,
+    evaluations) with coeffs and errs aligned to ns.
+    """
+    ns = np.asarray(ns, dtype=float)
+    n_big = float(np.max(np.abs(ns)))
+    per_cycle = 2.5
+    evals = 0
+    while True:
+        pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x), per_cycle=per_cycle))
+        halves = 0.5 * (pts[1:] - pts[:-1])
+        nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
+        fv = values(nodes.ravel()).reshape(nodes.shape)
+        frac = nodes - np.floor(nodes)
+        evals += nodes.size
+        coeffs = np.empty(ns.size, dtype=complex)
+        errs = np.empty(ns.size)
+        for lo in range(0, ns.size, _PHASE_BLOCK):
+            blk = ns[lo:lo + _PHASE_BLOCK]
+            vals = fv * np.exp(-_2PI * 1j * blk[:, None, None] * frac)
+            k = (vals @ _WGK_FULL) * halves
+            g = (vals[..., 1::2] @ _WG_FULL) * halves
+            coeffs[lo:lo + blk.size] = k.sum(axis=1)
+            errs[lo:lo + blk.size] = np.abs(k - g).sum(axis=1)
+        if errs.max() <= tol:
+            return coeffs, errs, evals
+        if per_cycle >= 15.0:
+            raise ConvergenceError(
+                f"Fourier coefficients stalled: err={errs.max():.3e} > tol={tol:.3e} "
+                f"at {per_cycle:.1f} points per cycle"
+            )
+        per_cycle *= 1.7
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +480,17 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
         table = Zeta1AlphaTable(u, 1.0, B + 1e-9, cfg)
 
     def f(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
         return np.power(a, -v) * table(a)
 
-    res = integrate_oscillatory(
-        f,
-        OscSpec(float(-n)),
-        1.0,
-        B,
-        cfg,
-        abs_tol=1e-12,
-        rel_tol=1e-8,
-        extra_cycles=lambda a: t / (_2PI * a) + t / (_2PI * (1.0 + a)) + math.sqrt(t / _2PI) + 1.0,
-    )
     env = math.sqrt(t) / abs(abs(n) - t / _2PI)
+    (val,), _errs, evals = _fourier_coeffs(f, _zeta1_pair_cycles(t), [n], 1.0, B, 1e-8 * env)
     return {
         "n": n,
         "t": t,
-        "integral_abs": abs(res.value),
+        "integral_abs": abs(val),
         "envelope": env,
-        "ratio": abs(res.value) / env,
-        "evaluations": res.evaluations,
+        "ratio": abs(val) / env,
+        "evaluations": evals,
     }
 
 
@@ -501,36 +541,6 @@ def parseval_second_moment(s: complex, n_max: int | None = None,
     )
 
 
-def _batch_osc_panels(values_fn, cycles_fn, n: int, a: float, b: float,
-                      points_per_cycle: float = 2.5):
-    """int_a^b values(x) e^{-2 pi i n x} dx on fixed frequency-adapted panels
-    with one vectorised Kronrod/Gauss sweep (error from the embedded rule)."""
-    pts = [a]
-    x = a
-    while x < b:
-        x = min(x + 1.0 / (points_per_cycle * (abs(n) + cycles_fn(x))), b)
-        pts.append(x)
-    pts_arr = np.array(pts)
-    mids = 0.5 * (pts_arr[1:] + pts_arr[:-1])
-    halves = 0.5 * (pts_arr[1:] - pts_arr[:-1])
-    nodes = (mids[:, None] + halves[:, None] * _NODES[None, :]).ravel()
-    vals = values_fn(nodes) * np.exp(-2j * math.pi * n * nodes)
-    vals = vals.reshape(len(mids), len(_NODES))
-    k = (vals @ _WGK_FULL) * halves
-    g = (vals[:, 1::2] @ _WG_FULL) * halves
-    return complex(k.sum()), float(np.sum(np.abs(k - g))), nodes.size
-
-
-def _batch_osc_refined(values_fn, cycles_fn, n: int, a: float, b: float, tol: float):
-    ppc = 2.5
-    val, err, evals = _batch_osc_panels(values_fn, cycles_fn, n, a, b, ppc)
-    while err > tol and ppc < 15.0:
-        ppc *= 1.7
-        val, err, ev2 = _batch_osc_panels(values_fn, cycles_fn, n, a, b, ppc)
-        evals += ev2
-    return val, err, evals
-
-
 def _conjugate_pair_q_coeffs(u: complex, n_max: int, cfg: EvalConfig,
                              abs_tol: float) -> dict:
     """q_n(u, conj u) for |n| <= n_max through the cached-table batch route.
@@ -547,18 +557,8 @@ def _conjugate_pair_q_coeffs(u: complex, n_max: int, cfg: EvalConfig,
         if sigma <= 0.0:
             raise DomainError("needs sigma > 0")
         terms = _regularized_terms(u, v)
-    A = _tail_abscissa(terms, 1)
-    powers = None
-    rem = math.inf
-    for _ in range(4):
-        powers, rem = _terms_to_powers(terms, A, cfg, abs_tol / 4.0)
-        if rem <= abs_tol:
-            break
-        A *= 1.6
-    if rem > abs_tol:
-        raise ConvergenceError("power expansion of the tail failed to certify")
+    powers, _rem, A = _certified_powers(terms, 1, cfg, abs_tol)
     table = Zeta1AlphaTable(u, 1.0, A + 1e-9, cfg)
-    n_kernel = math.sqrt(max(t, 1.0) / _2PI)
 
     if direct:
         def values(x: np.ndarray) -> np.ndarray:
@@ -569,13 +569,9 @@ def _conjugate_pair_q_coeffs(u: complex, n_max: int, cfg: EvalConfig,
                     - np.power(x, 1.0 - u - v) / (u - 1.0)
                     + 0.5 * np.power(x, -u - v))
 
-    def cycles(x: float) -> float:
-        return t / (_2PI * x) + t / (_2PI * (1.0 + x)) + n_kernel + 1.0
-
-    tail_i: dict = {}
-    for n in range(-n_max, n_max + 1):
-        head, _err, _ev = _batch_osc_refined(values, cycles, n, 1.0, A, abs_tol / 2.0)
-        tail_i[n] = head + _closed_power_tail(powers, n, A)
+    ns = range(-n_max, n_max + 1)
+    heads, _errs, _evals = _fourier_coeffs(values, _zeta1_pair_cycles(t), ns, 1.0, A, abs_tol / 2.0)
+    tail_i = {n: head + _closed_power_tail(powers, n, A) for n, head in zip(ns, heads)}
     out = {}
     for n in range(0, n_max + 1):
         if direct:
@@ -656,21 +652,14 @@ def theorem2_check(t_grid, eta: float = 1.0, cfg: EvalConfig = DEFAULT_CONFIG) -
         s = complex(0.5, t)
         b = t / _2PI + eta
         table = Zeta1AlphaTable(s, 1.0, b + 1e-9, cfg)
-        n_kernel = math.sqrt(t / _2PI)
 
         def values(x: np.ndarray) -> np.ndarray:
             return table(x) * np.power(x, -0.5) * np.exp(1j * t * np.log(x))
 
-        def cycles(x: float) -> float:
-            return t / (_2PI * x) + t / (_2PI * (1.0 + x)) + n_kernel + 1.0
-
         n_lim = int(math.floor(t / math.pi))
-        total = 0.0
-        evals = 0
-        for n in range(-n_lim, n_lim + 1):
-            val, _err, ev = _batch_osc_refined(values, cycles, n, 1.0, b, 5e-7)
-            total += abs(val) ** 2
-            evals += ev
+        coeffs, _errs, evals = _fourier_coeffs(values, _zeta1_pair_cycles(t),
+                                               range(-n_lim, n_lim + 1), 1.0, b, 5e-7)
+        total = float(np.sum(np.abs(coeffs) ** 2))
         z4 = abs(complex(riemann_zeta(s, cfg))) ** 4
         denom = math.sqrt(t) * total
         records.append(

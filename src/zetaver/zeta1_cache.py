@@ -1,9 +1,10 @@
 """Piecewise-Chebyshev table of zeta1(s, alpha) over an alpha interval.
 
-The Fourier-side verifiers evaluate zeta1 at one fixed s for millions of
-alpha nodes (one set per Fourier index n).  Building the function once on
-frequency-adapted panels and interpolating afterwards turns that cost into
-a few thousand direct evaluations.
+The Fourier-side verifiers evaluate zeta1 at one fixed s on tens to
+hundreds of thousands of alpha nodes (one node set serves every Fourier
+index n).  Building the function once on frequency-adapted panels and
+interpolating afterwards turns that cost into a few thousand direct
+evaluations.
 """
 
 from __future__ import annotations

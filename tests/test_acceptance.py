@@ -290,7 +290,9 @@ def test_criterion_9_fourier_layer():
 _T2_GRID = (50.0, 100.0, 200.0, 400.0)
 
 
-def _theorem2_records():
+@pytest.fixture(scope="module")
+def theorem2_records():
+    """One theorem2_check run shared by both criterion-10 tests."""
     return fourier.theorem2_check(list(_T2_GRID), eta=1.0)
 
 
@@ -300,8 +302,8 @@ def _theorem2_records():
            "bound itself holds (README: Known deviations); bounded form in "
            "test_criterion_10_bounded_ratios",
 )
-def test_criterion_10_literal_theorem2():
-    recs = _theorem2_records()
+def test_criterion_10_literal_theorem2(theorem2_records):
+    recs = theorem2_records
     ratios = [r["ratio"] for r in recs]
     spread = max(ratios) / float(np.median(ratios))
     ok = all(math.isfinite(x) for x in ratios) and spread <= 5.0
@@ -310,8 +312,8 @@ def test_criterion_10_literal_theorem2():
     assert ok
 
 
-def test_criterion_10_bounded_ratios():
-    recs = _theorem2_records()
+def test_criterion_10_bounded_ratios(theorem2_records):
+    recs = theorem2_records
     ratios = [r["ratio"] for r in recs]
     sums = [r["coeff_sum"] for r in recs]
     ok = all(math.isfinite(x) for x in ratios) and max(ratios) <= 10.0

@@ -69,6 +69,17 @@ def test_run_suite_breach_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_suite_invalid_point_annotated_not_aborted(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["run-suite", "tail_lemma", "--grid", "t=50", "--grid", "factor=2",
+                 "--grid", "eta=0", "--format", "json", "--out", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 1
+    assert rows[0]["params"]["error"].startswith("DomainError")
+
+
 def test_run_suite_json_format(tmp_path):
     out = tmp_path / "r.json"
     code = main(["run-suite", "mellin_tail", "--grid", "u_re=2.5", "--grid", "v_re=0.3",

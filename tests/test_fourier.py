@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from zetaver import fourier as fr
-from zetaver.errors import DomainError
-from zetaver.quadrature import integrate_finite
+from zetaver.config import DEFAULT_CONFIG
+from zetaver.errors import ConvergenceError, DivergenceError, DomainError
+from zetaver.quadrature import OscSpec, integrate_finite, integrate_oscillatory
 from zetaver.special import fourier_coeff_a, hurwitz_zeta1
+from zetaver.zeta1_cache import Zeta1AlphaTable
 
 _2PI = 2.0 * math.pi
 
@@ -69,6 +71,8 @@ def test_tail_lemma_alpha_doubling_shrink():
 def test_tail_lemma_domain():
     with pytest.raises(DomainError):
         fr.tail_lemma_check(complex(0.5, 50.0), 1.0, 1.0)  # alpha below threshold
+    with pytest.raises(DomainError):
+        fr.tail_lemma_check(complex(0.5, 50.0), 20.0, 0.0)  # eta must be positive
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,12 @@ def test_an_of_2sigma_minus_1_is_order_one_over_n():
     assert max(vals) <= 2.0
 
 
+def test_semi_infinite_osc_divergent_tail():
+    # a^{-1/2} is not integrable at n = 0
+    with pytest.raises(DivergenceError):
+        fr._semi_infinite_osc([(1.0 + 0j, None, -0.5 + 0j)], 0, 0.0, DEFAULT_CONFIG, 1e-10)
+
+
 def test_q_set_hermitian_exact_and_consistent():
     u = 0.7 + 12j
     qs = fr.build_q_set(u, u.conjugate(), 4)
@@ -156,6 +166,47 @@ def test_q_set_hermitian_exact_and_consistent():
     # independent computation of a negative index agrees
     direct = fr.qn_continued(-2, u, u.conjugate())
     assert abs(direct - qs[-2]) <= 1e-9 * max(abs(direct), 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-coefficient engine
+# ---------------------------------------------------------------------------
+
+
+def _theorem2_integrand(t):
+    s = complex(0.5, t)
+    b = t / _2PI + 1.0
+    table = Zeta1AlphaTable(s, 1.0, b + 1e-9)
+
+    def smooth(x):
+        return table(x) * np.power(x, -0.5)
+
+    return smooth, b
+
+
+def test_fourier_engine_matches_per_n_quadrature():
+    t = 50.0
+    smooth, b = _theorem2_integrand(t)
+    cycles = fr._zeta1_pair_cycles(t)
+    ns = [-15, 0, 7, 15]
+    coeffs, errs, evals = fr._fourier_coeffs(
+        lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns, 1.0, b, 5e-7)
+    assert evals > 0
+    for n, c, e in zip(ns, coeffs, errs):
+        ref = integrate_oscillatory(smooth, OscSpec(float(-n), log_coeff=t), 1.0, b,
+                                    abs_tol=1e-13, rel_tol=1e-11, extra_cycles=cycles)
+        assert abs(c - ref.value) <= 1e-11
+        assert abs(c - ref.value) <= e + ref.err_estimate
+
+
+def test_fourier_engine_unreachable_tolerance_raises():
+    smooth, b = _theorem2_integrand(50.0)
+    with pytest.raises(ConvergenceError):
+        fr._fourier_coeffs(smooth, fr._zeta1_pair_cycles(50.0), [0, 3], 1.0, b, 0.0)
+
+
+def test_theorem2_evaluates_once_for_all_n():
+    assert fr.theorem2_check([50.0])[0]["evaluations"] <= 20000
 
 
 # ---------------------------------------------------------------------------

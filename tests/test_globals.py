@@ -1,0 +1,35 @@
+"""Every global name a zetaver function loads must exist: a name that is in
+neither the module's globals nor the builtins only fails, with NameError,
+when its line finally runs."""
+
+import builtins
+import dis
+import importlib
+import pkgutil
+import types
+
+import zetaver
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def _module_source_code(module):
+    with open(module.__file__, encoding="utf-8") as fh:
+        return compile(fh.read(), module.__file__, "exec")
+
+
+def test_every_loaded_global_is_defined():
+    missing = []
+    for info in pkgutil.iter_modules(zetaver.__path__):
+        module = importlib.import_module(f"zetaver.{info.name}")
+        known = set(vars(module)) | set(vars(builtins))
+        for code in _code_objects(_module_source_code(module)):
+            for ins in dis.get_instructions(code):
+                if ins.opname == "LOAD_GLOBAL" and ins.argval not in known:
+                    missing.append(f"{info.name}.{code.co_qualname}: {ins.argval}")
+    assert not missing, missing
