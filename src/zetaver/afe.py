@@ -130,7 +130,8 @@ def projection_identity_check(
 
     def integrand(a: np.ndarray) -> np.ndarray:
         kern = dirichlet_kernel(N, -a) if mirrored else dirichlet_kernel(N, a)
-        phases = np.exp(sign * 2j * math.pi * np.outer(a, m))
+        phases = np.outer(a, m) * (sign * 2j * math.pi)
+        np.exp(phases, out=phases)  # in place: the nodes x N matrix is the peak
         return kern * (phases @ mz)
 
     pts = list(np.linspace(0.0, 1.0, 3 * N + 9))
@@ -320,7 +321,11 @@ def theorem1_check(k: int, t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[dic
 
 
 def kernel_norm_power(N: int, p: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """int_0^1 |B_N(alpha)|^p d(alpha)  (the p-th power of the L^p norm)."""
+    """int_0^1 |B_N(alpha)|^p d(alpha)  (the p-th power of the L^p norm).
+
+    Unless p is an even integer, |B_N|^p has kinks at the zeros k/N of
+    B_N, so those are panel breakpoints.
+    """
     if N < 1:
         raise DomainError("N must be >= 1")
     if p <= 0:
@@ -330,6 +335,8 @@ def kernel_norm_power(N: int, p: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
         return np.abs(dirichlet_kernel(N, a)) ** p + 0j
 
     pts = list(np.linspace(0.0, 1.0, int(2.5 * N) + 9))
+    if p % 2 != 0:
+        pts += list(np.arange(1, N) / N)
     res = integrate_finite(f, 0.0, 1.0, cfg, initial_points=pts,
                            abs_tol=1e-9, rel_tol=1e-7, max_panels=120000)
     return float(res.value.real)

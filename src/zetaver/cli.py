@@ -28,14 +28,17 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_axis(text: str) -> AxisSpec:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ConfigError(f"axis spec {text!r} must be min:max:count[:spacing]")
-        spacing = parts[3] if len(parts) == 4 else "linear"
-        return AxisSpec(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
-    vals = tuple(float(v) for v in text.split(","))
-    return AxisSpec(explicit=vals)
+    """min:max:count[:spacing] or v1,v2,...; AxisSpec rejects non-finite values."""
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) not in (3, 4):
+                raise ConfigError(f"axis spec {text!r} must be min:max:count[:spacing]")
+            spacing = parts[3] if len(parts) == 4 else "linear"
+            return AxisSpec(float(parts[0]), float(parts[1]), int(parts[2]), spacing)
+        return AxisSpec(explicit=tuple(float(v) for v in text.split(",")))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse axis spec {text!r}: {exc}") from exc
 
 
 def _grid_from_strings(items) -> GridSpec | None:
@@ -60,7 +63,10 @@ def _load_config_file(path: str, suite_id: str):
     if parser.has_section(suite_id):
         for key, value in parser.items(suite_id):
             if key == "tol":
-                tol = float(value)
+                try:
+                    tol = float(value)
+                except ValueError:
+                    raise ConfigError(f"tol must be a number, got {value!r}") from None
             elif key.startswith("grid."):
                 axes[key[5:]] = _parse_axis(value)
             else:
@@ -187,9 +193,12 @@ def main(argv=None) -> int:
             cli_grid = _grid_from_strings(args.grid)
             if cli_grid is not None:
                 grid = cli_grid
-            threads = int(os.environ.get("ZETAVER_THREADS", args.threads))
-            spec = SuiteSpec(args.suite, grid=grid, cfg=cfg, tolerance=tol,
-                             output=args.out, fmt=args.format)
+            threads = os.environ.get("ZETAVER_THREADS", args.threads)
+            try:
+                threads = int(threads)
+            except ValueError:
+                raise ConfigError(f"ZETAVER_THREADS must be an integer, got {threads!r}") from None
+            spec = SuiteSpec(args.suite, grid=grid, cfg=cfg, tolerance=tol, fmt=args.format)
             report = run_suite(spec, threads=threads)
             payload = report.to_csv() if args.format == "csv" else report.to_json()
             out = args.out

@@ -408,10 +408,7 @@ def _weighted_unit_integral(power: complex, u: complex, cfg: EvalConfig,
         return hurwitz_zeta1(u, a, cfg)
 
     if power.real <= 0.0:
-        def fp(a: np.ndarray) -> np.ndarray:
-            return f(a)
-
-        return integrate_unit_power_singular(fp, power, cfg, abs_tol=abs_tol, rel_tol=rel_tol)
+        return integrate_unit_power_singular(f, power, cfg, abs_tol=abs_tol, rel_tol=rel_tol)
 
     def g(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)

@@ -5,9 +5,14 @@ contours.
 
 All engines accept complex-valued integrands.  Integrands are called with a
 numpy array of nodes and should return an array of values; plain scalar
-callables are adapted automatically.  Panel processing order is
-deterministic, so repeated runs with the same configuration produce
-bit-identical results.
+callables are adapted automatically.  integrate_finite evaluates its
+initial panels in batches of up to _CHUNK panels, so an integrand receives
+up to 15 * _CHUNK = 480 nodes per call and must keep its memory per node
+bounded.  A non-finite panel value or error estimate raises
+ConvergenceError.  Non-smooth points of an integrand belong in
+initial_points (afe.kernel_norm_power breaks at the zeros k/N of B_N).
+Panel processing order is deterministic, so repeated runs with the same
+configuration produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))  # 15 ascending nodes
 _WGK_FULL = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))
 
+# Panels per batched integrand call: an integrand gets at most
+# 15 * _CHUNK = 480 nodes at once, which bounds the memory of integrands
+# that build nodes x n matrices.
+_CHUNK = 32
+
 
 @dataclasses.dataclass
 class QuadResult:
@@ -131,16 +141,28 @@ def _wrap(f):
     return call
 
 
-def _gk15(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fv = f(mid + half * _NODES)
-    kres = half * complex(np.real(fv) @ _WGK_FULL, np.imag(fv) @ _WGK_FULL)
-    gv = fv[1::2]
-    gres = half * complex(np.real(gv) @ _WG_FULL, np.imag(gv) @ _WG_FULL)
-    resabs = half * float(np.abs(fv) @ _WGK_FULL)
-    err = max(abs(kres - gres), 5e-16 * resabs)
-    return kres, err
+def _gk15_many(f, los: np.ndarray, his: np.ndarray):
+    """GK15 values and error estimates of the panels [los[i], his[i]].
+
+    The nodes of up to _CHUNK panels go to f in one call.
+    """
+    halves = 0.5 * (his - los)
+    mids = 0.5 * (los + his)
+    vals = np.empty(los.size, dtype=complex)
+    errs = np.empty(los.size)
+    for c in range(0, los.size, _CHUNK):
+        half = halves[c:c + _CHUNK]
+        x = (mids[c:c + _CHUNK, None] + half[:, None] * _NODES).ravel()
+        fv = f(x).reshape(-1, _NODES.size)
+        kres = half * (np.real(fv) @ _WGK_FULL + 1j * (np.imag(fv) @ _WGK_FULL))
+        gv = fv[:, 1::2]
+        gres = half * (np.real(gv) @ _WG_FULL + 1j * (np.imag(gv) @ _WG_FULL))
+        resabs = half * (np.abs(fv) @ _WGK_FULL)
+        vals[c:c + _CHUNK] = kres
+        errs[c:c + _CHUNK] = np.maximum(np.abs(kres - gres), 5e-16 * resabs)
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))):
+        raise ConvergenceError("integrand is not finite on a panel")
+    return vals, errs
 
 
 def integrate_finite(
@@ -157,8 +179,10 @@ def integrate_finite(
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
     initial_points may pre-split the interval (e.g. at known oscillation
-    scales); the worst panel is then bisected until the summed error
-    estimate meets max(abs_tol, rel_tol * |value|).
+    scales or non-smooth points); all initial panels are evaluated in
+    batched integrand calls, then the worst panel is bisected until the
+    summed error estimate meets max(abs_tol, rel_tol * |value|).  Raises
+    ConvergenceError if a panel value or error is not finite.
     """
     if not a < b:
         raise DomainError("requires a < b")
@@ -169,16 +193,17 @@ def integrate_finite(
         pts = [a, b]
     else:
         pts = sorted({a, b, *(p for p in initial_points if a < p < b)})
+    edges = np.array(pts, dtype=float)
+    vals, errs = _gk15_many(fvec, edges[:-1], edges[1:])
+    evals = 15 * vals.size
     heap: list[tuple] = []
     total = 0j
     total_err = 0.0
-    evals = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _gk15(fvec, lo, hi)
-        evals += 15
+    for lo, hi, val, err in zip(pts[:-1], pts[1:], vals.tolist(), errs.tolist()):
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, lo, hi, val, err))
+        heap.append((-err, lo, hi, val, err))
+    heapq.heapify(heap)
     panels = len(heap)
     while total_err > max(atol, rtol * abs(total)) and panels < max_panels:
         neg_err, lo, hi, val, err = heapq.heappop(heap)
@@ -187,8 +212,8 @@ def integrate_finite(
             # nothing refinable left (floating-point resolution)
             heapq.heappush(heap, (0.0, lo, hi, val, err))
             break
-        v1, e1 = _gk15(fvec, lo, mid)
-        v2, e2 = _gk15(fvec, mid, hi)
+        v, e = _gk15_many(fvec, np.array([lo, mid]), np.array([mid, hi]))
+        (v1, v2), (e1, e2) = v.tolist(), e.tolist()
         evals += 30
         total += v1 + v2 - val
         total_err += e1 + e2 - err

@@ -162,6 +162,11 @@ def _csum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
+# Terms per column block of the Euler-Maclaurin base sum (16 B each, so a
+# block is 128 KiB, the default malloc mmap threshold).
+_EM_BLOCK_TERMS = 1 << 13
+
+
 def _em_hurwitz(s: complex, a, cfg: EvalConfig = DEFAULT_CONFIG):
     """zeta_H(s, a) for complex s != 1 and real a > 0 (scalar or array).
 
@@ -187,11 +192,19 @@ def _em_hurwitz(s: complex, a, cfg: EvalConfig = DEFAULT_CONFIG):
         raise ConvergenceError("Euler-Maclaurin base sum exceeds max_series_terms")
 
     ks = np.arange(n0, dtype=float)
-    terms = np.power(ks[:, None] + a_arr[None, :], -s)
     if scalar:
-        base = np.array([_csum(terms[:, 0])])
+        base = np.array([_csum(np.power(ks + a_arr[0], -s))])
     else:
-        base = terms.sum(axis=0)
+        # Column blocks bound the memory.  A column sum of an n0 x w block
+        # runs row by row for w >= 2 but pairwise for w = 1, so no block is
+        # one column wide unless a is: every column sums as in one matrix.
+        cols = max(2, _EM_BLOCK_TERMS // n0)
+        edges = list(range(0, a_arr.size, cols)) + [a_arr.size]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        base = np.empty(a_arr.size, dtype=complex)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            base[lo:hi] = np.power(ks[:, None] + a_arr[None, lo:hi], -s).sum(axis=0)
 
     x = ks[-1] + 1.0 + a_arr  # = n0 + a
     xs = np.power(x, -s)

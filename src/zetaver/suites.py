@@ -48,6 +48,9 @@ class AxisSpec:
     explicit: tuple = ()
 
     def __post_init__(self) -> None:
+        bounds = self.explicit or (self.minimum, self.maximum)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ConfigError(f"axis values must be finite, got {list(bounds)}")
         if self.explicit:
             return
         if self.count < 1:
@@ -105,7 +108,6 @@ class SuiteSpec:
     grid: GridSpec | None = None
     cfg: EvalConfig = DEFAULT_CONFIG
     tolerance: float | None = None
-    output: str | None = None
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
@@ -181,19 +183,6 @@ def _row(identity_id: str, params: dict, lhs: complex, rhs: complex,
         "abs_residual": absres,
         "rel_residual": absres / max(abs(lhs), 1e-300),
         "evals": evals,
-        "seconds": seconds,
-    }
-
-
-def _report_row(rep: identities.IdentityReport, seconds: float) -> dict:
-    return {
-        "identity_id": rep.identity_id,
-        "params": rep.params,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "abs_residual": rep.abs_residual,
-        "rel_residual": rep.rel_residual,
-        "evals": rep.evaluations,
         "seconds": seconds,
     }
 

@@ -281,3 +281,9 @@ def test_kernel_norm_hoelder_chain():
         consts = [afe.kernel_norm_power(n, q) / n ** (q - 1.0) for n in (10, 100, 1000, 10000)]
         assert max(consts) <= 4.0 * min(consts)
         assert max(consts) < 10.0
+
+
+def test_kernel_norm_l1_oracle():
+    # int_0^1 |B_1000| from the 120-bit oracle tier; the kinks of |B_N| at
+    # k/N are panel breakpoints, so the quadrature reaches it closely
+    assert abs(afe.kernel_norm_power(1000, 1.0) / 3.789039050535354 - 1.0) <= 1e-10

@@ -3,6 +3,8 @@ exit codes and reproducibility."""
 
 import json
 
+import pytest
+
 from zetaver.cli import main
 from zetaver.suites import SUITES, SuiteSpec, run_suite
 
@@ -135,3 +137,32 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
                  "--grid", "v_re=0.3", "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_threads_env_not_an_integer_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("ZETAVER_THREADS", "x")
+    assert main(["run-suite", "mellin_tail", "--grid", "u_re=2.5", "--grid", "v_re=0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, grids", [
+    ("i1_asymptotic", ["t=inf"]),
+    ("i1_asymptotic", ["t=1:inf:3"]),
+    ("i1_asymptotic", ["t=a:b:3"]),
+    ("katsurada", ["u_re=1.5", "u_im=nan"]),
+])
+def test_non_finite_or_malformed_grid_is_config_error(capsys, suite, grids):
+    argv = ["run-suite", suite]
+    for g in grids:
+        argv += ["--grid", g]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+def test_config_file_bad_tol_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "suite.ini"
+    cfgfile.write_text("[quadratic_moment]\ntol = x\n")
+    assert main(["run-suite", "quadratic_moment", "--config", str(cfgfile)]) == 2
+    assert "configuration error" in capsys.readouterr().err

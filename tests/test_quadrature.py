@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetaver.errors import DivergenceError, DomainError, PoleTooCloseError
+from zetaver import quadrature
+from zetaver.errors import ConvergenceError, DivergenceError, DomainError, PoleTooCloseError
 from zetaver.quadrature import (
     ContourSpec,
     OscSpec,
@@ -168,3 +169,46 @@ def test_unit_power_singular():
     assert abs(res.value - 2.0) < 1e-11
     res = integrate_unit_power_singular(lambda x: np.asarray(x, dtype=complex), -0.75)
     assert abs(res.value - 0.8) < 1e-10
+
+
+def test_finite_nan_at_one_node_raises():
+    def f(x):
+        y = np.cos(x) + 0j
+        y[x == 0.5] = np.nan  # 0.5 is the middle node of the single panel
+        return y
+
+    with pytest.raises(ConvergenceError):
+        integrate_finite(f, 0.0, 1.0)
+    calls = []
+
+    def g(x):  # sqrt needs bisection at 0; NaN on every call after the first
+        calls.append(x.size)
+        return np.sqrt(x) * (np.nan if len(calls) > 1 else 1.0) + 0j
+
+    with pytest.raises(ConvergenceError):
+        integrate_finite(g, 0.0, 1.0)
+    assert len(calls) == 2
+
+
+def test_finite_initial_panels_batched():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    res = integrate_finite(f, 0.0, 1.0, initial_points=np.linspace(0.0, 1.0, 1001))
+    assert abs(res.value - math.sin(1.0)) < 1e-14
+    bisections = (res.evaluations - 15 * 1000) // 30
+    assert len(calls) <= math.ceil(1000 / quadrature._CHUNK) + bisections
+    assert max(calls) <= 15 * quadrature._CHUNK
+
+
+def test_finite_repeat_bit_identical():
+    def f(x):
+        return np.exp(1j * 40.0 * x) / (1.0 + x * x)
+
+    pts = np.linspace(0.0, 3.0, 150)
+    r1 = integrate_finite(f, 0.0, 3.0, initial_points=pts, rel_tol=1e-13)
+    r2 = integrate_finite(f, 0.0, 3.0, initial_points=pts, rel_tol=1e-13)
+    assert r1 == r2

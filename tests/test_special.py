@@ -1,6 +1,7 @@
 """Base special functions against closed forms and independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,3 +342,27 @@ def test_an_vs_mpmath(n, s):
 def test_an_domain():
     with pytest.raises(DomainError):
         sp.fourier_coeff_a(3, -1.5)
+
+
+def test_em_blocked_base_sum_bit_identical_and_bounded(monkeypatch):
+    s = 0.5 + 800j
+    a = 1.0 + np.linspace(0.0, 1.0, 5000)
+    tracemalloc.start()
+    try:
+        blocked, err = sp._em_hurwitz(s, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the unblocked n0 x 5000 matrix alone is ~41 MB
+    scalar = sp._em_hurwitz(s, a[17])
+    monkeypatch.setattr(sp, "_EM_BLOCK_TERMS", 1 << 40)  # one block: the whole matrix
+    whole, err_whole = sp._em_hurwitz(s, a)
+    assert np.array_equal(blocked, whole) and err == err_whole
+    assert scalar == sp._em_hurwitz(s, a[17])
+    sizes = (1, 2, 3, 4, 7, 10)
+    unblocked = [sp._em_hurwitz(s, a[:m])[0] for m in sizes]
+    # three columns per block: a one-column remainder block would sum
+    # pairwise, not row by row as in the whole matrix; none is formed
+    monkeypatch.setattr(sp, "_EM_BLOCK_TERMS", 3 * 600)
+    for m, ref in zip(sizes, unblocked):
+        assert np.array_equal(sp._em_hurwitz(s, a[:m])[0], ref)

@@ -54,3 +54,12 @@ def test_suite_smoke(suite_id):
     errors = [r["params"].get("error") for r in report.rows if "error" in r["params"]]
     assert not errors, f"rows carried errors: {errors}"
     assert report.passed, f"suite judge failed: {[r['params'] for r in report.rows]}"
+
+
+def test_non_finite_integrand_row_is_annotated():
+    # at u = 3, v = 1.5 the unit-recursion integrand overflows near 0; the
+    # quadrature raises instead of returning NaN, and the row says why
+    grid = GridSpec({"u_re": _ax(3.0), "v_re": _ax(1.5)})
+    rows = run_suite(SuiteSpec("unit_recursion", grid=grid)).rows
+    assert len(rows) == 1
+    assert rows[0]["params"]["error"].startswith("ConvergenceError")
