@@ -22,7 +22,6 @@ from .special import (
     hurwitz_zeta1,
     kernel_index,
     riemann_zeta,
-    riemann_zeta_many,
 )
 
 _2PI = 2.0 * math.pi
@@ -285,7 +284,7 @@ def power_mean_Jk(k: int, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PowerMe
         raise DomainError("T out of desk-scale range")
 
     def f(tv: np.ndarray) -> np.ndarray:
-        return np.abs(riemann_zeta_many(0.5 + 1j * tv, cfg)) ** (2 * k) + 0j
+        return np.abs(riemann_zeta(0.5 + 1j * tv, cfg)) ** (2 * k) + 0j
 
     pts = list(np.linspace(0.0, T, int(2.0 * T) + 9))
     res = integrate_finite(f, 0.0, T, cfg, initial_points=pts, abs_tol=1e-9, rel_tol=1e-7)

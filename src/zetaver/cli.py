@@ -78,11 +78,10 @@ def _load_config_file(path: str, suite_id: str):
 def _eval_value(args, cfg: EvalConfig):
     fn = args.function
     if fn == "zeta":
-        value, err = special.hurwitz_zeta1_with_error(_require(args, "s"), 0.0, cfg)
-        return complex(value), err
+        return special._em_hurwitz(_require(args, "s"), 1.0, cfg)
     if fn == "zeta1":
-        value, err = special.hurwitz_zeta1_with_error(_require(args, "s"), _require(args, "alpha").real, cfg)
-        return complex(value), err
+        shift = special._zeta1_shift(_require(args, "alpha").real)
+        return special._em_hurwitz(_require(args, "s"), shift, cfg)
     if fn == "chi":
         value = special.chi(_require(args, "s"))
         return value, 5e-14 * abs(value)
@@ -101,7 +100,7 @@ def _eval_value(args, cfg: EvalConfig):
         if u.real > 1.0 and v.real > 1.0:
             value = fourier.qn_direct(int(args.n), u, v, cfg)
         else:
-            value = fourier.qn_continued(int(args.n), u, v, args.eta, cfg)
+            value = fourier.qn_continued(int(args.n), u, v, cfg)
         return value, 1e-10
     if fn == "S1":
         value = afe.s1_sum(args.sigma, args.t, _require(args, "alpha").real)
@@ -140,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--t", type=float)
     pe.add_argument("--T", type=float)
     pe.add_argument("--sigma", type=float, default=0.5)
-    pe.add_argument("--eta", type=float, default=1.0)
     pe.add_argument("--tol-abs", type=float, default=None)
     pe.add_argument("--tol-rel", type=float, default=None)
 

@@ -308,17 +308,14 @@ def _regularized_terms(u: complex, v: complex):
     ]
 
 
-def qn_continued(n: int, u: complex, v: complex, eta: float = 1.0,
-                 cfg: EvalConfig = DEFAULT_CONFIG, truncated: bool = False,
+def qn_continued(n: int, u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG,
                  abs_tol: float = 1e-10) -> complex:
     """Analytically continued q_n(u,v), valid for Re u, Re v > 0:
 
         [1/(u-1) + 1/(v-1)] a_n(u+v-1) + two regularized tail integrals.
 
-    truncated=True cuts the integrals at t/2pi + eta (conjugate-pair form
-    with the 1/n-size dropped remainder); otherwise the full regularized
-    integrals are evaluated with certified by-parts tails, which makes the
-    value exact up to quadrature error.
+    The regularized integrals are evaluated with certified by-parts tails,
+    which makes the value exact up to quadrature error.
     """
     u = complex(u)
     v = complex(v)
@@ -328,31 +325,13 @@ def qn_continued(n: int, u: complex, v: complex, eta: float = 1.0,
     lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0, cfg)
     terms_u = _regularized_terms(u, v)
     terms_v = _regularized_terms(v, u)
-    if truncated:
-        B = max(abs(u.imag), abs(v.imag)) / _2PI + eta
-        if B <= 1.0:
-            raise DomainError("truncation point below 1; use the full form")
-        if n == 0:
-            def f_u(alpha: np.ndarray) -> np.ndarray:
-                return _eval_terms(terms_u, alpha, cfg)
-
-            def f_v(alpha: np.ndarray) -> np.ndarray:
-                return _eval_terms(terms_v, alpha, cfg)
-
-            iu = integrate_finite(f_u, 1.0, B, cfg, abs_tol=abs_tol, rel_tol=1e-9)
-            iv = integrate_finite(f_v, 1.0, B, cfg, abs_tol=abs_tol, rel_tol=1e-9)
-        else:
-            iu = _osc_zeta1_integral(terms_u, n, 1.0, B, t_content, cfg, abs_tol=abs_tol)
-            iv = _osc_zeta1_integral(terms_v, n, 1.0, B, t_content, cfg, abs_tol=abs_tol)
-        return complex(lead + iu.value + iv.value)
     val_u, _, _ = _semi_infinite_osc(terms_u, n, t_content, cfg, abs_tol)
     val_v, _, _ = _semi_infinite_osc(terms_v, n, t_content, cfg, abs_tol)
     return complex(lead + val_u + val_v)
 
 
 def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
-                eta: float = 1.0, cfg: EvalConfig = DEFAULT_CONFIG,
-                abs_tol: float = 1e-10) -> FourierCoeffSet:
+                cfg: EvalConfig = DEFAULT_CONFIG, abs_tol: float = 1e-10) -> FourierCoeffSet:
     """Coefficients q_n for |n| <= n_max.  For v = conj(u) the negative
     indices are filled by Hermitian reflection (exactly)."""
     u = complex(u)
@@ -364,7 +343,7 @@ def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
     def one(n: int) -> complex:
         if mode == "direct":
             return qn_direct(n, u, v, cfg, abs_tol=abs_tol)
-        return qn_continued(n, u, v, eta, cfg, abs_tol=abs_tol)
+        return qn_continued(n, u, v, cfg, abs_tol=abs_tol)
 
     coeffs = {0: one(0)}
     for n in range(1, n_max + 1):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import afe
 from .config import DEFAULT_CONFIG, EvalConfig
-from .errors import DivergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .quadrature import (
     ContourSpec,
     integrate_finite,
@@ -33,8 +33,6 @@ from .special import (
     hurwitz_zeta1,
     lgamma,
     riemann_zeta,
-    riemann_zeta_many,
-    hurwitz_zeta1_many_s,
 )
 
 _2PI = 2.0 * math.pi
@@ -200,7 +198,7 @@ def f_contour(
     def g(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         br = np.exp(lgamma(u + z) + lgamma(-z) - lg_u)
-        return br * riemann_zeta_many(-z, cfg) * hurwitz_zeta1_many_s(u + v + z, alpha, cfg)
+        return br * riemann_zeta(-z, cfg) * hurwitz_zeta1(u + v + z, alpha, cfg)
 
     atol = cfg.abs_tol if abs_tol is None else abs_tol
     rtol = cfg.rel_tol if rel_tol is None else rel_tol
@@ -241,7 +239,7 @@ def verify_square_identity(
         z = np.asarray(z, dtype=complex)
         lgz = lgamma(-z)
         br = np.exp(lgamma(s + z) - lg_s + lgz) + np.exp(lgamma(sb + z) - lg_sb + lgz)
-        return br * riemann_zeta_many(-z, cfg) * hurwitz_zeta1_many_s(2.0 * sigma + z, alpha, cfg)
+        return br * riemann_zeta(-z, cfg) * hurwitz_zeta1(2.0 * sigma + z, alpha, cfg)
 
     atol = max(cfg.abs_tol, 1e-12 * max(lhs, 1.0))
     poles = [0.0, -1.0, 1.0 - 2.0 * sigma, -sigma]
@@ -433,6 +431,64 @@ def mellin_tail_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) 
     )
 
 
+# Terms of the binomial series of the zeta1 difference quotient.
+_DQ_TERMS = 40
+
+
+def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
+    """Return a -> (zeta1(u, a) - zeta(u)) / a for arrays of a in (0, 1].
+
+    Below the split b = min(1/4, 1/|u|) the difference cancels (to nothing
+    as a -> 0), so there the quotient is the binomial series
+    sum_{k=1..K} binom(-u, k) zeta(u+k) a^(k-1); from b on the direct
+    difference loses at most about one digit.  With c_k = |binom(-u, k)|
+    and r = max(1, (|u|+K+1)/(K+2)) >= c_{k+1}/c_k for k > K (r b < 1),
+    the series remainder is at most c_{K+1} zeta(Re u + K + 1) a^K / (1 - r a).
+    ConvergenceError unless at a = b that is below 2^-52 times the sum of
+    the term sizes.
+    """
+    u = complex(u)
+    zu = complex(riemann_zeta(u, cfg))
+    split = min(0.25, 1.0 / abs(u))
+    k = np.arange(1.0, _DQ_TERMS + 2.0)
+    binom = np.cumprod(-(u + k - 1.0) / k)  # binom(-u, k), k = 1..K+1
+    if u.imag == 0.0 and u.real == math.floor(u.real) < 0.0:
+        # u = -m: the series is a polynomial; its k = m+1 term meets the pole
+        # of zeta and tends to -1/(m+1), and every later term vanishes
+        m = int(-u.real)
+        coeffs = np.append(binom[:m] * riemann_zeta(u + k[:m], cfg), -1.0 / (m + 1))
+    else:
+        coeffs = binom[:-1] * riemann_zeta(u + k[:-1], cfg)
+        x = u.real + _DQ_TERMS + 1.0
+        ratio = split * max(1.0, (abs(u) + _DQ_TERMS + 1.0) / (_DQ_TERMS + 2.0))
+        rest = math.inf
+        if x > 1.0:
+            zeta_x = 1.0 + 2.0**-x + 2.0 ** (1.0 - x) / (x - 1.0)  # >= zeta(x)
+            rest = abs(binom[-1]) * zeta_x * split**_DQ_TERMS / (1.0 - ratio)
+        scale = float(np.sum(np.abs(coeffs) * split ** (k[:-1] - 1.0)))
+        if not rest <= 2.0**-52 * scale:
+            raise ConvergenceError(
+                f"zeta1 difference quotient: the {_DQ_TERMS}-term binomial "
+                f"series misses double precision at u = {u}")
+
+    def quotient(a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        out = np.empty(a.shape, dtype=complex)
+        small = a < split
+        big = ~small
+        if np.any(big):
+            out[big] = (hurwitz_zeta1(u, a[big], cfg) - zu) / a[big]
+        if np.any(small):
+            x = a[small]
+            acc = np.full(x.shape, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                acc = acc * x + c
+            out[small] = acc
+        return out
+
+    return quotient
+
+
 def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
     """Integration-by-parts recursion for int_0^1 alpha^{-v} zeta1(u,alpha):
     equals (zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha).
@@ -449,10 +505,7 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
     zu = complex(riemann_zeta(u, cfg))
     if v == 1.0:
         # limit mode: both sides finite
-        def f_reg(a: np.ndarray) -> np.ndarray:
-            a = np.asarray(a, dtype=float)
-            return (hurwitz_zeta1(u, a, cfg) - zu) / a
-
+        f_reg = _zeta1_difference_quotient(u, cfg)
         pts = [2.0**-k for k in range(1, 40)] + list(np.linspace(0.0, 1.0, int(4 * abs(u.imag)) + 17))
         lhs_res = integrate_finite(f_reg, 0.0, 1.0, cfg, initial_points=pts,
                                    abs_tol=1e-12, rel_tol=1e-10)
@@ -475,11 +528,7 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
         lhs = lhs_res.value
         mode = "direct"
     else:
-        def f_sub(a: np.ndarray) -> np.ndarray:
-            a = np.asarray(a, dtype=float)
-            return (hurwitz_zeta1(u, a, cfg) - zu) / a
-
-        res = integrate_unit_power_singular(f_sub, 1.0 - v, cfg, abs_tol=1e-12, rel_tol=1e-10)
+        res = integrate_unit_power_singular(_zeta1_difference_quotient(u, cfg), 1.0 - v, cfg, abs_tol=1e-12, rel_tol=1e-10)
         lhs = res.value + zu / (1.0 - v)
         lhs_res = res
         mode = "subtracted"

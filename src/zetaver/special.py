@@ -152,6 +152,12 @@ def _b2j_over_factorial(j: int) -> float:
     return float(_bernoulli_fraction(2 * j) / Fraction(math.factorial(2 * j)))
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_tail_weights(j_max: int) -> np.ndarray:
+    # B_2j / (2j)! for j = 1..j_max+1
+    return np.array([_b2j_over_factorial(j) for j in range(1, j_max + 2)])
+
+
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin evaluation of zeta_H(s, a) = sum_{k>=0} (k+a)^{-s}.
 # ---------------------------------------------------------------------------
@@ -162,140 +168,126 @@ def _csum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
-# Terms per column block of the Euler-Maclaurin base sum (16 B each, so a
-# block is 128 KiB, the default malloc mmap threshold).
+# Terms per column block of the Euler-Maclaurin base sum: each real
+# n0 x w matrix of a block takes 64 KiB, under the default malloc mmap
+# threshold of 128 KiB.
 _EM_BLOCK_TERMS = 1 << 13
 
 
-def _em_hurwitz(s: complex, a, cfg: EvalConfig = DEFAULT_CONFIG):
-    """zeta_H(s, a) for complex s != 1 and real a > 0 (scalar or array).
+def _neg_power(x, log_x, sigma, t):
+    """x^-(sigma + i t) for x > 0 as (c, d) with x^-s = c - i d, i.e.
+    x^-sigma times (cos, sin)(t log x); d is None when t is all zero.
 
-    Returns (value, error_bound).  The number of direct terms grows like
-    2|Im s|/pi so the Bernoulli tail converges geometrically with ratio
-    about 1/16 per correction pair.
+    The real power is exact for integer x and sigma, where exp(-s log x)
+    is not, and two real trigonometric ufuncs are faster than one complex
+    exp.
     """
-    s = complex(s)
-    if s == 1.0:
-        raise PoleError("zeta pole at s = 1")
+    power = np.power(x, -sigma)
+    if not t.any():
+        return power, None
+    phase = t * log_x
+    return power * np.cos(phase), power * np.sin(phase)
+
+
+def _em_hurwitz(s, a, cfg: EvalConfig = DEFAULT_CONFIG):
+    """zeta_H(s, a) for complex s != 1 and real a > 0, broadcast against
+    each other (scalars or arrays).
+
+    Returns (value, error_bound): value has the broadcast shape (a complex
+    when both are scalars) and the bound is the largest over its elements.
+    The number of direct terms grows like 2 max|Im s|/pi from the smallest
+    shift, so the Bernoulli tail converges geometrically with ratio about
+    1/16 per correction pair.
+    """
+    s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
-    scalar = a_arr.ndim == 0
-    a_arr = np.atleast_1d(a_arr)
-    if np.any(a_arr <= 0.0):
+    if (s_arr == 1.0).any():
+        raise PoleError("zeta pole at s = 1")
+    if (a_arr <= 0.0).any():
         raise DomainError("shift must be positive")
     j_max = cfg.bernoulli_order // 2
-    if s.real + 2 * j_max + 1 <= 1.0:
-        raise DomainError(f"Re s = {s.real} too small for bernoulli_order = {cfg.bernoulli_order}")
-    a_min = float(a_arr.min())
-    target = max(float(cfg.em_terms), 2.0 * abs(s.imag) / math.pi)
-    n0 = max(int(math.ceil(target - a_min)) + 1, 1)
+    sig_min = float(s_arr.real.min())
+    if sig_min + 2 * j_max + 1 <= 1.0:
+        raise DomainError(f"Re s = {sig_min} too small for bernoulli_order = {cfg.bernoulli_order}")
+    target = max(float(cfg.em_terms), 2.0 * float(abs(s_arr.imag).max()) / math.pi)
+    n0 = max(int(math.ceil(target - float(a_arr.min()))) + 1, 1)
     if n0 > cfg.max_series_terms:
         raise ConvergenceError("Euler-Maclaurin base sum exceeds max_series_terms")
+
+    # An argument with one value stays a scalar; arrays are flattened
+    # against each other.
+    shape = np.broadcast(s_arr, a_arr).shape
+    many_s, many_a = s_arr.size > 1, a_arr.size > 1
+    if many_s and many_a:
+        s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
+    s = s_arr.ravel() if many_s else s_arr.flat[0]
+    a = a_arr.ravel() if many_a else a_arr.flat[0]
+    size = max(s_arr.size, a_arr.size)
 
     ks = np.arange(n0, dtype=float)
-    if scalar:
-        base = np.array([_csum(np.power(ks + a_arr[0], -s))])
-    else:
-        # Column blocks bound the memory.  A column sum of an n0 x w block
-        # runs row by row for w >= 2 but pairwise for w = 1, so no block is
-        # one column wide unless a is: every column sums as in one matrix.
-        cols = max(2, _EM_BLOCK_TERMS // n0)
-        edges = list(range(0, a_arr.size, cols)) + [a_arr.size]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]
-        base = np.empty(a_arr.size, dtype=complex)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            base[lo:hi] = np.power(ks[:, None] + a_arr[None, lo:hi], -s).sum(axis=0)
+    if not many_a:  # x and log x are shared by every column
+        x = (ks + a)[:, None]
+        log_x = np.log(x)
+    # Column blocks bound the memory.  A column sum of an n0 x w block runs
+    # row by row for w >= 2 but pairwise for w = 1, so no block is one
+    # column wide unless the output is: every column sums as in one matrix.
+    cols = max(2, _EM_BLOCK_TERMS // n0)
+    edges = list(range(0, size, cols)) + [size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    base = np.empty(size, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if many_a:
+            x = ks[:, None] + a[None, lo:hi]
+            log_x = np.log(x)
+        s_cols = s[None, lo:hi] if many_s else s
+        c, d = _neg_power(x, log_x, s_cols.real, s_cols.imag)
+        base.real[lo:hi] = c.sum(axis=0)
+        base.imag[lo:hi] = 0.0 if d is None else -d.sum(axis=0)
 
-    x = ks[-1] + 1.0 + a_arr  # = n0 + a
-    xs = np.power(x, -s)
-    inv = 1.0 / x
-    tail = x * xs / (s - 1.0) + 0.5 * xs
-    poch = s  # (s)_{2j-1} running product
-    ipow = inv.copy()  # x^{-(2j-1)}
-    for j in range(1, j_max + 1):
-        if j > 1:
-            poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
-            ipow *= inv * inv
-        tail = tail + _b2j_over_factorial(j) * poch * xs * ipow
-    poch *= (s + 2 * j_max - 1) * (s + 2 * j_max)
-    ipow *= inv * inv
-    fac = (abs(s) + 2 * j_max + 1) / (s.real + 2 * j_max + 1)
-    err = abs(_b2j_over_factorial(j_max + 1)) * abs(poch) * float(np.max(np.abs(xs) * ipow)) * fac
-
-    value = base + tail
-    if scalar:
-        return complex(value[0]), err
-    return value, err
-
-
-def _em_hurwitz_many_s(s_values: np.ndarray, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """zeta_H(s, a) for an array of s at one shift a (vectorised over s)."""
-    s = np.asarray(s_values, dtype=complex)
-    if np.any(s == 1.0):
-        raise PoleError("zeta pole at s = 1")
-    if a <= 0.0:
-        raise DomainError("shift must be positive")
-    j_max = cfg.bernoulli_order // 2
-    sig_min = float(np.min(s.real))
-    if sig_min + 2 * j_max + 1 <= 1.0:
-        raise DomainError("Re s too small for configured bernoulli_order")
-    t_max = float(np.max(np.abs(s.imag)))
-    target = max(float(cfg.em_terms), 2.0 * t_max / math.pi)
-    n0 = max(int(math.ceil(target - a)) + 1, 1)
-    if n0 > cfg.max_series_terms:
-        raise ConvergenceError("Euler-Maclaurin base sum exceeds max_series_terms")
-    logx = np.log(np.arange(n0, dtype=float) + a)
-    base = np.exp(-logx[:, None] * s[None, :]).sum(axis=0)
+    # Tail x^-s [x/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} x^(1-2j)] at
+    # x = n0 + a, j = 1..J; row j-1 of coeffs is the j-th coefficient, and
+    # row J that of the first omitted term.
+    poch = np.cumprod(np.arange(2.0 * j_max + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
+    coeffs = _bernoulli_tail_weights(j_max)[:, None] * poch[::2]
     x = n0 + a
-    xs = np.exp(-math.log(x) * s)
     inv = 1.0 / x
-    tail = x * xs / (s - 1.0) + 0.5 * xs
-    poch = s.copy()
-    ipow = inv
-    for j in range(1, j_max + 1):
-        if j > 1:
-            poch = poch * (s + 2 * j - 3) * (s + 2 * j - 2)
-            ipow *= inv * inv
-        tail = tail + _b2j_over_factorial(j) * poch * xs * ipow
-    return base + tail
+    inv2 = inv * inv
+    poly = (coeffs[:j_max] * inv2 ** np.arange(j_max)[:, None]).sum(axis=0)
+    c, d = _neg_power(x, np.log(x), s.real, s.imag)
+    xs = c if d is None else c - 1j * d
+    value = base + xs * (x / (s - 1.0) + 0.5 + inv * poly)
+    # the first omitted term, times the ratio that bounds the rest
+    fac = (abs(s) + 2 * j_max + 1) / (s.real + 2 * j_max + 1)
+    err = float((abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * fac).max())
+
+    if not shape:
+        return complex(value[0]), err
+    return value.reshape(shape), err
 
 
 def riemann_zeta(s, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Riemann zeta(s), continued by Euler-Maclaurin.  PoleError at s = 1."""
-    value, _ = _em_hurwitz(s, 1.0, cfg)
-    return value
+    """Riemann zeta(s), continued by Euler-Maclaurin.  PoleError at s = 1.
 
-
-def riemann_zeta_many(s_values, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """zeta(s) over an array of s values (one shared truncation)."""
-    return _em_hurwitz_many_s(s_values, 1.0, cfg)
-
-
-def hurwitz_zeta1_many_s(s_values, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """zeta1(s, alpha) over an array of s values at one fixed alpha >= 0."""
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
-    return _em_hurwitz_many_s(s_values, 1.0 + alpha, cfg)
+    s may be a numpy array; the result then has the same shape.
+    """
+    return _em_hurwitz(s, 1.0, cfg)[0]
 
 
 def hurwitz_zeta1(s, alpha, cfg: EvalConfig = DEFAULT_CONFIG):
     """Modified Hurwitz zeta: sum_{n>=1} (n+alpha)^{-s}, alpha >= 0, s != 1.
 
-    alpha may be a numpy array; the result then has the same shape.
+    s and alpha may be numpy arrays; the result has their broadcast shape.
     """
+    return _em_hurwitz(s, _zeta1_shift(alpha), cfg)[0]
+
+
+def _zeta1_shift(alpha):
+    """The Hurwitz shift 1 + alpha of zeta1(s, alpha); DomainError for alpha < 0."""
     alpha_arr = np.asarray(alpha, dtype=float)
     if np.any(alpha_arr < 0.0):
         raise DomainError("alpha must be >= 0")
-    value, _ = _em_hurwitz(s, alpha_arr + 1.0, cfg)
-    return value
-
-
-def hurwitz_zeta1_with_error(s, alpha, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Like hurwitz_zeta1 but also returns the Euler-Maclaurin error bound."""
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr < 0.0):
-        raise DomainError("alpha must be >= 0")
-    return _em_hurwitz(s, alpha_arr + 1.0, cfg)
+    return alpha_arr + 1.0
 
 
 def hurwitz_zeta(s, alpha, cfg: EvalConfig = DEFAULT_CONFIG):

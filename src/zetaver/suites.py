@@ -171,17 +171,14 @@ def _jsonable(obj):
 
 
 def _row(identity_id: str, params: dict, lhs: complex, rhs: complex,
-         evals: int, seconds: float) -> dict:
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    absres = abs(lhs - rhs)
+         abs_residual: float, rel_residual: float, evals: int, seconds: float) -> dict:
     return {
         "identity_id": identity_id,
         "params": params,
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_residual": absres,
-        "rel_residual": absres / max(abs(lhs), 1e-300),
+        "lhs": complex(lhs),
+        "rhs": complex(rhs),
+        "abs_residual": abs_residual,
+        "rel_residual": rel_residual,
         "evals": evals,
         "seconds": seconds,
     }
@@ -189,15 +186,13 @@ def _row(identity_id: str, params: dict, lhs: complex, rhs: complex,
 
 # ---------------------------------------------------------------------------
 # Judges: default is "every row within tolerance"; asymptotic suites use
-# boundedness of their scaled statistics instead of fixed residuals.
+# boundedness of their scaled statistics instead of fixed residuals.  A row
+# set with an error-annotated row fails before any judge sees it.
 # ---------------------------------------------------------------------------
 
 
 def _judge_tol(rows: list[dict], tol: float) -> bool:
-    ok_rows = [r for r in rows if "error" not in r["params"]]
-    if len(ok_rows) < len(rows):
-        return False
-    return all(r["rel_residual"] <= tol for r in ok_rows)
+    return all(r["rel_residual"] <= tol for r in rows)
 
 
 def _scaled_values(rows: list[dict], key: str = "scaled") -> list[float]:
@@ -206,8 +201,6 @@ def _scaled_values(rows: list[dict], key: str = "scaled") -> list[float]:
 
 def _judge_bounded(rows: list[dict], key: str, slope_max: float = 0.1,
                    spread_max: float = 5.0) -> bool:
-    if any("error" in r["params"] for r in rows):
-        return False
     by_sigma: dict = {}
     for r in rows:
         by_sigma.setdefault(r["params"].get("sigma", 0.0), []).append(r)
@@ -453,35 +446,30 @@ class Suite:
     judge: object = None
 
     def judge_rows(self, rows: list[dict], tol: float | None) -> bool:
+        if any("error" in r["params"] for r in rows):
+            return False
         if self.judge is not None:
             return self.judge(rows)
         return _judge_tol(rows, tol if tol is not None else self.default_tol)
 
 
 def _judge_i1(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     return all(abs(float(r["params"]["corrected_diff_t2"])) <= 100.0 for r in rows) and all(
         abs(complex(r["lhs"]) - complex(r["rhs"])) <= 0.05 for r in rows
     )
 
 
 def _judge_remark219(rows):
-    return all("error" not in r["params"] for r in rows) and all(
-        float(r["params"]["scaled_t2"]) <= 20.0 for r in rows)
+    return all(float(r["params"]["scaled_t2"]) <= 20.0 for r in rows)
 
 
 def _judge_lemma3(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     scaled = [float(r["params"]["scaled"]) for r in rows]
     strips = [float(r["params"]["strip_over_envelope"]) for r in rows]
     return max(scaled) <= 10.0 * max(scaled[0], 0.05) and max(strips) <= 1.0
 
 
 def _judge_Ik(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     by_t: dict = {}
     for r in rows:
         by_t.setdefault(float(r["params"]["t"]), {})[int(r["params"]["k"])] = float(r["lhs"].real)
@@ -492,8 +480,6 @@ def _judge_Ik(rows):
 
 
 def _judge_Jk(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     for r in rows:
         if int(r["params"]["k"]) == 1 and r["rel_residual"] > 0.15:
             return False
@@ -505,36 +491,28 @@ def _judge_s1(rows):
 
 
 def _judge_theorem1(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     ratios = [float(r["params"]["ratio"]) for r in rows]
     med = float(np.median(ratios))
     return med > 0 and max(ratios) / med <= 5.0
 
 
 def _judge_rane(rows):
-    return all("error" not in r["params"] for r in rows) and all(
-        r["abs_residual"] <= 1e-3 for r in rows)
+    return all(r["abs_residual"] <= 1e-3 for r in rows)
 
 
 def _judge_ratio_record(bound: float, key: str = "ratio"):
     def judge(rows):
-        return all("error" not in r["params"] for r in rows) and all(
-            float(r["params"][key]) <= bound for r in rows)
+        return all(float(r["params"][key]) <= bound for r in rows)
 
     return judge
 
 
 def _judge_theorem2(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     return all(math.isfinite(float(r["params"]["ratio"])) for r in rows) and all(
         float(r["params"]["ratio"]) <= 10.0 for r in rows)
 
 
 def _judge_kernel_norms(rows):
-    if any("error" in r["params"] for r in rows):
-        return False
     if any(r["rel_residual"] > 1e-10 for r in rows):  # Parseval: L2^2 = N
         return False
     l1 = [float(r["params"]["l1_over_logN"]) for r in rows]
@@ -640,14 +618,14 @@ def _run_point(args):
         for rep in reps:
             params = dict(rep.params)
             params["point"] = pt
-            rows.append(_row(rep.identity_id, params, rep.lhs, rep.rhs, rep.evaluations, dt))
-            rows[-1]["abs_residual"] = rep.abs_residual
-            rows[-1]["rel_residual"] = rep.rel_residual
+            rows.append(_row(rep.identity_id, params, rep.lhs, rep.rhs,
+                             rep.abs_residual, rep.rel_residual, rep.evaluations, dt))
         return rows
     except ZetaverError as exc:
         dt = time.perf_counter() - t0
+        nan = float("nan")
         return [_row(suite_id, {"point": pt, "error": f"{type(exc).__name__}: {exc}"},
-                     complex("nan"), complex("nan"), 0, dt)]
+                     complex(nan), complex(nan), nan, nan, 0, dt)]
 
 
 def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:

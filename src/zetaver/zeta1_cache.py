@@ -19,30 +19,26 @@ from .special import hurwitz_zeta1
 
 _2PI = 2.0 * math.pi
 
+# Chebyshev coefficients per panel, panels per local oscillation period of
+# zeta1 in alpha, and the random points at which the fit is checked.
+_ORDER = 16
+_POINTS_PER_CYCLE = 2.0
+_CHECK_POINTS = 40
+
 
 class Zeta1AlphaTable:
     """Chebyshev interpolant of alpha -> zeta1(s, alpha) on [a_lo, a_hi].
 
-    Panels are sized to at most 1/points_per_cycle of the local oscillation
-    period of zeta1 in alpha (log-phase plus kernel content), so a fixed
-    16-coefficient fit per panel reaches ~1e-11 relative accuracy.
+    Panels are sized to at most half the local oscillation period of zeta1
+    in alpha (log-phase plus kernel content), so a fixed 16-coefficient fit
+    per panel reaches ~1e-11 relative accuracy.
     """
 
-    def __init__(
-        self,
-        s: complex,
-        a_lo: float,
-        a_hi: float,
-        cfg: EvalConfig = DEFAULT_CONFIG,
-        order: int = 16,
-        points_per_cycle: float = 2.0,
-        check_points: int = 40,
-    ) -> None:
+    def __init__(self, s: complex, a_lo: float, a_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) -> None:
         if not (0.0 <= a_lo < a_hi):
             raise DomainError("need 0 <= a_lo < a_hi")
         self.s = complex(s)
         self.cfg = cfg
-        self.order = order
         t = abs(self.s.imag)
         n_kernel = math.sqrt(max(t, 1.0) / _2PI)
 
@@ -52,16 +48,16 @@ class Zeta1AlphaTable:
         breaks = [a_lo]
         x = a_lo
         while x < a_hi:
-            w = 1.0 / (points_per_cycle * cycles(x))
+            w = 1.0 / (_POINTS_PER_CYCLE * cycles(x))
             x = min(x + w, a_hi)
             breaks.append(x)
         self.breaks = np.array(breaks)
 
         # Chebyshev nodes of the first kind and the value->coefficient map
-        j = np.arange(order)
-        theta = math.pi * (j + 0.5) / order
+        j = np.arange(_ORDER)
+        theta = math.pi * (j + 0.5) / _ORDER
         self._nodes01 = np.cos(theta)  # in (-1, 1), descending
-        cmat = np.cos(np.outer(np.arange(order), theta)) * (2.0 / order)
+        cmat = np.cos(np.outer(np.arange(_ORDER), theta)) * (2.0 / _ORDER)
         cmat[0, :] *= 0.5
         lo = self.breaks[:-1]
         hi = self.breaks[1:]
@@ -73,7 +69,7 @@ class Zeta1AlphaTable:
         self.evaluations = pts.size
 
         rng = np.random.default_rng(7)
-        xs = rng.uniform(a_lo, a_hi, size=check_points)
+        xs = rng.uniform(a_lo, a_hi, size=_CHECK_POINTS)
         direct = hurwitz_zeta1(self.s, xs, cfg)
         approx = self(xs)
         scale = float(np.max(np.abs(direct))) or 1.0
@@ -90,7 +86,7 @@ class Zeta1AlphaTable:
         c = self.coeffs[idx]  # (n, order)
         b1 = np.zeros_like(tt, dtype=complex)
         b2 = np.zeros_like(b1)
-        for k in range(self.order - 1, 0, -1):
+        for k in range(_ORDER - 1, 0, -1):
             b1, b2 = 2.0 * tt * b1 - b2 + c[:, k], b1
         out = tt * b1 - b2 + c[:, 0]
         return out[0] if scalar else out

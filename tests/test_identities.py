@@ -9,10 +9,10 @@ import pytest
 
 from zetaver import identities as idn
 from zetaver import oracle
-from zetaver.errors import DomainError
+from zetaver.errors import ConvergenceError, DomainError
 from zetaver.identities import MomentParams
 from zetaver.quadrature import ContourSpec, integrate_vertical_line
-from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta, riemann_zeta_many, hurwitz_zeta1_many_s
+from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta
 
 mp.mp.dps = 25
 
@@ -93,7 +93,7 @@ def test_vertical_line_outside_strip_crosses_residue():
     def g(z):
         z = np.asarray(z, dtype=complex)
         return (np.exp(lgamma(u + z) + lgamma(-z) - lg_u)
-                * riemann_zeta_many(-z) * hurwitz_zeta1_many_s(u + v + z, alpha))
+                * riemann_zeta(-z) * hurwitz_zeta1(u + v + z, alpha))
 
     res = integrate_vertical_line(g, ContourSpec(c=-0.7, t_max=40.0, pole_clearance=0.3))
     residue_term = complex(hurwitz_zeta1(u + v - 1.0, alpha)) / (u - 1.0)
@@ -232,6 +232,26 @@ def test_unit_recursion_limit_mode():
 
 def test_unit_recursion_continued_band():
     assert idn.unit_interval_recursion(2.0, 1.5).rel_residual <= 1e-7
+
+
+@pytest.mark.parametrize("u", [3.0, 0.5 + 3j, 2.0 + 100j, -1.0])
+def test_zeta1_difference_quotient_vs_oracle(u):
+    # both sides of the series split, down to shifts where the plain
+    # difference keeps no digit
+    a = np.array([1e-20, 1e-12, 1e-3, 0.2, 0.3, 1.0])
+    got = idn._zeta1_difference_quotient(u, idn.DEFAULT_CONFIG)(a)
+    mp.mp.dps = 60
+    try:
+        ref = [complex((mp.zeta(u, 1 + mp.mpf(x)) - mp.zeta(u)) / mp.mpf(x)) for x in a]
+    finally:
+        mp.mp.dps = 25
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_zeta1_difference_quotient_gives_up_loudly(monkeypatch):
+    monkeypatch.setattr(idn, "_DQ_TERMS", 8)
+    with pytest.raises(ConvergenceError):
+        idn._zeta1_difference_quotient(3.0, idn.DEFAULT_CONFIG)
 
 
 def test_katsurada_points():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetaver.config import EvalConfig
 from zetaver.errors import DomainError, PoleError
@@ -181,9 +182,9 @@ def test_conjugation_symmetry():
 def test_em_truncation_consistency():
     # doubling the base-term floor moves the value by less than the bound
     for s, a in [(0.5 + 40j, 0.3), (-0.5 + 15j, 1.7), (2.0, 0.01)]:
-        v1, e1 = sp.hurwitz_zeta1_with_error(s, a, CFG)
+        v1, e1 = sp._em_hurwitz(s, 1.0 + a, CFG)
         cfg2 = EvalConfig(em_terms=2 * CFG.em_terms)
-        v2, _ = sp.hurwitz_zeta1_with_error(s, a, cfg2)
+        v2, _ = sp._em_hurwitz(s, 1.0 + a, cfg2)
         assert abs(v1 - v2) <= e1 + 1e-13 * abs(v1)
 
 
@@ -344,25 +345,104 @@ def test_an_domain():
         sp.fourier_coeff_a(3, -1.5)
 
 
-def test_em_blocked_base_sum_bit_identical_and_bounded(monkeypatch):
-    s = 0.5 + 800j
-    a = 1.0 + np.linspace(0.0, 1.0, 5000)
+def _check_blocked_base_sum(monkeypatch, em):
+    """em(sl) evaluates _em_hurwitz on the slice sl of a 5000-element
+    argument with max |Im s| = 800 (n0 = 510 base terms)."""
     tracemalloc.start()
     try:
-        blocked, err = sp._em_hurwitz(s, a)
+        blocked, err = em(slice(None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # the unblocked n0 x 5000 matrix alone is ~41 MB
-    scalar = sp._em_hurwitz(s, a[17])
+    scalar = em(17)
     monkeypatch.setattr(sp, "_EM_BLOCK_TERMS", 1 << 40)  # one block: the whole matrix
-    whole, err_whole = sp._em_hurwitz(s, a)
+    whole, err_whole = em(slice(None))
     assert np.array_equal(blocked, whole) and err == err_whole
-    assert scalar == sp._em_hurwitz(s, a[17])
+    assert scalar == em(17)
     sizes = (1, 2, 3, 4, 7, 10)
-    unblocked = [sp._em_hurwitz(s, a[:m])[0] for m in sizes]
+    unblocked = [em(slice(m))[0] for m in sizes]
     # three columns per block: a one-column remainder block would sum
     # pairwise, not row by row as in the whole matrix; none is formed
     monkeypatch.setattr(sp, "_EM_BLOCK_TERMS", 3 * 600)
     for m, ref in zip(sizes, unblocked):
-        assert np.array_equal(sp._em_hurwitz(s, a[:m])[0], ref)
+        assert np.array_equal(em(slice(m))[0], ref)
+
+
+def test_em_blocked_base_sum_bit_identical_and_bounded(monkeypatch):
+    a = 1.0 + np.linspace(0.0, 1.0, 5000)
+    _check_blocked_base_sum(monkeypatch, lambda sl: sp._em_hurwitz(0.5 + 800j, a[sl]))
+
+
+def test_em_blocked_base_sum_over_s(monkeypatch):
+    s = 0.5 + 1j * np.linspace(800.0, 700.0, 5000)
+    _check_blocked_base_sum(monkeypatch, lambda sl: sp._em_hurwitz(s[sl], 1.0))
+
+
+# ---------------------------------------------------------------------------
+# properties of the Euler-Maclaurin kernel
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+_sigma = st.floats(0.1, 3.0)
+_t = st.floats(-300.0, 300.0)
+_alpha = st.floats(0.0, 5.0)
+
+
+def _off_pole(sigma, t):
+    return complex(sigma + 0.2, t) if abs(complex(sigma - 1.0, t)) < 0.1 else complex(sigma, t)
+
+
+@_PROPERTY
+@given(_sigma, _t, _alpha)
+def test_shift_recurrence(sigma, t, alpha):
+    s = _off_pole(sigma, t)
+    v0, e0 = sp._em_hurwitz(s, 1.0 + alpha)
+    v1, e1 = sp._em_hurwitz(s, 2.0 + alpha)
+    term = (1.0 + alpha) ** -s
+    assert abs(v0 - v1 - term) <= e0 + e1 + 1e-13 * max(abs(v0), abs(v1), abs(term), 1.0)
+
+
+# An array call takes its number of base terms from its largest |Im s| and
+# smallest shift, so an element and its scalar call may truncate apart:
+# they agree to 1e-13 relative beyond their two Euler-Maclaurin bounds,
+# and the bound stays small for every element.
+
+
+@_PROPERTY
+@given(st.lists(st.tuples(_sigma, _t), min_size=1, max_size=12), _alpha)
+def test_array_s_matches_scalar_calls(points, alpha):
+    s = np.array([_off_pole(sigma, t) for sigma, t in points])
+    values, err = sp._em_hurwitz(s, 1.0 + alpha)
+    assert values.shape == s.shape
+    assert err <= 1e-10 * max(np.abs(values).max(), 1.0)
+    for si, vi in zip(s, values):
+        ref, err_ref = sp._em_hurwitz(si, 1.0 + alpha)
+        assert abs(vi - ref) <= err + err_ref + 1e-13 * max(abs(ref), 1.0)
+
+
+@_PROPERTY
+@given(_sigma, _t, st.lists(_alpha, min_size=1, max_size=12))
+def test_array_alpha_matches_scalar_calls(sigma, t, alphas):
+    s = _off_pole(sigma, t)
+    values, err = sp._em_hurwitz(s, 1.0 + np.array(alphas))
+    assert err <= 1e-10 * max(np.abs(values).max(), 1.0)
+    for ai, vi in zip(alphas, values):
+        ref, err_ref = sp._em_hurwitz(s, 1.0 + ai)
+        assert abs(vi - ref) <= err + err_ref + 1e-13 * max(abs(ref), 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 500.0)), min_size=1, max_size=4),
+       _alpha)
+def test_array_s_bound_covers_oracle_error(points, alpha):
+    from zetaver import oracle
+
+    s = np.array([_off_pole(sigma, t) for sigma, t in points])
+    values, err = sp._em_hurwitz(s, 1.0 + alpha)
+    for si, vi in zip(s, values):
+        ref = oracle.hurwitz_zeta1(si, alpha, prec_bits=120)
+        # the bound covers truncation; the rounding of the base sum is left
+        # to a 1e-12 relative slack as in the oracle tier of criterion 11,
+        # which holds while the base terms do not grow (Re s >= 0)
+        assert abs(vi - ref) <= err + 1e-12 * abs(ref)
