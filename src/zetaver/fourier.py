@@ -35,6 +35,7 @@ from .zeta1_cache import Zeta1AlphaTable
 from . import afe
 
 _2PI = 2.0 * math.pi
+_UNIT_ROUNDOFF = 2.0**-53
 
 __all__ = [
     "FourierCoeffSet",
@@ -356,9 +357,16 @@ def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
 # All Fourier coefficients of one function on one panel set.
 # ---------------------------------------------------------------------------
 
-# Indices n per block of the phase sum: the (block, nodes) phase array is the
-# largest temporary, so peak memory does not grow with the number of n.
-_PHASE_BLOCK = 8
+# Indices reached from one anchor by the phase recurrence: an exact
+# exponential starts each run, and every later index in it costs one complex
+# multiply whose rounding adds to the phase error.
+_PHASE_RUN = 32
+
+# K15 weights and the K15 - G7 difference weights on the 15 Kronrod nodes:
+# one (panels, 15) @ (15, 2) product gives every panel's value and error.
+_G7_ON_K15 = np.zeros_like(_WGK_FULL)
+_G7_ON_K15[1::2] = _WG_FULL
+_KD_WEIGHTS = np.column_stack((_WGK_FULL, _WGK_FULL - _G7_ON_K15))
 
 
 def _zeta1_pair_cycles(t: float):
@@ -377,10 +385,19 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     a phase sum over the same nodes, with the embedded G7/K15 difference as
     its error.  While the largest error exceeds tol the panel density rises
     from 2.5 points per cycle by 1.7x, up to 20.9; a tol still missed there
-    raises ConvergenceError.  The n are integers, so the phase
-    needs only the fractional part of each node (exact in floating point),
-    which keeps its argument below 2 pi |n|.  Returns (coeffs, errs,
-    evaluations) with coeffs and errs aligned to ns.
+    raises ConvergenceError.
+
+    The n are integers, so the phase needs only the fractional part of each
+    node (exact in floating point).  An anchor index gets its phase
+    e^{-2 pi i n frac} from one exponential; each following index, while
+    ns rises by 1 and for at most _PHASE_RUN indices per anchor, gets it by
+    one multiplication with e^{-2 pi i frac}.  Each err adds to the G7/K15
+    difference a bound on the phase rounding, (19 |n| + 36 m + 6) unit
+    roundoffs times sum |w f| over the nodes, m < _PHASE_RUN being the
+    steps from the anchor n0 (|n0| <= |n| + m): three roundings in each
+    exponential's argument, at most 2 pi |n0| at the anchor and 2 pi per
+    step, plus the exponentials and the complex multiplies.  Returns
+    (coeffs, errs, evaluations) with coeffs and errs aligned to ns.
     """
     ns = np.asarray(ns, dtype=float)
     n_big = float(np.max(np.abs(ns)))
@@ -390,18 +407,25 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
         pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x), per_cycle=per_cycle))
         halves = 0.5 * (pts[1:] - pts[:-1])
         nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
-        fv = values(nodes.ravel()).reshape(nodes.shape)
+        fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
         frac = nodes - np.floor(nodes)
         evals += nodes.size
+        step = np.exp(-_2PI * 1j * frac)
+        size = float(np.sum(np.abs(fv) @ _WGK_FULL))
         coeffs = np.empty(ns.size, dtype=complex)
         errs = np.empty(ns.size)
-        for lo in range(0, ns.size, _PHASE_BLOCK):
-            blk = ns[lo:lo + _PHASE_BLOCK]
-            vals = fv * np.exp(-_2PI * 1j * blk[:, None, None] * frac)
-            k = (vals @ _WGK_FULL) * halves
-            g = (vals[..., 1::2] @ _WG_FULL) * halves
-            coeffs[lo:lo + blk.size] = k.sum(axis=1)
-            errs[lo:lo + blk.size] = np.abs(k - g).sum(axis=1)
+        m = 0
+        for i, n in enumerate(ns):
+            if i == 0 or m == _PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
+                cur = fv * np.exp(-_2PI * 1j * n * frac)
+                m = 0
+            else:
+                cur *= step
+                m += 1
+            kd = cur @ _KD_WEIGHTS
+            coeffs[i] = kd[:, 0].sum()
+            rounding = (19.0 * abs(n) + 36.0 * m + 6.0) * _UNIT_ROUNDOFF * size
+            errs[i] = np.abs(kd[:, 1]).sum() + rounding
         if errs.max() <= tol:
             return coeffs, errs, evals
         if per_cycle >= 15.0:

@@ -418,15 +418,29 @@ def _weighted_unit_integral(power: complex, u: complex, cfg: EvalConfig,
 
 def mellin_tail_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
     """Closed form against direct quadrature, split at alpha = 1 with the
-    endpoint-singularity substitution on (0, 1)."""
+    endpoint-singularity substitution on (0, 1).
+
+    On [1, inf) the leading term alpha^{1-u}/(u-1) of zeta1(u, alpha) for
+    large alpha integrates in closed form to 1/((u-1)(u+v-2)); quadrature
+    takes the remainder, which decays like alpha^{-Re(u+v)} instead of
+    alpha^{1-Re(u+v)}.
+    """
+    u = complex(u)
+    v = complex(v)
     closed = mellin_tail_closed_form(u, v)
     unit = _weighted_unit_integral(-v, u, cfg)
-    tail = _weighted_tail(v, (u,), cfg)
+
+    def rest(a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        return np.power(a, -v) * (hurwitz_zeta1(u, a, cfg) - np.power(a, 1.0 - u) / (u - 1.0))
+
+    tail = integrate_semi_infinite(rest, 1.0, (u + v).real, cfg, abs_tol=1e-13, rel_tol=2e-11)
+    lead = 1.0 / ((u - 1.0) * (u + v - 2.0))
     return IdentityReport.build(
         "mellin_tail",
         {"u": u, "v": v},
         closed,
-        unit.value + tail.value,
+        unit.value + lead + tail.value,
         unit.evaluations + tail.evaluations,
     )
 

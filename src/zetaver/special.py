@@ -75,12 +75,14 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     upper = np.imag(z) >= 0.0
     zu = np.where(upper, z, np.conj(z))
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) for Im z >= 0
+    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) for Im z >= 0; expm1
+    # keeps the real part of 1 - e^{2 i pi z} near the integers, whose loss
+    # would put an error of pi |z - n| into the phase
     val = (
         complex(0.0, 0.5 * math.pi)
         - math.log(2.0)
         - 1j * math.pi * zu
-        + np.log1p(-np.exp(2j * math.pi * zu))
+        + np.log(-np.expm1(2j * math.pi * zu))
     )
     return np.where(upper, val, np.conj(val))
 

@@ -10,7 +10,14 @@ import pytest
 from zetaver import fourier as fr
 from zetaver.config import DEFAULT_CONFIG
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
-from zetaver.quadrature import OscSpec, integrate_finite, integrate_oscillatory
+from zetaver.quadrature import (
+    OscSpec,
+    _NODES,
+    _WGK_FULL,
+    _march_panels,
+    integrate_finite,
+    integrate_oscillatory,
+)
 from zetaver.special import fourier_coeff_a, hurwitz_zeta1
 from zetaver.zeta1_cache import Zeta1AlphaTable
 
@@ -199,6 +206,36 @@ def test_fourier_engine_matches_per_n_quadrature():
         assert abs(c - ref.value) <= e + ref.err_estimate
 
 
+def test_fourier_engine_recurrence_matches_direct_phase_sum():
+    # contiguous n = -127..127 runs through the phase recurrence between
+    # anchors; the direct sum takes one exponential per n on the same nodes
+    t = 200.0
+    smooth, b = _theorem2_integrand(t)
+    cycles = fr._zeta1_pair_cycles(t)
+    seen = []
+
+    def values(x):
+        fx = smooth(x) * np.exp(1j * t * np.log(x))
+        seen.append((x, fx))
+        return fx
+
+    ns = np.arange(-127, 128)
+    coeffs, errs, _ = fr._fourier_coeffs(values, cycles, ns, 1.0, b, 5e-7)
+    per_cycle = 2.5 * 1.7 ** (len(seen) - 1)
+    pts = np.array(_march_panels(1.0, b, lambda x: 127.0 + cycles(x), per_cycle=per_cycle))
+    halves = 0.5 * (pts[1:] - pts[:-1])
+    nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
+    x, fx = seen[-1]
+    assert np.array_equal(nodes.ravel(), x)
+    wf = fx.reshape(nodes.shape) * _WGK_FULL * halves[:, None]
+    size = float(np.abs(wf).sum())
+    frac = nodes - np.floor(nodes)
+    for n, c, e in zip(ns, coeffs, errs):
+        direct = complex(np.sum(wf * np.exp(-_2PI * 1j * n * frac)))
+        assert abs(c - direct) <= 1e-13 * size
+        assert abs(c - direct) <= e
+
+
 def test_fourier_engine_unreachable_tolerance_raises():
     smooth, b = _theorem2_integrand(50.0)
     with pytest.raises(ConvergenceError):
@@ -207,6 +244,13 @@ def test_fourier_engine_unreachable_tolerance_raises():
 
 def test_theorem2_evaluates_once_for_all_n():
     assert fr.theorem2_check([50.0])[0]["evaluations"] <= 20000
+
+
+def test_engine_evaluation_counts_pinned():
+    # deterministic cost guard: the panel sets of the engine callers
+    evals = [r["evaluations"] for r in fr.theorem2_check([50.0, 100.0, 200.0])]
+    assert all(e <= cap for e, cap in zip(evals, (6765, 24480, 90690)))
+    assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations <= 1845
 
 
 # ---------------------------------------------------------------------------

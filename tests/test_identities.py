@@ -216,6 +216,12 @@ def test_mellin_tail_check():
         idn.mellin_tail_closed_form(2.0, 1.5)
 
 
+def test_mellin_tail_slow_decay_row():
+    # Re(u+v) = 2.3: alpha^{-v} zeta1(u, alpha) decays only like alpha^{-1.3}
+    rep = idn.mellin_tail_check(2.0, 0.3)
+    assert rep.rel_residual <= 1e-8
+
+
 def test_unit_recursion_telescoping_point():
     rep = idn.unit_interval_recursion(2.0, 0.0)
     assert abs(rep.lhs - 1.0) < 1e-11  # telescoping closed form

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zetaver.config import EvalConfig
 from zetaver.errors import DomainError, PoleError
@@ -446,3 +446,13 @@ def test_array_s_bound_covers_oracle_error(points, alpha):
         # to a 1e-12 relative slack as in the oracle tier of criterion 11,
         # which holds while the base terms do not grow (Re s >= 0)
         assert abs(vi - ref) <= err + 1e-12 * abs(ref)
+
+
+@_PROPERTY
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(-500.0, 500.0))
+def test_chi_reflection_product_property(sigma, t):
+    w = 1.0 - complex(sigma, t)
+    s = 1.0 - w  # exact: s + w = 1 in floating point
+    # log_chi raises PoleError within 1e-12 of the poles at s = 0 and w = 0
+    assume(min(abs(s), abs(w)) > 1e-12)
+    assert abs(sp.chi(s) * sp.chi(w) - 1.0) <= 1e-14 + 2e-15 * abs(t)
