@@ -56,8 +56,6 @@ from .identities import (
     verify_triple_moment,
 )
 from .afe import (
-    AfeResidual,
-    PowerMean,
     afe_hurwitz_residual,
     afe_zeta_residual,
     lemma3_integral,

@@ -7,11 +7,11 @@ bound harness of the k-th moment inequality.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
+from . import identities
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
 from .quadrature import QuadResult, integrate_finite
@@ -27,8 +27,6 @@ from .special import (
 _2PI = 2.0 * math.pi
 
 __all__ = [
-    "AfeResidual",
-    "PowerMean",
     "afe_zeta_residual",
     "afe_hurwitz_residual",
     "projection_identity_check",
@@ -44,30 +42,6 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
-class AfeResidual:
-    """Residual of one approximate-functional-equation evaluation."""
-
-    s: complex
-    residual: float
-    scaled: float
-
-    def __post_init__(self) -> None:
-        if self.residual < 0:
-            raise ValueError("residual must be >= 0")
-
-
-@dataclasses.dataclass
-class PowerMean:
-    k: int
-    t_or_T: float
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("power mean must be >= 0")
-
-
 def _power_sum(N: int, z: complex) -> complex:
     n = np.arange(1, N + 1, dtype=float)
     return _csum(np.exp(z * np.log(n)))
@@ -78,9 +52,9 @@ def _twisted_power_sum(N: int, z: complex, alpha: float, sign: int) -> complex:
     return _csum(np.exp(z * np.log(n) + sign * 2j * math.pi * n * alpha))
 
 
-def afe_zeta_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> AfeResidual:
+def afe_zeta_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
     """Residual of zeta(s) = sum_{n<=N} n^-s + chi(s) sum_{n<=N} n^{s-1},
-    N = floor(sqrt(t/2pi)); scaled by t^{sigma/2}."""
+    N = floor(sqrt(t/2pi)); params["scaled"] is it times t^{sigma/2}."""
     s = complex(s)
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 10.0):
@@ -88,12 +62,14 @@ def afe_zeta_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> AfeResidu
     N = kernel_index(t)
     main = _power_sum(N, -s) + chi(s) * _power_sum(N, s - 1.0)
     resid = abs(riemann_zeta(s, cfg) - main)
-    return AfeResidual(s, resid, resid * t ** (sigma / 2.0))
+    return identities.IdentityReport.bound(
+        "afe_zeta", {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0)}, resid, resid)
 
 
-def afe_hurwitz_residual(s: complex, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> AfeResidual:
+def afe_hurwitz_residual(s: complex, alpha: float,
+                         cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
     """Residual of the shifted-series AFE with the twisted second sum,
-    uniformly probed over 0 < alpha < 1."""
+    uniformly probed over 0 < alpha < 1; scaled by t^{sigma/2}."""
     s = complex(s)
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 10.0):
@@ -105,7 +81,8 @@ def afe_hurwitz_residual(s: complex, alpha: float, cfg: EvalConfig = DEFAULT_CON
     s1 = _csum(np.power(n + alpha, -s))
     s2 = _twisted_power_sum(N, s - 1.0, alpha, -1)
     resid = abs(hurwitz_zeta1(s, alpha, cfg) - s1 - chi(s) * s2)
-    return AfeResidual(s, resid, resid * t ** (sigma / 2.0))
+    params = {"sigma": sigma, "t": t, "alpha": alpha, "scaled": resid * t ** (sigma / 2.0)}
+    return identities.IdentityReport.bound("afe_hurwitz", params, resid, resid)
 
 
 def projection_identity_check(
@@ -113,12 +90,10 @@ def projection_identity_check(
     N: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
     mirrored: bool = False,
-):
-    """Exact projection: sum_{n<=N} n^z recovered by integrating the kernel
-    against the twisted sum.  mirrored=True uses B_N(-alpha) with e^{+2pi i m a}.
-
-    Returns (lhs, rhs, quad_result).
-    """
+) -> identities.IdentityReport:
+    """Exact projection: sum_{n<=N} n^z (lhs) recovered by integrating the
+    kernel against the twisted sum (rhs).  mirrored=True uses B_N(-alpha)
+    with e^{+2pi i m a}."""
     if N < 1 or N > 1000:
         raise DomainError("N must be in [1, 1000] for the exact-mode check")
     z = complex(z)
@@ -137,7 +112,8 @@ def projection_identity_check(
     res = integrate_finite(integrand, 0.0, 1.0, cfg, initial_points=pts,
                            abs_tol=max(cfg.abs_tol, 1e-13 * max(abs(lhs), 1.0)),
                            rel_tol=1e-12)
-    return lhs, res.value, res
+    return identities.IdentityReport.build(
+        "projection", {"N": N, "z": z, "mirrored": mirrored}, lhs, res.value, res.evaluations)
 
 
 def _weak_afe_integrals(s: complex, cfg: EvalConfig):
@@ -157,7 +133,7 @@ def _weak_afe_integrals(s: complex, cfg: EvalConfig):
     return i1, i2, N
 
 
-def weak_afe_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> AfeResidual:
+def weak_afe_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
     """Residual of the two-integral kernel form of the functional equation,
     scaled by t^{sigma/2} / log t."""
     s = complex(s)
@@ -166,7 +142,8 @@ def weak_afe_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> AfeResidu
         raise DomainError("requires 0 < sigma < 1 and t >= 20")
     i1, i2, _ = _weak_afe_integrals(s, cfg)
     resid = abs(riemann_zeta(s, cfg) - i1.value - chi(s) * i2.value)
-    return AfeResidual(s, resid, resid * t ** (sigma / 2.0) / math.log(t))
+    params = {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0) / math.log(t)}
+    return identities.IdentityReport.bound("weak_afe", params, resid, resid)
 
 
 def weak_afe_forms_check(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
@@ -205,13 +182,14 @@ def weak_afe_forms_check(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
     }
 
 
-def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
+def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
     """Explicit evaluation of the kernel-weighted partial sum integral.
 
-    The by-parts part int_1^N B_N(a) a^{-s} da is compared against the two
-    explicit resolvent-type sums (residual scaled by t^{(1+sigma)/2}); the
-    boundary strip [N, N+1] is measured against its own t^{-sigma/2} log t
-    envelope, as is each leading sum.
+    The by-parts part int_1^N B_N(a) a^{-s} da (lhs) is compared against
+    the two explicit resolvent-type sums (rhs; params["scaled"] is the
+    residual times t^{(1+sigma)/2}); the boundary strip [N, N+1] is
+    measured against its own t^{-sigma/2} log t envelope, as is each
+    leading sum.
     """
     s = complex(s)
     sigma, t = s.real, s.imag
@@ -229,13 +207,11 @@ def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
 
     main = 0j
     evals = 0
-    err = 0.0
     if N >= 2:
         for n0 in range(1, N):
             r = seg(float(n0), float(n0 + 1))
             main += r.value
             evals += r.evaluations
-            err += r.err_estimate
     strip_res = seg(float(N), float(N + 1))
     evals += strip_res.evaluations
 
@@ -244,21 +220,19 @@ def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
     sum2 = (1.0 / (2j * math.pi)) * _csum(1.0 / (t / _2PI - n))
     resid = abs(main - sum1 - sum2)
     env = t ** (-sigma / 2.0) * math.log(t)
-    return {
-        "s": s,
-        "value": main,
-        "sums": sum1 + sum2,
-        "residual": resid,
-        "scaled_residual": resid * t ** ((1.0 + sigma) / 2.0),
-        "strip": abs(strip_res.value),
+    params = {
+        "sigma": sigma,
+        "t": t,
+        "scaled": resid * t ** ((1.0 + sigma) / 2.0),
         "strip_over_envelope": abs(strip_res.value) / env,
         "sums_over_envelope": (abs(sum1) + abs(sum2)) / env,
-        "quad_error": err,
-        "evaluations": evals,
     }
+    # not `build`: the residual subtracts the two sums one at a time
+    return identities.IdentityReport("lemma3", params, main, sum1 + sum2, resid,
+                                     resid / max(abs(main), 1e-300), evals)
 
 
-def power_mean_Ik(k: int, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PowerMean:
+def power_mean_Ik(k: int, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """I_k(t) = int_0^1 |zeta1(1/2 + it, alpha)|^{2k} d(alpha)."""
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2 or 3")
@@ -273,10 +247,10 @@ def power_mean_Ik(k: int, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PowerMe
         return np.abs(hurwitz_zeta1(s, a, cfg)) ** (2 * k) + 0j
 
     res = integrate_finite(f, 0.0, 1.0, cfg, initial_points=pts, abs_tol=1e-10, rel_tol=1e-8)
-    return PowerMean(k, t, float(res.value.real))
+    return _nonnegative(float(res.value.real))
 
 
-def power_mean_Jk(k: int, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PowerMean:
+def power_mean_Jk(k: int, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """J_k(T) = (1/T) int_0^T |zeta(1/2 + it)|^{2k} dt."""
     if k not in (1, 2):
         raise DomainError("k must be 1 or 2")
@@ -288,7 +262,14 @@ def power_mean_Jk(k: int, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> PowerMe
 
     pts = list(np.linspace(0.0, T, int(2.0 * T) + 9))
     res = integrate_finite(f, 0.0, T, cfg, initial_points=pts, abs_tol=1e-9, rel_tol=1e-7)
-    return PowerMean(k, T, float(res.value.real) / T)
+    return _nonnegative(float(res.value.real) / T)
+
+
+def _nonnegative(value: float) -> float:
+    """A power mean integrates a nonnegative function."""
+    if value < 0:
+        raise ValueError("power mean must be >= 0")
+    return value
 
 
 def s1_sum(sigma: float, t: float, alpha: float) -> complex:
@@ -305,17 +286,19 @@ def s1_sum(sigma: float, t: float, alpha: float) -> complex:
     return _twisted_power_sum(n_max, s - 1.0, alpha, -1)
 
 
-def theorem1_check(k: int, t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[dict]:
-    """Ratios |zeta(1/2+it)| / (t^{1/4k} I_k(t)^{1/2k}) over a t grid."""
+def theorem1_check(k: int, t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[identities.IdentityReport]:
+    """Ratios |zeta(1/2+it)| / (t^{1/4k} I_k(t)^{1/2k}) over a t grid,
+    recorded as lhs = |zeta|, rhs = ratio."""
     if k not in (1, 2):
         raise DomainError("k must be 1 or 2")
     records = []
     for t in t_grid:
         t = float(t)
         zv = abs(riemann_zeta(0.5 + 1j * t, cfg))
-        ik = power_mean_Ik(k, t, cfg).value
+        ik = power_mean_Ik(k, t, cfg)
         ratio = zv / (t ** (1.0 / (4 * k)) * ik ** (1.0 / (2 * k)))
-        records.append({"k": k, "t": t, "abs_zeta": zv, "Ik": ik, "ratio": ratio})
+        records.append(identities.IdentityReport.record(
+            "theorem1", {"k": k, "t": t, "ratio": ratio, "Ik": ik}, zv, ratio))
     return records
 
 

@@ -106,11 +106,11 @@ def _eval_value(args, cfg: EvalConfig):
         value = afe.s1_sum(args.sigma, args.t, _require(args, "alpha").real)
         return value, 1e-13 * max(abs(value), 1.0)
     if fn == "I_k":
-        pm = afe.power_mean_Ik(int(args.k), args.t, cfg)
-        return complex(pm.value), max(1e-10, 1e-8 * pm.value)
+        value = afe.power_mean_Ik(int(args.k), args.t, cfg)
+        return complex(value), max(1e-10, 1e-8 * value)
     if fn == "J_k":
-        pm = afe.power_mean_Jk(int(args.k), args.T, cfg)
-        return complex(pm.value), max(1e-9, 1e-7 * pm.value)
+        value = afe.power_mean_Jk(int(args.k), args.T, cfg)
+        return complex(value), max(1e-9, 1e-7 * value)
     raise ConfigError(f"unknown function: {fn}")
 
 

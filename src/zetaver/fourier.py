@@ -92,7 +92,8 @@ def rane_representation(s: complex, alpha: float, M: int, cfg: EvalConfig = DEFA
     return complex(val + acc)
 
 
-def tail_lemma_check(s: complex, alpha: float, eta: float, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
+def tail_lemma_check(s: complex, alpha: float, eta: float,
+                     cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
     """Size of the oscillatory tail of zeta1 against the t alpha^{-sigma-1}
     envelope (and its alpha-derivative against t^2 alpha^{-sigma-2}),
     valid for alpha >= t/2pi + eta."""
@@ -110,14 +111,8 @@ def tail_lemma_check(s: complex, alpha: float, eta: float, cfg: EvalConfig = DEF
     z2 = complex(hurwitz_zeta1(s + 1.0, alpha, cfg))
     dbracket = -s * z2 + alpha**-s - (s / 2.0) * alpha ** (-s - 1.0)
     dratio = abs(dbracket) / (t * t * alpha ** (-sigma - 2.0))
-    return {
-        "s": s,
-        "alpha": alpha,
-        "tail_abs": abs(bracket),
-        "ratio": ratio,
-        "deriv_abs": abs(dbracket),
-        "deriv_ratio": dratio,
-    }
+    params = {"sigma": sigma, "t": t, "alpha": alpha, "ratio": ratio, "deriv_ratio": dratio}
+    return IdentityReport.bound("tail_lemma", params, abs(bracket), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +465,7 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
 
 def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
                         cfg: EvalConfig = DEFAULT_CONFIG,
-                        table: Zeta1AlphaTable | None = None) -> dict:
+                        table: Zeta1AlphaTable | None = None) -> IdentityReport:
     """|int_1^{t/2pi+eta} a^{-v} zeta1(u,a) e^{-2 pi i n a} da| against the
     t^{1/2} / |n - t/2pi| envelope, for |n| > t/2pi."""
     u = complex(u)
@@ -487,14 +482,8 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
 
     env = math.sqrt(t) / abs(abs(n) - t / _2PI)
     (val,), _errs, evals = _fourier_coeffs(f, _zeta1_pair_cycles(t), [n], 1.0, B, 1e-8 * env)
-    return {
-        "n": n,
-        "t": t,
-        "integral_abs": abs(val),
-        "envelope": env,
-        "ratio": abs(val) / env,
-        "evaluations": evals,
-    }
+    params = {"t": t, "n": n, "ratio": abs(val) / env, "envelope": env}
+    return IdentityReport.bound("highfreq_tail", params, abs(val), abs(val) / env, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +513,7 @@ def parseval_second_moment(s: complex, n_max: int | None = None,
     tail = 2.0 * c_meas / n_max
     total += tail
     if t >= _2PI:
-        lhs = afe.power_mean_Ik(1, t, cfg).value if s.real == 0.5 else None
+        lhs = afe.power_mean_Ik(1, t, cfg) if s.real == 0.5 else None
     else:
         lhs = None
     if lhs is None:
@@ -642,11 +631,12 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0, n_max: int | None = Non
     )
 
 
-def theorem2_check(t_grid, eta: float = 1.0, cfg: EvalConfig = DEFAULT_CONFIG) -> list[dict]:
+def theorem2_check(t_grid, eta: float = 1.0,
+                   cfg: EvalConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
     """Fourth-power bound harness: per t, the ratio of |zeta(1/2+it)|^4 to
     t^{1/2} sum_{|n| <= t/pi} |int_1^{t/2pi+eta} a^{-1/2+it} zeta1(1/2+it, a)
-    e^{-2 pi i n a} da|^2, plus the sum itself (whose growth is recorded,
-    not asserted)."""
+    e^{-2 pi i n a} da|^2, recorded as lhs = |zeta|^4, rhs = ratio, plus
+    the sum itself (whose growth is recorded, not asserted)."""
     records = []
     for t in t_grid:
         t = float(t)
@@ -665,17 +655,9 @@ def theorem2_check(t_grid, eta: float = 1.0, cfg: EvalConfig = DEFAULT_CONFIG) -
         total = float(np.sum(np.abs(coeffs) ** 2))
         z4 = abs(complex(riemann_zeta(s, cfg))) ** 4
         denom = math.sqrt(t) * total
-        records.append(
-            {
-                "t": t,
-                "eta": eta,
-                "abs_zeta_4": z4,
-                "coeff_sum": total,
-                "ratio": z4 / denom if denom > 0 else math.inf,
-                "table_check_err": table.max_check_err,
-                "evaluations": evals,
-            }
-        )
+        ratio = z4 / denom if denom > 0 else math.inf
+        records.append(IdentityReport.record(
+            "theorem2", {"t": t, "eta": eta, "ratio": ratio, "coeff_sum": total}, z4, ratio, evals))
     return records
 
 

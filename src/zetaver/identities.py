@@ -60,9 +60,14 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class IdentityReport:
-    """One verification record: both sides of an identity plus residuals."""
+    """One verification record, the shape of every report row: both sides
+    of an identity (or a statistic and its bound) plus residuals.
+
+    Three layouts: `build` compares two routes, `bound` states a statistic
+    against its envelope, `record` reports two values without a residual.
+    """
 
     identity_id: str
     params: dict
@@ -74,11 +79,24 @@ class IdentityReport:
 
     @classmethod
     def build(cls, identity_id: str, params: dict, lhs: complex, rhs: complex, evaluations: int = 0):
+        """Two routes to one value: residuals |lhs - rhs| and that over |lhs|."""
         lhs = complex(lhs)
         rhs = complex(rhs)
         absres = abs(lhs - rhs)
         return cls(identity_id, params, lhs, rhs, absres,
                    absres / max(abs(lhs), _TINY), evaluations)
+
+    @classmethod
+    def bound(cls, identity_id: str, params: dict, value: float, rel: float, evaluations: int = 0):
+        """A nonnegative statistic: lhs = abs_residual = value, rhs = 0, and
+        rel_residual = rel (the statistic over its envelope, or the
+        statistic itself where it has none)."""
+        return cls(identity_id, params, complex(value), 0j, value, rel, evaluations)
+
+    @classmethod
+    def record(cls, identity_id: str, params: dict, lhs: complex, rhs: complex, evaluations: int = 0):
+        """Two reported values that are not meant to agree: residuals 0."""
+        return cls(identity_id, params, complex(lhs), complex(rhs), 0.0, 0.0, evaluations)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -672,7 +690,7 @@ def i1_asymptotic_check(t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Identi
         t = float(t)
         if t < 20.0:
             raise DomainError("asymptotic check needs t >= 20")
-        i1 = afe.power_mean_Ik(1, t, cfg).value
+        i1 = afe.power_mean_Ik(1, t, cfg)
         rhs = math.log(t / _2PI) + float(np.euler_gamma)
         u = complex(0.5, t)
         zu = complex(riemann_zeta(u, cfg))

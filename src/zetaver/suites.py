@@ -170,16 +170,17 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _row(identity_id: str, params: dict, lhs: complex, rhs: complex,
-         abs_residual: float, rel_residual: float, evals: int, seconds: float) -> dict:
+def _row(rep: identities.IdentityReport, pt: dict, seconds: float) -> dict:
+    """The one step from record to report row: the record's fields, its
+    grid point under params["point"], and the seconds the point took."""
     return {
-        "identity_id": identity_id,
-        "params": params,
-        "lhs": complex(lhs),
-        "rhs": complex(rhs),
-        "abs_residual": abs_residual,
-        "rel_residual": rel_residual,
-        "evals": evals,
+        "identity_id": rep.identity_id,
+        "params": dict(rep.params, point=pt),
+        "lhs": complex(rep.lhs),
+        "rhs": complex(rep.rhs),
+        "abs_residual": rep.abs_residual,
+        "rel_residual": rep.rel_residual,
+        "evals": rep.evaluations,
         "seconds": seconds,
     }
 
@@ -228,8 +229,7 @@ def _axis(*vals) -> AxisSpec:
 
 def _run_square(pt, cfg):
     s = complex(pt["sigma"], pt["t"])
-    rep = identities.verify_square_identity(s, pt["alpha"], cfg=cfg)
-    return [rep]
+    return [identities.verify_square_identity(s, pt["alpha"], cfg=cfg)]
 
 
 def _run_f_routes(pt, cfg):
@@ -286,70 +286,43 @@ def _run_remark219(pt, cfg):
 
 
 def _run_afe_zeta(pt, cfg):
-    s = complex(pt["sigma"], pt["t"])
-    r = afe.afe_zeta_residual(s, cfg)
-    return [identities.IdentityReport(
-        "afe_zeta", {"sigma": s.real, "t": s.imag, "scaled": r.scaled},
-        r.residual, 0.0, r.residual, r.residual, 0)]
+    return [afe.afe_zeta_residual(complex(pt["sigma"], pt["t"]), cfg)]
 
 
 def _run_afe_hurwitz(pt, cfg):
-    s = complex(pt["sigma"], pt["t"])
-    r = afe.afe_hurwitz_residual(s, pt["alpha"], cfg)
-    return [identities.IdentityReport(
-        "afe_hurwitz", {"sigma": s.real, "t": s.imag, "alpha": pt["alpha"], "scaled": r.scaled},
-        r.residual, 0.0, r.residual, r.residual, 0)]
+    return [afe.afe_hurwitz_residual(complex(pt["sigma"], pt["t"]), pt["alpha"], cfg)]
 
 
 def _run_projection(pt, cfg):
     n = int(pt["N"])
     rng = np.random.default_rng(1234 + n)
     z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
-    out = []
-    for mirrored in (False, True):
-        lhs, rhs, res = afe.projection_identity_check(z, n, cfg, mirrored=mirrored)
-        out.append(identities.IdentityReport.build(
-            "projection", {"N": n, "z": z, "mirrored": mirrored}, lhs, rhs, res.evaluations))
-    return out
+    return [afe.projection_identity_check(z, n, cfg, mirrored=m) for m in (False, True)]
 
 
 def _run_weak_afe(pt, cfg):
-    s = complex(pt["sigma"], pt["t"])
-    r = afe.weak_afe_residual(s, cfg)
-    return [identities.IdentityReport(
-        "weak_afe", {"sigma": s.real, "t": s.imag, "scaled": r.scaled},
-        r.residual, 0.0, r.residual, r.residual, 0)]
+    return [afe.weak_afe_residual(complex(pt["sigma"], pt["t"]), cfg)]
 
 
 def _run_lemma3(pt, cfg):
-    s = complex(pt.get("sigma", 0.5), pt["t"])
-    d = afe.lemma3_integral(s, cfg)
-    params = {
-        "sigma": s.real,
-        "t": s.imag,
-        "scaled": d["scaled_residual"],
-        "strip_over_envelope": d["strip_over_envelope"],
-        "sums_over_envelope": d["sums_over_envelope"],
-    }
-    return [identities.IdentityReport(
-        "lemma3", params, d["value"], d["sums"], d["residual"],
-        d["residual"] / max(abs(d["value"]), 1e-300), d["evaluations"])]
+    return [afe.lemma3_integral(complex(pt.get("sigma", 0.5), pt["t"]), cfg)]
 
 
 def _run_power_mean_Ik(pt, cfg):
     k = int(pt["k"])
-    pm = afe.power_mean_Ik(k, pt["t"], cfg)
-    return [identities.IdentityReport(
-        "power_mean_Ik", {"k": k, "t": pt["t"]}, pm.value, pm.value, 0.0, 0.0, 0)]
+    value = afe.power_mean_Ik(k, pt["t"], cfg)
+    return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value)]
 
 
 def _run_power_mean_Jk(pt, cfg):
     k = int(pt["k"])
-    pm = afe.power_mean_Jk(k, pt["T"], cfg)
-    env = math.log(pt["T"] / _2PI) + 2.0 * float(np.euler_gamma) - 1.0 if k == 1 else pm.value
+    value = afe.power_mean_Jk(k, pt["T"], cfg)
+    env = math.log(pt["T"] / _2PI) + 2.0 * float(np.euler_gamma) - 1.0 if k == 1 else value
+    gap = abs(value - env)  # relative to the envelope, not to J_k
     return [identities.IdentityReport(
-        "power_mean_Jk", {"k": k, "T": pt["T"], "envelope": env}, pm.value, env,
-        abs(pm.value - env), abs(pm.value - env) / max(abs(env), 1e-300), 0)]
+        identity_id="power_mean_Jk", params={"k": k, "T": pt["T"], "envelope": env},
+        lhs=complex(value), rhs=complex(env), abs_residual=gap,
+        rel_residual=gap / max(abs(env), 1e-300))]
 
 
 def _run_s1(pt, cfg):
@@ -359,17 +332,11 @@ def _run_s1(pt, cfg):
     n_max = int(math.floor(x)) if float(math.floor(x)) != x else int(x) - 1
     bound = float(np.sum(np.arange(1, n_max + 1, dtype=float) ** (sigma - 1.0)))
     params = {"sigma": sigma, "t": t, "alpha": alpha, "bound": bound, "within_bound": abs(val) <= bound + 1e-12}
-    return [identities.IdentityReport("s1_sum", params, val, val, 0.0, 0.0, 0)]
+    return [identities.IdentityReport.record("s1_sum", params, val, val)]
 
 
 def _run_theorem1(pt, cfg):
-    recs = afe.theorem1_check(int(pt["k"]), [pt["t"]], cfg)
-    out = []
-    for r in recs:
-        out.append(identities.IdentityReport(
-            "theorem1", {"k": r["k"], "t": r["t"], "ratio": r["ratio"], "Ik": r["Ik"]},
-            r["abs_zeta"], r["ratio"], 0.0, 0.0, 0))
-    return out
+    return afe.theorem1_check(int(pt["k"]), [pt["t"]], cfg)
 
 
 def _run_rane(pt, cfg):
@@ -384,11 +351,7 @@ def _run_rane(pt, cfg):
 def _run_tail_lemma(pt, cfg):
     s = complex(pt.get("sigma", 0.5), pt["t"])
     alpha = pt["factor"] * (pt["t"] / _2PI)
-    d = fourier.tail_lemma_check(s, alpha, pt.get("eta", 1.0), cfg)
-    params = {"sigma": s.real, "t": s.imag, "alpha": alpha,
-              "ratio": d["ratio"], "deriv_ratio": d["deriv_ratio"]}
-    return [identities.IdentityReport(
-        "tail_lemma", params, d["tail_abs"], 0.0, d["tail_abs"], d["ratio"], 0)]
+    return [fourier.tail_lemma_check(s, alpha, pt.get("eta", 1.0), cfg)]
 
 
 def _run_qn_modes(pt, cfg):
@@ -401,30 +364,16 @@ def _run_qn_modes(pt, cfg):
 
 
 def _run_highfreq(pt, cfg):
-    t = pt["t"]
-    u = complex(pt.get("sigma", 0.5), t)
-    d = fourier.highfreq_tail_check(int(pt["n"]), u, u.conjugate(), pt.get("eta", 1.0), cfg)
-    params = {"t": t, "n": int(pt["n"]), "ratio": d["ratio"], "envelope": d["envelope"]}
-    return [identities.IdentityReport(
-        "highfreq_tail", params, d["integral_abs"], 0.0, d["integral_abs"], d["ratio"],
-        d["evaluations"])]
+    u = complex(pt.get("sigma", 0.5), pt["t"])
+    return [fourier.highfreq_tail_check(int(pt["n"]), u, u.conjugate(), pt.get("eta", 1.0), cfg)]
 
 
 def _run_parseval4(pt, cfg):
-    u = complex(pt["sigma"], pt["t"])
-    rep = fourier.parseval_fourth_moment(u, pt.get("eta", 1.0), cfg=cfg)
-    return [rep]
+    return [fourier.parseval_fourth_moment(complex(pt["sigma"], pt["t"]), pt.get("eta", 1.0), cfg=cfg)]
 
 
 def _run_theorem2(pt, cfg):
-    recs = fourier.theorem2_check([pt["t"]], pt.get("eta", 1.0), cfg)
-    out = []
-    for r in recs:
-        out.append(identities.IdentityReport(
-            "theorem2", {"t": r["t"], "eta": r["eta"], "ratio": r["ratio"],
-                         "coeff_sum": r["coeff_sum"]},
-            r["abs_zeta_4"], r["ratio"], 0.0, 0.0, r["evaluations"]))
-    return out
+    return fourier.theorem2_check([pt["t"]], pt.get("eta", 1.0), cfg)
 
 
 def _run_kernel_norms(pt, cfg):
@@ -609,23 +558,15 @@ def config_hash(suite_id: str, grid: GridSpec, cfg: EvalConfig, tolerance) -> st
 
 def _run_point(args):
     suite_id, pt, cfg = args
-    suite = SUITES[suite_id]
     t0 = time.perf_counter()
     try:
-        reps = suite.runner(pt, cfg)
-        dt = time.perf_counter() - t0
-        rows = []
-        for rep in reps:
-            params = dict(rep.params)
-            params["point"] = pt
-            rows.append(_row(rep.identity_id, params, rep.lhs, rep.rhs,
-                             rep.abs_residual, rep.rel_residual, rep.evaluations, dt))
-        return rows
+        reps = SUITES[suite_id].runner(pt, cfg)
     except ZetaverError as exc:
-        dt = time.perf_counter() - t0
-        nan = float("nan")
-        return [_row(suite_id, {"point": pt, "error": f"{type(exc).__name__}: {exc}"},
-                     complex(nan), complex(nan), nan, nan, 0, dt)]
+        # NaN on both sides, so NaN residuals
+        reps = [identities.IdentityReport.build(
+            suite_id, {"error": f"{type(exc).__name__}: {exc}"}, math.nan, math.nan)]
+    dt = time.perf_counter() - t0
+    return [_row(rep, pt, dt) for rep in reps]
 
 
 def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:

@@ -170,8 +170,8 @@ def test_criterion_6_afe_residuals():
     ok = True
     details = []
     for family, fn in (
-        ("afe_zeta", lambda s: afe.afe_zeta_residual(s).scaled),
-        ("weak_afe", lambda s: afe.weak_afe_residual(s).scaled),
+        ("afe_zeta", lambda s: afe.afe_zeta_residual(s).params["scaled"]),
+        ("weak_afe", lambda s: afe.weak_afe_residual(s).params["scaled"]),
     ):
         pool = []
         for sigma in (0.3, 0.5, 0.7):
@@ -197,8 +197,8 @@ def test_criterion_7_projection():
     for i in range(20):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
         n = int(rng.integers(5, 101))
-        lhs, rhs, _ = afe.projection_identity_check(z, n, mirrored=bool(i % 2))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+        rep = afe.projection_identity_check(z, n, mirrored=bool(i % 2))
+        worst = max(worst, abs(rep.lhs - rep.rhs) / max(abs(rep.lhs), 1e-300))
     ok = worst <= 1e-10
     assert _report("7 (projection identities)", ok, f"worst rel={worst:.2e}")
 
@@ -213,7 +213,7 @@ def test_criterion_8_theorem1():
     ok = True
     details = []
     for k in (1, 2):
-        ratios = [r["ratio"] for r in afe.theorem1_check(k, ts)]
+        ratios = [r.params["ratio"] for r in afe.theorem1_check(k, ts)]
         spread = max(ratios) / float(np.median(ratios))
         ok = ok and spread <= 5.0
         details.append(f"k={k} max/med={spread:.2f}")
@@ -274,10 +274,10 @@ def test_criterion_9_fourier_layer():
     for t in (50.0, 100.0):
         for factor in (2.0, 3.0, 5.0):
             d = fourier.tail_lemma_check(complex(0.5, t), factor * t / _2PI, 1.0)
-            worst_tail = max(worst_tail, d["ratio"], d["deriv_ratio"])
+            worst_tail = max(worst_tail, d.params["ratio"], d.params["deriv_ratio"])
     uu = complex(0.5, 50.0)
     for nn in (20, 40, 80):
-        worst_tail = max(worst_tail, fourier.highfreq_tail_check(nn, uu, uu.conjugate())["ratio"])
+        worst_tail = max(worst_tail, fourier.highfreq_tail_check(nn, uu, uu.conjugate()).params["ratio"])
     ok = ok and worst_tail <= 1.0
     details.append(f"tail ratios<={worst_tail:.2f}")
     assert _report("9 (Fourier layer)", ok, "; ".join(details))
@@ -304,7 +304,7 @@ def theorem2_records():
 )
 def test_criterion_10_literal_theorem2(theorem2_records):
     recs = theorem2_records
-    ratios = [r["ratio"] for r in recs]
+    ratios = [r.params["ratio"] for r in recs]
     spread = max(ratios) / float(np.median(ratios))
     ok = all(math.isfinite(x) for x in ratios) and spread <= 5.0
     _report("10 (fourth-power harness, literal)", ok,
@@ -314,8 +314,8 @@ def test_criterion_10_literal_theorem2(theorem2_records):
 
 def test_criterion_10_bounded_ratios(theorem2_records):
     recs = theorem2_records
-    ratios = [r["ratio"] for r in recs]
-    sums = [r["coeff_sum"] for r in recs]
+    ratios = [r.params["ratio"] for r in recs]
+    sums = [r.params["coeff_sum"] for r in recs]
     ok = all(math.isfinite(x) for x in ratios) and max(ratios) <= 10.0
     assert _report("10 (fourth-power harness, bounded form)", ok,
                    f"ratios={[f'{x:.3g}' for x in ratios]} sums={[f'{x:.2f}' for x in sums]}")

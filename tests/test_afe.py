@@ -18,26 +18,26 @@ _2PI = 2.0 * math.pi
 
 
 def _calibration_max(sigma: float, ts) -> float:
-    return max(afe.afe_zeta_residual(complex(sigma, t)).scaled for t in ts)
+    return max(afe.afe_zeta_residual(complex(sigma, t)).params["scaled"] for t in ts)
 
 
 def test_afe_zeta_scaled_bounded_by_calibration():
     cal = _calibration_max(0.5, [10.0, 25.0, 50.0, 75.0, 100.0])
     r = afe.afe_zeta_residual(complex(0.5, 1000.0))
-    assert r.scaled <= 1.05 * cal
+    assert r.params["scaled"] <= 1.05 * cal
 
 
 def test_afe_zeta_residual_decays():
     r500 = afe.afe_zeta_residual(complex(0.7, 500.0))
     r50 = afe.afe_zeta_residual(complex(0.7, 50.0))
-    assert r500.residual <= r50.residual
+    assert r500.abs_residual <= r50.abs_residual
 
 
 def test_afe_zeta_boundary_continuity():
     # t crossing 2 pi k^2 changes N by one; the residual stays on scale
     t_edge = _2PI * 9.0
-    below = afe.afe_zeta_residual(complex(0.5, t_edge - 1e-6)).scaled
-    above = afe.afe_zeta_residual(complex(0.5, t_edge + 1e-6)).scaled
+    below = afe.afe_zeta_residual(complex(0.5, t_edge - 1e-6)).params["scaled"]
+    above = afe.afe_zeta_residual(complex(0.5, t_edge + 1e-6)).params["scaled"]
     cal = _calibration_max(0.5, [25.0, 50.0, 100.0])
     assert abs(above - below) <= 2.0 * cal
 
@@ -53,22 +53,22 @@ def test_afe_zeta_domain():
 
 
 def test_afe_hurwitz_scaled_bounded():
-    cal = max(afe.afe_hurwitz_residual(complex(0.5, t), 0.5).scaled for t in [25.0, 50.0, 100.0])
+    cal = max(afe.afe_hurwitz_residual(complex(0.5, t), 0.5).params["scaled"] for t in [25.0, 50.0, 100.0])
     r = afe.afe_hurwitz_residual(complex(0.5, 500.0), 0.5)
-    assert r.scaled <= 2.0 * cal
+    assert r.params["scaled"] <= 2.0 * cal
 
 
 def test_afe_hurwitz_reduces_to_zeta_as_alpha_vanishes():
     s = complex(0.5, 200.0)
     rz = afe.afe_zeta_residual(s)
     rh = afe.afe_hurwitz_residual(s, 1e-7)
-    assert abs(rh.residual - rz.residual) <= 1e-3
+    assert abs(rh.abs_residual - rz.abs_residual) <= 1e-3
 
 
 def test_afe_hurwitz_uniform_in_alpha():
     s = complex(0.5, 300.0)
-    mid = afe.afe_hurwitz_residual(s, 0.5).scaled
-    worst = max(afe.afe_hurwitz_residual(s, a).scaled for a in np.linspace(0.05, 0.95, 10))
+    mid = afe.afe_hurwitz_residual(s, 0.5).params["scaled"]
+    worst = max(afe.afe_hurwitz_residual(s, a).params["scaled"] for a in np.linspace(0.05, 0.95, 10))
     assert worst <= 3.0 * max(mid, 0.3)
 
 
@@ -78,22 +78,22 @@ def test_afe_hurwitz_uniform_in_alpha():
 
 
 def test_projection_orthogonality_simple():
-    lhs, rhs, _ = afe.projection_identity_check(0.0, 7)
-    assert abs(lhs - 7.0) < 1e-12
-    assert abs(rhs - 7.0) < 1e-10
+    rep = afe.projection_identity_check(0.0, 7)
+    assert abs(rep.lhs - 7.0) < 1e-12
+    assert abs(rep.rhs - 7.0) < 1e-10
 
 
 def test_projection_complex_exponent():
-    lhs, rhs, _ = afe.projection_identity_check(-0.5 + 3j, 50)
-    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+    rep = afe.projection_identity_check(-0.5 + 3j, 50)
+    assert abs(rep.lhs - rep.rhs) <= 1e-10 * max(abs(rep.lhs), 1.0)
 
 
 def test_projection_mirrored_matches():
     z = 0.3 - 2j
-    l1, r1, _ = afe.projection_identity_check(z, 40)
-    l2, r2, _ = afe.projection_identity_check(z, 40, mirrored=True)
-    assert abs(l1 - l2) == 0.0
-    assert abs(r1 - r2) <= 1e-10 * max(abs(r1), 1.0)
+    p1 = afe.projection_identity_check(z, 40)
+    p2 = afe.projection_identity_check(z, 40, mirrored=True)
+    assert abs(p1.lhs - p2.lhs) == 0.0
+    assert abs(p1.rhs - p2.rhs) <= 1e-10 * max(abs(p1.rhs), 1.0)
 
 
 def test_kernel_reconstruction_orthogonality():
@@ -117,14 +117,14 @@ def test_kernel_reconstruction_orthogonality():
 
 
 def test_weak_afe_scaled_bounded_by_calibration():
-    cal = max(afe.weak_afe_residual(complex(0.5, t)).scaled for t in [20.0, 50.0, 100.0])
+    cal = max(afe.weak_afe_residual(complex(0.5, t)).params["scaled"] for t in [20.0, 50.0, 100.0])
     r = afe.weak_afe_residual(complex(0.5, 200.0))
-    assert r.scaled <= 1.2 * cal
+    assert r.params["scaled"] <= 1.2 * cal
 
 
 def test_weak_afe_slope_not_exploding():
     ts = [50.0, 100.0, 200.0, 400.0]
-    vals = [afe.weak_afe_residual(complex(0.6, t)).scaled for t in ts]
+    vals = [afe.weak_afe_residual(complex(0.6, t)).params["scaled"] for t in ts]
     assert afe.loglog_slope(ts, vals) <= 0.1
 
 
@@ -147,14 +147,14 @@ def test_lemma3_scaled_residual_bounded():
     base = afe.lemma3_integral(complex(0.5, 50.0))
     for t in (100.0, 200.0):
         d = afe.lemma3_integral(complex(0.5, t))
-        assert d["scaled_residual"] <= 10.0 * max(base["scaled_residual"], 0.05)
+        assert d.params["scaled"] <= 10.0 * max(base.params["scaled"], 0.05)
 
 
 def test_lemma3_leading_sums_and_strip_envelopes():
     for t in (50.0, 100.0, 200.0):
         d = afe.lemma3_integral(complex(0.5, t))
-        assert d["sums_over_envelope"] <= 3.0
-        assert d["strip_over_envelope"] <= 1.0
+        assert d.params["sums_over_envelope"] <= 3.0
+        assert d.params["strip_over_envelope"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_lemma3_leading_sums_and_strip_envelopes():
 
 
 def test_I1_matches_asymptotic_loosely():
-    val = afe.power_mean_Ik(1, 100.0).value
+    val = afe.power_mean_Ik(1, 100.0)
     assert abs(val - (math.log(100.0 / _2PI) + float(np.euler_gamma))) < 0.05
 
 
@@ -176,16 +176,15 @@ def test_I1_parseval_route():
 
 def test_Ik_power_mean_inequality():
     for t in (50.0, 100.0):
-        i1 = afe.power_mean_Ik(1, t).value
-        i2 = afe.power_mean_Ik(2, t).value
+        i1 = afe.power_mean_Ik(1, t)
+        i2 = afe.power_mean_Ik(2, t)
         assert i2 >= i1**2 - 1e-9
 
 
 def test_Ik_real_nonnegative_conjugation_symmetric():
     from zetaver.special import hurwitz_zeta1
 
-    pm = afe.power_mean_Ik(1, 50.0)
-    assert pm.value >= 0.0
+    assert afe.power_mean_Ik(1, 50.0) >= 0.0
     # the integrand is conjugation-symmetric in t, so I_k(-t) = I_k(t)
     for a in (0.2, 0.5, 0.9):
         up = abs(complex(hurwitz_zeta1(complex(0.5, 50.0), a)))
@@ -194,16 +193,16 @@ def test_Ik_real_nonnegative_conjugation_symmetric():
 
 
 def test_Jk_against_classical_envelope():
-    j1 = afe.power_mean_Jk(1, 100.0).value
+    j1 = afe.power_mean_Jk(1, 100.0)
     envelope = math.log(100.0 / _2PI) + 2.0 * float(np.euler_gamma) - 1.0
     assert abs(j1 - envelope) <= 0.15 * math.log(100.0)
 
 
 def test_Jk_inequality_and_growth():
-    j1_100 = afe.power_mean_Jk(1, 100.0).value
-    j2_100 = afe.power_mean_Jk(2, 100.0).value
+    j1_100 = afe.power_mean_Jk(1, 100.0)
+    j2_100 = afe.power_mean_Jk(2, 100.0)
     assert j2_100 >= j1_100**2 - 1e-9
-    j1_200 = afe.power_mean_Jk(1, 200.0).value
+    j1_200 = afe.power_mean_Jk(1, 200.0)
     assert j1_200 - j1_100 <= 1.0  # sublinear growth in T
 
 
@@ -247,19 +246,19 @@ def test_s1_domain():
 
 def test_theorem1_ratios_bounded():
     recs = afe.theorem1_check(1, [50.0, 100.0, 200.0, 400.0])
-    ratios = [r["ratio"] for r in recs]
+    ratios = [r.params["ratio"] for r in recs]
     assert max(ratios) < 2.0  # comfortably bounded at desk scale
     r2 = afe.theorem1_check(2, [100.0])[0]
-    assert r2["ratio"] <= 2.0 * max(ratios)
+    assert r2.params["ratio"] <= 2.0 * max(ratios)
 
 
 def test_theorem1_ratio_stable_under_precision():
     from zetaver.config import EvalConfig
 
     t = 100.0
-    a = afe.theorem1_check(1, [t])[0]["ratio"]
+    a = afe.theorem1_check(1, [t])[0].params["ratio"]
     cfg = EvalConfig(rel_tol=1e-12, em_terms=20)
-    b = afe.theorem1_check(1, [t], cfg)[0]["ratio"]
+    b = afe.theorem1_check(1, [t], cfg)[0].params["ratio"]
     assert abs(a - b) <= 1e-6 * abs(a)
 
 

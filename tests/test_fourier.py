@@ -63,8 +63,8 @@ def test_rane_real_s_imaginary_drift():
 def test_tail_lemma_ratio_bounded():
     t = 50.0
     d = fr.tail_lemma_check(complex(0.5, t), 2.0 * t / _2PI, 1.0)
-    assert d["ratio"] <= 1.0
-    assert d["deriv_ratio"] <= 1.0
+    assert d.params["ratio"] <= 1.0
+    assert d.params["deriv_ratio"] <= 1.0
 
 
 def test_tail_lemma_alpha_doubling_shrink():
@@ -72,7 +72,7 @@ def test_tail_lemma_alpha_doubling_shrink():
     a = 2.0 * t / _2PI
     d1 = fr.tail_lemma_check(complex(0.5, t), a, 1.0)
     d2 = fr.tail_lemma_check(complex(0.5, t), 2.0 * a, 1.0)
-    assert d1["tail_abs"] / d2["tail_abs"] >= 2.0**1.5 / 1.5
+    assert d1.abs_residual / d2.abs_residual >= 2.0**1.5 / 1.5
 
 
 def test_tail_lemma_domain():
@@ -243,12 +243,12 @@ def test_fourier_engine_unreachable_tolerance_raises():
 
 
 def test_theorem2_evaluates_once_for_all_n():
-    assert fr.theorem2_check([50.0])[0]["evaluations"] <= 20000
+    assert fr.theorem2_check([50.0])[0].evaluations <= 20000
 
 
 def test_engine_evaluation_counts_pinned():
     # deterministic cost guard: the panel sets of the engine callers
-    evals = [r["evaluations"] for r in fr.theorem2_check([50.0, 100.0, 200.0])]
+    evals = [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])]
     assert all(e <= cap for e, cap in zip(evals, (6765, 24480, 90690)))
     assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations <= 1845
 
@@ -262,11 +262,11 @@ def test_highfreq_ratio_bounded_and_scaling():
     u = complex(0.5, 50.0)
     d20 = fr.highfreq_tail_check(20, u, u.conjugate())
     d40 = fr.highfreq_tail_check(40, u, u.conjugate())
-    assert d20["ratio"] <= 1.0
-    assert d40["ratio"] <= 1.0
+    assert d20.params["ratio"] <= 1.0
+    assert d40.params["ratio"] <= 1.0
     # doubling n scales the integral by about the envelope ratio
     gap_ratio = (20 - 50.0 / _2PI) / (40 - 50.0 / _2PI)
-    measured = d40["integral_abs"] / d20["integral_abs"]
+    measured = d40.abs_residual / d20.abs_residual
     assert measured <= 4.0 * gap_ratio
 
 
@@ -289,8 +289,8 @@ def test_highfreq_qn_square_tail_bounded_in_t():
         total = 0.0
         for n in range(n0, n0 + 12):
             d = fr.highfreq_tail_check(n, u, u.conjugate())
-            total += 2.0 * d["integral_abs"] ** 2
-        c = max(fr.highfreq_tail_check(n, u, u.conjugate())["ratio"] for n in (n0, n0 + 6))
+            total += 2.0 * d.abs_residual ** 2
+        c = max(fr.highfreq_tail_check(n, u, u.conjugate()).params["ratio"] for n in (n0, n0 + 6))
         total += 2.0 * (c**2) * t / (n0 + 11 - t / _2PI)
         sums.append(total)
     assert max(sums) <= 4.0 * max(min(sums), 0.05)
@@ -334,16 +334,16 @@ def test_parseval_partial_sums_monotone():
 
 def test_theorem2_single_point():
     rec = fr.theorem2_check([50.0])[0]
-    assert math.isfinite(rec["ratio"])
-    assert rec["ratio"] <= 10.0
-    assert rec["coeff_sum"] > 0.0
+    assert math.isfinite(rec.params["ratio"])
+    assert rec.params["ratio"] <= 10.0
+    assert rec.params["coeff_sum"] > 0.0
 
 
 def test_theorem2_eta_robustness():
     r1 = fr.theorem2_check([50.0], eta=1.0)[0]
     r2 = fr.theorem2_check([50.0], eta=2.0)[0]
-    assert r1["coeff_sum"] / r2["coeff_sum"] <= 2.0
-    assert r2["coeff_sum"] / r1["coeff_sum"] <= 2.0
+    assert r1.params["coeff_sum"] / r2.params["coeff_sum"] <= 2.0
+    assert r2.params["coeff_sum"] / r1.params["coeff_sum"] <= 2.0
 
 
 def test_reconstruction_accelerated():
