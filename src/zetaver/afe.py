@@ -276,8 +276,8 @@ def s1_sum(sigma: float, t: float, alpha: float) -> complex:
     """S_1(sigma, t, alpha) = sum_{1 <= n < t/2pi} e^{-2 pi i n alpha} n^{s-1}."""
     if not (0.0 < sigma < 1.0):
         raise DomainError("requires 0 < sigma < 1")
-    if t <= _2PI:
-        raise DomainError("requires t > 2 pi")
+    if not _2PI < t <= 1e6:
+        raise DomainError("requires 2 pi < t <= 1e6 (desk scale)")
     x = t / _2PI
     n_max = int(math.floor(x))
     if float(n_max) == x:
@@ -308,8 +308,8 @@ def kernel_norm_power(N: int, p: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
     Unless p is an even integer, |B_N|^p has kinks at the zeros k/N of
     B_N, so those are panel breakpoints.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    if not 1 <= N <= 100000:
+        raise DomainError("N must be in [1, 1e5]")
     if p <= 0:
         raise DomainError("p must be positive")
 

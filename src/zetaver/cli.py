@@ -48,8 +48,10 @@ def _grid_from_strings(items) -> GridSpec | None:
     for item in items:
         if "=" not in item:
             raise ConfigError(f"grid option {item!r} must be axis=spec")
-        name, spec = item.split("=", 1)
-        axes[name.strip()] = _parse_axis(spec.strip())
+        name, spec = (part.strip() for part in item.split("=", 1))
+        if not name:
+            raise ConfigError(f"grid option {item!r} has an empty axis name")
+        axes[name] = _parse_axis(spec)
     return GridSpec(axes)
 
 

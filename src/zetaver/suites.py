@@ -573,6 +573,9 @@ def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:
     """Run one suite over its grid; returns the report with rows in grid order."""
     suite = SUITES[spec.suite_id]
     grid = spec.grid if spec.grid is not None else suite.default_grid
+    missing = [name for name in suite.default_grid.axes if name not in grid.axes]
+    if missing:
+        raise ConfigError(f"grid of suite {spec.suite_id} lacks axis {', '.join(missing)}")
     pts = grid.points()
     if not pts:
         raise ConfigError("empty grid")

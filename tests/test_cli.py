@@ -4,9 +4,11 @@ exit codes and reproducibility."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zetaver.cli import main
-from zetaver.suites import SUITES, SuiteSpec, run_suite
+from zetaver.cli import _grid_from_strings, main
+from zetaver.errors import ConfigError
+from zetaver.suites import SUITES, AxisSpec, GridSpec, SuiteSpec, run_suite
 
 
 def test_list_suites_text(capsys):
@@ -166,3 +168,50 @@ def test_config_file_bad_tol_is_config_error(tmp_path, capsys):
     cfgfile.write_text("[quadratic_moment]\ntol = x\n")
     assert main(["run-suite", "quadratic_moment", "--config", str(cfgfile)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grids", [["x=1"], ["=1"], ["t=50", " =1"]])
+def test_missing_or_empty_grid_axis_is_config_error(capsys, grids):
+    argv = ["run-suite", "remark_219"]
+    for g in grids:
+        argv += ["--grid", g]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+def test_run_suite_checks_axes_before_the_sweep():
+    grid = GridSpec({"t": AxisSpec(explicit=(50.0,))})
+    with pytest.raises(ConfigError, match="factor"):
+        run_suite(SuiteSpec("tail_lemma", grid=grid))
+
+
+_GRID_TOKENS = st.sampled_from(["t", "x", "=", ":", ",", " ", "-", ".", "e", "0", "1", "5",
+                                "1e400", "inf", "nan", "linear", "geometric"])
+_GRID_TEXT = st.lists(_GRID_TOKENS, max_size=10).map("".join) | st.text(max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_GRID_TEXT, min_size=1, max_size=3))
+def test_grid_parser_yields_grid_or_config_error(items):
+    # parses only: no grid point is evaluated
+    try:
+        grid = _grid_from_strings(items)
+    except ConfigError:
+        return
+    assert isinstance(grid, GridSpec)
+
+
+@pytest.mark.parametrize("suite, grids", [
+    ("s1_sum", ["sigma=0.5", "t=1e20", "alpha=0.25"]),
+    ("kernel_norms", ["N=1e20"]),
+])
+def test_desk_scale_bound_annotates_row(tmp_path, capsys, suite, grids):
+    out = tmp_path / "r.json"
+    argv = ["run-suite", suite, "--format", "json", "--out", str(out)]
+    for g in grids:
+        argv += ["--grid", g]
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert rows[0]["params"]["error"].startswith("DomainError")
