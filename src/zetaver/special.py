@@ -356,27 +356,35 @@ def kernel_index(t: float) -> int:
     return int(math.floor(math.sqrt(t / _TWO_PI)))
 
 
-def dirichlet_kernel(N: int, alpha):
-    """Closed form of B_N; continuous limit N at (near-)integer alpha.
+def _half_turns(x: np.ndarray) -> np.ndarray:
+    """x reduced by a multiple of 2 into [-1, 1]; exact, and unlike np.mod
+    it keeps a tiny negative x as it is."""
+    return x - 2.0 * np.round(x / 2.0)
 
-    The sine and phase arguments are reduced modulo the period before
-    multiplication by pi, which keeps the absolute error near machine
-    precision even at N ~ 10^4.
+
+def dirichlet_kernel(N: int, alpha):
+    """Closed form of B_N; the limit N only where sin(pi alpha) is exactly 0.
+
+    B_N has period 1, so alpha is first reduced to d = alpha - round(alpha),
+    exactly; the sine and phase arguments N d and (N+1) d are then reduced
+    by whole periods before multiplication by pi.  The absolute error stays
+    near machine precision times N, also within 1e-12 of an integer.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     a = np.asarray(alpha, dtype=float)
     scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    sa = np.sin(math.pi * np.mod(a, 2.0))
-    near = np.abs(sa) <= 1e-8
-    safe = np.where(near, 1.0, sa)
+    d = np.atleast_1d(a)
+    d = d - np.round(d)
+    sd = np.sin(math.pi * d)
+    zero = sd == 0.0
+    safe = np.where(zero, 1.0, sd)
     val = (
-        np.exp(1j * math.pi * np.mod((N + 1) * a, 2.0))
-        * np.sin(math.pi * np.mod(N * a, 2.0))
+        np.exp(1j * math.pi * _half_turns((N + 1) * d))
+        * np.sin(math.pi * _half_turns(N * d))
         / safe
     )
-    val = np.where(near, complex(N), val)
+    val = np.where(zero, complex(N), val)
     return complex(val[0]) if scalar else val
 
 

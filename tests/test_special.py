@@ -269,6 +269,18 @@ def test_kernel_closed_vs_direct_generic_alpha():
         assert abs(closed - direct) <= 2e-10
 
 
+_NEAR_INTEGER = st.builds(lambda m, sign, e: m + sign * 10.0**e, st.integers(-3, 3),
+                          st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -3.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 2000), st.floats(-3.0, 3.0) | _NEAR_INTEGER)
+def test_kernel_closed_vs_direct_property(n, alpha):
+    # the direct sum rounds n alpha, so ~1e-14 N^2 is its own accuracy
+    closed = sp.dirichlet_kernel(n, alpha)
+    assert abs(closed - sp.dirichlet_kernel_direct(n, alpha)) <= 1e-14 * n * n
+
+
 def test_kernel_index():
     assert sp.kernel_index(100.0) == 3
     with pytest.raises(DomainError):
