@@ -222,6 +222,12 @@ def test_mellin_tail_slow_decay_row():
     assert rep.rel_residual <= 1e-8
 
 
+def test_mellin_tail_boundary_is_domain_error():
+    # Re(u+v) = 2 is the edge of Eq. 2.12's domain, where both sides diverge
+    with pytest.raises(DomainError):
+        idn.mellin_tail_check(2.0, 0.0)
+
+
 def test_unit_recursion_telescoping_point():
     rep = idn.unit_interval_recursion(2.0, 0.0)
     assert abs(rep.lhs - 1.0) < 1e-11  # telescoping closed form
