@@ -7,7 +7,6 @@ independent evaluation route.  Precision is set per call and restored.
 from __future__ import annotations
 
 import contextlib
-import math
 
 import mpmath as mp
 
@@ -69,14 +68,3 @@ def unit_interval_quad(f, prec_bits: int = DEFAULT_PREC_BITS, points=None) -> co
     with _precision(prec_bits):
         pts = points if points is not None else [0, 1]
         return complex(mp.quad(f, pts))
-
-
-def zeta1_square_integral(s: complex, prec_bits: int = DEFAULT_PREC_BITS,
-                          subdivisions: int = 16) -> float:
-    """int_0^1 |zeta1(s, alpha)|^2 d(alpha) in extended precision."""
-    with _precision(prec_bits):
-        sm = mp.mpc(s)
-        f = lambda a: abs(mp.zeta(sm, 1 + a)) ** 2
-        t = abs(float(s.imag))
-        n = max(subdivisions, int(2.5 * (t / (2 * math.pi) + math.sqrt(t / (2 * math.pi) + 1))) + 2)
-        return float(mp.quad(f, mp.linspace(0, 1, n)))
