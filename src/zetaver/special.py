@@ -374,8 +374,8 @@ def dirichlet_kernel(N: int, alpha):
         raise DomainError("N must be >= 1")
     a = np.asarray(alpha, dtype=float)
     scalar = a.ndim == 0
-    d = np.atleast_1d(a)
-    d = d - np.round(d)
+    a = np.atleast_1d(a)
+    d = a - np.round(a)
     sd = np.sin(math.pi * d)
     zero = sd == 0.0
     safe = np.where(zero, 1.0, sd)

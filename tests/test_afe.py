@@ -286,10 +286,3 @@ def test_kernel_norm_l1_oracle():
     # int_0^1 |B_1000| from the 120-bit oracle tier; the kinks of |B_N| at
     # k/N are panel breakpoints, so the quadrature reaches it closely
     assert abs(afe.kernel_norm_power(1000, 1.0) / 3.789039050535354 - 1.0) <= 1e-10
-
-
-def test_desk_scale_bounds_raise_before_allocating():
-    with pytest.raises(DomainError):
-        afe.s1_sum(0.5, 1e20, 0.25)
-    with pytest.raises(DomainError):
-        afe.kernel_norm_power(10**20, 1.0)
