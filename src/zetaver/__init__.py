@@ -42,11 +42,11 @@ from .quadrature import (
 )
 from .identities import (
     IdentityReport,
-    MomentParams,
     f_contour,
     f_series,
     i1_asymptotic_check,
     mellin_tail_closed_form,
+    moment_rhs_terms,
     remark_219_check,
     unit_interval_recursion,
     verify_katsurada,

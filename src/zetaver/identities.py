@@ -12,6 +12,7 @@ residuals in an IdentityReport.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -40,7 +41,6 @@ _TINY = 1e-300
 
 __all__ = [
     "IdentityReport",
-    "MomentParams",
     "f_series",
     "f_contour",
     "contour_interval",
@@ -49,6 +49,7 @@ __all__ = [
     "verify_quadratic_moment",
     "verify_triple_moment",
     "verify_quadruple_moment",
+    "moment_rhs_terms",
     "mellin_tail_closed_form",
     "mellin_tail_check",
     "unit_interval_recursion",
@@ -97,22 +98,6 @@ class IdentityReport:
     def record(cls, identity_id: str, params: dict, lhs: complex, rhs: complex, evaluations: int = 0):
         """Two reported values that are not meant to agree: residuals 0."""
         return cls(identity_id, params, complex(lhs), complex(rhs), 0.0, 0.0, evaluations)
-
-
-@dataclasses.dataclass(frozen=True)
-class MomentParams:
-    """Exponent list (2 to 4 entries) for the product-moment identities."""
-
-    us: tuple
-
-    def __post_init__(self) -> None:
-        if not 2 <= len(self.us) <= 4:
-            raise DomainError("need 2 to 4 exponents")
-        object.__setattr__(self, "us", tuple(complex(u) for u in self.us))
-
-    def require_direct_mode(self) -> None:
-        if any(u.real <= 1.0 for u in self.us):
-            raise DomainError("direct verification needs Re u > 1 for every exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -307,94 +292,61 @@ def _weighted_tail(weight: complex, us, cfg: EvalConfig):
     return integrate_semi_infinite(f, 1.0, decay, cfg, abs_tol=1e-13, rel_tol=2e-11)
 
 
-def verify_quadratic_moment(p: MomentParams | tuple, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Unit moment of zeta1(u,.)zeta1(v,.) against the rational term plus
-    the two weighted tail integrals."""
-    mp_ = p if isinstance(p, MomentParams) else MomentParams(tuple(p))
-    if len(mp_.us) != 2:
-        raise DomainError("quadratic moment needs exactly two exponents")
-    mp_.require_direct_mode()
-    u, v = mp_.us
-    lhs_res = _unit_moment_lhs(mp_.us, cfg)
-    t1 = _weighted_tail(v, (u,), cfg)
-    t2 = _weighted_tail(u, (v,), cfg)
-    rhs = 1.0 / (u + v - 1.0) + t1.value + t2.value
-    return IdentityReport.build(
-        "quadratic_moment",
-        {"u": u, "v": v},
-        lhs_res.value,
-        rhs,
-        lhs_res.evaluations + t1.evaluations + t2.evaluations,
-    )
+# Name of a tail term by the number of zeta1 factors it keeps.
+_KEPT = {1: "single", 2: "pair", 3: "triple"}
 
 
-def verify_triple_moment(p: MomentParams | tuple, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Triple unit moment: rational term, three pair-weighted single tails
-    and three singly-weighted pair tails."""
-    mp_ = p if isinstance(p, MomentParams) else MomentParams(tuple(p))
-    if len(mp_.us) != 3:
-        raise DomainError("triple moment needs exactly three exponents")
-    mp_.require_direct_mode()
-    u1, u2, u3 = mp_.us
-    lhs_res = _unit_moment_lhs(mp_.us, cfg)
-    evals = lhs_res.evaluations
-    rhs = 1.0 / (u1 + u2 + u3 - 1.0)
-    idx = (0, 1, 2)
-    for i in idx:
-        rest = [mp_.us[j] for j in idx if j != i]
-        r = _weighted_tail(mp_.us[i], tuple(rest), cfg)  # alpha^{-u_i} * pair
-        rhs += r.value
-        evals += r.evaluations
-        r = _weighted_tail(rest[0] + rest[1], (mp_.us[i],), cfg)  # alpha^{-(u_j+u_k)} * single
-        rhs += r.value
-        evals += r.evaluations
-    return IdentityReport.build(
-        "triple_moment",
-        {"us": mp_.us},
-        lhs_res.value,
-        rhs,
-        evals,
-    )
-
-
-def quadruple_rhs_terms(p: MomentParams, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[str, complex]]:
-    """The 15 RHS summands of the quadruple identity (1 rational + 4 + 6 + 4)."""
-    us = p.us
-    if len(us) != 4:
-        raise DomainError("quadruple moment needs exactly four exponents")
-    p.require_direct_mode()
-    terms: list[tuple[str, complex]] = [("rational", 1.0 / (sum(us) - 1.0))]
-    idx = (0, 1, 2, 3)
-    for i in idx:  # 4 terms: triple-sum weight, single factor
-        weight = sum(us[j] for j in idx if j != i)
-        terms.append((f"single_{i}", _weighted_tail(weight, (us[i],), cfg).value))
-    for i in idx:  # 6 terms: pair weight, complementary pair product
-        for j in idx:
-            if j <= i:
-                continue
-            rest = tuple(us[k] for k in idx if k not in (i, j))
-            terms.append((f"pair_{i}{j}", _weighted_tail(us[i] + us[j], rest, cfg).value))
-    for i in idx:  # 4 terms: single weight, triple product
-        rest = tuple(us[j] for j in idx if j != i)
-        terms.append((f"triple_{i}", _weighted_tail(us[i], rest, cfg).value))
+def moment_rhs_terms(us, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[str, complex, int]]:
+    """The 2^k - 1 right-side summands of the k-fold unit moment
+    int_0^1 prod zeta1(u_i, alpha) d(alpha), k = 2, 3 or 4, as
+    (name, value, evaluations): the rational term 1/(sum u - 1), then for
+    each nonempty proper subset S of the exponents the tail
+    int_1^inf alpha^{-sum_S u} prod_{j not in S} zeta1(u_j, alpha),
+    largest S first.  A tail is named single/pair/triple by the number of
+    zeta1 factors it keeps, followed by their indices."""
+    us = tuple(complex(u) for u in us)
+    if not 2 <= len(us) <= 4:
+        raise DomainError("need 2 to 4 exponents")
+    if any(u.real <= 1.0 for u in us):
+        raise DomainError("direct verification needs Re u > 1 for every exponent")
+    terms = [("rational", 1.0 / (sum(us) - 1.0), 0)]
+    for size in range(len(us) - 1, 0, -1):
+        for subset in itertools.combinations(range(len(us)), size):
+            kept = [j for j in range(len(us)) if j not in subset]
+            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept), cfg)
+            terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value, r.evaluations))
     return terms
 
 
-def verify_quadruple_moment(p: MomentParams | tuple, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Quadruple unit moment, with the RHS assembled from exactly 15 terms."""
-    mp_ = p if isinstance(p, MomentParams) else MomentParams(tuple(p))
-    terms = quadruple_rhs_terms(mp_, cfg)
-    assert len(terms) == 15, "quadruple RHS must carry 1+4+6+4 summands"
-    lhs_res = _unit_moment_lhs(mp_.us, cfg)
-    rhs = sum(val for _, val in terms)
-    report = IdentityReport.build(
-        "quadruple_moment",
-        {"us": mp_.us, "rhs_terms": len(terms)},
-        lhs_res.value,
-        rhs,
-        lhs_res.evaluations,
-    )
-    return report
+def _verify_moment(identity_id: str, us, arity: int, cfg: EvalConfig, layout) -> IdentityReport:
+    """Unit moment of arity exponents against its subset expansion; the
+    evaluations count the left side and every tail integral."""
+    us = tuple(complex(u) for u in us)
+    if len(us) != arity:
+        raise DomainError(f"{identity_id} needs exactly {arity} exponents")
+    terms = moment_rhs_terms(us, cfg)
+    lhs = _unit_moment_lhs(us, cfg)
+    values = [val for _, val, _ in terms]
+    return IdentityReport.build(identity_id, layout(us, terms), lhs.value,
+                                sum(values[1:], values[0]),
+                                lhs.evaluations + sum(n for _, _, n in terms))
+
+
+def verify_quadratic_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+    """Quadratic unit moment (Eq. 1.11): rational term plus two tails."""
+    return _verify_moment("quadratic_moment", us, 2, cfg,
+                          lambda us, terms: {"u": us[0], "v": us[1]})
+
+
+def verify_triple_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+    """Triple unit moment (Eq. 1.12): rational term plus six tails."""
+    return _verify_moment("triple_moment", us, 3, cfg, lambda us, terms: {"us": us})
+
+
+def verify_quadruple_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+    """Quadruple unit moment (Eq. 1.13): rational term plus fourteen tails."""
+    return _verify_moment("quadruple_moment", us, 4, cfg,
+                          lambda us, terms: {"us": us, "rhs_terms": len(terms)})
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +354,22 @@ def verify_quadruple_moment(p: MomentParams | tuple, cfg: EvalConfig = DEFAULT_C
 # ---------------------------------------------------------------------------
 
 
-def mellin_tail_closed_form(u: complex, v: complex) -> complex:
+def _mellin_closed(u: complex, v: complex, cfg: EvalConfig) -> complex:
+    """Gamma(1-v) Gamma(u+v-1) zeta(u+v-1) / Gamma(u), unchecked."""
+    return complex(
+        np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u))
+        * riemann_zeta(u + v - 1.0, cfg)
+    )
+
+
+def mellin_tail_closed_form(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """int_0^inf alpha^{-v} zeta1(u,alpha) d(alpha)
     = Gamma(1-v) Gamma(u+v-1) zeta(u+v-1) / Gamma(u)."""
     u = complex(u)
     v = complex(v)
     if not (u.real > 1.0 and v.real < 1.0 and (u + v).real > 2.0):
         raise DomainError("requires Re u > 1, Re v < 1, Re(u+v) > 2")
-    return complex(
-        np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u))
-        * riemann_zeta(u + v - 1.0)
-    )
+    return _mellin_closed(u, v, cfg)
 
 
 def _weighted_unit_integral(power: complex, u: complex, cfg: EvalConfig,
@@ -445,7 +402,7 @@ def mellin_tail_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) 
     """
     u = complex(u)
     v = complex(v)
-    closed = mellin_tail_closed_form(u, v)
+    closed = mellin_tail_closed_form(u, v, cfg)
     unit = _weighted_unit_integral(-v, u, cfg)
 
     def rest(a: np.ndarray) -> np.ndarray:
@@ -521,6 +478,14 @@ def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
     return quotient
 
 
+def _recursion_rhs(u: complex, v: complex, cfg: EvalConfig) -> tuple[complex, int]:
+    """(zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha), the
+    right side of the unit-interval recursion, and its evaluations."""
+    zu = complex(riemann_zeta(u, cfg))
+    w = _weighted_unit_integral(1.0 - v, u + 1.0, cfg)
+    return (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value, w.evaluations
+
+
 def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
     """Integration-by-parts recursion for int_0^1 alpha^{-v} zeta1(u,alpha):
     equals (zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha).
@@ -534,7 +499,6 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
         raise DomainError("requires Re v < 2")
     if u == 1.0 or u == 0.0:
         raise PoleError("u and u+1 must avoid the zeta pole")
-    zu = complex(riemann_zeta(u, cfg))
     if v == 1.0:
         # limit mode: both sides finite
         f_reg = _zeta1_difference_quotient(u, cfg)
@@ -561,17 +525,16 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
         mode = "direct"
     else:
         res = integrate_unit_power_singular(_zeta1_difference_quotient(u, cfg), 1.0 - v, cfg, abs_tol=1e-12, rel_tol=1e-10)
-        lhs = res.value + zu / (1.0 - v)
+        lhs = res.value + complex(riemann_zeta(u, cfg)) / (1.0 - v)
         lhs_res = res
         mode = "subtracted"
-    w = _weighted_unit_integral(1.0 - v, u + 1.0, cfg)
-    rhs = (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value
+    rhs, rhs_evals = _recursion_rhs(u, v, cfg)
     return IdentityReport.build(
         "unit_recursion",
         {"u": u, "v": v, "mode": mode},
         lhs,
         rhs,
-        lhs_res.evaluations + w.evaluations,
+        lhs_res.evaluations + rhs_evals,
     )
 
 
@@ -580,32 +543,15 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
 # ---------------------------------------------------------------------------
 
 
-def _katsurada_rhs_terms(u: complex, v: complex, cfg: EvalConfig) -> dict:
-    zu = complex(riemann_zeta(u, cfg))
-    zv = complex(riemann_zeta(v, cfg))
-    gamma_term = complex(
-        np.exp(lgamma(u + v - 1.0)) * riemann_zeta(u + v - 1.0, cfg)
-        * (np.exp(lgamma(1.0 - v) - lgamma(u)) + np.exp(lgamma(1.0 - u) - lgamma(v)))
-    )
-    wu = _weighted_unit_integral(1.0 - v, u + 1.0, cfg)
-    wv = _weighted_unit_integral(1.0 - u, v + 1.0, cfg)
-    return {
-        "rational": 1.0 / (u + v - 1.0),
-        "gamma": gamma_term,
-        "zeta_u": (zu - 1.0) / (v - 1.0),
-        "zeta_v": (zv - 1.0) / (u - 1.0),
-        "int_u": u / (v - 1.0) * wu.value,
-        "int_v": v / (u - 1.0) * wv.value,
-        "evals": wu.evaluations + wv.evaluations,
-    }
-
-
 def verify_katsurada(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Explicit closed evaluation of the quadratic unit moment.
+    """Explicit closed evaluation of the quadratic unit moment: the rational
+    term plus, for each of the two tails, the Mellin closed form M minus
+    the unit-interval recursion R,
+    1/(u+v-1) + [M(u,v) - R(u,v)] + [M(v,u) - R(v,u)].
 
-    The Gamma factor carries the cross arguments Gamma(1-v)/Gamma(u) +
-    Gamma(1-u)/Gamma(v); with same-argument quotients the identity fails
-    for complex conjugate pairs (checked against high-precision quadrature).
+    M carries the cross arguments Gamma(1-v)/Gamma(u) and Gamma(1-u)/Gamma(v);
+    with same-argument quotients the identity fails for complex conjugate
+    pairs (checked against high-precision quadrature).
     """
     u = complex(u)
     v = complex(v)
@@ -613,16 +559,17 @@ def verify_katsurada(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -
         raise DomainError("direct mode needs Re u, Re v in (1, 2)")
     if abs(u + v - 2.0) < 1e-12:
         raise PoleError("u + v = 2 pinches the rational and Gamma terms")
-    terms = _katsurada_rhs_terms(u, v, cfg)
     lhs_res = _unit_moment_lhs((u, v), cfg)
-    rhs = (terms["rational"] + terms["gamma"] + terms["zeta_u"] + terms["zeta_v"]
-           + terms["int_u"] + terms["int_v"])
+    ru, ru_evals = _recursion_rhs(u, v, cfg)
+    rv, rv_evals = _recursion_rhs(v, u, cfg)
+    rhs = (1.0 / (u + v - 1.0) + (_mellin_closed(u, v, cfg) - ru)
+           + (_mellin_closed(v, u, cfg) - rv))
     return IdentityReport.build(
         "katsurada",
         {"u": u, "v": v},
         lhs_res.value,
         rhs,
-        lhs_res.evaluations + terms["evals"],
+        lhs_res.evaluations + ru_evals + rv_evals,
     )
 
 
@@ -634,19 +581,13 @@ def katsurada_split_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONF
     if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
         raise DomainError("split check needs Re u, Re v in (1, 2)")
     direct = _weighted_tail(v, (u,), cfg)
-    closed = complex(
-        np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u))
-        * riemann_zeta(u + v - 1.0, cfg)
-    )
-    zu = complex(riemann_zeta(u, cfg))
-    w = _weighted_unit_integral(1.0 - v, u + 1.0, cfg)
-    unit_part = (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value
+    unit_part, unit_evals = _recursion_rhs(u, v, cfg)
     return IdentityReport.build(
         "katsurada_split",
         {"u": u, "v": v},
         direct.value,
-        closed - unit_part,
-        direct.evaluations + w.evaluations,
+        _mellin_closed(u, v, cfg) - unit_part,
+        direct.evaluations + unit_evals,
     )
 
 

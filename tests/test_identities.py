@@ -10,7 +10,6 @@ import pytest
 from zetaver import identities as idn
 from zetaver import oracle
 from zetaver.errors import ConvergenceError, DomainError
-from zetaver.identities import MomentParams
 from zetaver.quadrature import ContourSpec, integrate_vertical_line
 from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta
 
@@ -179,13 +178,34 @@ def test_quadruple_moment_point_and_structure():
     rep = idn.verify_quadruple_moment((2.0, 2.0, 2.0, 2.0))
     assert rep.rel_residual <= 1e-6
     assert rep.params["rhs_terms"] == 15
-    terms = idn.quadruple_rhs_terms(MomentParams((2.0, 2.5, 3.0, 2.2)))
+    terms = idn.moment_rhs_terms((2.0, 2.5, 3.0, 2.2))
     assert len(terms) == 15
-    kinds = [name.split("_")[0] for name, _ in terms]
+    kinds = [name.split("_")[0] for name, _, _ in terms]
     assert kinds.count("rational") == 1
     assert kinds.count("single") == 4
     assert kinds.count("pair") == 6
     assert kinds.count("triple") == 4
+
+
+@pytest.mark.parametrize("verify, us", [
+    (idn.verify_quadratic_moment, (2.0, 3.0)),
+    (idn.verify_triple_moment, (2.0, 2.5, 3.0)),
+    (idn.verify_quadruple_moment, (2.0, 2.5, 3.0, 2.2)),
+])
+def test_moment_evaluations_count_both_sides(verify, us):
+    rep = verify(us)
+    lhs = idn._unit_moment_lhs(tuple(complex(u) for u in us), idn.DEFAULT_CONFIG)
+    terms = idn.moment_rhs_terms(us)
+    assert len(terms) == 2 ** len(us) - 1
+    assert rep.evaluations == lhs.evaluations + sum(n for _, _, n in terms)
+
+
+def test_moment_rhs_terms_rejects_bad_exponents():
+    for us in [(2.0,), (2.0,) * 5, (2.0, 1.0)]:
+        with pytest.raises(DomainError):
+            idn.moment_rhs_terms(us)
+    with pytest.raises(DomainError):
+        idn.verify_triple_moment((2.0, 2.0))
 
 
 def test_quadruple_moment_permutation_symmetry():
