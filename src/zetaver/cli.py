@@ -198,7 +198,7 @@ def main(argv=None) -> int:
                 threads = int(threads)
             except ValueError:
                 raise ConfigError(f"ZETAVER_THREADS must be an integer, got {threads!r}") from None
-            spec = SuiteSpec(args.suite, grid=grid, cfg=cfg, tolerance=tol, fmt=args.format)
+            spec = SuiteSpec(args.suite, grid=grid, cfg=cfg, tolerance=tol)
             report = run_suite(spec, threads=threads)
             payload = report.to_csv() if args.format == "csv" else report.to_json()
             out = args.out

@@ -350,9 +350,12 @@ def chi(s) -> complex:
 
 
 def kernel_index(t: float) -> int:
-    """N = floor(sqrt(t / 2 pi)); requires t >= 2 pi so that N >= 1."""
+    """N = floor(sqrt(t / 2 pi)); requires t >= 2 pi so that N >= 1, and
+    t <= 1e6 (desk scale) so that the sums over n <= N stay small."""
     if t < _TWO_PI:
         raise DomainError("t too small: kernel order would be zero")
+    if not t <= 1e6:
+        raise DomainError("t above 1e6 (desk scale): kernel order too large")
     return int(math.floor(math.sqrt(t / _TWO_PI)))
 
 

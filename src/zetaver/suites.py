@@ -24,6 +24,10 @@ from .errors import ConfigError, ZetaverError
 
 _2PI = 2.0 * math.pi
 
+# Most grid points one run may sweep: desk scale, far above every default
+# grid (27 points at most), and small enough that the point list stays cheap.
+MAX_GRID_POINTS = 10_000
+
 __all__ = [
     "AxisSpec",
     "GridSpec",
@@ -62,6 +66,9 @@ class AxisSpec:
         if self.spacing == "geometric" and self.minimum <= 0:
             raise ConfigError("geometric spacing needs positive endpoints")
 
+    def size(self) -> int:
+        return len(self.explicit) if self.explicit else self.count
+
     def values(self) -> list[float]:
         if self.explicit:
             return [float(v) for v in self.explicit]
@@ -89,6 +96,8 @@ class GridSpec:
         for name, ax in self.axes.items():
             if not isinstance(ax, AxisSpec):
                 raise ConfigError(f"axis {name} is not an AxisSpec")
+        if math.prod(ax.size() for ax in self.axes.values()) > MAX_GRID_POINTS:
+            raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
 
     def points(self) -> list[dict]:
         names = list(self.axes)
@@ -108,13 +117,10 @@ class SuiteSpec:
     grid: GridSpec | None = None
     cfg: EvalConfig = DEFAULT_CONFIG
     tolerance: float | None = None
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         if self.suite_id not in SUITES:
             raise ConfigError(f"unknown suite: {self.suite_id}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
 
 
 @dataclasses.dataclass
@@ -393,6 +399,7 @@ class Suite:
     default_grid: GridSpec
     default_tol: float | None = None
     judge: object = None
+    optional_axes: tuple = ()  # read by the runner with a default
 
     def judge_rows(self, rows: list[dict], tol: float | None) -> bool:
         if any("error" in r["params"] for r in rows):
@@ -480,9 +487,11 @@ _register(Suite("square_identity", "Eq. 1.5", "contour identity for |zeta1|^2", 
                           "alpha": _axis(0.0, 0.5, 1.0)}), 1e-6))
 _register(Suite("f_routes", "Eq. th1.5", "series vs contour route for f(u,v,alpha)", _run_f_routes,
                 GridSpec({"u_re": _axis(2.0, 3.0), "v_re": _axis(2.0, 3.0),
-                          "alpha": _axis(0.0, 0.5, 1.0)}), 1e-8))
+                          "alpha": _axis(0.0, 0.5, 1.0)}), 1e-8,
+                optional_axes=("u_im", "v_im")))
 _register(Suite("quadratic_moment", "Eq. 1.11", "quadratic unit moment", _run_quadratic,
-                GridSpec({"u_re": _axis(2.0, 3.0, 4.0), "v_re": _axis(2.0, 3.0, 4.0)}), 1e-7))
+                GridSpec({"u_re": _axis(2.0, 3.0, 4.0), "v_re": _axis(2.0, 3.0, 4.0)}), 1e-7,
+                optional_axes=("u_im", "v_im")))
 _register(Suite("triple_moment", "Eq. 1.12", "triple unit moment", _run_triple,
                 GridSpec({"re": _axis(2.0, 2.5), "im": _axis(0.0, 1.0)}), 1e-6))
 _register(Suite("quadruple_moment", "Eq. 1.13", "quadruple unit moment (15 RHS terms)", _run_quadruple,
@@ -496,7 +505,8 @@ _register(Suite("unit_recursion", "Eq. 2.13", "unit-interval recursion", _run_un
 _register(Suite("i1_asymptotic", "Eq. 1.5 (sect. 1)", "I_1(t) against log(t/2pi)+gamma", _run_i1,
                 GridSpec({"t": AxisSpec(50.0, 800.0, 5, "geometric")}), None, _judge_i1))
 _register(Suite("remark_219", "Eq. 2.19", "large-t unit integral against (1/it) sum", _run_remark219,
-                GridSpec({"t": _axis(50.0, 100.0)}), None, _judge_remark219))
+                GridSpec({"t": _axis(50.0, 100.0)}), None, _judge_remark219,
+                optional_axes=("sigma",)))
 _register(Suite("afe_zeta", "Eq. fok1", "zeta approximate functional equation", _run_afe_zeta,
                 GridSpec({"sigma": _axis(0.3, 0.5, 0.7), "t": AxisSpec(25.0, 1600.0, 7, "geometric")}),
                 None, lambda rows: _judge_bounded(rows, "scaled")))
@@ -510,7 +520,8 @@ _register(Suite("weak_afe", "Eq. 1.6", "two-integral kernel functional equation"
                 GridSpec({"sigma": _axis(0.3, 0.5, 0.7), "t": AxisSpec(25.0, 400.0, 5, "geometric")}),
                 None, lambda rows: _judge_bounded(rows, "scaled")))
 _register(Suite("lemma3", "Lemma 3", "explicit kernel-sum integral evaluation", _run_lemma3,
-                GridSpec({"t": _axis(50.0, 100.0, 200.0, 400.0)}), None, _judge_lemma3))
+                GridSpec({"t": _axis(50.0, 100.0, 200.0, 400.0)}), None, _judge_lemma3,
+                optional_axes=("sigma",)))
 _register(Suite("power_mean_Ik", "Eq. 1.8", "2k-th power mean of zeta1 on the critical line",
                 _run_power_mean_Ik, GridSpec({"k": _axis(1, 2), "t": _axis(50.0, 100.0)}),
                 None, _judge_Ik))
@@ -527,17 +538,18 @@ _register(Suite("rane", "Eq. Raneeq", "oscillatory-tail representation of zeta1"
                           "alpha": _axis(2.0, 5.0), "M": _axis(200)}), None, _judge_rane))
 _register(Suite("tail_lemma", "Lemma intbyparts", "oscillatory tail size of zeta1", _run_tail_lemma,
                 GridSpec({"t": _axis(50.0, 100.0), "factor": _axis(2.0, 4.0)}),
-                None, _judge_ratio_record(1.0)))
+                None, _judge_ratio_record(1.0), optional_axes=("sigma", "eta")))
 _register(Suite("qn_modes", "Eq. convhalf", "direct vs continued product coefficients", _run_qn_modes,
                 GridSpec({"n": _axis(0, 2, 5), "u_re": _axis(2.0), "u_im": _axis(1.0)}), 1e-6))
 _register(Suite("highfreq_tail", "Lemma (sect. 5, final)", "high-frequency coefficient bound",
                 _run_highfreq, GridSpec({"t": _axis(50.0), "n": _axis(20, 40, 80)}),
-                None, _judge_ratio_record(1.0)))
+                None, _judge_ratio_record(1.0), optional_axes=("sigma", "eta")))
 _register(Suite("parseval4", "Parseval (sect. 5)", "fourth-moment Parseval identity", _run_parseval4,
-                GridSpec({"sigma": _axis(0.5), "t": _axis(50.0)}), 1e-3))
+                GridSpec({"sigma": _axis(0.5), "t": _axis(50.0)}), 1e-3,
+                optional_axes=("eta",)))
 _register(Suite("theorem2", "Thm 2", "fourth-power bound through truncated coefficients",
                 _run_theorem2, GridSpec({"t": _axis(50.0, 100.0, 200.0, 400.0)}),
-                None, _judge_theorem2))
+                None, _judge_theorem2, optional_axes=("eta",)))
 _register(Suite("kernel_norms", "Lemma 1", "Dirichlet-kernel norm growth", _run_kernel_norms,
                 GridSpec({"N": _axis(10, 100, 1000, 10000)}), None, _judge_kernel_norms))
 
@@ -576,6 +588,10 @@ def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:
     missing = [name for name in suite.default_grid.axes if name not in grid.axes]
     if missing:
         raise ConfigError(f"grid of suite {spec.suite_id} lacks axis {', '.join(missing)}")
+    unread = [name for name in grid.axes
+              if name not in suite.default_grid.axes and name not in suite.optional_axes]
+    if unread:
+        raise ConfigError(f"suite {spec.suite_id} reads no axis {', '.join(unread)}")
     pts = grid.points()
     if not pts:
         raise ConfigError("empty grid")

@@ -1,6 +1,8 @@
 """Command-line interface: eval, run-suite, list-suites, report formats,
 exit codes and reproducibility."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetaver.cli import _grid_from_strings, main
 from zetaver.errors import ConfigError
-from zetaver.suites import SUITES, GridSpec, SuiteSpec, run_suite
+from zetaver.suites import MAX_GRID_POINTS, SUITES, AxisSpec, GridSpec, SuiteSpec, run_suite
 
 
 def test_list_suites_text(capsys):
@@ -199,6 +201,7 @@ def test_grid_parser_yields_grid_or_config_error(items):
 @pytest.mark.parametrize("suite, grids", [
     ("s1_sum", ["sigma=0.5", "t=1e20", "alpha=0.25"]),
     ("kernel_norms", ["N=1e20"]),
+    ("afe_zeta", ["sigma=0.5", "t=1e20"]),
 ])
 def test_desk_scale_bound_annotates_row(tmp_path, capsys, suite, grids):
     out = tmp_path / "r.json"
@@ -209,3 +212,77 @@ def test_desk_scale_bound_annotates_row(tmp_path, capsys, suite, grids):
     assert "Traceback" not in capsys.readouterr().err
     rows = json.loads(out.read_text())["rows"]
     assert rows[0]["params"]["error"].startswith("DomainError")
+
+
+def test_grid_point_count_is_bounded_before_any_axis_is_built():
+    with pytest.raises(ConfigError):
+        GridSpec({"t": AxisSpec(50.0, 100.0, 10**19)})
+    side = AxisSpec(0.0, 1.0, 101)  # 101 * 101 points: each axis alone is fine
+    assert side.size() ** 2 > MAX_GRID_POINTS >= side.size()
+    with pytest.raises(ConfigError):
+        GridSpec({"a": side, "b": side})
+    assert len(GridSpec({"a": side}).points()) == 101
+
+
+@pytest.mark.parametrize("suite, grids", [
+    ("remark_219", ["t=50:100:10000000000000000000"]),
+    ("remark_219", ["t=50:100:100", "sigma=0:1:101"]),
+    ("power_mean_Jk", ["k=1", "T=50", "TT=1,2"]),
+    ("remark_219", ["t=50", "sigmaa=0.6"]),
+    ("parseval4", ["sigma=0.5", "t=50", "sigma_=1"]),
+])
+def test_oversized_grid_or_unread_axis_is_config_error(capsys, suite, grids):
+    argv = ["run-suite", suite]
+    for g in grids:
+        argv += ["--grid", g]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+def test_optional_axes_are_read(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["run-suite", "quadratic_moment", "--grid", "u_re=2", "--grid", "v_re=3",
+                 "--grid", "u_im=0.5", "--grid", "v_im=-0.5", "--format", "json",
+                 "--out", str(out)])
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["params"]["u"] == [2.0, 0.5] and row["params"]["v"] == [3.0, -0.5]
+
+
+# Whole run-suite argument lists over two cheap suites: each default axis is
+# usually kept, an optional, unknown or repeated axis is sometimes added, and
+# an axis spec may be valid, malformed, non-finite or of a huge count.
+_FUZZ_AXES = {"s1_sum": ("sigma", "t", "alpha"), "afe_zeta": ("sigma", "t")}
+_FUZZ_EXTRA = st.sampled_from(["eta", "u_im", "TT", "sigmaa", "t", ""])
+_FUZZ_SPEC = st.sampled_from([
+    "0.5", "0.25,0.75", "66", "66,100", "25:100:3", "25:1600:3:geometric",
+    "0", "-1", "1e20", "1e400", "inf", "-inf,0.5", "nan", "50:100:10000000000000000000",
+    "1:2:0", "2:1:2", "0:1:2:geometric", "1:2:3:cubic", "x", "", "1,,2", "1:2",
+])
+
+
+@st.composite
+def _run_suite_argv(draw):
+    suite = draw(st.sampled_from(sorted(_FUZZ_AXES)))
+    names = [n for n in _FUZZ_AXES[suite] if draw(st.integers(0, 5))]
+    names += draw(st.lists(_FUZZ_EXTRA, max_size=1))
+    argv = ["run-suite", suite]
+    for name in names:
+        argv += ["--grid", f"{name}={draw(_FUZZ_SPEC)}"]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--tol", "1e-30"],
+                                  ["--tol", "x"], ["--format", "xml"]]))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_run_suite_argv())
+def test_run_suite_argv_fuzz_exits_0_1_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option itself
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -283,8 +283,9 @@ def test_kernel_closed_vs_direct_property(n, alpha):
 
 def test_kernel_index():
     assert sp.kernel_index(100.0) == 3
-    with pytest.raises(DomainError):
-        sp.kernel_index(1.0)
+    for t in (1.0, 1e20, math.nan):
+        with pytest.raises(DomainError):
+            sp.kernel_index(t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Every registered suite runs end to end on a reduced grid and passes its
 own judge; exercises the full library surface through the batch layer."""
 
+import inspect
+import re
+
 import pytest
 
 from zetaver.suites import AxisSpec, GridSpec, SuiteSpec, SUITES, run_suite
@@ -72,3 +75,12 @@ def test_error_annotated_row_fails_the_judge(suite_id):
            "lhs": complex(nan), "rhs": complex(nan), "abs_residual": nan,
            "rel_residual": nan, "evals": 0, "seconds": 0.0}
     assert not SUITES[suite_id].judge_rows([row], None)
+
+
+@pytest.mark.parametrize("suite_id", sorted(SUITES))
+def test_declared_axes_are_the_axes_the_runner_reads(suite_id):
+    # run_suite rejects every other axis, so a read axis left undeclared
+    # could never be set, and a declared one never read would be swept
+    suite = SUITES[suite_id]
+    read = set(re.findall(r'pt(?:\.get\(|\[)"(\w+)"', inspect.getsource(suite.runner)))
+    assert read == set(suite.default_grid.axes) | set(suite.optional_axes)
