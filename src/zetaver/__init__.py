@@ -8,7 +8,6 @@ functional equations, kernel projections, power means), `fourier`
 verification with CSV/JSON reports), `oracle` (extended-precision tier).
 """
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     ConfigError,
     ConvergenceError,

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from . import identities
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
 from .quadrature import QuadResult, integrate_finite
 from .special import (
@@ -52,7 +51,7 @@ def _twisted_power_sum(N: int, z: complex, alpha: float, sign: int) -> complex:
     return _csum(np.exp(z * np.log(n) + sign * 2j * math.pi * n * alpha))
 
 
-def afe_zeta_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
+def afe_zeta_residual(s: complex) -> identities.IdentityReport:
     """Residual of zeta(s) = sum_{n<=N} n^-s + chi(s) sum_{n<=N} n^{s-1},
     N = floor(sqrt(t/2pi)); params["scaled"] is it times t^{sigma/2}."""
     s = complex(s)
@@ -61,13 +60,12 @@ def afe_zeta_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identitie
         raise DomainError("requires 0 < sigma < 1 and t >= 10")
     N = kernel_index(t)
     main = _power_sum(N, -s) + chi(s) * _power_sum(N, s - 1.0)
-    resid = abs(riemann_zeta(s, cfg) - main)
+    resid = abs(riemann_zeta(s) - main)
     return identities.IdentityReport.bound(
         "afe_zeta", {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0)}, resid, resid)
 
 
-def afe_hurwitz_residual(s: complex, alpha: float,
-                         cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
+def afe_hurwitz_residual(s: complex, alpha: float) -> identities.IdentityReport:
     """Residual of the shifted-series AFE with the twisted second sum,
     uniformly probed over 0 < alpha < 1; scaled by t^{sigma/2}."""
     s = complex(s)
@@ -80,7 +78,7 @@ def afe_hurwitz_residual(s: complex, alpha: float,
     n = np.arange(1, N + 1, dtype=float)
     s1 = _csum(np.power(n + alpha, -s))
     s2 = _twisted_power_sum(N, s - 1.0, alpha, -1)
-    resid = abs(hurwitz_zeta1(s, alpha, cfg) - s1 - chi(s) * s2)
+    resid = abs(hurwitz_zeta1(s, alpha) - s1 - chi(s) * s2)
     params = {"sigma": sigma, "t": t, "alpha": alpha, "scaled": resid * t ** (sigma / 2.0)}
     return identities.IdentityReport.bound("afe_hurwitz", params, resid, resid)
 
@@ -88,7 +86,6 @@ def afe_hurwitz_residual(s: complex, alpha: float,
 def projection_identity_check(
     z: complex,
     N: int,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     mirrored: bool = False,
 ) -> identities.IdentityReport:
     """Exact projection: sum_{n<=N} n^z (lhs) recovered by integrating the
@@ -109,51 +106,51 @@ def projection_identity_check(
         return kern * (phases @ mz)
 
     pts = list(np.linspace(0.0, 1.0, 3 * N + 9))
-    res = integrate_finite(integrand, 0.0, 1.0, cfg, initial_points=pts,
-                           abs_tol=max(cfg.abs_tol, 1e-13 * max(abs(lhs), 1.0)),
+    res = integrate_finite(integrand, 0.0, 1.0, initial_points=pts,
+                           abs_tol=max(1e-12, 1e-13 * max(abs(lhs), 1.0)),
                            rel_tol=1e-12)
     return identities.IdentityReport.build(
         "projection", {"N": N, "z": z, "mirrored": mirrored}, lhs, res.value, res.evaluations)
 
 
-def _weak_afe_integrals(s: complex, cfg: EvalConfig):
+def _weak_afe_integrals(s: complex):
     sigma, t = s.real, s.imag
     N = kernel_index(t)
     freq = t / _2PI + N + 2.0
     pts = list(np.linspace(0.0, 1.0, int(2.5 * freq) + 9))
 
     def f1(a: np.ndarray) -> np.ndarray:
-        return dirichlet_kernel(N, a) * hurwitz_zeta1(s, a, cfg)
+        return dirichlet_kernel(N, a) * hurwitz_zeta1(s, a)
 
     def f2(a: np.ndarray) -> np.ndarray:
-        return dirichlet_kernel(N, -a) * hurwitz_zeta1(1.0 - s, a, cfg)
+        return dirichlet_kernel(N, -a) * hurwitz_zeta1(1.0 - s, a)
 
-    i1 = integrate_finite(f1, 0.0, 1.0, cfg, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
-    i2 = integrate_finite(f2, 0.0, 1.0, cfg, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+    i1 = integrate_finite(f1, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+    i2 = integrate_finite(f2, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
     return i1, i2, N
 
 
-def weak_afe_residual(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
+def weak_afe_residual(s: complex) -> identities.IdentityReport:
     """Residual of the two-integral kernel form of the functional equation,
     scaled by t^{sigma/2} / log t."""
     s = complex(s)
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 20.0):
         raise DomainError("requires 0 < sigma < 1 and t >= 20")
-    i1, i2, _ = _weak_afe_integrals(s, cfg)
-    resid = abs(riemann_zeta(s, cfg) - i1.value - chi(s) * i2.value)
+    i1, i2, _ = _weak_afe_integrals(s)
+    resid = abs(riemann_zeta(s) - i1.value - chi(s) * i2.value)
     params = {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0) / math.log(t)}
     return identities.IdentityReport.bound("weak_afe", params, resid, resid)
 
 
-def weak_afe_forms_check(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
+def weak_afe_forms_check(s: complex) -> dict:
     """Two-integral versus four-integral form: the two differ exactly by the
     kernel-projected partial sums, each of which is itself O(t^{-sigma/2} log t)."""
     s = complex(s)
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 20.0):
         raise DomainError("requires 0 < sigma < 1 and t >= 20")
-    i1, i2, N = _weak_afe_integrals(s, cfg)
+    i1, i2, N = _weak_afe_integrals(s)
     freq = t / _2PI + N + 2.0
     pts = list(np.linspace(0.0, 1.0, int(2.5 * freq) + 9))
     n = np.arange(1, N + 1, dtype=float)
@@ -164,9 +161,9 @@ def weak_afe_forms_check(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
     def c2(a: np.ndarray) -> np.ndarray:
         return dirichlet_kernel(N, -a) * (np.power(a[:, None] + n[None, :], s - 1.0) @ np.ones(N))
 
-    q1 = integrate_finite(c1, 0.0, 1.0, cfg, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
-    q2 = integrate_finite(c2, 0.0, 1.0, cfg, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
-    zeta_val = riemann_zeta(s, cfg)
+    q1 = integrate_finite(c1, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+    q2 = integrate_finite(c2, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+    zeta_val = riemann_zeta(s)
     chi_val = chi(s)
     two_form = abs(zeta_val - i1.value - chi_val * i2.value)
     corr = q1.value + chi_val * q2.value
@@ -182,7 +179,7 @@ def weak_afe_forms_check(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> dict:
     }
 
 
-def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.IdentityReport:
+def lemma3_integral(s: complex) -> identities.IdentityReport:
     """Explicit evaluation of the kernel-weighted partial sum integral.
 
     The by-parts part int_1^N B_N(a) a^{-s} da (lhs) is compared against
@@ -203,7 +200,7 @@ def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.
     def seg(lo: float, hi: float) -> QuadResult:
         freq = N + t / (_2PI * lo)
         pts = list(np.linspace(lo, hi, int(2.5 * freq * (hi - lo)) + 9))
-        return integrate_finite(f, lo, hi, cfg, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+        return integrate_finite(f, lo, hi, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
 
     main = 0j
     evals = 0
@@ -232,7 +229,7 @@ def lemma3_integral(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> identities.
                                      resid / max(abs(main), 1e-300), evals)
 
 
-def power_mean_Ik(k: int, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def power_mean_Ik(k: int, t: float) -> float:
     """I_k(t) = int_0^1 |zeta1(1/2 + it, alpha)|^{2k} d(alpha)."""
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2 or 3")
@@ -244,13 +241,13 @@ def power_mean_Ik(k: int, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     pts = list(np.linspace(0.0, 1.0, int(2.5 * freq) + 9))
 
     def f(a: np.ndarray) -> np.ndarray:
-        return np.abs(hurwitz_zeta1(s, a, cfg)) ** (2 * k) + 0j
+        return np.abs(hurwitz_zeta1(s, a)) ** (2 * k) + 0j
 
-    res = integrate_finite(f, 0.0, 1.0, cfg, initial_points=pts, abs_tol=1e-10, rel_tol=1e-8)
+    res = integrate_finite(f, 0.0, 1.0, initial_points=pts, abs_tol=1e-10, rel_tol=1e-8)
     return _nonnegative(float(res.value.real))
 
 
-def power_mean_Jk(k: int, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def power_mean_Jk(k: int, T: float) -> float:
     """J_k(T) = (1/T) int_0^T |zeta(1/2 + it)|^{2k} dt."""
     if k not in (1, 2):
         raise DomainError("k must be 1 or 2")
@@ -258,10 +255,10 @@ def power_mean_Jk(k: int, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         raise DomainError("T out of desk-scale range")
 
     def f(tv: np.ndarray) -> np.ndarray:
-        return np.abs(riemann_zeta(0.5 + 1j * tv, cfg)) ** (2 * k) + 0j
+        return np.abs(riemann_zeta(0.5 + 1j * tv)) ** (2 * k) + 0j
 
     pts = list(np.linspace(0.0, T, int(2.0 * T) + 9))
-    res = integrate_finite(f, 0.0, T, cfg, initial_points=pts, abs_tol=1e-9, rel_tol=1e-7)
+    res = integrate_finite(f, 0.0, T, initial_points=pts, abs_tol=1e-9, rel_tol=1e-7)
     return _nonnegative(float(res.value.real) / T)
 
 
@@ -286,7 +283,7 @@ def s1_sum(sigma: float, t: float, alpha: float) -> complex:
     return _twisted_power_sum(n_max, s - 1.0, alpha, -1)
 
 
-def theorem1_check(k: int, t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[identities.IdentityReport]:
+def theorem1_check(k: int, t_grid) -> list[identities.IdentityReport]:
     """Ratios |zeta(1/2+it)| / (t^{1/4k} I_k(t)^{1/2k}) over a t grid,
     recorded as lhs = |zeta|, rhs = ratio."""
     if k not in (1, 2):
@@ -294,15 +291,15 @@ def theorem1_check(k: int, t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[ide
     records = []
     for t in t_grid:
         t = float(t)
-        zv = abs(riemann_zeta(0.5 + 1j * t, cfg))
-        ik = power_mean_Ik(k, t, cfg)
+        zv = abs(riemann_zeta(0.5 + 1j * t))
+        ik = power_mean_Ik(k, t)
         ratio = zv / (t ** (1.0 / (4 * k)) * ik ** (1.0 / (2 * k)))
         records.append(identities.IdentityReport.record(
             "theorem1", {"k": k, "t": t, "ratio": ratio, "Ik": ik}, zv, ratio))
     return records
 
 
-def kernel_norm_power(N: int, p: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def kernel_norm_power(N: int, p: float) -> float:
     """int_0^1 |B_N(alpha)|^p d(alpha)  (the p-th power of the L^p norm).
 
     Unless p is an even integer, |B_N|^p has kinks at the zeros k/N of
@@ -319,7 +316,7 @@ def kernel_norm_power(N: int, p: float, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
     pts = list(np.linspace(0.0, 1.0, int(2.5 * N) + 9))
     if p % 2 != 0:
         pts += list(np.arange(1, N) / N)
-    res = integrate_finite(f, 0.0, 1.0, cfg, initial_points=pts,
+    res = integrate_finite(f, 0.0, 1.0, initial_points=pts,
                            abs_tol=1e-9, rel_tol=1e-7, max_panels=120000)
     return float(res.value.real)
 

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import afe, fourier, special
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConfigError, ZetaverError
 from .suites import AxisSpec, GridSpec, SuiteSpec, list_suites, run_suite
 
@@ -77,13 +76,13 @@ def _load_config_file(path: str, suite_id: str):
     return tol, grid
 
 
-def _eval_value(args, cfg: EvalConfig):
+def _eval_value(args):
     fn = args.function
     if fn == "zeta":
-        return special._em_hurwitz(_require(args, "s"), 1.0, cfg)
+        return special._em_hurwitz(_require(args, "s"), 1.0)
     if fn == "zeta1":
         shift = special._zeta1_shift(_require(args, "alpha").real)
-        return special._em_hurwitz(_require(args, "s"), shift, cfg)
+        return special._em_hurwitz(_require(args, "s"), shift)
     if fn == "chi":
         value = special.chi(_require(args, "s"))
         return value, 5e-14 * abs(value)
@@ -94,24 +93,24 @@ def _eval_value(args, cfg: EvalConfig):
         value = complex(special.dirichlet_kernel(int(args.N), _require(args, "alpha").real))
         return value, 1e-13 * max(abs(value), 1.0)
     if fn == "a_n":
-        value = special.fourier_coeff_a(int(args.n), _require(args, "s"), cfg)
+        value = special.fourier_coeff_a(int(args.n), _require(args, "s"))
         return value, 1e-12 * abs(value)
     if fn == "q_n":
         u = _require(args, "u")
         v = _require(args, "v")
         if u.real > 1.0 and v.real > 1.0:
-            value = fourier.qn_direct(int(args.n), u, v, cfg)
+            value = fourier.qn_direct(int(args.n), u, v)
         else:
-            value = fourier.qn_continued(int(args.n), u, v, cfg)
+            value = fourier.qn_continued(int(args.n), u, v)
         return value, 1e-10
     if fn == "S1":
         value = afe.s1_sum(args.sigma, args.t, _require(args, "alpha").real)
         return value, 1e-13 * max(abs(value), 1.0)
     if fn == "I_k":
-        value = afe.power_mean_Ik(int(args.k), args.t, cfg)
+        value = afe.power_mean_Ik(int(args.k), args.t)
         return complex(value), max(1e-10, 1e-8 * value)
     if fn == "J_k":
-        value = afe.power_mean_Jk(int(args.k), args.T, cfg)
+        value = afe.power_mean_Jk(int(args.k), args.T)
         return complex(value), max(1e-9, 1e-7 * value)
     raise ConfigError(f"unknown function: {fn}")
 
@@ -141,8 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--t", type=float)
     pe.add_argument("--T", type=float)
     pe.add_argument("--sigma", type=float, default=0.5)
-    pe.add_argument("--tol-abs", type=float, default=None)
-    pe.add_argument("--tol-rel", type=float, default=None)
 
     pr = sub.add_parser("run-suite", help="run a named verification suite")
     pr.add_argument("suite")
@@ -151,8 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--format", choices=["csv", "json"], default="csv")
     pr.add_argument("--threads", type=int, default=1)
     pr.add_argument("--tol", type=float, default=None)
-    pr.add_argument("--tol-abs", type=float, default=None)
-    pr.add_argument("--tol-rel", type=float, default=None)
     pr.add_argument("--grid", action="append", default=[],
                     help="axis=min:max:count[:spacing] or axis=v1,v2,... (repeatable)")
 
@@ -166,8 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "eval":
-            cfg = DEFAULT_CONFIG.with_tols(args.tol_abs, args.tol_rel)
-            value, err = _eval_value(args, cfg)
+            value, err = _eval_value(args)
             if value.imag == 0.0:
                 print(f"{value.real:.12g}  (err estimate {err:.2g})")
             else:
@@ -184,7 +178,6 @@ def main(argv=None) -> int:
                 print(f"{len(entries)} suites registered")
             return 0
         if args.command == "run-suite":
-            cfg = DEFAULT_CONFIG.with_tols(args.tol_abs, args.tol_rel)
             tol, grid = (None, None)
             if args.config:
                 tol, grid = _load_config_file(args.config, args.suite)
@@ -198,7 +191,7 @@ def main(argv=None) -> int:
                 threads = int(threads)
             except ValueError:
                 raise ConfigError(f"ZETAVER_THREADS must be an integer, got {threads!r}") from None
-            spec = SuiteSpec(args.suite, grid=grid, cfg=cfg, tolerance=tol)
+            spec = SuiteSpec(args.suite, grid=grid, tolerance=tol)
             report = run_suite(spec, threads=threads)
             payload = report.to_csv() if args.format == "csv" else report.to_json()
             out = args.out

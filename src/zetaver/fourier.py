@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .identities import IdentityReport
 from .quadrature import (
@@ -71,7 +70,7 @@ class FourierCoeffSet:
 # ---------------------------------------------------------------------------
 
 
-def rane_representation(s: complex, alpha: float, M: int, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def rane_representation(s: complex, alpha: float, M: int) -> complex:
     """Partial (symmetric, 0 < |m| < M) oscillatory-tail representation:
 
         alpha^{1-s}/(s-1) - alpha^{-s}/2
@@ -92,8 +91,7 @@ def rane_representation(s: complex, alpha: float, M: int, cfg: EvalConfig = DEFA
     return complex(val + acc)
 
 
-def tail_lemma_check(s: complex, alpha: float, eta: float,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def tail_lemma_check(s: complex, alpha: float, eta: float) -> IdentityReport:
     """Size of the oscillatory tail of zeta1 against the t alpha^{-sigma-1}
     envelope (and its alpha-derivative against t^2 alpha^{-sigma-2}),
     valid for alpha >= t/2pi + eta."""
@@ -105,10 +103,10 @@ def tail_lemma_check(s: complex, alpha: float, eta: float,
         raise DomainError("requires eta > 0")
     if alpha < t / _2PI + eta:
         raise DomainError("requires alpha >= t/2pi + eta")
-    z1 = complex(hurwitz_zeta1(s, alpha, cfg))
+    z1 = complex(hurwitz_zeta1(s, alpha))
     bracket = z1 - alpha ** (1.0 - s) / (s - 1.0) + alpha**-s / 2.0
     ratio = abs(bracket) / (t * alpha ** (-sigma - 1.0))
-    z2 = complex(hurwitz_zeta1(s + 1.0, alpha, cfg))
+    z2 = complex(hurwitz_zeta1(s + 1.0, alpha))
     dbracket = -s * z2 + alpha**-s - (s / 2.0) * alpha ** (-s - 1.0)
     dratio = abs(dbracket) / (t * t * alpha ** (-sigma - 2.0))
     params = {"sigma": sigma, "t": t, "alpha": alpha, "ratio": ratio, "deriv_ratio": dratio}
@@ -127,13 +125,13 @@ def tail_lemma_check(s: complex, alpha: float, eta: float,
 # ---------------------------------------------------------------------------
 
 
-def _eval_terms(terms, a, cfg: EvalConfig):
+def _eval_terms(terms, a):
     a_arr = np.asarray(a, dtype=float)
     out = np.zeros(a_arr.shape, dtype=complex)
     for coef, w, p in terms:
         piece = coef * np.power(a_arr, p)
         if w is not None:
-            piece = piece * hurwitz_zeta1(w, a_arr, cfg)
+            piece = piece * hurwitz_zeta1(w, a_arr)
         out = out + piece
     return out
 
@@ -156,7 +154,7 @@ def _binom_powers(g: complex, base_power: complex, coef: complex, A: float,
         c = nxt
 
 
-def _terms_to_powers(terms, A: float, cfg: EvalConfig, integral_tol: float,
+def _terms_to_powers(terms, A: float, integral_tol: float,
                      em_j: int = 8, j_max: int = 64):
     """Expand a term list into {power: coef} valid for a >= A.
 
@@ -234,45 +232,44 @@ def _tail_abscissa(terms, n: int = 0) -> float:
 
 
 def _osc_zeta1_integral(terms, n: int, a: float, b: float, t_content: float,
-                        cfg: EvalConfig, abs_tol: float, rel_tol: float = 1e-9):
+                        abs_tol: float, rel_tol: float = 1e-9):
     """int_a^b F(alpha) e^{-2 pi i n alpha} d(alpha) for a zeta1 term list."""
     n_kernel = math.sqrt(max(t_content, 1.0) / _2PI)
 
     def f(alpha: np.ndarray) -> np.ndarray:
-        return _eval_terms(terms, alpha, cfg)
+        return _eval_terms(terms, alpha)
 
     return integrate_oscillatory(
         f,
         OscSpec(float(-n)),
         a,
         b,
-        cfg,
         abs_tol=abs_tol,
         rel_tol=rel_tol,
         extra_cycles=lambda x: t_content / (_2PI * x) + n_kernel + 1.0,
     )
 
 
-def _certified_powers(terms, n: int, cfg: EvalConfig, abs_tol: float):
+def _certified_powers(terms, n: int, abs_tol: float):
     """Power expansion of a term list past the tail abscissa A for index n,
     moving A out by 1.6x until the remainder is below abs_tol; returns
     (powers, remainder, A)."""
     A = _tail_abscissa(terms, n)
     for _ in range(4):
-        powers, rem = _terms_to_powers(terms, A, cfg, abs_tol / 4.0)
+        powers, rem = _terms_to_powers(terms, A, abs_tol / 4.0)
         if rem <= abs_tol:
             return powers, rem, A
         A *= 1.6
     raise ConvergenceError("power expansion of the tail failed to certify")
 
 
-def _semi_infinite_osc(terms, n: int, t_content: float, cfg: EvalConfig, abs_tol: float):
+def _semi_infinite_osc(terms, n: int, t_content: float, abs_tol: float):
     """int_1^inf F(alpha) e^{-2 pi i n alpha} d(alpha): numeric head on
     [1, A] plus the closed-form power tail from A."""
-    powers, rem, A = _certified_powers(terms, n, cfg, abs_tol)
+    powers, rem, A = _certified_powers(terms, n, abs_tol)
     if n == 0 and any(q.real >= -1.0 for q in powers):
         raise DivergenceError("tail carries a non-integrable power at n = 0")
-    head = _osc_zeta1_integral(terms, n, 1.0, A, t_content, cfg, abs_tol=abs_tol / 2.0)
+    head = _osc_zeta1_integral(terms, n, 1.0, A, t_content, abs_tol=abs_tol / 2.0)
     tail = _closed_power_tail(powers, n, A)
     return head.value + tail, head.err_estimate + rem, head.evaluations
 
@@ -282,8 +279,7 @@ def _semi_infinite_osc(terms, n: int, t_content: float, cfg: EvalConfig, abs_tol
 # ---------------------------------------------------------------------------
 
 
-def qn_direct(n: int, u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-              abs_tol: float = 1e-10) -> complex:
+def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex:
     """q_n(u,v) = a_n(u+v) + int_1^inf zeta1(u,a) a^{-v} e^{-2 pi i n a} da
     + (u <-> v), for Re u > 1 and Re v > 1."""
     u = complex(u)
@@ -291,9 +287,9 @@ def qn_direct(n: int, u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG,
     if not (u.real > 1.0 and v.real > 1.0):
         raise DomainError("direct mode needs Re u > 1, Re v > 1")
     t_content = abs(u.imag) + abs(v.imag)
-    val_u, _, _ = _semi_infinite_osc([(1.0 + 0j, u, -v)], n, t_content, cfg, abs_tol)
-    val_v, _, _ = _semi_infinite_osc([(1.0 + 0j, v, -u)], n, t_content, cfg, abs_tol)
-    return complex(fourier_coeff_a(n, u + v, cfg) + val_u + val_v)
+    val_u, _, _ = _semi_infinite_osc([(1.0 + 0j, u, -v)], n, t_content, abs_tol)
+    val_v, _, _ = _semi_infinite_osc([(1.0 + 0j, v, -u)], n, t_content, abs_tol)
+    return complex(fourier_coeff_a(n, u + v) + val_u + val_v)
 
 
 def _regularized_terms(u: complex, v: complex):
@@ -304,8 +300,7 @@ def _regularized_terms(u: complex, v: complex):
     ]
 
 
-def qn_continued(n: int, u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                 abs_tol: float = 1e-10) -> complex:
+def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex:
     """Analytically continued q_n(u,v), valid for Re u, Re v > 0:
 
         [1/(u-1) + 1/(v-1)] a_n(u+v-1) + two regularized tail integrals.
@@ -318,16 +313,16 @@ def qn_continued(n: int, u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFI
     if not (u.real > 0.0 and v.real > 0.0):
         raise DomainError("continued mode needs Re u, Re v > 0")
     t_content = abs(u.imag) + abs(v.imag)
-    lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0, cfg)
+    lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
     terms_u = _regularized_terms(u, v)
     terms_v = _regularized_terms(v, u)
-    val_u, _, _ = _semi_infinite_osc(terms_u, n, t_content, cfg, abs_tol)
-    val_v, _, _ = _semi_infinite_osc(terms_v, n, t_content, cfg, abs_tol)
+    val_u, _, _ = _semi_infinite_osc(terms_u, n, t_content, abs_tol)
+    val_v, _, _ = _semi_infinite_osc(terms_v, n, t_content, abs_tol)
     return complex(lead + val_u + val_v)
 
 
 def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
-                cfg: EvalConfig = DEFAULT_CONFIG, abs_tol: float = 1e-10) -> FourierCoeffSet:
+                abs_tol: float = 1e-10) -> FourierCoeffSet:
     """Coefficients q_n for |n| <= n_max.  For v = conj(u) the negative
     indices are filled by Hermitian reflection (exactly)."""
     u = complex(u)
@@ -338,8 +333,8 @@ def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
 
     def one(n: int) -> complex:
         if mode == "direct":
-            return qn_direct(n, u, v, cfg, abs_tol=abs_tol)
-        return qn_continued(n, u, v, cfg, abs_tol=abs_tol)
+            return qn_direct(n, u, v, abs_tol=abs_tol)
+        return qn_continued(n, u, v, abs_tol=abs_tol)
 
     coeffs = {0: one(0)}
     for n in range(1, n_max + 1):
@@ -437,8 +432,7 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
 
 
 def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
-                           eta: float = 1.0, cfg: EvalConfig = DEFAULT_CONFIG,
-                           conjugated: bool = False) -> complex:
+                           eta: float = 1.0, conjugated: bool = False) -> complex:
     """int_1^{t/2pi+eta} a^{-s1 +/- it} (a+y)^{-s2 -/+ it} e^{-2 pi i n a} da."""
     if y <= 0.0:
         raise DomainError("y must be > 0")
@@ -455,7 +449,6 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
         OscSpec(float(-n), log_coeff=sign * t),
         1.0,
         B,
-        cfg,
         abs_tol=1e-12,
         rel_tol=1e-9,
         extra_cycles=lambda a: t / (_2PI * (a + y)) + 1.0,
@@ -464,7 +457,6 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
 
 
 def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
-                        cfg: EvalConfig = DEFAULT_CONFIG,
                         table: Zeta1AlphaTable | None = None) -> IdentityReport:
     """|int_1^{t/2pi+eta} a^{-v} zeta1(u,a) e^{-2 pi i n a} da| against the
     t^{1/2} / |n - t/2pi| envelope, for |n| > t/2pi."""
@@ -475,7 +467,7 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
         raise DomainError("requires |n| > t/2pi")
     B = t / _2PI + eta
     if table is None:
-        table = Zeta1AlphaTable(u, 1.0, B + 1e-9, cfg)
+        table = Zeta1AlphaTable(u, 1.0, B + 1e-9)
 
     def f(a: np.ndarray) -> np.ndarray:
         return np.power(a, -v) * table(a)
@@ -491,8 +483,7 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def parseval_second_moment(s: complex, n_max: int | None = None,
-                           cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityReport:
     """sum_n |a_n(s)|^2 against int_0^1 |zeta1(s,alpha)|^2 d(alpha), with the
     measured C/n^2 coefficient tail extrapolated past n_max."""
     s = complex(s)
@@ -501,19 +492,19 @@ def parseval_second_moment(s: complex, n_max: int | None = None,
     t = abs(s.imag)
     if n_max is None:
         n_max = int(max(2000, 40 * t))
-    total = abs(fourier_coeff_a(0, s, cfg)) ** 2
+    total = abs(fourier_coeff_a(0, s)) ** 2
     for n in range(1, n_max + 1):
-        total += abs(fourier_coeff_a(n, s, cfg)) ** 2 + abs(fourier_coeff_a(-n, s, cfg)) ** 2
+        total += abs(fourier_coeff_a(n, s)) ** 2 + abs(fourier_coeff_a(-n, s)) ** 2
     # measured |a_n|^2 ~ c/n^2 tail
     probe = np.arange(n_max - 200, n_max + 1)
     c_meas = max(
-        float(np.max([abs(fourier_coeff_a(int(n), s, cfg)) ** 2 * n * n for n in probe])),
-        float(np.max([abs(fourier_coeff_a(-int(n), s, cfg)) ** 2 * n * n for n in probe])),
+        float(np.max([abs(fourier_coeff_a(int(n), s)) ** 2 * n * n for n in probe])),
+        float(np.max([abs(fourier_coeff_a(-int(n), s)) ** 2 * n * n for n in probe])),
     )
     tail = 2.0 * c_meas / n_max
     total += tail
     if t >= _2PI:
-        lhs = afe.power_mean_Ik(1, t, cfg) if s.real == 0.5 else None
+        lhs = afe.power_mean_Ik(1, t) if s.real == 0.5 else None
     else:
         lhs = None
     if lhs is None:
@@ -521,9 +512,9 @@ def parseval_second_moment(s: complex, n_max: int | None = None,
         pts = list(np.linspace(0.0, 1.0, int(5 * (t / _2PI + n_kern)) + 17))
 
         def f(a: np.ndarray) -> np.ndarray:
-            return np.abs(hurwitz_zeta1(s, a, cfg)) ** 2 + 0j
+            return np.abs(hurwitz_zeta1(s, a)) ** 2 + 0j
 
-        lhs = float(integrate_finite(f, 0.0, 1.0, cfg, initial_points=pts,
+        lhs = float(integrate_finite(f, 0.0, 1.0, initial_points=pts,
                                      abs_tol=1e-11, rel_tol=1e-9).value.real)
     return IdentityReport.build(
         "parseval_second_moment",
@@ -533,8 +524,7 @@ def parseval_second_moment(s: complex, n_max: int | None = None,
     )
 
 
-def _conjugate_pair_q_coeffs(u: complex, n_max: int, cfg: EvalConfig,
-                             abs_tol: float) -> dict:
+def _conjugate_pair_q_coeffs(u: complex, n_max: int, abs_tol: float) -> dict:
     """q_n(u, conj u) for |n| <= n_max through the cached-table batch route.
 
     Uses q_n = lead_n + I(n) + conj(I(-n)) where I(n) is the u-side tail
@@ -549,8 +539,8 @@ def _conjugate_pair_q_coeffs(u: complex, n_max: int, cfg: EvalConfig,
         if sigma <= 0.0:
             raise DomainError("needs sigma > 0")
         terms = _regularized_terms(u, v)
-    powers, _rem, A = _certified_powers(terms, 1, cfg, abs_tol)
-    table = Zeta1AlphaTable(u, 1.0, A + 1e-9, cfg)
+    powers, _rem, A = _certified_powers(terms, 1, abs_tol)
+    table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
 
     if direct:
         def values(x: np.ndarray) -> np.ndarray:
@@ -567,16 +557,16 @@ def _conjugate_pair_q_coeffs(u: complex, n_max: int, cfg: EvalConfig,
     out = {}
     for n in range(0, n_max + 1):
         if direct:
-            lead = fourier_coeff_a(n, u + v, cfg)
+            lead = fourier_coeff_a(n, u + v)
         else:
-            lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0, cfg)
+            lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
         out[n] = complex(lead + tail_i[n] + tail_i[-n].conjugate())
         out[-n] = out[n].conjugate()
     return out
 
 
-def parseval_fourth_moment(u: complex, eta: float = 1.0, n_max: int | None = None,
-                           cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def parseval_fourth_moment(u: complex, eta: float = 1.0,
+                           n_max: int | None = None) -> IdentityReport:
     """int_0^1 |zeta1(u,alpha)|^4 d(alpha) against sum_n |q_n(u, conj u)|^2,
     with the coefficient tail bounded by the measured t^{1/2}/|n - t/2pi|
     envelope."""
@@ -592,12 +582,12 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0, n_max: int | None = Non
     pts = list(np.linspace(0.0, 1.0, int(10 * (t / _2PI + n_kern)) + 17))
 
     def f4(a: np.ndarray) -> np.ndarray:
-        return np.abs(hurwitz_zeta1(u, a, cfg)) ** 4 + 0j
+        return np.abs(hurwitz_zeta1(u, a)) ** 4 + 0j
 
-    lhs_res = integrate_finite(f4, 0.0, 1.0, cfg, initial_points=pts,
+    lhs_res = integrate_finite(f4, 0.0, 1.0, initial_points=pts,
                                abs_tol=1e-10, rel_tol=1e-8)
     lhs = float(lhs_res.value.real)
-    coeffs = _conjugate_pair_q_coeffs(u, n_max, cfg,
+    coeffs = _conjugate_pair_q_coeffs(u, n_max,
                                       abs_tol=max(1e-10, 2e-5 * lhs / max(n_max, 1)))
     rhs = sum(abs(qv) ** 2 for qv in coeffs.values())
     if t == 0.0:
@@ -608,7 +598,7 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0, n_max: int | None = Non
         basis = np.vstack([ns**-2, ns**-3, ns**-4]).T
         fit, *_ = np.linalg.lstsq(basis, ys, rcond=None)
         tail = 2.0 * sum(
-            float(fit[k]) * float(np.real(hurwitz_zeta1(k + 2.0, float(n_max), cfg)))
+            float(fit[k]) * float(np.real(hurwitz_zeta1(k + 2.0, float(n_max))))
             for k in range(3)
         )
     else:
@@ -631,8 +621,7 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0, n_max: int | None = Non
     )
 
 
-def theorem2_check(t_grid, eta: float = 1.0,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
+def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
     """Fourth-power bound harness: per t, the ratio of |zeta(1/2+it)|^4 to
     t^{1/2} sum_{|n| <= t/pi} |int_1^{t/2pi+eta} a^{-1/2+it} zeta1(1/2+it, a)
     e^{-2 pi i n a} da|^2, recorded as lhs = |zeta|^4, rhs = ratio, plus
@@ -644,7 +633,7 @@ def theorem2_check(t_grid, eta: float = 1.0,
             raise DomainError("needs t/2pi + eta comfortably above 1")
         s = complex(0.5, t)
         b = t / _2PI + eta
-        table = Zeta1AlphaTable(s, 1.0, b + 1e-9, cfg)
+        table = Zeta1AlphaTable(s, 1.0, b + 1e-9)
 
         def values(x: np.ndarray) -> np.ndarray:
             return table(x) * np.power(x, -0.5) * np.exp(1j * t * np.log(x))
@@ -653,7 +642,7 @@ def theorem2_check(t_grid, eta: float = 1.0,
         coeffs, _errs, evals = _fourier_coeffs(values, _zeta1_pair_cycles(t),
                                                range(-n_lim, n_lim + 1), 1.0, b, 5e-7)
         total = float(np.sum(np.abs(coeffs) ** 2))
-        z4 = abs(complex(riemann_zeta(s, cfg))) ** 4
+        z4 = abs(complex(riemann_zeta(s))) ** 4
         denom = math.sqrt(t) * total
         ratio = z4 / denom if denom > 0 else math.inf
         records.append(IdentityReport.record(
@@ -666,8 +655,7 @@ def theorem2_check(t_grid, eta: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_zeta1(s: complex, alpha: float, M: int,
-                      cfg: EvalConfig = DEFAULT_CONFIG, accelerated: bool = True) -> complex:
+def reconstruct_zeta1(s: complex, alpha: float, M: int, accelerated: bool = True) -> complex:
     """Partial Fourier sum sum_{|n| <= M} a_n(s) e^{2 pi i n alpha}.
 
     With accelerated=True the first three integration-by-parts orders of
@@ -679,12 +667,12 @@ def reconstruct_zeta1(s: complex, alpha: float, M: int,
     s = complex(s)
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must be inside (0, 1)")
-    a0 = fourier_coeff_a(0, s, cfg)
+    a0 = fourier_coeff_a(0, s)
     if not accelerated:
         acc = a0
         for n in range(1, M + 1):
             e = np.exp(2j * math.pi * n * alpha)
-            acc += fourier_coeff_a(n, s, cfg) * e + fourier_coeff_a(-n, s, cfg) / e
+            acc += fourier_coeff_a(n, s) * e + fourier_coeff_a(-n, s) / e
         return complex(acc)
     # by-parts orders: a_n ~ sum_k (-1)^{k-1} (s)_{k-1} / (2 pi i n)^k
     # and sum_{n != 0} e^{2 pi i n a} / (2 pi i n)^k = -B_k(a)/k!
@@ -703,5 +691,5 @@ def reconstruct_zeta1(s: complex, alpha: float, M: int,
         for sign, ph in ((1, e), (-1, 1.0 / e)):
             w = 2j * math.pi * sign * n
             asym = coefs[0] / w + coefs[1] / w**2 + coefs[2] / w**3
-            acc += (fourier_coeff_a(sign * n, s, cfg) - asym) * ph
+            acc += (fourier_coeff_a(sign * n, s) - asym) * ph
     return complex(acc)

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from . import afe
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .quadrature import (
     ContourSpec,
@@ -105,7 +104,7 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def f_series(u: complex, v: complex, alpha: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def f_series(u: complex, v: complex, alpha: float) -> complex:
     """f(u,v,alpha) = sum_{n,m >= 1} (n+alpha)^{-v} (n+m+alpha)^{-u}.
 
     The inner sum is zeta1(u, n+alpha) exactly; the outer sum is truncated
@@ -123,21 +122,20 @@ def f_series(u: complex, v: complex, alpha: float, cfg: EvalConfig = DEFAULT_CON
     M = max(48, int(math.ceil(2.0 * (abs(u) + abs(v)))))
     n = np.arange(1, M + 1, dtype=float)
     x = n + alpha
-    head = complex(np.sum(np.power(x, -v) * hurwitz_zeta1(u, x, cfg)))
+    head = complex(np.sum(np.power(x, -v) * hurwitz_zeta1(u, x)))
 
     def h(xx):
         xa = np.asarray(xx, dtype=float) + alpha
-        return np.power(xa, -v) * hurwitz_zeta1(u, xa, cfg)
+        return np.power(xa, -v) * hurwitz_zeta1(u, xa)
 
     def h_prime(xx: float) -> complex:
         xa = xx + alpha
-        z1 = complex(hurwitz_zeta1(u, xa, cfg))
-        z2 = complex(hurwitz_zeta1(u + 1.0, xa, cfg))
+        z1 = complex(hurwitz_zeta1(u, xa))
+        z2 = complex(hurwitz_zeta1(u + 1.0, xa))
         return -v * xa ** -(v + 1.0) * z1 - u * xa**-v * z2
 
     a0 = float(M + 1)
-    tail_int = integrate_semi_infinite(h, a0, p - 1.0, cfg,
-                                       abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol / 4.0)
+    tail_int = integrate_semi_infinite(h, a0, p - 1.0, abs_tol=1e-12, rel_tol=2.5e-11)
     tail = tail_int.value + complex(h(np.array([a0]))[0]) / 2.0 - h_prime(a0) / 12.0
     return head + tail
 
@@ -162,7 +160,7 @@ def default_abscissa(u: complex, v: complex) -> float:
 
 
 def _contour_quadrature(g, c: float, poles: list[float], poly_degree: float,
-                        cfg: EvalConfig, abs_tol: float, rel_tol: float):
+                        abs_tol: float, rel_tol: float):
     clearance = min(abs(c - p) for p in poles)
     t_max = stirling_truncation_height(abs_tol / 10.0, poly_degree=poly_degree)
     for _ in range(3):
@@ -172,7 +170,7 @@ def _contour_quadrature(g, c: float, poles: list[float], poly_degree: float,
             break
         t_max *= 1.5
     spec = ContourSpec(c=c, t_max=t_max, pole_clearance=clearance)
-    return integrate_vertical_line(g, spec, cfg, abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate_vertical_line(g, spec, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def f_contour(
@@ -180,10 +178,6 @@ def f_contour(
     v: complex,
     alpha: float,
     c: float | None = None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    *,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
 ) -> complex:
     """Contour route for f(u,v,alpha): a vertical-line integral of
     Gamma(u+z)Gamma(-z)/Gamma(u) zeta(-z) zeta1(u+v+z, alpha)."""
@@ -201,13 +195,11 @@ def f_contour(
     def g(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         br = np.exp(lgamma(u + z) + lgamma(-z) - lg_u)
-        return br * riemann_zeta(-z, cfg) * hurwitz_zeta1(u + v + z, alpha, cfg)
+        return br * riemann_zeta(-z) * hurwitz_zeta1(u + v + z, alpha)
 
-    atol = cfg.abs_tol if abs_tol is None else abs_tol
-    rtol = cfg.rel_tol if rel_tol is None else rel_tol
     poles = [0.0, -1.0, 1.0 - (u + v).real, -u.real]
     res = _contour_quadrature(g, c, poles, poly_degree=u.real + abs(c) + 1.0,
-                              cfg=cfg, abs_tol=atol, rel_tol=rtol)
+                              abs_tol=1e-12, rel_tol=1e-10)
     return complex(res.value)
 
 
@@ -215,7 +207,6 @@ def verify_square_identity(
     s: complex,
     alpha: float,
     c: float | None = None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> IdentityReport:
     """|zeta1(s,alpha)|^2 against zeta1(2 sigma, alpha) plus the two-Gamma
     contour integral, for sigma > 1 and t >= 0."""
@@ -233,7 +224,7 @@ def verify_square_identity(
     lo, hi = contour_interval(s, sb)
     if not lo < c < hi:
         raise DomainError(f"abscissa {c} outside admissible interval ({lo}, {hi})")
-    z1 = complex(hurwitz_zeta1(s, alpha, cfg))
+    z1 = complex(hurwitz_zeta1(s, alpha))
     lhs = abs(z1) ** 2
     lg_s = complex(lgamma(s))
     lg_sb = complex(lgamma(sb))
@@ -242,13 +233,12 @@ def verify_square_identity(
         z = np.asarray(z, dtype=complex)
         lgz = lgamma(-z)
         br = np.exp(lgamma(s + z) - lg_s + lgz) + np.exp(lgamma(sb + z) - lg_sb + lgz)
-        return br * riemann_zeta(-z, cfg) * hurwitz_zeta1(2.0 * sigma + z, alpha, cfg)
+        return br * riemann_zeta(-z) * hurwitz_zeta1(2.0 * sigma + z, alpha)
 
-    atol = max(cfg.abs_tol, 1e-12 * max(lhs, 1.0))
     poles = [0.0, -1.0, 1.0 - 2.0 * sigma, -sigma]
     res = _contour_quadrature(g, c, poles, poly_degree=sigma + abs(c) + 1.0,
-                              cfg=cfg, abs_tol=atol, rel_tol=1e-10)
-    rhs = complex(hurwitz_zeta1(2.0 * sigma, alpha, cfg)) + res.value
+                              abs_tol=1e-12 * max(lhs, 1.0), rel_tol=1e-10)
+    rhs = complex(hurwitz_zeta1(2.0 * sigma, alpha)) + res.value
     return IdentityReport.build(
         "square_identity",
         {"sigma": sigma, "t": t, "alpha": alpha, "c": c},
@@ -263,40 +253,40 @@ def verify_square_identity(
 # ---------------------------------------------------------------------------
 
 
-def _zeta1_product(us, cfg: EvalConfig):
+def _zeta1_product(us):
     def f(a: np.ndarray) -> np.ndarray:
-        acc = hurwitz_zeta1(us[0], a, cfg)
+        acc = hurwitz_zeta1(us[0], a)
         for u in us[1:]:
-            acc = acc * hurwitz_zeta1(u, a, cfg)
+            acc = acc * hurwitz_zeta1(u, a)
         return acc
 
     return f
 
 
-def _unit_moment_lhs(us, cfg: EvalConfig):
+def _unit_moment_lhs(us):
     t_max = max(abs(u.imag) for u in us)
     pts = list(np.linspace(0.0, 1.0, int(4 * t_max) + 17))
-    return integrate_finite(_zeta1_product(us, cfg), 0.0, 1.0, cfg,
+    return integrate_finite(_zeta1_product(us), 0.0, 1.0,
                             initial_points=pts, abs_tol=1e-13, rel_tol=2e-11)
 
 
-def _weighted_tail(weight: complex, us, cfg: EvalConfig):
+def _weighted_tail(weight: complex, us):
     """int_1^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha)."""
-    prod = _zeta1_product(us, cfg)
+    prod = _zeta1_product(us)
     decay = weight.real + sum(u.real - 1.0 for u in us)
 
     def f(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         return np.power(a, -weight) * prod(a)
 
-    return integrate_semi_infinite(f, 1.0, decay, cfg, abs_tol=1e-13, rel_tol=2e-11)
+    return integrate_semi_infinite(f, 1.0, decay, abs_tol=1e-13, rel_tol=2e-11)
 
 
 # Name of a tail term by the number of zeta1 factors it keeps.
 _KEPT = {1: "single", 2: "pair", 3: "triple"}
 
 
-def moment_rhs_terms(us, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[str, complex, int]]:
+def moment_rhs_terms(us) -> list[tuple[str, complex, int]]:
     """The 2^k - 1 right-side summands of the k-fold unit moment
     int_0^1 prod zeta1(u_i, alpha) d(alpha), k = 2, 3 or 4, as
     (name, value, evaluations): the rational term 1/(sum u - 1), then for
@@ -313,39 +303,38 @@ def moment_rhs_terms(us, cfg: EvalConfig = DEFAULT_CONFIG) -> list[tuple[str, co
     for size in range(len(us) - 1, 0, -1):
         for subset in itertools.combinations(range(len(us)), size):
             kept = [j for j in range(len(us)) if j not in subset]
-            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept), cfg)
+            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept))
             terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value, r.evaluations))
     return terms
 
 
-def _verify_moment(identity_id: str, us, arity: int, cfg: EvalConfig, layout) -> IdentityReport:
+def _verify_moment(identity_id: str, us, arity: int, layout) -> IdentityReport:
     """Unit moment of arity exponents against its subset expansion; the
     evaluations count the left side and every tail integral."""
     us = tuple(complex(u) for u in us)
     if len(us) != arity:
         raise DomainError(f"{identity_id} needs exactly {arity} exponents")
-    terms = moment_rhs_terms(us, cfg)
-    lhs = _unit_moment_lhs(us, cfg)
+    terms = moment_rhs_terms(us)
+    lhs = _unit_moment_lhs(us)
     values = [val for _, val, _ in terms]
     return IdentityReport.build(identity_id, layout(us, terms), lhs.value,
                                 sum(values[1:], values[0]),
                                 lhs.evaluations + sum(n for _, _, n in terms))
 
 
-def verify_quadratic_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def verify_quadratic_moment(us) -> IdentityReport:
     """Quadratic unit moment (Eq. 1.11): rational term plus two tails."""
-    return _verify_moment("quadratic_moment", us, 2, cfg,
-                          lambda us, terms: {"u": us[0], "v": us[1]})
+    return _verify_moment("quadratic_moment", us, 2, lambda us, terms: {"u": us[0], "v": us[1]})
 
 
-def verify_triple_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def verify_triple_moment(us) -> IdentityReport:
     """Triple unit moment (Eq. 1.12): rational term plus six tails."""
-    return _verify_moment("triple_moment", us, 3, cfg, lambda us, terms: {"us": us})
+    return _verify_moment("triple_moment", us, 3, lambda us, terms: {"us": us})
 
 
-def verify_quadruple_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def verify_quadruple_moment(us) -> IdentityReport:
     """Quadruple unit moment (Eq. 1.13): rational term plus fourteen tails."""
-    return _verify_moment("quadruple_moment", us, 4, cfg,
+    return _verify_moment("quadruple_moment", us, 4,
                           lambda us, terms: {"us": us, "rhs_terms": len(terms)})
 
 
@@ -354,44 +343,44 @@ def verify_quadruple_moment(us, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityRep
 # ---------------------------------------------------------------------------
 
 
-def _mellin_closed(u: complex, v: complex, cfg: EvalConfig) -> complex:
+def _mellin_closed(u: complex, v: complex) -> complex:
     """Gamma(1-v) Gamma(u+v-1) zeta(u+v-1) / Gamma(u), unchecked."""
     return complex(
         np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u))
-        * riemann_zeta(u + v - 1.0, cfg)
+        * riemann_zeta(u + v - 1.0)
     )
 
 
-def mellin_tail_closed_form(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def mellin_tail_closed_form(u: complex, v: complex) -> complex:
     """int_0^inf alpha^{-v} zeta1(u,alpha) d(alpha)
     = Gamma(1-v) Gamma(u+v-1) zeta(u+v-1) / Gamma(u)."""
     u = complex(u)
     v = complex(v)
     if not (u.real > 1.0 and v.real < 1.0 and (u + v).real > 2.0):
         raise DomainError("requires Re u > 1, Re v < 1, Re(u+v) > 2")
-    return _mellin_closed(u, v, cfg)
+    return _mellin_closed(u, v)
 
 
-def _weighted_unit_integral(power: complex, u: complex, cfg: EvalConfig,
+def _weighted_unit_integral(power: complex, u: complex,
                             abs_tol: float = 1e-13, rel_tol: float = 2e-11):
     """int_0^1 alpha^{power} zeta1(u, alpha) d(alpha), -1 < Re power."""
     power = complex(power)
 
     def f(a: np.ndarray) -> np.ndarray:
-        return hurwitz_zeta1(u, a, cfg)
+        return hurwitz_zeta1(u, a)
 
     if power.real <= 0.0:
-        return integrate_unit_power_singular(f, power, cfg, abs_tol=abs_tol, rel_tol=rel_tol)
+        return integrate_unit_power_singular(f, power, abs_tol=abs_tol, rel_tol=rel_tol)
 
     def g(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         return np.power(a, power) * f(a)
 
     pts = [2.0**-k for k in range(1, 30)] + list(np.linspace(0.0, 1.0, int(4 * abs(u.imag) + 4 * abs(power.imag)) + 17))
-    return integrate_finite(g, 0.0, 1.0, cfg, initial_points=pts, abs_tol=abs_tol, rel_tol=rel_tol)
+    return integrate_finite(g, 0.0, 1.0, initial_points=pts, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-def mellin_tail_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
     """Closed form against direct quadrature, split at alpha = 1 with the
     endpoint-singularity substitution on (0, 1).
 
@@ -402,14 +391,14 @@ def mellin_tail_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) 
     """
     u = complex(u)
     v = complex(v)
-    closed = mellin_tail_closed_form(u, v, cfg)
-    unit = _weighted_unit_integral(-v, u, cfg)
+    closed = mellin_tail_closed_form(u, v)
+    unit = _weighted_unit_integral(-v, u)
 
     def rest(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        return np.power(a, -v) * (hurwitz_zeta1(u, a, cfg) - np.power(a, 1.0 - u) / (u - 1.0))
+        return np.power(a, -v) * (hurwitz_zeta1(u, a) - np.power(a, 1.0 - u) / (u - 1.0))
 
-    tail = integrate_semi_infinite(rest, 1.0, (u + v).real, cfg, abs_tol=1e-13, rel_tol=2e-11)
+    tail = integrate_semi_infinite(rest, 1.0, (u + v).real, abs_tol=1e-13, rel_tol=2e-11)
     lead = 1.0 / ((u - 1.0) * (u + v - 2.0))
     return IdentityReport.build(
         "mellin_tail",
@@ -424,7 +413,7 @@ def mellin_tail_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) 
 _DQ_TERMS = 40
 
 
-def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
+def _zeta1_difference_quotient(u: complex):
     """Return a -> (zeta1(u, a) - zeta(u)) / a for arrays of a in (0, 1].
 
     Below the split b = min(1/4, 1/|u|) the difference cancels (to nothing
@@ -437,7 +426,7 @@ def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
     the term sizes.
     """
     u = complex(u)
-    zu = complex(riemann_zeta(u, cfg))
+    zu = complex(riemann_zeta(u))
     split = min(0.25, 1.0 / abs(u))
     k = np.arange(1.0, _DQ_TERMS + 2.0)
     binom = np.cumprod(-(u + k - 1.0) / k)  # binom(-u, k), k = 1..K+1
@@ -445,9 +434,9 @@ def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
         # u = -m: the series is a polynomial; its k = m+1 term meets the pole
         # of zeta and tends to -1/(m+1), and every later term vanishes
         m = int(-u.real)
-        coeffs = np.append(binom[:m] * riemann_zeta(u + k[:m], cfg), -1.0 / (m + 1))
+        coeffs = np.append(binom[:m] * riemann_zeta(u + k[:m]), -1.0 / (m + 1))
     else:
-        coeffs = binom[:-1] * riemann_zeta(u + k[:-1], cfg)
+        coeffs = binom[:-1] * riemann_zeta(u + k[:-1])
         x = u.real + _DQ_TERMS + 1.0
         ratio = split * max(1.0, (abs(u) + _DQ_TERMS + 1.0) / (_DQ_TERMS + 2.0))
         rest = math.inf
@@ -466,7 +455,7 @@ def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
         small = a < split
         big = ~small
         if np.any(big):
-            out[big] = (hurwitz_zeta1(u, a[big], cfg) - zu) / a[big]
+            out[big] = (hurwitz_zeta1(u, a[big]) - zu) / a[big]
         if np.any(small):
             x = a[small]
             acc = np.full(x.shape, coeffs[-1])
@@ -478,15 +467,15 @@ def _zeta1_difference_quotient(u: complex, cfg: EvalConfig):
     return quotient
 
 
-def _recursion_rhs(u: complex, v: complex, cfg: EvalConfig) -> tuple[complex, int]:
+def _recursion_rhs(u: complex, v: complex) -> tuple[complex, int]:
     """(zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha), the
     right side of the unit-interval recursion, and its evaluations."""
-    zu = complex(riemann_zeta(u, cfg))
-    w = _weighted_unit_integral(1.0 - v, u + 1.0, cfg)
+    zu = complex(riemann_zeta(u))
+    w = _weighted_unit_integral(1.0 - v, u + 1.0)
     return (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value, w.evaluations
 
 
-def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
     """Integration-by-parts recursion for int_0^1 alpha^{-v} zeta1(u,alpha):
     equals (zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha).
 
@@ -501,16 +490,16 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
         raise PoleError("u and u+1 must avoid the zeta pole")
     if v == 1.0:
         # limit mode: both sides finite
-        f_reg = _zeta1_difference_quotient(u, cfg)
+        f_reg = _zeta1_difference_quotient(u)
         pts = [2.0**-k for k in range(1, 40)] + list(np.linspace(0.0, 1.0, int(4 * abs(u.imag)) + 17))
-        lhs_res = integrate_finite(f_reg, 0.0, 1.0, cfg, initial_points=pts,
+        lhs_res = integrate_finite(f_reg, 0.0, 1.0, initial_points=pts,
                                    abs_tol=1e-12, rel_tol=1e-10)
 
         def f_log(a: np.ndarray) -> np.ndarray:
             a = np.asarray(a, dtype=float)
-            return np.log(a) * hurwitz_zeta1(u + 1.0, a, cfg)
+            return np.log(a) * hurwitz_zeta1(u + 1.0, a)
 
-        rhs_res = integrate_finite(f_log, 0.0, 1.0, cfg, initial_points=pts,
+        rhs_res = integrate_finite(f_log, 0.0, 1.0, initial_points=pts,
                                    abs_tol=1e-12, rel_tol=1e-10)
         return IdentityReport.build(
             "unit_recursion",
@@ -520,15 +509,16 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
             lhs_res.evaluations + rhs_res.evaluations,
         )
     if v.real < 1.0:
-        lhs_res = _weighted_unit_integral(-v, u, cfg)
+        lhs_res = _weighted_unit_integral(-v, u)
         lhs = lhs_res.value
         mode = "direct"
     else:
-        res = integrate_unit_power_singular(_zeta1_difference_quotient(u, cfg), 1.0 - v, cfg, abs_tol=1e-12, rel_tol=1e-10)
-        lhs = res.value + complex(riemann_zeta(u, cfg)) / (1.0 - v)
+        res = integrate_unit_power_singular(_zeta1_difference_quotient(u), 1.0 - v,
+                                            abs_tol=1e-12, rel_tol=1e-10)
+        lhs = res.value + complex(riemann_zeta(u)) / (1.0 - v)
         lhs_res = res
         mode = "subtracted"
-    rhs, rhs_evals = _recursion_rhs(u, v, cfg)
+    rhs, rhs_evals = _recursion_rhs(u, v)
     return IdentityReport.build(
         "unit_recursion",
         {"u": u, "v": v, "mode": mode},
@@ -543,7 +533,7 @@ def unit_interval_recursion(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CO
 # ---------------------------------------------------------------------------
 
 
-def verify_katsurada(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def verify_katsurada(u: complex, v: complex) -> IdentityReport:
     """Explicit closed evaluation of the quadratic unit moment: the rational
     term plus, for each of the two tails, the Mellin closed form M minus
     the unit-interval recursion R,
@@ -559,11 +549,11 @@ def verify_katsurada(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -
         raise DomainError("direct mode needs Re u, Re v in (1, 2)")
     if abs(u + v - 2.0) < 1e-12:
         raise PoleError("u + v = 2 pinches the rational and Gamma terms")
-    lhs_res = _unit_moment_lhs((u, v), cfg)
-    ru, ru_evals = _recursion_rhs(u, v, cfg)
-    rv, rv_evals = _recursion_rhs(v, u, cfg)
-    rhs = (1.0 / (u + v - 1.0) + (_mellin_closed(u, v, cfg) - ru)
-           + (_mellin_closed(v, u, cfg) - rv))
+    lhs_res = _unit_moment_lhs((u, v))
+    ru, ru_evals = _recursion_rhs(u, v)
+    rv, rv_evals = _recursion_rhs(v, u)
+    rhs = (1.0 / (u + v - 1.0) + (_mellin_closed(u, v) - ru)
+           + (_mellin_closed(v, u) - rv))
     return IdentityReport.build(
         "katsurada",
         {"u": u, "v": v},
@@ -573,25 +563,25 @@ def verify_katsurada(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -
     )
 
 
-def katsurada_split_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
     """Term-level consistency: the weighted tail integral over [1, inf)
     equals the Mellin closed form minus the unit-interval recursion terms."""
     u = complex(u)
     v = complex(v)
     if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
         raise DomainError("split check needs Re u, Re v in (1, 2)")
-    direct = _weighted_tail(v, (u,), cfg)
-    unit_part, unit_evals = _recursion_rhs(u, v, cfg)
+    direct = _weighted_tail(v, (u,))
+    unit_part, unit_evals = _recursion_rhs(u, v)
     return IdentityReport.build(
         "katsurada_split",
         {"u": u, "v": v},
         direct.value,
-        _mellin_closed(u, v, cfg) - unit_part,
+        _mellin_closed(u, v) - unit_part,
         direct.evaluations + unit_evals,
     )
 
 
-def sum_recip_m_mp1u(u: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def sum_recip_m_mp1u(u: complex) -> complex:
     """sum_{m>=1} 1 / (m (m+1)^u), tail-certified by the binomial expansion
     of the comparison integral."""
     u = complex(u)
@@ -618,7 +608,7 @@ def sum_recip_m_mp1u(u: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     return head + integral + f(x0) / 2.0 - fp(x0) / 12.0
 
 
-def i1_asymptotic_check(t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
+def i1_asymptotic_check(t_grid) -> list[IdentityReport]:
     """Second-moment asymptotic: I_1(t) versus log(t/2pi) + gamma.
 
     The report parameters also carry the two explicit oscillating 1/t-scale
@@ -631,12 +621,12 @@ def i1_asymptotic_check(t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Identi
         t = float(t)
         if t < 20.0:
             raise DomainError("asymptotic check needs t >= 20")
-        i1 = afe.power_mean_Ik(1, t, cfg)
+        i1 = afe.power_mean_Ik(1, t)
         rhs = math.log(t / _2PI) + float(np.euler_gamma)
         u = complex(0.5, t)
-        zu = complex(riemann_zeta(u, cfg))
+        zu = complex(riemann_zeta(u))
         c_term = -2.0 * ((zu - 1.0) * u.conjugate()).real / abs(u) ** 2
-        d_term = -2.0 * sum_recip_m_mp1u(u, cfg).imag / t
+        d_term = -2.0 * sum_recip_m_mp1u(u).imag / t
         diff = i1 - rhs
         corrected = diff - c_term - d_term
         out.append(
@@ -657,7 +647,7 @@ def i1_asymptotic_check(t_grid, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Identi
     return out
 
 
-def remark_219_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> IdentityReport:
+def remark_219_check(u: complex, v: complex) -> IdentityReport:
     """Large-t behaviour of int_0^1 alpha^{1-v} zeta1(u+1, alpha) d(alpha)
     against (1/(it)) sum_m 1/(m (m+1)^u), for v = s1 - it, u = s2 + it."""
     u = complex(u)
@@ -671,23 +661,22 @@ def remark_219_check(u: complex, v: complex, cfg: EvalConfig = DEFAULT_CONFIG) -
     # alpha^{1-v} = alpha^{1-s1} e^{+i t log alpha}: smooth power times log phase
     def f_smooth(a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        return np.power(a, 1.0 - s1) * hurwitz_zeta1(u + 1.0, a, cfg)
+        return np.power(a, 1.0 - s1) * hurwitz_zeta1(u + 1.0, a)
 
     # log-oscillation toward 0: cut at delta with an explicit endpoint bound
-    zmag = abs(complex(riemann_zeta(u + 1.0, cfg))) + 1.0
+    zmag = abs(complex(riemann_zeta(u + 1.0))) + 1.0
     delta = min(0.25, (1e-13 / zmag) ** (1.0 / (2.0 - s1)))
     head = integrate_oscillatory(
         f_smooth,
-        OscSpec(0.0, log_coeff=t, note="alpha^{it} via log phase"),
+        OscSpec(0.0, log_coeff=t),
         delta,
         1.0,
-        cfg,
         abs_tol=1e-12,
         rel_tol=1e-9,
         extra_cycles=lambda a: t / (_2PI * (1.0 + a)) + 1.0,
     )
     lhs = head.value
-    S = sum_recip_m_mp1u(u, cfg)
+    S = sum_recip_m_mp1u(u)
     rhs = S / (1j * t)
     resid = abs(lhs - rhs)
     return IdentityReport.build(

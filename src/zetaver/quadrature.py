@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleTooCloseError
 
 __all__ = [
@@ -84,6 +83,10 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))
 # that build nodes x n matrices.
 _CHUNK = 32
 
+# Octaves [a 2^k, a 2^(k+1)] integrate_semi_infinite may take before its
+# tail bound certifies.
+_MAX_OCTAVES = 120
+
 
 @dataclasses.dataclass
 class QuadResult:
@@ -119,7 +122,6 @@ class OscSpec:
 
     frequency: float
     log_coeff: float = 0.0
-    note: str = ""
 
     def local_cycles(self, x: float) -> float:
         lc = self.log_coeff / (_2PI * x) if x > 0 else 0.0
@@ -169,12 +171,11 @@ def integrate_finite(
     f,
     a: float,
     b: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     *,
     initial_points=None,
     max_panels: int = 20000,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
@@ -186,8 +187,6 @@ def integrate_finite(
     """
     if not a < b:
         raise DomainError("requires a < b")
-    atol = cfg.abs_tol if abs_tol is None else abs_tol
-    rtol = cfg.rel_tol if rel_tol is None else rel_tol
     fvec = _wrap(f)
     if initial_points is None:
         pts = [a, b]
@@ -205,7 +204,7 @@ def integrate_finite(
         heap.append((-err, lo, hi, val, err))
     heapq.heapify(heap)
     panels = len(heap)
-    while total_err > max(atol, rtol * abs(total)) and panels < max_panels:
+    while total_err > max(abs_tol, rel_tol * abs(total)) and panels < max_panels:
         neg_err, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if neg_err == 0.0 or mid <= lo or mid >= hi:
@@ -220,7 +219,7 @@ def integrate_finite(
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
         panels += 1
-    if total_err > max(atol, rtol * abs(total), 1e-13 * abs(total)):
+    if total_err > max(abs_tol, rel_tol * abs(total), 1e-13 * abs(total)):
         raise ConvergenceError(
             f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={panels}"
         )
@@ -231,11 +230,9 @@ def integrate_semi_infinite(
     f,
     a: float,
     decay: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     *,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-    max_octaves: int = 120,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
 ) -> QuadResult:
     """int_a^inf f, where |f(x)| <= C x^{-decay} eventually, decay > 1.
 
@@ -247,16 +244,14 @@ def integrate_semi_infinite(
         raise DivergenceError("tail decay must exceed 1")
     if a <= 0.0:
         raise DomainError("requires a > 0")
-    atol = cfg.abs_tol if abs_tol is None else abs_tol
-    rtol = cfg.rel_tol if rel_tol is None else rel_tol
     fvec = _wrap(f)
     total = 0j
     total_err = 0.0
     evals = 0
     lo = a
-    for _ in range(max_octaves):
+    for _ in range(_MAX_OCTAVES):
         hi = 2.0 * lo
-        res = integrate_finite(fvec, lo, hi, cfg, abs_tol=atol / 4.0, rel_tol=rtol / 4.0, max_panels=4000)
+        res = integrate_finite(fvec, lo, hi, abs_tol=abs_tol / 4.0, rel_tol=rel_tol / 4.0, max_panels=4000)
         total += res.value
         total_err += res.err_estimate
         evals += res.evaluations
@@ -265,7 +260,7 @@ def integrate_semi_infinite(
         evals += 9
         tail = 1.25 * c_meas * hi ** (1.0 - decay) / (decay - 1.0)
         lo = hi
-        if tail <= max(atol, rtol * abs(total)) / 2.0:
+        if tail <= max(abs_tol, rel_tol * abs(total)) / 2.0:
             return QuadResult(complex(total), float(total_err + tail), evals)
     raise ConvergenceError("semi-infinite tail failed to certify within octave budget")
 
@@ -293,10 +288,9 @@ def integrate_oscillatory(
     osc: OscSpec,
     a: float,
     b: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     *,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
     extra_cycles=0.0,
     max_panels: int = 400000,
 ) -> QuadResult:
@@ -326,7 +320,7 @@ def integrate_oscillatory(
 
     pts = _march_panels(a, b, cycles, cap=max_panels)
     return integrate_finite(
-        g, a, b, cfg, initial_points=pts, max_panels=max_panels + 4000,
+        g, a, b, initial_points=pts, max_panels=max_panels + 4000,
         abs_tol=abs_tol, rel_tol=rel_tol,
     )
 
@@ -350,10 +344,9 @@ def stirling_truncation_height(abs_tol: float, poly_degree: float = 0.0, decay_r
 def integrate_vertical_line(
     g,
     spec: ContourSpec,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     *,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
 ) -> QuadResult:
     """(1/(2 pi i)) int over the line Re z = c, truncated at |Im z| <= t_max."""
     if spec.pole_clearance < 1e-3:
@@ -368,7 +361,7 @@ def integrate_vertical_line(
         y += step
         step = min(step * 1.6, Y / 4.0)
     res = integrate_finite(
-        gvec, -Y, Y, cfg, initial_points=pts,
+        gvec, -Y, Y, initial_points=pts,
         abs_tol=abs_tol, rel_tol=rel_tol,
     )
     return QuadResult(res.value / _2PI, res.err_estimate / _2PI, res.evaluations)
@@ -377,10 +370,9 @@ def integrate_vertical_line(
 def integrate_unit_power_singular(
     f,
     power: complex,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     *,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
 ) -> QuadResult:
     """int_0^1 x^power f(x) dx with -1 < Re power <= 0.
 
@@ -398,5 +390,5 @@ def integrate_unit_power_singular(
         return m * np.power(tau, m * (power + 1.0) - 1.0) * fvec(x)
 
     pts = list(np.linspace(0.0, 1.0, 17)) + [2.0**-k for k in range(2, 30)]
-    return integrate_finite(g, 0.0, 1.0, cfg, initial_points=pts,
+    return integrate_finite(g, 0.0, 1.0, initial_points=pts,
                             abs_tol=abs_tol, rel_tol=rel_tol)

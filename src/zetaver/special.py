@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
@@ -175,6 +174,13 @@ def _csum(values: np.ndarray) -> complex:
 # threshold of 128 KiB.
 _EM_BLOCK_TERMS = 1 << 13
 
+# Euler-Maclaurin truncation: at least _EM_FLOOR direct terms (more as
+# |Im s| grows), _EM_PAIRS Bernoulli correction pairs, and a budget of
+# _EM_MAX_TERMS direct terms for one evaluation.
+_EM_FLOOR = 10
+_EM_PAIRS = 8
+_EM_MAX_TERMS = 2_000_000
+
 
 def _neg_power(x, log_x, sigma, t):
     """x^-(sigma + i t) for x > 0 as (c, d) with x^-s = c - i d, i.e.
@@ -191,7 +197,7 @@ def _neg_power(x, log_x, sigma, t):
     return power * np.cos(phase), power * np.sin(phase)
 
 
-def _em_hurwitz(s, a, cfg: EvalConfig = DEFAULT_CONFIG):
+def _em_hurwitz(s, a):
     """zeta_H(s, a) for complex s != 1 and real a > 0, broadcast against
     each other (scalars or arrays).
 
@@ -207,14 +213,14 @@ def _em_hurwitz(s, a, cfg: EvalConfig = DEFAULT_CONFIG):
         raise PoleError("zeta pole at s = 1")
     if (a_arr <= 0.0).any():
         raise DomainError("shift must be positive")
-    j_max = cfg.bernoulli_order // 2
+    j_max = _EM_PAIRS
     sig_min = float(s_arr.real.min())
     if sig_min + 2 * j_max + 1 <= 1.0:
-        raise DomainError(f"Re s = {sig_min} too small for bernoulli_order = {cfg.bernoulli_order}")
-    target = max(float(cfg.em_terms), 2.0 * float(abs(s_arr.imag).max()) / math.pi)
+        raise DomainError(f"Re s = {sig_min} too small for {j_max} Bernoulli pairs")
+    target = max(float(_EM_FLOOR), 2.0 * float(abs(s_arr.imag).max()) / math.pi)
     n0 = max(int(math.ceil(target - float(a_arr.min()))) + 1, 1)
-    if n0 > cfg.max_series_terms:
-        raise ConvergenceError("Euler-Maclaurin base sum exceeds max_series_terms")
+    if n0 > _EM_MAX_TERMS:
+        raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
 
     # An argument with one value stays a scalar; arrays are flattened
     # against each other.
@@ -268,20 +274,20 @@ def _em_hurwitz(s, a, cfg: EvalConfig = DEFAULT_CONFIG):
     return value.reshape(shape), err
 
 
-def riemann_zeta(s, cfg: EvalConfig = DEFAULT_CONFIG):
+def riemann_zeta(s):
     """Riemann zeta(s), continued by Euler-Maclaurin.  PoleError at s = 1.
 
     s may be a numpy array; the result then has the same shape.
     """
-    return _em_hurwitz(s, 1.0, cfg)[0]
+    return _em_hurwitz(s, 1.0)[0]
 
 
-def hurwitz_zeta1(s, alpha, cfg: EvalConfig = DEFAULT_CONFIG):
+def hurwitz_zeta1(s, alpha):
     """Modified Hurwitz zeta: sum_{n>=1} (n+alpha)^{-s}, alpha >= 0, s != 1.
 
     s and alpha may be numpy arrays; the result has their broadcast shape.
     """
-    return _em_hurwitz(s, _zeta1_shift(alpha), cfg)[0]
+    return _em_hurwitz(s, _zeta1_shift(alpha))[0]
 
 
 def _zeta1_shift(alpha):
@@ -292,13 +298,13 @@ def _zeta1_shift(alpha):
     return alpha_arr + 1.0
 
 
-def hurwitz_zeta(s, alpha, cfg: EvalConfig = DEFAULT_CONFIG):
+def hurwitz_zeta(s, alpha):
     """Classical Hurwitz zeta(s, alpha) = alpha^{-s} + zeta1(s, alpha), alpha > 0."""
     alpha_arr = np.asarray(alpha, dtype=float)
     if np.any(alpha_arr <= 0.0):
         raise DomainError("alpha must be > 0")
     s = complex(s)
-    return np.power(alpha_arr, -s) + hurwitz_zeta1(s, alpha_arr, cfg)
+    return np.power(alpha_arr, -s) + hurwitz_zeta1(s, alpha_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +500,7 @@ def osc_power_tail(s: complex, m: int, a0: float) -> complex:
     return complex(np.exp((1.0 - s) * math.log(a0)) * _norm_upper_gamma(1.0 - s, w * a0))
 
 
-def fourier_coeff_a(n: int, s, cfg: EvalConfig = DEFAULT_CONFIG, continued: bool = True) -> complex:
+def fourier_coeff_a(n: int, s) -> complex:
     """Fourier coefficient a_n(s) of zeta1(s, .) on the unit interval.
 
     a_0(s) = 1/(s-1); for n != 0, a_n(s) = int_1^inf x^{-s} e^{-2 pi i n x} dx,
@@ -507,8 +513,6 @@ def fourier_coeff_a(n: int, s, cfg: EvalConfig = DEFAULT_CONFIG, continued: bool
     if n == 0:
         if s == 1.0:
             raise PoleError("a_0 pole at s = 1")
-        if not continued and s.real <= 1.0:
-            raise DomainError("a_0 integral diverges for Re s <= 1")
         return 1.0 / (s - 1.0)
     if s.real <= -1.0:
         raise DomainError("a_n requires Re s > -1 for n != 0")

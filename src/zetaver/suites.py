@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from . import afe, fourier, identities, special
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConfigError, ZetaverError
 
 _2PI = 2.0 * math.pi
@@ -115,7 +114,6 @@ class GridSpec:
 class SuiteSpec:
     suite_id: str
     grid: GridSpec | None = None
-    cfg: EvalConfig = DEFAULT_CONFIG
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
@@ -233,96 +231,96 @@ def _axis(*vals) -> AxisSpec:
     return AxisSpec(explicit=tuple(vals))
 
 
-def _run_square(pt, cfg):
+def _run_square(pt):
     s = complex(pt["sigma"], pt["t"])
-    return [identities.verify_square_identity(s, pt["alpha"], cfg=cfg)]
+    return [identities.verify_square_identity(s, pt["alpha"])]
 
 
-def _run_f_routes(pt, cfg):
+def _run_f_routes(pt):
     u = complex(pt["u_re"], pt.get("u_im", 0.0))
     v = complex(pt["v_re"], pt.get("v_im", 0.0))
     alpha = pt["alpha"]
-    fs = identities.f_series(u, v, alpha, cfg)
-    fc = identities.f_contour(u, v, alpha, cfg=cfg)
+    fs = identities.f_series(u, v, alpha)
+    fc = identities.f_contour(u, v, alpha)
     return [identities.IdentityReport.build(
         "f_routes", {"u": u, "v": v, "alpha": alpha}, fs, fc)]
 
 
-def _run_quadratic(pt, cfg):
+def _run_quadratic(pt):
     u = complex(pt["u_re"], pt.get("u_im", 0.0))
     v = complex(pt["v_re"], pt.get("v_im", 0.0))
-    return [identities.verify_quadratic_moment((u, v), cfg)]
+    return [identities.verify_quadratic_moment((u, v))]
 
 
-def _run_triple(pt, cfg):
+def _run_triple(pt):
     base = pt["re"]
     us = (complex(base, pt.get("im", 0.0)), complex(base + 0.4, -pt.get("im", 0.0)), complex(base + 0.15, 0.0))
-    return [identities.verify_triple_moment(us, cfg)]
+    return [identities.verify_triple_moment(us)]
 
 
-def _run_quadruple(pt, cfg):
+def _run_quadruple(pt):
     base = pt["re"]
     im = pt.get("im", 0.0)
     us = (complex(base, im), complex(base, -im), complex(base + 0.3, 0.0), complex(base + 0.55, 0.0))
-    return [identities.verify_quadruple_moment(us, cfg)]
+    return [identities.verify_quadruple_moment(us)]
 
 
-def _run_katsurada(pt, cfg):
+def _run_katsurada(pt):
     u = complex(pt["u_re"], pt["u_im"])
-    return [identities.verify_katsurada(u, u.conjugate(), cfg)]
+    return [identities.verify_katsurada(u, u.conjugate())]
 
 
-def _run_mellin(pt, cfg):
-    return [identities.mellin_tail_check(complex(pt["u_re"]), complex(pt["v_re"]), cfg)]
+def _run_mellin(pt):
+    return [identities.mellin_tail_check(complex(pt["u_re"]), complex(pt["v_re"]))]
 
 
-def _run_unit_recursion(pt, cfg):
-    return [identities.unit_interval_recursion(complex(pt["u_re"]), complex(pt["v_re"]), cfg)]
+def _run_unit_recursion(pt):
+    return [identities.unit_interval_recursion(complex(pt["u_re"]), complex(pt["v_re"]))]
 
 
-def _run_i1(pt, cfg):
-    return identities.i1_asymptotic_check([pt["t"]], cfg)
+def _run_i1(pt):
+    return identities.i1_asymptotic_check([pt["t"]])
 
 
-def _run_remark219(pt, cfg):
+def _run_remark219(pt):
     t = pt["t"]
     u = complex(pt.get("sigma", 0.5), t)
     v = complex(pt.get("sigma", 0.5), -t)
-    return [identities.remark_219_check(u, v, cfg)]
+    return [identities.remark_219_check(u, v)]
 
 
-def _run_afe_zeta(pt, cfg):
-    return [afe.afe_zeta_residual(complex(pt["sigma"], pt["t"]), cfg)]
+def _run_afe_zeta(pt):
+    return [afe.afe_zeta_residual(complex(pt["sigma"], pt["t"]))]
 
 
-def _run_afe_hurwitz(pt, cfg):
-    return [afe.afe_hurwitz_residual(complex(pt["sigma"], pt["t"]), pt["alpha"], cfg)]
+def _run_afe_hurwitz(pt):
+    return [afe.afe_hurwitz_residual(complex(pt["sigma"], pt["t"]), pt["alpha"])]
 
 
-def _run_projection(pt, cfg):
+def _run_projection(pt):
     n = int(pt["N"])
     rng = np.random.default_rng(1234 + n)
     z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
-    return [afe.projection_identity_check(z, n, cfg, mirrored=m) for m in (False, True)]
+    return [afe.projection_identity_check(z, n, mirrored=m) for m in (False, True)]
 
 
-def _run_weak_afe(pt, cfg):
-    return [afe.weak_afe_residual(complex(pt["sigma"], pt["t"]), cfg)]
+def _run_weak_afe(pt):
+    return [afe.weak_afe_residual(complex(pt["sigma"], pt["t"]))]
 
 
-def _run_lemma3(pt, cfg):
-    return [afe.lemma3_integral(complex(pt.get("sigma", 0.5), pt["t"]), cfg)]
+def _run_lemma3(pt):
+    return [afe.lemma3_integral(complex(pt.get("sigma", 0.5), pt["t"]))]
 
 
-def _run_power_mean_Ik(pt, cfg):
+def _run_power_mean_Ik(pt):
     k = int(pt["k"])
-    value = afe.power_mean_Ik(k, pt["t"], cfg)
+    value = afe.power_mean_Ik(k, pt["t"])
     return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value)]
 
 
-def _run_power_mean_Jk(pt, cfg):
+def _run_power_mean_Jk(pt):
     k = int(pt["k"])
-    value = afe.power_mean_Jk(k, pt["T"], cfg)
+    value = afe.power_mean_Jk(k, pt["T"])
     env = math.log(pt["T"] / _2PI) + 2.0 * float(np.euler_gamma) - 1.0 if k == 1 else value
     gap = abs(value - env)  # relative to the envelope, not to J_k
     return [identities.IdentityReport(
@@ -331,7 +329,7 @@ def _run_power_mean_Jk(pt, cfg):
         rel_residual=gap / max(abs(env), 1e-300))]
 
 
-def _run_s1(pt, cfg):
+def _run_s1(pt):
     sigma, t, alpha = pt["sigma"], pt["t"], pt["alpha"]
     val = afe.s1_sum(sigma, t, alpha)
     x = t / _2PI
@@ -341,51 +339,51 @@ def _run_s1(pt, cfg):
     return [identities.IdentityReport.record("s1_sum", params, val, val)]
 
 
-def _run_theorem1(pt, cfg):
-    return afe.theorem1_check(int(pt["k"]), [pt["t"]], cfg)
+def _run_theorem1(pt):
+    return afe.theorem1_check(int(pt["k"]), [pt["t"]])
 
 
-def _run_rane(pt, cfg):
+def _run_rane(pt):
     s = complex(pt["sigma"], pt["t"])
     alpha, M = pt["alpha"], int(pt["M"])
-    val = fourier.rane_representation(s, alpha, M, cfg)
-    ref = complex(special.hurwitz_zeta1(s, alpha, cfg))
+    val = fourier.rane_representation(s, alpha, M)
+    ref = complex(special.hurwitz_zeta1(s, alpha))
     return [identities.IdentityReport.build(
         "rane", {"s": s, "alpha": alpha, "M": M}, ref, val)]
 
 
-def _run_tail_lemma(pt, cfg):
+def _run_tail_lemma(pt):
     s = complex(pt.get("sigma", 0.5), pt["t"])
     alpha = pt["factor"] * (pt["t"] / _2PI)
-    return [fourier.tail_lemma_check(s, alpha, pt.get("eta", 1.0), cfg)]
+    return [fourier.tail_lemma_check(s, alpha, pt.get("eta", 1.0))]
 
 
-def _run_qn_modes(pt, cfg):
+def _run_qn_modes(pt):
     n = int(pt["n"])
     u = complex(pt["u_re"], pt["u_im"])
     v = u.conjugate()
-    qd = fourier.qn_direct(n, u, v, cfg)
-    qc = fourier.qn_continued(n, u, v, cfg=cfg)
+    qd = fourier.qn_direct(n, u, v)
+    qc = fourier.qn_continued(n, u, v)
     return [identities.IdentityReport.build("qn_modes", {"n": n, "u": u, "v": v}, qd, qc)]
 
 
-def _run_highfreq(pt, cfg):
+def _run_highfreq(pt):
     u = complex(pt.get("sigma", 0.5), pt["t"])
-    return [fourier.highfreq_tail_check(int(pt["n"]), u, u.conjugate(), pt.get("eta", 1.0), cfg)]
+    return [fourier.highfreq_tail_check(int(pt["n"]), u, u.conjugate(), pt.get("eta", 1.0))]
 
 
-def _run_parseval4(pt, cfg):
-    return [fourier.parseval_fourth_moment(complex(pt["sigma"], pt["t"]), pt.get("eta", 1.0), cfg=cfg)]
+def _run_parseval4(pt):
+    return [fourier.parseval_fourth_moment(complex(pt["sigma"], pt["t"]), pt.get("eta", 1.0))]
 
 
-def _run_theorem2(pt, cfg):
-    return fourier.theorem2_check([pt["t"]], pt.get("eta", 1.0), cfg)
+def _run_theorem2(pt):
+    return fourier.theorem2_check([pt["t"]], pt.get("eta", 1.0))
 
 
-def _run_kernel_norms(pt, cfg):
+def _run_kernel_norms(pt):
     n = int(pt["N"])
-    l1 = afe.kernel_norm_power(n, 1.0, cfg)
-    l2sq = afe.kernel_norm_power(n, 2.0, cfg)
+    l1 = afe.kernel_norm_power(n, 1.0)
+    l2sq = afe.kernel_norm_power(n, 2.0)
     params = {"N": n, "l1_over_logN": l1 / math.log(n) if n > 1 else l1}
     return [identities.IdentityReport.build("kernel_norms", params, complex(l2sq), complex(n))]
 
@@ -413,10 +411,6 @@ def _judge_i1(rows):
     return all(abs(float(r["params"]["corrected_diff_t2"])) <= 100.0 for r in rows) and all(
         abs(complex(r["lhs"]) - complex(r["rhs"])) <= 0.05 for r in rows
     )
-
-
-def _judge_remark219(rows):
-    return all(float(r["params"]["scaled_t2"]) <= 20.0 for r in rows)
 
 
 def _judge_lemma3(rows):
@@ -463,11 +457,6 @@ def _judge_ratio_record(bound: float, key: str = "ratio"):
     return judge
 
 
-def _judge_theorem2(rows):
-    return all(math.isfinite(float(r["params"]["ratio"])) for r in rows) and all(
-        float(r["params"]["ratio"]) <= 10.0 for r in rows)
-
-
 def _judge_kernel_norms(rows):
     if any(r["rel_residual"] > 1e-10 for r in rows):  # Parseval: L2^2 = N
         return False
@@ -505,7 +494,7 @@ _register(Suite("unit_recursion", "Eq. 2.13", "unit-interval recursion", _run_un
 _register(Suite("i1_asymptotic", "Eq. 1.5 (sect. 1)", "I_1(t) against log(t/2pi)+gamma", _run_i1,
                 GridSpec({"t": AxisSpec(50.0, 800.0, 5, "geometric")}), None, _judge_i1))
 _register(Suite("remark_219", "Eq. 2.19", "large-t unit integral against (1/it) sum", _run_remark219,
-                GridSpec({"t": _axis(50.0, 100.0)}), None, _judge_remark219,
+                GridSpec({"t": _axis(50.0, 100.0)}), None, _judge_ratio_record(20.0, "scaled_t2"),
                 optional_axes=("sigma",)))
 _register(Suite("afe_zeta", "Eq. fok1", "zeta approximate functional equation", _run_afe_zeta,
                 GridSpec({"sigma": _axis(0.3, 0.5, 0.7), "t": AxisSpec(25.0, 1600.0, 7, "geometric")}),
@@ -549,17 +538,16 @@ _register(Suite("parseval4", "Parseval (sect. 5)", "fourth-moment Parseval ident
                 optional_axes=("eta",)))
 _register(Suite("theorem2", "Thm 2", "fourth-power bound through truncated coefficients",
                 _run_theorem2, GridSpec({"t": _axis(50.0, 100.0, 200.0, 400.0)}),
-                None, _judge_theorem2, optional_axes=("eta",)))
+                None, _judge_ratio_record(10.0), optional_axes=("eta",)))
 _register(Suite("kernel_norms", "Lemma 1", "Dirichlet-kernel norm growth", _run_kernel_norms,
                 GridSpec({"N": _axis(10, 100, 1000, 10000)}), None, _judge_kernel_norms))
 
 
-def config_hash(suite_id: str, grid: GridSpec, cfg: EvalConfig, tolerance) -> str:
+def config_hash(suite_id: str, grid: GridSpec, tolerance) -> str:
     payload = json.dumps(
         {
             "suite": suite_id,
             "grid": grid.describe(),
-            "cfg": dataclasses.asdict(cfg),
             "tolerance": tolerance,
         },
         sort_keys=True,
@@ -569,10 +557,10 @@ def config_hash(suite_id: str, grid: GridSpec, cfg: EvalConfig, tolerance) -> st
 
 
 def _run_point(args):
-    suite_id, pt, cfg = args
+    suite_id, pt = args
     t0 = time.perf_counter()
     try:
-        reps = SUITES[suite_id].runner(pt, cfg)
+        reps = SUITES[suite_id].runner(pt)
     except ZetaverError as exc:
         # NaN on both sides, so NaN residuals
         reps = [identities.IdentityReport.build(
@@ -596,7 +584,7 @@ def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:
     if not pts:
         raise ConfigError("empty grid")
     tol = spec.tolerance if spec.tolerance is not None else suite.default_tol
-    jobs = [(spec.suite_id, pt, spec.cfg) for pt in pts]
+    jobs = [(spec.suite_id, pt) for pt in pts]
     if threads > 1:
         import concurrent.futures
 
@@ -609,7 +597,7 @@ def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:
     header = {
         "suite": spec.suite_id,
         "anchor": suite.anchor,
-        "config_hash": config_hash(spec.suite_id, grid, spec.cfg, tol),
+        "config_hash": config_hash(spec.suite_id, grid, tol),
         "tolerance": tol,
         "version": "0.1.0",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
+from .quadrature import _march_panels
 from .special import hurwitz_zeta1
 
 _2PI = 2.0 * math.pi
@@ -34,24 +34,17 @@ class Zeta1AlphaTable:
     per panel reaches ~1e-11 relative accuracy.
     """
 
-    def __init__(self, s: complex, a_lo: float, a_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) -> None:
+    def __init__(self, s: complex, a_lo: float, a_hi: float) -> None:
         if not (0.0 <= a_lo < a_hi):
             raise DomainError("need 0 <= a_lo < a_hi")
         self.s = complex(s)
-        self.cfg = cfg
         t = abs(self.s.imag)
         n_kernel = math.sqrt(max(t, 1.0) / _2PI)
 
         def cycles(a: float) -> float:
             return t / (_2PI * (1.0 + a)) + n_kernel + 1.0
 
-        breaks = [a_lo]
-        x = a_lo
-        while x < a_hi:
-            w = 1.0 / (_POINTS_PER_CYCLE * cycles(x))
-            x = min(x + w, a_hi)
-            breaks.append(x)
-        self.breaks = np.array(breaks)
+        self.breaks = np.array(_march_panels(a_lo, a_hi, cycles, per_cycle=_POINTS_PER_CYCLE))
 
         # Chebyshev nodes of the first kind and the value->coefficient map
         j = np.arange(_ORDER)
@@ -64,13 +57,13 @@ class Zeta1AlphaTable:
         mids = 0.5 * (lo + hi)
         halves = 0.5 * (hi - lo)
         pts = mids[:, None] + halves[:, None] * self._nodes01[None, :]
-        vals = hurwitz_zeta1(self.s, pts.ravel(), cfg).reshape(pts.shape)
+        vals = hurwitz_zeta1(self.s, pts.ravel()).reshape(pts.shape)
         self.coeffs = vals @ cmat.T  # (panels, order)
         self.evaluations = pts.size
 
         rng = np.random.default_rng(7)
         xs = rng.uniform(a_lo, a_hi, size=_CHECK_POINTS)
-        direct = hurwitz_zeta1(self.s, xs, cfg)
+        direct = hurwitz_zeta1(self.s, xs)
         approx = self(xs)
         scale = float(np.max(np.abs(direct))) or 1.0
         self.max_check_err = float(np.max(np.abs(direct - approx))) / scale

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetaver import afe
+from zetaver import afe, special
 from zetaver.errors import DomainError
 
 _2PI = 2.0 * math.pi
@@ -252,13 +252,14 @@ def test_theorem1_ratios_bounded():
     assert r2.params["ratio"] <= 2.0 * max(ratios)
 
 
-def test_theorem1_ratio_stable_under_precision():
-    from zetaver.config import EvalConfig
-
+def test_theorem1_ratio_stable_under_precision(monkeypatch):
+    # a base-term floor of 128 is above the 2t/pi ~ 63.7 that sets the
+    # default Euler-Maclaurin truncation at t = 100, so the ratio moves
     t = 100.0
     a = afe.theorem1_check(1, [t])[0].params["ratio"]
-    cfg = EvalConfig(rel_tol=1e-12, em_terms=20)
-    b = afe.theorem1_check(1, [t], cfg)[0].params["ratio"]
+    monkeypatch.setattr(special, "_EM_FLOOR", 128)
+    b = afe.theorem1_check(1, [t])[0].params["ratio"]
+    assert b != a
     assert abs(a - b) <= 1e-6 * abs(a)
 
 

@@ -165,6 +165,21 @@ def test_non_finite_or_malformed_grid_is_config_error(capsys, suite, grids):
     assert "configuration error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-suite", "quadratic_moment", "--tol-abs", "1e-6"],
+    ["run-suite", "quadratic_moment", "--tol-rel", "1e-5"],
+    ["eval", "zeta", "--s", "2", "--tol-abs", "1e-4"],
+])
+def test_integration_tolerance_options_do_not_exist(capsys, argv):
+    # integration tolerances are fixed per verifier; only the suite's pass
+    # tolerance (--tol) is an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
 def test_config_file_bad_tol_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "suite.ini"
     cfgfile.write_text("[quadratic_moment]\ntol = x\n")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from zetaver import fourier as fr
-from zetaver.config import DEFAULT_CONFIG
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
 from zetaver.quadrature import (
     OscSpec,
@@ -162,7 +161,7 @@ def test_an_of_2sigma_minus_1_is_order_one_over_n():
 def test_semi_infinite_osc_divergent_tail():
     # a^{-1/2} is not integrable at n = 0
     with pytest.raises(DivergenceError):
-        fr._semi_infinite_osc([(1.0 + 0j, None, -0.5 + 0j)], 0, 0.0, DEFAULT_CONFIG, 1e-10)
+        fr._semi_infinite_osc([(1.0 + 0j, None, -0.5 + 0j)], 0, 0.0, 1e-10)
 
 
 def test_q_set_hermitian_exact_and_consistent():
@@ -318,7 +317,7 @@ def test_parseval_fourth_moment_critical_line():
 
 def test_parseval_partial_sums_monotone():
     u = complex(0.5, 30.0)
-    coeffs = fr._conjugate_pair_q_coeffs(u, 30, fr.DEFAULT_CONFIG, abs_tol=1e-8)
+    coeffs = fr._conjugate_pair_q_coeffs(u, 30, abs_tol=1e-8)
     partial = []
     acc = abs(coeffs[0]) ** 2
     for n in range(1, 31):
@@ -370,7 +369,7 @@ def test_regularized_integrand_absolutely_integrable():
     terms = fr._regularized_terms(u, v)
 
     def absf(a):
-        return np.abs(fr._eval_terms(terms, a, fr.DEFAULT_CONFIG)) + 0j
+        return np.abs(fr._eval_terms(terms, a)) + 0j
 
     vals = []
     hi = 40.0

@@ -194,7 +194,7 @@ def test_quadruple_moment_point_and_structure():
 ])
 def test_moment_evaluations_count_both_sides(verify, us):
     rep = verify(us)
-    lhs = idn._unit_moment_lhs(tuple(complex(u) for u in us), idn.DEFAULT_CONFIG)
+    lhs = idn._unit_moment_lhs(tuple(complex(u) for u in us))
     terms = idn.moment_rhs_terms(us)
     assert len(terms) == 2 ** len(us) - 1
     assert rep.evaluations == lhs.evaluations + sum(n for _, _, n in terms)
@@ -271,7 +271,7 @@ def test_zeta1_difference_quotient_vs_oracle(u):
     # both sides of the series split, down to shifts where the plain
     # difference keeps no digit
     a = np.array([1e-20, 1e-12, 1e-3, 0.2, 0.3, 1.0])
-    got = idn._zeta1_difference_quotient(u, idn.DEFAULT_CONFIG)(a)
+    got = idn._zeta1_difference_quotient(u)(a)
     mp.mp.dps = 60
     try:
         ref = [complex((mp.zeta(u, 1 + mp.mpf(x)) - mp.zeta(u)) / mp.mpf(x)) for x in a]
@@ -283,7 +283,7 @@ def test_zeta1_difference_quotient_vs_oracle(u):
 def test_zeta1_difference_quotient_gives_up_loudly(monkeypatch):
     monkeypatch.setattr(idn, "_DQ_TERMS", 8)
     with pytest.raises(ConvergenceError):
-        idn._zeta1_difference_quotient(3.0, idn.DEFAULT_CONFIG)
+        idn._zeta1_difference_quotient(3.0)
 
 
 def test_katsurada_points():

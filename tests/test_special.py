@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zetaver.config import EvalConfig
 from zetaver.errors import DomainError, PoleError
 from zetaver import special as sp
-
-CFG = EvalConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +176,16 @@ def test_conjugation_symmetry():
         assert sp.chi(np.conj(s)) == pytest.approx(np.conj(sp.chi(s)), rel=1e-11)
 
 
-def test_em_truncation_consistency():
-    # doubling the base-term floor moves the value by less than the bound
-    for s, a in [(0.5 + 40j, 0.3), (-0.5 + 15j, 1.7), (2.0, 0.01)]:
-        v1, e1 = sp._em_hurwitz(s, 1.0 + a, CFG)
-        cfg2 = EvalConfig(em_terms=2 * CFG.em_terms)
-        v2, _ = sp._em_hurwitz(s, 1.0 + a, cfg2)
+def test_em_truncation_consistency(monkeypatch):
+    # a base-term floor of 64 moves the value by less than the bound; at
+    # every point it is above the default truncation (2|t|/pi <= 25.5), so
+    # the value does move
+    points = [(0.5 + 40j, 0.3), (-0.5 + 15j, 1.7), (2.0, 0.01)]
+    default = [sp._em_hurwitz(s, 1.0 + a) for s, a in points]
+    monkeypatch.setattr(sp, "_EM_FLOOR", 64)
+    for (s, a), (v1, e1) in zip(points, default):
+        v2, _ = sp._em_hurwitz(s, 1.0 + a)
+        assert v2 != v1
         assert abs(v1 - v2) <= e1 + 1e-13 * abs(v1)
 
 

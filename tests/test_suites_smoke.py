@@ -2,6 +2,7 @@
 own judge; exercises the full library surface through the batch layer."""
 
 import inspect
+import math
 import re
 
 import pytest
@@ -68,6 +69,11 @@ def test_unit_recursion_small_shift_row_passes():
     assert report.rows[0]["rel_residual"] <= 1e-12
 
 
+# Suites judged by one recorded statistic against a fixed bound.
+RATIO_BOUNDS = {"remark_219": ("scaled_t2", 20.0), "theorem2": ("ratio", 10.0),
+                "tail_lemma": ("ratio", 1.0), "highfreq_tail": ("ratio", 1.0)}
+
+
 @pytest.mark.parametrize("suite_id", sorted(SUITES))
 def test_error_annotated_row_fails_the_judge(suite_id):
     nan = float("nan")
@@ -75,6 +81,13 @@ def test_error_annotated_row_fails_the_judge(suite_id):
            "lhs": complex(nan), "rhs": complex(nan), "abs_residual": nan,
            "rel_residual": nan, "evals": 0, "seconds": 0.0}
     assert not SUITES[suite_id].judge_rows([row], None)
+    if suite_id in RATIO_BOUNDS:
+        # a statistic at its bound passes; NaN, inf and one over it fail
+        key, bound = RATIO_BOUNDS[suite_id]
+        for value, passes in ((bound, True), (nan, False), (math.inf, False), (2.0 * bound, False)):
+            judged = dict(row, params={"point": {}, key: value}, lhs=0j, rhs=0j,
+                          abs_residual=0.0, rel_residual=0.0)
+            assert SUITES[suite_id].judge_rows([judged], None) is passes, value
 
 
 @pytest.mark.parametrize("suite_id", sorted(SUITES))
