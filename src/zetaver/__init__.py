@@ -32,10 +32,8 @@ from .special import (
 )
 from .quadrature import (
     ContourSpec,
-    OscSpec,
     QuadResult,
     integrate_finite,
-    integrate_oscillatory,
     integrate_semi_infinite,
     integrate_vertical_line,
 )
@@ -66,7 +64,6 @@ from .afe import (
     weak_afe_residual,
 )
 from .fourier import (
-    FourierCoeffSet,
     highfreq_tail_check,
     parseval_fourth_moment,
     parseval_second_moment,

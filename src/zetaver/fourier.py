@@ -8,7 +8,6 @@ bound harness driven by the truncated coefficient integrals.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,13 +15,11 @@ import numpy as np
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .identities import IdentityReport
 from .quadrature import (
-    OscSpec,
     _NODES,
     _WG_FULL,
     _WGK_FULL,
     _march_panels,
     integrate_finite,
-    integrate_oscillatory,
 )
 from .special import (
     fourier_coeff_a,
@@ -37,12 +34,10 @@ _2PI = 2.0 * math.pi
 _UNIT_ROUNDOFF = 2.0**-53
 
 __all__ = [
-    "FourierCoeffSet",
     "rane_representation",
     "tail_lemma_check",
     "qn_direct",
     "qn_continued",
-    "build_q_set",
     "highfreq_pair_integral",
     "highfreq_tail_check",
     "parseval_second_moment",
@@ -50,19 +45,6 @@ __all__ = [
     "theorem2_check",
     "reconstruct_zeta1",
 ]
-
-
-@dataclasses.dataclass
-class FourierCoeffSet:
-    """Coefficients over a symmetric index range, with the evaluation mode."""
-
-    exponents: tuple
-    n_range: tuple[int, int]
-    coeffs: dict
-    mode: str
-
-    def __getitem__(self, n: int) -> complex:
-        return self.coeffs[n]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +96,7 @@ def tail_lemma_check(s: complex, alpha: float, eta: float) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# Oscillatory integrals of zeta1 term lists with closed-form power tails.
+# Closed-form power tails of zeta1 term lists.
 #
 # Integrands are term lists [(coef, w, p)] meaning coef * zeta1(w, a) * a^p
 # (w = None drops the zeta1 factor).  Past a moderate abscissa A, zeta1 is
@@ -123,17 +105,6 @@ def tail_lemma_check(s: complex, alpha: float, eta: float) -> IdentityReport:
 # closed form (incomplete Gamma), so no quadrature ever runs where the
 # regularised brackets cancel to far below double-precision noise.
 # ---------------------------------------------------------------------------
-
-
-def _eval_terms(terms, a):
-    a_arr = np.asarray(a, dtype=float)
-    out = np.zeros(a_arr.shape, dtype=complex)
-    for coef, w, p in terms:
-        piece = coef * np.power(a_arr, p)
-        if w is not None:
-            piece = piece * hurwitz_zeta1(w, a_arr)
-        out = out + piece
-    return out
 
 
 def _binom_powers(g: complex, base_power: complex, coef: complex, A: float,
@@ -214,69 +185,96 @@ def _closed_power_tail(powers: dict, n: int, A: float) -> complex:
     for q, c in powers.items():
         if n == 0:
             if q.real >= -1.0:
-                raise DomainError(f"non-integrable residual power {q} in tail")
+                raise DivergenceError(f"tail carries the non-integrable power {q} at n = 0")
             total += -c * A ** (q + 1.0) / (q + 1.0)
         else:
             total += c * _power_osc_tail(q, n, A)
     return complex(total)
 
 
-def _tail_abscissa(terms, n: int = 0) -> float:
+def _tail_abscissa(terms) -> float:
     big_w = max((abs(w) for _, w, _ in terms if w is not None), default=0.0)
     big = max(big_w, max((abs(p) for _, _, p in terms), default=0.0))
-    # 0.8 big_w keeps the Euler-Maclaurin correction ratio near 1/25 per pair
-    A = max(24.0, 0.8 * big_w, (big + 12.0) / 3.0)
-    if n != 0:
-        A = max(A, 1.3 * (big + 90.0) / (_2PI * abs(n)))
-    return A
+    # 0.8 big_w keeps the Euler-Maclaurin correction ratio near 1/25 per pair;
+    # the last bound is what the by-parts recursion of _power_osc_tail needs
+    # at |n| = 1, and so at every n != 0
+    return max(24.0, 0.8 * big_w, (big + 12.0) / 3.0, 1.3 * (big + 90.0) / _2PI)
 
 
-def _osc_zeta1_integral(terms, n: int, a: float, b: float, t_content: float,
-                        abs_tol: float, rel_tol: float = 1e-9):
-    """int_a^b F(alpha) e^{-2 pi i n alpha} d(alpha) for a zeta1 term list."""
-    n_kernel = math.sqrt(max(t_content, 1.0) / _2PI)
-
-    def f(alpha: np.ndarray) -> np.ndarray:
-        return _eval_terms(terms, alpha)
-
-    return integrate_oscillatory(
-        f,
-        OscSpec(float(-n)),
-        a,
-        b,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        extra_cycles=lambda x: t_content / (_2PI * x) + n_kernel + 1.0,
-    )
-
-
-def _certified_powers(terms, n: int, abs_tol: float):
-    """Power expansion of a term list past the tail abscissa A for index n,
-    moving A out by 1.6x until the remainder is below abs_tol; returns
-    (powers, remainder, A)."""
-    A = _tail_abscissa(terms, n)
+def _certified_powers(terms, abs_tol: float):
+    """Power expansion of a term list past the tail abscissa A, moving A out
+    by 1.6x until the remainder is below abs_tol; returns (powers, A)."""
+    A = _tail_abscissa(terms)
     for _ in range(4):
         powers, rem = _terms_to_powers(terms, A, abs_tol / 4.0)
         if rem <= abs_tol:
-            return powers, rem, A
+            return powers, A
         A *= 1.6
     raise ConvergenceError("power expansion of the tail failed to certify")
-
-
-def _semi_infinite_osc(terms, n: int, t_content: float, abs_tol: float):
-    """int_1^inf F(alpha) e^{-2 pi i n alpha} d(alpha): numeric head on
-    [1, A] plus the closed-form power tail from A."""
-    powers, rem, A = _certified_powers(terms, n, abs_tol)
-    if n == 0 and any(q.real >= -1.0 for q in powers):
-        raise DivergenceError("tail carries a non-integrable power at n = 0")
-    head = _osc_zeta1_integral(terms, n, 1.0, A, t_content, abs_tol=abs_tol / 2.0)
-    tail = _closed_power_tail(powers, n, A)
-    return head.value + tail, head.err_estimate + rem, head.evaluations
 
 
 # ---------------------------------------------------------------------------
 # Product coefficients q_n(u, v).
 # ---------------------------------------------------------------------------
+
+
+def _regularized_terms(u: complex, v: complex):
+    return [
+        (1.0 + 0j, u, -v),
+        (-1.0 / (u - 1.0), None, 1.0 - u - v),
+        (0.5 + 0j, None, -u - v),
+    ]
+
+
+def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
+    """int_1^inf F(a) e^{-2 pi i n a} da for every n in ns, F being
+    zeta1(u, a) a^{-v} (direct) or that minus its two leading powers
+    (continued): the head on [1, A] from one _fourier_coeffs call over a
+    Zeta1AlphaTable, plus the closed power tail from A."""
+    terms = [(1.0 + 0j, u, -v)] if direct else _regularized_terms(u, v)
+    powers, A = _certified_powers(terms, abs_tol)
+    table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
+
+    if direct:
+        def values(x: np.ndarray) -> np.ndarray:
+            return table(x) * np.power(x, -v)
+    else:
+        def values(x: np.ndarray) -> np.ndarray:
+            return (table(x) * np.power(x, -v)
+                    - np.power(x, 1.0 - u - v) / (u - 1.0)
+                    + 0.5 * np.power(x, -u - v))
+
+    cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
+    heads, _errs, _evals = _fourier_coeffs(values, cycles, ns, 1.0, A, abs_tol / 2.0)
+    return {n: head + _closed_power_tail(powers, n, A) for n, head in zip(ns, heads)}
+
+
+def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
+    """q_n(u, v) = lead_n + I_u(n) + I_v(n) for every n in ns, keyed by n.
+
+    lead_n is a_n(u+v) (direct) or [1/(u-1) + 1/(v-1)] a_n(u+v-1)
+    (continued); I_u and I_v are the side integrals of u and of v.  For
+    v = conj u, I_v(n) = conj I_u(-n), so only the u side is integrated and
+    q_{-n} = conj q_n holds exactly; the dict then holds -n for every n.
+    """
+    ns = list(ns)
+
+    def lead(n: int) -> complex:
+        if direct:
+            return fourier_coeff_a(n, u + v)
+        return (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
+
+    if v == u.conjugate():
+        side = _side_integrals(u, v, sorted({m for n in ns for m in (n, -n)}), abs_tol, direct)
+        out = {}
+        for m in sorted({abs(n) for n in ns}):
+            out[m] = complex(lead(m) + side[m] + side[-m].conjugate())
+            if m:
+                out[-m] = out[m].conjugate()
+        return out
+    side_u = _side_integrals(u, v, ns, abs_tol, direct)
+    side_v = _side_integrals(v, u, ns, abs_tol, direct)
+    return {n: complex(lead(n) + side_u[n] + side_v[n]) for n in ns}
 
 
 def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex:
@@ -286,18 +284,7 @@ def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex
     v = complex(v)
     if not (u.real > 1.0 and v.real > 1.0):
         raise DomainError("direct mode needs Re u > 1, Re v > 1")
-    t_content = abs(u.imag) + abs(v.imag)
-    val_u, _, _ = _semi_infinite_osc([(1.0 + 0j, u, -v)], n, t_content, abs_tol)
-    val_v, _, _ = _semi_infinite_osc([(1.0 + 0j, v, -u)], n, t_content, abs_tol)
-    return complex(fourier_coeff_a(n, u + v) + val_u + val_v)
-
-
-def _regularized_terms(u: complex, v: complex):
-    return [
-        (1.0 + 0j, u, -v),
-        (-1.0 / (u - 1.0), None, 1.0 - u - v),
-        (0.5 + 0j, None, -u - v),
-    ]
+    return _q_coeffs(u, v, [n], abs_tol, direct=True)[n]
 
 
 def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex:
@@ -312,35 +299,7 @@ def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> comp
     v = complex(v)
     if not (u.real > 0.0 and v.real > 0.0):
         raise DomainError("continued mode needs Re u, Re v > 0")
-    t_content = abs(u.imag) + abs(v.imag)
-    lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
-    terms_u = _regularized_terms(u, v)
-    terms_v = _regularized_terms(v, u)
-    val_u, _, _ = _semi_infinite_osc(terms_u, n, t_content, abs_tol)
-    val_v, _, _ = _semi_infinite_osc(terms_v, n, t_content, abs_tol)
-    return complex(lead + val_u + val_v)
-
-
-def build_q_set(u: complex, v: complex, n_max: int, mode: str = "auto",
-                abs_tol: float = 1e-10) -> FourierCoeffSet:
-    """Coefficients q_n for |n| <= n_max.  For v = conj(u) the negative
-    indices are filled by Hermitian reflection (exactly)."""
-    u = complex(u)
-    v = complex(v)
-    if mode == "auto":
-        mode = "direct" if (u.real > 1.0 and v.real > 1.0) else "continued"
-    hermitian = v == u.conjugate()
-
-    def one(n: int) -> complex:
-        if mode == "direct":
-            return qn_direct(n, u, v, abs_tol=abs_tol)
-        return qn_continued(n, u, v, abs_tol=abs_tol)
-
-    coeffs = {0: one(0)}
-    for n in range(1, n_max + 1):
-        coeffs[n] = one(n)
-        coeffs[-n] = coeffs[n].conjugate() if hermitian else one(-n)
-    return FourierCoeffSet((u, v), (-n_max, n_max), coeffs, mode)
+    return _q_coeffs(u, v, [n], abs_tol, direct=False)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +399,14 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
     B = t / _2PI + eta
 
     def f(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        inner = np.exp(-sign * 1j * t * np.log(a + y))
-        return np.power(a, -s1) * np.power(a + y, -s2) * inner
+        phase = np.exp(sign * 1j * t * np.log(a / (a + y)))
+        return np.power(a, -s1) * np.power(a + y, -s2) * phase
 
-    res = integrate_oscillatory(
-        f,
-        OscSpec(float(-n), log_coeff=sign * t),
-        1.0,
-        B,
-        abs_tol=1e-12,
-        rel_tol=1e-9,
-        extra_cycles=lambda a: t / (_2PI * (a + y)) + 1.0,
-    )
-    return complex(res.value)
+    def cycles(a: float) -> float:
+        return t / (_2PI * a) + t / (_2PI * (a + y)) + 1.0
+
+    (val,), _errs, _evals = _fourier_coeffs(f, cycles, [n], 1.0, B, 1e-12)
+    return complex(val)
 
 
 def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
@@ -524,47 +477,6 @@ def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityRepo
     )
 
 
-def _conjugate_pair_q_coeffs(u: complex, n_max: int, abs_tol: float) -> dict:
-    """q_n(u, conj u) for |n| <= n_max through the cached-table batch route.
-
-    Uses q_n = lead_n + I(n) + conj(I(-n)) where I(n) is the u-side tail
-    integral, and fills n < 0 by Hermitian reflection.
-    """
-    v = u.conjugate()
-    sigma, t = u.real, abs(u.imag)
-    direct = sigma > 1.0
-    if direct:
-        terms = [(1.0 + 0j, u, -v)]
-    else:
-        if sigma <= 0.0:
-            raise DomainError("needs sigma > 0")
-        terms = _regularized_terms(u, v)
-    powers, _rem, A = _certified_powers(terms, 1, abs_tol)
-    table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
-
-    if direct:
-        def values(x: np.ndarray) -> np.ndarray:
-            return table(x) * np.power(x, -v)
-    else:
-        def values(x: np.ndarray) -> np.ndarray:
-            return (table(x) * np.power(x, -v)
-                    - np.power(x, 1.0 - u - v) / (u - 1.0)
-                    + 0.5 * np.power(x, -u - v))
-
-    ns = range(-n_max, n_max + 1)
-    heads, _errs, _evals = _fourier_coeffs(values, _zeta1_pair_cycles(t), ns, 1.0, A, abs_tol / 2.0)
-    tail_i = {n: head + _closed_power_tail(powers, n, A) for n, head in zip(ns, heads)}
-    out = {}
-    for n in range(0, n_max + 1):
-        if direct:
-            lead = fourier_coeff_a(n, u + v)
-        else:
-            lead = (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
-        out[n] = complex(lead + tail_i[n] + tail_i[-n].conjugate())
-        out[-n] = out[n].conjugate()
-    return out
-
-
 def parseval_fourth_moment(u: complex, eta: float = 1.0,
                            n_max: int | None = None) -> IdentityReport:
     """int_0^1 |zeta1(u,alpha)|^4 d(alpha) against sum_n |q_n(u, conj u)|^2,
@@ -587,8 +499,8 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
     lhs_res = integrate_finite(f4, 0.0, 1.0, initial_points=pts,
                                abs_tol=1e-10, rel_tol=1e-8)
     lhs = float(lhs_res.value.real)
-    coeffs = _conjugate_pair_q_coeffs(u, n_max,
-                                      abs_tol=max(1e-10, 2e-5 * lhs / max(n_max, 1)))
+    coeffs = _q_coeffs(u, u.conjugate(), range(-n_max, n_max + 1),
+                       abs_tol=max(1e-10, 2e-5 * lhs / max(n_max, 1)), direct=sigma > 1.0)
     rhs = sum(abs(qv) ** 2 for qv in coeffs.values())
     if t == 0.0:
         # |q_n|^2 ~ c2/n^2 + c3/n^3 + c4/n^4 fitted on the last computed block,

@@ -21,13 +21,12 @@ from . import afe
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .quadrature import (
     ContourSpec,
+    _march_panels,
     integrate_finite,
-    integrate_oscillatory,
     integrate_semi_infinite,
     integrate_unit_power_singular,
     integrate_vertical_line,
     stirling_truncation_height,
-    OscSpec,
 )
 from .special import (
     hurwitz_zeta1,
@@ -659,22 +658,19 @@ def remark_219_check(u: complex, v: complex) -> IdentityReport:
     if t <= 0.0 or abs(v.imag + t) > 1e-9:
         raise DomainError("requires u = s2 + it, v = s1 - it with the same t > 0")
     # alpha^{1-v} = alpha^{1-s1} e^{+i t log alpha}: smooth power times log phase
-    def f_smooth(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        return np.power(a, 1.0 - s1) * hurwitz_zeta1(u + 1.0, a)
+    def f(a: np.ndarray) -> np.ndarray:
+        return np.power(a, 1.0 - s1) * hurwitz_zeta1(u + 1.0, a) * np.exp(1j * (t * np.log(a)))
+
+    # panels of at most half a local period of the log phase and of zeta1
+    def cycles(a: float) -> float:
+        return t / (_2PI * a) + (t / (_2PI * (1.0 + a)) + 1.0)
 
     # log-oscillation toward 0: cut at delta with an explicit endpoint bound
     zmag = abs(complex(riemann_zeta(u + 1.0))) + 1.0
     delta = min(0.25, (1e-13 / zmag) ** (1.0 / (2.0 - s1)))
-    head = integrate_oscillatory(
-        f_smooth,
-        OscSpec(0.0, log_coeff=t),
-        delta,
-        1.0,
-        abs_tol=1e-12,
-        rel_tol=1e-9,
-        extra_cycles=lambda a: t / (_2PI * (1.0 + a)) + 1.0,
-    )
+    pts = _march_panels(delta, 1.0, cycles)
+    head = integrate_finite(f, delta, 1.0, initial_points=pts, max_panels=len(pts) + 4000,
+                            abs_tol=1e-12, rel_tol=1e-9)
     lhs = head.value
     S = sum_recip_m_mp1u(u)
     rhs = S / (1j * t)

@@ -1,18 +1,16 @@
 """Integration engines: adaptive Gauss-Kronrod on finite intervals,
-octave-based semi-infinite integration with certified algebraic tails,
-oscillation-aware panelling, and truncated vertical-line (Mellin-Barnes)
-contours.
+octave-based semi-infinite integration with certified algebraic tails, and
+truncated vertical-line (Mellin-Barnes) contours.
 
 All engines accept complex-valued integrands.  Integrands are called with a
-numpy array of nodes and should return an array of values; plain scalar
-callables are adapted automatically.  integrate_finite evaluates its
-initial panels in batches of up to _CHUNK panels, so an integrand receives
-up to 15 * _CHUNK = 480 nodes per call and must keep its memory per node
-bounded.  A non-finite panel value or error estimate raises
-ConvergenceError.  Non-smooth points of an integrand belong in
-initial_points (afe.kernel_norm_power breaks at the zeros k/N of B_N).
-Panel processing order is deterministic, so repeated runs with the same
-configuration produce bit-identical results.
+numpy array of nodes and must return an array of values of the same shape.
+integrate_finite evaluates its initial panels in batches of up to _CHUNK
+panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call
+and must keep its memory per node bounded.  A non-finite panel value or
+error estimate raises ConvergenceError.  Non-smooth points of an integrand
+belong in initial_points (afe.kernel_norm_power breaks at the zeros k/N
+of B_N).  Panel processing order is deterministic, so repeated runs with
+the same configuration produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -28,10 +26,8 @@ from .errors import ConvergenceError, DivergenceError, DomainError, PoleTooClose
 __all__ = [
     "QuadResult",
     "ContourSpec",
-    "OscSpec",
     "integrate_finite",
     "integrate_semi_infinite",
-    "integrate_oscillatory",
     "integrate_vertical_line",
     "integrate_unit_power_singular",
     "stirling_truncation_height",
@@ -114,33 +110,9 @@ class ContourSpec:
     pole_clearance: float = 1.0
 
 
-@dataclasses.dataclass(frozen=True)
-class OscSpec:
-    """Oscillation e^{i (2 pi frequency x + log_coeff log x)} attached to a
-    smooth factor; frequency in cycles per unit, log_coeff t encodes the
-    log-phase t*log x."""
-
-    frequency: float
-    log_coeff: float = 0.0
-
-    def local_cycles(self, x: float) -> float:
-        lc = self.log_coeff / (_2PI * x) if x > 0 else 0.0
-        return abs(self.frequency + lc)
-
-
 def _wrap(f):
-    """Adapt scalar integrands to the vectorised calling convention."""
-
-    def call(x: np.ndarray) -> np.ndarray:
-        try:
-            y = np.asarray(f(x), dtype=complex)
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.array([complex(f(float(xi))) for xi in x], dtype=complex)
-
-    return call
+    """The integrand as a complex-valued vectorised call."""
+    return lambda x: np.asarray(f(x), dtype=complex)
 
 
 def _gk15_many(f, los: np.ndarray, his: np.ndarray):
@@ -281,48 +253,6 @@ def _march_panels(a: float, b: float, cycles_fn, per_cycle: float = 2.0, cap: in
         if len(pts) > cap:
             raise ConvergenceError("oscillatory panelling exceeded budget")
     return pts
-
-
-def integrate_oscillatory(
-    f,
-    osc: OscSpec,
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    extra_cycles=0.0,
-    max_panels: int = 400000,
-) -> QuadResult:
-    """int_a^b f(x) e^{i(2 pi frequency x + log_coeff log x)} dx.
-
-    Panels are sized to at most half the local oscillation period, then the
-    adaptive refinement handles the rest (including near-stationary points
-    of the combined phase).  extra_cycles (float or callable of x) adds the
-    frequency content of the smooth factor itself to the panelling rule.
-    """
-    if not a < b:
-        raise DomainError("requires a < b")
-    if osc.log_coeff != 0.0 and a <= 0.0:
-        raise DomainError("log-phase requires a > 0")
-    fvec = _wrap(f)
-    w = _2PI * osc.frequency
-    lc = osc.log_coeff
-
-    def g(x: np.ndarray) -> np.ndarray:
-        phase = w * x if lc == 0.0 else w * x + lc * np.log(x)
-        return fvec(x) * np.exp(1j * phase)
-
-    ec = extra_cycles if callable(extra_cycles) else (lambda x, _v=float(extra_cycles): _v)
-
-    def cycles(x: float) -> float:
-        return osc.local_cycles(x) + ec(x)
-
-    pts = _march_panels(a, b, cycles, cap=max_panels)
-    return integrate_finite(
-        g, a, b, initial_points=pts, max_panels=max_panels + 4000,
-        abs_tol=abs_tol, rel_tol=rel_tol,
-    )
 
 
 def stirling_truncation_height(abs_tol: float, poly_degree: float = 0.0, decay_rate: float = math.pi) -> float:

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -570,7 +571,13 @@ def _run_point(args):
 
 
 def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:
-    """Run one suite over its grid; returns the report with rows in grid order."""
+    """Run one suite over its grid; returns the report with rows in grid order.
+
+    threads > 1 runs grid points in a process pool of
+    min(threads, grid points, CPUs) workers.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     suite = SUITES[spec.suite_id]
     grid = spec.grid if spec.grid is not None else suite.default_grid
     missing = [name for name in suite.default_grid.axes if name not in grid.axes]
@@ -585,10 +592,11 @@ def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:
         raise ConfigError("empty grid")
     tol = spec.tolerance if spec.tolerance is not None else suite.default_tol
     jobs = [(spec.suite_id, pt) for pt in pts]
-    if threads > 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as ex:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_run_point, jobs))
     else:
         chunks = [_run_point(j) for j in jobs]

@@ -143,6 +143,70 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_threads_env_rows_match_serial(tmp_path, monkeypatch):
+    argv = ["run-suite", "mellin_tail", "--grid", "u_re=2.5,3.0", "--grid", "v_re=0.3",
+            "--format", "json", "--out"]
+    monkeypatch.delenv("ZETAVER_THREADS", raising=False)
+    assert main(argv + [str(tmp_path / "serial.json")]) == 0
+    monkeypatch.setenv("ZETAVER_THREADS", "2")
+    assert main(argv + [str(tmp_path / "pool.json")]) == 0
+
+    def rows(name):
+        out = json.loads((tmp_path / name).read_text())["rows"]
+        for row in out:
+            del row["seconds"]
+        return out
+
+    assert rows("pool.json") == rows("serial.json")
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (1000, 64, 3),  # capped by the grid
+    (1000, 2, 2),  # capped by the CPUs
+    (2, 64, 2),
+    (1000, 1, None),  # one worker runs serially, without a pool
+])
+def test_pool_workers_capped(monkeypatch, threads, cpus, workers):
+    import concurrent.futures
+    import os
+
+    seen = []
+
+    class SerialPool:
+        # records max_workers and runs the jobs in this process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    grid = _grid_from_strings(["u_re=2.5,3.0,3.5", "v_re=0.3"])
+    report = run_suite(SuiteSpec("mellin_tail", grid=grid), threads=threads)
+    assert len(report.rows) == 3
+    assert seen == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_threads_below_one_is_config_error(capsys, monkeypatch, how):
+    argv = ["run-suite", "mellin_tail", "--grid", "u_re=2.5", "--grid", "v_re=0.3"]
+    if how == "flag":
+        monkeypatch.delenv("ZETAVER_THREADS", raising=False)
+        argv += ["--threads", "0"]
+    else:
+        monkeypatch.setenv("ZETAVER_THREADS", "-1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "threads" in err
+
+
 def test_threads_env_not_an_integer_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("ZETAVER_THREADS", "x")
     assert main(["run-suite", "mellin_tail", "--grid", "u_re=2.5", "--grid", "v_re=0.3"]) == 2

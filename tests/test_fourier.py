@@ -10,12 +10,10 @@ import pytest
 from zetaver import fourier as fr
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
 from zetaver.quadrature import (
-    OscSpec,
     _NODES,
     _WGK_FULL,
     _march_panels,
     integrate_finite,
-    integrate_oscillatory,
 )
 from zetaver.special import fourier_coeff_a, hurwitz_zeta1
 from zetaver.zeta1_cache import Zeta1AlphaTable
@@ -158,19 +156,19 @@ def test_an_of_2sigma_minus_1_is_order_one_over_n():
     assert max(vals) <= 2.0
 
 
-def test_semi_infinite_osc_divergent_tail():
+def test_closed_power_tail_divergent_at_n0():
     # a^{-1/2} is not integrable at n = 0
     with pytest.raises(DivergenceError):
-        fr._semi_infinite_osc([(1.0 + 0j, None, -0.5 + 0j)], 0, 0.0, 1e-10)
+        fr._closed_power_tail({-0.5 + 0j: 1.0 + 0j}, 0, 24.0)
 
 
 def test_q_set_hermitian_exact_and_consistent():
     u = 0.7 + 12j
-    qs = fr.build_q_set(u, u.conjugate(), 4)
+    qs = fr._q_coeffs(u, u.conjugate(), range(-4, 5), 1e-10, direct=False)
     for n in (1, 2, 3, 4):
         assert qs[-n] == qs[n].conjugate()  # exact by construction
-    # independent computation of a negative index agrees
-    direct = fr.qn_continued(-2, u, u.conjugate())
+    # the product integral on [0, 1] is an independent route to a negative index
+    direct = _direct_fourier_q(-2, u, u.conjugate())
     assert abs(direct - qs[-2]) <= 1e-9 * max(abs(direct), 1e-6)
 
 
@@ -199,8 +197,12 @@ def test_fourier_engine_matches_per_n_quadrature():
         lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns, 1.0, b, 5e-7)
     assert evals > 0
     for n, c, e in zip(ns, coeffs, errs):
-        ref = integrate_oscillatory(smooth, OscSpec(float(-n), log_coeff=t), 1.0, b,
-                                    abs_tol=1e-13, rel_tol=1e-11, extra_cycles=cycles)
+        def f(x, n=n):
+            return smooth(x) * np.exp(1j * (t * np.log(x) - _2PI * n * x))
+
+        # panels of at most half a local period of the phase and of smooth
+        pts = _march_panels(1.0, b, lambda x, n=n: abs(t / (_2PI * x) - n) + cycles(x))
+        ref = integrate_finite(f, 1.0, b, initial_points=pts, abs_tol=1e-13, rel_tol=1e-11)
         assert abs(c - ref.value) <= 1e-11
         assert abs(c - ref.value) <= e + ref.err_estimate
 
@@ -317,7 +319,7 @@ def test_parseval_fourth_moment_critical_line():
 
 def test_parseval_partial_sums_monotone():
     u = complex(0.5, 30.0)
-    coeffs = fr._conjugate_pair_q_coeffs(u, 30, abs_tol=1e-8)
+    coeffs = fr._q_coeffs(u, u.conjugate(), range(-30, 31), 1e-8, direct=False)
     partial = []
     acc = abs(coeffs[0]) ** 2
     for n in range(1, 31):
@@ -369,7 +371,9 @@ def test_regularized_integrand_absolutely_integrable():
     terms = fr._regularized_terms(u, v)
 
     def absf(a):
-        return np.abs(fr._eval_terms(terms, a)) + 0j
+        f = sum(c * np.power(a, p) * (1.0 if w is None else hurwitz_zeta1(w, a))
+                for c, w, p in terms)
+        return np.abs(f) + 0j
 
     vals = []
     hi = 40.0

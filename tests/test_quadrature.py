@@ -8,11 +8,10 @@ import pytest
 
 from zetaver import quadrature
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError, PoleTooCloseError
+from zetaver.fourier import _fourier_coeffs
 from zetaver.quadrature import (
     ContourSpec,
-    OscSpec,
     integrate_finite,
-    integrate_oscillatory,
     integrate_semi_infinite,
     integrate_unit_power_singular,
     integrate_vertical_line,
@@ -107,38 +106,46 @@ def test_semi_infinite_divergence_guard():
         integrate_semi_infinite(lambda x: 1.0 / x, 1.0, 1.0)
 
 
+# Oscillatory integrals int_a^b f(x) e^{-2 pi i n x} dx run on the Fourier
+# coefficient engine; cycles(x) is the frequency content of f.
+
+
+def _no_cycles(x):
+    return 0.0
+
+
 def test_oscillatory_full_periods():
-    res = integrate_oscillatory(lambda x: np.ones_like(np.asarray(x), dtype=complex),
-                                OscSpec(-3.0), 0.0, 1.0)
-    assert abs(res.value) < 1e-13
+    (val,), _, _ = _fourier_coeffs(lambda x: np.ones_like(x, dtype=complex), _no_cycles,
+                                   [3], 0.0, 1.0, 1e-12)
+    assert abs(val) < 1e-13
 
 
 def test_oscillatory_algebraic_factor_vs_oracle():
     ref = complex(mp.quad(lambda x: x ** mp.mpf(-0.5) * mp.e ** (-2j * mp.pi * x),
                           mp.linspace(1, 10, 40)))
-    res = integrate_oscillatory(lambda x: np.asarray(x) ** -0.5 + 0j, OscSpec(-1.0), 1.0, 10.0)
-    assert abs(res.value - ref) <= 1e-9
+    (val,), _, _ = _fourier_coeffs(lambda x: x**-0.5 + 0j, _no_cycles, [1], 1.0, 10.0, 1e-12)
+    assert abs(val - ref) <= 1e-9
 
 
 def test_oscillatory_log_phase_vs_oracle():
     # e^{2 pi i 2 x - 10 i log x} over [1, 5]
     ref = complex(mp.quad(lambda x: mp.e ** (2j * mp.pi * 2 * x - 10j * mp.log(x)),
                           mp.linspace(1, 5, 41)))
-    res = integrate_oscillatory(lambda x: np.ones_like(np.asarray(x), dtype=complex),
-                                OscSpec(2.0, log_coeff=-10.0), 1.0, 5.0)
-    assert abs(res.value - ref) <= 1e-9
+    (val,), _, _ = _fourier_coeffs(lambda x: np.exp(-10j * np.log(x)),
+                                   lambda x: 10.0 / (2.0 * math.pi * x), [-2], 1.0, 5.0, 1e-12)
+    assert abs(val - ref) <= 1e-9
 
 
 def test_oscillatory_matches_finite_low_frequency():
-    f = lambda x: 1.0 / (1.0 + np.asarray(x, dtype=complex))
-    osc = integrate_oscillatory(f, OscSpec(1.0), 0.0, 2.0)
+    f = lambda x: 1.0 / (1.0 + x.astype(complex))
+    (val,), (err,), _ = _fourier_coeffs(f, _no_cycles, [-1], 0.0, 2.0, 1e-12)
 
     def g(x):
         x = np.asarray(x, dtype=complex)
         return np.exp(2j * math.pi * x) / (1.0 + x)
 
     fin = integrate_finite(g, 0.0, 2.0)
-    assert abs(osc.value - fin.value) <= osc.err_estimate + fin.err_estimate + 1e-13
+    assert abs(val - fin.value) <= err + fin.err_estimate + 1e-13
 
 
 def _mb_integrand(shift: float):
