@@ -16,6 +16,7 @@ from .errors import DomainError
 from .quadrature import QuadResult, integrate_finite
 from .special import (
     _csum,
+    _zeta1_cycles,
     chi,
     dirichlet_kernel,
     hurwitz_zeta1,
@@ -105,8 +106,7 @@ def projection_identity_check(
         np.exp(phases, out=phases)  # in place: the nodes x N matrix is the peak
         return kern * (phases @ mz)
 
-    pts = list(np.linspace(0.0, 1.0, 3 * N + 9))
-    res = integrate_finite(integrand, 0.0, 1.0, initial_points=pts,
+    res = integrate_finite(integrand, 0.0, 1.0, cycles=N,
                            abs_tol=max(1e-12, 1e-13 * max(abs(lhs), 1.0)),
                            rel_tol=1e-12)
     return identities.IdentityReport.build(
@@ -114,10 +114,11 @@ def projection_identity_check(
 
 
 def _weak_afe_integrals(s: complex):
-    sigma, t = s.real, s.imag
-    N = kernel_index(t)
-    freq = t / _2PI + N + 2.0
-    pts = list(np.linspace(0.0, 1.0, int(2.5 * freq) + 9))
+    N = kernel_index(s.imag)
+    z = _zeta1_cycles(s.imag)
+
+    def cycles(a: float) -> float:  # B_N(+-a) times zeta1 or its partial sums
+        return N + z(a)
 
     def f1(a: np.ndarray) -> np.ndarray:
         return dirichlet_kernel(N, a) * hurwitz_zeta1(s, a)
@@ -125,9 +126,9 @@ def _weak_afe_integrals(s: complex):
     def f2(a: np.ndarray) -> np.ndarray:
         return dirichlet_kernel(N, -a) * hurwitz_zeta1(1.0 - s, a)
 
-    i1 = integrate_finite(f1, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
-    i2 = integrate_finite(f2, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
-    return i1, i2, N
+    i1 = integrate_finite(f1, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
+    i2 = integrate_finite(f2, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
+    return i1, i2, N, cycles
 
 
 def weak_afe_residual(s: complex) -> identities.IdentityReport:
@@ -137,7 +138,7 @@ def weak_afe_residual(s: complex) -> identities.IdentityReport:
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 20.0):
         raise DomainError("requires 0 < sigma < 1 and t >= 20")
-    i1, i2, _ = _weak_afe_integrals(s)
+    i1, i2, *_ = _weak_afe_integrals(s)
     resid = abs(riemann_zeta(s) - i1.value - chi(s) * i2.value)
     params = {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0) / math.log(t)}
     return identities.IdentityReport.bound("weak_afe", params, resid, resid)
@@ -150,9 +151,7 @@ def weak_afe_forms_check(s: complex) -> dict:
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 20.0):
         raise DomainError("requires 0 < sigma < 1 and t >= 20")
-    i1, i2, N = _weak_afe_integrals(s)
-    freq = t / _2PI + N + 2.0
-    pts = list(np.linspace(0.0, 1.0, int(2.5 * freq) + 9))
+    i1, i2, N, cycles = _weak_afe_integrals(s)
     n = np.arange(1, N + 1, dtype=float)
 
     def c1(a: np.ndarray) -> np.ndarray:
@@ -161,8 +160,8 @@ def weak_afe_forms_check(s: complex) -> dict:
     def c2(a: np.ndarray) -> np.ndarray:
         return dirichlet_kernel(N, -a) * (np.power(a[:, None] + n[None, :], s - 1.0) @ np.ones(N))
 
-    q1 = integrate_finite(c1, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
-    q2 = integrate_finite(c2, 0.0, 1.0, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+    q1 = integrate_finite(c1, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
+    q2 = integrate_finite(c2, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
     zeta_val = riemann_zeta(s)
     chi_val = chi(s)
     two_form = abs(zeta_val - i1.value - chi_val * i2.value)
@@ -197,20 +196,15 @@ def lemma3_integral(s: complex) -> identities.IdentityReport:
     def f(a: np.ndarray) -> np.ndarray:
         return dirichlet_kernel(N, a) * np.power(a, -s)
 
-    def seg(lo: float, hi: float) -> QuadResult:
-        freq = N + t / (_2PI * lo)
-        pts = list(np.linspace(lo, hi, int(2.5 * freq * (hi - lo)) + 9))
-        return integrate_finite(f, lo, hi, initial_points=pts, abs_tol=1e-11, rel_tol=1e-9)
+    def part(lo: float, hi: float) -> QuadResult:
+        # 1e-11 per unit of a: the phase t log a of a^-s rounds to ~1e-16 t,
+        # so one tolerance for all of [1, N] would fall below that noise
+        return integrate_finite(f, lo, hi, cycles=lambda a: N + t / (_2PI * a),
+                                abs_tol=1e-11 * (hi - lo), rel_tol=1e-9)
 
-    main = 0j
-    evals = 0
-    if N >= 2:
-        for n0 in range(1, N):
-            r = seg(float(n0), float(n0 + 1))
-            main += r.value
-            evals += r.evaluations
-    strip_res = seg(float(N), float(N + 1))
-    evals += strip_res.evaluations
+    main_res = part(1.0, float(N)) if N >= 2 else QuadResult(0j, 0.0, 0)
+    strip_res = part(float(N), float(N + 1))
+    main = main_res.value
 
     n = np.arange(1, N + 1, dtype=float)
     sum1 = (1j / (_2PI * complex(np.exp(s * math.log(N))))) * _csum(1.0 / (t / (_2PI * N) - n))
@@ -226,7 +220,8 @@ def lemma3_integral(s: complex) -> identities.IdentityReport:
     }
     # not `build`: the residual subtracts the two sums one at a time
     return identities.IdentityReport("lemma3", params, main, sum1 + sum2, resid,
-                                     resid / max(abs(main), 1e-300), evals)
+                                     resid / max(abs(main), 1e-300),
+                                     main_res.evaluations + strip_res.evaluations)
 
 
 def power_mean_Ik(k: int, t: float) -> float:
@@ -236,14 +231,13 @@ def power_mean_Ik(k: int, t: float) -> float:
     if not (_2PI <= t <= 3000.0):
         raise DomainError("t out of desk-scale range")
     s = 0.5 + 1j * t
-    N = kernel_index(t)
-    freq = 2.0 * k * (t / _2PI + N + 1.0)
-    pts = list(np.linspace(0.0, 1.0, int(2.5 * freq) + 9))
+    z = _zeta1_cycles(t)
 
     def f(a: np.ndarray) -> np.ndarray:
         return np.abs(hurwitz_zeta1(s, a)) ** (2 * k) + 0j
 
-    res = integrate_finite(f, 0.0, 1.0, initial_points=pts, abs_tol=1e-10, rel_tol=1e-8)
+    res = integrate_finite(f, 0.0, 1.0, cycles=lambda a: 2 * k * z(a),
+                           abs_tol=1e-10, rel_tol=1e-8)
     return _nonnegative(float(res.value.real))
 
 
@@ -257,8 +251,8 @@ def power_mean_Jk(k: int, T: float) -> float:
     def f(tv: np.ndarray) -> np.ndarray:
         return np.abs(riemann_zeta(0.5 + 1j * tv)) ** (2 * k) + 0j
 
-    pts = list(np.linspace(0.0, T, int(2.0 * T) + 9))
-    res = integrate_finite(f, 0.0, T, initial_points=pts, abs_tol=1e-9, rel_tol=1e-7)
+    # zeta(1/2 + it) has log(t/2pi)/2pi <= 0.7 zeros per unit t for t <= 500
+    res = integrate_finite(f, 0.0, T, cycles=0.8, abs_tol=1e-9, rel_tol=1e-7)
     return _nonnegative(float(res.value.real) / T)
 
 
@@ -313,11 +307,9 @@ def kernel_norm_power(N: int, p: float) -> float:
     def f(a: np.ndarray) -> np.ndarray:
         return np.abs(dirichlet_kernel(N, a)) ** p + 0j
 
-    pts = list(np.linspace(0.0, 1.0, int(2.5 * N) + 9))
-    if p % 2 != 0:
-        pts += list(np.arange(1, N) / N)
-    res = integrate_finite(f, 0.0, 1.0, initial_points=pts,
-                           abs_tol=1e-9, rel_tol=1e-7, max_panels=120000)
+    kinks = np.arange(1, N) / N if p % 2 != 0 else None
+    res = integrate_finite(f, 0.0, 1.0, cycles=N, initial_points=kinks,
+                           abs_tol=1e-9, rel_tol=1e-7)
     return float(res.value.real)
 
 

@@ -16,12 +16,14 @@ from .errors import ConvergenceError, DivergenceError, DomainError
 from .identities import IdentityReport
 from .quadrature import (
     _NODES,
+    _PER_CYCLE,
     _WG_FULL,
     _WGK_FULL,
     _march_panels,
     integrate_finite,
 )
 from .special import (
+    _zeta1_cycles,
     fourier_coeff_a,
     hurwitz_zeta1,
     osc_power_tail,
@@ -165,20 +167,6 @@ def _terms_to_powers(terms, A: float, integral_tol: float,
     return powers, rem * A
 
 
-def _power_osc_tail(q: complex, n: int, A: float, k_max: int = 70) -> complex:
-    """int_A^inf x^q e^{-2 pi i n x} dx by the exact by-parts recursion;
-    requires 2 pi |n| A comfortably above |q|."""
-    w = 2j * math.pi * n
-    term = complex(A**q) / w
-    total = term
-    for k in range(1, k_max):
-        term *= (q - (k - 1)) / (w * A)
-        total += term
-        if abs(term) < 1e-17 * abs(total) or abs(term) < 1e-300:
-            return complex(np.exp(-w * A)) * total
-    raise ConvergenceError(f"power-tail recursion stalled (|q|={abs(q):.1f}, nA={abs(n) * A:.1f})")
-
-
 def _closed_power_tail(powers: dict, n: int, A: float) -> complex:
     """sum_q c_q int_A^inf a^q e^{-2 pi i n a} da in closed form."""
     total = 0j
@@ -188,7 +176,7 @@ def _closed_power_tail(powers: dict, n: int, A: float) -> complex:
                 raise DivergenceError(f"tail carries the non-integrable power {q} at n = 0")
             total += -c * A ** (q + 1.0) / (q + 1.0)
         else:
-            total += c * _power_osc_tail(q, n, A)
+            total += c * osc_power_tail(-q, -n, A)
     return complex(total)
 
 
@@ -196,8 +184,8 @@ def _tail_abscissa(terms) -> float:
     big_w = max((abs(w) for _, w, _ in terms if w is not None), default=0.0)
     big = max(big_w, max((abs(p) for _, _, p in terms), default=0.0))
     # 0.8 big_w keeps the Euler-Maclaurin correction ratio near 1/25 per pair;
-    # the last bound is what the by-parts recursion of _power_osc_tail needs
-    # at |n| = 1, and so at every n != 0
+    # the last keeps 2 pi |n| A, the argument of the incomplete Gamma in
+    # osc_power_tail, large against the powers at every n != 0
     return max(24.0, 0.8 * big_w, (big + 12.0) / 3.0, 1.3 * (big + 90.0) / _2PI)
 
 
@@ -320,10 +308,9 @@ _KD_WEIGHTS = np.column_stack((_WGK_FULL, _WGK_FULL - _G7_ON_K15))
 
 def _zeta1_pair_cycles(t: float):
     """Local cycles per unit of a^{-v} zeta1(u, a) with |Im u| = |Im v| = t:
-    the log-phase of a^{-v}, the log-phase of zeta1 in 1 + a, and the
-    content of its Dirichlet kernel."""
-    n_kernel = math.sqrt(max(t, 1.0) / _2PI)
-    return lambda x: t / (_2PI * x) + t / (_2PI * (1.0 + x)) + n_kernel + 1.0
+    the log-phase of a^{-v} plus the cycles of zeta1."""
+    z = _zeta1_cycles(t)
+    return lambda x: t / (_2PI * x) + z(x)
 
 
 def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
@@ -333,8 +320,8 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     content of values, and values is evaluated once on it; every n is then
     a phase sum over the same nodes, with the embedded G7/K15 difference as
     its error.  While the largest error exceeds tol the panel density rises
-    from 2.5 points per cycle by 1.7x, up to 20.9; a tol still missed there
-    raises ConvergenceError.
+    from _PER_CYCLE = 2.5 points per cycle by 1.7x, up to 20.9; a tol still
+    missed there raises ConvergenceError.
 
     The n are integers, so the phase needs only the fractional part of each
     node (exact in floating point).  An anchor index gets its phase
@@ -350,7 +337,7 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     """
     ns = np.asarray(ns, dtype=float)
     n_big = float(np.max(np.abs(ns)))
-    per_cycle = 2.5
+    per_cycle = _PER_CYCLE
     evals = 0
     while True:
         pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x), per_cycle=per_cycle))
@@ -461,13 +448,12 @@ def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityRepo
     else:
         lhs = None
     if lhs is None:
-        n_kern = math.sqrt(max(t, 1.0) / _2PI)
-        pts = list(np.linspace(0.0, 1.0, int(5 * (t / _2PI + n_kern)) + 17))
+        z = _zeta1_cycles(t)
 
         def f(a: np.ndarray) -> np.ndarray:
             return np.abs(hurwitz_zeta1(s, a)) ** 2 + 0j
 
-        lhs = float(integrate_finite(f, 0.0, 1.0, initial_points=pts,
+        lhs = float(integrate_finite(f, 0.0, 1.0, cycles=lambda a: 2.0 * z(a),
                                      abs_tol=1e-11, rel_tol=1e-9).value.real)
     return IdentityReport.build(
         "parseval_second_moment",
@@ -490,13 +476,12 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
         raise DomainError("requires t >= 0")
     if n_max is None:
         n_max = int(math.ceil(2.0 * t / math.pi)) + 50
-    n_kern = math.sqrt(max(t, 1.0) / _2PI)
-    pts = list(np.linspace(0.0, 1.0, int(10 * (t / _2PI + n_kern)) + 17))
+    z = _zeta1_cycles(t)
 
     def f4(a: np.ndarray) -> np.ndarray:
         return np.abs(hurwitz_zeta1(u, a)) ** 4 + 0j
 
-    lhs_res = integrate_finite(f4, 0.0, 1.0, initial_points=pts,
+    lhs_res = integrate_finite(f4, 0.0, 1.0, cycles=lambda a: 4.0 * z(a),
                                abs_tol=1e-10, rel_tol=1e-8)
     lhs = float(lhs_res.value.real)
     coeffs = _q_coeffs(u, u.conjugate(), range(-n_max, n_max + 1),

@@ -21,7 +21,6 @@ from . import afe
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .quadrature import (
     ContourSpec,
-    _march_panels,
     integrate_finite,
     integrate_semi_infinite,
     integrate_unit_power_singular,
@@ -29,6 +28,7 @@ from .quadrature import (
     stirling_truncation_height,
 )
 from .special import (
+    _zeta1_cycles,
     hurwitz_zeta1,
     lgamma,
     riemann_zeta,
@@ -263,10 +263,9 @@ def _zeta1_product(us):
 
 
 def _unit_moment_lhs(us):
-    t_max = max(abs(u.imag) for u in us)
-    pts = list(np.linspace(0.0, 1.0, int(4 * t_max) + 17))
-    return integrate_finite(_zeta1_product(us), 0.0, 1.0,
-                            initial_points=pts, abs_tol=1e-13, rel_tol=2e-11)
+    zs = [_zeta1_cycles(u.imag) for u in us]
+    return integrate_finite(_zeta1_product(us), 0.0, 1.0, cycles=lambda a: sum(z(a) for z in zs),
+                            abs_tol=1e-13, rel_tol=2e-11)
 
 
 def _weighted_tail(weight: complex, us):
@@ -375,8 +374,10 @@ def _weighted_unit_integral(power: complex, u: complex,
         a = np.asarray(a, dtype=float)
         return np.power(a, power) * f(a)
 
-    pts = [2.0**-k for k in range(1, 30)] + list(np.linspace(0.0, 1.0, int(4 * abs(u.imag) + 4 * abs(power.imag)) + 17))
-    return integrate_finite(g, 0.0, 1.0, initial_points=pts, abs_tol=abs_tol, rel_tol=rel_tol)
+    z = _zeta1_cycles(u.imag)
+    return integrate_finite(g, 0.0, 1.0, cycles=lambda a: z(a) + abs(power.imag) / _2PI,
+                            initial_points=[2.0**-k for k in range(1, 30)],
+                            abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
@@ -490,15 +491,16 @@ def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
     if v == 1.0:
         # limit mode: both sides finite
         f_reg = _zeta1_difference_quotient(u)
-        pts = [2.0**-k for k in range(1, 40)] + list(np.linspace(0.0, 1.0, int(4 * abs(u.imag)) + 17))
-        lhs_res = integrate_finite(f_reg, 0.0, 1.0, initial_points=pts,
+        cycles = _zeta1_cycles(u.imag)
+        pts = [2.0**-k for k in range(1, 40)]
+        lhs_res = integrate_finite(f_reg, 0.0, 1.0, cycles=cycles, initial_points=pts,
                                    abs_tol=1e-12, rel_tol=1e-10)
 
         def f_log(a: np.ndarray) -> np.ndarray:
             a = np.asarray(a, dtype=float)
             return np.log(a) * hurwitz_zeta1(u + 1.0, a)
 
-        rhs_res = integrate_finite(f_log, 0.0, 1.0, initial_points=pts,
+        rhs_res = integrate_finite(f_log, 0.0, 1.0, cycles=cycles, initial_points=pts,
                                    abs_tol=1e-12, rel_tol=1e-10)
         return IdentityReport.build(
             "unit_recursion",
@@ -661,15 +663,11 @@ def remark_219_check(u: complex, v: complex) -> IdentityReport:
     def f(a: np.ndarray) -> np.ndarray:
         return np.power(a, 1.0 - s1) * hurwitz_zeta1(u + 1.0, a) * np.exp(1j * (t * np.log(a)))
 
-    # panels of at most half a local period of the log phase and of zeta1
-    def cycles(a: float) -> float:
-        return t / (_2PI * a) + (t / (_2PI * (1.0 + a)) + 1.0)
-
     # log-oscillation toward 0: cut at delta with an explicit endpoint bound
     zmag = abs(complex(riemann_zeta(u + 1.0))) + 1.0
     delta = min(0.25, (1e-13 / zmag) ** (1.0 / (2.0 - s1)))
-    pts = _march_panels(delta, 1.0, cycles)
-    head = integrate_finite(f, delta, 1.0, initial_points=pts, max_panels=len(pts) + 4000,
+    z = _zeta1_cycles(t)
+    head = integrate_finite(f, delta, 1.0, cycles=lambda a: t / (_2PI * a) + z(a),
                             abs_tol=1e-12, rel_tol=1e-9)
     lhs = head.value
     S = sum_recip_m_mp1u(u)

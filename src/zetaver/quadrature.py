@@ -7,10 +7,10 @@ numpy array of nodes and must return an array of values of the same shape.
 integrate_finite evaluates its initial panels in batches of up to _CHUNK
 panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call
 and must keep its memory per node bounded.  A non-finite panel value or
-error estimate raises ConvergenceError.  Non-smooth points of an integrand
-belong in initial_points (afe.kernel_norm_power breaks at the zeros k/N
-of B_N).  Panel processing order is deterministic, so repeated runs with
-the same configuration produce bit-identical results.
+error estimate raises ConvergenceError.  Panels are picked here only: a
+caller states its integrand's frequency (cycles) and its non-smooth points
+(initial_points).  Panel processing order is deterministic, so repeated
+runs with the same configuration produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ _CHUNK = 32
 # tail bound certifies.
 _MAX_OCTAVES = 120
 
+# Initial panels per local cycle of an integrand (fourier._fourier_coeffs
+# starts from the same density), and the most initial panels allowed.
+_PER_CYCLE = 2.5
+_MAX_INITIAL_PANELS = 400_000
+
 
 @dataclasses.dataclass
 class QuadResult:
@@ -139,11 +144,35 @@ def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     return vals, errs
 
 
+def _march_panels(a: float, b: float, cycles_fn, per_cycle: float = _PER_CYCLE):
+    """Break [a, b] so each panel spans at most 1/per_cycle of a local period;
+    ConvergenceError on a frequency that is not finite and past
+    _MAX_INITIAL_PANELS panels."""
+    pts = [a]
+    x = a
+    f_x = cycles_fn(a)
+    while x < b:
+        f_here = max(f_x, 1e-12)
+        nxt = min(x + 1.0 / (per_cycle * f_here), b)
+        f_x = cycles_fn(nxt)
+        if not math.isfinite(f_here + f_x):
+            raise ConvergenceError(f"integrand frequency is not finite on [{x}, {nxt}]")
+        if f_x > 1.5 * f_here:
+            nxt = min(x + 1.0 / (per_cycle * f_x), b)
+            f_x = cycles_fn(nxt)
+        pts.append(nxt)
+        x = nxt
+        if len(pts) > _MAX_INITIAL_PANELS + 1:
+            raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
+    return pts
+
+
 def integrate_finite(
     f,
     a: float,
     b: float,
     *,
+    cycles=None,
     initial_points=None,
     max_panels: int = 20000,
     abs_tol: float = 1e-12,
@@ -151,20 +180,30 @@ def integrate_finite(
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
-    initial_points may pre-split the interval (e.g. at known oscillation
-    scales or non-smooth points); all initial panels are evaluated in
-    batched integrand calls, then the worst panel is bisected until the
-    summed error estimate meets max(abs_tol, rel_tol * |value|).  Raises
-    ConvergenceError if a panel value or error is not finite.
+    cycles, the integrand's cycles per unit of x, sets the initial panels:
+    a number gives ceil(_PER_CYCLE * cycles * (b - a)) equal ones, a
+    function of x is marched by _march_panels, None gives one panel; it
+    must be finite and ask for at most _MAX_INITIAL_PANELS panels.
+    initial_points adds the non-smooth points of f as edges.  All initial
+    panels are evaluated in batched integrand calls, then the worst panel
+    is bisected, at most max_panels times, until the summed error estimate
+    meets max(abs_tol, rel_tol * |value|).  Raises ConvergenceError if a
+    panel value or error is not finite.
     """
     if not a < b:
         raise DomainError("requires a < b")
     fvec = _wrap(f)
-    if initial_points is None:
-        pts = [a, b]
+    if callable(cycles):
+        edges = np.array(_march_panels(a, b, cycles))
     else:
-        pts = sorted({a, b, *(p for p in initial_points if a < p < b)})
-    edges = np.array(pts, dtype=float)
+        count = _PER_CYCLE * float(cycles or 0.0) * (b - a)
+        if not 0.0 <= count <= _MAX_INITIAL_PANELS:
+            raise ConvergenceError(f"{cycles} cycles per unit ask for {count} panels")
+        edges = np.linspace(a, b, max(math.ceil(count), 1) + 1)
+    if initial_points is not None:
+        pts = np.asarray(initial_points, dtype=float).ravel()
+        edges = np.union1d(edges, pts[(pts > a) & (pts < b)])
+    pts = edges.tolist()
     vals, errs = _gk15_many(fvec, edges[:-1], edges[1:])
     evals = 15 * vals.size
     heap: list[tuple] = []
@@ -175,8 +214,8 @@ def integrate_finite(
         total_err += err
         heap.append((-err, lo, hi, val, err))
     heapq.heapify(heap)
-    panels = len(heap)
-    while total_err > max(abs_tol, rel_tol * abs(total)) and panels < max_panels:
+    bisections = 0
+    while total_err > max(abs_tol, rel_tol * abs(total)) and bisections < max_panels:
         neg_err, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if neg_err == 0.0 or mid <= lo or mid >= hi:
@@ -190,10 +229,10 @@ def integrate_finite(
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        panels += 1
+        bisections += 1
     if total_err > max(abs_tol, rel_tol * abs(total), 1e-13 * abs(total)):
         raise ConvergenceError(
-            f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={panels}"
+            f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={len(heap)}"
         )
     return QuadResult(complex(total), float(total_err), evals)
 
@@ -235,24 +274,6 @@ def integrate_semi_infinite(
         if tail <= max(abs_tol, rel_tol * abs(total)) / 2.0:
             return QuadResult(complex(total), float(total_err + tail), evals)
     raise ConvergenceError("semi-infinite tail failed to certify within octave budget")
-
-
-def _march_panels(a: float, b: float, cycles_fn, per_cycle: float = 2.0, cap: int = 400000):
-    """Break [a, b] so each panel spans at most 1/per_cycle of a local period."""
-    pts = [a]
-    x = a
-    while x < b:
-        f_here = max(cycles_fn(x), 1e-12)
-        w = min(1.0 / (per_cycle * f_here), b - a)
-        nxt = min(x + w, b)
-        f_next = cycles_fn(nxt)
-        if f_next > 1.5 * f_here:
-            nxt = min(x + 1.0 / (per_cycle * f_next), b)
-        pts.append(nxt)
-        x = nxt
-        if len(pts) > cap:
-            raise ConvergenceError("oscillatory panelling exceeded budget")
-    return pts
 
 
 def stirling_truncation_height(abs_tol: float, poly_degree: float = 0.0, decay_rate: float = math.pi) -> float:

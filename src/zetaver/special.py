@@ -365,6 +365,15 @@ def kernel_index(t: float) -> int:
     return int(math.floor(math.sqrt(t / _TWO_PI)))
 
 
+def _zeta1_cycles(t: float):
+    """Local cycles per unit alpha of zeta1(sigma + it, alpha), as a function
+    of alpha: the log-phase t / (2 pi (1 + alpha)) of its first term, the
+    content sqrt(t / 2 pi) of its Dirichlet kernel, plus one."""
+    t = abs(t)
+    n_kernel = math.sqrt(max(t, 1.0) / _TWO_PI)
+    return lambda a: t / (_TWO_PI * (1.0 + a)) + n_kernel + 1.0
+
+
 def _half_turns(x: np.ndarray) -> np.ndarray:
     """x reduced by a multiple of 2 into [-1, 1]; exact, and unlike np.mod
     it keeps a tiny negative x as it is."""

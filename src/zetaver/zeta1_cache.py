@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import _march_panels
-from .special import hurwitz_zeta1
-
-_2PI = 2.0 * math.pi
+from .special import _zeta1_cycles, hurwitz_zeta1
 
 # Chebyshev coefficients per panel, panels per local oscillation period of
 # zeta1 in alpha, and the random points at which the fit is checked.
@@ -38,13 +36,8 @@ class Zeta1AlphaTable:
         if not (0.0 <= a_lo < a_hi):
             raise DomainError("need 0 <= a_lo < a_hi")
         self.s = complex(s)
-        t = abs(self.s.imag)
-        n_kernel = math.sqrt(max(t, 1.0) / _2PI)
-
-        def cycles(a: float) -> float:
-            return t / (_2PI * (1.0 + a)) + n_kernel + 1.0
-
-        self.breaks = np.array(_march_panels(a_lo, a_hi, cycles, per_cycle=_POINTS_PER_CYCLE))
+        self.breaks = np.array(_march_panels(a_lo, a_hi, _zeta1_cycles(self.s.imag),
+                                             per_cycle=_POINTS_PER_CYCLE))
 
         # Chebyshev nodes of the first kind and the value->coefficient map
         j = np.arange(_ORDER)

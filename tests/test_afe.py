@@ -8,6 +8,7 @@ import pytest
 
 from zetaver import afe, special
 from zetaver.errors import DomainError
+from zetaver.suites import SUITES
 
 _2PI = 2.0 * math.pi
 
@@ -155,6 +156,16 @@ def test_lemma3_leading_sums_and_strip_envelopes():
         d = afe.lemma3_integral(complex(0.5, t))
         assert d.params["sums_over_envelope"] <= 3.0
         assert d.params["strip_over_envelope"] <= 1.0
+
+
+def test_lemma3_and_projection_evaluation_counts_pinned():
+    # deterministic cost guard at the default-grid rows: lemma3 integrates
+    # [1, N] in one call on panels marched for N + t/(2 pi a) cycles,
+    # projection on ceil(2.5 N) uniform panels
+    evals = [afe.lemma3_integral(complex(0.5, t)).evaluations for t in (50.0, 100.0, 200.0, 400.0)]
+    assert all(e <= cap for e, cap in zip(evals, (510, 1200, 3105, 6825)))
+    for n, cap in ((7, 270), (25, 945), (50, 1875), (100, 3750)):
+        assert all(r.evaluations <= cap for r in SUITES["projection"].runner({"N": n}))
 
 
 # ---------------------------------------------------------------------------

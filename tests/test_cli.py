@@ -329,32 +329,45 @@ def test_optional_axes_are_read(tmp_path):
     assert row["params"]["u"] == [2.0, 0.5] and row["params"]["v"] == [3.0, -0.5]
 
 
-# Whole run-suite argument lists over two cheap suites: each default axis is
-# usually kept, an optional, unknown or repeated axis is sometimes added, and
-# an axis spec may be valid, malformed, non-finite or of a huge count.
-_FUZZ_AXES = {"s1_sum": ("sigma", "t", "alpha"), "afe_zeta": ("sigma", "t")}
-_FUZZ_EXTRA = st.sampled_from(["eta", "u_im", "TT", "sigmaa", "t", ""])
-_FUZZ_SPEC = st.sampled_from([
-    "0.5", "0.25,0.75", "66", "66,100", "25:100:3", "25:1600:3:geometric",
+# Whole run-suite argument lists: each default axis is usually kept, an
+# optional, unknown or repeated axis is sometimes added, and an axis spec is
+# one of the axis's bounded values (every row stays cheap) or malformed,
+# non-finite, out of domain or of a huge count.
+_S1_AFE_VALUES = ("0.5", "0.25,0.75", "66", "66,100", "25:100:3", "25:1600:3:geometric")
+_FUZZ_AXES = {
+    "s1_sum": {"sigma": _S1_AFE_VALUES, "t": _S1_AFE_VALUES, "alpha": _S1_AFE_VALUES},
+    "afe_zeta": {"sigma": _S1_AFE_VALUES, "t": _S1_AFE_VALUES},
+    "kernel_norms": {"N": ("1", "10", "10,100", "2:300:3:geometric", "1000")},
+    "projection": {"N": ("1", "7", "7,25", "2:100:3:geometric")},
+    # t = 1e6 asks for more initial panels than one panelling may have
+    "lemma3": {"t": ("20", "50", "20:400:3:geometric", "1e6"), "sigma": ("0.5", "0.25,0.75")},
+    "power_mean_Ik": {"k": ("1", "2", "3", "1,2"), "t": ("7", "20,50", "10:100:3")},
+    "power_mean_Jk": {"k": ("1", "2", "1,2"), "T": ("1", "10,50", "20:100:3")},
+}
+_FUZZ_EXTRA = st.sampled_from(["eta", "u_im", "TT", "sigmaa", "sigma", "t", "k", ""])
+_FUZZ_BAD = (
     "0", "-1", "1e20", "1e400", "inf", "-inf,0.5", "nan", "50:100:10000000000000000000",
     "1:2:0", "2:1:2", "0:1:2:geometric", "1:2:3:cubic", "x", "", "1,,2", "1:2",
-])
+)
 
 
 @st.composite
 def _run_suite_argv(draw):
     suite = draw(st.sampled_from(sorted(_FUZZ_AXES)))
-    names = [n for n in _FUZZ_AXES[suite] if draw(st.integers(0, 5))]
+    axes = _FUZZ_AXES[suite]
+    names = [n for n in axes if draw(st.integers(0, 5))]
     names += draw(st.lists(_FUZZ_EXTRA, max_size=1))
     argv = ["run-suite", suite]
     for name in names:
-        argv += ["--grid", f"{name}={draw(_FUZZ_SPEC)}"]
+        valid = axes.get(name, ("0.5",))
+        spec = draw(st.sampled_from(valid if draw(st.integers(0, 2)) else _FUZZ_BAD))
+        argv += ["--grid", f"{name}={spec}"]
     argv += draw(st.sampled_from([[], ["--format", "json"], ["--tol", "1e-30"],
                                   ["--tol", "x"], ["--format", "xml"]]))
     return argv
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(_run_suite_argv())
 def test_run_suite_argv_fuzz_exits_0_1_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()

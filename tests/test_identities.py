@@ -152,6 +152,15 @@ def test_quadratic_moment_symmetry():
     assert abs(r1.rhs - r2.rhs) <= 1e-12 * abs(r1.rhs)
 
 
+def test_quadratic_moment_evaluation_counts_pinned():
+    # deterministic cost guard on the default grid: the left side is marched
+    # for the summed cycles of its zeta1 factors
+    caps = {(2, 2): 1497, (2, 3): 1149, (2, 4): 975, (3, 2): 1149, (3, 3): 1005,
+            (3, 4): 849, (4, 2): 975, (4, 3): 849, (4, 4): 801}
+    for (u, v), cap in caps.items():
+        assert idn.verify_quadratic_moment((float(u), float(v))).evaluations <= cap
+
+
 def test_quadratic_moment_requires_direct_mode():
     with pytest.raises(DomainError):
         idn.verify_quadratic_moment((0.9, 2.0))

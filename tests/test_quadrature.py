@@ -219,3 +219,96 @@ def test_finite_repeat_bit_identical():
     r1 = integrate_finite(f, 0.0, 3.0, initial_points=pts, rel_tol=1e-13)
     r2 = integrate_finite(f, 0.0, 3.0, initial_points=pts, rel_tol=1e-13)
     assert r1 == r2
+
+
+# cycles: the integrand's frequency picks the initial panels.
+
+
+def _panel_edges(calls):
+    """Edges of the initial panels from the nodes of the batched calls."""
+    x = np.concatenate(calls).reshape(-1, quadrature._NODES.size)
+    mids = 0.5 * (x[:, 0] + x[:, -1])
+    halves = (x[:, -1] - x[:, 0]) / (2.0 * quadrature._NODES[-1])
+    return np.append(mids - halves, mids[-1] + halves[-1])
+
+
+def test_cycles_number_gives_uniform_panels():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.cos(x)
+
+    res = integrate_finite(f, 0.0, 2.0, cycles=3.3)
+    panels = math.ceil(quadrature._PER_CYCLE * 3.3 * 2.0)  # 17
+    assert res.evaluations == 15 * panels
+    assert np.allclose(_panel_edges(calls), np.linspace(0.0, 2.0, panels + 1), atol=1e-14)
+    assert abs(res.value - math.sin(2.0)) < 1e-14
+    # zero cycles: one panel
+    assert integrate_finite(np.cos, 0.0, 1.0, cycles=0.0).evaluations == 15
+
+
+def test_cycles_function_is_marched():
+    def cycles(x):
+        return 1.0 + 40.0 * x
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.cos(x)
+
+    res = integrate_finite(f, 0.0, 1.0, cycles=cycles)
+    pts = quadrature._march_panels(0.0, 1.0, cycles)
+    assert res.evaluations == 15 * (len(pts) - 1)
+    assert np.allclose(_panel_edges(calls), pts, atol=1e-14)
+    # each panel spans at most 1/_PER_CYCLE of the local period at its left end
+    widths = np.diff(pts)
+    assert np.all(widths <= 1.0 / (quadrature._PER_CYCLE * cycles(np.array(pts[:-1]))) + 1e-15)
+    # denser where the frequency is higher
+    assert widths[0] > 2.0 * widths[-1]
+
+
+def test_initial_points_join_the_cycle_panels():
+    kinks = np.arange(1, 7) / 7.0
+    res = integrate_finite(lambda x: np.abs(np.sin(7.0 * math.pi * x)), 0.0, 1.0,
+                           cycles=5.0, initial_points=kinks)
+    edges = np.union1d(np.linspace(0.0, 1.0, math.ceil(2.5 * 5.0) + 1), kinks)
+    assert res.evaluations == 15 * (edges.size - 1)
+    assert abs(res.value - 2.0 / math.pi) < 1e-13
+
+
+def test_max_panels_counts_bisections_beyond_the_initial_panels():
+    calls = []
+
+    def f(x):  # a jump at 1/3: every bisection leaves an error behind
+        calls.append(x.size)
+        return np.where(x < 1.0 / 3.0, 0.0, 1.0)
+
+    with pytest.raises(ConvergenceError, match="panels=105"):
+        integrate_finite(f, 0.0, 1.0, cycles=40.0, max_panels=5, abs_tol=0.0, rel_tol=0.0)
+    assert calls.count(30) == 5 and sum(calls) == 15 * 100 + 30 * 5
+
+
+@pytest.mark.parametrize("cycles", [math.nan, math.inf, -math.inf, 1e6, -1.0])
+def test_bad_uniform_cycles_raise_before_any_evaluation(cycles):
+    calls = []
+    with pytest.raises(ConvergenceError):
+        integrate_finite(lambda x: calls.append(x) or x, 0.0, 1.0, cycles=cycles)
+    assert not calls
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e6])
+def test_bad_marched_cycles_raise_before_any_evaluation(value):
+    calls = []
+    with pytest.raises(ConvergenceError):
+        quadrature._march_panels(0.0, 1.0, lambda x: value)
+    with pytest.raises(ConvergenceError):
+        integrate_finite(lambda x: calls.append(x) or x, 0.0, 1.0, cycles=lambda x: value)
+    assert not calls
+
+
+def test_march_rejects_a_frequency_that_turns_non_finite():
+    # finite at the start, NaN past 0.5: the march must not return NaN edges
+    with pytest.raises(ConvergenceError):
+        quadrature._march_panels(0.0, 1.0, lambda x: 3.0 if x < 0.5 else math.nan)
