@@ -34,7 +34,6 @@ from .quadrature import (
     ContourSpec,
     QuadResult,
     integrate_finite,
-    integrate_semi_infinite,
     integrate_vertical_line,
 )
 from .identities import (

@@ -144,9 +144,12 @@ def weak_afe_residual(s: complex) -> identities.IdentityReport:
     return identities.IdentityReport.bound("weak_afe", params, resid, resid)
 
 
-def weak_afe_forms_check(s: complex) -> dict:
+def weak_afe_forms_check(s: complex) -> identities.IdentityReport:
     """Two-integral versus four-integral form: the two differ exactly by the
-    kernel-projected partial sums, each of which is itself O(t^{-sigma/2} log t)."""
+    kernel-projected partial sums Q1, Q2, each of which is itself
+    O(t^{-sigma/2} log t).  lhs = zeta - I1 - chi I2 (|lhs| is the
+    two-form residual) and rhs = -(Q1 + chi Q2), so abs_residual is the
+    four-form residual."""
     s = complex(s)
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 20.0):
@@ -162,20 +165,13 @@ def weak_afe_forms_check(s: complex) -> dict:
 
     q1 = integrate_finite(c1, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
     q2 = integrate_finite(c2, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
-    zeta_val = riemann_zeta(s)
     chi_val = chi(s)
-    two_form = abs(zeta_val - i1.value - chi_val * i2.value)
-    corr = q1.value + chi_val * q2.value
-    four_form = abs(zeta_val - i1.value - chi_val * i2.value + corr)
-    env = t ** (-sigma / 2.0) * math.log(t)
-    return {
-        "s": s,
-        "residual_two_form": two_form,
-        "residual_four_form": four_form,
-        "correction_1": abs(q1.value),
-        "correction_2": abs(chi_val * q2.value),
-        "corrections_over_envelope": (abs(q1.value) + abs(chi_val * q2.value)) / env,
-    }
+    corr1, corr2 = abs(q1.value), abs(chi_val * q2.value)
+    params = {"sigma": sigma, "t": t, "correction_1": corr1, "correction_2": corr2,
+              "corrections_over_envelope": (corr1 + corr2) / (t ** (-sigma / 2.0) * math.log(t))}
+    return identities.IdentityReport.build(
+        "weak_afe_forms", params, riemann_zeta(s) - i1.value - chi_val * i2.value,
+        -(q1.value + chi_val * q2.value))
 
 
 def lemma3_integral(s: complex) -> identities.IdentityReport:

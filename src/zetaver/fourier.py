@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .identities import IdentityReport
 from .quadrature import (
     _NODES,
@@ -23,6 +23,10 @@ from .quadrature import (
     integrate_finite,
 )
 from .special import (
+    _certified_powers,
+    _closed_power_tail,
+    _tail_abscissa,
+    _terms_to_powers,
     _zeta1_cycles,
     fourier_coeff_a,
     hurwitz_zeta1,
@@ -98,110 +102,6 @@ def tail_lemma_check(s: complex, alpha: float, eta: float) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form power tails of zeta1 term lists.
-#
-# Integrands are term lists [(coef, w, p)] meaning coef * zeta1(w, a) * a^p
-# (w = None drops the zeta1 factor).  Past a moderate abscissa A, zeta1 is
-# replaced by its Euler-Maclaurin expansion in 1+a, re-expanded binomially
-# into pure powers of a; each power integrates against e^{-2 pi i n a} in
-# closed form (incomplete Gamma), so no quadrature ever runs where the
-# regularised brackets cancel to far below double-precision noise.
-# ---------------------------------------------------------------------------
-
-
-def _binom_powers(g: complex, base_power: complex, coef: complex, A: float,
-                  acc: dict, big: dict, j_max: int, tol: float) -> float:
-    """Add coef * (1+a)^g = coef * sum_j binom(g, j) a^{g - j} to acc as
-    powers a^{base_power + g - j}; returns the truncation remainder bound."""
-    c = coef
-    j = 0
-    while True:
-        key = base_power + g - j
-        acc[key] = acc.get(key, 0j) + c
-        big[key] = max(big.get(key, 0.0), abs(c))
-        nxt = c * (g - j) / (j + 1.0)
-        j += 1
-        rem = abs(nxt) * A ** (g.real - j)
-        if j >= j_max or (j > abs(g) / A and rem * A ** base_power.real < tol):
-            return rem * A ** base_power.real
-        c = nxt
-
-
-def _terms_to_powers(terms, A: float, integral_tol: float,
-                     em_j: int = 8, j_max: int = 64):
-    """Expand a term list into {power: coef} valid for a >= A.
-
-    Coefficients that are catastrophically cancelled (below 1e-13 of the
-    largest contribution to the same power, as happens by construction for
-    the regularised brackets) are dropped as exact zeros.  Returns
-    (powers, integral_scale_remainder_bound).
-    """
-    from .special import _b2j_over_factorial
-
-    tol_each = integral_tol / (A * (4.0 + 3.0 * em_j) * max(len(terms), 1))
-    acc: dict = {}
-    big: dict = {}
-    rem = 0.0
-    for coef, w, p in terms:
-        if w is None:
-            acc[p] = acc.get(p, 0j) + coef
-            big[p] = max(big.get(p, 0.0), abs(coef))
-            continue
-        # zeta1(w, a) = (1+a)^{1-w}/(w-1) + (1+a)^{-w}/2 + EM corrections
-        rem += _binom_powers(1.0 - w, p, coef / (w - 1.0), A, acc, big, j_max, tol_each)
-        rem += _binom_powers(-w, p, 0.5 * coef, A, acc, big, j_max, tol_each)
-        poch = w
-        for j in range(1, em_j + 1):
-            if j > 1:
-                poch = poch * (w + 2 * j - 3) * (w + 2 * j - 2)
-            rem += _binom_powers(-w - (2 * j - 1), p, coef * _b2j_over_factorial(j) * poch,
-                                 A, acc, big, j_max, tol_each)
-        poch = poch * (w + 2 * em_j - 1) * (w + 2 * em_j)
-        rem += abs(coef * _b2j_over_factorial(em_j + 1) * poch) * (1.0 + A) ** (-w.real - 2 * em_j - 1 + p.real)
-    scale = max((abs(c) * A ** q.real for q, c in acc.items()), default=0.0)
-    powers = {
-        q: c
-        for q, c in acc.items()
-        if abs(c) > 1e-13 * big.get(q, 0.0) and abs(c) * A ** q.real > 1e-17 * scale
-    }
-    return powers, rem * A
-
-
-def _closed_power_tail(powers: dict, n: int, A: float) -> complex:
-    """sum_q c_q int_A^inf a^q e^{-2 pi i n a} da in closed form."""
-    total = 0j
-    for q, c in powers.items():
-        if n == 0:
-            if q.real >= -1.0:
-                raise DivergenceError(f"tail carries the non-integrable power {q} at n = 0")
-            total += -c * A ** (q + 1.0) / (q + 1.0)
-        else:
-            total += c * osc_power_tail(-q, -n, A)
-    return complex(total)
-
-
-def _tail_abscissa(terms) -> float:
-    big_w = max((abs(w) for _, w, _ in terms if w is not None), default=0.0)
-    big = max(big_w, max((abs(p) for _, _, p in terms), default=0.0))
-    # 0.8 big_w keeps the Euler-Maclaurin correction ratio near 1/25 per pair;
-    # the last keeps 2 pi |n| A, the argument of the incomplete Gamma in
-    # osc_power_tail, large against the powers at every n != 0
-    return max(24.0, 0.8 * big_w, (big + 12.0) / 3.0, 1.3 * (big + 90.0) / _2PI)
-
-
-def _certified_powers(terms, abs_tol: float):
-    """Power expansion of a term list past the tail abscissa A, moving A out
-    by 1.6x until the remainder is below abs_tol; returns (powers, A)."""
-    A = _tail_abscissa(terms)
-    for _ in range(4):
-        powers, rem = _terms_to_powers(terms, A, abs_tol / 4.0)
-        if rem <= abs_tol:
-            return powers, A
-        A *= 1.6
-    raise ConvergenceError("power expansion of the tail failed to certify")
-
-
-# ---------------------------------------------------------------------------
 # Product coefficients q_n(u, v).
 # ---------------------------------------------------------------------------
 
@@ -220,7 +120,12 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     (continued): the head on [1, A] from one _fourier_coeffs call over a
     Zeta1AlphaTable, plus the closed power tail from A."""
     terms = [(1.0 + 0j, u, -v)] if direct else _regularized_terms(u, v)
-    powers, A = _certified_powers(terms, abs_tol)
+    big = max(abs(u), max(abs(p) for _, _, p in terms))
+    # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
+    # Gamma in osc_power_tail, large against the powers at every n != 0
+    A = max(24.0, _tail_abscissa(abs(u), big), 1.3 * (big + 90.0) / _2PI)
+    powers, A, _ = _certified_powers(lambda A: _terms_to_powers(terms, A, abs_tol / 4.0)[:2],
+                                     A, abs_tol)
     table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
 
     if direct:

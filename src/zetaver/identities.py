@@ -21,13 +21,17 @@ from . import afe
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .quadrature import (
     ContourSpec,
+    QuadResult,
     integrate_finite,
-    integrate_semi_infinite,
     integrate_unit_power_singular,
     integrate_vertical_line,
     stirling_truncation_height,
 )
 from .special import (
+    _certified_powers,
+    _closed_power_tail,
+    _product_powers,
+    _tail_abscissa,
     _zeta1_cycles,
     hurwitz_zeta1,
     lgamma,
@@ -109,7 +113,8 @@ def f_series(u: complex, v: complex, alpha: float) -> complex:
     The inner sum is zeta1(u, n+alpha) exactly; the outer sum is truncated
     at M with an Euler-Maclaurin tail (integral plus half-term plus first
     derivative correction), so slowly converging exponent combinations stay
-    certified.
+    certified.  The integral starts at M + 1 + alpha >= 49, past the power
+    tail's abscissa, so it is the closed power tail alone.
     """
     u = complex(u)
     v = complex(v)
@@ -117,26 +122,17 @@ def f_series(u: complex, v: complex, alpha: float) -> complex:
         raise DivergenceError("f(u,v,alpha) requires Re u > 1 and Re v > 1")
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
-    p = (u + v).real
     M = max(48, int(math.ceil(2.0 * (abs(u) + abs(v)))))
     n = np.arange(1, M + 1, dtype=float)
     x = n + alpha
     head = complex(np.sum(np.power(x, -v) * hurwitz_zeta1(u, x)))
 
-    def h(xx):
-        xa = np.asarray(xx, dtype=float) + alpha
-        return np.power(xa, -v) * hurwitz_zeta1(u, xa)
-
-    def h_prime(xx: float) -> complex:
-        xa = xx + alpha
-        z1 = complex(hurwitz_zeta1(u, xa))
-        z2 = complex(hurwitz_zeta1(u + 1.0, xa))
-        return -v * xa ** -(v + 1.0) * z1 - u * xa**-v * z2
-
-    a0 = float(M + 1)
-    tail_int = integrate_semi_infinite(h, a0, p - 1.0, abs_tol=1e-12, rel_tol=2.5e-11)
-    tail = tail_int.value + complex(h(np.array([a0]))[0]) / 2.0 - h_prime(a0) / 12.0
-    return head + tail
+    a0 = M + 1 + alpha
+    z1 = complex(hurwitz_zeta1(u, a0))
+    z2 = complex(hurwitz_zeta1(u + 1.0, a0))
+    h = a0**-v * z1
+    h_prime = -v * a0 ** -(v + 1.0) * z1 - u * a0**-v * z2
+    return head + _weighted_tail(v, (u,), a0).value + h / 2.0 - h_prime / 12.0
 
 
 def contour_interval(u: complex, v: complex) -> tuple[float, float]:
@@ -252,32 +248,42 @@ def verify_square_identity(
 # ---------------------------------------------------------------------------
 
 
-def _zeta1_product(us):
+def _weighted_product(weight: complex, us):
+    """alpha -> alpha^{-weight} prod zeta1(u_i, alpha), and its cycles per
+    unit of alpha: the factors' cycles plus |Im weight| / 2 pi."""
+    zs = [_zeta1_cycles(u.imag) for u in us]
+
     def f(a: np.ndarray) -> np.ndarray:
-        acc = hurwitz_zeta1(us[0], a)
-        for u in us[1:]:
+        acc = np.power(a, -weight)
+        for u in us:
             acc = acc * hurwitz_zeta1(u, a)
         return acc
 
-    return f
+    return f, lambda a: sum(z(a) for z in zs) + abs(weight.imag) / _2PI
 
 
 def _unit_moment_lhs(us):
-    zs = [_zeta1_cycles(u.imag) for u in us]
-    return integrate_finite(_zeta1_product(us), 0.0, 1.0, cycles=lambda a: sum(z(a) for z in zs),
-                            abs_tol=1e-13, rel_tol=2e-11)
+    f, cycles = _weighted_product(0j, us)
+    return integrate_finite(f, 0.0, 1.0, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
 
 
-def _weighted_tail(weight: complex, us):
-    """int_1^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha)."""
-    prod = _zeta1_product(us)
-    decay = weight.real + sum(u.real - 1.0 for u in us)
-
-    def f(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        return np.power(a, -weight) * prod(a)
-
-    return integrate_semi_infinite(f, 1.0, decay, abs_tol=1e-13, rel_tol=2e-11)
+def _weighted_tail(weight: complex, us, a0: float) -> QuadResult:
+    """int_{a0}^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha), 0 to 3
+    factors: an integrate_finite head on [a0, A] (none if A = a0) plus the
+    closed power tail from A >= a0, certified to 1e-13 and added to
+    err_estimate.  DivergenceError for decay alpha^-1 or slower."""
+    weight = complex(weight)
+    us = tuple(complex(u) for u in us)
+    big_u = max((abs(u) for u in us), default=0.0)
+    start = max(a0, _tail_abscissa(big_u, max(big_u, abs(weight))))
+    powers, A, rem = _certified_powers(lambda A: _product_powers(weight, us, A, 1e-13),
+                                       start, 1e-13)
+    tail = _closed_power_tail(powers, 0, A)
+    if A == a0:
+        return QuadResult(tail, rem, 0)
+    f, cycles = _weighted_product(weight, us)
+    head = integrate_finite(f, a0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
+    return QuadResult(head.value + tail, head.err_estimate + rem, head.evaluations)
 
 
 # Name of a tail term by the number of zeta1 factors it keeps.
@@ -301,7 +307,7 @@ def moment_rhs_terms(us) -> list[tuple[str, complex, int]]:
     for size in range(len(us) - 1, 0, -1):
         for subset in itertools.combinations(range(len(us)), size):
             kept = [j for j in range(len(us)) if j not in subset]
-            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept))
+            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept), 1.0)
             terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value, r.evaluations))
     return terms
 
@@ -381,30 +387,20 @@ def _weighted_unit_integral(power: complex, u: complex,
 
 
 def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
-    """Closed form against direct quadrature, split at alpha = 1 with the
-    endpoint-singularity substitution on (0, 1).
-
-    On [1, inf) the leading term alpha^{1-u}/(u-1) of zeta1(u, alpha) for
-    large alpha integrates in closed form to 1/((u-1)(u+v-2)); quadrature
-    takes the remainder, which decays like alpha^{-Re(u+v)} instead of
-    alpha^{1-Re(u+v)}.
+    """Closed form against direct quadrature, split at alpha = 1: the
+    endpoint-singularity substitution on (0, 1) and the weighted tail on
+    [1, inf), whose closed power tail carries the slow alpha^{1-u-v} decay.
     """
     u = complex(u)
     v = complex(v)
     closed = mellin_tail_closed_form(u, v)
     unit = _weighted_unit_integral(-v, u)
-
-    def rest(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        return np.power(a, -v) * (hurwitz_zeta1(u, a) - np.power(a, 1.0 - u) / (u - 1.0))
-
-    tail = integrate_semi_infinite(rest, 1.0, (u + v).real, abs_tol=1e-13, rel_tol=2e-11)
-    lead = 1.0 / ((u - 1.0) * (u + v - 2.0))
+    tail = _weighted_tail(v, (u,), 1.0)
     return IdentityReport.build(
         "mellin_tail",
         {"u": u, "v": v},
         closed,
-        unit.value + lead + tail.value,
+        unit.value + tail.value,
         unit.evaluations + tail.evaluations,
     )
 
@@ -571,7 +567,7 @@ def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
     v = complex(v)
     if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
         raise DomainError("split check needs Re u, Re v in (1, 2)")
-    direct = _weighted_tail(v, (u,))
+    direct = _weighted_tail(v, (u,), 1.0)
     unit_part, unit_evals = _recursion_rhs(u, v)
     return IdentityReport.build(
         "katsurada_split",

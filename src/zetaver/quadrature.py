@@ -1,6 +1,6 @@
 """Integration engines: adaptive Gauss-Kronrod on finite intervals,
-octave-based semi-infinite integration with certified algebraic tails, and
-truncated vertical-line (Mellin-Barnes) contours.
+truncated vertical-line (Mellin-Barnes) contours, and an
+endpoint-singularity substitution for unit-interval power weights.
 
 All engines accept complex-valued integrands.  Integrands are called with a
 numpy array of nodes and must return an array of values of the same shape.
@@ -21,13 +21,12 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError, PoleTooCloseError
+from .errors import ConvergenceError, DomainError, PoleTooCloseError
 
 __all__ = [
     "QuadResult",
     "ContourSpec",
     "integrate_finite",
-    "integrate_semi_infinite",
     "integrate_vertical_line",
     "integrate_unit_power_singular",
     "stirling_truncation_height",
@@ -78,10 +77,6 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))
 # 15 * _CHUNK = 480 nodes at once, which bounds the memory of integrands
 # that build nodes x n matrices.
 _CHUNK = 32
-
-# Octaves [a 2^k, a 2^(k+1)] integrate_semi_infinite may take before its
-# tail bound certifies.
-_MAX_OCTAVES = 120
 
 # Initial panels per local cycle of an integrand (fourier._fourier_coeffs
 # starts from the same density), and the most initial panels allowed.
@@ -235,45 +230,6 @@ def integrate_finite(
             f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={len(heap)}"
         )
     return QuadResult(complex(total), float(total_err), evals)
-
-
-def integrate_semi_infinite(
-    f,
-    a: float,
-    decay: float,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> QuadResult:
-    """int_a^inf f, where |f(x)| <= C x^{-decay} eventually, decay > 1.
-
-    Integrates octave panels [a 2^k, a 2^{k+1}] and stops once the certified
-    algebraic tail bound C A^{1-decay}/(decay-1), with C measured on the
-    last octave, drops below tolerance.
-    """
-    if decay <= 1.0:
-        raise DivergenceError("tail decay must exceed 1")
-    if a <= 0.0:
-        raise DomainError("requires a > 0")
-    fvec = _wrap(f)
-    total = 0j
-    total_err = 0.0
-    evals = 0
-    lo = a
-    for _ in range(_MAX_OCTAVES):
-        hi = 2.0 * lo
-        res = integrate_finite(fvec, lo, hi, abs_tol=abs_tol / 4.0, rel_tol=rel_tol / 4.0, max_panels=4000)
-        total += res.value
-        total_err += res.err_estimate
-        evals += res.evaluations
-        sample = np.geomspace(lo, hi, 9)
-        c_meas = float(np.max(np.abs(fvec(sample)) * sample**decay))
-        evals += 9
-        tail = 1.25 * c_meas * hi ** (1.0 - decay) / (decay - 1.0)
-        lo = hi
-        if tail <= max(abs_tol, rel_tol * abs(total)) / 2.0:
-            return QuadResult(complex(total), float(total_err + tail), evals)
-    raise ConvergenceError("semi-infinite tail failed to certify within octave budget")
 
 
 def stirling_truncation_height(abs_tol: float, poly_degree: float = 0.0, decay_rate: float = math.pi) -> float:

@@ -9,13 +9,14 @@ the argument over which the surrounding quadrature code vectorises.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 
 __all__ = [
     "gamma",
@@ -507,6 +508,152 @@ def osc_power_tail(s: complex, m: int, a0: float) -> complex:
     s = complex(s)
     w = -2j * math.pi * m  # integral is int x^{-s} e^{-w x} dx
     return complex(np.exp((1.0 - s) * math.log(a0)) * _norm_upper_gamma(1.0 - s, w * a0))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form power tails of zeta1 term lists and products.
+#
+# Integrands are term lists [(coef, w, p)] meaning coef * zeta1(w, a) * a^p
+# (w = None drops the zeta1 factor).  Past a moderate abscissa A, zeta1 is
+# replaced by its Euler-Maclaurin expansion in 1+a, re-expanded binomially
+# into pure powers of a; each power integrates against e^{-2 pi i n a} in
+# closed form (incomplete Gamma, or a plain power at n = 0), so no
+# quadrature ever runs where the regularised brackets cancel to far below
+# double-precision noise.
+# ---------------------------------------------------------------------------
+
+
+def _binom_powers(g: complex, base_power: complex, coef: complex, A: float,
+                  acc: dict, big: dict, j_max: int, tol: float):
+    """Add coef * (1+a)^g = coef * sum_j binom(g, j) a^{g - j} to acc as
+    powers a^{base_power + g - j}.  Returns (rem, bound, exponent): rem is
+    the first omitted term at A, and the omitted sum is at most
+    bound (a/A)^exponent on [A, inf), bound being rem / (1 - r) for r at
+    least the ratio of consecutive omitted terms there."""
+    c = coef
+    j = 0
+    while True:
+        key = base_power + g - j
+        acc[key] = acc.get(key, 0j) + c
+        big[key] = max(big.get(key, 0.0), abs(c))
+        nxt = c * (g - j) / (j + 1.0)
+        j += 1
+        rem = abs(nxt) * A ** (g.real - j)
+        if j >= j_max or (j > abs(g) / A and rem * A ** base_power.real < tol):
+            rem *= A ** base_power.real
+            r = max(abs(g) + j, j + 1.0) / ((j + 1.0) * A)
+            return rem, rem / (1.0 - r) if r < 1.0 else math.inf, g.real - j + base_power.real
+        c = nxt
+
+
+def _terms_to_powers(terms, A: float, integral_tol: float,
+                     em_j: int = 8, j_max: int = 64):
+    """Expand a term list into {power: coef} valid for a >= A.
+
+    Coefficients that are catastrophically cancelled (below 1e-13 of the
+    largest contribution to the same power, as happens by construction for
+    the regularised brackets) are dropped as exact zeros.  Returns
+    (powers, rem, (bound, exponent)): rem is A times the summed first
+    omitted terms at A, an integral-scale estimate, and the omitted part is
+    at most bound (a/A)^exponent on [A, inf).
+    """
+    tol_each = integral_tol / (A * (4.0 + 3.0 * em_j) * max(len(terms), 1))
+    acc: dict = {}
+    big: dict = {}
+    pieces = []
+    for coef, w, p in terms:
+        if w is None:
+            acc[p] = acc.get(p, 0j) + coef
+            big[p] = max(big.get(p, 0.0), abs(coef))
+            continue
+        # zeta1(w, a) = (1+a)^{1-w}/(w-1) + (1+a)^{-w}/2 + EM corrections
+        pieces.append(_binom_powers(1.0 - w, p, coef / (w - 1.0), A, acc, big, j_max, tol_each))
+        pieces.append(_binom_powers(-w, p, 0.5 * coef, A, acc, big, j_max, tol_each))
+        poch = w
+        for j in range(1, em_j + 1):
+            if j > 1:
+                poch = poch * (w + 2 * j - 3) * (w + 2 * j - 2)
+            pieces.append(_binom_powers(-w - (2 * j - 1), p, coef * _b2j_over_factorial(j) * poch,
+                                        A, acc, big, j_max, tol_each))
+        poch = poch * (w + 2 * em_j - 1) * (w + 2 * em_j)
+        # the first omitted correction; the _em_hurwitz ratio bounds the rest
+        # and (1+a)^{-x} <= a^{-x}
+        first = abs(coef * _b2j_over_factorial(em_j + 1) * poch)
+        power = -w.real - 2 * em_j - 1 + p.real
+        ratio = (abs(w) + 2 * em_j + 1) / (w.real + 2 * em_j + 1)
+        pieces.append((first * (1.0 + A) ** power, first * ratio * A**power, power))
+    scale = max((abs(c) * A ** q.real for q, c in acc.items()), default=0.0)
+    powers = {
+        q: c
+        for q, c in acc.items()
+        if abs(c) > 1e-13 * big.get(q, 0.0) and abs(c) * A ** q.real > 1e-17 * scale
+    }
+    return (powers, sum(piece[0] for piece in pieces) * A,
+            (sum(piece[1] for piece in pieces), max((piece[2] for piece in pieces), default=-math.inf)))
+
+
+def _product_powers(w: complex, us, A: float, tol: float):
+    """a^{-w} prod_j zeta1(u_j, a) for a >= A as ({power: coef}, rem).
+
+    The factors' power dicts are multiplied and cancelled coefficients
+    dropped as in _terms_to_powers.  Each factor is its truncated sum P_j,
+    at most |P_j(A)| (a/A)^{max power}, plus a remainder R_j bounded the
+    same way; rem integrates over [A, inf) the bound this gives on
+    prod (P_j + R_j) - prod P_j, one power per nonempty set of R factors.
+    """
+    keys, coefs, sizes = np.array([-w]), np.array([1.0 + 0j]), np.array([1.0])
+    bounds = []
+    for u in us:
+        powers, _, rem_bound = _terms_to_powers([(1.0 + 0j, u, 0j)], A, tol)
+        q = np.array(list(powers))
+        c = np.array(list(powers.values()))
+        bounds.append(((np.abs(c) * A**q.real).sum(), q.real.max(), rem_bound))
+        keys, where = np.unique((keys[:, None] + q).ravel(), return_inverse=True)
+        terms, contributions = (coefs[:, None] * c).ravel(), (sizes[:, None] * np.abs(c)).ravel()
+        coefs, sizes = np.zeros(keys.size, dtype=complex), np.zeros(keys.size)
+        np.add.at(coefs, where, terms)
+        np.maximum.at(sizes, where, contributions)
+    kept = np.abs(coefs) > 1e-13 * sizes
+    rem = 0.0
+    for picks in itertools.product((False, True), repeat=len(bounds)):
+        size, power = A**-w.real, -w.real
+        for (value, value_power, (r, r_power)), pick in zip(bounds, picks):
+            size *= r if pick else value
+            power += r_power if pick else value_power
+        if any(picks):
+            rem += size * A / (-power - 1.0) if power < -1.0 else math.inf
+    return dict(zip(keys[kept].tolist(), coefs[kept].tolist())), rem
+
+
+def _closed_power_tail(powers: dict, n: int, A: float) -> complex:
+    """sum_q c_q int_A^inf a^q e^{-2 pi i n a} da in closed form."""
+    total = 0j
+    for q, c in powers.items():
+        if n == 0:
+            if q.real >= -1.0:
+                raise DivergenceError(f"tail carries the non-integrable power {q} at n = 0")
+            total += -c * A ** (q + 1.0) / (q + 1.0)
+        else:
+            total += c * osc_power_tail(-q, -n, A)
+    return complex(total)
+
+
+def _tail_abscissa(big_w: float, big: float) -> float:
+    """First abscissa of a power expansion with zeta1 exponents up to big_w
+    and powers up to big in modulus; 0.8 big_w keeps the Euler-Maclaurin
+    correction ratio near 1/25 per pair."""
+    return max(6.0, 0.8 * big_w, (big + 12.0) / 3.0)
+
+
+def _certified_powers(expand, A: float, abs_tol: float):
+    """expand(A) -> (powers, rem), A moving out by 1.6x until rem <= abs_tol;
+    returns (powers, A, rem)."""
+    for _ in range(4):
+        powers, rem = expand(A)
+        if rem <= abs_tol:
+            return powers, A, rem
+        A *= 1.6
+    raise ConvergenceError("power expansion of the tail failed to certify")
 
 
 def fourier_coeff_a(n: int, s) -> complex:

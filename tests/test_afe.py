@@ -130,11 +130,11 @@ def test_weak_afe_slope_not_exploding():
 
 
 def test_weak_afe_four_form_vs_two_form():
-    d = afe.weak_afe_forms_check(complex(0.5, 100.0))
-    # the two forms differ by exactly the explicit correction terms
-    assert abs(d["residual_two_form"] - d["residual_four_form"]) <= (
-        d["correction_1"] + d["correction_2"] + 1e-12
-    )
+    rep = afe.weak_afe_forms_check(complex(0.5, 100.0))
+    d = rep.params
+    # the two forms (residuals |lhs| and abs_residual) differ by exactly the
+    # explicit correction terms
+    assert abs(abs(rep.lhs) - rep.abs_residual) <= d["correction_1"] + d["correction_2"] + 1e-12
     # and those corrections sit inside their envelope
     assert d["corrections_over_envelope"] <= 2.0
 

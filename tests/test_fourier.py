@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zetaver import fourier as fr
+from zetaver import special
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
 from zetaver.quadrature import (
     _NODES,
@@ -159,7 +160,7 @@ def test_an_of_2sigma_minus_1_is_order_one_over_n():
 def test_closed_power_tail_divergent_at_n0():
     # a^{-1/2} is not integrable at n = 0
     with pytest.raises(DivergenceError):
-        fr._closed_power_tail({-0.5 + 0j: 1.0 + 0j}, 0, 24.0)
+        special._closed_power_tail({-0.5 + 0j: 1.0 + 0j}, 0, 24.0)
 
 
 def test_q_set_hermitian_exact_and_consistent():

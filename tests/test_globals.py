@@ -1,7 +1,8 @@
 """Every global name a zetaver function loads must exist: a name that is in
 neither the module's globals nor the builtins only fails, with NameError,
-when its line finally runs."""
+when its line finally runs.  Likewise every exported name must resolve."""
 
+import ast
 import builtins
 import dis
 import importlib
@@ -32,4 +33,20 @@ def test_every_loaded_global_is_defined():
             for ins in dis.get_instructions(code):
                 if ins.opname == "LOAD_GLOBAL" and ins.argval not in known:
                     missing.append(f"{info.name}.{code.co_qualname}: {ins.argval}")
+    assert not missing, missing
+
+
+def test_every_export_and_package_import_resolves():
+    missing = []
+    for info in pkgutil.iter_modules(zetaver.__path__):
+        module = importlib.import_module(f"zetaver.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", [])
+                    if not hasattr(module, name)]
+    with open(zetaver.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"zetaver.{node.module}")
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if not (hasattr(module, alias.name) and hasattr(zetaver, alias.name))]
     assert not missing, missing

@@ -1,17 +1,20 @@
 """Contour identity and product-moment identities: both sides by
 independent routes, plus the brute-force double-sum oracle for f."""
 
+import heapq
 import math
+import types
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from zetaver import identities as idn
-from zetaver import oracle
-from zetaver.errors import ConvergenceError, DomainError
+from zetaver import oracle, quadrature
+from zetaver.errors import ConvergenceError, DivergenceError, DomainError
 from zetaver.quadrature import ContourSpec, integrate_vertical_line
 from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta
+from zetaver.suites import SuiteSpec, run_suite
 
 mp.mp.dps = 25
 
@@ -255,6 +258,119 @@ def test_mellin_tail_boundary_is_domain_error():
     # Re(u+v) = 2 is the edge of Eq. 2.12's domain, where both sides diverge
     with pytest.raises(DomainError):
         idn.mellin_tail_check(2.0, 0.0)
+
+
+def test_mellin_tail_evaluation_counts_pinned():
+    # the unit part and the head on [1, 6] take the same panels on every
+    # default row
+    for u in (2.0, 2.5, 3.0):
+        for v in (0.1, 0.3, 0.5):
+            assert idn.mellin_tail_check(u, v).evaluations == 885
+
+
+@pytest.mark.parametrize("suite_id", ["quadratic_moment", "triple_moment",
+                                      "quadruple_moment", "mellin_tail"])
+def test_default_rows_make_no_bisection(suite_id, monkeypatch):
+    # integrate_finite pops its heap only while it bisects
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(quadrature, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    report = run_suite(SuiteSpec(suite_id))
+    assert report.rows and not pops
+
+
+# ---------------------------------------------------------------------------
+# weighted tails int_{a0}^inf alpha^{-w} prod zeta1(u_j, alpha)
+# ---------------------------------------------------------------------------
+
+
+def test_weighted_tail_powers():
+    res = idn._weighted_tail(2.0, (), 1.0)
+    assert abs(res.value - 1.0) < 1e-10
+    res = idn._weighted_tail(1.5, (), 4.0)
+    assert abs(res.value - 1.0) < 1e-9
+
+
+def test_weighted_tail_zeta1_vs_partial_fraction_oracle():
+    # int_1^inf a^-2 zeta1(2, a) da = sum_n (1/n^2)(1 + 1/(n+1) - (2/n) log(n+1))
+    m = 200_000
+    n = np.arange(1, m + 1, dtype=float)
+    terms = (1.0 + 1.0 / (n + 1.0) - (2.0 / n) * np.log(n + 1.0)) / n**2
+    x = m + 1.0
+    # tails of the three pieces: sum 1/n^2, sum 1/(n^2 (n+1)), sum 2 log(n+1)/n^3
+    s2 = 1.0 / x + 1.0 / (2.0 * x * x) + 1.0 / (6.0 * x**3)
+    s21 = 1.0 / (2.0 * x * x)
+    s3 = math.log(x) / x**2 + 1.0 / (2.0 * x * x) + 2.0 / (3.0 * x**3)
+    oracle_value = math.fsum(terms) + s2 + s21 - s3
+    res = idn._weighted_tail(2.0, (2.0,), 1.0)
+    assert abs(res.value - oracle_value) / abs(oracle_value) < 1e-9
+
+
+def test_weighted_tail_divergence_guard():
+    # decay alpha^-1: the closed tail meets a non-integrable power
+    with pytest.raises(DivergenceError):
+        idn._weighted_tail(1.0, (), 1.0)
+    with pytest.raises(DivergenceError):
+        idn._weighted_tail(0.0, (2.0,), 1.0)
+
+
+# 120-bit zeta1 for the tail oracle: direct terms up to 1 + a + n >= 25, then
+# 16 Euler-Maclaurin pairs (error below 1e-30 there).  mp.zeta itself is
+# too slow, and at complex s and large a it grows without bound in memory.
+_MP_PAIRS = 16
+
+
+def _mp_zeta1(u, a, coefs):
+    n = int(mp.ceil(24 - a)) if a < 24 else 0
+    x = 1 + a + n
+    acc = mp.fsum((1 + a + k) ** -u for k in range(n))
+    acc += x ** (1 - u) / (u - 1) + x**-u / 2
+    poch, xp = u, x ** (1 - u)
+    for j, c in enumerate(coefs, 1):
+        xp /= x * x
+        acc += c * poch * xp
+        poch *= (u + 2 * j - 1) * (u + 2 * j)
+    return acc
+
+
+def _mp_weighted_tail(w, us, a0):
+    """int_{a0}^inf a^-w prod zeta1(u_j, a) da by 120-bit tanh-sinh in t,
+    a = a0 t^-k: k = 1/(decay - 1) makes the integrand bounded at t = 0."""
+    k = 1.0 / (w.real + sum(u.real - 1.0 for u in us) - 1.0)
+    with mp.workprec(120):
+        coefs = [mp.bernoulli(2 * j) / mp.factorial(2 * j) for j in range(1, _MP_PAIRS + 1)]
+        for u in (mp.mpc(1.3, 2.0), mp.mpc(2.4, -1.0)):
+            for a in (mp.mpf(0.5), mp.mpf(30)):
+                assert abs(_mp_zeta1(u, a, coefs) - mp.zeta(u, 1 + a)) < mp.mpf(10) ** -30
+        mw, mus, ma0 = mp.mpc(w), [mp.mpc(u) for u in us], mp.mpf(a0)
+
+        def f(t):
+            a = ma0 * t**-k
+            acc = a**-mw * k * a / t
+            for u in mus:
+                acc *= _mp_zeta1(u, a, coefs)
+            return acc
+
+        value, err = mp.quad(f, [0, 1], error=True)
+        assert err < mp.mpf(10) ** -25
+        return complex(value)
+
+
+@pytest.mark.parametrize("w, us, a0", [
+    (2.3, (1.3 + 2j,), 1.0),                        # complex exponent
+    (0.1, (2.0,), 1.0),                             # mellin_tail, decay alpha^-1.1
+    (2.0, (2.0,), 49.5),                            # f_series at u = v = 2, alpha = 0.5
+    (2.15, (2.0 + 1j, 2.4 - 1j), 1.0),              # a pair of the triple_moment im = 1 row
+    (2.0 + 1j, (2.0 + 1j, 2.4 - 1j, 2.15), 1.0),    # its three factors, complex weight
+])
+def test_weighted_tail_error_estimate_covers_oracle(w, us, a0):
+    res = idn._weighted_tail(w, us, a0)
+    assert abs(res.value - _mp_weighted_tail(complex(w), us, a0)) <= res.err_estimate
 
 
 def test_unit_recursion_telescoping_point():

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from zetaver import quadrature
-from zetaver.errors import ConvergenceError, DivergenceError, DomainError, PoleTooCloseError
+from zetaver.errors import ConvergenceError, DomainError, PoleTooCloseError
 from zetaver.fourier import _fourier_coeffs
 from zetaver.quadrature import (
     ContourSpec,
     integrate_finite,
-    integrate_semi_infinite,
     integrate_unit_power_singular,
     integrate_vertical_line,
 )
@@ -77,33 +76,6 @@ def test_error_estimate_honesty_battery():
         if abs(res.value - truth) <= 10.0 * max(res.err_estimate, 1e-16):
             ok += 1
     assert ok >= 0.99 * len(cases)
-
-
-def test_semi_infinite_powers():
-    res = integrate_semi_infinite(lambda x: np.asarray(x, dtype=complex) ** -2.0, 1.0, 2.0)
-    assert abs(res.value - 1.0) < 1e-10
-    res = integrate_semi_infinite(lambda x: np.asarray(x, dtype=complex) ** -1.5, 4.0, 1.5)
-    assert abs(res.value - 1.0) < 1e-9
-
-
-def test_semi_infinite_zeta1_vs_partial_fraction_oracle():
-    # int_1^inf a^-2 zeta1(2, a) da = sum_n (1/n^2)(1 + 1/(n+1) - (2/n) log(n+1))
-    m = 200_000
-    n = np.arange(1, m + 1, dtype=float)
-    terms = (1.0 + 1.0 / (n + 1.0) - (2.0 / n) * np.log(n + 1.0)) / n**2
-    x = m + 1.0
-    # tails of the three pieces: sum 1/n^2, sum 1/(n^2 (n+1)), sum 2 log(n+1)/n^3
-    s2 = 1.0 / x + 1.0 / (2.0 * x * x) + 1.0 / (6.0 * x**3)
-    s21 = 1.0 / (2.0 * x * x)
-    s3 = math.log(x) / x**2 + 1.0 / (2.0 * x * x) + 2.0 / (3.0 * x**3)
-    oracle = math.fsum(terms) + s2 + s21 - s3
-    res = integrate_semi_infinite(lambda a: np.asarray(a) ** -2.0 * hurwitz_zeta1(2.0, a), 1.0, 3.0)
-    assert abs(res.value - oracle) / abs(oracle) < 1e-9
-
-
-def test_semi_infinite_divergence_guard():
-    with pytest.raises(DivergenceError):
-        integrate_semi_infinite(lambda x: 1.0 / x, 1.0, 1.0)
 
 
 # Oscillatory integrals int_a^b f(x) e^{-2 pi i n x} dx run on the Fourier
