@@ -99,10 +99,10 @@ def _eval_value(args):
         u = _require(args, "u")
         v = _require(args, "v")
         if u.real > 1.0 and v.real > 1.0:
-            value = fourier.qn_direct(int(args.n), u, v)
+            q = fourier.qn_direct(int(args.n), u, v)
         else:
-            value = fourier.qn_continued(int(args.n), u, v)
-        return value, 1e-10
+            q = fourier.qn_continued(int(args.n), u, v)
+        return q.value, q.err_estimate
     if fn == "S1":
         value = afe.s1_sum(args.sigma, args.t, _require(args, "alpha").real)
         return value, 1e-13 * max(abs(value), 1.0)

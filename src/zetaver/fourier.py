@@ -19,14 +19,15 @@ from .quadrature import (
     _PER_CYCLE,
     _WG_FULL,
     _WGK_FULL,
+    QuadResult,
     _march_panels,
     integrate_finite,
 )
 from .special import (
     _certified_powers,
     _closed_power_tail,
+    _product_powers,
     _tail_abscissa,
-    _terms_to_powers,
     _zeta1_cycles,
     fourier_coeff_a,
     hurwitz_zeta1,
@@ -106,26 +107,28 @@ def tail_lemma_check(s: complex, alpha: float, eta: float) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _regularized_terms(u: complex, v: complex):
-    return [
-        (1.0 + 0j, u, -v),
-        (-1.0 / (u - 1.0), None, 1.0 - u - v),
-        (0.5 + 0j, None, -u - v),
-    ]
-
-
 def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
-    """int_1^inf F(a) e^{-2 pi i n a} da for every n in ns, F being
-    zeta1(u, a) a^{-v} (direct) or that minus its two leading powers
-    (continued): the head on [1, A] from one _fourier_coeffs call over a
-    Zeta1AlphaTable, plus the closed power tail from A."""
-    terms = [(1.0 + 0j, u, -v)] if direct else _regularized_terms(u, v)
-    big = max(abs(u), max(abs(p) for _, _, p in terms))
+    """int_1^inf F(a) e^{-2 pi i n a} da for every n in ns as {n: QuadResult},
+    F being zeta1(u, a) a^{-v} (direct) or that minus its two leading powers
+    a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the head on [1, A] from one
+    _fourier_coeffs call over a Zeta1AlphaTable, plus the closed power tail
+    from A.  err_estimate is the head's error plus the certified bound on
+    the tail's omitted part; evaluations, the table's and the head's, are
+    the cost of the whole call and the same for every n."""
+    big = max(abs(u), abs(v)) if direct else max(abs(u), abs(v), abs(1.0 - u - v), abs(u + v))
     # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
     # Gamma in osc_power_tail, large against the powers at every n != 0
     A = max(24.0, _tail_abscissa(abs(u), big), 1.3 * (big + 90.0) / _2PI)
-    powers, A, _ = _certified_powers(lambda A: _terms_to_powers(terms, A, abs_tol / 4.0)[:2],
-                                     A, abs_tol)
+    # the subtracted powers are the expansion's two leading ones, exactly
+    cut = -(u + v).real - 0.5
+
+    def expand(A: float):
+        powers, rem = _product_powers(v, (u,), A, abs_tol / 4.0)
+        if not direct:
+            powers = {q: c for q, c in powers.items() if q.real < cut}
+        return powers, rem
+
+    powers, A, rem = _certified_powers(expand, A, abs_tol)
     table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
 
     if direct:
@@ -138,15 +141,19 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
                     + 0.5 * np.power(x, -u - v))
 
     cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
-    heads, _errs, _evals = _fourier_coeffs(values, cycles, ns, 1.0, A, abs_tol / 2.0)
-    return {n: head + _closed_power_tail(powers, n, A) for n, head in zip(ns, heads)}
+    heads, errs, evals = _fourier_coeffs(values, cycles, ns, 1.0, A, abs_tol / 2.0)
+    evals += table.evaluations
+    return {n: QuadResult(head + _closed_power_tail(powers, n, A), float(err) + rem, evals)
+            for n, head, err in zip(ns, heads, errs)}
 
 
 def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
-    """q_n(u, v) = lead_n + I_u(n) + I_v(n) for every n in ns, keyed by n.
+    """q_n(u, v) = lead_n + I_u(n) + I_v(n) for every n in ns as
+    {n: QuadResult}.
 
     lead_n is a_n(u+v) (direct) or [1/(u-1) + 1/(v-1)] a_n(u+v-1)
-    (continued); I_u and I_v are the side integrals of u and of v.  For
+    (continued); I_u and I_v are the side integrals of u and of v, whose
+    errors add, and evaluations count both sides' whole calls.  For
     v = conj u, I_v(n) = conj I_u(-n), so only the u side is integrated and
     q_{-n} = conj q_n holds exactly; the dict then holds -n for every n.
     """
@@ -161,16 +168,21 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
         side = _side_integrals(u, v, sorted({m for n in ns for m in (n, -n)}), abs_tol, direct)
         out = {}
         for m in sorted({abs(n) for n in ns}):
-            out[m] = complex(lead(m) + side[m] + side[-m].conjugate())
+            value = complex(lead(m) + side[m].value + side[-m].value.conjugate())
+            err = side[m].err_estimate + side[-m].err_estimate
+            out[m] = QuadResult(value, err, side[m].evaluations)
             if m:
-                out[-m] = out[m].conjugate()
+                out[-m] = QuadResult(value.conjugate(), err, side[m].evaluations)
         return out
     side_u = _side_integrals(u, v, ns, abs_tol, direct)
     side_v = _side_integrals(v, u, ns, abs_tol, direct)
-    return {n: complex(lead(n) + side_u[n] + side_v[n]) for n in ns}
+    return {n: QuadResult(complex(lead(n) + side_u[n].value + side_v[n].value),
+                          side_u[n].err_estimate + side_v[n].err_estimate,
+                          side_u[n].evaluations + side_v[n].evaluations)
+            for n in ns}
 
 
-def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex:
+def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> QuadResult:
     """q_n(u,v) = a_n(u+v) + int_1^inf zeta1(u,a) a^{-v} e^{-2 pi i n a} da
     + (u <-> v), for Re u > 1 and Re v > 1."""
     u = complex(u)
@@ -180,13 +192,13 @@ def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex
     return _q_coeffs(u, v, [n], abs_tol, direct=True)[n]
 
 
-def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> complex:
+def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> QuadResult:
     """Analytically continued q_n(u,v), valid for Re u, Re v > 0:
 
         [1/(u-1) + 1/(v-1)] a_n(u+v-1) + two regularized tail integrals.
 
-    The regularized integrals are evaluated with certified by-parts tails,
-    which makes the value exact up to quadrature error.
+    The regularized integrals are evaluated with certified power tails:
+    err_estimate is the quadrature's estimate plus the tails' bounds.
     """
     u = complex(u)
     v = complex(v)
@@ -391,12 +403,12 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
     lhs = float(lhs_res.value.real)
     coeffs = _q_coeffs(u, u.conjugate(), range(-n_max, n_max + 1),
                        abs_tol=max(1e-10, 2e-5 * lhs / max(n_max, 1)), direct=sigma > 1.0)
-    rhs = sum(abs(qv) ** 2 for qv in coeffs.values())
+    rhs = sum(abs(qv.value) ** 2 for qv in coeffs.values())
     if t == 0.0:
         # |q_n|^2 ~ c2/n^2 + c3/n^3 + c4/n^4 fitted on the last computed block,
         # resummed exactly with shifted-zeta tails
         ns = np.arange(max(n_max - 40, 4), n_max + 1, dtype=float)
-        ys = np.array([abs(coeffs[int(n)]) ** 2 for n in ns])
+        ys = np.array([abs(coeffs[int(n)].value) ** 2 for n in ns])
         basis = np.vstack([ns**-2, ns**-3, ns**-4]).T
         fit, *_ = np.linalg.lstsq(basis, ys, rcond=None)
         tail = 2.0 * sum(
@@ -409,8 +421,8 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
         for n in range(max(n_max - 20, 1), n_max + 1):
             gap = abs(n - t / _2PI)
             if gap > 1.0:
-                c_meas = max(c_meas, abs(coeffs[n]) * gap / math.sqrt(max(t, 1.0)),
-                             abs(coeffs[-n]) * gap / math.sqrt(max(t, 1.0)))
+                c_meas = max(c_meas, abs(coeffs[n].value) * gap / math.sqrt(max(t, 1.0)),
+                             abs(coeffs[-n].value) * gap / math.sqrt(max(t, 1.0)))
         tail = 2.0 * c_meas**2 * max(t, 1.0) / max(n_max - t / _2PI, 1.0)
     rhs += tail
     return IdentityReport.build(

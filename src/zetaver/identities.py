@@ -30,6 +30,7 @@ from .quadrature import (
 from .special import (
     _certified_powers,
     _closed_power_tail,
+    _em_hurwitz,
     _product_powers,
     _tail_abscissa,
     _zeta1_cycles,
@@ -110,11 +111,13 @@ class IdentityReport:
 def f_series(u: complex, v: complex, alpha: float) -> complex:
     """f(u,v,alpha) = sum_{n,m >= 1} (n+alpha)^{-v} (n+m+alpha)^{-u}.
 
-    The inner sum is zeta1(u, n+alpha) exactly; the outer sum is truncated
-    at M with an Euler-Maclaurin tail (integral plus half-term plus first
-    derivative correction), so slowly converging exponent combinations stay
-    certified.  The integral starts at M + 1 + alpha >= 49, past the power
-    tail's abscissa, so it is the closed power tail alone.
+    The inner sum is zeta1(u, n+alpha) exactly.  The outer sum runs
+    directly to M; past it, h(a) = a^{-v} zeta1(u, a) is the power
+    expansion sum_q c_q a^q of special._product_powers on a >= a0 - 1,
+    a0 = M + 1 + alpha, so sum_{n>M} h(n+alpha) = sum_q c_q zeta_H(-q, a0).
+    The omitted part decreases in a, so its sum from a0 is at most its
+    integral from a0 - 1, the expansion's remainder bound; ConvergenceError
+    if that exceeds 1e-13.
     """
     u = complex(u)
     v = complex(v)
@@ -128,11 +131,12 @@ def f_series(u: complex, v: complex, alpha: float) -> complex:
     head = complex(np.sum(np.power(x, -v) * hurwitz_zeta1(u, x)))
 
     a0 = M + 1 + alpha
-    z1 = complex(hurwitz_zeta1(u, a0))
-    z2 = complex(hurwitz_zeta1(u + 1.0, a0))
-    h = a0**-v * z1
-    h_prime = -v * a0 ** -(v + 1.0) * z1 - u * a0**-v * z2
-    return head + _weighted_tail(v, (u,), a0).value + h / 2.0 - h_prime / 12.0
+    powers, rem = _product_powers(v, (u,), a0 - 1.0, 1e-13)
+    if rem > 1e-13:
+        raise ConvergenceError(f"f_series outer tail bound {rem:.3e} exceeds 1e-13")
+    q = np.array(list(powers))
+    c = np.array(list(powers.values()))
+    return head + complex(np.sum(c * _em_hurwitz(-q, a0)[0]))
 
 
 def contour_interval(u: complex, v: complex) -> tuple[float, float]:
@@ -267,22 +271,19 @@ def _unit_moment_lhs(us):
     return integrate_finite(f, 0.0, 1.0, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
 
 
-def _weighted_tail(weight: complex, us, a0: float) -> QuadResult:
-    """int_{a0}^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha), 0 to 3
-    factors: an integrate_finite head on [a0, A] (none if A = a0) plus the
-    closed power tail from A >= a0, certified to 1e-13 and added to
-    err_estimate.  DivergenceError for decay alpha^-1 or slower."""
+def _weighted_tail(weight: complex, us) -> QuadResult:
+    """int_1^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha), 0 to 3
+    factors: an integrate_finite head on [1, A] plus the closed power tail
+    from A, certified to 1e-13 and added to err_estimate.  DivergenceError
+    for decay alpha^-1 or slower."""
     weight = complex(weight)
     us = tuple(complex(u) for u in us)
     big_u = max((abs(u) for u in us), default=0.0)
-    start = max(a0, _tail_abscissa(big_u, max(big_u, abs(weight))))
     powers, A, rem = _certified_powers(lambda A: _product_powers(weight, us, A, 1e-13),
-                                       start, 1e-13)
+                                       _tail_abscissa(big_u, max(big_u, abs(weight))), 1e-13)
     tail = _closed_power_tail(powers, 0, A)
-    if A == a0:
-        return QuadResult(tail, rem, 0)
     f, cycles = _weighted_product(weight, us)
-    head = integrate_finite(f, a0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
+    head = integrate_finite(f, 1.0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
     return QuadResult(head.value + tail, head.err_estimate + rem, head.evaluations)
 
 
@@ -307,7 +308,7 @@ def moment_rhs_terms(us) -> list[tuple[str, complex, int]]:
     for size in range(len(us) - 1, 0, -1):
         for subset in itertools.combinations(range(len(us)), size):
             kept = [j for j in range(len(us)) if j not in subset]
-            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept), 1.0)
+            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept))
             terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value, r.evaluations))
     return terms
 
@@ -395,7 +396,7 @@ def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
     v = complex(v)
     closed = mellin_tail_closed_form(u, v)
     unit = _weighted_unit_integral(-v, u)
-    tail = _weighted_tail(v, (u,), 1.0)
+    tail = _weighted_tail(v, (u,))
     return IdentityReport.build(
         "mellin_tail",
         {"u": u, "v": v},
@@ -567,7 +568,7 @@ def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
     v = complex(v)
     if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
         raise DomainError("split check needs Re u, Re v in (1, 2)")
-    direct = _weighted_tail(v, (u,), 1.0)
+    direct = _weighted_tail(v, (u,))
     unit_part, unit_evals = _recursion_rhs(u, v)
     return IdentityReport.build(
         "katsurada_split",
@@ -579,30 +580,13 @@ def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
 
 
 def sum_recip_m_mp1u(u: complex) -> complex:
-    """sum_{m>=1} 1 / (m (m+1)^u), tail-certified by the binomial expansion
-    of the comparison integral."""
+    """sum_{m>=1} 1 / (m (m+1)^u) = sum_{j>=1} zeta1(u + j, 1) for Re u > 0,
+    from 1/m = sum_{j>=1} (m+1)^{-j}, summed to j = 64 in one array call;
+    the omitted terms sum to at most 2^(2 - Re u - 64)."""
     u = complex(u)
-    M = max(512, int(math.ceil(6.0 * abs(u))))
-    m = np.arange(1, M + 1, dtype=float)
-    head = complex(np.sum(np.power(m + 1.0, -u) / m))
-    # Euler-Maclaurin tail with f(x) = x^{-1} (1+x)^{-u}
-    x0 = float(M + 1)
-
-    def f(x: float) -> complex:
-        return complex(x**-1.0 * (1.0 + x) ** -u)
-
-    def fp(x: float) -> complex:
-        return complex(-(x**-2.0) * (1.0 + x) ** -u - u * x**-1.0 * (1.0 + x) ** -(u + 1.0))
-
-    # integral: int_x0^inf x^{-1-u} (1+1/x)^{-u} dx expanded binomially
-    integral = 0j
-    coef = 1.0 + 0j
-    for j in range(24):
-        integral += coef * x0 ** -(u + j) / (u + j)
-        coef *= -(u + j) / (j + 1.0)
-        if abs(coef) * x0 ** -(u.real + j + 1) < 1e-18:
-            break
-    return head + integral + f(x0) / 2.0 - fp(x0) / 12.0
+    if u.real <= 0.0:
+        raise DomainError("sum_recip_m_mp1u requires Re u > 0")
+    return complex(np.sum(hurwitz_zeta1(u + np.arange(1.0, 65.0), 1.0)))
 
 
 def i1_asymptotic_check(t_grid) -> list[IdentityReport]:

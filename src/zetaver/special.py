@@ -511,92 +511,83 @@ def osc_power_tail(s: complex, m: int, a0: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form power tails of zeta1 term lists and products.
+# Closed-form power tails of zeta1 and of its products.
 #
-# Integrands are term lists [(coef, w, p)] meaning coef * zeta1(w, a) * a^p
-# (w = None drops the zeta1 factor).  Past a moderate abscissa A, zeta1 is
-# replaced by its Euler-Maclaurin expansion in 1+a, re-expanded binomially
-# into pure powers of a; each power integrates against e^{-2 pi i n a} in
-# closed form (incomplete Gamma, or a plain power at n = 0), so no
-# quadrature ever runs where the regularised brackets cancel to far below
-# double-precision noise.
+# Past a moderate abscissa A, zeta1(u, a) is replaced by its Euler-Maclaurin
+# expansion in 1+a, re-expanded binomially into pure powers of a, with a
+# bound on the omitted part.  A power integrates against e^{-2 pi i n a} in
+# closed form (incomplete Gamma, or a plain power at n = 0) and sums over
+# a + k, k >= 0, as a Hurwitz zeta value, so neither quadrature nor a direct
+# sum runs where the expansion holds.
 # ---------------------------------------------------------------------------
 
+# Binomial terms at most per power of 1+a.
+_BINOM_TERMS = 64
 
-def _binom_powers(g: complex, base_power: complex, coef: complex, A: float,
-                  acc: dict, big: dict, j_max: int, tol: float):
-    """Add coef * (1+a)^g = coef * sum_j binom(g, j) a^{g - j} to acc as
-    powers a^{base_power + g - j}.  Returns (rem, bound, exponent): rem is
-    the first omitted term at A, and the omitted sum is at most
-    bound (a/A)^exponent on [A, inf), bound being rem / (1 - r) for r at
-    least the ratio of consecutive omitted terms there."""
+
+def _binom_powers(g: complex, coef: complex, A: float, acc: dict, big: dict, tol: float):
+    """Add coef * (1+a)^g = coef * sum_j binom(g, j) a^{g - j} to acc, and
+    the size of each contribution to big.  Returns (bound, exponent): the
+    omitted sum is at most bound (a/A)^exponent on [A, inf), bound being
+    the first omitted term at A over 1 - r, for r at least the ratio of
+    consecutive omitted terms there."""
     c = coef
     j = 0
     while True:
-        key = base_power + g - j
+        key = g - j
         acc[key] = acc.get(key, 0j) + c
         big[key] = max(big.get(key, 0.0), abs(c))
         nxt = c * (g - j) / (j + 1.0)
         j += 1
         rem = abs(nxt) * A ** (g.real - j)
-        if j >= j_max or (j > abs(g) / A and rem * A ** base_power.real < tol):
-            rem *= A ** base_power.real
+        if j >= _BINOM_TERMS or (j > abs(g) / A and rem < tol):
             r = max(abs(g) + j, j + 1.0) / ((j + 1.0) * A)
-            return rem, rem / (1.0 - r) if r < 1.0 else math.inf, g.real - j + base_power.real
+            return rem / (1.0 - r) if r < 1.0 else math.inf, g.real - j
         c = nxt
 
 
-def _terms_to_powers(terms, A: float, integral_tol: float,
-                     em_j: int = 8, j_max: int = 64):
-    """Expand a term list into {power: coef} valid for a >= A.
+def _zeta1_powers(u: complex, A: float, tol: float):
+    """zeta1(u, a) for a >= A as ({power: coef}, (bound, exponent)): the
+    Euler-Maclaurin expansion in 1+a with _EM_PAIRS Bernoulli pairs, each
+    power of 1+a expanded binomially.  The omitted part is at most
+    bound (a/A)^exponent on [A, inf).
 
-    Coefficients that are catastrophically cancelled (below 1e-13 of the
-    largest contribution to the same power, as happens by construction for
-    the regularised brackets) are dropped as exact zeros.  Returns
-    (powers, rem, (bound, exponent)): rem is A times the summed first
-    omitted terms at A, an integral-scale estimate, and the omitted part is
-    at most bound (a/A)^exponent on [A, inf).
+    Coefficients below 1e-13 of the largest contribution to the same power
+    are cancellation noise and dropped as exact zeros, as are powers below
+    1e-17 of the largest at A.
     """
-    tol_each = integral_tol / (A * (4.0 + 3.0 * em_j) * max(len(terms), 1))
+    tol_each = tol / (A * (4.0 + 3.0 * _EM_PAIRS))
     acc: dict = {}
     big: dict = {}
-    pieces = []
-    for coef, w, p in terms:
-        if w is None:
-            acc[p] = acc.get(p, 0j) + coef
-            big[p] = max(big.get(p, 0.0), abs(coef))
-            continue
-        # zeta1(w, a) = (1+a)^{1-w}/(w-1) + (1+a)^{-w}/2 + EM corrections
-        pieces.append(_binom_powers(1.0 - w, p, coef / (w - 1.0), A, acc, big, j_max, tol_each))
-        pieces.append(_binom_powers(-w, p, 0.5 * coef, A, acc, big, j_max, tol_each))
-        poch = w
-        for j in range(1, em_j + 1):
-            if j > 1:
-                poch = poch * (w + 2 * j - 3) * (w + 2 * j - 2)
-            pieces.append(_binom_powers(-w - (2 * j - 1), p, coef * _b2j_over_factorial(j) * poch,
-                                        A, acc, big, j_max, tol_each))
-        poch = poch * (w + 2 * em_j - 1) * (w + 2 * em_j)
-        # the first omitted correction; the _em_hurwitz ratio bounds the rest
-        # and (1+a)^{-x} <= a^{-x}
-        first = abs(coef * _b2j_over_factorial(em_j + 1) * poch)
-        power = -w.real - 2 * em_j - 1 + p.real
-        ratio = (abs(w) + 2 * em_j + 1) / (w.real + 2 * em_j + 1)
-        pieces.append((first * (1.0 + A) ** power, first * ratio * A**power, power))
-    scale = max((abs(c) * A ** q.real for q, c in acc.items()), default=0.0)
+    # zeta1(u, a) = (1+a)^{1-u}/(u-1) + (1+a)^{-u}/2 + EM corrections
+    pieces = [_binom_powers(1.0 - u, 1.0 / (u - 1.0), A, acc, big, tol_each),
+              _binom_powers(-u, 0.5 + 0j, A, acc, big, tol_each)]
+    poch = u
+    for j in range(1, _EM_PAIRS + 1):
+        if j > 1:
+            poch = poch * (u + 2 * j - 3) * (u + 2 * j - 2)
+        pieces.append(_binom_powers(-u - (2 * j - 1), _b2j_over_factorial(j) * poch,
+                                    A, acc, big, tol_each))
+    poch = poch * (u + 2 * _EM_PAIRS - 1) * (u + 2 * _EM_PAIRS)
+    # the first omitted correction; the _em_hurwitz ratio bounds the rest
+    # and (1+a)^{-x} <= a^{-x}
+    power = -u.real - 2 * _EM_PAIRS - 1
+    ratio = (abs(u) + 2 * _EM_PAIRS + 1) / (u.real + 2 * _EM_PAIRS + 1)
+    pieces.append((abs(_b2j_over_factorial(_EM_PAIRS + 1) * poch) * ratio * A**power, power))
+    scale = max(abs(c) * A ** q.real for q, c in acc.items())
     powers = {
         q: c
         for q, c in acc.items()
-        if abs(c) > 1e-13 * big.get(q, 0.0) and abs(c) * A ** q.real > 1e-17 * scale
+        if abs(c) > 1e-13 * big[q] and abs(c) * A ** q.real > 1e-17 * scale
     }
-    return (powers, sum(piece[0] for piece in pieces) * A,
-            (sum(piece[1] for piece in pieces), max((piece[2] for piece in pieces), default=-math.inf)))
+    return powers, (sum(b for b, _ in pieces), max(e for _, e in pieces))
 
 
 def _product_powers(w: complex, us, A: float, tol: float):
     """a^{-w} prod_j zeta1(u_j, a) for a >= A as ({power: coef}, rem).
 
     The factors' power dicts are multiplied and cancelled coefficients
-    dropped as in _terms_to_powers.  Each factor is its truncated sum P_j,
+    dropped as in _zeta1_powers.  Each factor is its truncated sum P_j,
     at most |P_j(A)| (a/A)^{max power}, plus a remainder R_j bounded the
     same way; rem integrates over [A, inf) the bound this gives on
     prod (P_j + R_j) - prod P_j, one power per nonempty set of R factors.
@@ -604,7 +595,7 @@ def _product_powers(w: complex, us, A: float, tol: float):
     keys, coefs, sizes = np.array([-w]), np.array([1.0 + 0j]), np.array([1.0])
     bounds = []
     for u in us:
-        powers, _, rem_bound = _terms_to_powers([(1.0 + 0j, u, 0j)], A, tol)
+        powers, rem_bound = _zeta1_powers(u, A, tol)
         q = np.array(list(powers))
         c = np.array(list(powers.values()))
         bounds.append(((np.abs(c) * A**q.real).sum(), q.real.max(), rem_bound))

@@ -365,7 +365,8 @@ def _run_qn_modes(pt):
     v = u.conjugate()
     qd = fourier.qn_direct(n, u, v)
     qc = fourier.qn_continued(n, u, v)
-    return [identities.IdentityReport.build("qn_modes", {"n": n, "u": u, "v": v}, qd, qc)]
+    return [identities.IdentityReport.build("qn_modes", {"n": n, "u": u, "v": v}, qd.value, qc.value,
+                                            qd.evaluations + qc.evaluations)]
 
 
 def _run_highfreq(pt):

@@ -233,7 +233,7 @@ def test_criterion_9_fourier_layer():
     details.append(f"parseval2={p2.rel_residual:.1e}")
     # q_n against the convolution oracle and the direct product integral
     n, u, v = 3, 2.5, 2.0
-    q = fourier.qn_direct(n, u, v)
+    q = fourier.qn_direct(n, u, v).value
     pieces_r, pieces_i = [], []
     m_max = 3000
     for m in range(-m_max, m_max + 1):
@@ -362,7 +362,7 @@ def test_criterion_11_closed_forms_and_oracle_tier():
 
     close(integrate_finite(lambda x: x**2, 0.0, 1.0).value, 1.0 / 3.0)
     close(integrate_finite(lambda a: special.hurwitz_zeta1(2.0, a), 0.0, 1.0).value, 1.0, 5e-10)
-    close(identities._weighted_tail(2.0, (), 1.0).value, 1.0, 1e-9)
+    close(identities._weighted_tail(2.0, ()).value, 1.0, 1e-9)
     trivial_ok = all(checks)
 
     # oracle tier: standard precision within its own reported error bound

@@ -42,6 +42,12 @@ def test_eval_zeta1(capsys):
     assert "0.6449340668" in capsys.readouterr().out
 
 
+def test_eval_qn_prints_computed_error(capsys):
+    assert main(["eval", "q_n", "--n", "1", "--u", "0.6+20j", "--v", "0.6-20j"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("0.351729038") and "err estimate 1e-10" not in out
+
+
 def test_eval_kernel(capsys):
     assert main(["eval", "B_N", "--N", "5", "--alpha", "0"]) == 0
     assert capsys.readouterr().out.startswith("5")

@@ -46,10 +46,14 @@ def test_f_series_vs_brute_force():
 
 
 def test_f_decomposition_identity():
-    # zeta1(2,1)^2 = zeta1(4,1) + 2 f(2,2,1)
-    lhs = hurwitz_zeta1(2.0, 1.0) ** 2
-    rhs = hurwitz_zeta1(4.0, 1.0) + 2.0 * idn.f_series(2.0, 2.0, 1.0)
-    assert abs(lhs - rhs) / abs(lhs) < 1e-9
+    # zeta1(u,alpha)^2 = zeta1(2u,alpha) + 2 f(u,u,alpha)
+    for u, alpha in ((2.0, 1.0), (2.0, 0.0), (1.7 + 3j, 0.5)):
+        u = complex(u)
+        fs = idn.f_series(u, u, alpha)
+        ref = (complex(hurwitz_zeta1(u, alpha)) ** 2 - complex(hurwitz_zeta1(2.0 * u, alpha))) / 2.0
+        assert abs(fs - ref) / abs(ref) < 1e-13
+    # f(2,2,0) = (zeta(2)^2 - zeta(4))/2 = pi^4/120
+    assert abs(idn.f_series(2.0, 2.0, 0.0) - math.pi**4 / 120.0) < 1e-13 * math.pi**4 / 120.0
 
 
 def test_f_decomposition_pointwise_grid():
@@ -61,6 +65,13 @@ def test_f_decomposition_pointwise_grid():
         lhs = complex(hurwitz_zeta1(u, a)) * complex(hurwitz_zeta1(v, a))
         rhs = complex(hurwitz_zeta1(u + v, a)) + idn.f_series(u, v, a) + idn.f_series(v, u, a)
         assert abs(lhs - rhs) / abs(lhs) < 1e-9
+
+
+def test_f_routes_default_rows_agree_to_1e13():
+    # the series route's outer tail is a certified Hurwitz-value sum, so the
+    # two routes meet to the contour quadrature's accuracy
+    report = run_suite(SuiteSpec("f_routes"))
+    assert report.rows and all(r["rel_residual"] <= 1e-13 for r in report.rows)
 
 
 @pytest.mark.parametrize("u,v,alpha,c", [
@@ -285,15 +296,15 @@ def test_default_rows_make_no_bisection(suite_id, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# weighted tails int_{a0}^inf alpha^{-w} prod zeta1(u_j, alpha)
+# weighted tails int_1^inf alpha^{-w} prod zeta1(u_j, alpha)
 # ---------------------------------------------------------------------------
 
 
 def test_weighted_tail_powers():
-    res = idn._weighted_tail(2.0, (), 1.0)
+    res = idn._weighted_tail(2.0, ())
     assert abs(res.value - 1.0) < 1e-10
-    res = idn._weighted_tail(1.5, (), 4.0)
-    assert abs(res.value - 1.0) < 1e-9
+    res = idn._weighted_tail(1.5, ())
+    assert abs(res.value - 2.0) < 1e-9
 
 
 def test_weighted_tail_zeta1_vs_partial_fraction_oracle():
@@ -307,16 +318,16 @@ def test_weighted_tail_zeta1_vs_partial_fraction_oracle():
     s21 = 1.0 / (2.0 * x * x)
     s3 = math.log(x) / x**2 + 1.0 / (2.0 * x * x) + 2.0 / (3.0 * x**3)
     oracle_value = math.fsum(terms) + s2 + s21 - s3
-    res = idn._weighted_tail(2.0, (2.0,), 1.0)
+    res = idn._weighted_tail(2.0, (2.0,))
     assert abs(res.value - oracle_value) / abs(oracle_value) < 1e-9
 
 
 def test_weighted_tail_divergence_guard():
     # decay alpha^-1: the closed tail meets a non-integrable power
     with pytest.raises(DivergenceError):
-        idn._weighted_tail(1.0, (), 1.0)
+        idn._weighted_tail(1.0, ())
     with pytest.raises(DivergenceError):
-        idn._weighted_tail(0.0, (2.0,), 1.0)
+        idn._weighted_tail(0.0, (2.0,))
 
 
 # 120-bit zeta1 for the tail oracle: direct terms up to 1 + a + n >= 25, then
@@ -361,15 +372,15 @@ def _mp_weighted_tail(w, us, a0):
         return complex(value)
 
 
+# a0 is the oracle's lower limit; _weighted_tail always starts at 1
 @pytest.mark.parametrize("w, us, a0", [
     (2.3, (1.3 + 2j,), 1.0),                        # complex exponent
     (0.1, (2.0,), 1.0),                             # mellin_tail, decay alpha^-1.1
-    (2.0, (2.0,), 49.5),                            # f_series at u = v = 2, alpha = 0.5
     (2.15, (2.0 + 1j, 2.4 - 1j), 1.0),              # a pair of the triple_moment im = 1 row
     (2.0 + 1j, (2.0 + 1j, 2.4 - 1j, 2.15), 1.0),    # its three factors, complex weight
 ])
 def test_weighted_tail_error_estimate_covers_oracle(w, us, a0):
-    res = idn._weighted_tail(w, us, a0)
+    res = idn._weighted_tail(w, us)
     assert abs(res.value - _mp_weighted_tail(complex(w), us, a0)) <= res.err_estimate
 
 
@@ -457,9 +468,13 @@ def test_remark_219_scaled_bounded():
 
 
 def test_recip_sum_certified():
-    # partial sum plus certified tail against an accelerated independent sum
-    u = complex(0.5, 30.0)
-    val = idn.sum_recip_m_mp1u(u)
-    um = mp.mpc(u)
-    ref = complex(mp.nsum(lambda m: 1 / (m * (m + 1) ** um), [1, mp.inf]))
-    assert abs(val - ref) <= 1e-10
+    # sum_m 1/(m (m+1)^u) = sum_j zeta1(u + j, 1), against 129 terms at 120 bits
+    for t in (30.0, 85.268, 100.0):
+        u = complex(0.5, t)
+        val = idn.sum_recip_m_mp1u(u)
+        with mp.workprec(120):
+            um = mp.mpc(u)
+            ref = complex(mp.fsum(mp.zeta(um + j, 2) for j in range(1, 130)))
+        assert abs(val - ref) <= 1e-12
+    with pytest.raises(DomainError):
+        idn.sum_recip_m_mp1u(complex(0.0, 30.0))
