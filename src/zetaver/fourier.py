@@ -313,8 +313,7 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
     return complex(val)
 
 
-def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
-                        table: Zeta1AlphaTable | None = None) -> IdentityReport:
+def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> IdentityReport:
     """|int_1^{t/2pi+eta} a^{-v} zeta1(u,a) e^{-2 pi i n a} da| against the
     t^{1/2} / |n - t/2pi| envelope, for |n| > t/2pi."""
     u = complex(u)
@@ -323,8 +322,7 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0,
     if abs(n) <= t / _2PI:
         raise DomainError("requires |n| > t/2pi")
     B = t / _2PI + eta
-    if table is None:
-        table = Zeta1AlphaTable(u, 1.0, B + 1e-9)
+    table = Zeta1AlphaTable(u, 1.0, B + 1e-9)
 
     def f(a: np.ndarray) -> np.ndarray:
         return np.power(a, -v) * table(a)

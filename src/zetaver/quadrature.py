@@ -4,10 +4,10 @@ endpoint-singularity substitution for unit-interval power weights.
 
 All engines accept complex-valued integrands.  Integrands are called with a
 numpy array of nodes and must return an array of values of the same shape.
-integrate_finite evaluates its initial panels in batches of up to _CHUNK
-panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call
-and must keep its memory per node bounded.  A non-finite panel value or
-error estimate raises ConvergenceError.  Panels are picked here only: a
+integrate_finite evaluates every panel, initial or bisected, in batches of
+up to _CHUNK panels, so an integrand receives up to 15 * _CHUNK = 480 nodes
+per call and must keep its memory per node bounded.  A non-finite panel value
+or error estimate raises ConvergenceError.  Panels are picked here only: a
 caller states its integrand's frequency (cycles) and its non-smooth points
 (initial_points).  Panel processing order is deterministic, so repeated
 runs with the same configuration produce bit-identical results.
@@ -16,7 +16,6 @@ runs with the same configuration produce bit-identical results.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 
 import numpy as np
@@ -82,6 +81,9 @@ _CHUNK = 32
 # starts from the same density), and the most initial panels allowed.
 _PER_CYCLE = 2.5
 _MAX_INITIAL_PANELS = 400_000
+
+# Most panels integrate_finite bisects beyond its initial ones.
+_MAX_BISECTIONS = 20_000
 
 
 @dataclasses.dataclass
@@ -169,7 +171,6 @@ def integrate_finite(
     *,
     cycles=None,
     initial_points=None,
-    max_panels: int = 20000,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
 ) -> QuadResult:
@@ -179,11 +180,13 @@ def integrate_finite(
     a number gives ceil(_PER_CYCLE * cycles * (b - a)) equal ones, a
     function of x is marched by _march_panels, None gives one panel; it
     must be finite and ask for at most _MAX_INITIAL_PANELS panels.
-    initial_points adds the non-smooth points of f as edges.  All initial
-    panels are evaluated in batched integrand calls, then the worst panel
-    is bisected, at most max_panels times, until the summed error estimate
-    meets max(abs_tol, rel_tol * |value|).  Raises ConvergenceError if a
-    panel value or error is not finite.
+    initial_points adds the non-smooth points of f as edges.  Refinement
+    goes by generations: while the error sum, taken in panel order,
+    exceeds max(abs_tol, rel_tol * |value|), the fewest worst panels whose
+    errors hold the excess are bisected together, at most
+    _MAX_BISECTIONS panels in all, and every panel goes through the
+    batched _gk15_many.  Raises ConvergenceError if a panel value or
+    error is not finite, or if the error stalls above its tolerance.
     """
     if not a < b:
         raise DomainError("requires a < b")
@@ -198,38 +201,35 @@ def integrate_finite(
     if initial_points is not None:
         pts = np.asarray(initial_points, dtype=float).ravel()
         edges = np.union1d(edges, pts[(pts > a) & (pts < b)])
-    pts = edges.tolist()
-    vals, errs = _gk15_many(fvec, edges[:-1], edges[1:])
-    evals = 15 * vals.size
-    heap: list[tuple] = []
-    total = 0j
-    total_err = 0.0
-    for lo, hi, val, err in zip(pts[:-1], pts[1:], vals.tolist(), errs.tolist()):
-        total += val
-        total_err += err
-        heap.append((-err, lo, hi, val, err))
-    heapq.heapify(heap)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk15_many(fvec, lo, hi)
     bisections = 0
-    while total_err > max(abs_tol, rel_tol * abs(total)) and bisections < max_panels:
-        neg_err, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if neg_err == 0.0 or mid <= lo or mid >= hi:
-            # nothing refinable left (floating-point resolution)
-            heapq.heappush(heap, (0.0, lo, hi, val, err))
+    while True:
+        total = sum(vals.tolist(), 0j)
+        total_err = sum(errs.tolist())
+        tol = max(abs_tol, rel_tol * abs(total))
+        if total_err <= tol or bisections >= _MAX_BISECTIONS:
             break
-        v, e = _gk15_many(fvec, np.array([lo, mid]), np.array([mid, hi]))
-        (v1, v2), (e1, e2) = v.tolist(), e.tolist()
-        evals += 30
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        bisections += 1
+        order = np.argsort(-errs, kind="stable")
+        worst = order[:np.searchsorted(np.cumsum(errs[order]), total_err - tol) + 1]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        # a panel at floating-point resolution or without error stays whole
+        ok = np.flatnonzero((errs[worst] > 0.0) & (mid > lo[worst]) & (mid < hi[worst]))
+        ok = ok[:_MAX_BISECTIONS - bisections]
+        worst, mid = worst[ok], mid[ok]
+        if not worst.size:
+            break
+        v, e = _gk15_many(fvec, np.concatenate((lo[worst], mid)), np.concatenate((mid, hi[worst])))
+        lo = np.concatenate((np.delete(lo, worst), lo[worst], mid))
+        hi = np.concatenate((np.delete(hi, worst), mid, hi[worst]))
+        vals = np.concatenate((np.delete(vals, worst), v))
+        errs = np.concatenate((np.delete(errs, worst), e))
+        bisections += worst.size
     if total_err > max(abs_tol, rel_tol * abs(total), 1e-13 * abs(total)):
         raise ConvergenceError(
-            f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={len(heap)}"
+            f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={lo.size}"
         )
-    return QuadResult(complex(total), float(total_err), evals)
+    return QuadResult(complex(total), float(total_err), 15 * (lo.size + bisections))
 
 
 def stirling_truncation_height(abs_tol: float, poly_degree: float = 0.0, decay_rate: float = math.pi) -> float:

@@ -1,9 +1,7 @@
 """Contour identity and product-moment identities: both sides by
 independent routes, plus the brute-force double-sum oracle for f."""
 
-import heapq
 import math
-import types
 
 import mpmath as mp
 import numpy as np
@@ -279,20 +277,40 @@ def test_mellin_tail_evaluation_counts_pinned():
             assert idn.mellin_tail_check(u, v).evaluations == 885
 
 
+def _gk15_calls(monkeypatch):
+    """The integrand of every _gk15_many call; one integral passes the same
+    wrapped integrand to each of its calls, and the list keeps it alive."""
+    calls = []
+    gk15 = quadrature._gk15_many
+
+    def gk15_many(f, los, his):
+        calls.append(f)
+        return gk15(f, los, his)
+
+    monkeypatch.setattr(quadrature, "_gk15_many", gk15_many)
+    return calls
+
+
 @pytest.mark.parametrize("suite_id", ["quadratic_moment", "triple_moment",
                                       "quadruple_moment", "mellin_tail"])
 def test_default_rows_make_no_bisection(suite_id, monkeypatch):
-    # integrate_finite pops its heap only while it bisects
-    pops = []
-
-    def heappop(heap):
-        pops.append(1)
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(quadrature, "heapq", types.SimpleNamespace(
-        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    # integrate_finite calls _gk15_many again only when it bisects
+    calls = _gk15_calls(monkeypatch)
     report = run_suite(SuiteSpec(suite_id))
-    assert report.rows and not pops
+    assert report.rows and calls
+    assert len({id(f) for f in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("suite_id,refinements,evals", [
+    ("katsurada", 66, [1410, 1905, 1470, 2145, 1590, 2745]),
+    ("f_routes", 18, [0] * 12),
+])
+def test_bisection_generations_are_batched(suite_id, refinements, evals, monkeypatch):
+    # each generation bisects all its worst panels in one _gk15_many call
+    calls = _gk15_calls(monkeypatch)
+    report = run_suite(SuiteSpec(suite_id))
+    assert len(calls) - len({id(f) for f in calls}) == refinements
+    assert [row["evals"] for row in report.rows] == evals
 
 
 # ---------------------------------------------------------------------------

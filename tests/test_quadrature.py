@@ -250,16 +250,36 @@ def test_initial_points_join_the_cycle_panels():
     assert abs(res.value - 2.0 / math.pi) < 1e-13
 
 
-def test_max_panels_counts_bisections_beyond_the_initial_panels():
+def test_bisection_budget_counts_beyond_the_initial_panels(monkeypatch):
     calls = []
 
     def f(x):  # a jump at 1/3: every bisection leaves an error behind
         calls.append(x.size)
         return np.where(x < 1.0 / 3.0, 0.0, 1.0)
 
+    monkeypatch.setattr(quadrature, "_MAX_BISECTIONS", 5)
     with pytest.raises(ConvergenceError, match="panels=105"):
-        integrate_finite(f, 0.0, 1.0, cycles=40.0, max_panels=5, abs_tol=0.0, rel_tol=0.0)
-    assert calls.count(30) == 5 and sum(calls) == 15 * 100 + 30 * 5
+        integrate_finite(f, 0.0, 1.0, cycles=40.0, abs_tol=0.0, rel_tol=0.0)
+    # the five bisections of one generation share one integrand call
+    assert calls.count(150) == 1 and sum(calls) == 15 * 100 + 30 * 5
+
+
+def test_unbisected_value_is_the_panel_order_sum(monkeypatch):
+    # rows that bisect nothing keep their bits: the value is the plain sum
+    # of the initial panel values in panel order
+    seen = []
+
+    def gk15_many(f, los, his):
+        seen.append(gk15(f, los, his))
+        return seen[-1]
+
+    gk15 = quadrature._gk15_many
+    monkeypatch.setattr(quadrature, "_gk15_many", gk15_many)
+    res = integrate_finite(lambda x: np.exp(30j * x) / (1.0 + x), 0.0, 2.0, cycles=5.0)
+    (vals, errs), = seen
+    assert res.value == sum(vals.tolist(), 0j)
+    assert res.err_estimate == sum(errs.tolist())
+    assert res.evaluations == 15 * vals.size
 
 
 @pytest.mark.parametrize("cycles", [math.nan, math.inf, -math.inf, 1e6, -1.0])

@@ -462,6 +462,21 @@ def test_array_s_bound_covers_oracle_error(points, alpha):
         assert abs(vi - ref) <= err + 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("name", ["hurwitz_zeta1", "hurwitz_zeta"])
+def test_oracle_rejects_a_large_shift_before_mpmath(name, monkeypatch):
+    # mp.zeta(s, a) grows to gigabytes at a = 1e8; the oracle stops at 1e4
+    from zetaver import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle.mp, "zeta", lambda *args: calls.append(args) or 0)
+    fn = getattr(oracle, name)
+    for alpha in (1e4 + 1.0, 1e8, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            fn(1.3 + 2j, alpha)
+    assert not calls
+    assert fn(1.3 + 2j, 1e4) == 0 and len(calls) == 1
+
+
 @_PROPERTY
 @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(-500.0, 500.0))
 def test_chi_reflection_product_property(sigma, t):
