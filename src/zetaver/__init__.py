@@ -1,7 +1,7 @@
 """zetaver: verification-grade numerics for the Riemann zeta and modified
 Hurwitz zeta functions and the identities that tie them together.
 
-Layers: `special` (base functions), `quadrature` (integration engines),
+Layers: `special` (base functions), `quadrature` (the integration engine),
 `identities` (contour and product-moment verifiers), `afe` (approximate
 functional equations, kernel projections, power means), `fourier`
 (coefficient constructions and Parseval checks), `suites`/`cli` (batch
@@ -30,12 +30,7 @@ from .special import (
     lgamma,
     riemann_zeta,
 )
-from .quadrature import (
-    ContourSpec,
-    QuadResult,
-    integrate_finite,
-    integrate_vertical_line,
-)
+from .quadrature import QuadResult, integrate_finite
 from .identities import (
     IdentityReport,
     f_contour,

@@ -141,7 +141,8 @@ def weak_afe_residual(s: complex) -> identities.IdentityReport:
     i1, i2, *_ = _weak_afe_integrals(s)
     resid = abs(riemann_zeta(s) - i1.value - chi(s) * i2.value)
     params = {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0) / math.log(t)}
-    return identities.IdentityReport.bound("weak_afe", params, resid, resid)
+    return identities.IdentityReport.bound("weak_afe", params, resid, resid,
+                                           i1.evaluations + i2.evaluations)
 
 
 def weak_afe_forms_check(s: complex) -> identities.IdentityReport:

@@ -18,15 +18,8 @@ import math
 import numpy as np
 
 from . import afe
-from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
-from .quadrature import (
-    ContourSpec,
-    QuadResult,
-    integrate_finite,
-    integrate_unit_power_singular,
-    integrate_vertical_line,
-    stirling_truncation_height,
-)
+from .errors import ConvergenceError, DivergenceError, DomainError, PoleError, PoleTooCloseError
+from .quadrature import QuadResult, integrate_finite
 from .special import (
     _certified_powers,
     _closed_power_tail,
@@ -158,18 +151,45 @@ def default_abscissa(u: complex, v: complex) -> float:
     return c
 
 
-def _contour_quadrature(g, c: float, poles: list[float], poly_degree: float,
-                        abs_tol: float, rel_tol: float):
-    clearance = min(abs(c - p) for p in poles)
-    t_max = stirling_truncation_height(abs_tol / 10.0, poly_degree=poly_degree)
-    for _ in range(3):
-        edge = max(abs(complex(g(np.array([c + 1j * t_max], dtype=complex))[0])),
-                   abs(complex(g(np.array([c - 1j * t_max], dtype=complex))[0])))
-        if edge < abs_tol / 10.0:
+def _stirling_height(abs_tol: float, poly_degree: float) -> float:
+    """Height Y at which y^poly_degree e^{-pi y}, the Stirling decay of a
+    two-Gamma integrand on a vertical line, falls below abs_tol."""
+    p = max(poly_degree, 0.0)
+    y = 10.0
+    for _ in range(60):
+        y_new = (p * math.log(max(y, 2.0)) - math.log(min(abs_tol, 0.1))) / math.pi
+        if abs(y_new - y) < 0.5:
             break
-        t_max *= 1.5
-    spec = ContourSpec(c=c, t_max=t_max, pole_clearance=clearance)
-    return integrate_vertical_line(g, spec, abs_tol=abs_tol, rel_tol=rel_tol)
+        y = y_new
+    return max(12.0, 1.15 * y)
+
+
+# Cycles per unit height of a two-Gamma line integrand: its Stirling decay
+# e^{-pi |y|} as a frequency, pi / 2 pi.
+_LINE_CYCLES = 0.5
+
+
+def _line_integral(g, c: float, poles: list[float], poly_degree: float,
+                   abs_tol: float, rel_tol: float) -> QuadResult:
+    """(1/(2 pi i)) int over the line Re z = c of g(z) dz.
+
+    PoleTooCloseError if c lies within 1e-3 of a pole of the integrand's
+    factors.  The line is cut at the Stirling height, raised 1.5x (up to
+    three times) until |g| at both ends is below abs_tol / 10, and
+    integrated in y on [-Y, Y] at _LINE_CYCLES cycles per unit.
+    """
+    clearance = min(abs(c - p) for p in poles)
+    if clearance < 1e-3:
+        raise PoleTooCloseError(f"abscissa c={c} within {clearance} of a pole")
+    Y = _stirling_height(abs_tol / 10.0, poly_degree)
+    for _ in range(3):
+        ends = np.abs(g(c + 1j * np.array([Y, -Y])))
+        if ends.max() < abs_tol / 10.0:
+            break
+        Y *= 1.5
+    res = integrate_finite(lambda y: g(c + 1j * y), -Y, Y, cycles=_LINE_CYCLES,
+                           abs_tol=abs_tol, rel_tol=rel_tol)
+    return QuadResult(res.value / _2PI, res.err_estimate / _2PI, res.evaluations)
 
 
 def f_contour(
@@ -177,7 +197,7 @@ def f_contour(
     v: complex,
     alpha: float,
     c: float | None = None,
-) -> complex:
+) -> QuadResult:
     """Contour route for f(u,v,alpha): a vertical-line integral of
     Gamma(u+z)Gamma(-z)/Gamma(u) zeta(-z) zeta1(u+v+z, alpha)."""
     u = complex(u)
@@ -197,9 +217,8 @@ def f_contour(
         return br * riemann_zeta(-z) * hurwitz_zeta1(u + v + z, alpha)
 
     poles = [0.0, -1.0, 1.0 - (u + v).real, -u.real]
-    res = _contour_quadrature(g, c, poles, poly_degree=u.real + abs(c) + 1.0,
-                              abs_tol=1e-12, rel_tol=1e-10)
-    return complex(res.value)
+    return _line_integral(g, c, poles, poly_degree=u.real + abs(c) + 1.0,
+                          abs_tol=1e-12, rel_tol=1e-10)
 
 
 def verify_square_identity(
@@ -235,8 +254,8 @@ def verify_square_identity(
         return br * riemann_zeta(-z) * hurwitz_zeta1(2.0 * sigma + z, alpha)
 
     poles = [0.0, -1.0, 1.0 - 2.0 * sigma, -sigma]
-    res = _contour_quadrature(g, c, poles, poly_degree=sigma + abs(c) + 1.0,
-                              abs_tol=1e-12 * max(lhs, 1.0), rel_tol=1e-10)
+    res = _line_integral(g, c, poles, poly_degree=sigma + abs(c) + 1.0,
+                         abs_tol=1e-12 * max(lhs, 1.0), rel_tol=1e-10)
     rhs = complex(hurwitz_zeta1(2.0 * sigma, alpha)) + res.value
     return IdentityReport.build(
         "square_identity",
@@ -366,30 +385,60 @@ def mellin_tail_closed_form(u: complex, v: complex) -> complex:
     return _mellin_closed(u, v)
 
 
-def _weighted_unit_integral(power: complex, u: complex,
-                            abs_tol: float = 1e-13, rel_tol: float = 2e-11):
-    """int_0^1 alpha^{power} zeta1(u, alpha) d(alpha), -1 < Re power."""
+def _zeta1_max(w: complex) -> float:
+    """Bound on |zeta1(w, a)| for 0 <= a <= 1/2, w not 1: zeta(Re w) for
+    Re w > 1, else |zeta(w)| + |w| / 2 times the bound at w + 1, since
+    d/da zeta1(w, a) = -w zeta1(w + 1, a) (zero at w = 0, so the
+    recursion never meets the pole)."""
+    if w.real > 1.0:
+        return abs(complex(riemann_zeta(w.real)))
+    rest = 0.5 * abs(w) * _zeta1_max(w + 1.0) if w != 0.0 else 0.0
+    return abs(complex(riemann_zeta(w))) + rest
+
+
+def _unit_power(f, power: complex, cycles, f_max: float, *, log_weight: bool = False,
+                abs_tol: float = 1e-13, rel_tol: float = 2e-11) -> QuadResult:
+    """int_0^1 a^power (log a)^m f(a) da, m = 1 if log_weight else 0, for
+    Re power > -1, where cycles is f's frequency in a and |f| <= f_max on
+    (0, 1/2].
+
+    The map a = e^{-s} gives int_0^inf e^{-(1+power) s} (-s)^m f(e^{-s}) ds,
+    smooth in s; one integrate_finite call on [0, S] at
+    |1 + power| / 2 pi + cycles(e^{-s}) e^{-s} cycles per unit of s.  S is
+    the least log 2 + k / (1 + Re power) whose omitted piece,
+    f_max int_S^inf s^m e^{-(1 + Re power) s} ds, is below abs_tol / 1000;
+    that bound is added to err_estimate.
+    """
     power = complex(power)
+    lam = 1.0 + power.real
+    if not lam > 0.0:
+        raise DomainError("requires Re power > -1")
 
-    def f(a: np.ndarray) -> np.ndarray:
-        return hurwitz_zeta1(u, a)
+    def cut(S: float) -> float:
+        return f_max * math.exp(-lam * S) / lam * ((S + 1.0 / lam) if log_weight else 1.0)
 
-    if power.real <= 0.0:
-        return integrate_unit_power_singular(f, power, abs_tol=abs_tol, rel_tol=rel_tol)
+    S = math.log(2.0)
+    while cut(S) > 1e-3 * abs_tol:
+        S += 1.0 / lam
 
-    def g(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        return np.power(a, power) * f(a)
+    def g(s: np.ndarray) -> np.ndarray:
+        w = np.exp(-(1.0 + power) * s) * f(np.exp(-s))
+        return -s * w if log_weight else w
 
-    z = _zeta1_cycles(u.imag)
-    return integrate_finite(g, 0.0, 1.0, cycles=lambda a: z(a) + abs(power.imag) / _2PI,
-                            initial_points=[2.0**-k for k in range(1, 30)],
-                            abs_tol=abs_tol, rel_tol=rel_tol)
+    rate = abs(1.0 + power) / _2PI
+    res = integrate_finite(g, 0.0, S, cycles=lambda s: rate + cycles(math.exp(-s)) * math.exp(-s),
+                           abs_tol=abs_tol, rel_tol=rel_tol)
+    return QuadResult(res.value, res.err_estimate + cut(S), res.evaluations)
+
+
+def _weighted_unit_integral(power: complex, u: complex) -> QuadResult:
+    """int_0^1 alpha^{power} zeta1(u, alpha) d(alpha), -1 < Re power."""
+    return _unit_power(lambda a: hurwitz_zeta1(u, a), power, _zeta1_cycles(u.imag), _zeta1_max(u))
 
 
 def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
     """Closed form against direct quadrature, split at alpha = 1: the
-    endpoint-singularity substitution on (0, 1) and the weighted tail on
+    exponential map of _unit_power on (0, 1) and the weighted tail on
     [1, inf), whose closed power tail carries the slow alpha^{1-u-v} decay.
     """
     u = complex(u)
@@ -487,18 +536,12 @@ def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
         raise PoleError("u and u+1 must avoid the zeta pole")
     if v == 1.0:
         # limit mode: both sides finite
-        f_reg = _zeta1_difference_quotient(u)
         cycles = _zeta1_cycles(u.imag)
-        pts = [2.0**-k for k in range(1, 40)]
-        lhs_res = integrate_finite(f_reg, 0.0, 1.0, cycles=cycles, initial_points=pts,
-                                   abs_tol=1e-12, rel_tol=1e-10)
-
-        def f_log(a: np.ndarray) -> np.ndarray:
-            a = np.asarray(a, dtype=float)
-            return np.log(a) * hurwitz_zeta1(u + 1.0, a)
-
-        rhs_res = integrate_finite(f_log, 0.0, 1.0, cycles=cycles, initial_points=pts,
-                                   abs_tol=1e-12, rel_tol=1e-10)
+        z_max = _zeta1_max(u + 1.0)
+        lhs_res = _unit_power(_zeta1_difference_quotient(u), 0.0, cycles, abs(u) * z_max,
+                              abs_tol=1e-12, rel_tol=1e-10)
+        rhs_res = _unit_power(lambda a: hurwitz_zeta1(u + 1.0, a), 0.0, cycles, z_max,
+                              log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
         return IdentityReport.build(
             "unit_recursion",
             {"u": u, "v": v, "mode": "limit"},
@@ -511,10 +554,10 @@ def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
         lhs = lhs_res.value
         mode = "direct"
     else:
-        res = integrate_unit_power_singular(_zeta1_difference_quotient(u), 1.0 - v,
-                                            abs_tol=1e-12, rel_tol=1e-10)
-        lhs = res.value + complex(riemann_zeta(u)) / (1.0 - v)
-        lhs_res = res
+        # |(zeta1(u, a) - zeta(u)) / a| <= |u| max |zeta1(u + 1, .)| on [0, a]
+        lhs_res = _unit_power(_zeta1_difference_quotient(u), 1.0 - v, _zeta1_cycles(u.imag),
+                              abs(u) * _zeta1_max(u + 1.0), abs_tol=1e-12, rel_tol=1e-10)
+        lhs = lhs_res.value + complex(riemann_zeta(u)) / (1.0 - v)
         mode = "subtracted"
     rhs, rhs_evals = _recursion_rhs(u, v)
     return IdentityReport.build(

@@ -1,14 +1,15 @@
-"""Integration engines: adaptive Gauss-Kronrod on finite intervals,
-truncated vertical-line (Mellin-Barnes) contours, and an
-endpoint-singularity substitution for unit-interval power weights.
+"""The one integration engine: adaptive Gauss-Kronrod on finite intervals.
 
-All engines accept complex-valued integrands.  Integrands are called with a
-numpy array of nodes and must return an array of values of the same shape.
-integrate_finite evaluates every panel, initial or bisected, in batches of
-up to _CHUNK panels, so an integrand receives up to 15 * _CHUNK = 480 nodes
-per call and must keep its memory per node bounded.  A non-finite panel value
-or error estimate raises ConvergenceError.  Panels are picked here only: a
-caller states its integrand's frequency (cycles) and its non-smooth points
+The substitutions that bring an integral to a finite interval (the
+exponential map of the unit-interval power weights and the truncated
+vertical-line contours) live with their caller, `identities`.  Integrands
+may be complex-valued; they are called with a numpy array of nodes and
+must return an array of values of the same shape.  integrate_finite
+evaluates every panel, initial or bisected, in batches of up to _CHUNK
+panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call and
+must keep its memory per node bounded.  A non-finite panel value or error
+estimate raises ConvergenceError.  Panels are picked here only: a caller
+states its integrand's frequency (cycles) and its non-smooth points
 (initial_points).  Panel processing order is deterministic, so repeated
 runs with the same configuration produce bit-identical results.
 """
@@ -20,18 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleTooCloseError
+from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "QuadResult",
-    "ContourSpec",
-    "integrate_finite",
-    "integrate_vertical_line",
-    "integrate_unit_power_singular",
-    "stirling_truncation_height",
-]
-
-_2PI = 2.0 * math.pi
+__all__ = ["QuadResult", "integrate_finite"]
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (symmetric;
 # nonnegative half listed, expanded to ascending full arrays below).
@@ -99,19 +91,6 @@ class QuadResult:
             raise ValueError("err_estimate must be >= 0")
 
 
-@dataclasses.dataclass(frozen=True)
-class ContourSpec:
-    """Vertical line Re z = c, truncated at |Im z| <= t_max.
-
-    pole_clearance is the distance from c to the nearest pole of the
-    integrand factors; lines closer than 1e-3 are rejected.
-    """
-
-    c: float
-    t_max: float
-    pole_clearance: float = 1.0
-
-
 def _wrap(f):
     """The integrand as a complex-valued vectorised call."""
     return lambda x: np.asarray(f(x), dtype=complex)
@@ -144,10 +123,14 @@ def _gk15_many(f, los: np.ndarray, his: np.ndarray):
 def _march_panels(a: float, b: float, cycles_fn, per_cycle: float = _PER_CYCLE):
     """Break [a, b] so each panel spans at most 1/per_cycle of a local period;
     ConvergenceError on a frequency that is not finite and past
-    _MAX_INITIAL_PANELS panels."""
+    _MAX_INITIAL_PANELS panels.  For a monotone frequency the march needs at
+    least per_cycle * (b - a) * min(cycles(a), cycles(b)) panels, so a count
+    over the cap is rejected from the two end values before marching."""
+    f_x, f_b = cycles_fn(a), cycles_fn(b)
+    if per_cycle * (b - a) * min(f_x, f_b) > _MAX_INITIAL_PANELS:
+        raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
     pts = [a]
     x = a
-    f_x = cycles_fn(a)
     while x < b:
         f_here = max(f_x, 1e-12)
         nxt = min(x + 1.0 / (per_cycle * f_here), b)
@@ -179,9 +162,13 @@ def integrate_finite(
     cycles, the integrand's cycles per unit of x, sets the initial panels:
     a number gives ceil(_PER_CYCLE * cycles * (b - a)) equal ones, a
     function of x is marched by _march_panels, None gives one panel; it
-    must be finite and ask for at most _MAX_INITIAL_PANELS panels.
-    initial_points adds the non-smooth points of f as edges.  Refinement
-    goes by generations: while the error sum, taken in panel order,
+    must be finite and ask for at most _MAX_INITIAL_PANELS panels.  A
+    function must be monotone on [a, b] (every stated frequency is: sums of
+    constants and t / (2 pi (x + d)) terms, and the exponential map of
+    identities._unit_power), so its end values bound the panel count and an
+    over-cap frequency raises before the march.  initial_points adds the
+    non-smooth points of f as edges.  Refinement goes by generations:
+    while the error sum, taken in panel order,
     exceeds max(abs_tol, rel_tol * |value|), the fewest worst panels whose
     errors hold the excess are bisected together, at most
     _MAX_BISECTIONS panels in all, and every panel goes through the
@@ -230,72 +217,3 @@ def integrate_finite(
             f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={lo.size}"
         )
     return QuadResult(complex(total), float(total_err), 15 * (lo.size + bisections))
-
-
-def stirling_truncation_height(abs_tol: float, poly_degree: float = 0.0, decay_rate: float = math.pi) -> float:
-    """Height Y at which y^p e^{-decay_rate * y} falls below abs_tol.
-
-    Used to truncate vertical-line contours whose integrands inherit the
-    Stirling decay of their Gamma factors.
-    """
-    p = max(poly_degree, 0.0)
-    y = 10.0
-    for _ in range(60):
-        y_new = (p * math.log(max(y, 2.0)) - math.log(min(abs_tol, 0.1))) / decay_rate
-        if abs(y_new - y) < 0.5:
-            break
-        y = y_new
-    return max(12.0, 1.15 * y)
-
-
-def integrate_vertical_line(
-    g,
-    spec: ContourSpec,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> QuadResult:
-    """(1/(2 pi i)) int over the line Re z = c, truncated at |Im z| <= t_max."""
-    if spec.pole_clearance < 1e-3:
-        raise PoleTooCloseError(f"abscissa c={spec.c} within {spec.pole_clearance} of a pole")
-    gvec = _wrap(lambda y: g(spec.c + 1j * np.asarray(y)))
-    Y = spec.t_max
-    pts = [0.0]
-    step = 1.0
-    y = step
-    while y < Y:
-        pts.extend([y, -y])
-        y += step
-        step = min(step * 1.6, Y / 4.0)
-    res = integrate_finite(
-        gvec, -Y, Y, initial_points=pts,
-        abs_tol=abs_tol, rel_tol=rel_tol,
-    )
-    return QuadResult(res.value / _2PI, res.err_estimate / _2PI, res.evaluations)
-
-
-def integrate_unit_power_singular(
-    f,
-    power: complex,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> QuadResult:
-    """int_0^1 x^power f(x) dx with -1 < Re power <= 0.
-
-    The substitution x = tau^m, m = 1/(1 + Re power), flattens the endpoint
-    singularity so the panel rule keeps its convergence rate.
-    """
-    power = complex(power)
-    if not (-1.0 < power.real <= 0.0):
-        raise DomainError("power must have real part in (-1, 0]")
-    m = 1.0 / (1.0 + power.real)
-    fvec = _wrap(f)
-
-    def g(tau: np.ndarray) -> np.ndarray:
-        x = tau**m
-        return m * np.power(tau, m * (power + 1.0) - 1.0) * fvec(x)
-
-    pts = list(np.linspace(0.0, 1.0, 17)) + [2.0**-k for k in range(2, 30)]
-    return integrate_finite(g, 0.0, 1.0, initial_points=pts,
-                            abs_tol=abs_tol, rel_tol=rel_tol)

@@ -244,7 +244,7 @@ def _run_f_routes(pt):
     fs = identities.f_series(u, v, alpha)
     fc = identities.f_contour(u, v, alpha)
     return [identities.IdentityReport.build(
-        "f_routes", {"u": u, "v": v, "alpha": alpha}, fs, fc)]
+        "f_routes", {"u": u, "v": v, "alpha": alpha}, fs, fc.value, fc.evaluations)]
 
 
 def _run_quadratic(pt):

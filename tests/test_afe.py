@@ -129,6 +129,12 @@ def test_weak_afe_slope_not_exploding():
     assert afe.loglog_slope(ts, vals) <= 0.1
 
 
+def test_weak_afe_row_counts_both_integrals():
+    s = complex(0.5, 50.0)
+    i1, i2, *_ = afe._weak_afe_integrals(s)
+    assert afe.weak_afe_residual(s).evaluations == i1.evaluations + i2.evaluations > 0
+
+
 def test_weak_afe_four_form_vs_two_form():
     rep = afe.weak_afe_forms_check(complex(0.5, 100.0))
     d = rep.params

@@ -10,7 +10,6 @@ import pytest
 from zetaver import identities as idn
 from zetaver import oracle, quadrature
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
-from zetaver.quadrature import ContourSpec, integrate_vertical_line
 from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta
 from zetaver.suites import SuiteSpec, run_suite
 
@@ -79,13 +78,13 @@ def test_f_routes_default_rows_agree_to_1e13():
 ])
 def test_f_contour_matches_series(u, v, alpha, c):
     fs = idn.f_series(u, v, alpha)
-    fc = idn.f_contour(u, v, alpha, c)
+    fc = idn.f_contour(u, v, alpha, c).value
     assert abs(fc - fs) / abs(fs) < 1e-8
 
 
 def test_f_contour_abscissa_independence():
-    f1 = idn.f_contour(2.0, 2.0, 1.0, -1.5)
-    f2 = idn.f_contour(2.0, 2.0, 1.0, -1.2)
+    f1 = idn.f_contour(2.0, 2.0, 1.0, -1.5).value
+    f2 = idn.f_contour(2.0, 2.0, 1.0, -1.2).value
     assert abs(f1 - f2) / abs(f1) < 1e-8
 
 
@@ -106,7 +105,7 @@ def test_vertical_line_outside_strip_crosses_residue():
         return (np.exp(lgamma(u + z) + lgamma(-z) - lg_u)
                 * riemann_zeta(-z) * hurwitz_zeta1(u + v + z, alpha))
 
-    res = integrate_vertical_line(g, ContourSpec(c=-0.7, t_max=40.0, pole_clearance=0.3))
+    res = idn._line_integral(g, -0.7, [0.0, -1.0], u + 1.7, 1e-12, 1e-10)
     residue_term = complex(hurwitz_zeta1(u + v - 1.0, alpha)) / (u - 1.0)
     fs = idn.f_series(u, v, alpha)
     assert abs((res.value + residue_term) - fs) / abs(fs) < 1e-8
@@ -270,11 +269,11 @@ def test_mellin_tail_boundary_is_domain_error():
 
 
 def test_mellin_tail_evaluation_counts_pinned():
-    # the unit part and the head on [1, 6] take the same panels on every
-    # default row
-    for u in (2.0, 2.5, 3.0):
-        for v in (0.1, 0.3, 0.5):
-            assert idn.mellin_tail_check(u, v).evaluations == 885
+    # the exponential map of the unit part and the head on [1, 6], per
+    # default row: u, then v = 0.1, 0.3, 0.5
+    evals = {2.0: [570, 585, 585], 2.5: [570, 585, 585], 3.0: [570, 570, 585]}
+    for u, row in evals.items():
+        assert [idn.mellin_tail_check(u, v).evaluations for v in (0.1, 0.3, 0.5)] == row
 
 
 def _gk15_calls(monkeypatch):
@@ -292,7 +291,8 @@ def _gk15_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("suite_id", ["quadratic_moment", "triple_moment",
-                                      "quadruple_moment", "mellin_tail"])
+                                      "quadruple_moment", "mellin_tail",
+                                      "katsurada", "unit_recursion"])
 def test_default_rows_make_no_bisection(suite_id, monkeypatch):
     # integrate_finite calls _gk15_many again only when it bisects
     calls = _gk15_calls(monkeypatch)
@@ -302,8 +302,10 @@ def test_default_rows_make_no_bisection(suite_id, monkeypatch):
 
 
 @pytest.mark.parametrize("suite_id,refinements,evals", [
-    ("katsurada", 66, [1410, 1905, 1470, 2145, 1590, 2745]),
-    ("f_routes", 18, [0] * 12),
+    ("square_identity", 79, [1455, 1275, 1275, 1500, 1500, 1500, 1605, 1620, 1590,
+                             1005, 960, 960, 1275, 1275, 1275, 1305, 1395, 1245,
+                             735, 735, 765, 765, 765, 795, 1035, 1290, 1140]),
+    ("f_routes", 9, [645, 645, 645, 645, 645, 645, 630, 660, 690, 630, 630, 660]),
 ])
 def test_bisection_generations_are_batched(suite_id, refinements, evals, monkeypatch):
     # each generation bisects all its worst panels in one _gk15_many call
@@ -400,6 +402,56 @@ def _mp_weighted_tail(w, us, a0):
 def test_weighted_tail_error_estimate_covers_oracle(w, us, a0):
     res = idn._weighted_tail(w, us)
     assert abs(res.value - _mp_weighted_tail(complex(w), us, a0)) <= res.err_estimate
+
+
+def _mp_unit_power(p, w, quotient=False, log_weight=False):
+    """int_0^1 a^p (log a)^m f(a) da at 120 bits, m = 1 with log_weight,
+    f = zeta1(w, a) or, with quotient, (zeta1(w, a) - zeta(w)) / a.  On
+    [0, 1/10], f is its Taylor series sum_k binom(-w, k) zeta(w + k) a^k
+    (one index lower for the quotient) to k = 43, whose omitted terms are
+    below 1e-38 there, integrated term by term; on [1/10, 1], Gauss-Legendre."""
+    with mp.workprec(120):
+        mp_p, mw, d = mp.mpc(p), mp.mpc(w), mp.mpf(1) / 10
+        coefs = [mp.bernoulli(2 * j) / mp.factorial(2 * j) for j in range(1, _MP_PAIRS + 1)]
+        taylor = [mp.binomial(-mw, k) * mp.zeta(mw + k) for k in range(44)]
+        head = 0
+        for k, c in enumerate(taylor[1:] if quotient else taylor):
+            e = mp_p + k + 1
+            head += c * d**e / e * ((mp.log(d) - 1 / e) if log_weight else 1)
+        z0 = _mp_zeta1(mw, mp.mpf(0), coefs)
+
+        def f(a):
+            z = _mp_zeta1(mw, a, coefs)
+            return a**mp_p * (mp.log(a) if log_weight else 1) * ((z - z0) / a if quotient else z)
+
+        value, err = mp.quad(f, [d, 1], error=True, method="gauss-legendre")
+        assert err < mp.mpf(10) ** -25
+        return complex(head + value)
+
+
+@pytest.mark.parametrize("p, w", [
+    (-0.95, 2.5 + 1j),     # near the edge Re p = -1
+    (-0.5 + 2j, 2.7 + 2j),  # a katsurada recursion: oscillation toward a = 0
+    (0.0, -0.5 + 1j),      # Re w < 1: the bound recurses to w + 2
+    (0.5, 3.0),
+    (1.5, 2.0 + 1j),
+])
+def test_unit_power_error_estimate_covers_oracle(p, w):
+    res = idn._weighted_unit_integral(p, w)
+    assert abs(res.value - _mp_unit_power(p, w)) <= res.err_estimate
+
+
+def test_unit_power_recursion_integrands_cover_oracle():
+    # the subtracted mode at v = 1.9 + 0.5i and the log-weighted limit mode,
+    # with the arguments unit_interval_recursion passes
+    u, v = 2.0 + 0j, 1.9 + 0.5j
+    bound = abs(u) * idn._zeta1_max(u + 1.0)
+    res = idn._unit_power(idn._zeta1_difference_quotient(u), 1.0 - v, idn._zeta1_cycles(0.0),
+                          bound, abs_tol=1e-12, rel_tol=1e-10)
+    assert abs(res.value - _mp_unit_power(1.0 - v, u, quotient=True)) <= res.err_estimate
+    res = idn._unit_power(lambda a: hurwitz_zeta1(u + 1.0, a), 0.0, idn._zeta1_cycles(0.0),
+                          idn._zeta1_max(u + 1.0), log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
+    assert abs(res.value - _mp_unit_power(0.0, u + 1.0, log_weight=True)) <= res.err_estimate
 
 
 def test_unit_recursion_telescoping_point():

@@ -6,15 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetaver import quadrature
+from zetaver import afe, quadrature
+from zetaver import identities as idn
 from zetaver.errors import ConvergenceError, DomainError, PoleTooCloseError
 from zetaver.fourier import _fourier_coeffs
-from zetaver.quadrature import (
-    ContourSpec,
-    integrate_finite,
-    integrate_unit_power_singular,
-    integrate_vertical_line,
-)
+from zetaver.quadrature import integrate_finite
 from zetaver.special import hurwitz_zeta1, lgamma
 
 mp.mp.dps = 25
@@ -128,25 +124,25 @@ def _mb_integrand(shift: float):
     return g
 
 
+# The line integral and the unit-power map of identities against closed forms.
+
+
 def test_vertical_line_beta_values():
     # (1/2 pi i) int Gamma(z+a) Gamma(-z) dz = Gamma(a) (1-w)^{-a} at w = -1
-    spec = ContourSpec(c=-0.5, t_max=40.0, pole_clearance=0.5)
-    res = integrate_vertical_line(_mb_integrand(1.0), spec)
-    assert abs(res.value - 0.5) < 1e-10
-    res = integrate_vertical_line(_mb_integrand(2.0), spec)
-    assert abs(res.value - 0.25) < 1e-10
+    for shift, value in ((1.0, 0.5), (2.0, 0.25)):
+        res = idn._line_integral(_mb_integrand(shift), -0.5, [0.0, -shift], 2.0, 1e-12, 1e-10)
+        assert abs(res.value - value) < 1e-10
 
 
 def test_vertical_line_pole_guard():
-    spec = ContourSpec(c=-0.5, t_max=30.0, pole_clearance=1e-5)
     with pytest.raises(PoleTooCloseError):
-        integrate_vertical_line(_mb_integrand(1.0), spec)
+        idn._line_integral(_mb_integrand(1.0), -0.5, [0.0, -0.5 + 1e-5], 2.0, 1e-12, 1e-10)
 
 
 def test_unit_power_singular():
-    res = integrate_unit_power_singular(lambda x: np.ones_like(np.asarray(x), dtype=complex), -0.5)
+    res = idn._unit_power(lambda a: np.ones_like(a, dtype=complex), -0.5, lambda a: 0.0, 1.0)
     assert abs(res.value - 2.0) < 1e-11
-    res = integrate_unit_power_singular(lambda x: np.asarray(x, dtype=complex), -0.75)
+    res = idn._unit_power(lambda a: a + 0j, -0.75, lambda a: 0.0, 0.5)
     assert abs(res.value - 0.8) < 1e-10
 
 
@@ -298,6 +294,27 @@ def test_bad_marched_cycles_raise_before_any_evaluation(value):
     with pytest.raises(ConvergenceError):
         integrate_finite(lambda x: calls.append(x) or x, 0.0, 1.0, cycles=lambda x: value)
     assert not calls
+
+
+def test_over_cap_frequency_raises_from_its_end_values(monkeypatch):
+    # a monotone frequency needs at least 2.5 (b - a) min(cycles(a), cycles(b))
+    # panels: over the cap, the two end values suffice and nothing is marched
+    seen = []
+
+    def counted(cycles):
+        return lambda x: seen.append(x) or cycles(x)
+
+    with pytest.raises(ConvergenceError, match="400000"):
+        integrate_finite(lambda x: x, 0.0, 1.0, cycles=counted(lambda x: 1e6))
+    assert len(seen) <= 2
+    # lemma3 at t = 1e6: N + t / (2 pi a) on [1, N], N = 399
+    seen.clear()
+    real = afe.integrate_finite
+    monkeypatch.setattr(afe, "integrate_finite",
+                        lambda f, a, b, *, cycles, **kw: real(f, a, b, cycles=counted(cycles), **kw))
+    with pytest.raises(ConvergenceError, match="400000"):
+        afe.lemma3_integral(complex(0.5, 1e6))
+    assert len(seen) <= 2
 
 
 def test_march_rejects_a_frequency_that_turns_non_finite():
