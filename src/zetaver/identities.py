@@ -385,66 +385,90 @@ def mellin_tail_closed_form(u: complex, v: complex) -> complex:
     return _mellin_closed(u, v)
 
 
-def _zeta1_max(w: complex) -> float:
-    """Bound on |zeta1(w, a)| for 0 <= a <= 1/2, w not 1: zeta(Re w) for
-    Re w > 1, else |zeta(w)| + |w| / 2 times the bound at w + 1, since
-    d/da zeta1(w, a) = -w zeta1(w + 1, a) (zero at w = 0, so the
-    recursion never meets the pole)."""
-    if w.real > 1.0:
-        return abs(complex(riemann_zeta(w.real)))
-    rest = 0.5 * abs(w) * _zeta1_max(w + 1.0) if w != 0.0 else 0.0
-    return abs(complex(riemann_zeta(w))) + rest
+# Terms of the Taylor series of zeta1(u, a) at a = 0.
+_TAYLOR_TERMS = 40
 
 
-def _unit_power(f, power: complex, cycles, f_max: float, *, log_weight: bool = False,
-                abs_tol: float = 1e-13, rel_tol: float = 2e-11) -> QuadResult:
-    """int_0^1 a^power (log a)^m f(a) da, m = 1 if log_weight else 0, for
-    Re power > -1, where cycles is f's frequency in a and |f| <= f_max on
-    (0, 1/2].
+def _zeta1_taylor(u: complex):
+    """(c, b, R): zeta1(u, a) = sum_k c_k a^k with c_k = binom(-u, k) zeta(u+k)
+    (DLMF 25.11.10), k = 0..K, and |zeta1(u, a) - sum_k c_k a^k| <= R a^(K+1)
+    for 0 <= a <= b = 1 / max(4, |u|).
 
-    The map a = e^{-s} gives int_0^inf e^{-(1+power) s} (-s)^m f(e^{-s}) ds,
-    smooth in s; one integrate_finite call on [0, S] at
-    |1 + power| / 2 pi + cycles(e^{-s}) e^{-s} cycles per unit of s.  S is
-    the least log 2 + k / (1 + Re power) whose omitted piece,
-    f_max int_S^inf s^m e^{-(1 + Re power) s} ds, is below abs_tol / 1000;
-    that bound is added to err_estimate.
+    With r = max(1, (|u|+K+1)/(K+2)) >= |binom(-u, k+1) / binom(-u, k)| for
+    k > K (r b < 1) and zeta(Re u + k) falling in k, the remainder is at
+    most |binom(-u, K+1)| zeta(Re u + K + 1) a^(K+1) / (1 - r b); R is inf
+    where Re u + K + 1 <= 1.  At u = -m the series is a polynomial: its
+    k = m+1 term meets the pole of zeta and tends to -1/(m+1), every later
+    term vanishes, and R = 0.
     """
+    u = complex(u)
+    K = _TAYLOR_TERMS
+    split = 1.0 / max(4.0, abs(u))
+    k = np.arange(K + 2.0)
+    binom = np.cumprod(np.append(1.0, -(u + k[1:] - 1.0) / k[1:]))  # binom(-u, k), k = 0..K+1
+    if u.imag == 0.0 and u.real == math.floor(u.real) <= 0.0:
+        m = int(-u.real)
+        return np.append(binom[:m + 1] * riemann_zeta(u + k[:m + 1]), -1.0 / (m + 1)), split, 0.0
+    coeffs = binom[:-1] * riemann_zeta(u + k[:-1])
+    x = u.real + K + 1.0
+    if not x > 1.0:
+        return coeffs, split, math.inf
+    zeta_x = 1.0 + 2.0**-x + 2.0 ** (1.0 - x) / (x - 1.0)  # >= zeta(x)
+    ratio = split * max(1.0, (abs(u) + K + 1.0) / (K + 2.0))
+    return coeffs, split, abs(binom[-1]) * zeta_x / (1.0 - ratio)
+
+
+def _unit_power(u: complex, power: complex, *, quotient: bool = False, log_weight: bool = False,
+                abs_tol: float = 1e-13, rel_tol: float = 2e-11) -> QuadResult:
+    """int_0^1 a^power (log a)^m f(a) da for Re power > -1, m = 1 if
+    log_weight else 0, f = zeta1(u, a) or, with quotient,
+    (zeta1(u, a) - zeta(u)) / a.
+
+    On [0, b] f is the Taylor series of _zeta1_taylor (one index lower for
+    the quotient), integrated term by term in closed form,
+    int_0^b a^(e-1) (log a)^m da = b^e / e (log b - 1/e)^m.  The series'
+    remainder integrates to at most R |that form| at the first omitted
+    exponent, with Re power in place of power; that bound is added to
+    err_estimate, and above abs_tol it raises ConvergenceError.  [b, 1] is
+    one integrate_finite call at zeta1's cycles plus |power| / (2 pi a).
+    """
+    u = complex(u)
     power = complex(power)
-    lam = 1.0 + power.real
-    if not lam > 0.0:
+    if not power.real > -1.0:
         raise DomainError("requires Re power > -1")
+    coeffs, b, rem = _zeta1_taylor(u)
+    zu, coeffs = (coeffs[0], coeffs[1:]) if quotient else (0.0, coeffs)
 
-    def cut(S: float) -> float:
-        return f_max * math.exp(-lam * S) / lam * ((S + 1.0 / lam) if log_weight else 1.0)
+    def closed(e):
+        return b**e / e * ((math.log(b) - 1.0 / e) if log_weight else 1.0)
 
-    S = math.log(2.0)
-    while cut(S) > 1e-3 * abs_tol:
-        S += 1.0 / lam
+    head = complex(np.sum(coeffs * closed(power + np.arange(1.0, coeffs.size + 1.0))))
+    cut = rem * abs(closed(power.real + coeffs.size + 1.0))
+    if not cut <= abs_tol:
+        raise ConvergenceError(f"zeta1 Taylor head at u = {u}: remainder {cut:.3e} "
+                               f"exceeds {abs_tol:.1e}")
 
-    def g(s: np.ndarray) -> np.ndarray:
-        w = np.exp(-(1.0 + power) * s) * f(np.exp(-s))
-        return -s * w if log_weight else w
+    def f(a: np.ndarray) -> np.ndarray:
+        z = hurwitz_zeta1(u, a)
+        w = np.power(a, power) * ((z - zu) / a if quotient else z)
+        return w * np.log(a) if log_weight else w
 
-    rate = abs(1.0 + power) / _2PI
-    res = integrate_finite(g, 0.0, S, cycles=lambda s: rate + cycles(math.exp(-s)) * math.exp(-s),
+    zeta1_cycles = _zeta1_cycles(u.imag)
+    res = integrate_finite(f, b, 1.0, cycles=lambda a: zeta1_cycles(a) + abs(power) / (_2PI * a),
                            abs_tol=abs_tol, rel_tol=rel_tol)
-    return QuadResult(res.value, res.err_estimate + cut(S), res.evaluations)
-
-
-def _weighted_unit_integral(power: complex, u: complex) -> QuadResult:
-    """int_0^1 alpha^{power} zeta1(u, alpha) d(alpha), -1 < Re power."""
-    return _unit_power(lambda a: hurwitz_zeta1(u, a), power, _zeta1_cycles(u.imag), _zeta1_max(u))
+    return QuadResult(head + res.value, res.err_estimate + cut, res.evaluations)
 
 
 def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
-    """Closed form against direct quadrature, split at alpha = 1: the
-    exponential map of _unit_power on (0, 1) and the weighted tail on
-    [1, inf), whose closed power tail carries the slow alpha^{1-u-v} decay.
+    """Closed form against direct quadrature, split at alpha = 1:
+    _unit_power on (0, 1), a closed Taylor head plus one integrate_finite
+    call, and the weighted tail on [1, inf), whose closed power tail
+    carries the slow alpha^{1-u-v} decay.
     """
     u = complex(u)
     v = complex(v)
     closed = mellin_tail_closed_form(u, v)
-    unit = _weighted_unit_integral(-v, u)
+    unit = _unit_power(u, -v)
     tail = _weighted_tail(v, (u,))
     return IdentityReport.build(
         "mellin_tail",
@@ -455,69 +479,11 @@ def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
     )
 
 
-# Terms of the binomial series of the zeta1 difference quotient.
-_DQ_TERMS = 40
-
-
-def _zeta1_difference_quotient(u: complex):
-    """Return a -> (zeta1(u, a) - zeta(u)) / a for arrays of a in (0, 1].
-
-    Below the split b = min(1/4, 1/|u|) the difference cancels (to nothing
-    as a -> 0), so there the quotient is the binomial series
-    sum_{k=1..K} binom(-u, k) zeta(u+k) a^(k-1); from b on the direct
-    difference loses at most about one digit.  With c_k = |binom(-u, k)|
-    and r = max(1, (|u|+K+1)/(K+2)) >= c_{k+1}/c_k for k > K (r b < 1),
-    the series remainder is at most c_{K+1} zeta(Re u + K + 1) a^K / (1 - r a).
-    ConvergenceError unless at a = b that is below 2^-52 times the sum of
-    the term sizes.
-    """
-    u = complex(u)
-    zu = complex(riemann_zeta(u))
-    split = min(0.25, 1.0 / abs(u))
-    k = np.arange(1.0, _DQ_TERMS + 2.0)
-    binom = np.cumprod(-(u + k - 1.0) / k)  # binom(-u, k), k = 1..K+1
-    if u.imag == 0.0 and u.real == math.floor(u.real) < 0.0:
-        # u = -m: the series is a polynomial; its k = m+1 term meets the pole
-        # of zeta and tends to -1/(m+1), and every later term vanishes
-        m = int(-u.real)
-        coeffs = np.append(binom[:m] * riemann_zeta(u + k[:m]), -1.0 / (m + 1))
-    else:
-        coeffs = binom[:-1] * riemann_zeta(u + k[:-1])
-        x = u.real + _DQ_TERMS + 1.0
-        ratio = split * max(1.0, (abs(u) + _DQ_TERMS + 1.0) / (_DQ_TERMS + 2.0))
-        rest = math.inf
-        if x > 1.0:
-            zeta_x = 1.0 + 2.0**-x + 2.0 ** (1.0 - x) / (x - 1.0)  # >= zeta(x)
-            rest = abs(binom[-1]) * zeta_x * split**_DQ_TERMS / (1.0 - ratio)
-        scale = float(np.sum(np.abs(coeffs) * split ** (k[:-1] - 1.0)))
-        if not rest <= 2.0**-52 * scale:
-            raise ConvergenceError(
-                f"zeta1 difference quotient: the {_DQ_TERMS}-term binomial "
-                f"series misses double precision at u = {u}")
-
-    def quotient(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        out = np.empty(a.shape, dtype=complex)
-        small = a < split
-        big = ~small
-        if np.any(big):
-            out[big] = (hurwitz_zeta1(u, a[big]) - zu) / a[big]
-        if np.any(small):
-            x = a[small]
-            acc = np.full(x.shape, coeffs[-1])
-            for c in coeffs[-2::-1]:
-                acc = acc * x + c
-            out[small] = acc
-        return out
-
-    return quotient
-
-
 def _recursion_rhs(u: complex, v: complex) -> tuple[complex, int]:
     """(zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha), the
     right side of the unit-interval recursion, and its evaluations."""
     zu = complex(riemann_zeta(u))
-    w = _weighted_unit_integral(1.0 - v, u + 1.0)
+    w = _unit_power(u + 1.0, 1.0 - v)
     return (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value, w.evaluations
 
 
@@ -536,12 +502,8 @@ def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
         raise PoleError("u and u+1 must avoid the zeta pole")
     if v == 1.0:
         # limit mode: both sides finite
-        cycles = _zeta1_cycles(u.imag)
-        z_max = _zeta1_max(u + 1.0)
-        lhs_res = _unit_power(_zeta1_difference_quotient(u), 0.0, cycles, abs(u) * z_max,
-                              abs_tol=1e-12, rel_tol=1e-10)
-        rhs_res = _unit_power(lambda a: hurwitz_zeta1(u + 1.0, a), 0.0, cycles, z_max,
-                              log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
+        lhs_res = _unit_power(u, 0.0, quotient=True, abs_tol=1e-12, rel_tol=1e-10)
+        rhs_res = _unit_power(u + 1.0, 0.0, log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
         return IdentityReport.build(
             "unit_recursion",
             {"u": u, "v": v, "mode": "limit"},
@@ -550,13 +512,11 @@ def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
             lhs_res.evaluations + rhs_res.evaluations,
         )
     if v.real < 1.0:
-        lhs_res = _weighted_unit_integral(-v, u)
+        lhs_res = _unit_power(u, -v)
         lhs = lhs_res.value
         mode = "direct"
     else:
-        # |(zeta1(u, a) - zeta(u)) / a| <= |u| max |zeta1(u + 1, .)| on [0, a]
-        lhs_res = _unit_power(_zeta1_difference_quotient(u), 1.0 - v, _zeta1_cycles(u.imag),
-                              abs(u) * _zeta1_max(u + 1.0), abs_tol=1e-12, rel_tol=1e-10)
+        lhs_res = _unit_power(u, 1.0 - v, quotient=True, abs_tol=1e-12, rel_tol=1e-10)
         lhs = lhs_res.value + complex(riemann_zeta(u)) / (1.0 - v)
         mode = "subtracted"
     rhs, rhs_evals = _recursion_rhs(u, v)

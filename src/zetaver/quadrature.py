@@ -1,10 +1,10 @@
 """The one integration engine: adaptive Gauss-Kronrod on finite intervals.
 
-The substitutions that bring an integral to a finite interval (the
-exponential map of the unit-interval power weights and the truncated
-vertical-line contours) live with their caller, `identities`.  Integrands
-may be complex-valued; they are called with a numpy array of nodes and
-must return an array of values of the same shape.  integrate_finite
+What brings an integral to a finite interval (the closed Taylor heads of
+unit-interval powers, the closed power tails of [1, inf) integrals and the
+truncated vertical-line contours) lives with its caller.  Integrands may
+be complex-valued; they are called with a numpy array of nodes and must
+return an array of values of the same shape.  integrate_finite
 evaluates every panel, initial or bisected, in batches of up to _CHUNK
 panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call and
 must keep its memory per node bounded.  A non-finite panel value or error
@@ -164,11 +164,10 @@ def integrate_finite(
     function of x is marched by _march_panels, None gives one panel; it
     must be finite and ask for at most _MAX_INITIAL_PANELS panels.  A
     function must be monotone on [a, b] (every stated frequency is: sums of
-    constants and t / (2 pi (x + d)) terms, and the exponential map of
-    identities._unit_power), so its end values bound the panel count and an
-    over-cap frequency raises before the march.  initial_points adds the
-    non-smooth points of f as edges.  Refinement goes by generations:
-    while the error sum, taken in panel order,
+    constants and t / (2 pi (x + d)) terms), so its end values bound the
+    panel count and an over-cap frequency raises before the march.
+    initial_points adds the non-smooth points of f as edges.  Refinement
+    goes by generations: while the error sum, taken in panel order,
     exceeds max(abs_tol, rel_tol * |value|), the fewest worst panels whose
     errors hold the excess are bisected together, at most
     _MAX_BISECTIONS panels in all, and every panel goes through the

@@ -349,11 +349,12 @@ _FUZZ_AXES = {
     "lemma3": {"t": ("20", "50", "20:400:3:geometric", "1e6"), "sigma": ("0.5", "0.25,0.75")},
     "power_mean_Ik": {"k": ("1", "2", "3", "1,2"), "t": ("7", "20,50", "10:100:3")},
     "power_mean_Jk": {"k": ("1", "2", "1,2"), "T": ("1", "10,50", "20:100:3")},
-    # the unit-power map near its edge Re p = -1 (v_re near 1 or 2), zeta1
-    # at Re u < 0, and the pole u = 1
+    # unit powers near their edge Re p = -1 (v_re near 1 or 2), zeta1 at
+    # Re u < 0, the polynomial u = -1 (u + 1 = 0 in the recursion) and the
+    # pole u = 1
     "mellin_tail": {"u_re": ("2", "1.05,4", "1.5:3:3", "1"),
                     "v_re": ("0.1", "0.99", "0.95,0.999", "-0.5:0.5:3")},
-    "unit_recursion": {"u_re": ("2", "-0.5", "-2.5,0.5", "1"),
+    "unit_recursion": {"u_re": ("2", "-0.5", "-2.5,0.5", "1", "-1"),
                        "v_re": ("0", "0.99,1", "1.01:1.99:3", "-3")},
     "katsurada": {"u_re": ("1.3", "1.05,1.95", "1", "1.2:1.8:3"), "u_im": ("0.5", "0", "2,3")},
 }

@@ -269,11 +269,26 @@ def test_mellin_tail_boundary_is_domain_error():
 
 
 def test_mellin_tail_evaluation_counts_pinned():
-    # the exponential map of the unit part and the head on [1, 6], per
+    # the unit part's head on [1/4, 1] and the tail's head on [1, 6], per
     # default row: u, then v = 0.1, 0.3, 0.5
-    evals = {2.0: [570, 585, 585], 2.5: [570, 585, 585], 3.0: [570, 570, 585]}
+    evals = {2.0: [315, 315, 315], 2.5: [315, 315, 315], 3.0: [315, 315, 315]}
     for u, row in evals.items():
         assert [idn.mellin_tail_check(u, v).evaluations for v in (0.1, 0.3, 0.5)] == row
+
+
+@pytest.mark.parametrize("suite_id,evals", [
+    # the moment's left side and the heads on [1/4, 1] of both recursions
+    ("katsurada", [240, 285, 240, 285, 240, 285]),
+    # the heads on [1/4, 1] of both sides
+    ("unit_recursion", [105, 90, 90, 90, 105, 90, 90, 90]),
+])
+def test_unit_power_default_rows_evaluation_counts_pinned(suite_id, evals):
+    assert [row["evals"] for row in run_suite(SuiteSpec(suite_id)).rows] == evals
+
+
+def test_katsurada_slow_oscillating_weight_is_cheap():
+    # alpha^{-0.95 + 3i} near alpha = 0 is summed in closed form, not sampled
+    assert idn.verify_katsurada(1.95 + 3j, 1.95 - 3j).evaluations <= 1_000
 
 
 def _gk15_calls(monkeypatch):
@@ -437,7 +452,7 @@ def _mp_unit_power(p, w, quotient=False, log_weight=False):
     (1.5, 2.0 + 1j),
 ])
 def test_unit_power_error_estimate_covers_oracle(p, w):
-    res = idn._weighted_unit_integral(p, w)
+    res = idn._unit_power(w, p)
     assert abs(res.value - _mp_unit_power(p, w)) <= res.err_estimate
 
 
@@ -445,12 +460,9 @@ def test_unit_power_recursion_integrands_cover_oracle():
     # the subtracted mode at v = 1.9 + 0.5i and the log-weighted limit mode,
     # with the arguments unit_interval_recursion passes
     u, v = 2.0 + 0j, 1.9 + 0.5j
-    bound = abs(u) * idn._zeta1_max(u + 1.0)
-    res = idn._unit_power(idn._zeta1_difference_quotient(u), 1.0 - v, idn._zeta1_cycles(0.0),
-                          bound, abs_tol=1e-12, rel_tol=1e-10)
+    res = idn._unit_power(u, 1.0 - v, quotient=True, abs_tol=1e-12, rel_tol=1e-10)
     assert abs(res.value - _mp_unit_power(1.0 - v, u, quotient=True)) <= res.err_estimate
-    res = idn._unit_power(lambda a: hurwitz_zeta1(u + 1.0, a), 0.0, idn._zeta1_cycles(0.0),
-                          idn._zeta1_max(u + 1.0), log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
+    res = idn._unit_power(u + 1.0, 0.0, log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
     assert abs(res.value - _mp_unit_power(0.0, u + 1.0, log_weight=True)) <= res.err_estimate
 
 
@@ -474,10 +486,13 @@ def test_unit_recursion_continued_band():
 
 @pytest.mark.parametrize("u", [3.0, 0.5 + 3j, 2.0 + 100j, -1.0])
 def test_zeta1_difference_quotient_vs_oracle(u):
-    # both sides of the series split, down to shifts where the plain
-    # difference keeps no digit
+    # the Taylor coefficients past c_0 summed as the difference quotient,
+    # up to the split b, down to shifts where the plain difference keeps
+    # no digit; at u = -1 the series is a polynomial, exact on all of [0, 1]
+    coeffs, b, rem = idn._zeta1_taylor(u)
     a = np.array([1e-20, 1e-12, 1e-3, 0.2, 0.3, 1.0])
-    got = idn._zeta1_difference_quotient(u)(a)
+    a = a if rem == 0.0 else np.append(a[a < b], b)
+    got = np.polyval(coeffs[:0:-1], a)
     mp.mp.dps = 60
     try:
         ref = [complex((mp.zeta(u, 1 + mp.mpf(x)) - mp.zeta(u)) / mp.mpf(x)) for x in a]
@@ -487,9 +502,10 @@ def test_zeta1_difference_quotient_vs_oracle(u):
 
 
 def test_zeta1_difference_quotient_gives_up_loudly(monkeypatch):
-    monkeypatch.setattr(idn, "_DQ_TERMS", 8)
+    # 8 terms leave a remainder far above the tolerance
+    monkeypatch.setattr(idn, "_TAYLOR_TERMS", 8)
     with pytest.raises(ConvergenceError):
-        idn._zeta1_difference_quotient(3.0)
+        idn._unit_power(3.0, 0.0, quotient=True)
 
 
 def test_katsurada_points():
