@@ -8,6 +8,7 @@ Exit codes: 0 when every row is within tolerance, 1 on a tolerance breach,
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import os
@@ -21,9 +22,12 @@ from .suites import AxisSpec, GridSpec, SuiteSpec, list_suites, run_suite
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        z = complex(cleaned)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex number: {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -158,8 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: a ConfigError of a type converter passes argparse
+        args = parser.parse_args(argv)
         if args.command == "eval":
             value, err = _eval_value(args)
             if value.imag == 0.0:

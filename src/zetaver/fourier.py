@@ -113,17 +113,19 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the head on [1, A] from one
     _fourier_coeffs call over a Zeta1AlphaTable, plus the closed power tail
     from A.  err_estimate is the head's error plus the certified bound on
-    the tail's omitted part; evaluations, the table's and the head's, are
+    the tail's omitted part and the rounding of its closed sum;
+    evaluations, the table's and the head's, are
     the cost of the whole call and the same for every n."""
     big = max(abs(u), abs(v)) if direct else max(abs(u), abs(v), abs(1.0 - u - v), abs(u + v))
     # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
     # Gamma in osc_power_tail, large against the powers at every n != 0
     A = max(24.0, _tail_abscissa(abs(u), big), 1.3 * (big + 90.0) / _2PI)
-    # the subtracted powers are the expansion's two leading ones, exactly
+    # the subtracted powers are literally the expansion's first two entries,
+    # a^{-v} times a^{1-u}/(u-1) and -a^{-u}/2; the cut drops just those
     cut = -(u + v).real - 0.5
 
     def expand(A: float):
-        powers, rem = _product_powers(v, (u,), A, abs_tol / 4.0)
+        powers, rem = _product_powers(v, (u,), A)
         if not direct:
             powers = {q: c for q, c in powers.items() if q.real < cut}
         return powers, rem
@@ -143,8 +145,9 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
     heads, errs, evals = _fourier_coeffs(values, cycles, ns, 1.0, A, abs_tol / 2.0)
     evals += table.evaluations
-    return {n: QuadResult(head + _closed_power_tail(powers, n, A), float(err) + rem, evals)
-            for n, head, err in zip(ns, heads, errs)}
+    tails = [_closed_power_tail(powers, n, A) for n in ns]
+    return {n: QuadResult(head + tail, float(err) + rem + rounding, evals)
+            for n, head, err, (tail, rounding) in zip(ns, heads, errs, tails)}
 
 
 def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:

@@ -106,7 +106,8 @@ def f_series(u: complex, v: complex, alpha: float) -> complex:
 
     The inner sum is zeta1(u, n+alpha) exactly.  The outer sum runs
     directly to M; past it, h(a) = a^{-v} zeta1(u, a) is the power
-    expansion sum_q c_q a^q of special._product_powers on a >= a0 - 1,
+    expansion sum_q c_q a^q of special._product_powers, a^{-v} times the
+    large-a series of zeta1 (DLMF 25.11.43), on a >= a0 - 1,
     a0 = M + 1 + alpha, so sum_{n>M} h(n+alpha) = sum_q c_q zeta_H(-q, a0).
     The omitted part decreases in a, so its sum from a0 is at most its
     integral from a0 - 1, the expansion's remainder bound; ConvergenceError
@@ -124,7 +125,7 @@ def f_series(u: complex, v: complex, alpha: float) -> complex:
     head = complex(np.sum(np.power(x, -v) * hurwitz_zeta1(u, x)))
 
     a0 = M + 1 + alpha
-    powers, rem = _product_powers(v, (u,), a0 - 1.0, 1e-13)
+    powers, rem = _product_powers(v, (u,), a0 - 1.0)
     if rem > 1e-13:
         raise ConvergenceError(f"f_series outer tail bound {rem:.3e} exceeds 1e-13")
     q = np.array(list(powers))
@@ -293,17 +294,18 @@ def _unit_moment_lhs(us):
 def _weighted_tail(weight: complex, us) -> QuadResult:
     """int_1^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha), 0 to 3
     factors: an integrate_finite head on [1, A] plus the closed power tail
-    from A, certified to 1e-13 and added to err_estimate.  DivergenceError
+    from A, whose certified remainder (at most 1e-13) and the rounding of
+    its closed sum are added to err_estimate.  DivergenceError
     for decay alpha^-1 or slower."""
     weight = complex(weight)
     us = tuple(complex(u) for u in us)
     big_u = max((abs(u) for u in us), default=0.0)
-    powers, A, rem = _certified_powers(lambda A: _product_powers(weight, us, A, 1e-13),
+    powers, A, rem = _certified_powers(lambda A: _product_powers(weight, us, A),
                                        _tail_abscissa(big_u, max(big_u, abs(weight))), 1e-13)
-    tail = _closed_power_tail(powers, 0, A)
+    tail, rounding = _closed_power_tail(powers, 0, A)
     f, cycles = _weighted_product(weight, us)
     head = integrate_finite(f, 1.0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
-    return QuadResult(head.value + tail, head.err_estimate + rem, head.evaluations)
+    return QuadResult(head.value + tail, head.err_estimate + rem + rounding, head.evaluations)
 
 
 # Name of a tail term by the number of zeta1 factors it keeps.
@@ -633,7 +635,10 @@ def i1_asymptotic_check(t_grid) -> list[IdentityReport]:
 
 def remark_219_check(u: complex, v: complex) -> IdentityReport:
     """Large-t behaviour of int_0^1 alpha^{1-v} zeta1(u+1, alpha) d(alpha)
-    against (1/(it)) sum_m 1/(m (m+1)^u), for v = s1 - it, u = s2 + it."""
+    against (1/(it)) sum_m 1/(m (m+1)^u), for v = s1 - it, u = s2 + it.
+
+    The integral is _unit_power(u + 1, 1 - v), from alpha = 0, so the
+    reported endpoint_cut is 0."""
     u = complex(u)
     v = complex(v)
     t = u.imag
@@ -642,16 +647,7 @@ def remark_219_check(u: complex, v: complex) -> IdentityReport:
         raise DomainError("requires 0 < Re v < 2")
     if t <= 0.0 or abs(v.imag + t) > 1e-9:
         raise DomainError("requires u = s2 + it, v = s1 - it with the same t > 0")
-    # alpha^{1-v} = alpha^{1-s1} e^{+i t log alpha}: smooth power times log phase
-    def f(a: np.ndarray) -> np.ndarray:
-        return np.power(a, 1.0 - s1) * hurwitz_zeta1(u + 1.0, a) * np.exp(1j * (t * np.log(a)))
-
-    # log-oscillation toward 0: cut at delta with an explicit endpoint bound
-    zmag = abs(complex(riemann_zeta(u + 1.0))) + 1.0
-    delta = min(0.25, (1e-13 / zmag) ** (1.0 / (2.0 - s1)))
-    z = _zeta1_cycles(t)
-    head = integrate_finite(f, delta, 1.0, cycles=lambda a: t / (_2PI * a) + z(a),
-                            abs_tol=1e-12, rel_tol=1e-9)
+    head = _unit_power(u + 1.0, 1.0 - v, abs_tol=1e-12, rel_tol=1e-9)
     lhs = head.value
     S = sum_recip_m_mp1u(u)
     rhs = S / (1j * t)
@@ -659,7 +655,7 @@ def remark_219_check(u: complex, v: complex) -> IdentityReport:
     return IdentityReport.build(
         "remark_219",
         {"u": u, "v": v, "t": t, "scaled_t2": resid * t * t,
-         "endpoint_cut": delta, "lhs_abs": abs(lhs)},
+         "endpoint_cut": 0.0, "lhs_abs": abs(lhs)},
         lhs,
         rhs,
         head.evaluations,

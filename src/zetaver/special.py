@@ -513,89 +513,56 @@ def osc_power_tail(s: complex, m: int, a0: float) -> complex:
 # ---------------------------------------------------------------------------
 # Closed-form power tails of zeta1 and of its products.
 #
-# Past a moderate abscissa A, zeta1(u, a) is replaced by its Euler-Maclaurin
-# expansion in 1+a, re-expanded binomially into pure powers of a, with a
-# bound on the omitted part.  A power integrates against e^{-2 pi i n a} in
-# closed form (incomplete Gamma, or a plain power at n = 0) and sums over
-# a + k, k >= 0, as a Hurwitz zeta value, so neither quadrature nor a direct
-# sum runs where the expansion holds.
+# Past a moderate abscissa A, zeta1(u, a) is replaced by its large-a
+# expansion in pure powers of a (DLMF 25.11.43), with a bound on the omitted
+# part.  A power integrates against e^{-2 pi i n a} in closed form
+# (incomplete Gamma, or a plain power at n = 0) and sums over a + k, k >= 0,
+# as a Hurwitz zeta value, so neither quadrature nor a direct sum runs where
+# the expansion holds.
 # ---------------------------------------------------------------------------
 
-# Binomial terms at most per power of 1+a.
-_BINOM_TERMS = 64
 
+def _zeta1_powers(u: complex, A: float):
+    """zeta1(u, a) for a >= A as ({power: coef}, (bound, exponent)):
+    DLMF 25.11.43 after _EM_PAIRS Bernoulli pairs, i.e. the Euler-Maclaurin
+    expansion of zeta_H(u, a) with no direct terms, less its n = 0 term,
 
-def _binom_powers(g: complex, coef: complex, A: float, acc: dict, big: dict, tol: float):
-    """Add coef * (1+a)^g = coef * sum_j binom(g, j) a^{g - j} to acc, and
-    the size of each contribution to big.  Returns (bound, exponent): the
-    omitted sum is at most bound (a/A)^exponent on [A, inf), bound being
-    the first omitted term at A over 1 - r, for r at least the ratio of
-    consecutive omitted terms there."""
-    c = coef
-    j = 0
-    while True:
-        key = g - j
-        acc[key] = acc.get(key, 0j) + c
-        big[key] = max(big.get(key, 0.0), abs(c))
-        nxt = c * (g - j) / (j + 1.0)
-        j += 1
-        rem = abs(nxt) * A ** (g.real - j)
-        if j >= _BINOM_TERMS or (j > abs(g) / A and rem < tol):
-            r = max(abs(g) + j, j + 1.0) / ((j + 1.0) * A)
-            return rem / (1.0 - r) if r < 1.0 else math.inf, g.real - j
-        c = nxt
+        a^{1-u}/(u-1) - a^{-u}/2 + sum_j B_2j/(2j)! (u)_{2j-1} a^{1-u-2j},
 
-
-def _zeta1_powers(u: complex, A: float, tol: float):
-    """zeta1(u, a) for a >= A as ({power: coef}, (bound, exponent)): the
-    Euler-Maclaurin expansion in 1+a with _EM_PAIRS Bernoulli pairs, each
-    power of 1+a expanded binomially.  The omitted part is at most
-    bound (a/A)^exponent on [A, inf).
-
-    Coefficients below 1e-13 of the largest contribution to the same power
-    are cancellation noise and dropped as exact zeros, as are powers below
-    1e-17 of the largest at A.
+    the two leading powers first.  The omitted part is at most
+    bound (a/A)^exponent on [A, inf): the first omitted term at A times the
+    _em_hurwitz ratio that bounds the rest.  PoleError at u = 1.
     """
-    tol_each = tol / (A * (4.0 + 3.0 * _EM_PAIRS))
-    acc: dict = {}
-    big: dict = {}
-    # zeta1(u, a) = (1+a)^{1-u}/(u-1) + (1+a)^{-u}/2 + EM corrections
-    pieces = [_binom_powers(1.0 - u, 1.0 / (u - 1.0), A, acc, big, tol_each),
-              _binom_powers(-u, 0.5 + 0j, A, acc, big, tol_each)]
+    if u == 1.0:
+        raise PoleError("zeta1 pole at u = 1")
+    if u.real + 2 * _EM_PAIRS + 1 <= 1.0:
+        raise DomainError(f"Re u = {u.real} too small for {_EM_PAIRS} Bernoulli pairs")
+    powers = {1.0 - u: 1.0 / (u - 1.0), -u: -0.5 + 0j}
     poch = u
     for j in range(1, _EM_PAIRS + 1):
         if j > 1:
             poch = poch * (u + 2 * j - 3) * (u + 2 * j - 2)
-        pieces.append(_binom_powers(-u - (2 * j - 1), _b2j_over_factorial(j) * poch,
-                                    A, acc, big, tol_each))
+        powers[1.0 - u - 2 * j] = _b2j_over_factorial(j) * poch
     poch = poch * (u + 2 * _EM_PAIRS - 1) * (u + 2 * _EM_PAIRS)
-    # the first omitted correction; the _em_hurwitz ratio bounds the rest
-    # and (1+a)^{-x} <= a^{-x}
     power = -u.real - 2 * _EM_PAIRS - 1
     ratio = (abs(u) + 2 * _EM_PAIRS + 1) / (u.real + 2 * _EM_PAIRS + 1)
-    pieces.append((abs(_b2j_over_factorial(_EM_PAIRS + 1) * poch) * ratio * A**power, power))
-    scale = max(abs(c) * A ** q.real for q, c in acc.items())
-    powers = {
-        q: c
-        for q, c in acc.items()
-        if abs(c) > 1e-13 * big[q] and abs(c) * A ** q.real > 1e-17 * scale
-    }
-    return powers, (sum(b for b, _ in pieces), max(e for _, e in pieces))
+    return powers, (abs(_b2j_over_factorial(_EM_PAIRS + 1) * poch) * ratio * A**power, power)
 
 
-def _product_powers(w: complex, us, A: float, tol: float):
+def _product_powers(w: complex, us, A: float):
     """a^{-w} prod_j zeta1(u_j, a) for a >= A as ({power: coef}, rem).
 
-    The factors' power dicts are multiplied and cancelled coefficients
-    dropped as in _zeta1_powers.  Each factor is its truncated sum P_j,
-    at most |P_j(A)| (a/A)^{max power}, plus a remainder R_j bounded the
-    same way; rem integrates over [A, inf) the bound this gives on
+    The factors' power dicts of _zeta1_powers are multiplied, equal powers
+    merged, and coefficients below 1e-13 of the largest product merged into
+    them dropped as cancelled.  Each factor is its truncated sum P_j, at
+    most |P_j(A)| (a/A)^{max power}, plus a remainder R_j bounded the same
+    way; rem integrates over [A, inf) the bound this gives on
     prod (P_j + R_j) - prod P_j, one power per nonempty set of R factors.
     """
     keys, coefs, sizes = np.array([-w]), np.array([1.0 + 0j]), np.array([1.0])
     bounds = []
     for u in us:
-        powers, rem_bound = _zeta1_powers(u, A, tol)
+        powers, rem_bound = _zeta1_powers(u, A)
         q = np.array(list(powers))
         c = np.array(list(powers.values()))
         bounds.append(((np.abs(c) * A**q.real).sum(), q.real.max(), rem_bound))
@@ -616,17 +583,21 @@ def _product_powers(w: complex, us, A: float, tol: float):
     return dict(zip(keys[kept].tolist(), coefs[kept].tolist())), rem
 
 
-def _closed_power_tail(powers: dict, n: int, A: float) -> complex:
-    """sum_q c_q int_A^inf a^q e^{-2 pi i n a} da in closed form."""
-    total = 0j
+def _closed_power_tail(powers: dict, n: int, A: float) -> tuple[complex, float]:
+    """sum_q c_q int_A^inf a^q e^{-2 pi i n a} da in closed form, and a bound
+    (terms + 4) 2^-53 sum |term| on the rounding of that sum (not of the
+    incomplete-Gamma values themselves)."""
+    total, size = 0j, 0.0
     for q, c in powers.items():
         if n == 0:
             if q.real >= -1.0:
                 raise DivergenceError(f"tail carries the non-integrable power {q} at n = 0")
-            total += -c * A ** (q + 1.0) / (q + 1.0)
+            term = -c * A ** (q + 1.0) / (q + 1.0)
         else:
-            total += c * osc_power_tail(-q, -n, A)
-    return complex(total)
+            term = c * osc_power_tail(-q, -n, A)
+        total += term
+        size += abs(term)
+    return complex(total), (len(powers) + 4) * 2.0**-53 * size
 
 
 def _tail_abscissa(big_w: float, big: float) -> float:

@@ -250,6 +250,19 @@ def test_integration_tolerance_options_do_not_exist(capsys, argv):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the 1/(u - 1) of the large-alpha zeta1 expansion: a pole, not a crash
+    ["eval", "q_n", "--n", "1", "--u", "1", "--v", "0.5"],
+    ["eval", "q_n", "--n", "1", "--u", "2", "--v", "1"],
+    ["eval", "chi", "--s", "nan"],
+    ["eval", "a_n", "--n", "1", "--s", "nan"],
+    ["eval", "zeta", "--s", "abc"],
+])
+def test_eval_bad_point_exits_two_without_traceback(capsys, argv):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_config_file_bad_tol_is_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "suite.ini"
     cfgfile.write_text("[quadratic_moment]\ntol = x\n")
@@ -357,6 +370,13 @@ _FUZZ_AXES = {
     "unit_recursion": {"u_re": ("2", "-0.5", "-2.5,0.5", "1", "-1"),
                        "v_re": ("0", "0.99,1", "1.01:1.99:3", "-3")},
     "katsurada": {"u_re": ("1.3", "1.05,1.95", "1", "1.2:1.8:3"), "u_im": ("0.5", "0", "2,3")},
+    # the [1, inf) tails and the q_n modes: power expansions of zeta1 in
+    # alpha near u = 1, at its pole and at Re u < 1
+    "quadratic_moment": {"u_re": ("2", "1.05,4", "1"), "v_re": ("2", "1.05,4", "1"),
+                         "u_im": ("0,30",)},
+    "f_routes": {"u_re": ("1.05,3", "1"), "v_re": ("1.05,3", "1"), "alpha": ("0,100",)},
+    "triple_moment": {"re": ("1.05,2",), "im": ("0,5",)},
+    "qn_modes": {"n": ("0,2",), "u_re": ("2,1,0.5",), "u_im": ("1,20",)},
 }
 _FUZZ_EXTRA = st.sampled_from(["eta", "u_im", "TT", "sigmaa", "sigma", "t", "k", ""])
 _FUZZ_BAD = (

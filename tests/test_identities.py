@@ -281,6 +281,8 @@ def test_mellin_tail_evaluation_counts_pinned():
     ("katsurada", [240, 285, 240, 285, 240, 285]),
     # the heads on [1/4, 1] of both sides
     ("unit_recursion", [105, 90, 90, 90, 105, 90, 90, 90]),
+    # the head on [1/|u + 1|, 1] of _unit_power(u + 1, 1 - v), t = 50 and 100
+    ("remark_219", [1545, 3375]),
 ])
 def test_unit_power_default_rows_evaluation_counts_pinned(suite_id, evals):
     assert [row["evals"] for row in run_suite(SuiteSpec(suite_id)).rows] == evals

@@ -462,6 +462,22 @@ def test_array_s_bound_covers_oracle_error(points, alpha):
         assert abs(vi - ref) <= err + 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("u, a", [
+    (2.0, 6.0), (1.3 + 2j, 6.0), (3.0 + 5j, 6.0), (2.0 + 20j, 16.0), (0.5 + 50j, 40.0),
+])
+def test_zeta1_powers_bound_covers_oracle(u, a):
+    # the large-a series of zeta1 (DLMF 25.11.43) at a = A, where the
+    # bound is largest; it is above 1e-14 at each point, so it dominates
+    # the rounding of the sum
+    from zetaver import oracle
+
+    powers, (bound, _) = sp._zeta1_powers(complex(u), a)
+    value = sum(c * a**q for q, c in powers.items())
+    ref = oracle.hurwitz_zeta1(complex(u), a, prec_bits=120)
+    assert bound >= 1e-14
+    assert abs(value - ref) <= bound + 8 * 2.0**-53 * abs(ref)
+
+
 @pytest.mark.parametrize("name", ["hurwitz_zeta1", "hurwitz_zeta"])
 def test_oracle_rejects_a_large_shift_before_mpmath(name, monkeypatch):
     # mp.zeta(s, a) grows to gigabytes at a = 1e8; the oracle stops at 1e4
