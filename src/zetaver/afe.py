@@ -227,15 +227,20 @@ def power_mean_Ik(k: int, t: float) -> float:
         raise DomainError("k must be 1, 2 or 3")
     if not (_2PI <= t <= 3000.0):
         raise DomainError("t out of desk-scale range")
-    s = 0.5 + 1j * t
-    z = _zeta1_cycles(t)
+    res = _power_mean(0.5 + 1j * t, k, abs_tol=1e-10, rel_tol=1e-8)
+    return _nonnegative(float(res.value.real))
+
+
+def _power_mean(s: complex, k: int, abs_tol: float, rel_tol: float) -> QuadResult:
+    """int_0^1 |zeta1(s, alpha)|^{2k} d(alpha): one integrate_finite call at
+    2k times the cycles of zeta1 (power_mean_Ik and both Parseval checks)."""
+    z = _zeta1_cycles(s.imag)
 
     def f(a: np.ndarray) -> np.ndarray:
         return np.abs(hurwitz_zeta1(s, a)) ** (2 * k) + 0j
 
-    res = integrate_finite(f, 0.0, 1.0, cycles=lambda a: 2 * k * z(a),
-                           abs_tol=1e-10, rel_tol=1e-8)
-    return _nonnegative(float(res.value.real))
+    return integrate_finite(f, 0.0, 1.0, cycles=lambda a: 2 * k * z(a),
+                            abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def power_mean_Jk(k: int, T: float) -> float:

@@ -14,15 +14,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .identities import IdentityReport
-from .quadrature import (
-    _NODES,
-    _PER_CYCLE,
-    _WG_FULL,
-    _WGK_FULL,
-    QuadResult,
-    _march_panels,
-    integrate_finite,
-)
+from .quadrature import _NODES, _WG_FULL, _WGK_FULL, QuadResult, _march_panels
+# unused here, but the benchmark's tracer test reads fourier.integrate_finite
+from .quadrature import integrate_finite  # noqa: F401
 from .special import (
     _certified_powers,
     _closed_power_tail,
@@ -110,12 +104,11 @@ def tail_lemma_check(s: complex, alpha: float, eta: float) -> IdentityReport:
 def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
     """int_1^inf F(a) e^{-2 pi i n a} da for every n in ns as {n: QuadResult},
     F being zeta1(u, a) a^{-v} (direct) or that minus its two leading powers
-    a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the head on [1, A] from one
-    _fourier_coeffs call over a Zeta1AlphaTable, plus the closed power tail
-    from A.  err_estimate is the head's error plus the certified bound on
-    the tail's omitted part and the rounding of its closed sum;
-    evaluations, the table's and the head's, are
-    the cost of the whole call and the same for every n."""
+    a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the _zeta1_head on [1, A]
+    plus the closed power tail from A.  err_estimate is the head's error
+    plus the certified bound on the tail's omitted part and the rounding of
+    its closed sum; evaluations, the table's and the head's, are the cost
+    of the whole call and the same for every n."""
     big = max(abs(u), abs(v)) if direct else max(abs(u), abs(v), abs(1.0 - u - v), abs(u + v))
     # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
     # Gamma in osc_power_tail, large against the powers at every n != 0
@@ -132,18 +125,7 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
 
     powers, A, rem = _certified_powers(expand, A, abs_tol)
     table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
-
-    if direct:
-        def values(x: np.ndarray) -> np.ndarray:
-            return table(x) * np.power(x, -v)
-    else:
-        def values(x: np.ndarray) -> np.ndarray:
-            return (table(x) * np.power(x, -v)
-                    - np.power(x, 1.0 - u - v) / (u - 1.0)
-                    + 0.5 * np.power(x, -u - v))
-
-    cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
-    heads, errs, evals = _fourier_coeffs(values, cycles, ns, 1.0, A, abs_tol / 2.0)
+    heads, errs, evals = _zeta1_head(table, v, ns, A, abs_tol / 2.0, continued=not direct)
     evals += table.evaluations
     tails = [_closed_power_tail(powers, n, A) for n in ns]
     return {n: QuadResult(head + tail, float(err) + rem + rounding, evals)
@@ -236,12 +218,12 @@ def _zeta1_pair_cycles(t: float):
 def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     """int_a^b values(x) e^{-2 pi i n x} dx for every n in ns.
 
-    One panel set is marched for max |n| plus cycles(x), the frequency
-    content of values, and values is evaluated once on it; every n is then
-    a phase sum over the same nodes, with the embedded G7/K15 difference as
-    its error.  While the largest error exceeds tol the panel density rises
-    from _PER_CYCLE = 2.5 points per cycle by 1.7x, up to 20.9; a tol still
-    missed there raises ConvergenceError.
+    One panel set is marched by _march_panels (quadrature._PER_CYCLE = 2.5
+    points per cycle) for max |n| plus cycles(x), the frequency content of
+    values, and values is evaluated once on it; every n is then a phase
+    sum over the same nodes, with the embedded G7/K15 difference as its
+    error.  A largest error above tol raises ConvergenceError, so the
+    caller's cycles must make the panels fine enough.
 
     The n are integers, so the phase needs only the fractional part of each
     node (exact in floating point).  An anchor index gets its phase
@@ -257,39 +239,56 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     """
     ns = np.asarray(ns, dtype=float)
     n_big = float(np.max(np.abs(ns)))
-    per_cycle = _PER_CYCLE
-    evals = 0
-    while True:
-        pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x), per_cycle=per_cycle))
-        halves = 0.5 * (pts[1:] - pts[:-1])
-        nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
-        fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
-        frac = nodes - np.floor(nodes)
-        evals += nodes.size
-        step = np.exp(-_2PI * 1j * frac)
-        size = float(np.sum(np.abs(fv) @ _WGK_FULL))
-        coeffs = np.empty(ns.size, dtype=complex)
-        errs = np.empty(ns.size)
-        m = 0
-        for i, n in enumerate(ns):
-            if i == 0 or m == _PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
-                cur = fv * np.exp(-_2PI * 1j * n * frac)
-                m = 0
-            else:
-                cur *= step
-                m += 1
-            kd = cur @ _KD_WEIGHTS
-            coeffs[i] = kd[:, 0].sum()
-            rounding = (19.0 * abs(n) + 36.0 * m + 6.0) * _UNIT_ROUNDOFF * size
-            errs[i] = np.abs(kd[:, 1]).sum() + rounding
-        if errs.max() <= tol:
-            return coeffs, errs, evals
-        if per_cycle >= 15.0:
-            raise ConvergenceError(
-                f"Fourier coefficients stalled: err={errs.max():.3e} > tol={tol:.3e} "
-                f"at {per_cycle:.1f} points per cycle"
-            )
-        per_cycle *= 1.7
+    pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x)))
+    halves = 0.5 * (pts[1:] - pts[:-1])
+    nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
+    fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
+    frac = nodes - np.floor(nodes)
+    step = np.exp(-_2PI * 1j * frac)
+    size = float(np.sum(np.abs(fv) @ _WGK_FULL))
+    coeffs = np.empty(ns.size, dtype=complex)
+    errs = np.empty(ns.size)
+    m = 0
+    for i, n in enumerate(ns):
+        if i == 0 or m == _PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
+            cur = fv * np.exp(-_2PI * 1j * n * frac)
+            m = 0
+        else:
+            cur *= step
+            m += 1
+        kd = cur @ _KD_WEIGHTS
+        coeffs[i] = kd[:, 0].sum()
+        rounding = (19.0 * abs(n) + 36.0 * m + 6.0) * _UNIT_ROUNDOFF * size
+        errs[i] = np.abs(kd[:, 1]).sum() + rounding
+    if not errs.max() <= tol:
+        raise ConvergenceError(f"Fourier coefficients stalled: err={errs.max():.3e} > "
+                               f"tol={tol:.3e} on {halves.size} panels")
+    return coeffs, errs, nodes.size
+
+
+def _zeta1_head(table: Zeta1AlphaTable, v: complex, ns, b: float, tol: float,
+                continued: bool = False):
+    """int_1^b a^{-v} zeta1(u, a) e^{-2 pi i n a} da for every n in ns, u
+    being table.s and zeta1(u, a) read from table (built on [1, b] or
+    wider): one _fourier_coeffs call at the _zeta1_pair_cycles of
+    max(|Im u|, |Im v|).  continued subtracts the two leading powers
+    a^{1-u-v}/(u-1) - a^{-u-v}/2 from the integrand.
+
+    Returns (coeffs, errs, evaluations) as _fourier_coeffs does; the
+    evaluations are the engine's values only.  theorem2 and highfreq_tail
+    rows report just these, and q_n rows (_side_integrals) add the table's
+    own table.evaluations.
+    """
+    u = table.s
+
+    def values(x: np.ndarray) -> np.ndarray:
+        f = table(x) * np.power(x, -v)
+        if continued:
+            f = f - np.power(x, 1.0 - u - v) / (u - 1.0) + 0.5 * np.power(x, -u - v)
+        return f
+
+    cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
+    return _fourier_coeffs(values, cycles, ns, 1.0, b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +325,8 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> Ide
         raise DomainError("requires |n| > t/2pi")
     B = t / _2PI + eta
     table = Zeta1AlphaTable(u, 1.0, B + 1e-9)
-
-    def f(a: np.ndarray) -> np.ndarray:
-        return np.power(a, -v) * table(a)
-
     env = math.sqrt(t) / abs(abs(n) - t / _2PI)
-    (val,), _errs, evals = _fourier_coeffs(f, _zeta1_pair_cycles(t), [n], 1.0, B, 1e-8 * env)
+    (val,), _errs, evals = _zeta1_head(table, v, [n], B, 1e-8 * env)
     params = {"t": t, "n": n, "ratio": abs(val) / env, "envelope": env}
     return IdentityReport.bound("highfreq_tail", params, abs(val), abs(val) / env, evals)
 
@@ -350,29 +345,18 @@ def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityRepo
     t = abs(s.imag)
     if n_max is None:
         n_max = int(max(2000, 40 * t))
-    total = abs(fourier_coeff_a(0, s)) ** 2
+    # |a_n|^2 for every index the sum and the tail probe read
+    reach = max(n_max, 200 - n_max)
+    sq = {n: abs(fourier_coeff_a(n, s)) ** 2 for n in range(-reach, reach + 1)}
+    total = sq[0]
     for n in range(1, n_max + 1):
-        total += abs(fourier_coeff_a(n, s)) ** 2 + abs(fourier_coeff_a(-n, s)) ** 2
+        total += sq[n] + sq[-n]
     # measured |a_n|^2 ~ c/n^2 tail
-    probe = np.arange(n_max - 200, n_max + 1)
-    c_meas = max(
-        float(np.max([abs(fourier_coeff_a(int(n), s)) ** 2 * n * n for n in probe])),
-        float(np.max([abs(fourier_coeff_a(-int(n), s)) ** 2 * n * n for n in probe])),
-    )
+    probe = range(n_max - 200, n_max + 1)
+    c_meas = max(max(sq[n] * n * n for n in probe), max(sq[-n] * n * n for n in probe))
     tail = 2.0 * c_meas / n_max
     total += tail
-    if t >= _2PI:
-        lhs = afe.power_mean_Ik(1, t) if s.real == 0.5 else None
-    else:
-        lhs = None
-    if lhs is None:
-        z = _zeta1_cycles(t)
-
-        def f(a: np.ndarray) -> np.ndarray:
-            return np.abs(hurwitz_zeta1(s, a)) ** 2 + 0j
-
-        lhs = float(integrate_finite(f, 0.0, 1.0, cycles=lambda a: 2.0 * z(a),
-                                     abs_tol=1e-11, rel_tol=1e-9).value.real)
+    lhs = float(afe._power_mean(s, 1, abs_tol=1e-11, rel_tol=1e-9).value.real)
     return IdentityReport.build(
         "parseval_second_moment",
         {"s": s, "n_max": n_max, "tail": tail},
@@ -394,13 +378,7 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
         raise DomainError("requires t >= 0")
     if n_max is None:
         n_max = int(math.ceil(2.0 * t / math.pi)) + 50
-    z = _zeta1_cycles(t)
-
-    def f4(a: np.ndarray) -> np.ndarray:
-        return np.abs(hurwitz_zeta1(u, a)) ** 4 + 0j
-
-    lhs_res = integrate_finite(f4, 0.0, 1.0, cycles=lambda a: 4.0 * z(a),
-                               abs_tol=1e-10, rel_tol=1e-8)
+    lhs_res = afe._power_mean(u, 2, abs_tol=1e-10, rel_tol=1e-8)
     lhs = float(lhs_res.value.real)
     coeffs = _q_coeffs(u, u.conjugate(), range(-n_max, n_max + 1),
                        abs_tol=max(1e-10, 2e-5 * lhs / max(n_max, 1)), direct=sigma > 1.0)
@@ -449,13 +427,8 @@ def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
         s = complex(0.5, t)
         b = t / _2PI + eta
         table = Zeta1AlphaTable(s, 1.0, b + 1e-9)
-
-        def values(x: np.ndarray) -> np.ndarray:
-            return table(x) * np.power(x, -0.5) * np.exp(1j * t * np.log(x))
-
         n_lim = int(math.floor(t / math.pi))
-        coeffs, _errs, evals = _fourier_coeffs(values, _zeta1_pair_cycles(t),
-                                               range(-n_lim, n_lim + 1), 1.0, b, 5e-7)
+        coeffs, _errs, evals = _zeta1_head(table, s.conjugate(), range(-n_lim, n_lim + 1), b, 5e-7)
         total = float(np.sum(np.abs(coeffs) ** 2))
         z4 = abs(complex(riemann_zeta(s))) ** 4
         denom = math.sqrt(t) * total

@@ -401,13 +401,17 @@ def _zeta1_taylor(u: complex):
     most |binom(-u, K+1)| zeta(Re u + K + 1) a^(K+1) / (1 - r b); R is inf
     where Re u + K + 1 <= 1.  At u = -m the series is a polynomial: its
     k = m+1 term meets the pole of zeta and tends to -1/(m+1), every later
-    term vanishes, and R = 0.
+    term vanishes, and R = 0.  Binomials that overflow (|u| above about
+    5e8) raise DomainError.
     """
     u = complex(u)
     K = _TAYLOR_TERMS
     split = 1.0 / max(4.0, abs(u))
     k = np.arange(K + 2.0)
-    binom = np.cumprod(np.append(1.0, -(u + k[1:] - 1.0) / k[1:]))  # binom(-u, k), k = 0..K+1
+    with np.errstate(over="ignore", invalid="ignore"):
+        binom = np.cumprod(np.append(1.0, -(u + k[1:] - 1.0) / k[1:]))  # binom(-u, k), k = 0..K+1
+    if not np.isfinite(binom).all():
+        raise DomainError(f"zeta1 Taylor coefficients overflow at u = {u}")
     if u.imag == 0.0 and u.real == math.floor(u.real) <= 0.0:
         m = int(-u.real)
         return np.append(binom[:m + 1] * riemann_zeta(u + k[:m + 1]), -1.0 / (m + 1)), split, 0.0

@@ -70,7 +70,8 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))
 _CHUNK = 32
 
 # Initial panels per local cycle of an integrand (fourier._fourier_coeffs
-# starts from the same density), and the most initial panels allowed.
+# marches its one panel set at the same density), and the most initial
+# panels allowed.
 _PER_CYCLE = 2.5
 _MAX_INITIAL_PANELS = 400_000
 

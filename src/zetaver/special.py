@@ -206,7 +206,8 @@ def _em_hurwitz(s, a):
     when both are scalars) and the bound is the largest over its elements.
     The number of direct terms grows like 2 max|Im s|/pi from the smallest
     shift, so the Bernoulli tail converges geometrically with ratio about
-    1/16 per correction pair.
+    1/16 per correction pair.  A bound that is not finite (|s| above about
+    1e18) raises DomainError.
     """
     s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
@@ -257,18 +258,23 @@ def _em_hurwitz(s, a):
     # Tail x^-s [x/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} x^(1-2j)] at
     # x = n0 + a, j = 1..J; row j-1 of coeffs is the j-th coefficient, and
     # row J that of the first omitted term.
-    poch = np.cumprod(np.arange(2.0 * j_max + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
-    coeffs = _bernoulli_tail_weights(j_max)[:, None] * poch[::2]
-    x = n0 + a
-    inv = 1.0 / x
-    inv2 = inv * inv
-    poly = (coeffs[:j_max] * inv2 ** np.arange(j_max)[:, None]).sum(axis=0)
-    c, d = _neg_power(x, np.log(x), s.real, s.imag)
-    xs = c if d is None else c - 1j * d
-    value = base + xs * (x / (s - 1.0) + 0.5 + inv * poly)
-    # the first omitted term, times the ratio that bounds the rest
-    fac = (abs(s) + 2 * j_max + 1) / (s.real + 2 * j_max + 1)
-    err = float((abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * fac).max())
+    # the Pochhammer symbols overflow for |s| above about 1e18
+    with np.errstate(over="ignore", invalid="ignore"):
+        poch = np.cumprod(np.arange(2.0 * j_max + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
+        coeffs = _bernoulli_tail_weights(j_max)[:, None] * poch[::2]
+        x = n0 + a
+        inv = 1.0 / x
+        inv2 = inv * inv
+        poly = (coeffs[:j_max] * inv2 ** np.arange(j_max)[:, None]).sum(axis=0)
+        c, d = _neg_power(x, np.log(x), s.real, s.imag)
+        xs = c if d is None else c - 1j * d
+        value = base + xs * (x / (s - 1.0) + 0.5 + inv * poly)
+        # the first omitted term, times the ratio that bounds the rest
+        fac = (abs(s) + 2 * j_max + 1) / (s.real + 2 * j_max + 1)
+        err = float((abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * fac).max())
+    if not math.isfinite(err):
+        raise DomainError(f"|s| = {float(np.abs(s).max()):.3g} too large for the "
+                          f"Euler-Maclaurin bound")
 
     if not shape:
         return complex(value[0]), err

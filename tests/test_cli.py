@@ -257,6 +257,8 @@ def test_integration_tolerance_options_do_not_exist(capsys, argv):
     ["eval", "chi", "--s", "nan"],
     ["eval", "a_n", "--n", "1", "--s", "nan"],
     ["eval", "zeta", "--s", "abc"],
+    # the Pochhammer symbols of the Euler-Maclaurin bound overflow
+    ["eval", "zeta", "--s", "1e20"],
 ])
 def test_eval_bad_point_exits_two_without_traceback(capsys, argv):
     assert main(argv) == 2
@@ -377,7 +379,14 @@ _FUZZ_AXES = {
     "f_routes": {"u_re": ("1.05,3", "1"), "v_re": ("1.05,3", "1"), "alpha": ("0,100",)},
     "triple_moment": {"re": ("1.05,2",), "im": ("0,5",)},
     "qn_modes": {"n": ("0,2",), "u_re": ("2,1,0.5",), "u_im": ("1,20",)},
+    # the Fourier suites: one table-backed head per row, and the fourth
+    # moment's q_n sum at a small t
+    "theorem2": {"t": ("13,50",)},
+    "highfreq_tail": {"t": ("20,50",), "n": ("5,20",)},
+    "parseval4": {"sigma": ("0.75,1.5",), "t": ("5",)},
 }
+# suites whose default grids take a second or more: every axis is given
+_FUZZ_ALL_AXES = {"theorem2", "highfreq_tail", "parseval4"}
 _FUZZ_EXTRA = st.sampled_from(["eta", "u_im", "TT", "sigmaa", "sigma", "t", "k", ""])
 _FUZZ_BAD = (
     "0", "-1", "1e20", "1e400", "inf", "-inf,0.5", "nan", "50:100:10000000000000000000",
@@ -389,7 +398,7 @@ _FUZZ_BAD = (
 def _run_suite_argv(draw):
     suite = draw(st.sampled_from(sorted(_FUZZ_AXES)))
     axes = _FUZZ_AXES[suite]
-    names = [n for n in axes if draw(st.integers(0, 5))]
+    names = [n for n in axes if suite in _FUZZ_ALL_AXES or draw(st.integers(0, 5))]
     names += draw(st.lists(_FUZZ_EXTRA, max_size=1))
     argv = ["run-suite", suite]
     for name in names:

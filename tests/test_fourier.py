@@ -248,6 +248,31 @@ def test_fourier_engine_unreachable_tolerance_raises():
         fr._fourier_coeffs(smooth, fr._zeta1_pair_cycles(50.0), [0, 3], 1.0, b, 0.0)
 
 
+@pytest.mark.parametrize("tol", [5e-7, 0.0])
+def test_fourier_engine_calls_values_once(tol):
+    # one march of max |n| plus cycles and one values call on its nodes,
+    # whether tol is met or missed (then ConvergenceError, no second march)
+    smooth, b = _theorem2_integrand(50.0)
+    cycles = fr._zeta1_pair_cycles(50.0)
+    pts = np.array(_march_panels(1.0, b, lambda x: 3.0 + cycles(x)))
+    halves = 0.5 * (pts[1:] - pts[:-1])
+    nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
+    seen = []
+
+    def values(x):
+        seen.append(x)
+        return smooth(x)
+
+    if tol:
+        _coeffs, errs, evals = fr._fourier_coeffs(values, cycles, [0, 3], 1.0, b, tol)
+        assert errs.max() <= tol and evals == nodes.size
+    else:
+        with pytest.raises(ConvergenceError):
+            fr._fourier_coeffs(values, cycles, [0, 3], 1.0, b, tol)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], nodes.ravel())
+
+
 def test_theorem2_evaluates_once_for_all_n():
     assert fr.theorem2_check([50.0])[0].evaluations <= 20000
 

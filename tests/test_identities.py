@@ -486,6 +486,13 @@ def test_unit_recursion_continued_band():
     assert idn.unit_interval_recursion(2.0, 1.5).rel_residual <= 1e-7
 
 
+def test_unit_recursion_huge_exponent_is_domain_error():
+    # the binomials of the Taylor head overflow: a DomainError naming u,
+    # not an infinite remainder
+    with pytest.raises(DomainError, match="u = "):
+        idn.unit_interval_recursion(1e9, 0.5)
+
+
 @pytest.mark.parametrize("u", [3.0, 0.5 + 3j, 2.0 + 100j, -1.0])
 def test_zeta1_difference_quotient_vs_oracle(u):
     # the Taylor coefficients past c_0 summed as the difference quotient,
