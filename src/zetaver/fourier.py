@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .identities import IdentityReport
-from .quadrature import _NODES, _WG_FULL, _WGK_FULL, QuadResult, _march_panels
+from .quadrature import (_MAX_INITIAL_PANELS, _NODES, _PER_CYCLE, _WG_FULL, _WGK_FULL,
+                         QuadResult, _march_panels)
 # unused here, but the benchmark's tracer test reads fourier.integrate_finite
 from .quadrature import integrate_finite  # noqa: F401
 from .special import (
@@ -28,7 +29,6 @@ from .special import (
     osc_power_tail,
     riemann_zeta,
 )
-from .zeta1_cache import Zeta1AlphaTable
 from . import afe
 
 _2PI = 2.0 * math.pi
@@ -53,19 +53,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# The sum runs in Python at about 9 microseconds per m: 10^5 terms take
+# about a second, and a larger M is refused rather than left to run.
+_RANE_MAX_M = 10**5
+
+
 def rane_representation(s: complex, alpha: float, M: int) -> complex:
     """Partial (symmetric, 0 < |m| < M) oscillatory-tail representation:
 
         alpha^{1-s}/(s-1) - alpha^{-s}/2
-            + sum_m (int_alpha^inf x^{-s} e^{2 pi i m x} dx) e^{-2 pi i m alpha}.
+            + sum_m (int_alpha^inf x^{-s} e^{2 pi i m x} dx) e^{-2 pi i m alpha},
+
+    for 2 <= M <= _RANE_MAX_M.
     """
     s = complex(s)
     if s.real <= 0.0:
         raise DomainError("requires Re s > 0")
     if alpha <= 0.0:
         raise DomainError("requires alpha > 0")
-    if M < 2:
-        raise DomainError("M must be >= 2")
+    if not 2 <= M <= _RANE_MAX_M:
+        raise DomainError(f"M must be in [2, {_RANE_MAX_M}]")
     val = alpha ** (1.0 - s) / (s - 1.0) - alpha**-s / 2.0
     acc = 0j
     for m in range(1, M):
@@ -107,8 +114,8 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the _zeta1_head on [1, A]
     plus the closed power tail from A.  err_estimate is the head's error
     plus the certified bound on the tail's omitted part and the rounding of
-    its closed sum; evaluations, the table's and the head's, are the cost
-    of the whole call and the same for every n."""
+    its closed sum; evaluations, the head's folded nodes, are the cost of
+    the whole call and the same for every n."""
     big = max(abs(u), abs(v)) if direct else max(abs(u), abs(v), abs(1.0 - u - v), abs(u + v))
     # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
     # Gamma in osc_power_tail, large against the powers at every n != 0
@@ -124,9 +131,7 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
         return powers, rem
 
     powers, A, rem = _certified_powers(expand, A, abs_tol)
-    table = Zeta1AlphaTable(u, 1.0, A + 1e-9)
-    heads, errs, evals = _zeta1_head(table, v, ns, A, abs_tol / 2.0, continued=not direct)
-    evals += table.evaluations
+    heads, errs, evals = _zeta1_head(u, v, ns, A, abs_tol / 2.0, continued=not direct)
     tails = [_closed_power_tail(powers, n, A) for n in ns]
     return {n: QuadResult(head + tail, float(err) + rem + rounding, evals)
             for n, head, err, (tail, rounding) in zip(ns, heads, errs, tails)}
@@ -137,8 +142,10 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
     {n: QuadResult}.
 
     lead_n is a_n(u+v) (direct) or [1/(u-1) + 1/(v-1)] a_n(u+v-1)
-    (continued); I_u and I_v are the side integrals of u and of v, whose
-    errors add, and evaluations count both sides' whole calls.  For
+    (continued), which at n = 0 is 1/((u-1)(v-1)) identically, since
+    a_0(s) = 1/(s-1): its pole at u + v = 2 cancels.  I_u and I_v are the
+    side integrals of u and of v, whose errors add, and evaluations count
+    both sides' whole calls.  For
     v = conj u, I_v(n) = conj I_u(-n), so only the u side is integrated and
     q_{-n} = conj q_n holds exactly; the dict then holds -n for every n.
     """
@@ -147,6 +154,8 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
     def lead(n: int) -> complex:
         if direct:
             return fourier_coeff_a(n, u + v)
+        if n == 0:
+            return 1.0 / ((u - 1.0) * (v - 1.0))
         return (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
 
     if v == u.conjugate():
@@ -266,29 +275,60 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     return coeffs, errs, nodes.size
 
 
-def _zeta1_head(table: Zeta1AlphaTable, v: complex, ns, b: float, tol: float,
-                continued: bool = False):
-    """int_1^b a^{-v} zeta1(u, a) e^{-2 pi i n a} da for every n in ns, u
-    being table.s and zeta1(u, a) read from table (built on [1, b] or
-    wider): one _fourier_coeffs call at the _zeta1_pair_cycles of
-    max(|Im u|, |Im v|).  continued subtracts the two leading powers
-    a^{1-u-v}/(u-1) - a^{-u-v}/2 from the integrand.
+def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: bool = False):
+    """int_1^b a^{-v} zeta1(u, a) e^{-2 pi i n a} da for every n in the
+    ascending integers ns, folded onto [0, 1).
 
-    Returns (coeffs, errs, evaluations) as _fourier_coeffs does; the
-    evaluations are the engine's values only.  theorem2 and highfreq_tail
-    rows report just these, and q_n rows (_side_integrals) add the table's
-    own table.evaluations.
+    With a = y + k and integer n the phase is e^{-2 pi i n y}, so the
+    integral is int_0^1 e^{-2 pi i n y} sum_k g(y + k) dy over k >= 1 with
+    y + k <= b, g being a^{-v} zeta1(u, a) (continued subtracts the two
+    leading powers a^{1-u-v}/(u-1) - a^{-u-v}/2).  That is two
+    _fourier_coeffs calls, [0, frac b] with floor(b) terms and [frac b, 1]
+    with floor(b) - 1 (an empty part is skipped), each at tol/2 and
+    panelled at the _zeta1_pair_cycles of max(|Im u|, |Im v|) at 1 + y,
+    the densest of the folded terms.  Each node y takes one
+    hurwitz_zeta1(u, y), stepped to zeta1(u, y + k) by the exact
+    recurrence zeta1(u, a + 1) = zeta1(u, a) - (1 + a)^{-u} (DLMF
+    25.11.3), so every shifted value carries the Euler-Maclaurin error of
+    its node, which errs does not include.
+
+    Raises ConvergenceError, before any evaluation, wherever _march_panels
+    would refuse the unfolded [1, b] from its end values; max |n| is read
+    from the two ends of ns.  Returns (coeffs, errs, evaluations): the two
+    parts' coefficients and errors added, and the folded nodes, one zeta1
+    value each.
     """
-    u = table.s
-
-    def values(x: np.ndarray) -> np.ndarray:
-        f = table(x) * np.power(x, -v)
-        if continued:
-            f = f - np.power(x, 1.0 - u - v) / (u - 1.0) + 0.5 * np.power(x, -u - v)
-        return f
-
+    if not b >= 1.0:
+        raise DomainError("requires b >= 1")
     cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
-    return _fourier_coeffs(values, cycles, ns, 1.0, b, tol)
+    n_big = max(abs(ns[0]), abs(ns[-1]))
+    if _PER_CYCLE * (b - 1.0) * (n_big + cycles(b)) > _MAX_INITIAL_PANELS:
+        raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
+
+    def folded(terms: int):
+        def values(y: np.ndarray) -> np.ndarray:
+            z = hurwitz_zeta1(u, y)
+            total = np.zeros_like(z)
+            for k in range(1, terms + 1):
+                a = y + k
+                log_a = np.log(a)
+                pu, pv = np.exp(-u * log_a), np.exp(-v * log_a)
+                z = z - pu
+                total += z * pv
+                if continued:
+                    total -= pu * pv * (a / (u - 1.0) - 0.5)
+            return total
+
+        return values
+
+    whole = math.floor(b)
+    coeffs, errs, evals = np.zeros(len(ns), dtype=complex), np.zeros(len(ns)), 0
+    for lo, hi, terms in ((0.0, b - whole, whole), (b - whole, 1.0, whole - 1)):
+        if hi > lo and terms > 0:
+            c, e, m = _fourier_coeffs(folded(terms), lambda y: cycles(1.0 + y), ns, lo, hi,
+                                      tol / 2.0)
+            coeffs, errs, evals = coeffs + c, errs + e, evals + m
+    return coeffs, errs, evals
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +357,18 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
 
 def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> IdentityReport:
     """|int_1^{t/2pi+eta} a^{-v} zeta1(u,a) e^{-2 pi i n a} da| against the
-    t^{1/2} / |n - t/2pi| envelope, for |n| > t/2pi."""
+    t^{1/2} / |n - t/2pi| envelope, for t > 0 (at t = 0 the envelope is 0)
+    and |n| > t/2pi."""
     u = complex(u)
     v = complex(v)
     t = abs(u.imag)
+    if t == 0.0:
+        raise DomainError("requires t > 0")
     if abs(n) <= t / _2PI:
         raise DomainError("requires |n| > t/2pi")
     B = t / _2PI + eta
-    table = Zeta1AlphaTable(u, 1.0, B + 1e-9)
     env = math.sqrt(t) / abs(abs(n) - t / _2PI)
-    (val,), _errs, evals = _zeta1_head(table, v, [n], B, 1e-8 * env)
+    (val,), _errs, evals = _zeta1_head(u, v, [n], B, 1e-8 * env)
     params = {"t": t, "n": n, "ratio": abs(val) / env, "envelope": env}
     return IdentityReport.bound("highfreq_tail", params, abs(val), abs(val) / env, evals)
 
@@ -418,7 +460,9 @@ def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
     """Fourth-power bound harness: per t, the ratio of |zeta(1/2+it)|^4 to
     t^{1/2} sum_{|n| <= t/pi} |int_1^{t/2pi+eta} a^{-1/2+it} zeta1(1/2+it, a)
     e^{-2 pi i n a} da|^2, recorded as lhs = |zeta|^4, rhs = ratio, plus
-    the sum itself (whose growth is recorded, not asserted)."""
+    the sum itself (whose growth is recorded, not asserted).  Every
+    coefficient of one t comes from one folded _zeta1_head call, and the
+    row's evaluations are its folded nodes."""
     records = []
     for t in t_grid:
         t = float(t)
@@ -426,9 +470,8 @@ def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
             raise DomainError("needs t/2pi + eta comfortably above 1")
         s = complex(0.5, t)
         b = t / _2PI + eta
-        table = Zeta1AlphaTable(s, 1.0, b + 1e-9)
         n_lim = int(math.floor(t / math.pi))
-        coeffs, _errs, evals = _zeta1_head(table, s.conjugate(), range(-n_lim, n_lim + 1), b, 5e-7)
+        coeffs, _errs, evals = _zeta1_head(s, s.conjugate(), range(-n_lim, n_lim + 1), b, 5e-7)
         total = float(np.sum(np.abs(coeffs) ** 2))
         z4 = abs(complex(riemann_zeta(s))) ** 4
         denom = math.sqrt(t) * total

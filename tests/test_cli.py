@@ -4,6 +4,7 @@ exit codes and reproducibility."""
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +315,30 @@ def test_desk_scale_bound_annotates_row(tmp_path, capsys, suite, grids):
     assert rows[0]["params"]["error"].startswith("DomainError")
 
 
+def test_rane_desk_scale_M_annotates_row_at_once(tmp_path, capsys):
+    # the Python sum over 0 < |m| < M would run for hours at M = 1e20
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main(["run-suite", "rane", "--grid", "sigma=0.5", "--grid", "t=10", "--grid", "alpha=2",
+                 "--grid", "M=1e20", "--format", "json", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert rows[0]["params"]["error"].startswith("DomainError")
+
+
+def test_continued_q0_at_u_plus_v_two(tmp_path, capsys):
+    # the pole of a_0(u + v - 1) at u + v = 2 cancels in the continued lead
+    assert main(["eval", "q_n", "--n", "0", "--u", "1+20i", "--v", "1-20i"]) == 0
+    assert capsys.readouterr().out.startswith("0.96460193741")
+    out = tmp_path / "r.json"
+    assert main(["run-suite", "parseval4", "--grid", "sigma=1", "--grid", "t=20",
+                 "--format", "json", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert "error" not in row["params"] and row["rel_residual"] <= 1e-3
+
+
 def test_grid_point_count_is_bounded_before_any_axis_is_built():
     with pytest.raises(ConfigError):
         GridSpec({"t": AxisSpec(50.0, 100.0, 10**19)})
@@ -384,6 +409,24 @@ _FUZZ_AXES = {
     "theorem2": {"t": ("13,50",)},
     "highfreq_tail": {"t": ("20,50",), "n": ("5,20",)},
     "parseval4": {"sigma": ("0.75,1.5",), "t": ("5",)},
+    # the contour, moment, asymptotic and AFE suites: each value keeps a
+    # call under 0.1 s (i1_asymptotic and theorem1 stop below t = 800), and
+    # sigma = 1, Re u = 1, alpha at the interval ends, k = 3 or t below the
+    # stated ranges are out of domain
+    "square_identity": {"sigma": ("1.5", "1.2,2", "0.5", "1"), "t": ("1", "0,10", "1:10:3", "30"),
+                        "alpha": ("0.5", "0,1", "0:1:3")},
+    "quadruple_moment": {"re": ("2", "2.5", "1.05,2", "1"), "im": ("0", "1", "0,5")},
+    "i1_asymptotic": {"t": ("50", "50,200", "20:200:3:geometric", "5")},
+    "remark_219": {"t": ("50", "50,100", "10", "1"), "sigma": ("0.5", "0.25,0.75", "1.5")},
+    "afe_hurwitz": {"sigma": ("0.5", "0.3,0.7", "1.5"), "t": ("100", "50,500", "1600"),
+                    "alpha": ("0.5", "0.1,0.9", "0", "1")},
+    "weak_afe": {"sigma": ("0.5", "0.3,0.7", "1.5"), "t": ("25", "25,100", "400", "5")},
+    "theorem1": {"k": ("1", "2", "1,2", "3"), "t": ("50", "50,100", "200", "10")},
+    # M = 1e6 is above the desk-scale cap of the Python sum over m
+    "rane": {"sigma": ("0.5", "1.5", "0.5,1.5"), "t": ("0", "10", "0,10"),
+             "alpha": ("2", "5", "0.5,2"), "M": ("200", "2,50", "1e6")},
+    "tail_lemma": {"t": ("50", "50,100", "1"), "factor": ("2", "2,4", "0.5"),
+                   "sigma": ("0.5", "0.25,0.75"), "eta": ("1", "0.5,2")},
 }
 # suites whose default grids take a second or more: every axis is given
 _FUZZ_ALL_AXES = {"theorem2", "highfreq_tail", "parseval4"}

@@ -3,6 +3,7 @@ coefficients in both modes, high-frequency bounds, Parseval checks and the
 fourth-power harness."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from zetaver.quadrature import (
     integrate_finite,
 )
 from zetaver.special import fourier_coeff_a, hurwitz_zeta1
+from zetaver.suites import SUITES
 from zetaver.zeta1_cache import Zeta1AlphaTable
 
 _2PI = 2.0 * math.pi
@@ -282,6 +284,93 @@ def test_engine_evaluation_counts_pinned():
     evals = [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])]
     assert all(e <= cap for e, cap in zip(evals, (6765, 24480, 90690)))
     assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations <= 1410
+
+
+# ---------------------------------------------------------------------------
+# the folded zeta1 head
+# ---------------------------------------------------------------------------
+
+
+def _unfolded_head(u, v, ns, b, continued):
+    # table-free reference: zeta1 evaluated directly on [1, b], at four
+    # times the panels of the folded head
+    def values(x):
+        f = hurwitz_zeta1(u, x) * np.power(x, -v)
+        if continued:
+            f = f - np.power(x, 1.0 - u - v) / (u - 1.0) + 0.5 * np.power(x, -u - v)
+        return f
+
+    pair = fr._zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
+    n_big = max(abs(n) for n in ns)
+    coeffs, _errs, _evals = fr._fourier_coeffs(values, lambda x: 3.0 * n_big + 4.0 * pair(x),
+                                               ns, 1.0, b, 1e-9)
+    return coeffs
+
+
+# a fractional and an integer b above 2, b = 2 (one part, one term) and
+# b < 2 (one part), in both modes
+@pytest.mark.parametrize("continued", [False, True])
+@pytest.mark.parametrize("b", [50.0 / _2PI + 1.0, 6.0, 2.0, 1.6])
+def test_folded_head_matches_unfolded_route(b, continued):
+    u, v = 0.6 + 30j, 0.7 - 25j
+    ns = range(-12, 13)
+    coeffs, errs, evals = fr._zeta1_head(u, v, ns, b, 1e-9, continued=continued)
+    ref = _unfolded_head(u, v, ns, b, continued)
+    assert np.max(np.abs(coeffs - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert errs.max() <= 1e-9 and evals > 0
+
+
+def test_fourier_rows_need_no_alpha_table(monkeypatch):
+    from zetaver import zeta1_cache
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Zeta1AlphaTable built")
+
+    monkeypatch.setattr(zeta1_cache.Zeta1AlphaTable, "__init__", refuse)
+    u = complex(0.5, 50.0)
+    assert fr.theorem2_check([50.0])[0].params["coeff_sum"] > 0.0
+    assert fr.highfreq_tail_check(20, u, u.conjugate()).params["ratio"] <= 1.0
+    for q in (fr.qn_direct(2, 2.0 + 1j, 2.0 - 1j), fr.qn_continued(2, 2.0 + 1j, 2.0 - 1j)):
+        assert q.evaluations > 0 and math.isfinite(abs(q.value))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fr.theorem2_check([1e20]),
+    lambda: fr.highfreq_tail_check(20, complex(0.5, 50.0), complex(0.5, -50.0), eta=1e20),
+    lambda: fr.highfreq_tail_check(10**20, complex(0.5, 50.0), complex(0.5, -50.0)),
+])
+def test_folded_head_refuses_huge_panelling_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_folded_evaluation_counts_pinned():
+    # deterministic cost guard: folded nodes, one zeta1 value each
+    assert [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])] == [1050, 2025, 3945]
+    u = complex(0.5, 50.0)
+    assert [fr.highfreq_tail_check(n, u, u.conjugate()).evaluations
+            for n in (20, 40, 80)] == [1245, 1995, 3480]
+    qn_modes = SUITES["qn_modes"].runner
+    assert [qn_modes({"n": n, "u_re": 2.0, "u_im": 1.0})[0].evaluations
+            for n in (0, 2, 5)] == [120, 270, 510]
+
+
+def test_continued_q0_is_finite_at_u_plus_v_two():
+    u, v = 1.0 + 20j, 1.0 - 20j
+    q = fr.qn_continued(0, u, v)
+    ref = _direct_fourier_q(0, u, v)
+    assert abs(q.value - ref) <= 1e-11 * abs(ref)
+
+
+def test_highfreq_tail_needs_positive_t_and_b_above_one():
+    # the envelope t^{1/2} / |n - t/2pi| is 0 at t = 0
+    with pytest.raises(DomainError):
+        fr.highfreq_tail_check(5, 0.5 + 0j, 0.5 + 0j)
+    # t/2pi + eta below 1 leaves no interval [1, b] to integrate
+    with pytest.raises(DomainError):
+        fr.highfreq_tail_check(5, 0.5 + 5j, 0.5 - 5j, eta=-1.0)
 
 
 # ---------------------------------------------------------------------------
