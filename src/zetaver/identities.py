@@ -611,7 +611,7 @@ def i1_asymptotic_check(t_grid) -> list[IdentityReport]:
         t = float(t)
         if t < 20.0:
             raise DomainError("asymptotic check needs t >= 20")
-        i1 = afe.power_mean_Ik(1, t)
+        i1, evals = afe._power_mean_Ik(1, t)
         rhs = math.log(t / _2PI) + float(np.euler_gamma)
         u = complex(0.5, t)
         zu = complex(riemann_zeta(u))
@@ -632,6 +632,7 @@ def i1_asymptotic_check(t_grid) -> list[IdentityReport]:
                 },
                 i1,
                 rhs,
+                evals,
             )
         )
     return out

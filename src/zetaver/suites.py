@@ -315,8 +315,8 @@ def _run_lemma3(pt):
 
 def _run_power_mean_Ik(pt):
     k = int(pt["k"])
-    value = afe.power_mean_Ik(k, pt["t"])
-    return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value)]
+    value, evals = afe._power_mean_Ik(k, pt["t"])
+    return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value, evals)]
 
 
 def _run_power_mean_Jk(pt):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetaver import afe, special
+from zetaver import afe, quadrature, special
 from zetaver.errors import DomainError
 from zetaver.suites import SUITES
 
@@ -254,6 +254,44 @@ def test_s1_triangle_bound():
 def test_s1_domain():
     with pytest.raises(DomainError):
         afe.s1_sum(0.5, 5.0, 0.1)
+
+
+# |zeta1|^{2k} at k times the cycles of zeta1, against 4x those cycles.
+# err_estimate alone is no yardstick: the two runs batch their nodes
+# differently, and the Euler-Maclaurin truncation (~1e-12) moves with the
+# batch.  t = 1600 is one point: each node there sums ~1000 Euler-Maclaurin
+# base terms.
+_PANELLING_POINTS = [(t, sigma, k) for t in (50.0, 400.0) for sigma in (0.5, 0.75, 1.5)
+                     for k in (1, 2, 3)] + [(1600.0, 0.5, 1)]
+
+
+@pytest.mark.parametrize("t, sigma, k", _PANELLING_POINTS)
+def test_power_mean_panelling_matches_four_times_the_cycles(t, sigma, k):
+    s = complex(sigma, t)
+    z = special._zeta1_cycles(t)
+    res = afe._power_mean(s, k, abs_tol=1e-13, rel_tol=1e-12)
+    ref = quadrature.integrate_finite(
+        lambda a: np.abs(special.hurwitz_zeta1(s, a)) ** (2 * k) + 0j, 0.0, 1.0,
+        cycles=lambda a: 4 * k * z(a), abs_tol=1e-13, rel_tol=1e-12)
+    assert abs(res.value - ref.value) <= max(1e-13, 1e-12 * abs(res.value))
+
+
+@pytest.mark.parametrize("suite, pinned", [
+    ("power_mean_Ik", [360, 615, 705, 1215]),
+    ("i1_asymptotic", [360, 615, 1095, 2010, 3780]),
+    ("theorem1", [360, 615, 1095, 2010, 3780, 705, 1215, 2160, 3990, 7545]),
+])
+def test_power_mean_row_evaluations_pinned(suite, pinned):
+    # deterministic cost guard: each default row reports the evaluations of
+    # its one power-mean integral, all on the initial panels of the march at
+    # k times the cycles of zeta1 (no bisection)
+    pts = SUITES[suite].default_grid.points()
+    assert len(pts) == len(pinned)
+    for pt, want in zip(pts, pinned):
+        (rep,) = SUITES[suite].runner(pt)
+        z = special._zeta1_cycles(pt["t"])
+        edges = quadrature._march_panels(0.0, 1.0, lambda a: pt.get("k", 1) * z(a))
+        assert rep.evaluations == want == 15 * (len(edges) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_engine_evaluation_counts_pinned():
     # deterministic cost guard: the panel sets of the engine callers
     evals = [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])]
     assert all(e <= cap for e, cap in zip(evals, (6765, 24480, 90690)))
-    assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations <= 1410
+    assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations == 705
 
 
 # ---------------------------------------------------------------------------
