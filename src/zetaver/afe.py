@@ -257,6 +257,11 @@ def _power_mean(s: complex, k: int, abs_tol: float, rel_tol: float) -> QuadResul
 
 def power_mean_Jk(k: int, T: float) -> float:
     """J_k(T) = (1/T) int_0^T |zeta(1/2 + it)|^{2k} dt."""
+    return _power_mean_Jk(k, T)[0]
+
+
+def _power_mean_Jk(k: int, T: float) -> tuple[float, int]:
+    """J_k(T) and the integrand evaluations it took, for the report rows."""
     if k not in (1, 2):
         raise DomainError("k must be 1 or 2")
     if not (1.0 <= T <= 500.0):
@@ -267,7 +272,7 @@ def power_mean_Jk(k: int, T: float) -> float:
 
     # zeta(1/2 + it) has log(t/2pi)/2pi <= 0.7 zeros per unit t for t <= 500
     res = integrate_finite(f, 0.0, T, cycles=0.8, abs_tol=1e-9, rel_tol=1e-7)
-    return _nonnegative(float(res.value.real) / T)
+    return _nonnegative(float(res.value.real) / T), res.evaluations
 
 
 def _nonnegative(value: float) -> float:
@@ -313,6 +318,12 @@ def kernel_norm_power(N: int, p: float) -> float:
     Unless p is an even integer, |B_N|^p has kinks at the zeros k/N of
     B_N, so those are panel breakpoints.
     """
+    return _kernel_norm_power(N, p)[0]
+
+
+def _kernel_norm_power(N: int, p: float) -> tuple[float, int]:
+    """kernel_norm_power and the integrand evaluations it took, for the
+    report rows."""
     if not 1 <= N <= 100000:
         raise DomainError("N must be in [1, 1e5]")
     if p <= 0:
@@ -324,7 +335,7 @@ def kernel_norm_power(N: int, p: float) -> float:
     kinks = np.arange(1, N) / N if p % 2 != 0 else None
     res = integrate_finite(f, 0.0, 1.0, cycles=N, initial_points=kinks,
                            abs_tol=1e-9, rel_tol=1e-7)
-    return float(res.value.real)
+    return float(res.value.real), res.evaluations
 
 
 def loglog_slope(xs, ys) -> float:

@@ -21,9 +21,9 @@ from .quadrature import integrate_finite  # noqa: F401
 from .special import (
     _certified_powers,
     _closed_power_tail,
+    _em_hurwitz,
     _product_powers,
     _tail_abscissa,
-    _zeta1_cycles,
     fourier_coeff_a,
     hurwitz_zeta1,
     osc_power_tail,
@@ -217,21 +217,32 @@ _G7_ON_K15[1::2] = _WG_FULL
 _KD_WEIGHTS = np.column_stack((_WGK_FULL, _WGK_FULL - _G7_ON_K15))
 
 
-def _zeta1_pair_cycles(t: float):
-    """Local cycles per unit of a^{-v} zeta1(u, a) with |Im u| = |Im v| = t:
-    the log-phase of a^{-v} plus the cycles of zeta1."""
-    z = _zeta1_cycles(t)
-    return lambda x: t / (_2PI * x) + z(x)
+def _zeta1_pair_cycles(t_u: float, t_v: float):
+    """Local cycles per unit of a^{-v} zeta1(u, a) for a >= 1, t_u = Im u and
+    t_v = Im v: its largest |frequency|, plus the content sqrt(|t_u|/2pi)
+    of zeta1's Dirichlet kernel and one, as in _zeta1_cycles.
+
+    a^{-v} has the frequency -t_v/(2 pi a) and the term (m + a)^{-u} of
+    zeta1, m >= 1, has -t_u/(2 pi (m + a)).  Their sums run from the m = 1
+    end to the m -> infinity end, so the largest |frequency| is
+    max(|t_v/a|, |t_v/a + t_u/(1 + a)|)/2pi.  With equal signs that is the
+    sum of both log-phases.  A factor and its conjugate (t_v = -t_u, every
+    suite caller) share one band, and only the t/(2 pi a) of a^{-v} is
+    left.  The largest is decreasing for a >= 1, so its value at the
+    smallest a covers every larger one.
+    """
+    kernel = math.sqrt(max(abs(t_u), 1.0) / _2PI) + 1.0
+    return lambda a: max(abs(t_v / a), abs(t_v / a + t_u / (1.0 + a))) / _2PI + kernel
 
 
 def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     """int_a^b values(x) e^{-2 pi i n x} dx for every n in ns.
 
     One panel set is marched by _march_panels (quadrature._PER_CYCLE = 2.5
-    points per cycle) for max |n| plus cycles(x), the frequency content of
-    values, and values is evaluated once on it; every n is then a phase
-    sum over the same nodes, with the embedded G7/K15 difference as its
-    error.  A largest error above tol raises ConvergenceError, so the
+    panels per local cycle) for max |n| plus cycles(x), the frequency
+    content of values, and values is evaluated once on it; every n is then
+    a phase sum over the same nodes, with the embedded G7/K15 difference as
+    its error.  A largest error above tol raises ConvergenceError, so the
     caller's cycles must make the panels fine enough.
 
     The n are integers, so the phase needs only the fractional part of each
@@ -283,40 +294,48 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
     integral is int_0^1 e^{-2 pi i n y} sum_k g(y + k) dy over k >= 1 with
     y + k <= b, g being a^{-v} zeta1(u, a) (continued subtracts the two
     leading powers a^{1-u-v}/(u-1) - a^{-u-v}/2).  That is two
-    _fourier_coeffs calls, [0, frac b] with floor(b) terms and [frac b, 1]
-    with floor(b) - 1 (an empty part is skipped), each at tol/2 and
-    panelled at the _zeta1_pair_cycles of max(|Im u|, |Im v|) at 1 + y,
-    the densest of the folded terms.  Each node y takes one
-    hurwitz_zeta1(u, y), stepped to zeta1(u, y + k) by the exact
-    recurrence zeta1(u, a + 1) = zeta1(u, a) - (1 + a)^{-u} (DLMF
-    25.11.3), so every shifted value carries the Euler-Maclaurin error of
-    its node, which errs does not include.
+    _fourier_coeffs calls, [0, frac b] with K = floor(b) terms and
+    [frac b, 1] with K = floor(b) - 1 (an empty part is skipped), each at
+    tol/2 and panelled at the _zeta1_pair_cycles of (Im u, Im v) at 1 + y,
+    the densest of the folded terms.  Each node y takes one Euler-Maclaurin
+    value at the top of the fold, zeta1(u, y + K), and steps down by the
+    exact recurrence zeta1(u, a - 1) = zeta1(u, a) + a^{-u} (DLMF 25.11.3);
+    at the top shift the kernel needs K fewer base terms than at 1 + y.
+    For v = conj u every step takes a^{-v} = conj a^{-u}, one complex power.
 
-    Raises ConvergenceError, before any evaluation, wherever _march_panels
-    would refuse the unfolded [1, b] from its end values; max |n| is read
-    from the two ends of ns.  Returns (coeffs, errs, evaluations): the two
-    parts' coefficients and errors added, and the folded nodes, one zeta1
-    value each.
+    Every shifted value carries its node's Euler-Maclaurin error, at most
+    the kernel's bound eps (the largest of the two calls), so every err
+    adds eps int_1^b a^{-Re v} da; the subtracted powers of continued are
+    exact and add nothing.  Raises ConvergenceError, before any evaluation,
+    wherever _march_panels would refuse the unfolded [1, b] from its end
+    values; max |n| is read from the two ends of ns.  Returns (coeffs,
+    errs, evaluations): the two parts' coefficients and errors added, and
+    the folded nodes, one zeta1 value each.
     """
     if not b >= 1.0:
         raise DomainError("requires b >= 1")
-    cycles = _zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
+    cycles = _zeta1_pair_cycles(u.imag, v.imag)
     n_big = max(abs(ns[0]), abs(ns[-1]))
     if _PER_CYCLE * (b - 1.0) * (n_big + cycles(b)) > _MAX_INITIAL_PANELS:
         raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
+    conjugate_pair = v == u.conjugate()
+    kernel_err = 0.0
 
     def folded(terms: int):
         def values(y: np.ndarray) -> np.ndarray:
-            z = hurwitz_zeta1(u, y)
+            nonlocal kernel_err
+            z, err = _em_hurwitz(u, y + float(terms + 1))
+            kernel_err = max(kernel_err, err)
             total = np.zeros_like(z)
-            for k in range(1, terms + 1):
+            for k in range(terms, 0, -1):
                 a = y + k
                 log_a = np.log(a)
-                pu, pv = np.exp(-u * log_a), np.exp(-v * log_a)
-                z = z - pu
+                pu = np.exp(-u * log_a)
+                pv = pu.conjugate() if conjugate_pair else np.exp(-v * log_a)
                 total += z * pv
                 if continued:
                     total -= pu * pv * (a / (u - 1.0) - 0.5)
+                z += pu
             return total
 
         return values
@@ -328,7 +347,11 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
             c, e, m = _fourier_coeffs(folded(terms), lambda y: cycles(1.0 + y), ns, lo, hi,
                                       tol / 2.0)
             coeffs, errs, evals = coeffs + c, errs + e, evals + m
-    return coeffs, errs, evals
+    # int_1^b a^{-r} da = L expm1(w)/w with L = log b and w = (1 - r) L
+    log_b = math.log(b)
+    w = (1.0 - v.real) * log_b
+    weight = log_b if w == 0.0 else log_b * math.expm1(w) / w
+    return coeffs, errs + kernel_err * weight, evals
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +361,11 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
 
 def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
                            eta: float = 1.0, conjugated: bool = False) -> complex:
-    """int_1^{t/2pi+eta} a^{-s1 +/- it} (a+y)^{-s2 -/+ it} e^{-2 pi i n a} da."""
+    """int_1^{t/2pi+eta} a^{-s1 +/- it} (a+y)^{-s2 -/+ it} e^{-2 pi i n a} da.
+
+    The two factors are a conjugate pair in their phases: e^{+/- it log(a/(a+y))}
+    has the one band t y/(2 pi a (a + y)), not the sum of both log-phases.
+    """
     if y <= 0.0:
         raise DomainError("y must be > 0")
     sign = -1.0 if conjugated else 1.0
@@ -349,7 +376,7 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
         return np.power(a, -s1) * np.power(a + y, -s2) * phase
 
     def cycles(a: float) -> float:
-        return t / (_2PI * a) + t / (_2PI * (a + y)) + 1.0
+        return t * y / (_2PI * a * (a + y)) + 1.0
 
     (val,), _errs, _evals = _fourier_coeffs(f, cycles, [n], 1.0, B, 1e-12)
     return complex(val)

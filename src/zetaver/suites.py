@@ -321,13 +321,13 @@ def _run_power_mean_Ik(pt):
 
 def _run_power_mean_Jk(pt):
     k = int(pt["k"])
-    value = afe.power_mean_Jk(k, pt["T"])
+    value, evals = afe._power_mean_Jk(k, pt["T"])
     env = math.log(pt["T"] / _2PI) + 2.0 * float(np.euler_gamma) - 1.0 if k == 1 else value
     gap = abs(value - env)  # relative to the envelope, not to J_k
     return [identities.IdentityReport(
         identity_id="power_mean_Jk", params={"k": k, "T": pt["T"], "envelope": env},
         lhs=complex(value), rhs=complex(env), abs_residual=gap,
-        rel_residual=gap / max(abs(env), 1e-300))]
+        rel_residual=gap / max(abs(env), 1e-300), evaluations=evals)]
 
 
 def _run_s1(pt):
@@ -384,10 +384,11 @@ def _run_theorem2(pt):
 
 def _run_kernel_norms(pt):
     n = int(pt["N"])
-    l1 = afe.kernel_norm_power(n, 1.0)
-    l2sq = afe.kernel_norm_power(n, 2.0)
+    l1, evals1 = afe._kernel_norm_power(n, 1.0)
+    l2sq, evals2 = afe._kernel_norm_power(n, 2.0)
     params = {"N": n, "l1_over_logN": l1 / math.log(n) if n > 1 else l1}
-    return [identities.IdentityReport.build("kernel_norms", params, complex(l2sq), complex(n))]
+    return [identities.IdentityReport.build("kernel_norms", params, complex(l2sq), complex(n),
+                                            evals1 + evals2)]
 
 
 @dataclasses.dataclass(frozen=True)

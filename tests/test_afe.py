@@ -294,6 +294,17 @@ def test_power_mean_row_evaluations_pinned(suite, pinned):
         assert rep.evaluations == want == 15 * (len(edges) - 1)
 
 
+@pytest.mark.parametrize("suite, pinned", [
+    ("kernel_norms", [825, 8295, 85020, 866325]),
+    ("power_mean_Jk", [1500, 3000]),
+])
+def test_kernel_norms_and_Jk_row_evaluations_pinned(suite, pinned):
+    # deterministic cost guard: a kernel_norms row reports both of its
+    # integrals (p = 1 and 2), a power_mean_Jk row its one integral
+    pts = SUITES[suite].default_grid.points()
+    assert [rep.evaluations for pt in pts for rep in SUITES[suite].runner(pt)] == pinned
+
+
 # ---------------------------------------------------------------------------
 # power-mean bound chain
 # ---------------------------------------------------------------------------

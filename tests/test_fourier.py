@@ -5,6 +5,7 @@ fourth-power harness."""
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -198,7 +199,7 @@ def _theorem2_integrand(t):
 def test_fourier_engine_matches_per_n_quadrature():
     t = 50.0
     smooth, b = _theorem2_integrand(t)
-    cycles = fr._zeta1_pair_cycles(t)
+    cycles = fr._zeta1_pair_cycles(t, t)
     ns = [-15, 0, 7, 15]
     coeffs, errs, evals = fr._fourier_coeffs(
         lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns, 1.0, b, 5e-7)
@@ -219,7 +220,7 @@ def test_fourier_engine_recurrence_matches_direct_phase_sum():
     # anchors; the direct sum takes one exponential per n on the same nodes
     t = 200.0
     smooth, b = _theorem2_integrand(t)
-    cycles = fr._zeta1_pair_cycles(t)
+    cycles = fr._zeta1_pair_cycles(t, t)
     seen = []
 
     def values(x):
@@ -247,7 +248,7 @@ def test_fourier_engine_recurrence_matches_direct_phase_sum():
 def test_fourier_engine_unreachable_tolerance_raises():
     smooth, b = _theorem2_integrand(50.0)
     with pytest.raises(ConvergenceError):
-        fr._fourier_coeffs(smooth, fr._zeta1_pair_cycles(50.0), [0, 3], 1.0, b, 0.0)
+        fr._fourier_coeffs(smooth, fr._zeta1_pair_cycles(50.0, 50.0), [0, 3], 1.0, b, 0.0)
 
 
 @pytest.mark.parametrize("tol", [5e-7, 0.0])
@@ -255,7 +256,7 @@ def test_fourier_engine_calls_values_once(tol):
     # one march of max |n| plus cycles and one values call on its nodes,
     # whether tol is met or missed (then ConvergenceError, no second march)
     smooth, b = _theorem2_integrand(50.0)
-    cycles = fr._zeta1_pair_cycles(50.0)
+    cycles = fr._zeta1_pair_cycles(50.0, 50.0)
     pts = np.array(_march_panels(1.0, b, lambda x: 3.0 + cycles(x)))
     halves = 0.5 * (pts[1:] - pts[:-1])
     nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
@@ -300,24 +301,70 @@ def _unfolded_head(u, v, ns, b, continued):
             f = f - np.power(x, 1.0 - u - v) / (u - 1.0) + 0.5 * np.power(x, -u - v)
         return f
 
-    pair = fr._zeta1_pair_cycles(max(abs(u.imag), abs(v.imag)))
+    # the summed band of both log-phases, at least the head's for every sign
+    t = max(abs(u.imag), abs(v.imag))
+    z = special._zeta1_cycles(t)
     n_big = max(abs(n) for n in ns)
-    coeffs, _errs, _evals = fr._fourier_coeffs(values, lambda x: 3.0 * n_big + 4.0 * pair(x),
-                                               ns, 1.0, b, 1e-9)
+    coeffs, _errs, _evals = fr._fourier_coeffs(
+        values, lambda x: 3.0 * n_big + 4.0 * (t / (_2PI * x) + z(x)), ns, 1.0, b, 1e-9)
     return coeffs
 
 
 # a fractional and an integer b above 2, b = 2 (one part, one term) and
-# b < 2 (one part), in both modes
+# b < 2 (one part), in both modes; a general pair and two conjugate pairs,
+# whose band and power the head shares between u and v
 @pytest.mark.parametrize("continued", [False, True])
 @pytest.mark.parametrize("b", [50.0 / _2PI + 1.0, 6.0, 2.0, 1.6])
 def test_folded_head_matches_unfolded_route(b, continued):
-    u, v = 0.6 + 30j, 0.7 - 25j
     ns = range(-12, 13)
-    coeffs, errs, evals = fr._zeta1_head(u, v, ns, b, 1e-9, continued=continued)
-    ref = _unfolded_head(u, v, ns, b, continued)
-    assert np.max(np.abs(coeffs - ref)) <= 1e-11 * np.max(np.abs(ref))
-    assert errs.max() <= 1e-9 and evals > 0
+    for u, v in ((0.6 + 30j, 0.7 - 25j), (0.5 + 50j, 0.5 - 50j), (1.01 + 20j, 1.01 - 20j)):
+        coeffs, errs, evals = fr._zeta1_head(u, v, ns, b, 1e-9, continued=continued)
+        ref = _unfolded_head(u, v, ns, b, continued)
+        assert np.max(np.abs(coeffs - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert errs.max() <= 1e-9 and evals > 0
+
+
+def _gauss_unit(panels, order):
+    # Gauss-Legendre nodes and weights on [0, 1], in equal panels
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo = np.arange(panels)[:, None] / panels
+    return (lo + (x + 1.0) / (2 * panels)).ravel(), np.tile(w / (2 * panels), panels)
+
+
+def _oracle_folded_head(u, v, ns, terms):
+    # int_1^{1+terms} a^{-v} zeta1(u, a) e^{-2 pi i n a} da, folded onto
+    # [0, 1) with 120-bit zeta1 values; only the last sum runs in double
+    ys, ws = _gauss_unit(8, 24)
+    g = np.empty(ys.size, dtype=complex)
+    with mp.workprec(120):
+        mu, mv = mp.mpc(u), mp.mpc(v)
+        for i, y in enumerate(ys):
+            total, z = 0, mp.zeta(mu, mp.mpf(y) + terms + 1)
+            for k in range(terms, 0, -1):
+                a = mp.mpf(y) + k
+                total += z * a ** -mv
+                z += a ** -mu
+            g[i] = complex(total)
+    return [complex(np.sum(ws * g * np.exp(-_2PI * 1j * n * ys))) for n in ns]
+
+
+def test_folded_head_error_covers_oracle():
+    # every shifted value carries the Euler-Maclaurin error of its node,
+    # and the head's errs count it
+    u, v, ns = 0.6 + 30j, 0.7 - 25j, [0, 3]
+    coeffs, errs, _evals = fr._zeta1_head(u, v, ns, 6.0, 1e-9)
+    assert np.all(np.abs(coeffs - _oracle_folded_head(u, v, ns, 5)) <= errs)
+
+
+def test_qn_continued_error_covers_oracle():
+    # q_1 = int_0^1 |zeta1(u, alpha)|^2 e^{-2 pi i alpha} d(alpha), 120-bit zeta1
+    u = 1.01 + 20j
+    q = fr.qn_continued(1, u, u.conjugate())
+    ys, ws = _gauss_unit(8, 24)
+    with mp.workprec(120):
+        z1 = np.array([complex(mp.zeta(mp.mpc(u), 1 + mp.mpf(y))) for y in ys])
+    ref = complex(np.sum(ws * np.abs(z1) ** 2 * np.exp(-_2PI * 1j * ys)))
+    assert abs(q.value - ref) <= q.err_estimate
 
 
 def test_fourier_rows_need_no_alpha_table(monkeypatch):
@@ -348,10 +395,10 @@ def test_folded_head_refuses_huge_panelling_at_once(call):
 
 def test_folded_evaluation_counts_pinned():
     # deterministic cost guard: folded nodes, one zeta1 value each
-    assert [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])] == [1050, 2025, 3945]
+    assert [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])] == [930, 1785, 3450]
     u = complex(0.5, 50.0)
     assert [fr.highfreq_tail_check(n, u, u.conjugate()).evaluations
-            for n in (20, 40, 80)] == [1245, 1995, 3480]
+            for n in (20, 40, 80)] == [1110, 1875, 3375]
     qn_modes = SUITES["qn_modes"].runner
     assert [qn_modes({"n": n, "u_re": 2.0, "u_im": 1.0})[0].evaluations
             for n in (0, 2, 5)] == [120, 270, 510]
@@ -398,6 +445,23 @@ def test_highfreq_pair_integral_envelope():
     val_c = fr.highfreq_pair_integral(y, 0.5, 0.5, t, n, conjugated=True)
     env_c = y**-0.5 / abs(n + t / _2PI)
     assert abs(val_c) <= env_c
+
+
+def test_highfreq_pair_integral_matches_four_times_the_summed_band():
+    # the conjugate phases share one band; the reference panels at four
+    # times the sum of both log-phases
+    y, t = 2.0, 50.0
+    for n, conjugated in ((20, False), (20, True), (3, False), (-7, True)):
+        sign = -1.0 if conjugated else 1.0
+
+        def f(a, sign=sign):
+            return np.power(a * (a + y), -0.5) * np.exp(sign * 1j * t * np.log(a / (a + y)))
+
+        (ref,), _errs, _evals = fr._fourier_coeffs(
+            f, lambda a: 4.0 * (t / (_2PI * a) + t / (_2PI * (a + y)) + 1.0), [n],
+            1.0, t / _2PI + 1.0, 1e-12)
+        val = fr.highfreq_pair_integral(y, 0.5, 0.5, t, n, conjugated=conjugated)
+        assert abs(val - ref) <= 2e-12
 
 
 def test_highfreq_qn_square_tail_bounded_in_t():
