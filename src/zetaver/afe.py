@@ -288,12 +288,14 @@ def s1_sum(sigma: float, t: float, alpha: float) -> complex:
         raise DomainError("requires 0 < sigma < 1")
     if not _2PI < t <= 1e6:
         raise DomainError("requires 2 pi < t <= 1e6 (desk scale)")
+    return _twisted_power_sum(_s1_terms(t), complex(sigma, t) - 1.0, alpha, -1)
+
+
+def _s1_terms(t: float) -> int:
+    """The last n of S_1: the largest integer below t/2pi."""
     x = t / _2PI
     n_max = int(math.floor(x))
-    if float(n_max) == x:
-        n_max -= 1
-    s = complex(sigma, t)
-    return _twisted_power_sum(n_max, s - 1.0, alpha, -1)
+    return n_max - 1 if float(n_max) == x else n_max
 
 
 def theorem1_check(k: int, t_grid) -> list[identities.IdentityReport]:

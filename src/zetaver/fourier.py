@@ -8,6 +8,7 @@ bound harness driven by the truncated coefficient integrals.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -405,40 +406,124 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> Ide
 # ---------------------------------------------------------------------------
 
 
+# Integrations by parts in the Parseval tails.  Past the default n_max each
+# order gains a factor of about |w| / (2 pi n) <= 1/4.
+_PARTS_ORDERS = 16
+
+
+def _parseval_n_max(t: float) -> int:
+    """Default last index of a Parseval sum: ceil(2|t|/pi) + 50."""
+    return int(math.ceil(2.0 * abs(t) / math.pi)) + 50
+
+
+def _signed_pochhammers(w: complex, count: int) -> np.ndarray:
+    """(-1)^j (w)_j for j < count: d^j/da^j zeta1(w, a) = (-1)^j (w)_j
+    zeta1(w + j, a) (DLMF 25.11.17).  Since zeta1(x, 0) - zeta1(x, 1) = 1,
+    these are also the endpoint jumps of the derivatives of zeta1(w, .)."""
+    return np.cumprod(np.concatenate(([1.0 + 0j], -(w + np.arange(count - 1.0)))))
+
+
+def _parts_jumps(factors, l1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(J, e): the by-parts expansion of the Fourier coefficients c_n of
+    f = prod_w zeta1(w, .) on [0, 1], for one or two factors with
+    Re w >= 1/2, l1 bounding ||zeta1(w, .)||_1.
+
+    K = _PARTS_ORDERS integrations by parts give c_n = S_n + R(n) with
+    S_n = sum_{k<K} J_k / (2 pi i n)^{k+1}, the endpoint jumps
+    J_k = f^(k)(0) - f^(k)(1), and |R(n)| <= ||f^(K)||_1 / (2 pi |n|)^K.
+    As zeta1(x, 0) = zeta(x) and zeta1(x, 1) = zeta(x) - 1, one factor
+    jumps by (-1)^k (w)_k and a product g h by the Leibniz sum of
+    C(k, j) g^(j) h^(k-j) jumps, each (-1)^k (u)_j (v)_{k-j} times
+    zeta(u + j) + zeta(v + k - j) - 1.  ||f^(K)||_1 is bounded term by
+    term, by zeta(Re w + j) for a factor zeta1(w + j, .) with j >= 1 and
+    by l1 for the one underived factor.  The computed S_n is within
+    sum_k e_k / (2 pi |n|)^{k+1} of c_n: e holds the kernel's bound on the
+    zeta values in each J_k, and e_{K-1} adds ||f^(K)||_1.
+    """
+    K = _PARTS_ORDERS
+    j = np.arange(K + 1.0)
+    fact = np.cumprod(np.maximum(j, 1.0))
+    # (-1)^j (w)_j / j!: a convolution of these is the Leibniz sum
+    d = [_signed_pochhammers(w, K + 1) / fact for w in factors]
+    # per factor: zeta(w + j), j < K, for the jumps; zeta(Re w + j), 1 <= j <= K, for the norm
+    z, z_err = _em_hurwitz(np.array([(w + j[:K], w.real + j[1:]) for w in factors]), 1.0)
+    sizes = [np.abs(dw) * np.concatenate(([l1], zw[1].real)) for dw, zw in zip(d, z)]
+    if len(factors) == 1:
+        jumps, errs = d[0][:K], np.zeros(K)
+    else:
+        (du, dv), (zu, zv) = (dw[:K] for dw in d), z[:, 0]
+        jumps = (np.convolve(du * zu, dv) + np.convolve(du, dv * zv) - np.convolve(du, dv))[:K]
+        errs = 2.0 * z_err * np.convolve(np.abs(du), np.abs(dv))[:K]
+    jumps, errs = jumps * fact[:K], errs * fact[:K]
+    errs[K - 1] += fact[K] * functools.reduce(np.convolve, sizes)[K]
+    return jumps, errs
+
+
+def _parts_tail(factors, n_max: int, l1: float) -> tuple[float, float]:
+    """(tail, tail_err): sum_{|n| > n_max} |S_n|^2 for the by-parts
+    expansion (J, e) of _parts_jumps, and a bound on its distance from
+    sum_{|n| > n_max} |c_n|^2.
+
+    Over +-n only k + l even survives in |S_n|^2, so the tail is a finite
+    sum of J_k conj(J_l) times 2 (2 pi)^-(k+l+2) zeta_H(k + l + 2,
+    n_max + 1).  With |c_n - S_n| <= E(n) = sum_k e_k / (2 pi |n|)^{k+1},
+    tail_err sums 2 |S_n| E(n) + E(n)^2 the same way, plus the rounding of
+    the tail's sum.
+    """
+    K = _PARTS_ORDERS
+    jumps, errs = _parts_jumps(factors, l1)
+    k, l = np.indices((K, K))
+    m = np.arange(2.0, 2 * K + 1)
+    # weights[k, l] = sum over |n| > n_max of (2 pi |n|)^-(k+l+2)
+    weights = (2.0 * _em_hurwitz(m, n_max + 1.0)[0].real / _2PI**m)[k + l]
+    # (i n)^-(k+1) conj((i n)^-(l+1)) = (-1)^{l+(k+l)/2} n^-(k+l+2) for k + l even
+    sign = np.where((k + l) % 2, 0.0, np.where((l + (k + l) // 2) % 2, -1.0, 1.0))
+    terms = sign * np.outer(jumps, jumps.conjugate()) * weights
+    a = np.abs(jumps)
+    err = (np.sum((2.0 * np.outer(a, errs) + np.outer(errs, errs)) * weights)
+           + (K * K + 4) * _UNIT_ROUNDOFF * np.sum(np.abs(terms)))
+    return float(terms.sum().real), float(err)
+
+
 def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityReport:
-    """sum_n |a_n(s)|^2 against int_0^1 |zeta1(s,alpha)|^2 d(alpha), with the
-    measured C/n^2 coefficient tail extrapolated past n_max."""
+    """sum_n |a_n(s)|^2 against int_0^1 |zeta1(s,alpha)|^2 d(alpha), for
+    sigma >= 1/2.
+
+    The sum runs over |n| <= n_max (default _parseval_n_max) and adds the
+    by-parts tail of _parts_tail past it; params carry the tail and its
+    error bound tail_err, and evaluations are those of the power mean.
+    """
     s = complex(s)
     if s.real < 0.5:
         raise DomainError("requires sigma >= 1/2")
-    t = abs(s.imag)
     if n_max is None:
-        n_max = int(max(2000, 40 * t))
-    # |a_n|^2 for every index the sum and the tail probe read
-    reach = max(n_max, 200 - n_max)
-    sq = {n: abs(fourier_coeff_a(n, s)) ** 2 for n in range(-reach, reach + 1)}
-    total = sq[0]
+        n_max = _parseval_n_max(s.imag)
+    lhs_res = afe._power_mean(s, 1, abs_tol=1e-11, rel_tol=1e-9)
+    lhs = float(lhs_res.value.real)
+    total = abs(fourier_coeff_a(0, s)) ** 2
     for n in range(1, n_max + 1):
-        total += sq[n] + sq[-n]
-    # measured |a_n|^2 ~ c/n^2 tail
-    probe = range(n_max - 200, n_max + 1)
-    c_meas = max(max(sq[n] * n * n for n in probe), max(sq[-n] * n * n for n in probe))
-    tail = 2.0 * c_meas / n_max
-    total += tail
-    lhs = float(afe._power_mean(s, 1, abs_tol=1e-11, rel_tol=1e-9).value.real)
+        total += abs(fourier_coeff_a(n, s)) ** 2 + abs(fourier_coeff_a(-n, s)) ** 2
+    # Hoelder: ||zeta1||_1 <= ||zeta1||_2
+    tail, tail_err = _parts_tail([s], n_max, math.sqrt(lhs + lhs_res.err_estimate))
     return IdentityReport.build(
         "parseval_second_moment",
-        {"s": s, "n_max": n_max, "tail": tail},
+        {"s": s, "n_max": n_max, "tail": tail, "tail_err": tail_err},
         lhs,
-        total,
+        total + tail,
+        lhs_res.evaluations,
     )
 
 
 def parseval_fourth_moment(u: complex, eta: float = 1.0,
                            n_max: int | None = None) -> IdentityReport:
     """int_0^1 |zeta1(u,alpha)|^4 d(alpha) against sum_n |q_n(u, conj u)|^2,
-    with the coefficient tail bounded by the measured t^{1/2}/|n - t/2pi|
-    envelope."""
+    for sigma >= 1/2 and t >= 0.
+
+    The sum runs over |n| <= n_max (default _parseval_n_max) and adds the
+    by-parts tail of _parts_tail for f = zeta1(u, .) zeta1(conj u, .) past
+    it; params carry it as tail_bound and its error bound as tail_err.
+    evaluations count the power mean and the q_n head's folded nodes.
+    """
     u = complex(u)
     sigma, t = u.real, u.imag
     if sigma < 0.5:
@@ -446,40 +531,22 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
     if t < 0.0:
         raise DomainError("requires t >= 0")
     if n_max is None:
-        n_max = int(math.ceil(2.0 * t / math.pi)) + 50
+        n_max = _parseval_n_max(t)
     lhs_res = afe._power_mean(u, 2, abs_tol=1e-10, rel_tol=1e-8)
     lhs = float(lhs_res.value.real)
     coeffs = _q_coeffs(u, u.conjugate(), range(-n_max, n_max + 1),
                        abs_tol=max(1e-10, 2e-5 * lhs / max(n_max, 1)), direct=sigma > 1.0)
     rhs = sum(abs(qv.value) ** 2 for qv in coeffs.values())
-    if t == 0.0:
-        # |q_n|^2 ~ c2/n^2 + c3/n^3 + c4/n^4 fitted on the last computed block,
-        # resummed exactly with shifted-zeta tails
-        ns = np.arange(max(n_max - 40, 4), n_max + 1, dtype=float)
-        ys = np.array([abs(coeffs[int(n)].value) ** 2 for n in ns])
-        basis = np.vstack([ns**-2, ns**-3, ns**-4]).T
-        fit, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-        tail = 2.0 * sum(
-            float(fit[k]) * float(np.real(hurwitz_zeta1(k + 2.0, float(n_max))))
-            for k in range(3)
-        )
-    else:
-        # measured t^{1/2}/|n - t/2pi| envelope beyond n_max
-        c_meas = 0.0
-        for n in range(max(n_max - 20, 1), n_max + 1):
-            gap = abs(n - t / _2PI)
-            if gap > 1.0:
-                c_meas = max(c_meas, abs(coeffs[n].value) * gap / math.sqrt(max(t, 1.0)),
-                             abs(coeffs[-n].value) * gap / math.sqrt(max(t, 1.0)))
-        tail = 2.0 * c_meas**2 * max(t, 1.0) / max(n_max - t / _2PI, 1.0)
-    rhs += tail
+    # Hoelder: ||zeta1||_1 <= ||zeta1||_4
+    tail, tail_err = _parts_tail([u, u.conjugate()], n_max,
+                                 (lhs + lhs_res.err_estimate) ** 0.25)
     return IdentityReport.build(
         "parseval_fourth_moment",
         {"u": u, "eta": eta, "n_max": n_max, "tail_bound": tail,
-         "mode": "direct" if sigma > 1.0 else "continued"},
+         "mode": "direct" if sigma > 1.0 else "continued", "tail_err": tail_err},
         lhs,
-        rhs,
-        lhs_res.evaluations,
+        rhs + tail,
+        lhs_res.evaluations + coeffs[0].evaluations,
     )
 
 
@@ -532,14 +599,14 @@ def reconstruct_zeta1(s: complex, alpha: float, M: int, accelerated: bool = True
             e = np.exp(2j * math.pi * n * alpha)
             acc += fourier_coeff_a(n, s) * e + fourier_coeff_a(-n, s) / e
         return complex(acc)
-    # by-parts orders: a_n ~ sum_k (-1)^{k-1} (s)_{k-1} / (2 pi i n)^k
-    # and sum_{n != 0} e^{2 pi i n a} / (2 pi i n)^k = -B_k(a)/k!
+    # by-parts orders: a_n ~ sum_k J_{k-1} / (2 pi i n)^k with the jumps
+    # J_j = (-1)^j (s)_j, and sum_{n != 0} e^{2 pi i n a} / (2 pi i n)^k = -B_k(a)/k!
     bern_polys = [
         alpha - 0.5,
         alpha * alpha - alpha + 1.0 / 6.0,
         alpha**3 - 1.5 * alpha * alpha + 0.5 * alpha,
     ]
-    coefs = [1.0 + 0j, -s, s * (s + 1.0)]  # (-1)^{k-1} (s)_{k-1}
+    coefs = _signed_pochhammers(s, 3).tolist()
     closed = a0
     for k in (1, 2, 3):
         closed += coefs[k - 1] * (-bern_polys[k - 1] / math.factorial(k))

@@ -165,6 +165,17 @@ def _stirling_height(abs_tol: float, poly_degree: float) -> float:
     return max(12.0, 1.15 * y)
 
 
+def _checked_abscissa(u: complex, v: complex, c: float | None) -> float:
+    """c, or default_abscissa(u, v) when c is None; DomainError unless it
+    lies inside contour_interval(u, v)."""
+    if c is None:
+        c = default_abscissa(u, v)
+    lo, hi = contour_interval(u, v)
+    if not lo < c < hi:
+        raise DomainError(f"abscissa {c} outside admissible interval ({lo}, {hi})")
+    return c
+
+
 # Cycles per unit height of a two-Gamma line integrand: its Stirling decay
 # e^{-pi |y|} as a frequency, pi / 2 pi.
 _LINE_CYCLES = 0.5
@@ -205,11 +216,7 @@ def f_contour(
     v = complex(v)
     if not (u.real > 1.0 and v.real > 1.0):
         raise DomainError("contour route verified for Re u > 1, Re v > 1")
-    if c is None:
-        c = default_abscissa(u, v)
-    lo, hi = contour_interval(u, v)
-    if not lo < c < hi:
-        raise DomainError(f"abscissa {c} outside admissible interval ({lo}, {hi})")
+    c = _checked_abscissa(u, v, c)
     lg_u = complex(lgamma(u))
 
     def g(z: np.ndarray) -> np.ndarray:
@@ -238,11 +245,7 @@ def verify_square_identity(
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
     sb = s.conjugate()
-    if c is None:
-        c = default_abscissa(s, sb)
-    lo, hi = contour_interval(s, sb)
-    if not lo < c < hi:
-        raise DomainError(f"abscissa {c} outside admissible interval ({lo}, {hi})")
+    c = _checked_abscissa(s, sb, c)
     z1 = complex(hurwitz_zeta1(s, alpha))
     lhs = abs(z1) ** 2
     lg_s = complex(lgamma(s))

@@ -478,13 +478,18 @@ def _norm_upper_gamma(a: complex, x: complex, exp_neg_x: complex | None = None) 
     Gamma(a, x) itself overflows (large |Im a| with x on the imaginary
     axis).  exp_neg_x may supply an exact value of e^{-x} when the caller
     knows one (e.g. exactly 1.0 at x = 2 pi i n).
+
+    The continued fraction runs from |x| >= |a| + 6, the power series of
+    gamma(a, x) below it.  Beyond |a| + 6 the series cancels
+    catastrophically at large |Im a|: with the switch at 1.3 (|a| + 6),
+    a_n(1/2 + 400i) at n = -84 lost all its digits.
     """
     a = complex(a)
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
     enx = complex(np.exp(-x)) if exp_neg_x is None else complex(exp_neg_x)
-    if abs(x) >= 1.3 * (abs(a) + 6.0):
+    if abs(x) >= abs(a) + 6.0:
         return _norm_upper_gamma_cf(a, x, enx)
     logx = complex(np.log(x))
     if a.real >= 0.5:

@@ -333,9 +333,7 @@ def _run_power_mean_Jk(pt):
 def _run_s1(pt):
     sigma, t, alpha = pt["sigma"], pt["t"], pt["alpha"]
     val = afe.s1_sum(sigma, t, alpha)
-    x = t / _2PI
-    n_max = int(math.floor(x)) if float(math.floor(x)) != x else int(x) - 1
-    bound = float(np.sum(np.arange(1, n_max + 1, dtype=float) ** (sigma - 1.0)))
+    bound = float(np.sum(np.arange(1, afe._s1_terms(t) + 1, dtype=float) ** (sigma - 1.0)))
     params = {"sigma": sigma, "t": t, "alpha": alpha, "bound": bound, "within_bound": abs(val) <= bound + 1e-12}
     return [identities.IdentityReport.record("s1_sum", params, val, val)]
 

@@ -49,6 +49,17 @@ def test_eval_qn_prints_computed_error(capsys):
     assert out.startswith("0.351729038") and "err estimate 1e-10" not in out
 
 
+def test_eval_an_at_large_height_matches_mpmath(capsys):
+    import mpmath as mp
+
+    assert main(["eval", "a_n", "--n", "-84", "--s", "0.5+400i"]) == 0
+    value = complex(capsys.readouterr().out.split("(")[0].replace(" ", "").replace("i", "j"))
+    with mp.workdps(40):
+        s, w = mp.mpc(0.5, 400), 2j * mp.pi * -84
+        ref = complex(mp.gammainc(1 - s, w) * w ** (s - 1))
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
 def test_eval_kernel(capsys):
     assert main(["eval", "B_N", "--N", "5", "--alpha", "0"]) == 0
     assert capsys.readouterr().out.startswith("5")

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetaver import afe
 from zetaver import fourier as fr
 from zetaver import special
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
@@ -284,7 +285,7 @@ def test_engine_evaluation_counts_pinned():
     # deterministic cost guard: the panel sets of the engine callers
     evals = [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])]
     assert all(e <= cap for e, cap in zip(evals, (6765, 24480, 90690)))
-    assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations == 705
+    assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations == 4140
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +499,53 @@ def test_parseval_fourth_moment_real_case():
 def test_parseval_fourth_moment_critical_line():
     rep = fr.parseval_fourth_moment(complex(0.5, 50.0))
     assert rep.rel_residual <= 1e-3
+
+
+def test_parseval_fourth_moment_by_parts_tail():
+    rep = fr.parseval_fourth_moment(complex(0.5, 50.0))
+    assert rep.params["n_max"] == 82
+    assert rep.rel_residual <= 1e-11 and rep.params["tail_err"] <= 1e-12
+    assert fr.parseval_fourth_moment(complex(2.0, 0.0), n_max=60).rel_residual <= 1e-13
+
+
+@pytest.mark.parametrize("t", [100.0, 400.0])
+def test_parseval_second_moment_by_parts_tail(t):
+    assert fr.parseval_second_moment(complex(0.5, t)).rel_residual <= 1e-11
+
+
+def test_parseval_rows_count_their_whole_cost():
+    # the power mean plus, for parseval4, the q_n head's folded nodes
+    u = complex(0.5, 50.0)
+    mean = afe._power_mean(u, 2, abs_tol=1e-10, rel_tol=1e-8)
+    coeffs = fr._q_coeffs(u, u.conjugate(), range(-82, 83),
+                          max(1e-10, 2e-5 * mean.value.real / 82), direct=False)
+    assert (mean.evaluations, coeffs[0].evaluations) == (705, 3435)
+    assert fr.parseval_fourth_moment(u).evaluations == 705 + 3435
+    assert fr.parseval_second_moment(u).evaluations == 360
+
+
+def test_by_parts_expansion_meets_computed_qn():
+    u = complex(0.5, 50.0)
+    coeffs = fr._q_coeffs(u, u.conjugate(), range(-82, 83), 1e-10, direct=False)
+    jumps, errs = fr._parts_jumps([u, u.conjugate()], 2.0)
+    orders = np.arange(1, jumps.size + 1)
+    for n in (40, 60, 82):
+        w = 2j * math.pi * n
+        expansion = np.sum(jumps / w**orders)
+        miss = abs(expansion - coeffs[n].value)
+        assert miss <= 1e-13
+        assert miss <= np.sum(errs / abs(w) ** orders) + coeffs[n].err_estimate
+
+
+@pytest.mark.parametrize("s", [complex(0.5, 50.0), complex(0.75, 30.0), complex(0.5, 400.0)])
+def test_parts_tail_telescopes_over_computed_coefficients(s):
+    # tail(N) = sum_{N < |n| <= 4N} |a_n|^2 + tail(4N), within tail(N)'s bound
+    n_max = fr.parseval_second_moment(s).params["n_max"]
+    tail, tail_err = fr._parts_tail([s], n_max, 2.0)
+    far, _far_err = fr._parts_tail([s], 4 * n_max, 2.0)
+    between = sum(abs(fourier_coeff_a(sign * n, s)) ** 2
+                  for n in range(n_max + 1, 4 * n_max + 1) for sign in (1, -1))
+    assert abs(tail - between - far) <= tail_err + 1e-14 * tail
 
 
 def test_parseval_partial_sums_monotone():

@@ -354,6 +354,26 @@ def test_an_vs_mpmath(n, s):
     assert abs(sp.fourier_coeff_a(n, s) - ref) <= 1e-12 * max(abs(ref), 1e-6)
 
 
+def _an_oracle(n, s):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        S = mp.mpc(s)
+        return complex(mp.gammainc(1 - S, 2j * mp.pi * n) * (2j * mp.pi * n) ** (S - 1))
+
+
+@pytest.mark.parametrize("s,ns", [
+    (0.5 + 400j, [sign * m for m in range(60, 96) for sign in (1, -1)]),
+    (1.5 + 3000j, [500, -500, 573, -573, 621, -621]),
+])
+def test_an_incomplete_gamma_route_boundary(s, ns):
+    # 2 pi |n| between |1 - s| + 6 and 1.3 times that: the power series
+    # cancels there at large |Im s|, the continued fraction does not
+    for n in ns:
+        ref = _an_oracle(n, s)
+        assert abs(sp.fourier_coeff_a(n, s) - ref) <= 1e-10 * abs(ref), n
+
+
 def test_an_domain():
     with pytest.raises(DomainError):
         sp.fourier_coeff_a(3, -1.5)
