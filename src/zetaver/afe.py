@@ -16,6 +16,7 @@ from .errors import DomainError
 from .quadrature import QuadResult, integrate_finite
 from .special import (
     _csum,
+    _half_turns,
     _zeta1_cycles,
     chi,
     dirichlet_kernel,
@@ -249,7 +250,7 @@ def _power_mean(s: complex, k: int, abs_tol: float, rel_tol: float) -> QuadResul
     z = _zeta1_cycles(s.imag)
 
     def f(a: np.ndarray) -> np.ndarray:
-        return np.abs(hurwitz_zeta1(s, a)) ** (2 * k) + 0j
+        return np.abs(hurwitz_zeta1(s, a)) ** (2 * k)
 
     return integrate_finite(f, 0.0, 1.0, cycles=lambda a: k * z(a),
                             abs_tol=abs_tol, rel_tol=rel_tol)
@@ -268,7 +269,7 @@ def _power_mean_Jk(k: int, T: float) -> tuple[float, int]:
         raise DomainError("T out of desk-scale range")
 
     def f(tv: np.ndarray) -> np.ndarray:
-        return np.abs(riemann_zeta(0.5 + 1j * tv)) ** (2 * k) + 0j
+        return np.abs(riemann_zeta(0.5 + 1j * tv)) ** (2 * k)
 
     # zeta(1/2 + it) has log(t/2pi)/2pi <= 0.7 zeros per unit t for t <= 500
     res = integrate_finite(f, 0.0, T, cycles=0.8, abs_tol=1e-9, rel_tol=1e-7)
@@ -317,8 +318,12 @@ def theorem1_check(k: int, t_grid) -> list[identities.IdentityReport]:
 def kernel_norm_power(N: int, p: float) -> float:
     """int_0^1 |B_N(alpha)|^p d(alpha)  (the p-th power of the L^p norm).
 
-    Unless p is an even integer, |B_N|^p has kinks at the zeros k/N of
-    B_N, so those are panel breakpoints.
+    |B_N(alpha)| = |sin(pi N alpha) / sin(pi alpha)| is real and symmetric
+    about 1/2, so twice the integral over [0, 1/2] is taken.  Unless p is an
+    even integer, |B_N|^p has kinks at the zeros k/N of B_N, so those below
+    1/2 are panel breakpoints.  Between two zeros |sin(pi N alpha)|^p is one
+    hump: one half sine (N/2 cycles) at p = 1, and for integer p its highest
+    harmonic has p N/2 cycles, so the panels are set at max(p, 1) N/2.
     """
     return _kernel_norm_power(N, p)[0]
 
@@ -332,12 +337,13 @@ def _kernel_norm_power(N: int, p: float) -> tuple[float, int]:
         raise DomainError("p must be positive")
 
     def f(a: np.ndarray) -> np.ndarray:
-        return np.abs(dirichlet_kernel(N, a)) ** p + 0j
+        return np.abs(np.sin(math.pi * _half_turns(N * a)) / np.sin(math.pi * a)) ** p
 
-    kinks = np.arange(1, N) / N if p % 2 != 0 else None
-    res = integrate_finite(f, 0.0, 1.0, cycles=N, initial_points=kinks,
-                           abs_tol=1e-9, rel_tol=1e-7)
-    return float(res.value.real), res.evaluations
+    kinks = np.arange(1, (N + 1) // 2) / N if p % 2 != 0 else None
+    # abs_tol halved: the doubled half-period error still meets 1e-9
+    res = integrate_finite(f, 0.0, 0.5, cycles=max(p, 1.0) * N / 2.0, initial_points=kinks,
+                           abs_tol=0.5e-9, rel_tol=1e-7)
+    return 2.0 * float(res.value.real), res.evaluations
 
 
 def loglog_slope(xs, ys) -> float:

@@ -3,8 +3,8 @@
 What brings an integral to a finite interval (the closed Taylor heads of
 unit-interval powers, the closed power tails of [1, inf) integrals and the
 truncated vertical-line contours) lives with its caller.  Integrands may
-be complex-valued; they are called with a numpy array of nodes and must
-return an array of values of the same shape.  integrate_finite
+be real or complex-valued; they are called with a numpy array of nodes and
+must return an array of values of the same shape.  integrate_finite
 evaluates every panel, initial or bisected, in batches of up to _CHUNK
 panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call and
 must keep its memory per node bounded.  A non-finite panel value or error
@@ -92,15 +92,11 @@ class QuadResult:
             raise ValueError("err_estimate must be >= 0")
 
 
-def _wrap(f):
-    """The integrand as a complex-valued vectorised call."""
-    return lambda x: np.asarray(f(x), dtype=complex)
-
-
 def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     """GK15 values and error estimates of the panels [los[i], his[i]].
 
-    The nodes of up to _CHUNK panels go to f in one call.
+    The nodes of up to _CHUNK panels go to f in one call.  Real floating
+    point values take real panel sums; any other values are taken as complex.
     """
     halves = 0.5 * (his - los)
     mids = 0.5 * (los + his)
@@ -109,10 +105,15 @@ def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     for c in range(0, los.size, _CHUNK):
         half = halves[c:c + _CHUNK]
         x = (mids[c:c + _CHUNK, None] + half[:, None] * _NODES).ravel()
-        fv = f(x).reshape(-1, _NODES.size)
-        kres = half * (np.real(fv) @ _WGK_FULL + 1j * (np.imag(fv) @ _WGK_FULL))
-        gv = fv[:, 1::2]
-        gres = half * (np.real(gv) @ _WG_FULL + 1j * (np.imag(gv) @ _WG_FULL))
+        fv = np.asarray(f(x)).reshape(-1, _NODES.size)
+        if fv.dtype.kind == "f":
+            kres = half * (fv @ _WGK_FULL)
+            gres = half * (fv[:, 1::2] @ _WG_FULL)
+        else:
+            fv = np.asarray(fv, dtype=complex)
+            kres = half * (np.real(fv) @ _WGK_FULL + 1j * (np.imag(fv) @ _WGK_FULL))
+            gv = fv[:, 1::2]
+            gres = half * (np.real(gv) @ _WG_FULL + 1j * (np.imag(gv) @ _WG_FULL))
         resabs = half * (np.abs(fv) @ _WGK_FULL)
         vals[c:c + _CHUNK] = kres
         errs[c:c + _CHUNK] = np.maximum(np.abs(kres - gres), 5e-16 * resabs)
@@ -177,7 +178,6 @@ def integrate_finite(
     """
     if not a < b:
         raise DomainError("requires a < b")
-    fvec = _wrap(f)
     if callable(cycles):
         edges = np.array(_march_panels(a, b, cycles))
     else:
@@ -187,9 +187,11 @@ def integrate_finite(
         edges = np.linspace(a, b, max(math.ceil(count), 1) + 1)
     if initial_points is not None:
         pts = np.asarray(initial_points, dtype=float).ravel()
-        edges = np.union1d(edges, pts[(pts > a) & (pts < b)])
+        # the edges of np.union1d, without the numpy.ma import it costs
+        edges = np.sort(np.concatenate((edges, pts[(pts > a) & (pts < b)])))
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_many(fvec, lo, hi)
+    vals, errs = _gk15_many(f, lo, hi)
     bisections = 0
     while True:
         total = sum(vals.tolist(), 0j)
@@ -206,7 +208,7 @@ def integrate_finite(
         worst, mid = worst[ok], mid[ok]
         if not worst.size:
             break
-        v, e = _gk15_many(fvec, np.concatenate((lo[worst], mid)), np.concatenate((mid, hi[worst])))
+        v, e = _gk15_many(f, np.concatenate((lo[worst], mid)), np.concatenate((mid, hi[worst])))
         lo = np.concatenate((np.delete(lo, worst), lo[worst], mid))
         hi = np.concatenate((np.delete(hi, worst), mid, hi[worst]))
         vals = np.concatenate((np.delete(vals, worst), v))

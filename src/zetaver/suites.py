@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import time
 
 import numpy as np
@@ -213,11 +214,11 @@ def _judge_bounded(rows: list[dict], key: str, slope_max: float = 0.1,
     for group in by_sigma.values():
         ts = [float(r["params"]["t"]) for r in group]
         vals = _scaled_values(group, key)
-        if len(vals) != len(group):
+        if len(vals) != len(group) or any(math.isnan(v) for v in vals):
             return False
         if len(set(ts)) > 2 and afe.loglog_slope(ts, vals) > slope_max:
             return False
-        med = float(np.median(vals))
+        med = statistics.median(vals)
         if med > 0 and max(vals) > spread_max * med:
             return False
     return True
@@ -417,6 +418,8 @@ def _judge_i1(rows):
 def _judge_lemma3(rows):
     scaled = [float(r["params"]["scaled"]) for r in rows]
     strips = [float(r["params"]["strip_over_envelope"]) for r in rows]
+    if any(math.isnan(v) for v in scaled + strips):
+        return False
     return max(scaled) <= 10.0 * max(scaled[0], 0.05) and max(strips) <= 1.0
 
 
@@ -443,7 +446,9 @@ def _judge_s1(rows):
 
 def _judge_theorem1(rows):
     ratios = [float(r["params"]["ratio"]) for r in rows]
-    med = float(np.median(ratios))
+    if any(math.isnan(v) for v in ratios):
+        return False
+    med = statistics.median(ratios)
     return med > 0 and max(ratios) / med <= 5.0
 
 

@@ -3,6 +3,7 @@ integrals, power means, the dominant sum, and the power-mean bound chain."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -295,7 +296,7 @@ def test_power_mean_row_evaluations_pinned(suite, pinned):
 
 
 @pytest.mark.parametrize("suite, pinned", [
-    ("kernel_norms", [825, 8295, 85020, 866325]),
+    ("kernel_norms", [360, 3555, 34350, 347760]),
     ("power_mean_Jk", [1500, 3000]),
 ])
 def test_kernel_norms_and_Jk_row_evaluations_pinned(suite, pinned):
@@ -353,3 +354,24 @@ def test_kernel_norm_l1_oracle():
     # int_0^1 |B_1000| from the 120-bit oracle tier; the kinks of |B_N| at
     # k/N are panel breakpoints, so the quadrature reaches it closely
     assert abs(afe.kernel_norm_power(1000, 1.0) / 3.789039050535354 - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [11, 101, 1001, 10001])
+def test_kernel_norm_l1_matches_fejer_closed_form(N):
+    # Fejer: for N = 2n + 1, int_0^1 |B_N| is the Lebesgue constant
+    # 1/N + (2/pi) sum_{k<=n} tan(pi k/N)/k, summed here in 120 bits
+    with mp.workprec(120):
+        exact = float(mp.mpf(1) / N + 2 / mp.pi * mp.fsum(
+            mp.tan(mp.pi * k / N) / k for k in range(1, (N - 1) // 2 + 1)))
+    assert abs(afe.kernel_norm_power(N, 1.0) / exact - 1.0) <= 3e-14
+
+
+def test_kernel_norm_parseval_at_ten_thousand():
+    assert abs(afe.kernel_norm_power(10_000, 2.0) - 10_000) <= 1e-14 * 10_000
+
+
+@pytest.mark.parametrize("N", [10, 100, 1000])
+def test_kernel_norm_fourth_power_closed_form(N):
+    # int_0^1 |B_N|^4 counts the solutions of n1 + n2 = n3 + n4 in [1, N]
+    exact = (2 * N ** 3 + N) / 3
+    assert abs(afe.kernel_norm_power(N, 4.0) / exact - 1.0) <= 1e-13

@@ -280,6 +280,19 @@ def test_unbisected_value_is_the_panel_order_sum(monkeypatch):
     assert res.evaluations == 15 * vals.size
 
 
+def test_real_integrand_matches_its_complex_twin():
+    # real values take real panel sums, the same values cast to complex the
+    # complex ones: the same panels and bisections, the same value to rounding
+    def f(x):
+        return np.sqrt(x) * np.cos(20.0 * x)
+
+    real = integrate_finite(f, 0.0, 1.0, cycles=3.2)
+    twin = integrate_finite(lambda x: f(x) + 0j, 0.0, 1.0, cycles=3.2)
+    assert real.evaluations == twin.evaluations > 15 * math.ceil(2.5 * 3.2)
+    assert real.value.imag == 0.0
+    assert abs(real.value - twin.value) <= 1e-15 * abs(twin.value)
+
+
 @pytest.mark.parametrize("cycles", [math.nan, math.inf, -math.inf, 1e6, -1.0])
 def test_bad_uniform_cycles_raise_before_any_evaluation(cycles):
     calls = []

@@ -3,10 +3,14 @@ own judge; exercises the full library surface through the batch layer."""
 
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import zetaver
 from zetaver.suites import AxisSpec, GridSpec, SuiteSpec, SUITES, run_suite
 
 
@@ -97,3 +101,43 @@ def test_declared_axes_are_the_axes_the_runner_reads(suite_id):
     suite = SUITES[suite_id]
     read = set(re.findall(r'pt(?:\.get\(|\[)"(\w+)"', inspect.getsource(suite.runner)))
     assert read == set(suite.default_grid.axes) | set(suite.optional_axes)
+
+
+def _stat_rows(suite_id, key, values, **params):
+    return [{"identity_id": suite_id, "params": dict(params, t=50.0 * 2 ** i, **{key: v}),
+             "lhs": 0j, "rhs": 0j, "abs_residual": 0.0, "rel_residual": 0.0,
+             "evals": 0, "seconds": 0.0} for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("suite_id, key, params", [
+    ("afe_zeta", "scaled", {"sigma": 0.5}),
+    ("afe_hurwitz", "scaled", {"sigma": 0.5, "alpha": 0.5}),
+    ("weak_afe", "scaled", {"sigma": 0.5}),
+    ("lemma3", "scaled", {"strip_over_envelope": 0.5}),
+    ("lemma3", "strip_over_envelope", {"scaled": 0.5}),
+    ("theorem1", "ratio", {"k": 1}),
+])
+def test_nan_statistic_fails_the_judge(suite_id, key, params):
+    # a NaN compares False with every bound and max() passes over it unless
+    # it comes first, so each judge rejects it explicitly
+    judge = SUITES[suite_id].judge_rows
+    assert judge(_stat_rows(suite_id, key, [0.5, 0.6, 0.55, 0.5], **params), None)
+    for at in range(4):
+        values = [0.5, 0.6, 0.55, 0.5]
+        values[at] = math.nan
+        assert not judge(_stat_rows(suite_id, key, values, **params), None), at
+
+
+def test_default_grids_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1 MB of memory and 13 ms in every fresh process,
+    # and np.median and np.union1d import it on first use
+    code = ("import sys\n"
+            "from zetaver.suites import SUITES, SuiteSpec, run_suite\n"
+            "for suite_id in SUITES:\n"
+            "    run_suite(SuiteSpec(suite_id))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(zetaver.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=600, check=True)
+    assert out.stdout.split() == ["False"]
