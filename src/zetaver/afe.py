@@ -111,7 +111,7 @@ def projection_identity_check(
                            abs_tol=max(1e-12, 1e-13 * max(abs(lhs), 1.0)),
                            rel_tol=1e-12)
     return identities.IdentityReport.build(
-        "projection", {"N": N, "z": z, "mirrored": mirrored}, lhs, res.value, res.evaluations)
+        "projection", {"N": N, "z": z, "mirrored": mirrored}, lhs, res.value)
 
 
 def _weak_afe_integrals(s: complex):
@@ -142,8 +142,7 @@ def weak_afe_residual(s: complex) -> identities.IdentityReport:
     i1, i2, *_ = _weak_afe_integrals(s)
     resid = abs(riemann_zeta(s) - i1.value - chi(s) * i2.value)
     params = {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0) / math.log(t)}
-    return identities.IdentityReport.bound("weak_afe", params, resid, resid,
-                                           i1.evaluations + i2.evaluations)
+    return identities.IdentityReport.bound("weak_afe", params, resid, resid)
 
 
 def weak_afe_forms_check(s: complex) -> identities.IdentityReport:
@@ -194,15 +193,14 @@ def lemma3_integral(s: complex) -> identities.IdentityReport:
     def f(a: np.ndarray) -> np.ndarray:
         return dirichlet_kernel(N, a) * np.power(a, -s)
 
-    def part(lo: float, hi: float) -> QuadResult:
+    def part(lo: float, hi: float) -> complex:
         # 1e-11 per unit of a: the phase t log a of a^-s rounds to ~1e-16 t,
         # so one tolerance for all of [1, N] would fall below that noise
         return integrate_finite(f, lo, hi, cycles=lambda a: N + t / (_2PI * a),
-                                abs_tol=1e-11 * (hi - lo), rel_tol=1e-9)
+                                abs_tol=1e-11 * (hi - lo), rel_tol=1e-9).value
 
-    main_res = part(1.0, float(N)) if N >= 2 else QuadResult(0j, 0.0, 0)
-    strip_res = part(float(N), float(N + 1))
-    main = main_res.value
+    main = part(1.0, float(N)) if N >= 2 else 0j
+    strip = part(float(N), float(N + 1))
 
     n = np.arange(1, N + 1, dtype=float)
     sum1 = (1j / (_2PI * complex(np.exp(s * math.log(N))))) * _csum(1.0 / (t / (_2PI * N) - n))
@@ -213,29 +211,22 @@ def lemma3_integral(s: complex) -> identities.IdentityReport:
         "sigma": sigma,
         "t": t,
         "scaled": resid * t ** ((1.0 + sigma) / 2.0),
-        "strip_over_envelope": abs(strip_res.value) / env,
+        "strip_over_envelope": abs(strip) / env,
         "sums_over_envelope": (abs(sum1) + abs(sum2)) / env,
     }
     # not `build`: the residual subtracts the two sums one at a time
     return identities.IdentityReport("lemma3", params, main, sum1 + sum2, resid,
-                                     resid / max(abs(main), 1e-300),
-                                     main_res.evaluations + strip_res.evaluations)
+                                     resid / max(abs(main), 1e-300))
 
 
 def power_mean_Ik(k: int, t: float) -> float:
     """I_k(t) = int_0^1 |zeta1(1/2 + it, alpha)|^{2k} d(alpha)."""
-    return _power_mean_Ik(k, t)[0]
-
-
-def _power_mean_Ik(k: int, t: float) -> tuple[float, int]:
-    """I_k(t) and the integrand evaluations it took, for the report rows
-    that use it."""
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2 or 3")
     if not (_2PI <= t <= 3000.0):
         raise DomainError("t out of desk-scale range")
     res = _power_mean(0.5 + 1j * t, k, abs_tol=1e-10, rel_tol=1e-8)
-    return _nonnegative(float(res.value.real)), res.evaluations
+    return _nonnegative(float(res.value.real))
 
 
 def _power_mean(s: complex, k: int, abs_tol: float, rel_tol: float) -> QuadResult:
@@ -258,11 +249,6 @@ def _power_mean(s: complex, k: int, abs_tol: float, rel_tol: float) -> QuadResul
 
 def power_mean_Jk(k: int, T: float) -> float:
     """J_k(T) = (1/T) int_0^T |zeta(1/2 + it)|^{2k} dt."""
-    return _power_mean_Jk(k, T)[0]
-
-
-def _power_mean_Jk(k: int, T: float) -> tuple[float, int]:
-    """J_k(T) and the integrand evaluations it took, for the report rows."""
     if k not in (1, 2):
         raise DomainError("k must be 1 or 2")
     if not (1.0 <= T <= 500.0):
@@ -273,7 +259,7 @@ def _power_mean_Jk(k: int, T: float) -> tuple[float, int]:
 
     # zeta(1/2 + it) has log(t/2pi)/2pi <= 0.7 zeros per unit t for t <= 500
     res = integrate_finite(f, 0.0, T, cycles=0.8, abs_tol=1e-9, rel_tol=1e-7)
-    return _nonnegative(float(res.value.real) / T), res.evaluations
+    return _nonnegative(float(res.value.real) / T)
 
 
 def _nonnegative(value: float) -> float:
@@ -308,10 +294,10 @@ def theorem1_check(k: int, t_grid) -> list[identities.IdentityReport]:
     for t in t_grid:
         t = float(t)
         zv = abs(riemann_zeta(0.5 + 1j * t))
-        ik, evals = _power_mean_Ik(k, t)
+        ik = power_mean_Ik(k, t)
         ratio = zv / (t ** (1.0 / (4 * k)) * ik ** (1.0 / (2 * k)))
         records.append(identities.IdentityReport.record(
-            "theorem1", {"k": k, "t": t, "ratio": ratio, "Ik": ik}, zv, ratio, evals))
+            "theorem1", {"k": k, "t": t, "ratio": ratio, "Ik": ik}, zv, ratio))
     return records
 
 
@@ -325,12 +311,6 @@ def kernel_norm_power(N: int, p: float) -> float:
     hump: one half sine (N/2 cycles) at p = 1, and for integer p its highest
     harmonic has p N/2 cycles, so the panels are set at max(p, 1) N/2.
     """
-    return _kernel_norm_power(N, p)[0]
-
-
-def _kernel_norm_power(N: int, p: float) -> tuple[float, int]:
-    """kernel_norm_power and the integrand evaluations it took, for the
-    report rows."""
     if not 1 <= N <= 100000:
         raise DomainError("N must be in [1, 1e5]")
     if p <= 0:
@@ -343,7 +323,7 @@ def _kernel_norm_power(N: int, p: float) -> tuple[float, int]:
     # abs_tol halved: the doubled half-period error still meets 1e-9
     res = integrate_finite(f, 0.0, 0.5, cycles=max(p, 1.0) * N / 2.0, initial_points=kinks,
                            abs_tol=0.5e-9, rel_tol=1e-7)
-    return 2.0 * float(res.value.real), res.evaluations
+    return 2.0 * float(res.value.real)
 
 
 def loglog_slope(xs, ys) -> float:

@@ -85,7 +85,7 @@ def _eval_value(args):
     if fn == "zeta":
         return special._em_hurwitz(_require(args, "s"), 1.0)
     if fn == "zeta1":
-        shift = special._zeta1_shift(_require(args, "alpha").real)
+        shift = special._zeta1_shift(_require_real_alpha(args))
         return special._em_hurwitz(_require(args, "s"), shift)
     if fn == "chi":
         value = special.chi(_require(args, "s"))
@@ -94,36 +94,44 @@ def _eval_value(args):
         value = complex(special.gamma(_require(args, "s")))
         return value, 5e-13 * abs(value)
     if fn == "B_N":
-        value = complex(special.dirichlet_kernel(int(args.N), _require(args, "alpha").real))
+        value = complex(special.dirichlet_kernel(_require(args, "N"), _require_real_alpha(args)))
         return value, 1e-13 * max(abs(value), 1.0)
     if fn == "a_n":
-        value = special.fourier_coeff_a(int(args.n), _require(args, "s"))
+        value = special.fourier_coeff_a(_require(args, "n"), _require(args, "s"))
         return value, 1e-12 * abs(value)
     if fn == "q_n":
+        n = _require(args, "n")
         u = _require(args, "u")
         v = _require(args, "v")
         if u.real > 1.0 and v.real > 1.0:
-            q = fourier.qn_direct(int(args.n), u, v)
+            q = fourier.qn_direct(n, u, v)
         else:
-            q = fourier.qn_continued(int(args.n), u, v)
+            q = fourier.qn_continued(n, u, v)
         return q.value, q.err_estimate
     if fn == "S1":
-        value = afe.s1_sum(args.sigma, args.t, _require(args, "alpha").real)
+        value = afe.s1_sum(args.sigma, _require(args, "t"), _require_real_alpha(args))
         return value, 1e-13 * max(abs(value), 1.0)
     if fn == "I_k":
-        value = afe.power_mean_Ik(int(args.k), args.t)
+        value = afe.power_mean_Ik(args.k, _require(args, "t"))
         return complex(value), max(1e-10, 1e-8 * value)
     if fn == "J_k":
-        value = afe.power_mean_Jk(int(args.k), args.T)
+        value = afe.power_mean_Jk(args.k, _require(args, "T"))
         return complex(value), max(1e-9, 1e-7 * value)
     raise ConfigError(f"unknown function: {fn}")
 
 
-def _require(args, name: str) -> complex:
+def _require(args, name: str):
     val = getattr(args, name, None)
     if val is None:
         raise ConfigError(f"--{name} is required for this function")
     return val
+
+
+def _require_real_alpha(args) -> float:
+    alpha = _require(args, "alpha")
+    if alpha.imag != 0.0:
+        raise ConfigError(f"--alpha must be real, got {alpha}")
+    return alpha.real
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,9 +212,12 @@ def main(argv=None) -> int:
                 out_dir = os.environ.get("ZETAVER_OUT_DIR")
                 if out_dir and not os.path.isabs(out):
                     out = os.path.join(out_dir, out)
-                os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-                with open(out, "w") as fh:
-                    fh.write(payload)
+                try:
+                    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+                    with open(out, "w") as fh:
+                        fh.write(payload)
+                except OSError as exc:
+                    raise ConfigError(f"cannot write report to {out}: {exc}") from None
             else:
                 sys.stdout.write(payload)
             status = "pass" if report.passed else "FAIL"

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .identities import IdentityReport
 from .quadrature import (_MAX_INITIAL_PANELS, _NODES, _PER_CYCLE, _WG_FULL, _WGK_FULL,
-                         QuadResult, _march_panels)
+                         QuadResult, _count, _evaluations, _march_panels)
 # unused here, but the benchmark's tracer test reads fourier.integrate_finite
 from .quadrature import integrate_finite  # noqa: F401
 from .special import (
@@ -115,8 +115,9 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the _zeta1_head on [1, A]
     plus the closed power tail from A.  err_estimate is the head's error
     plus the certified bound on the tail's omitted part and the rounding of
-    its closed sum; evaluations, the head's folded nodes, are the cost of
-    the whole call and the same for every n."""
+    its closed sum; evaluations, the head's folded nodes read off the
+    evaluation meter, are the cost of the whole call and the same for every
+    n."""
     big = max(abs(u), abs(v)) if direct else max(abs(u), abs(v), abs(1.0 - u - v), abs(u + v))
     # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
     # Gamma in osc_power_tail, large against the powers at every n != 0
@@ -132,7 +133,9 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
         return powers, rem
 
     powers, A, rem = _certified_powers(expand, A, abs_tol)
-    heads, errs, evals = _zeta1_head(u, v, ns, A, abs_tol / 2.0, continued=not direct)
+    start = _evaluations()
+    heads, errs = _zeta1_head(u, v, ns, A, abs_tol / 2.0, continued=not direct)
+    evals = _evaluations() - start
     tails = [_closed_power_tail(powers, n, A) for n in ns]
     return {n: QuadResult(head + tail, float(err) + rem + rounding, evals)
             for n, head, err, (tail, rounding) in zip(ns, heads, errs, tails)}
@@ -256,13 +259,15 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     steps from the anchor n0 (|n0| <= |n| + m): three roundings in each
     exponential's argument, at most 2 pi |n0| at the anchor and 2 pi per
     step, plus the exponentials and the complex multiplies.  Returns
-    (coeffs, errs, evaluations) with coeffs and errs aligned to ns.
+    (coeffs, errs) aligned to ns; the nodes count on the evaluation meter
+    of quadrature.
     """
     ns = np.asarray(ns, dtype=float)
     n_big = float(np.max(np.abs(ns)))
     pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x)))
     halves = 0.5 * (pts[1:] - pts[:-1])
     nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
+    _count(nodes.size)
     fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
     frac = nodes - np.floor(nodes)
     step = np.exp(-_2PI * 1j * frac)
@@ -284,7 +289,7 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     if not errs.max() <= tol:
         raise ConvergenceError(f"Fourier coefficients stalled: err={errs.max():.3e} > "
                                f"tol={tol:.3e} on {halves.size} panels")
-    return coeffs, errs, nodes.size
+    return coeffs, errs
 
 
 def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: bool = False):
@@ -310,8 +315,7 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
     exact and add nothing.  Raises ConvergenceError, before any evaluation,
     wherever _march_panels would refuse the unfolded [1, b] from its end
     values; max |n| is read from the two ends of ns.  Returns (coeffs,
-    errs, evaluations): the two parts' coefficients and errors added, and
-    the folded nodes, one zeta1 value each.
+    errs): the two parts' coefficients and errors added.
     """
     if not b >= 1.0:
         raise DomainError("requires b >= 1")
@@ -342,17 +346,17 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
         return values
 
     whole = math.floor(b)
-    coeffs, errs, evals = np.zeros(len(ns), dtype=complex), np.zeros(len(ns)), 0
+    coeffs, errs = np.zeros(len(ns), dtype=complex), np.zeros(len(ns))
     for lo, hi, terms in ((0.0, b - whole, whole), (b - whole, 1.0, whole - 1)):
         if hi > lo and terms > 0:
-            c, e, m = _fourier_coeffs(folded(terms), lambda y: cycles(1.0 + y), ns, lo, hi,
-                                      tol / 2.0)
-            coeffs, errs, evals = coeffs + c, errs + e, evals + m
+            c, e = _fourier_coeffs(folded(terms), lambda y: cycles(1.0 + y), ns, lo, hi,
+                                   tol / 2.0)
+            coeffs, errs = coeffs + c, errs + e
     # int_1^b a^{-r} da = L expm1(w)/w with L = log b and w = (1 - r) L
     log_b = math.log(b)
     w = (1.0 - v.real) * log_b
     weight = log_b if w == 0.0 else log_b * math.expm1(w) / w
-    return coeffs, errs + kernel_err * weight, evals
+    return coeffs, errs + kernel_err * weight
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +383,7 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
     def cycles(a: float) -> float:
         return t * y / (_2PI * a * (a + y)) + 1.0
 
-    (val,), _errs, _evals = _fourier_coeffs(f, cycles, [n], 1.0, B, 1e-12)
+    (val,), _errs = _fourier_coeffs(f, cycles, [n], 1.0, B, 1e-12)
     return complex(val)
 
 
@@ -396,9 +400,9 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> Ide
         raise DomainError("requires |n| > t/2pi")
     B = t / _2PI + eta
     env = math.sqrt(t) / abs(abs(n) - t / _2PI)
-    (val,), _errs, evals = _zeta1_head(u, v, [n], B, 1e-8 * env)
+    (val,), _errs = _zeta1_head(u, v, [n], B, 1e-8 * env)
     params = {"t": t, "n": n, "ratio": abs(val) / env, "envelope": env}
-    return IdentityReport.bound("highfreq_tail", params, abs(val), abs(val) / env, evals)
+    return IdentityReport.bound("highfreq_tail", params, abs(val), abs(val) / env)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +495,7 @@ def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityRepo
 
     The sum runs over |n| <= n_max (default _parseval_n_max) and adds the
     by-parts tail of _parts_tail past it; params carry the tail and its
-    error bound tail_err, and evaluations are those of the power mean.
+    error bound tail_err.
     """
     s = complex(s)
     if s.real < 0.5:
@@ -505,13 +509,9 @@ def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityRepo
         total += abs(fourier_coeff_a(n, s)) ** 2 + abs(fourier_coeff_a(-n, s)) ** 2
     # Hoelder: ||zeta1||_1 <= ||zeta1||_2
     tail, tail_err = _parts_tail([s], n_max, math.sqrt(lhs + lhs_res.err_estimate))
-    return IdentityReport.build(
-        "parseval_second_moment",
-        {"s": s, "n_max": n_max, "tail": tail, "tail_err": tail_err},
-        lhs,
-        total + tail,
-        lhs_res.evaluations,
-    )
+    return IdentityReport.build("parseval_second_moment",
+                                {"s": s, "n_max": n_max, "tail": tail, "tail_err": tail_err},
+                                lhs, total + tail)
 
 
 def parseval_fourth_moment(u: complex, eta: float = 1.0,
@@ -522,7 +522,6 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
     The sum runs over |n| <= n_max (default _parseval_n_max) and adds the
     by-parts tail of _parts_tail for f = zeta1(u, .) zeta1(conj u, .) past
     it; params carry it as tail_bound and its error bound as tail_err.
-    evaluations count the power mean and the q_n head's folded nodes.
     """
     u = complex(u)
     sigma, t = u.real, u.imag
@@ -546,7 +545,6 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
          "mode": "direct" if sigma > 1.0 else "continued", "tail_err": tail_err},
         lhs,
         rhs + tail,
-        lhs_res.evaluations + coeffs[0].evaluations,
     )
 
 
@@ -555,8 +553,7 @@ def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
     t^{1/2} sum_{|n| <= t/pi} |int_1^{t/2pi+eta} a^{-1/2+it} zeta1(1/2+it, a)
     e^{-2 pi i n a} da|^2, recorded as lhs = |zeta|^4, rhs = ratio, plus
     the sum itself (whose growth is recorded, not asserted).  Every
-    coefficient of one t comes from one folded _zeta1_head call, and the
-    row's evaluations are its folded nodes."""
+    coefficient of one t comes from one folded _zeta1_head call."""
     records = []
     for t in t_grid:
         t = float(t)
@@ -565,13 +562,13 @@ def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
         s = complex(0.5, t)
         b = t / _2PI + eta
         n_lim = int(math.floor(t / math.pi))
-        coeffs, _errs, evals = _zeta1_head(s, s.conjugate(), range(-n_lim, n_lim + 1), b, 5e-7)
+        coeffs, _errs = _zeta1_head(s, s.conjugate(), range(-n_lim, n_lim + 1), b, 5e-7)
         total = float(np.sum(np.abs(coeffs) ** 2))
         z4 = abs(complex(riemann_zeta(s))) ** 4
         denom = math.sqrt(t) * total
         ratio = z4 / denom if denom > 0 else math.inf
         records.append(IdentityReport.record(
-            "theorem2", {"t": t, "eta": eta, "ratio": ratio, "coeff_sum": total}, z4, ratio, evals))
+            "theorem2", {"t": t, "eta": eta, "ratio": ratio, "coeff_sum": total}, z4, ratio))
     return records
 
 

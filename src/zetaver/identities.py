@@ -72,28 +72,26 @@ class IdentityReport:
     rhs: complex
     abs_residual: float
     rel_residual: float
-    evaluations: int = 0
 
     @classmethod
-    def build(cls, identity_id: str, params: dict, lhs: complex, rhs: complex, evaluations: int = 0):
+    def build(cls, identity_id: str, params: dict, lhs: complex, rhs: complex):
         """Two routes to one value: residuals |lhs - rhs| and that over |lhs|."""
         lhs = complex(lhs)
         rhs = complex(rhs)
         absres = abs(lhs - rhs)
-        return cls(identity_id, params, lhs, rhs, absres,
-                   absres / max(abs(lhs), _TINY), evaluations)
+        return cls(identity_id, params, lhs, rhs, absres, absres / max(abs(lhs), _TINY))
 
     @classmethod
-    def bound(cls, identity_id: str, params: dict, value: float, rel: float, evaluations: int = 0):
+    def bound(cls, identity_id: str, params: dict, value: float, rel: float):
         """A nonnegative statistic: lhs = abs_residual = value, rhs = 0, and
         rel_residual = rel (the statistic over its envelope, or the
         statistic itself where it has none)."""
-        return cls(identity_id, params, complex(value), 0j, value, rel, evaluations)
+        return cls(identity_id, params, complex(value), 0j, value, rel)
 
     @classmethod
-    def record(cls, identity_id: str, params: dict, lhs: complex, rhs: complex, evaluations: int = 0):
+    def record(cls, identity_id: str, params: dict, lhs: complex, rhs: complex):
         """Two reported values that are not meant to agree: residuals 0."""
-        return cls(identity_id, params, complex(lhs), complex(rhs), 0.0, 0.0, evaluations)
+        return cls(identity_id, params, complex(lhs), complex(rhs), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +259,8 @@ def verify_square_identity(
     res = _line_integral(g, c, poles, poly_degree=sigma + abs(c) + 1.0,
                          abs_tol=1e-12 * max(lhs, 1.0), rel_tol=1e-10)
     rhs = complex(hurwitz_zeta1(2.0 * sigma, alpha)) + res.value
-    return IdentityReport.build(
-        "square_identity",
-        {"sigma": sigma, "t": t, "alpha": alpha, "c": c},
-        lhs,
-        rhs,
-        res.evaluations,
-    )
+    return IdentityReport.build("square_identity", {"sigma": sigma, "t": t, "alpha": alpha, "c": c},
+                                lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +308,10 @@ def _weighted_tail(weight: complex, us) -> QuadResult:
 _KEPT = {1: "single", 2: "pair", 3: "triple"}
 
 
-def moment_rhs_terms(us) -> list[tuple[str, complex, int]]:
+def moment_rhs_terms(us) -> list[tuple[str, complex]]:
     """The 2^k - 1 right-side summands of the k-fold unit moment
     int_0^1 prod zeta1(u_i, alpha) d(alpha), k = 2, 3 or 4, as
-    (name, value, evaluations): the rational term 1/(sum u - 1), then for
+    (name, value): the rational term 1/(sum u - 1), then for
     each nonempty proper subset S of the exponents the tail
     int_1^inf alpha^{-sum_S u} prod_{j not in S} zeta1(u_j, alpha),
     largest S first.  A tail is named single/pair/triple by the number of
@@ -328,27 +321,25 @@ def moment_rhs_terms(us) -> list[tuple[str, complex, int]]:
         raise DomainError("need 2 to 4 exponents")
     if any(u.real <= 1.0 for u in us):
         raise DomainError("direct verification needs Re u > 1 for every exponent")
-    terms = [("rational", 1.0 / (sum(us) - 1.0), 0)]
+    terms = [("rational", 1.0 / (sum(us) - 1.0))]
     for size in range(len(us) - 1, 0, -1):
         for subset in itertools.combinations(range(len(us)), size):
             kept = [j for j in range(len(us)) if j not in subset]
             r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept))
-            terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value, r.evaluations))
+            terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value))
     return terms
 
 
 def _verify_moment(identity_id: str, us, arity: int, layout) -> IdentityReport:
-    """Unit moment of arity exponents against its subset expansion; the
-    evaluations count the left side and every tail integral."""
+    """Unit moment of arity exponents against its subset expansion."""
     us = tuple(complex(u) for u in us)
     if len(us) != arity:
         raise DomainError(f"{identity_id} needs exactly {arity} exponents")
     terms = moment_rhs_terms(us)
     lhs = _unit_moment_lhs(us)
-    values = [val for _, val, _ in terms]
+    values = [val for _, val in terms]
     return IdentityReport.build(identity_id, layout(us, terms), lhs.value,
-                                sum(values[1:], values[0]),
-                                lhs.evaluations + sum(n for _, _, n in terms))
+                                sum(values[1:], values[0]))
 
 
 def verify_quadratic_moment(us) -> IdentityReport:
@@ -479,21 +470,15 @@ def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
     closed = mellin_tail_closed_form(u, v)
     unit = _unit_power(u, -v)
     tail = _weighted_tail(v, (u,))
-    return IdentityReport.build(
-        "mellin_tail",
-        {"u": u, "v": v},
-        closed,
-        unit.value + tail.value,
-        unit.evaluations + tail.evaluations,
-    )
+    return IdentityReport.build("mellin_tail", {"u": u, "v": v}, closed, unit.value + tail.value)
 
 
-def _recursion_rhs(u: complex, v: complex) -> tuple[complex, int]:
+def _recursion_rhs(u: complex, v: complex) -> complex:
     """(zeta(u)-1)/(1-v) + u/(1-v) int_0^1 alpha^{1-v} zeta1(u+1,alpha), the
-    right side of the unit-interval recursion, and its evaluations."""
+    right side of the unit-interval recursion."""
     zu = complex(riemann_zeta(u))
     w = _unit_power(u + 1.0, 1.0 - v)
-    return (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value, w.evaluations
+    return (zu - 1.0) / (1.0 - v) + u / (1.0 - v) * w.value
 
 
 def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
@@ -513,29 +498,17 @@ def unit_interval_recursion(u: complex, v: complex) -> IdentityReport:
         # limit mode: both sides finite
         lhs_res = _unit_power(u, 0.0, quotient=True, abs_tol=1e-12, rel_tol=1e-10)
         rhs_res = _unit_power(u + 1.0, 0.0, log_weight=True, abs_tol=1e-12, rel_tol=1e-10)
-        return IdentityReport.build(
-            "unit_recursion",
-            {"u": u, "v": v, "mode": "limit"},
-            lhs_res.value,
-            u * rhs_res.value,
-            lhs_res.evaluations + rhs_res.evaluations,
-        )
+        return IdentityReport.build("unit_recursion", {"u": u, "v": v, "mode": "limit"},
+                                    lhs_res.value, u * rhs_res.value)
     if v.real < 1.0:
-        lhs_res = _unit_power(u, -v)
-        lhs = lhs_res.value
+        lhs = _unit_power(u, -v).value
         mode = "direct"
     else:
         lhs_res = _unit_power(u, 1.0 - v, quotient=True, abs_tol=1e-12, rel_tol=1e-10)
         lhs = lhs_res.value + complex(riemann_zeta(u)) / (1.0 - v)
         mode = "subtracted"
-    rhs, rhs_evals = _recursion_rhs(u, v)
-    return IdentityReport.build(
-        "unit_recursion",
-        {"u": u, "v": v, "mode": mode},
-        lhs,
-        rhs,
-        lhs_res.evaluations + rhs_evals,
-    )
+    return IdentityReport.build("unit_recursion", {"u": u, "v": v, "mode": mode},
+                                lhs, _recursion_rhs(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +533,9 @@ def verify_katsurada(u: complex, v: complex) -> IdentityReport:
     if abs(u + v - 2.0) < 1e-12:
         raise PoleError("u + v = 2 pinches the rational and Gamma terms")
     lhs_res = _unit_moment_lhs((u, v))
-    ru, ru_evals = _recursion_rhs(u, v)
-    rv, rv_evals = _recursion_rhs(v, u)
-    rhs = (1.0 / (u + v - 1.0) + (_mellin_closed(u, v) - ru)
-           + (_mellin_closed(v, u) - rv))
-    return IdentityReport.build(
-        "katsurada",
-        {"u": u, "v": v},
-        lhs_res.value,
-        rhs,
-        lhs_res.evaluations + ru_evals + rv_evals,
-    )
+    rhs = (1.0 / (u + v - 1.0) + (_mellin_closed(u, v) - _recursion_rhs(u, v))
+           + (_mellin_closed(v, u) - _recursion_rhs(v, u)))
+    return IdentityReport.build("katsurada", {"u": u, "v": v}, lhs_res.value, rhs)
 
 
 def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
@@ -581,14 +546,8 @@ def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
     if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
         raise DomainError("split check needs Re u, Re v in (1, 2)")
     direct = _weighted_tail(v, (u,))
-    unit_part, unit_evals = _recursion_rhs(u, v)
-    return IdentityReport.build(
-        "katsurada_split",
-        {"u": u, "v": v},
-        direct.value,
-        _mellin_closed(u, v) - unit_part,
-        direct.evaluations + unit_evals,
-    )
+    return IdentityReport.build("katsurada_split", {"u": u, "v": v}, direct.value,
+                                _mellin_closed(u, v) - _recursion_rhs(u, v))
 
 
 def sum_recip_m_mp1u(u: complex) -> complex:
@@ -614,7 +573,7 @@ def i1_asymptotic_check(t_grid) -> list[IdentityReport]:
         t = float(t)
         if t < 20.0:
             raise DomainError("asymptotic check needs t >= 20")
-        i1, evals = afe._power_mean_Ik(1, t)
+        i1 = afe.power_mean_Ik(1, t)
         rhs = math.log(t / _2PI) + float(np.euler_gamma)
         u = complex(0.5, t)
         zu = complex(riemann_zeta(u))
@@ -635,7 +594,6 @@ def i1_asymptotic_check(t_grid) -> list[IdentityReport]:
                 },
                 i1,
                 rhs,
-                evals,
             )
         )
     return out
@@ -660,11 +618,6 @@ def remark_219_check(u: complex, v: complex) -> IdentityReport:
     S = sum_recip_m_mp1u(u)
     rhs = S / (1j * t)
     resid = abs(lhs - rhs)
-    return IdentityReport.build(
-        "remark_219",
-        {"u": u, "v": v, "t": t, "scaled_t2": resid * t * t,
-         "endpoint_cut": 0.0, "lhs_abs": abs(lhs)},
-        lhs,
-        rhs,
-        head.evaluations,
-    )
+    params = {"u": u, "v": v, "t": t, "scaled_t2": resid * t * t,
+              "endpoint_cut": 0.0, "lhs_abs": abs(lhs)}
+    return IdentityReport.build("remark_219", params, lhs, rhs)

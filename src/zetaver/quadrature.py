@@ -78,6 +78,21 @@ _MAX_INITIAL_PANELS = 400_000
 # Most panels integrate_finite bisects beyond its initial ones.
 _MAX_BISECTIONS = 20_000
 
+# Integrand evaluations made in this process: _gk15_many and
+# fourier._fourier_coeffs add every node they hand to an integrand.  A
+# reader takes the difference of _evaluations() before and after the work
+# it measures, so readings nest; each pool worker counts its own.
+_evaluated = 0
+
+
+def _count(nodes: int) -> None:
+    global _evaluated
+    _evaluated += nodes
+
+
+def _evaluations() -> int:
+    return _evaluated
+
 
 @dataclasses.dataclass
 class QuadResult:
@@ -105,6 +120,7 @@ def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     for c in range(0, los.size, _CHUNK):
         half = halves[c:c + _CHUNK]
         x = (mids[c:c + _CHUNK, None] + half[:, None] * _NODES).ravel()
+        _count(x.size)
         fv = np.asarray(f(x)).reshape(-1, _NODES.size)
         if fv.dtype.kind == "f":
             kres = half * (fv @ _WGK_FULL)

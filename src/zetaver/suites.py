@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import afe, fourier, identities, special
+from . import afe, fourier, identities, quadrature, special
 from .errors import ConfigError, ZetaverError
 
 _2PI = 2.0 * math.pi
@@ -176,9 +176,10 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _row(rep: identities.IdentityReport, pt: dict, seconds: float) -> dict:
+def _row(rep: identities.IdentityReport, pt: dict, evals: int, seconds: float) -> dict:
     """The one step from record to report row: the record's fields, its
-    grid point under params["point"], and the seconds the point took."""
+    grid point under params["point"], and the integrand evaluations and
+    seconds the point took."""
     return {
         "identity_id": rep.identity_id,
         "params": dict(rep.params, point=pt),
@@ -186,7 +187,7 @@ def _row(rep: identities.IdentityReport, pt: dict, seconds: float) -> dict:
         "rhs": complex(rep.rhs),
         "abs_residual": rep.abs_residual,
         "rel_residual": rep.rel_residual,
-        "evals": rep.evaluations,
+        "evals": evals,
         "seconds": seconds,
     }
 
@@ -245,7 +246,7 @@ def _run_f_routes(pt):
     fs = identities.f_series(u, v, alpha)
     fc = identities.f_contour(u, v, alpha)
     return [identities.IdentityReport.build(
-        "f_routes", {"u": u, "v": v, "alpha": alpha}, fs, fc.value, fc.evaluations)]
+        "f_routes", {"u": u, "v": v, "alpha": alpha}, fs, fc.value)]
 
 
 def _run_quadratic(pt):
@@ -316,19 +317,19 @@ def _run_lemma3(pt):
 
 def _run_power_mean_Ik(pt):
     k = int(pt["k"])
-    value, evals = afe._power_mean_Ik(k, pt["t"])
-    return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value, evals)]
+    value = afe.power_mean_Ik(k, pt["t"])
+    return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value)]
 
 
 def _run_power_mean_Jk(pt):
     k = int(pt["k"])
-    value, evals = afe._power_mean_Jk(k, pt["T"])
+    value = afe.power_mean_Jk(k, pt["T"])
     env = math.log(pt["T"] / _2PI) + 2.0 * float(np.euler_gamma) - 1.0 if k == 1 else value
     gap = abs(value - env)  # relative to the envelope, not to J_k
     return [identities.IdentityReport(
         identity_id="power_mean_Jk", params={"k": k, "T": pt["T"], "envelope": env},
         lhs=complex(value), rhs=complex(env), abs_residual=gap,
-        rel_residual=gap / max(abs(env), 1e-300), evaluations=evals)]
+        rel_residual=gap / max(abs(env), 1e-300))]
 
 
 def _run_s1(pt):
@@ -364,8 +365,8 @@ def _run_qn_modes(pt):
     v = u.conjugate()
     qd = fourier.qn_direct(n, u, v)
     qc = fourier.qn_continued(n, u, v)
-    return [identities.IdentityReport.build("qn_modes", {"n": n, "u": u, "v": v}, qd.value, qc.value,
-                                            qd.evaluations + qc.evaluations)]
+    return [identities.IdentityReport.build(
+        "qn_modes", {"n": n, "u": u, "v": v}, qd.value, qc.value)]
 
 
 def _run_highfreq(pt):
@@ -383,11 +384,10 @@ def _run_theorem2(pt):
 
 def _run_kernel_norms(pt):
     n = int(pt["N"])
-    l1, evals1 = afe._kernel_norm_power(n, 1.0)
-    l2sq, evals2 = afe._kernel_norm_power(n, 2.0)
+    l1 = afe.kernel_norm_power(n, 1.0)
+    l2sq = afe.kernel_norm_power(n, 2.0)
     params = {"N": n, "l1_over_logN": l1 / math.log(n) if n > 1 else l1}
-    return [identities.IdentityReport.build("kernel_norms", params, complex(l2sq), complex(n),
-                                            evals1 + evals2)]
+    return [identities.IdentityReport.build("kernel_norms", params, complex(l2sq), complex(n))]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -563,8 +563,11 @@ def config_hash(suite_id: str, grid: GridSpec, tolerance) -> str:
 
 
 def _run_point(args):
+    """The rows of one grid point, each with the integrand evaluations and
+    seconds of the whole point, an error row with those spent before its
+    error."""
     suite_id, pt = args
-    t0 = time.perf_counter()
+    evals0, t0 = quadrature._evaluations(), time.perf_counter()
     try:
         reps = SUITES[suite_id].runner(pt)
     except ZetaverError as exc:
@@ -572,7 +575,8 @@ def _run_point(args):
         reps = [identities.IdentityReport.build(
             suite_id, {"error": f"{type(exc).__name__}: {exc}"}, math.nan, math.nan)]
     dt = time.perf_counter() - t0
-    return [_row(rep, pt, dt) for rep in reps]
+    evals = quadrature._evaluations() - evals0
+    return [_row(rep, pt, evals, dt) for rep in reps]
 
 
 def run_suite(spec: SuiteSpec, threads: int = 1) -> ReportFile:

@@ -130,10 +130,10 @@ def test_weak_afe_slope_not_exploding():
     assert afe.loglog_slope(ts, vals) <= 0.1
 
 
-def test_weak_afe_row_counts_both_integrals():
+def test_weak_afe_row_counts_both_integrals(spent):
     s = complex(0.5, 50.0)
     i1, i2, *_ = afe._weak_afe_integrals(s)
-    assert afe.weak_afe_residual(s).evaluations == i1.evaluations + i2.evaluations > 0
+    assert spent(afe.weak_afe_residual, s)[1] == i1.evaluations + i2.evaluations > 0
 
 
 def test_weak_afe_four_form_vs_two_form():
@@ -165,14 +165,16 @@ def test_lemma3_leading_sums_and_strip_envelopes():
         assert d.params["strip_over_envelope"] <= 1.0
 
 
-def test_lemma3_and_projection_evaluation_counts_pinned():
+def test_lemma3_and_projection_evaluation_counts_pinned(spent):
     # deterministic cost guard at the default-grid rows: lemma3 integrates
     # [1, N] in one call on panels marched for N + t/(2 pi a) cycles,
-    # projection on ceil(2.5 N) uniform panels
-    evals = [afe.lemma3_integral(complex(0.5, t)).evaluations for t in (50.0, 100.0, 200.0, 400.0)]
+    # projection on ceil(2.5 N) uniform panels per check
+    evals = [spent(afe.lemma3_integral, complex(0.5, t))[1] for t in (50.0, 100.0, 200.0, 400.0)]
     assert all(e <= cap for e, cap in zip(evals, (510, 1200, 3105, 6825)))
     for n, cap in ((7, 270), (25, 945), (50, 1875), (100, 3750)):
-        assert all(r.evaluations <= cap for r in SUITES["projection"].runner({"N": n}))
+        for r in SUITES["projection"].runner({"N": n}):
+            _, evals = spent(afe.projection_identity_check, r.params["z"], n, r.params["mirrored"])
+            assert evals <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +284,28 @@ def test_power_mean_panelling_matches_four_times_the_cycles(t, sigma, k):
     ("i1_asymptotic", [360, 615, 1095, 2010, 3780]),
     ("theorem1", [360, 615, 1095, 2010, 3780, 705, 1215, 2160, 3990, 7545]),
 ])
-def test_power_mean_row_evaluations_pinned(suite, pinned):
-    # deterministic cost guard: each default row reports the evaluations of
+def test_power_mean_row_evaluations_pinned(suite, pinned, spent):
+    # deterministic cost guard: each default point makes the evaluations of
     # its one power-mean integral, all on the initial panels of the march at
     # k times the cycles of zeta1 (no bisection)
     pts = SUITES[suite].default_grid.points()
     assert len(pts) == len(pinned)
     for pt, want in zip(pts, pinned):
-        (rep,) = SUITES[suite].runner(pt)
+        (_rep,), evals = spent(SUITES[suite].runner, pt)
         z = special._zeta1_cycles(pt["t"])
         edges = quadrature._march_panels(0.0, 1.0, lambda a: pt.get("k", 1) * z(a))
-        assert rep.evaluations == want == 15 * (len(edges) - 1)
+        assert evals == want == 15 * (len(edges) - 1)
 
 
 @pytest.mark.parametrize("suite, pinned", [
     ("kernel_norms", [360, 3555, 34350, 347760]),
     ("power_mean_Jk", [1500, 3000]),
 ])
-def test_kernel_norms_and_Jk_row_evaluations_pinned(suite, pinned):
-    # deterministic cost guard: a kernel_norms row reports both of its
-    # integrals (p = 1 and 2), a power_mean_Jk row its one integral
+def test_kernel_norms_and_Jk_row_evaluations_pinned(suite, pinned, spent):
+    # deterministic cost guard: a kernel_norms point makes both of its
+    # integrals (p = 1 and 2), a power_mean_Jk point its one integral
     pts = SUITES[suite].default_grid.points()
-    assert [rep.evaluations for pt in pts for rep in SUITES[suite].runner(pt)] == pinned
+    assert [spent(SUITES[suite].runner, pt)[1] for pt in pts] == pinned
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,34 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_threads_env_projection_rows_match_serial(tmp_path, monkeypatch):
+    # each pool worker reads its own evaluation meter, so evals match too
+    argv = ["run-suite", "projection", "--grid", "N=7,25", "--format", "json", "--out"]
+    monkeypatch.delenv("ZETAVER_THREADS", raising=False)
+    assert main(argv + [str(tmp_path / "serial.json")]) == 0
+    monkeypatch.setenv("ZETAVER_THREADS", "2")
+    assert main(argv + [str(tmp_path / "pool.json")]) == 0
+
+    def rows(name):
+        out = json.loads((tmp_path / name).read_text())["rows"]
+        for row in out:
+            del row["seconds"]
+        return out
+
+    assert rows("pool.json") == rows("serial.json")
+    assert [r["evals"] for r in rows("pool.json")] == [540, 540, 1890, 1890]
+
+
+def test_run_suite_unwritable_out_is_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path, tmp_path / "file" / "r.csv"):
+        argv = ["run-suite", "mellin_tail", "--grid", "u_re=2.5", "--grid", "v_re=0.3",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot write report" in err and "Traceback" not in err
+
+
 def test_threads_env_rows_match_serial(tmp_path, monkeypatch):
     argv = ["run-suite", "mellin_tail", "--grid", "u_re=2.5,3.0", "--grid", "v_re=0.3",
             "--format", "json", "--out"]
@@ -271,10 +299,29 @@ def test_integration_tolerance_options_do_not_exist(capsys, argv):
     ["eval", "zeta", "--s", "abc"],
     # the Pochhammer symbols of the Euler-Maclaurin bound overflow
     ["eval", "zeta", "--s", "1e20"],
+    # a missing integer or real argument
+    ["eval", "a_n", "--s", "2"],
+    ["eval", "B_N", "--alpha", "0.3"],
+    ["eval", "q_n", "--u", "2", "--v", "2"],
+    ["eval", "S1", "--alpha", "0.2"],
+    ["eval", "I_k"],
+    ["eval", "J_k"],
 ])
 def test_eval_bad_point_exits_two_without_traceback(capsys, argv):
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "zeta1", "--s", "2"],
+    ["eval", "B_N", "--N", "5"],
+    ["eval", "S1", "--t", "70"],
+])
+def test_eval_complex_alpha_is_config_error(capsys, argv):
+    assert main(argv + ["--alpha", "1+1i"]) == 2
+    assert "configuration error: --alpha must be real" in capsys.readouterr().err
+    # a zero imaginary part is a real alpha
+    assert main(argv + ["--alpha", "0.5+0i"]) == 0
 
 
 def test_config_file_bad_tol_is_config_error(tmp_path, capsys):

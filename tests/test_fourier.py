@@ -197,13 +197,14 @@ def _theorem2_integrand(t):
     return smooth, b
 
 
-def test_fourier_engine_matches_per_n_quadrature():
+def test_fourier_engine_matches_per_n_quadrature(spent):
     t = 50.0
     smooth, b = _theorem2_integrand(t)
     cycles = fr._zeta1_pair_cycles(t, t)
     ns = [-15, 0, 7, 15]
-    coeffs, errs, evals = fr._fourier_coeffs(
-        lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns, 1.0, b, 5e-7)
+    (coeffs, errs), evals = spent(fr._fourier_coeffs,
+                                  lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns,
+                                  1.0, b, 5e-7)
     assert evals > 0
     for n, c, e in zip(ns, coeffs, errs):
         def f(x, n=n):
@@ -230,7 +231,7 @@ def test_fourier_engine_recurrence_matches_direct_phase_sum():
         return fx
 
     ns = np.arange(-127, 128)
-    coeffs, errs, _ = fr._fourier_coeffs(values, cycles, ns, 1.0, b, 5e-7)
+    coeffs, errs = fr._fourier_coeffs(values, cycles, ns, 1.0, b, 5e-7)
     per_cycle = 2.5 * 1.7 ** (len(seen) - 1)
     pts = np.array(_march_panels(1.0, b, lambda x: 127.0 + cycles(x), per_cycle=per_cycle))
     halves = 0.5 * (pts[1:] - pts[:-1])
@@ -253,7 +254,7 @@ def test_fourier_engine_unreachable_tolerance_raises():
 
 
 @pytest.mark.parametrize("tol", [5e-7, 0.0])
-def test_fourier_engine_calls_values_once(tol):
+def test_fourier_engine_calls_values_once(tol, spent):
     # one march of max |n| plus cycles and one values call on its nodes,
     # whether tol is met or missed (then ConvergenceError, no second march)
     smooth, b = _theorem2_integrand(50.0)
@@ -268,7 +269,7 @@ def test_fourier_engine_calls_values_once(tol):
         return smooth(x)
 
     if tol:
-        _coeffs, errs, evals = fr._fourier_coeffs(values, cycles, [0, 3], 1.0, b, tol)
+        (_coeffs, errs), evals = spent(fr._fourier_coeffs, values, cycles, [0, 3], 1.0, b, tol)
         assert errs.max() <= tol and evals == nodes.size
     else:
         with pytest.raises(ConvergenceError):
@@ -277,15 +278,15 @@ def test_fourier_engine_calls_values_once(tol):
     assert np.array_equal(seen[0], nodes.ravel())
 
 
-def test_theorem2_evaluates_once_for_all_n():
-    assert fr.theorem2_check([50.0])[0].evaluations <= 20000
+def test_theorem2_evaluates_once_for_all_n(spent):
+    assert spent(fr.theorem2_check, [50.0])[1] <= 20000
 
 
-def test_engine_evaluation_counts_pinned():
+def test_engine_evaluation_counts_pinned(spent):
     # deterministic cost guard: the panel sets of the engine callers
-    evals = [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])]
+    evals = [spent(fr.theorem2_check, [t])[1] for t in (50.0, 100.0, 200.0)]
     assert all(e <= cap for e, cap in zip(evals, (6765, 24480, 90690)))
-    assert fr.parseval_fourth_moment(complex(0.5, 50.0)).evaluations == 4140
+    assert spent(fr.parseval_fourth_moment, complex(0.5, 50.0))[1] == 4140
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def _unfolded_head(u, v, ns, b, continued):
     t = max(abs(u.imag), abs(v.imag))
     z = special._zeta1_cycles(t)
     n_big = max(abs(n) for n in ns)
-    coeffs, _errs, _evals = fr._fourier_coeffs(
+    coeffs, _errs = fr._fourier_coeffs(
         values, lambda x: 3.0 * n_big + 4.0 * (t / (_2PI * x) + z(x)), ns, 1.0, b, 1e-9)
     return coeffs
 
@@ -316,10 +317,10 @@ def _unfolded_head(u, v, ns, b, continued):
 # whose band and power the head shares between u and v
 @pytest.mark.parametrize("continued", [False, True])
 @pytest.mark.parametrize("b", [50.0 / _2PI + 1.0, 6.0, 2.0, 1.6])
-def test_folded_head_matches_unfolded_route(b, continued):
+def test_folded_head_matches_unfolded_route(b, continued, spent):
     ns = range(-12, 13)
     for u, v in ((0.6 + 30j, 0.7 - 25j), (0.5 + 50j, 0.5 - 50j), (1.01 + 20j, 1.01 - 20j)):
-        coeffs, errs, evals = fr._zeta1_head(u, v, ns, b, 1e-9, continued=continued)
+        (coeffs, errs), evals = spent(fr._zeta1_head, u, v, ns, b, 1e-9, continued=continued)
         ref = _unfolded_head(u, v, ns, b, continued)
         assert np.max(np.abs(coeffs - ref)) <= 1e-11 * np.max(np.abs(ref))
         assert errs.max() <= 1e-9 and evals > 0
@@ -353,7 +354,7 @@ def test_folded_head_error_covers_oracle():
     # every shifted value carries the Euler-Maclaurin error of its node,
     # and the head's errs count it
     u, v, ns = 0.6 + 30j, 0.7 - 25j, [0, 3]
-    coeffs, errs, _evals = fr._zeta1_head(u, v, ns, 6.0, 1e-9)
+    coeffs, errs = fr._zeta1_head(u, v, ns, 6.0, 1e-9)
     assert np.all(np.abs(coeffs - _oracle_folded_head(u, v, ns, 5)) <= errs)
 
 
@@ -394,14 +395,14 @@ def test_folded_head_refuses_huge_panelling_at_once(call):
     assert time.perf_counter() - start < 1.0
 
 
-def test_folded_evaluation_counts_pinned():
+def test_folded_evaluation_counts_pinned(spent):
     # deterministic cost guard: folded nodes, one zeta1 value each
-    assert [r.evaluations for r in fr.theorem2_check([50.0, 100.0, 200.0])] == [930, 1785, 3450]
+    assert [spent(fr.theorem2_check, [t])[1] for t in (50.0, 100.0, 200.0)] == [930, 1785, 3450]
     u = complex(0.5, 50.0)
-    assert [fr.highfreq_tail_check(n, u, u.conjugate()).evaluations
+    assert [spent(fr.highfreq_tail_check, n, u, u.conjugate())[1]
             for n in (20, 40, 80)] == [1110, 1875, 3375]
     qn_modes = SUITES["qn_modes"].runner
-    assert [qn_modes({"n": n, "u_re": 2.0, "u_im": 1.0})[0].evaluations
+    assert [spent(qn_modes, {"n": n, "u_re": 2.0, "u_im": 1.0})[1]
             for n in (0, 2, 5)] == [120, 270, 510]
 
 
@@ -458,7 +459,7 @@ def test_highfreq_pair_integral_matches_four_times_the_summed_band():
         def f(a, sign=sign):
             return np.power(a * (a + y), -0.5) * np.exp(sign * 1j * t * np.log(a / (a + y)))
 
-        (ref,), _errs, _evals = fr._fourier_coeffs(
+        (ref,), _errs = fr._fourier_coeffs(
             f, lambda a: 4.0 * (t / (_2PI * a) + t / (_2PI * (a + y)) + 1.0), [n],
             1.0, t / _2PI + 1.0, 1e-12)
         val = fr.highfreq_pair_integral(y, 0.5, 0.5, t, n, conjugated=conjugated)
@@ -513,15 +514,15 @@ def test_parseval_second_moment_by_parts_tail(t):
     assert fr.parseval_second_moment(complex(0.5, t)).rel_residual <= 1e-11
 
 
-def test_parseval_rows_count_their_whole_cost():
+def test_parseval_rows_count_their_whole_cost(spent):
     # the power mean plus, for parseval4, the q_n head's folded nodes
     u = complex(0.5, 50.0)
     mean = afe._power_mean(u, 2, abs_tol=1e-10, rel_tol=1e-8)
     coeffs = fr._q_coeffs(u, u.conjugate(), range(-82, 83),
                           max(1e-10, 2e-5 * mean.value.real / 82), direct=False)
     assert (mean.evaluations, coeffs[0].evaluations) == (705, 3435)
-    assert fr.parseval_fourth_moment(u).evaluations == 705 + 3435
-    assert fr.parseval_second_moment(u).evaluations == 360
+    assert spent(fr.parseval_fourth_moment, u)[1] == 705 + 3435
+    assert spent(fr.parseval_second_moment, u)[1] == 360
 
 
 def test_by_parts_expansion_meets_computed_qn():

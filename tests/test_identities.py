@@ -163,13 +163,13 @@ def test_quadratic_moment_symmetry():
     assert abs(r1.rhs - r2.rhs) <= 1e-12 * abs(r1.rhs)
 
 
-def test_quadratic_moment_evaluation_counts_pinned():
+def test_quadratic_moment_evaluation_counts_pinned(spent):
     # deterministic cost guard on the default grid: the left side is marched
     # for the summed cycles of its zeta1 factors
     caps = {(2, 2): 1497, (2, 3): 1149, (2, 4): 975, (3, 2): 1149, (3, 3): 1005,
             (3, 4): 849, (4, 2): 975, (4, 3): 849, (4, 4): 801}
     for (u, v), cap in caps.items():
-        assert idn.verify_quadratic_moment((float(u), float(v))).evaluations <= cap
+        assert spent(idn.verify_quadratic_moment, (float(u), float(v)))[1] <= cap
 
 
 def test_quadratic_moment_requires_direct_mode():
@@ -200,7 +200,7 @@ def test_quadruple_moment_point_and_structure():
     assert rep.params["rhs_terms"] == 15
     terms = idn.moment_rhs_terms((2.0, 2.5, 3.0, 2.2))
     assert len(terms) == 15
-    kinds = [name.split("_")[0] for name, _, _ in terms]
+    kinds = [name.split("_")[0] for name, _ in terms]
     assert kinds.count("rational") == 1
     assert kinds.count("single") == 4
     assert kinds.count("pair") == 6
@@ -212,12 +212,12 @@ def test_quadruple_moment_point_and_structure():
     (idn.verify_triple_moment, (2.0, 2.5, 3.0)),
     (idn.verify_quadruple_moment, (2.0, 2.5, 3.0, 2.2)),
 ])
-def test_moment_evaluations_count_both_sides(verify, us):
-    rep = verify(us)
+def test_moment_evaluations_count_both_sides(verify, us, spent):
+    _, evals = spent(verify, us)
     lhs = idn._unit_moment_lhs(tuple(complex(u) for u in us))
-    terms = idn.moment_rhs_terms(us)
+    terms, rhs_evals = spent(idn.moment_rhs_terms, us)
     assert len(terms) == 2 ** len(us) - 1
-    assert rep.evaluations == lhs.evaluations + sum(n for _, _, n in terms)
+    assert evals == lhs.evaluations + rhs_evals
 
 
 def test_moment_rhs_terms_rejects_bad_arity():
@@ -268,12 +268,12 @@ def test_mellin_tail_boundary_is_domain_error():
         idn.mellin_tail_check(2.0, 0.0)
 
 
-def test_mellin_tail_evaluation_counts_pinned():
+def test_mellin_tail_evaluation_counts_pinned(spent):
     # the unit part's head on [1/4, 1] and the tail's head on [1, 6], per
     # default row: u, then v = 0.1, 0.3, 0.5
     evals = {2.0: [315, 315, 315], 2.5: [315, 315, 315], 3.0: [315, 315, 315]}
     for u, row in evals.items():
-        assert [idn.mellin_tail_check(u, v).evaluations for v in (0.1, 0.3, 0.5)] == row
+        assert [spent(idn.mellin_tail_check, u, v)[1] for v in (0.1, 0.3, 0.5)] == row
 
 
 @pytest.mark.parametrize("suite_id,evals", [
@@ -288,9 +288,9 @@ def test_unit_power_default_rows_evaluation_counts_pinned(suite_id, evals):
     assert [row["evals"] for row in run_suite(SuiteSpec(suite_id)).rows] == evals
 
 
-def test_katsurada_slow_oscillating_weight_is_cheap():
+def test_katsurada_slow_oscillating_weight_is_cheap(spent):
     # alpha^{-0.95 + 3i} near alpha = 0 is summed in closed form, not sampled
-    assert idn.verify_katsurada(1.95 + 3j, 1.95 - 3j).evaluations <= 1_000
+    assert spent(idn.verify_katsurada, 1.95 + 3j, 1.95 - 3j)[1] <= 1_000
 
 
 def _gk15_calls(monkeypatch):

@@ -83,15 +83,15 @@ def _no_cycles(x):
 
 
 def test_oscillatory_full_periods():
-    (val,), _, _ = _fourier_coeffs(lambda x: np.ones_like(x, dtype=complex), _no_cycles,
-                                   [3], 0.0, 1.0, 1e-12)
+    (val,), _ = _fourier_coeffs(lambda x: np.ones_like(x, dtype=complex), _no_cycles,
+                                [3], 0.0, 1.0, 1e-12)
     assert abs(val) < 1e-13
 
 
 def test_oscillatory_algebraic_factor_vs_oracle():
     ref = complex(mp.quad(lambda x: x ** mp.mpf(-0.5) * mp.e ** (-2j * mp.pi * x),
                           mp.linspace(1, 10, 40)))
-    (val,), _, _ = _fourier_coeffs(lambda x: x**-0.5 + 0j, _no_cycles, [1], 1.0, 10.0, 1e-12)
+    (val,), _ = _fourier_coeffs(lambda x: x**-0.5 + 0j, _no_cycles, [1], 1.0, 10.0, 1e-12)
     assert abs(val - ref) <= 1e-9
 
 
@@ -99,14 +99,14 @@ def test_oscillatory_log_phase_vs_oracle():
     # e^{2 pi i 2 x - 10 i log x} over [1, 5]
     ref = complex(mp.quad(lambda x: mp.e ** (2j * mp.pi * 2 * x - 10j * mp.log(x)),
                           mp.linspace(1, 5, 41)))
-    (val,), _, _ = _fourier_coeffs(lambda x: np.exp(-10j * np.log(x)),
-                                   lambda x: 10.0 / (2.0 * math.pi * x), [-2], 1.0, 5.0, 1e-12)
+    (val,), _ = _fourier_coeffs(lambda x: np.exp(-10j * np.log(x)),
+                                lambda x: 10.0 / (2.0 * math.pi * x), [-2], 1.0, 5.0, 1e-12)
     assert abs(val - ref) <= 1e-9
 
 
 def test_oscillatory_matches_finite_low_frequency():
     f = lambda x: 1.0 / (1.0 + x.astype(complex))
-    (val,), (err,), _ = _fourier_coeffs(f, _no_cycles, [-1], 0.0, 2.0, 1e-12)
+    (val,), (err,) = _fourier_coeffs(f, _no_cycles, [-1], 0.0, 2.0, 1e-12)
 
     def g(x):
         x = np.asarray(x, dtype=complex)
@@ -165,6 +165,14 @@ def test_finite_nan_at_one_node_raises():
     with pytest.raises(ConvergenceError):
         integrate_finite(g, 0.0, 1.0)
     assert len(calls) == 2
+
+
+def test_meter_counts_initial_and_bisected_panels():
+    # sqrt bisects toward its kink at 0; every node handed to it counts
+    start = quadrature._evaluations()
+    res = integrate_finite(np.sqrt, 0.0, 1.0, initial_points=[0.25, 0.5])
+    assert res.evaluations > 15 * 3
+    assert quadrature._evaluations() - start == res.evaluations
 
 
 def test_finite_initial_panels_batched():

@@ -73,6 +73,20 @@ def test_unit_recursion_small_shift_row_passes():
     assert report.rows[0]["rel_residual"] <= 1e-12
 
 
+def test_error_row_reports_the_evaluations_before_its_error():
+    # the subtracted unit power at u = -5.5 stalls after its 20000 bisections
+    grid = GridSpec({"u_re": _ax(-5.5), "v_re": _ax(0.5)})
+    (row,) = run_suite(SuiteSpec("unit_recursion", grid=grid)).rows
+    assert row["params"]["error"].startswith("ConvergenceError")
+    assert row["evals"] == 15 * (4 + 2 * 20_000) == 600_060
+
+
+def test_rows_of_one_point_share_its_evaluations():
+    grid = GridSpec({"N": _ax(7, 25)})
+    rows = run_suite(SuiteSpec("projection", grid=grid)).rows
+    assert [r["evals"] for r in rows] == [540, 540, 1890, 1890]
+
+
 # Suites judged by one recorded statistic against a fixed bound.
 RATIO_BOUNDS = {"remark_219": ("scaled_t2", 20.0), "theorem2": ("ratio", 10.0),
                 "tail_lemma": ("ratio", 1.0), "highfreq_tail": ("ratio", 1.0)}
