@@ -308,8 +308,10 @@ def kernel_norm_power(N: int, p: float) -> float:
     about 1/2, so twice the integral over [0, 1/2] is taken.  Unless p is an
     even integer, |B_N|^p has kinks at the zeros k/N of B_N, so those below
     1/2 are panel breakpoints.  Between two zeros |sin(pi N alpha)|^p is one
-    hump: one half sine (N/2 cycles) at p = 1, and for integer p its highest
-    harmonic has p N/2 cycles, so the panels are set at max(p, 1) N/2.
+    hump.  At p = 1 it is one smooth half sine with simple zeros at its
+    ends, so the kinks alone are the panels; for other p the panels are
+    set at max(p, 1) N/2 cycles, as for integer p its highest harmonic has
+    p N/2.
     """
     if not 1 <= N <= 100000:
         raise DomainError("N must be in [1, 1e5]")
@@ -321,7 +323,8 @@ def kernel_norm_power(N: int, p: float) -> float:
 
     kinks = np.arange(1, (N + 1) // 2) / N if p % 2 != 0 else None
     # abs_tol halved: the doubled half-period error still meets 1e-9
-    res = integrate_finite(f, 0.0, 0.5, cycles=max(p, 1.0) * N / 2.0, initial_points=kinks,
+    cycles = None if p == 1 else max(p, 1.0) * N / 2.0
+    res = integrate_finite(f, 0.0, 0.5, cycles=cycles, initial_points=kinks,
                            abs_tol=0.5e-9, rel_tol=1e-7)
     return 2.0 * float(res.value.real)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import afe
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError, PoleTooCloseError
-from .quadrature import QuadResult, integrate_finite
+from .quadrature import QuadResult, _count, integrate_finite
 from .special import (
     _certified_powers,
     _closed_power_tail,
@@ -186,20 +186,25 @@ def _line_integral(g, c: float, poles: list[float], poly_degree: float,
     PoleTooCloseError if c lies within 1e-3 of a pole of the integrand's
     factors.  The line is cut at the Stirling height, raised 1.5x (up to
     three times) until |g| at both ends is below abs_tol / 10, and
-    integrated in y on [-Y, Y] at _LINE_CYCLES cycles per unit.
+    integrated in y on [-Y, Y] at _LINE_CYCLES cycles per unit.  The end
+    probes count on the evaluation meter and in evaluations, with the
+    engine's nodes.
     """
     clearance = min(abs(c - p) for p in poles)
     if clearance < 1e-3:
         raise PoleTooCloseError(f"abscissa c={c} within {clearance} of a pole")
     Y = _stirling_height(abs_tol / 10.0, poly_degree)
+    probes = 0
     for _ in range(3):
+        probes += 2
+        _count(2)
         ends = np.abs(g(c + 1j * np.array([Y, -Y])))
         if ends.max() < abs_tol / 10.0:
             break
         Y *= 1.5
     res = integrate_finite(lambda y: g(c + 1j * y), -Y, Y, cycles=_LINE_CYCLES,
                            abs_tol=abs_tol, rel_tol=rel_tol)
-    return QuadResult(res.value / _2PI, res.err_estimate / _2PI, res.evaluations)
+    return QuadResult(res.value / _2PI, res.err_estimate / _2PI, res.evaluations + probes)
 
 
 def f_contour(

@@ -182,6 +182,21 @@ _EM_FLOOR = 10
 _EM_PAIRS = 8
 _EM_MAX_TERMS = 2_000_000
 
+# Shift-Taylor path of _em_hurwitz (one s, many shifts): blocks of radius
+# d <= c min(_TAYLOR_REACH / |s|, _TAYLOR_RATIO) about centres c.  The
+# series' terms go like (|s| d / c)^j / j! while j is below |s|, and shrink
+# by d / c beyond it, so both limits are needed.  The order is at most
+# _TAYLOR_MAX_ORDER, and the path is taken only when its columns,
+# blocks x (order + 1), are at most 1/_TAYLOR_SHARE of the shifts, and its
+# Horner steps per shift, order + 1, at most _TAYLOR_STEPS times the
+# direct sum's base terms per shift (a step costs about a twentieth of a
+# term).
+_TAYLOR_REACH = 2.0
+_TAYLOR_RATIO = 0.25
+_TAYLOR_MAX_ORDER = 60
+_TAYLOR_SHARE = 16
+_TAYLOR_STEPS = 8
+
 
 def _neg_power(x, log_x, sigma, t):
     """x^-(sigma + i t) for x > 0 as (c, d) with x^-s = c - i d, i.e.
@@ -198,16 +213,26 @@ def _neg_power(x, log_x, sigma, t):
     return power * np.cos(phase), power * np.sin(phase)
 
 
+# Base-sum terms summed in this process: each column of an _em_sum call
+# adds its n0 terms.  A reader takes the difference of _base_terms()
+# around the work it measures, as with quadrature._evaluations().
+_terms_summed = 0
+
+
+def _base_terms() -> int:
+    return _terms_summed
+
+
 def _em_hurwitz(s, a):
     """zeta_H(s, a) for complex s != 1 and real a > 0, broadcast against
     each other (scalars or arrays).
 
     Returns (value, error_bound): value has the broadcast shape (a complex
     when both are scalars) and the bound is the largest over its elements.
-    The number of direct terms grows like 2 max|Im s|/pi from the smallest
-    shift, so the Bernoulli tail converges geometrically with ratio about
-    1/16 per correction pair.  A bound that is not finite (|s| above about
-    1e18) raises DomainError.
+    One s with Re s >= 0 at many shifts goes through _shift_taylor where
+    its count rule allows, and every other call through the direct sum of
+    _em_sum.  A bound that is not finite (|s| above about 1e18) raises
+    DomainError.
     """
     s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
@@ -215,12 +240,115 @@ def _em_hurwitz(s, a):
         raise PoleError("zeta pole at s = 1")
     if (a_arr <= 0.0).any():
         raise DomainError("shift must be positive")
+    if s_arr.size == 1 and a_arr.size > 1:
+        s_one = complex(s_arr.flat[0])
+        if s_one.real >= 0.0 and s_one != 0.0:
+            taylor = _shift_taylor(s_one, a_arr.ravel())
+            if taylor is not None:
+                value, err = taylor
+                return value.reshape(np.broadcast(s_arr, a_arr).shape), err
+    value, err = _em_sum(s_arr, a_arr)
+    return (complex(value) if not value.shape else value), float(err.max())
+
+
+def _shift_taylor(s: complex, a: np.ndarray):
+    """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0, as
+    (value, error_bound), or None where the count rule leaves the call to
+    the direct sum.
+
+    About the centre c of each block of shifts,
+
+        zeta_H(s, c + delta) = sum_{j<=J} (-delta)^j (s)_j / j! zeta_H(s + j, c),
+
+    since d^j/da^j zeta_H(s, a) = (-1)^j (s)_j zeta_H(s + j, a) (DLMF
+    25.11.17), and all columns (s + j, c) come from one _em_sum call.  The
+    blocks [c - d, c + d], d = k c with k = min(_TAYLOR_REACH / |s|,
+    _TAYLOR_RATIO), tile the shifts from the smallest up.  With D <= d the
+    largest |delta| of a block, the remainder after order J is at most
+
+        R_J = |(s)_{J+1}| / (J+1)! D^{J+1} zeta_H(sigma + J + 1, c - D)
+
+    (the integral form of the remainder), and zeta_H(x, b) <= b^-x
+    (1 + b / (x - 1)).  J is the least order at which R_J at D = d is below
+    one unit roundoff of (c + d)^-sigma, the largest base term at the
+    block's shifts; that ratio grows with c, so the top block sets J.  The
+    bound is the largest over the blocks of R_J plus
+    sum_j |(s)_j / j!| D^j (e_j + (8 J + 8) u |zeta_H(s + j, c)|), e_j being
+    the kernel bound of column j and u the unit roundoff: the columns'
+    truncation and the rounding of the coefficients and of Horner's rule.
+    """
+    k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
+    widen = 2.0 * k / (1.0 - k)  # a block spans [c - d, c + d] = [lo, lo (1 + widen)]
+    lo, hi = float(a.min()), float(a.max())
+    count = max(1, math.ceil(math.log(hi / lo) / math.log1p(widen)))
+    # the count rule as a cap on J: columns count (J + 1) <= shifts /
+    # _TAYLOR_SHARE, Horner steps J + 1 <= _TAYLOR_STEPS n0
+    cap = min(_TAYLOR_MAX_ORDER, a.size // (count * _TAYLOR_SHARE) - 1,
+              _TAYLOR_STEPS * _em_terms(abs(s.imag), lo) - 1)
+    top = lo * (1.0 + widen) ** (count - 1) / (1.0 - k)
+    low = top * (1.0 - k)
+    log_d, log_low = math.log(k * top), math.log(low)
+    target = math.log(2.0**-53) - s.real * math.log(top * (1.0 + k))
+    log_w = math.log(abs(s))  # log |(s)_{J+1}| / (J+1)! from J = 0 on
+    for J in range(1, cap + 1):
+        log_w += math.log(abs(s + J) / (J + 1.0))
+        x = s.real + J + 1.0
+        if log_w + (J + 1) * log_d - x * log_low + math.log1p(low / (x - 1.0)) <= target:
+            break
+    else:
+        return None
+
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    lows = lo * (1.0 + widen) ** np.arange(count)
+    edges = np.concatenate(([0], np.searchsorted(ordered, lows[1:]), [a.size]))
+    full = edges[1:] > edges[:-1]
+    starts, sizes, centres = edges[:-1][full], np.diff(edges)[full], lows[full] / (1.0 - k)
+    # c - a is exact: every shift lies within a factor 2 of its centre
+    steps = np.repeat(centres, sizes) - ordered
+    radii = np.maximum.reduceat(np.abs(steps), starts)
+
+    js = np.arange(J + 1.0)
+    z, z_err = _em_sum(s + js[:, None], centres[None, :])
+    weights = np.cumprod(np.concatenate(([1.0 + 0j], (s + js) / (js + 1.0))))  # (s)_j / j!, j <= J + 1
+    coeffs = weights[:-1, None] * z
+    values = np.empty(a.size, dtype=complex)
+    for b, (start, size) in enumerate(zip(starts, sizes)):
+        step = steps[start:start + size]
+        acc = np.full(size, coeffs[J, b])
+        for j in range(J - 1, -1, -1):
+            acc *= step
+            acc += coeffs[j, b]
+        values[order[start:start + size]] = acc
+    spans = np.abs(weights[:-1, None]) * radii ** js[:, None]
+    low, x = centres - radii, s.real + J + 1.0
+    rem = np.abs(weights[J + 1]) * (radii / low) ** (J + 1) * low**-s.real * (1.0 + low / (x - 1.0))
+    err = rem + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)
+    return values, float(err.max())
+
+
+def _em_terms(t_max: float, a_min: float) -> int:
+    """Base terms of the direct sum: enough to reach max(_EM_FLOOR,
+    2 t_max / pi) from the smallest shift, and at least one."""
+    target = max(float(_EM_FLOOR), 2.0 * t_max / math.pi)
+    return max(int(math.ceil(target - a_min)) + 1, 1)
+
+
+def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
+    """The direct Euler-Maclaurin evaluation behind _em_hurwitz, for
+    validated arrays s_arr and a_arr: the values and their truncation
+    bounds, both in the broadcast shape.
+
+    The number of direct terms grows like 2 max|Im s|/pi from the smallest
+    shift, so the Bernoulli tail converges geometrically with ratio about
+    1/16 per correction pair.
+    """
+    global _terms_summed
     j_max = _EM_PAIRS
     sig_min = float(s_arr.real.min())
     if sig_min + 2 * j_max + 1 <= 1.0:
         raise DomainError(f"Re s = {sig_min} too small for {j_max} Bernoulli pairs")
-    target = max(float(_EM_FLOOR), 2.0 * float(abs(s_arr.imag).max()) / math.pi)
-    n0 = max(int(math.ceil(target - float(a_arr.min()))) + 1, 1)
+    n0 = _em_terms(float(abs(s_arr.imag).max()), float(a_arr.min()))
     if n0 > _EM_MAX_TERMS:
         raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
 
@@ -233,6 +361,7 @@ def _em_hurwitz(s, a):
     s = s_arr.ravel() if many_s else s_arr.flat[0]
     a = a_arr.ravel() if many_a else a_arr.flat[0]
     size = max(s_arr.size, a_arr.size)
+    _terms_summed += n0 * size
 
     ks = np.arange(n0, dtype=float)
     if not many_a:  # x and log x are shared by every column
@@ -271,14 +400,11 @@ def _em_hurwitz(s, a):
         value = base + xs * (x / (s - 1.0) + 0.5 + inv * poly)
         # the first omitted term, times the ratio that bounds the rest
         fac = (abs(s) + 2 * j_max + 1) / (s.real + 2 * j_max + 1)
-        err = float((abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * fac).max())
-    if not math.isfinite(err):
+        err = abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * fac
+    if not np.isfinite(err).all():
         raise DomainError(f"|s| = {float(np.abs(s).max()):.3g} too large for the "
                           f"Euler-Maclaurin bound")
-
-    if not shape:
-        return complex(value[0]), err
-    return value.reshape(shape), err
+    return value.reshape(shape), err.reshape(shape)
 
 
 def riemann_zeta(s):

@@ -298,12 +298,13 @@ def test_power_mean_row_evaluations_pinned(suite, pinned, spent):
 
 
 @pytest.mark.parametrize("suite, pinned", [
-    ("kernel_norms", [360, 3555, 34350, 347760]),
+    ("kernel_norms", [270, 2625, 26250, 262500]),
     ("power_mean_Jk", [1500, 3000]),
 ])
 def test_kernel_norms_and_Jk_row_evaluations_pinned(suite, pinned, spent):
     # deterministic cost guard: a kernel_norms point makes both of its
-    # integrals (p = 1 and 2), a power_mean_Jk point its one integral
+    # integrals (p = 1 on its kink panels alone, p = 2 at N cycles), a
+    # power_mean_Jk point its one integral
     pts = SUITES[suite].default_grid.points()
     assert [spent(SUITES[suite].runner, pt)[1] for pt in pts] == pinned
 

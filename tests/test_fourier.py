@@ -406,6 +406,21 @@ def test_folded_evaluation_counts_pinned(spent):
             for n in (0, 2, 5)] == [120, 270, 510]
 
 
+def _theorem2_terms(t: float) -> int:
+    start = special._base_terms()
+    fr.theorem2_check([t])
+    return special._base_terms() - start
+
+
+def test_theorem2_kernel_terms_pinned(monkeypatch):
+    # deterministic cost guard on the kernel meter (base-sum terms x
+    # columns) over the same folded nodes [930, 1785, 3450]: the
+    # shift-Taylor anchors against the direct sum at every node
+    assert [_theorem2_terms(t) for t in (50.0, 100.0, 200.0)] == [2312, 9568, 6992]
+    monkeypatch.setattr(special, "_TAYLOR_MAX_ORDER", 0)  # the direct sum only
+    assert [_theorem2_terms(t) for t in (50.0, 100.0, 200.0)] == [22352, 85744, 331328]
+
+
 def test_continued_q0_is_finite_at_u_plus_v_two():
     u, v = 1.0 + 20j, 1.0 - 20j
     q = fr.qn_continued(0, u, v)

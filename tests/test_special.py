@@ -482,6 +482,82 @@ def test_array_s_bound_covers_oracle_error(points, alpha):
         assert abs(vi - ref) <= err + 1e-12 * abs(ref)
 
 
+# The shift-Taylor path: one s with Re s >= 0 at many shifts takes its
+# values from a few columns (s + j, c) per block of shifts.  A call takes
+# it when blocks x (J + 1) columns are at most 1/16 of its shifts, so the
+# calls below hand over hundreds of shifts; the kernel meter tells the
+# path apart, since the direct sum adds n0 terms for every shift.
+
+
+def _terms_of(s, a):
+    """(value, bound, base terms summed) of one _em_hurwitz call."""
+    start = sp._base_terms()
+    value, err = sp._em_hurwitz(s, a)
+    return value, err, sp._base_terms() - start
+
+
+def _direct_terms(s, a):
+    return sp._em_terms(abs(complex(s).imag), float(np.min(a))) * np.size(a)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("t", [50.0, 200.0, 800.0])
+def test_shift_taylor_bound_covers_oracle(t, sigma):
+    # the folded head's shifts: [K + 1, K + 2] with K = floor(t / 2 pi);
+    # 64 of the 1024 values, spread over the unit, against 120 bits
+    from zetaver import oracle
+
+    s = complex(sigma, t)
+    K = math.floor(t / (2.0 * math.pi))
+    a = np.linspace(K + 1.0, K + 2.0, 1024)
+    values, err, terms = _terms_of(s, a)
+    assert terms <= _direct_terms(s, a) / 16
+    for ai, vi in zip(a[::16], values[::16]):
+        ref = oracle.hurwitz_zeta1(s, ai - 1.0, prec_bits=120)
+        assert abs(vi - ref) <= err + 1e-12 * abs(ref)
+
+
+def test_shift_taylor_real_s_meets_oracle():
+    from zetaver import oracle
+
+    a = np.linspace(1.0, 2.0, 2048)
+    values, err, terms = _terms_of(4.0, a)
+    assert terms <= _direct_terms(4.0, a) / 16
+    assert err <= 1e-12
+    for ai, vi in zip(a[::32], values[::32]):
+        ref = oracle.hurwitz_zeta1(4.0, ai - 1.0, prec_bits=120)
+        assert abs(vi - ref) <= err + 1e-12 * abs(ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.floats(0.0, 3.0), st.floats(20.0, 800.0), st.floats(0.0, 1.0), st.floats(0.05, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_shift_taylor_matches_scalar_calls(sigma, t, lift, width, seed):
+    # 1024 unsorted shifts of a (32, 32) array, each within both bounds
+    # and 1e-13 relative of its own scalar (direct) call
+    s = _off_pole(sigma, t)
+    rng = np.random.default_rng(seed)
+    a = t / (2.0 * math.pi) + lift + width * rng.random((32, 32))
+    values, err, terms = _terms_of(s, a)
+    assert values.shape == a.shape
+    assert terms <= _direct_terms(s, a) / 16
+    for ai, vi in zip(a.ravel(), values.ravel()):
+        ref, err_ref = sp._em_hurwitz(s, ai)
+        assert abs(vi - ref) <= err + err_ref + 1e-13 * max(abs(ref), 1.0)
+
+
+def test_shift_taylor_leaves_negative_re_s_to_the_direct_sum():
+    # Re s < 0 has growing base terms; it keeps the direct sum, value for
+    # value, while Re s > 0 at the same shifts takes the Taylor path
+    a = np.linspace(33.0, 34.0, 2048)
+    for s in (-0.25 + 200j, -5.5 + 0j):
+        values, err, terms = _terms_of(s, a)
+        direct, direct_err = sp._em_sum(np.asarray(complex(s)), a)
+        assert terms == _direct_terms(s, a)
+        assert np.array_equal(values, direct) and err == direct_err.max()
+    assert _terms_of(0.25 + 200j, a)[2] <= _direct_terms(200j, a) / 16
+
+
 @pytest.mark.parametrize("u, a", [
     (2.0, 6.0), (1.3 + 2j, 6.0), (3.0 + 5j, 6.0), (2.0 + 20j, 16.0), (0.5 + 50j, 40.0),
 ])
