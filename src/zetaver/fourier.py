@@ -24,6 +24,7 @@ from .special import (
     _closed_power_tail,
     _em_hurwitz,
     _product_powers,
+    _shift_weights,
     _tail_abscissa,
     fourier_coeff_a,
     hurwitz_zeta1,
@@ -422,13 +423,6 @@ def _parseval_n_max(t: float) -> int:
     return int(math.ceil(2.0 * abs(t) / math.pi)) + 50
 
 
-def _signed_pochhammers(w: complex, count: int) -> np.ndarray:
-    """(-1)^j (w)_j for j < count: d^j/da^j zeta1(w, a) = (-1)^j (w)_j
-    zeta1(w + j, a) (DLMF 25.11.17).  Since zeta1(x, 0) - zeta1(x, 1) = 1,
-    these are also the endpoint jumps of the derivatives of zeta1(w, .)."""
-    return np.cumprod(np.concatenate(([1.0 + 0j], -(w + np.arange(count - 1.0)))))
-
-
 def _parts_jumps(factors, l1: float) -> tuple[np.ndarray, np.ndarray]:
     """(J, e): the by-parts expansion of the Fourier coefficients c_n of
     f = prod_w zeta1(w, .) on [0, 1], for one or two factors with
@@ -450,7 +444,7 @@ def _parts_jumps(factors, l1: float) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(K + 1.0)
     fact = np.cumprod(np.maximum(j, 1.0))
     # (-1)^j (w)_j / j!: a convolution of these is the Leibniz sum
-    d = [_signed_pochhammers(w, K + 1) / fact for w in factors]
+    d = [_shift_weights(w, K - 1) for w in factors]
     # per factor: zeta(w + j), j < K, for the jumps; zeta(Re w + j), 1 <= j <= K, for the norm
     z, z_err = _em_hurwitz(np.array([(w + j[:K], w.real + j[1:]) for w in factors]), 1.0)
     sizes = [np.abs(dw) * np.concatenate(([l1], zw[1].real)) for dw, zw in zip(d, z)]
@@ -605,7 +599,7 @@ def reconstruct_zeta1(s: complex, alpha: float, M: int, accelerated: bool = True
         alpha * alpha - alpha + 1.0 / 6.0,
         alpha**3 - 1.5 * alpha * alpha + 0.5 * alpha,
     ]
-    coefs = _signed_pochhammers(s, 3).tolist()
+    coefs = [1.0, -s, s * (s + 1.0)]
     closed = a0
     for k in (1, 2, 3):
         closed += coefs[k - 1] * (-bern_polys[k - 1] / math.factorial(k))

@@ -25,6 +25,9 @@ from .special import (
     _closed_power_tail,
     _em_hurwitz,
     _product_powers,
+    _shift_remainder,
+    _shift_series,
+    _shift_weights,
     _tail_abscissa,
     _zeta1_cycles,
     hurwitz_zeta1,
@@ -391,36 +394,24 @@ _TAYLOR_TERMS = 40
 
 
 def _zeta1_taylor(u: complex):
-    """(c, b, R): zeta1(u, a) = sum_k c_k a^k with c_k = binom(-u, k) zeta(u+k)
-    (DLMF 25.11.10), k = 0..K, and |zeta1(u, a) - sum_k c_k a^k| <= R a^(K+1)
-    for 0 <= a <= b = 1 / max(4, |u|).
-
-    With r = max(1, (|u|+K+1)/(K+2)) >= |binom(-u, k+1) / binom(-u, k)| for
-    k > K (r b < 1) and zeta(Re u + k) falling in k, the remainder is at
-    most |binom(-u, K+1)| zeta(Re u + K + 1) a^(K+1) / (1 - r b); R is inf
-    where Re u + K + 1 <= 1.  At u = -m the series is a polynomial: its
-    k = m+1 term meets the pole of zeta and tends to -1/(m+1), every later
-    term vanishes, and R = 0.  Binomials that overflow (|u| above about
-    5e8) raise DomainError.
+    """(c, b, R): the special._shift_series of zeta1(u, a) = zeta_H(u, 1 + a)
+    about c = 1, c_k = binom(-u, k) zeta(u + k) for k <= K = _TAYLOR_TERMS
+    (DLMF 25.11.10), with |zeta1(u, a) - sum_k c_k a^k| <= R a^(K+1) for the
+    _shift_remainder R, one-sided as every shift is >= 1; the head is taken
+    on 0 <= a <= b = 1 / max(4, |u|).  At u = -m, m <= K, the series is a
+    polynomial whose k = m+1 term meets the pole of zeta and tends to
+    -1/(m+1), and R = 0.  Weights that overflow (|u| > ~5e8) raise DomainError.
     """
     u = complex(u)
-    K = _TAYLOR_TERMS
     split = 1.0 / max(4.0, abs(u))
-    k = np.arange(K + 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        binom = np.cumprod(np.append(1.0, -(u + k[1:] - 1.0) / k[1:]))  # binom(-u, k), k = 0..K+1
-    if not np.isfinite(binom).all():
+    if not np.isfinite(_shift_weights(u, _TAYLOR_TERMS)).all():
         raise DomainError(f"zeta1 Taylor coefficients overflow at u = {u}")
-    if u.imag == 0.0 and u.real == math.floor(u.real) <= 0.0:
+    if u.imag == 0.0 and -_TAYLOR_TERMS <= u.real == math.floor(u.real) <= 0.0:
         m = int(-u.real)
-        return np.append(binom[:m + 1] * riemann_zeta(u + k[:m + 1]), -1.0 / (m + 1)), split, 0.0
-    coeffs = binom[:-1] * riemann_zeta(u + k[:-1])
-    x = u.real + K + 1.0
-    if not x > 1.0:
-        return coeffs, split, math.inf
-    zeta_x = 1.0 + 2.0**-x + 2.0 ** (1.0 - x) / (x - 1.0)  # >= zeta(x)
-    ratio = split * max(1.0, (abs(u) + K + 1.0) / (K + 2.0))
-    return coeffs, split, abs(binom[-1]) * zeta_x / (1.0 - ratio)
+        w, z, _ = _shift_series(u, [1.0], m)
+        return np.append(w[:-1] * z[:, 0], -1.0 / (m + 1)), split, 0.0
+    w, z, _ = _shift_series(u, [1.0], _TAYLOR_TERMS)
+    return w[:-1] * z[:, 0], split, _shift_remainder(u, w, 1.0, 1.0)
 
 
 def _unit_power(u: complex, power: complex, *, quotient: bool = False, log_weight: bool = False,

@@ -251,31 +251,55 @@ def _em_hurwitz(s, a):
     return (complex(value) if not value.shape else value), float(err.max())
 
 
+def _shift_weights(s: complex, order: int) -> np.ndarray:
+    """The weights w_j = (-1)^j (s)_j / j!, j <= order + 1, of _shift_series (inf on overflow)."""
+    js = np.arange(order + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumprod(np.concatenate(([1.0 + 0j], -(s + js) / (js + 1.0))))
+
+
+def _shift_series(s: complex, centres, order: int):
+    """The Taylor series of zeta_H(s, .) in the shift about the centres c,
+    zeta_H(s, c + delta) = sum_j w_j delta^j zeta_H(s + j, c) with the
+    _shift_weights w_j = (-1)^j (s)_j / j!, since d^j/da^j zeta_H(s, a) =
+    (-1)^j (s)_j zeta_H(s + j, a) (DLMF 25.11.17).  Returns (w, z, z_err):
+    w for j <= order + 1, and z[j, b] = zeta_H(s + j, c_b), j <= order, with
+    its kernel bounds, from one _em_sum call.  PoleError where s + j = 1.
+    """
+    js = np.arange(order + 1.0)
+    if (s + js == 1.0).any():
+        raise PoleError("zeta pole at s + j = 1 in the shift series")
+    z, z_err = _em_sum(s + js[:, None], np.asarray(centres, dtype=float)[None, :])
+    return _shift_weights(s, order), z, z_err
+
+
+def _shift_remainder(s: complex, weights: np.ndarray, radius, low):
+    """A bound on the remainder of _shift_series after order J = len(weights)
+    - 2 at |delta| <= radius, every shift between c and c + delta >= low:
+    the integral form |w_{J+1}| radius^{J+1} max |zeta_H(s + J + 1, .)|, the
+    max <= zeta_H(x, low) <= low^-x (1 + low / (x - 1)) for x = sigma + J + 1
+    > 1, and inf for x <= 1."""
+    J = weights.size - 2
+    x = s.real + J + 1.0
+    if not x > 1.0:
+        return math.inf
+    return np.abs(weights[-1]) * (radius / low) ** (J + 1) * low**-s.real * (1.0 + low / (x - 1.0))
+
+
 def _shift_taylor(s: complex, a: np.ndarray):
     """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0, as
     (value, error_bound), or None where the count rule leaves the call to
     the direct sum.
 
-    About the centre c of each block of shifts,
-
-        zeta_H(s, c + delta) = sum_{j<=J} (-delta)^j (s)_j / j! zeta_H(s + j, c),
-
-    since d^j/da^j zeta_H(s, a) = (-1)^j (s)_j zeta_H(s + j, a) (DLMF
-    25.11.17), and all columns (s + j, c) come from one _em_sum call.  The
-    blocks [c - d, c + d], d = k c with k = min(_TAYLOR_REACH / |s|,
-    _TAYLOR_RATIO), tile the shifts from the smallest up.  With D <= d the
-    largest |delta| of a block, the remainder after order J is at most
-
-        R_J = |(s)_{J+1}| / (J+1)! D^{J+1} zeta_H(sigma + J + 1, c - D)
-
-    (the integral form of the remainder), and zeta_H(x, b) <= b^-x
-    (1 + b / (x - 1)).  J is the least order at which R_J at D = d is below
-    one unit roundoff of (c + d)^-sigma, the largest base term at the
-    block's shifts; that ratio grows with c, so the top block sets J.  The
-    bound is the largest over the blocks of R_J plus
-    sum_j |(s)_j / j!| D^j (e_j + (8 J + 8) u |zeta_H(s + j, c)|), e_j being
-    the kernel bound of column j and u the unit roundoff: the columns'
-    truncation and the rounding of the coefficients and of Horner's rule.
+    Each block of shifts [c - d, c + d], d = k c with k = min(_TAYLOR_REACH
+    / |s|, _TAYLOR_RATIO), takes the _shift_series about its centre c by
+    Horner's rule; the blocks tile the shifts from the smallest up.  J is the
+    least order whose _shift_remainder at |delta| <= d is below one unit
+    roundoff u of (c + d)^-sigma, the block's largest base term; that ratio
+    grows with c, so the top block sets J.  The bound is the largest over
+    the blocks of that remainder at the block's largest |delta| = D plus
+    sum_j |w_j| D^j (e_j + (8 J + 8) u |zeta_H(s + j, c)|): the columns'
+    kernel bounds e_j, and the rounding of the coefficients and of Horner's rule.
     """
     k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
     widen = 2.0 * k / (1.0 - k)  # a block spans [c - d, c + d] = [lo, lo (1 + widen)]
@@ -286,16 +310,10 @@ def _shift_taylor(s: complex, a: np.ndarray):
     cap = min(_TAYLOR_MAX_ORDER, a.size // (count * _TAYLOR_SHARE) - 1,
               _TAYLOR_STEPS * _em_terms(abs(s.imag), lo) - 1)
     top = lo * (1.0 + widen) ** (count - 1) / (1.0 - k)
-    low = top * (1.0 - k)
-    log_d, log_low = math.log(k * top), math.log(low)
-    target = math.log(2.0**-53) - s.real * math.log(top * (1.0 + k))
-    log_w = math.log(abs(s))  # log |(s)_{J+1}| / (J+1)! from J = 0 on
-    for J in range(1, cap + 1):
-        log_w += math.log(abs(s + J) / (J + 1.0))
-        x = s.real + J + 1.0
-        if log_w + (J + 1) * log_d - x * log_low + math.log1p(low / (x - 1.0)) <= target:
-            break
-    else:
+    weights, target = _shift_weights(s, cap), 2.0**-53 * (top * (1.0 + k)) ** -s.real
+    J = next((J for J in range(1, cap + 1)
+              if _shift_remainder(s, weights[:J + 2], k * top, top * (1.0 - k)) <= target), None)
+    if J is None:
         return None
 
     order = np.argsort(a, kind="stable")
@@ -304,13 +322,11 @@ def _shift_taylor(s: complex, a: np.ndarray):
     edges = np.concatenate(([0], np.searchsorted(ordered, lows[1:]), [a.size]))
     full = edges[1:] > edges[:-1]
     starts, sizes, centres = edges[:-1][full], np.diff(edges)[full], lows[full] / (1.0 - k)
-    # c - a is exact: every shift lies within a factor 2 of its centre
-    steps = np.repeat(centres, sizes) - ordered
+    # a - c is exact: every shift lies within a factor 2 of its centre
+    steps = ordered - np.repeat(centres, sizes)
     radii = np.maximum.reduceat(np.abs(steps), starts)
 
-    js = np.arange(J + 1.0)
-    z, z_err = _em_sum(s + js[:, None], centres[None, :])
-    weights = np.cumprod(np.concatenate(([1.0 + 0j], (s + js) / (js + 1.0))))  # (s)_j / j!, j <= J + 1
+    weights, z, z_err = _shift_series(s, centres, J)
     coeffs = weights[:-1, None] * z
     values = np.empty(a.size, dtype=complex)
     for b, (start, size) in enumerate(zip(starts, sizes)):
@@ -320,10 +336,9 @@ def _shift_taylor(s: complex, a: np.ndarray):
             acc *= step
             acc += coeffs[j, b]
         values[order[start:start + size]] = acc
-    spans = np.abs(weights[:-1, None]) * radii ** js[:, None]
-    low, x = centres - radii, s.real + J + 1.0
-    rem = np.abs(weights[J + 1]) * (radii / low) ** (J + 1) * low**-s.real * (1.0 + low / (x - 1.0))
-    err = rem + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)
+    spans = np.abs(weights[:-1, None]) * radii ** np.arange(J + 1.0)[:, None]
+    err = _shift_remainder(s, weights, radii, centres - radii)
+    err = err + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)
     return values, float(err.max())
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from zetaver import identities as idn
 from zetaver import oracle, quadrature
-from zetaver.errors import ConvergenceError, DivergenceError, DomainError
+from zetaver.errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta
 from zetaver.suites import SuiteSpec, run_suite
 
@@ -516,6 +516,28 @@ def test_zeta1_difference_quotient_gives_up_loudly(monkeypatch):
     monkeypatch.setattr(idn, "_TAYLOR_TERMS", 8)
     with pytest.raises(ConvergenceError):
         idn._unit_power(3.0, 0.0, quotient=True)
+
+
+@pytest.mark.parametrize("u", [2.0, 3.5, 1.3 + 0.5j, 0.5 + 3j, 2.0 + 100j, -0.5 + 1j])
+def test_zeta1_taylor_remainder_bound_holds_and_is_not_vacuous(monkeypatch, u):
+    # with 8 terms the head misses zeta1 far above rounding: at a = b and
+    # a = b/2 the miss lies within R a^9 and above a tenth of it
+    monkeypatch.setattr(idn, "_TAYLOR_TERMS", 8)
+    coeffs, b, rem = idn._zeta1_taylor(u)
+    for a in (b, b / 2):
+        with mp.workprec(120):
+            ref = complex(mp.zeta(mp.mpc(u), 1 + mp.mpf(a)))
+        miss = abs(np.polyval(coeffs[::-1], a) - ref)
+        assert rem * a**9 / 10 <= miss <= rem * a**9
+
+
+def test_shift_series_raises_at_a_pole_column():
+    # the kernel's direct sum has no pole check: a column at s + j = 1
+    # would come back NaN with a finite bound
+    with pytest.raises(PoleError):
+        idn._zeta1_taylor(1.0)
+    with pytest.raises(PoleError):
+        idn._shift_series(-2.0 + 0j, [1.0], 3)
 
 
 def test_katsurada_points():
