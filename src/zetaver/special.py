@@ -230,9 +230,9 @@ def _em_hurwitz(s, a):
     Returns (value, error_bound): value has the broadcast shape (a complex
     when both are scalars) and the bound is the largest over its elements.
     One s with Re s >= 0 at many shifts goes through _shift_taylor where
-    its count rule allows, and every other call through the direct sum of
-    _em_sum.  A bound that is not finite (|s| above about 1e18) raises
-    DomainError.
+    its count rule allows, else through _split_sum where its cost rule
+    allows, and every other call through the direct sum of _em_sum.  A
+    bound that is not finite (|s| above about 1e18) raises DomainError.
     """
     s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
@@ -243,9 +243,10 @@ def _em_hurwitz(s, a):
     if s_arr.size == 1 and a_arr.size > 1:
         s_one = complex(s_arr.flat[0])
         if s_one.real >= 0.0 and s_one != 0.0:
-            taylor = _shift_taylor(s_one, a_arr.ravel())
-            if taylor is not None:
-                value, err = taylor
+            shifts = a_arr.ravel()
+            found = _shift_taylor(s_one, shifts) or _split_sum(s_one, shifts)
+            if found is not None:
+                value, err = found
                 return value.reshape(np.broadcast(s_arr, a_arr).shape), err
     value, err = _em_sum(s_arr, a_arr)
     return (complex(value) if not value.shape else value), float(err.max())
@@ -286,6 +287,23 @@ def _shift_remainder(s: complex, weights: np.ndarray, radius, low):
     return np.abs(weights[-1]) * (radius / low) ** (J + 1) * low**-s.real * (1.0 + low / (x - 1.0))
 
 
+def _taylor_blocks(s: complex):
+    """(k, widen) of the Taylor blocks for s: a block about c has radius
+    d = k c and spans [c - d, c + d] = [lo, lo (1 + widen)]."""
+    k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
+    return k, 2.0 * k / (1.0 - k)
+
+
+def _taylor_order(s: complex, k: float, top: float, cap: int):
+    """The least order J <= cap whose _shift_remainder over the block about
+    top, |delta| <= k top, is below one unit roundoff of (top (1 + k))^-sigma,
+    the block's largest base term; None if there is none.  The ratio of the
+    remainder to that target grows with top."""
+    weights, target = _shift_weights(s, cap), 2.0**-53 * (top * (1.0 + k)) ** -s.real
+    return next((J for J in range(1, cap + 1)
+                 if _shift_remainder(s, weights[:J + 2], k * top, top * (1.0 - k)) <= target), None)
+
+
 def _shift_taylor(s: complex, a: np.ndarray):
     """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0, as
     (value, error_bound), or None where the count rule leaves the call to
@@ -301,18 +319,14 @@ def _shift_taylor(s: complex, a: np.ndarray):
     sum_j |w_j| D^j (e_j + (8 J + 8) u |zeta_H(s + j, c)|): the columns'
     kernel bounds e_j, and the rounding of the coefficients and of Horner's rule.
     """
-    k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
-    widen = 2.0 * k / (1.0 - k)  # a block spans [c - d, c + d] = [lo, lo (1 + widen)]
+    k, widen = _taylor_blocks(s)
     lo, hi = float(a.min()), float(a.max())
     count = max(1, math.ceil(math.log(hi / lo) / math.log1p(widen)))
     # the count rule as a cap on J: columns count (J + 1) <= shifts /
     # _TAYLOR_SHARE, Horner steps J + 1 <= _TAYLOR_STEPS n0
     cap = min(_TAYLOR_MAX_ORDER, a.size // (count * _TAYLOR_SHARE) - 1,
               _TAYLOR_STEPS * _em_terms(abs(s.imag), lo) - 1)
-    top = lo * (1.0 + widen) ** (count - 1) / (1.0 - k)
-    weights, target = _shift_weights(s, cap), 2.0**-53 * (top * (1.0 + k)) ** -s.real
-    J = next((J for J in range(1, cap + 1)
-              if _shift_remainder(s, weights[:J + 2], k * top, top * (1.0 - k)) <= target), None)
+    J = _taylor_order(s, k, lo * (1.0 + widen) ** (count - 1) / (1.0 - k), cap)
     if J is None:
         return None
 
@@ -342,6 +356,48 @@ def _shift_taylor(s: complex, a: np.ndarray):
     return values, float(err.max())
 
 
+def _split_sum(s: complex, a: np.ndarray):
+    """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0 that
+    _shift_taylor refuses, as (value, error_bound), or None where the cost
+    rule leaves the call to the direct sum.
+
+    The call is split at m, zeta_H(s, a) = sum_{k<m} (a + k)^-s +
+    zeta_H(s, a + m): the head is _base_sum with n0 = m, the tail
+    _shift_taylor at the shifts a + m.  With J the order _shift_taylor
+    needs at the highest block a split can reach, about hi + n0 (the
+    order grows with the centre), its count rule passes once count blocks,
+    count (J + 1) _TAYLOR_SHARE <= shifts, cover [lo + m, hi + m], that is
+    once (hi + m) / (lo + m) <= (1 + widen)^count; m is the least such
+    integer.  The cost rule takes the split where the direct sum has at
+    least 4 _EM_FLOOR terms (below that the fixed cost of the Taylor
+    columns outweighs the terms saved) and m is at most half of them.
+    The bound adds to the Taylor bound the head's rounding: unit roundoff
+    times the summed term sizes x^-sigma, x = lo + k, each times its
+    error in units of roundoff, m + 3 + |s| (1 + 2 log(hi + k)) (the
+    summation, the rounding of x and the phase t log x).
+    """
+    lo, hi = float(a.min()), float(a.max())
+    n0 = _em_terms(abs(s.imag), lo)
+    if n0 < 4 * _EM_FLOOR:
+        return None
+    k, widen = _taylor_blocks(s)
+    J = _taylor_order(s, k, (hi + n0) / (1.0 - k), _TAYLOR_MAX_ORDER)
+    if J is None or a.size < _TAYLOR_SHARE * (J + 1):
+        return None
+    grow = (1.0 + widen) ** (a.size // (_TAYLOR_SHARE * (J + 1)))
+    m = max(1, math.ceil((hi - grow * lo) / (grow - 1.0)))
+    if 2 * m > n0:
+        return None
+    tail = _shift_taylor(s, a + m)
+    if tail is None:
+        return None
+    value, err = tail
+    value += _base_sum(np.complex128(s), a, m)
+    ks = np.arange(m, dtype=float)
+    sizes = (lo + ks) ** -s.real * (m + 3.0 + abs(s) * (1.0 + 2.0 * np.log(hi + ks)))
+    return value, err + 2.0**-53 * float(sizes.sum())
+
+
 def _em_terms(t_max: float, a_min: float) -> int:
     """Base terms of the direct sum: enough to reach max(_EM_FLOOR,
     2 t_max / pi) from the smallest shift, and at least one."""
@@ -349,35 +405,15 @@ def _em_terms(t_max: float, a_min: float) -> int:
     return max(int(math.ceil(target - a_min)) + 1, 1)
 
 
-def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
-    """The direct Euler-Maclaurin evaluation behind _em_hurwitz, for
-    validated arrays s_arr and a_arr: the values and their truncation
-    bounds, both in the broadcast shape.
-
-    The number of direct terms grows like 2 max|Im s|/pi from the smallest
-    shift, so the Bernoulli tail converges geometrically with ratio about
-    1/16 per correction pair.
-    """
+def _base_sum(s, a, n0: int) -> np.ndarray:
+    """The base sum sum_{k<n0} (a + k)^-s of the direct sum, one column per
+    element: s (a numpy scalar or 1-d array) and a (a scalar or 1-d array)
+    are of one size where both are arrays.  Adds n0 terms per column to
+    the meter."""
     global _terms_summed
-    j_max = _EM_PAIRS
-    sig_min = float(s_arr.real.min())
-    if sig_min + 2 * j_max + 1 <= 1.0:
-        raise DomainError(f"Re s = {sig_min} too small for {j_max} Bernoulli pairs")
-    n0 = _em_terms(float(abs(s_arr.imag).max()), float(a_arr.min()))
-    if n0 > _EM_MAX_TERMS:
-        raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
-
-    # An argument with one value stays a scalar; arrays are flattened
-    # against each other.
-    shape = np.broadcast(s_arr, a_arr).shape
-    many_s, many_a = s_arr.size > 1, a_arr.size > 1
-    if many_s and many_a:
-        s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
-    s = s_arr.ravel() if many_s else s_arr.flat[0]
-    a = a_arr.ravel() if many_a else a_arr.flat[0]
-    size = max(s_arr.size, a_arr.size)
+    many_s, many_a = np.ndim(s) > 0, np.ndim(a) > 0
+    size = max(np.size(s), np.size(a))
     _terms_summed += n0 * size
-
     ks = np.arange(n0, dtype=float)
     if not many_a:  # x and log x are shared by every column
         x = (ks + a)[:, None]
@@ -398,6 +434,35 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
         c, d = _neg_power(x, log_x, s_cols.real, s_cols.imag)
         base.real[lo:hi] = c.sum(axis=0)
         base.imag[lo:hi] = 0.0 if d is None else -d.sum(axis=0)
+    return base
+
+
+def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
+    """The direct Euler-Maclaurin evaluation behind _em_hurwitz, for
+    validated arrays s_arr and a_arr: the values and their truncation
+    bounds, both in the broadcast shape.
+
+    The number of direct terms grows like 2 max|Im s|/pi from the smallest
+    shift, so the Bernoulli tail converges geometrically with ratio about
+    1/16 per correction pair.
+    """
+    j_max = _EM_PAIRS
+    sig_min = float(s_arr.real.min())
+    if sig_min + 2 * j_max + 1 <= 1.0:
+        raise DomainError(f"Re s = {sig_min} too small for {j_max} Bernoulli pairs")
+    n0 = _em_terms(float(abs(s_arr.imag).max()), float(a_arr.min()))
+    if n0 > _EM_MAX_TERMS:
+        raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
+
+    # An argument with one value stays a scalar; arrays are flattened
+    # against each other.
+    shape = np.broadcast(s_arr, a_arr).shape
+    many_s, many_a = s_arr.size > 1, a_arr.size > 1
+    if many_s and many_a:
+        s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
+    s = s_arr.ravel() if many_s else s_arr.flat[0]
+    a = a_arr.ravel() if many_a else a_arr.flat[0]
+    base = _base_sum(s, a, n0)
 
     # Tail x^-s [x/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} x^(1-2j)] at
     # x = n0 + a, j = 1..J; row j-1 of coeffs is the j-th coefficient, and
@@ -425,9 +490,21 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
 def riemann_zeta(s):
     """Riemann zeta(s), continued by Euler-Maclaurin.  PoleError at s = 1.
 
-    s may be a numpy array; the result then has the same shape.
+    Where Re s < 0 the base terms grow and cancel, so each such element
+    takes the functional equation zeta(s) = chi(s) zeta(1 - s) (DLMF
+    25.4.1) instead; it is exactly 0 at the trivial zeros s = -2n, where
+    chi is.  s may be a numpy array; the result then has the same shape.
     """
-    return _em_hurwitz(s, 1.0)[0]
+    s_arr = np.asarray(s, dtype=complex)
+    flat = s_arr.ravel()
+    left = flat.real < 0.0
+    if not left.any():
+        return _em_hurwitz(s, 1.0)[0]
+    out = np.empty(flat.size, dtype=complex)
+    if not left.all():
+        out[~left] = _em_hurwitz(flat[~left], 1.0)[0]
+    out[left] = [chi(z) * _em_hurwitz(1.0 - z, 1.0)[0] for z in flat[left]]
+    return out.reshape(s_arr.shape) if s_arr.shape else complex(out[0])
 
 
 def hurwitz_zeta1(s, alpha):

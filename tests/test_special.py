@@ -112,6 +112,24 @@ def test_zeta_pole():
         sp.riemann_zeta(1.0)
 
 
+def test_zeta_left_half_plane_meets_oracle():
+    # Re s < 0 by zeta(s) = chi(s) zeta(1 - s), elementwise, with exact
+    # trivial zeros; the direct sum was off by up to 6.5e-4 here
+    from zetaver import oracle
+
+    s = np.array([-10.5 + k for k in range(11)] + [-3.0 + 7j])
+    values = sp.riemann_zeta(s)
+    for si, vi in zip(s, values):
+        ref = oracle.riemann_zeta(si, prec_bits=120)
+        assert abs(vi - ref) <= 1e-14 * abs(ref)
+    assert sp.riemann_zeta(-2.0) == 0.0 and sp.riemann_zeta(-4.0) == 0.0
+    mixed = sp.riemann_zeta(np.array([[-2.0, 2.0], [0.5 + 14j, -1.0]]))
+    assert mixed.shape == (2, 2) and mixed[0, 0] == 0.0
+    # the elements with Re s >= 0 keep their one batched call
+    assert np.array_equal(mixed[[0, 1], [1, 0]], sp.riemann_zeta(np.array([2.0, 0.5 + 14j])))
+    assert abs(mixed[1, 1] + 1.0 / 12.0) <= 1e-15
+
+
 @pytest.mark.parametrize("s", [0.3 + 7j, 2.0 - 3.5j, 0.9 + 60j])
 def test_zeta_vs_eta_oracle(s):
     ours = sp.riemann_zeta(s)
@@ -404,6 +422,8 @@ def _check_blocked_base_sum(monkeypatch, em):
 
 
 def test_em_blocked_base_sum_bit_identical_and_bounded(monkeypatch):
+    # the whole argument takes the split route, whose head is the same
+    # blocked loop with m in place of n0; the short slices sum directly
     a = 1.0 + np.linspace(0.0, 1.0, 5000)
     _check_blocked_base_sum(monkeypatch, lambda sl: sp._em_hurwitz(0.5 + 800j, a[sl]))
 
@@ -556,6 +576,46 @@ def test_shift_taylor_leaves_negative_re_s_to_the_direct_sum():
         assert terms == _direct_terms(s, a)
         assert np.array_equal(values, direct) and err == direct_err.max()
     assert _terms_of(0.25 + 200j, a)[2] <= _direct_terms(200j, a) / 16
+
+
+# The split route: one s at shifts the Taylor path cannot reach, such as
+# zeta1(s, alpha) for alpha in [0, 1], sums (a + k)^-s for k < m directly
+# and takes zeta_H(s, a + m) from the Taylor path, so the meter reads m
+# terms per shift plus the Taylor columns in place of n0.
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("t", [50.0, 400.0, 1600.0])
+def test_split_sum_bound_covers_oracle(t, sigma):
+    # 1024 sorted shifts on [1, 2]: every value within the bound of its
+    # own scalar (direct) call, and 17 of them, spread over the unit,
+    # against 120 bits
+    from zetaver import oracle
+
+    s = complex(sigma, t)
+    a = np.sort(1.0 + np.random.default_rng(int(t)).random(1024))
+    a[[0, -1]] = 1.0, 2.0
+    values, err = sp._em_hurwitz(s, a)
+    for ai, vi in zip(a, values):
+        ref, err_ref = sp._em_hurwitz(s, ai)
+        assert abs(vi - ref) <= err + err_ref + 1e-12 * abs(ref)
+    for ai, vi in zip(a[::64].tolist() + [2.0], values[::64].tolist() + [values[-1]]):
+        ref = oracle.hurwitz_zeta1(s, ai - 1.0, prec_bits=120)
+        assert abs(vi - ref) <= err + 1e-12 * abs(ref)
+
+
+def test_split_sum_counts_its_head():
+    # t = 400: the direct sum takes n0 = 255 terms per shift, the split at
+    # most a third of that; Re s < 0 and a small-t call of the moment
+    # suites (n0 = 9) keep the direct sum, value for value
+    a = np.sort(1.0 + np.random.default_rng(3).random(4000))
+    assert sp._em_terms(400.0, a.min()) == 255
+    assert _terms_of(0.5 + 400j, a)[2] <= _direct_terms(400j, a) / 3
+    for s, a in ((-0.25 + 400j, a), (2.0 - 1j, np.linspace(2.0, 5.0, 480))):
+        values, err, terms = _terms_of(s, a)
+        direct, direct_err = sp._em_sum(np.asarray(complex(s)), a)
+        assert terms == _direct_terms(s, a)
+        assert np.array_equal(values, direct) and err == direct_err.max()
 
 
 @pytest.mark.parametrize("u, a", [
