@@ -308,7 +308,7 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
     value at the top of the fold, zeta1(u, y + K), and steps down by the
     exact recurrence zeta1(u, a - 1) = zeta1(u, a) + a^{-u} (DLMF 25.11.3);
     at the top shift the kernel needs K fewer base terms than at 1 + y, and
-    with all nodes of a part in one call its shift-Taylor path serves them
+    with all nodes of a part in one call its shift route serves them
     from a few columns per block of shifts.
     For v = conj u every step takes a^{-v} = conj a^{-u}, one complex power.
 

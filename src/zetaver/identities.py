@@ -411,7 +411,7 @@ def _zeta1_taylor(u: complex):
         w, z, _ = _shift_series(u, [1.0], m)
         return np.append(w[:-1] * z[:, 0], -1.0 / (m + 1)), split, 0.0
     w, z, _ = _shift_series(u, [1.0], _TAYLOR_TERMS)
-    return w[:-1] * z[:, 0], split, _shift_remainder(u, w, 1.0, 1.0)
+    return w[:-1] * z[:, 0], split, _shift_remainder(u, w, _TAYLOR_TERMS, 1.0, 1.0)
 
 
 def _unit_power(u: complex, power: complex, *, quotient: bool = False, log_weight: bool = False,

@@ -182,11 +182,11 @@ _EM_FLOOR = 10
 _EM_PAIRS = 8
 _EM_MAX_TERMS = 2_000_000
 
-# Shift-Taylor path of _em_hurwitz (one s, many shifts): blocks of radius
+# Shift route of _em_hurwitz (one s, many shifts): Taylor blocks of radius
 # d <= c min(_TAYLOR_REACH / |s|, _TAYLOR_RATIO) about centres c.  The
 # series' terms go like (|s| d / c)^j / j! while j is below |s|, and shrink
 # by d / c beyond it, so both limits are needed.  The order is at most
-# _TAYLOR_MAX_ORDER, and the path is taken only when its columns,
+# _TAYLOR_MAX_ORDER, and the route is taken only when its columns,
 # blocks x (order + 1), are at most 1/_TAYLOR_SHARE of the shifts, and its
 # Horner steps per shift, order + 1, at most _TAYLOR_STEPS times the
 # direct sum's base terms per shift (a step costs about a twentieth of a
@@ -229,10 +229,10 @@ def _em_hurwitz(s, a):
 
     Returns (value, error_bound): value has the broadcast shape (a complex
     when both are scalars) and the bound is the largest over its elements.
-    One s with Re s >= 0 at many shifts goes through _shift_taylor where
-    its count rule allows, else through _split_sum where its cost rule
-    allows, and every other call through the direct sum of _em_sum.  A
-    bound that is not finite (|s| above about 1e18) raises DomainError.
+    One s with Re s >= 0 at many shifts goes through _shift_route where
+    its rule allows, and every other call through the direct sum of
+    _em_sum.  A bound that is not finite (|s| above about 1e18) raises
+    DomainError.
     """
     s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
@@ -244,7 +244,7 @@ def _em_hurwitz(s, a):
         s_one = complex(s_arr.flat[0])
         if s_one.real >= 0.0 and s_one != 0.0:
             shifts = a_arr.ravel()
-            found = _shift_taylor(s_one, shifts) or _split_sum(s_one, shifts)
+            found = _shift_route(s_one, shifts)
             if found is not None:
                 value, err = found
                 return value.reshape(np.broadcast(s_arr, a_arr).shape), err
@@ -274,65 +274,82 @@ def _shift_series(s: complex, centres, order: int):
     return _shift_weights(s, order), z, z_err
 
 
-def _shift_remainder(s: complex, weights: np.ndarray, radius, low):
-    """A bound on the remainder of _shift_series after order J = len(weights)
-    - 2 at |delta| <= radius, every shift between c and c + delta >= low:
-    the integral form |w_{J+1}| radius^{J+1} max |zeta_H(s + J + 1, .)|, the
-    max <= zeta_H(x, low) <= low^-x (1 + low / (x - 1)) for x = sigma + J + 1
-    > 1, and inf for x <= 1."""
-    J = weights.size - 2
-    x = s.real + J + 1.0
-    if not x > 1.0:
-        return math.inf
-    return np.abs(weights[-1]) * (radius / low) ** (J + 1) * low**-s.real * (1.0 + low / (x - 1.0))
-
-
-def _taylor_blocks(s: complex):
-    """(k, widen) of the Taylor blocks for s: a block about c has radius
-    d = k c and spans [c - d, c + d] = [lo, lo (1 + widen)]."""
-    k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
-    return k, 2.0 * k / (1.0 - k)
+def _shift_remainder(s: complex, weights: np.ndarray, J, radius, low):
+    """A bound on the remainder of _shift_series after order J (an int or an
+    array of orders, each below weights.size - 1) at |delta| <= radius, every
+    shift between c and c + delta >= low: the integral form |w_{J+1}|
+    radius^{J+1} max |zeta_H(s + J + 1, .)|, the max <= zeta_H(x, low) <=
+    low^-x (1 + low / (x - 1)) for x = sigma + J + 1 > 1, and inf for x <= 1."""
+    x = s.real + np.asarray(J) + 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = np.abs(weights[J + 1]) * (radius / low) ** (J + 1) * low**-s.real * (1.0 + low / (x - 1.0))
+    return np.where(x > 1.0, bound, math.inf)[()]
 
 
 def _taylor_order(s: complex, k: float, top: float, cap: int):
     """The least order J <= cap whose _shift_remainder over the block about
-    top, |delta| <= k top, is below one unit roundoff of (top (1 + k))^-sigma,
-    the block's largest base term; None if there is none.  The ratio of the
-    remainder to that target grows with top."""
-    weights, target = _shift_weights(s, cap), 2.0**-53 * (top * (1.0 + k)) ** -s.real
-    return next((J for J in range(1, cap + 1)
-                 if _shift_remainder(s, weights[:J + 2], k * top, top * (1.0 - k)) <= target), None)
+    top, |delta| <= k top, is at or below one unit roundoff of (top (1 +
+    k))^-sigma, the block's largest base term; None if there is none.  The
+    ratio of the remainder to that target grows with top."""
+    orders = np.arange(1, cap + 1)
+    remainders = _shift_remainder(s, _shift_weights(s, cap), orders, k * top, top * (1.0 - k))
+    met = orders[remainders <= 2.0**-53 * (top * (1.0 + k)) ** -s.real]
+    return int(met[0]) if met.size else None
 
 
-def _shift_taylor(s: complex, a: np.ndarray):
+def _shift_route(s: complex, a: np.ndarray):
     """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0, as
-    (value, error_bound), or None where the count rule leaves the call to
+    (value, error_bound), or None where the route's rule leaves the call to
     the direct sum.
 
-    Each block of shifts [c - d, c + d], d = k c with k = min(_TAYLOR_REACH
-    / |s|, _TAYLOR_RATIO), takes the _shift_series about its centre c by
-    Horner's rule; the blocks tile the shifts from the smallest up.  J is the
-    least order whose _shift_remainder at |delta| <= d is below one unit
-    roundoff u of (c + d)^-sigma, the block's largest base term; that ratio
-    grows with c, so the top block sets J.  The bound is the largest over
-    the blocks of that remainder at the block's largest |delta| = D plus
-    sum_j |w_j| D^j (e_j + (8 J + 8) u |zeta_H(s + j, c)|): the columns'
-    kernel bounds e_j, and the rounding of the coefficients and of Horner's rule.
+    The call is split at m >= 0, zeta_H(s, a) = sum_{k<m} (a + k)^-s +
+    zeta_H(s, a + m): the head is _base_sum with n0 = m, and the tail takes
+    the _shift_series by Horner's rule in blocks of shifts [c - d, c + d],
+    d = k c with k = min(_TAYLOR_REACH / |s|, _TAYLOR_RATIO), that tile [lo +
+    m, hi + m] from the smallest up, each spanning a ratio 1 + widen.
+
+    The rule: J is the order _taylor_order gives at the highest block a
+    split can reach, about hi + n0 with n0 the direct sum's base terms (the
+    order grows with the centre).  The blocks may number shifts //
+    (_TAYLOR_SHARE (J + 1)); they cover [lo + m, hi + m] once (hi + m) / (lo
+    + m) <= (1 + widen)^blocks, and m is the least such integer.  The route
+    is taken where 2 m <= n0 and J + 1 <= _TAYLOR_STEPS n0, and for m > 0
+    also n0 >= 4 _EM_FLOOR: below that the fixed cost of the Taylor columns
+    outweighs the terms saved.  The tail takes the order again at its own
+    top block, which is no higher.
+
+    The bound is the largest over the blocks of the _shift_remainder at the
+    block's largest |delta| = D plus sum_j |w_j| D^j (e_j + (8 J + 8) u
+    |zeta_H(s + j, c)|): the columns' kernel bounds e_j, and the rounding
+    of the coefficients and of Horner's rule, u the unit roundoff.  A split
+    adds the head's rounding: u times the summed term sizes x^-sigma, x =
+    lo + k, each times its error in units of u, m + 3 + |s| (1 + 2 log(hi +
+    k)) (the summation, the rounding of x and the phase t log x).
     """
-    k, widen = _taylor_blocks(s)
     lo, hi = float(a.min()), float(a.max())
-    count = max(1, math.ceil(math.log(hi / lo) / math.log1p(widen)))
-    # the count rule as a cap on J: columns count (J + 1) <= shifts /
-    # _TAYLOR_SHARE, Horner steps J + 1 <= _TAYLOR_STEPS n0
-    cap = min(_TAYLOR_MAX_ORDER, a.size // (count * _TAYLOR_SHARE) - 1,
-              _TAYLOR_STEPS * _em_terms(abs(s.imag), lo) - 1)
-    J = _taylor_order(s, k, lo * (1.0 + widen) ** (count - 1) / (1.0 - k), cap)
+    n0 = _em_terms(abs(s.imag), lo)
+    k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
+    widen = 2.0 * k / (1.0 - k)
+    J = _taylor_order(s, k, (hi + n0) / (1.0 - k), _TAYLOR_MAX_ORDER)
     if J is None:
         return None
+    with np.errstate(over="ignore"):  # an overflow to inf leaves m = 0
+        grow = np.float64(1.0 + widen) ** (a.size // (_TAYLOR_SHARE * (J + 1)))
+    if grow == 1.0:  # too few shifts, or |s| above about 1e16: no m
+        return None
+    m = 0 if hi <= grow * lo else math.ceil((hi - grow * lo) / (grow - 1.0))
+    if 2 * m > n0 or J + 1 > _TAYLOR_STEPS * n0 or (m > 0 and n0 < 4 * _EM_FLOOR):
+        return None
 
-    order = np.argsort(a, kind="stable")
-    ordered = a[order]
-    lows = lo * (1.0 + widen) ** np.arange(count)
+    shifted = a + m
+    low = lo + m
+    count = max(1, math.ceil(math.log((hi + m) / low) / math.log1p(widen)))
+    # the tail's top block is no higher, so an order <= J meets its target
+    # (J itself, should rounding say otherwise)
+    J = _taylor_order(s, k, low * (1.0 + widen) ** (count - 1) / (1.0 - k), J) or J
+    order = np.argsort(shifted, kind="stable")
+    ordered = shifted[order]
+    lows = low * (1.0 + widen) ** np.arange(count)
     edges = np.concatenate(([0], np.searchsorted(ordered, lows[1:]), [a.size]))
     full = edges[1:] > edges[:-1]
     starts, sizes, centres = edges[:-1][full], np.diff(edges)[full], lows[full] / (1.0 - k)
@@ -351,51 +368,14 @@ def _shift_taylor(s: complex, a: np.ndarray):
             acc += coeffs[j, b]
         values[order[start:start + size]] = acc
     spans = np.abs(weights[:-1, None]) * radii ** np.arange(J + 1.0)[:, None]
-    err = _shift_remainder(s, weights, radii, centres - radii)
-    err = err + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)
-    return values, float(err.max())
-
-
-def _split_sum(s: complex, a: np.ndarray):
-    """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0 that
-    _shift_taylor refuses, as (value, error_bound), or None where the cost
-    rule leaves the call to the direct sum.
-
-    The call is split at m, zeta_H(s, a) = sum_{k<m} (a + k)^-s +
-    zeta_H(s, a + m): the head is _base_sum with n0 = m, the tail
-    _shift_taylor at the shifts a + m.  With J the order _shift_taylor
-    needs at the highest block a split can reach, about hi + n0 (the
-    order grows with the centre), its count rule passes once count blocks,
-    count (J + 1) _TAYLOR_SHARE <= shifts, cover [lo + m, hi + m], that is
-    once (hi + m) / (lo + m) <= (1 + widen)^count; m is the least such
-    integer.  The cost rule takes the split where the direct sum has at
-    least 4 _EM_FLOOR terms (below that the fixed cost of the Taylor
-    columns outweighs the terms saved) and m is at most half of them.
-    The bound adds to the Taylor bound the head's rounding: unit roundoff
-    times the summed term sizes x^-sigma, x = lo + k, each times its
-    error in units of roundoff, m + 3 + |s| (1 + 2 log(hi + k)) (the
-    summation, the rounding of x and the phase t log x).
-    """
-    lo, hi = float(a.min()), float(a.max())
-    n0 = _em_terms(abs(s.imag), lo)
-    if n0 < 4 * _EM_FLOOR:
-        return None
-    k, widen = _taylor_blocks(s)
-    J = _taylor_order(s, k, (hi + n0) / (1.0 - k), _TAYLOR_MAX_ORDER)
-    if J is None or a.size < _TAYLOR_SHARE * (J + 1):
-        return None
-    grow = (1.0 + widen) ** (a.size // (_TAYLOR_SHARE * (J + 1)))
-    m = max(1, math.ceil((hi - grow * lo) / (grow - 1.0)))
-    if 2 * m > n0:
-        return None
-    tail = _shift_taylor(s, a + m)
-    if tail is None:
-        return None
-    value, err = tail
-    value += _base_sum(np.complex128(s), a, m)
-    ks = np.arange(m, dtype=float)
-    sizes = (lo + ks) ** -s.real * (m + 3.0 + abs(s) * (1.0 + 2.0 * np.log(hi + ks)))
-    return value, err + 2.0**-53 * float(sizes.sum())
+    err = _shift_remainder(s, weights, J, radii, centres - radii)
+    err = float((err + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)).max())
+    if m:
+        values += _base_sum(np.complex128(s), a, m)
+        ks = np.arange(m, dtype=float)
+        terms = (lo + ks) ** -s.real * (m + 3.0 + abs(s) * (1.0 + 2.0 * np.log(hi + ks)))
+        err += 2.0**-53 * float(terms.sum())
+    return values, err
 
 
 def _em_terms(t_max: float, a_min: float) -> int:
@@ -566,13 +546,17 @@ def log_chi(s) -> complex:
 
 
 def chi(s) -> complex:
-    """chi(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s); satisfies chi(s)chi(1-s) = 1."""
+    """chi(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s); satisfies chi(s)chi(1-s) = 1.
+
+    Real at real s: the imaginary part that log space leaves there is dropped.
+    """
     s = complex(s)
     if s.imag == 0.0 and s.real == math.floor(s.real):
         n = int(s.real)
         if n <= 0 and n % 2 == 0:
             return 0j  # trivial zeros of the factor
-    return complex(np.exp(log_chi(s)))
+    value = complex(np.exp(log_chi(s)))
+    return complex(value.real) if s.imag == 0.0 else value
 
 
 # ---------------------------------------------------------------------------

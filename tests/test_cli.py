@@ -38,6 +38,38 @@ def test_eval_zeta(capsys):
     assert "1.6449340668" in capsys.readouterr().out
 
 
+def _printed(out: str):
+    """(value, err estimate) of one eval line, and the rounding of the
+    value's 12 significant digits."""
+    head, err = out.split("(err estimate ")
+    value = complex(head.replace(" ", "").replace("i", "j"))
+    return value, float(err.rstrip(")\n")), 5e-12 * (abs(value.real) + abs(value.imag))
+
+
+@pytest.mark.parametrize("s", ["-10.5", "-3.5+2i"])
+def test_eval_zeta_left_half_plane_within_its_error(capsys, s):
+    # Re s < 0 prints chi(s) zeta(1 - s), as riemann_zeta takes it; the
+    # direct sum was off by 6.5e-4 relative at -10.5.  The printed value is
+    # within the printed error of 120-bit mpmath, up to its own rounding
+    import mpmath as mp
+
+    from zetaver import special
+
+    point = complex(s.replace("i", "j"))
+    assert main(["eval", "zeta", f"--s={s}"]) == 0
+    value, err, rounding = _printed(capsys.readouterr().out)
+    with mp.workprec(120):
+        ref = complex(mp.zeta(mp.mpc(point.real, point.imag)))
+    assert abs(value - ref) <= err + rounding
+    assert abs(special.riemann_zeta(point) - ref) <= err
+
+
+def test_eval_real_axis_prints_no_imaginary_part(capsys):
+    for fn in ("chi", "zeta"):
+        assert main(["eval", fn, "--s", "-10.5"]) == 0
+        assert "i" not in capsys.readouterr().out.split("(")[0]
+
+
 def test_eval_zeta1(capsys):
     assert main(["eval", "zeta1", "--s", "2", "--alpha", "1"]) == 0
     assert "0.6449340668" in capsys.readouterr().out

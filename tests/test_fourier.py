@@ -421,6 +421,24 @@ def test_theorem2_kernel_terms_pinned(monkeypatch):
     assert [_theorem2_terms(t) for t in (50.0, 100.0, 200.0)] == [22352, 85744, 331328]
 
 
+def _power_mean_terms(k: int, t: float) -> int:
+    start = special._base_terms()
+    afe.power_mean_Ik(k, t)
+    return special._base_terms() - start
+
+
+def test_power_mean_Ik_kernel_terms_pinned(monkeypatch):
+    # deterministic cost guard on the kernel meter for the split route:
+    # zeta1(s, alpha) over alpha in [0, 1] at one s per quadrature batch,
+    # for (k, t) in {1, 2} x {50, 100, 400}; t = 50 never splits
+    grid = [(k, t) for k in (1, 2) for t in (50.0, 100.0, 400.0)]
+    assert [_power_mean_terms(k, t) for k, t in grid] == [
+        11520, 18249, 88812, 22560, 26889, 127596]
+    monkeypatch.setattr(special, "_TAYLOR_MAX_ORDER", 0)  # the direct sum only
+    assert [_power_mean_terms(k, t) for k, t in grid] == [
+        11520, 39225, 511980, 22560, 77505, 1016340]
+
+
 def test_continued_q0_is_finite_at_u_plus_v_two():
     u, v = 1.0 + 20j, 1.0 - 20j
     q = fr.qn_continued(0, u, v)

@@ -248,6 +248,18 @@ def test_chi_pole_and_zero():
     assert sp.chi(-2.0) == 0.0
 
 
+@pytest.mark.parametrize("s", [-10.5, -3.5, -1.0, 0.3, 2.5])
+def test_chi_and_zeta_real_on_the_real_axis(s):
+    # chi is built in log space, which left an imaginary part of up to
+    # 1.9e-14 at real s; it is dropped, and the real parts keep their bits
+    logged = complex(np.exp(sp.log_chi(s)))
+    assert sp.chi(s).imag == 0.0 and sp.chi(s).real == logged.real
+    zeta = sp.riemann_zeta(s)
+    assert zeta.imag == 0.0
+    if s < 0.0:
+        assert zeta.real == (logged * sp.riemann_zeta(1.0 - s)).real
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet-type kernel
 # ---------------------------------------------------------------------------
@@ -422,7 +434,7 @@ def _check_blocked_base_sum(monkeypatch, em):
 
 
 def test_em_blocked_base_sum_bit_identical_and_bounded(monkeypatch):
-    # the whole argument takes the split route, whose head is the same
+    # the whole argument takes the shift route with m > 0, whose head is the same
     # blocked loop with m in place of n0; the short slices sum directly
     a = 1.0 + np.linspace(0.0, 1.0, 5000)
     _check_blocked_base_sum(monkeypatch, lambda sl: sp._em_hurwitz(0.5 + 800j, a[sl]))
@@ -502,11 +514,11 @@ def test_array_s_bound_covers_oracle_error(points, alpha):
         assert abs(vi - ref) <= err + 1e-12 * abs(ref)
 
 
-# The shift-Taylor path: one s with Re s >= 0 at many shifts takes its
+# The shift route at m = 0: one s with Re s >= 0 at many shifts takes its
 # values from a few columns (s + j, c) per block of shifts.  A call takes
 # it when blocks x (J + 1) columns are at most 1/16 of its shifts, so the
 # calls below hand over hundreds of shifts; the kernel meter tells the
-# path apart, since the direct sum adds n0 terms for every shift.
+# route apart, since the direct sum adds n0 terms for every shift.
 
 
 def _terms_of(s, a):
@@ -568,7 +580,7 @@ def test_shift_taylor_matches_scalar_calls(sigma, t, lift, width, seed):
 
 def test_shift_taylor_leaves_negative_re_s_to_the_direct_sum():
     # Re s < 0 has growing base terms; it keeps the direct sum, value for
-    # value, while Re s > 0 at the same shifts takes the Taylor path
+    # value, while Re s > 0 at the same shifts takes the shift route
     a = np.linspace(33.0, 34.0, 2048)
     for s in (-0.25 + 200j, -5.5 + 0j):
         values, err, terms = _terms_of(s, a)
@@ -578,10 +590,11 @@ def test_shift_taylor_leaves_negative_re_s_to_the_direct_sum():
     assert _terms_of(0.25 + 200j, a)[2] <= _direct_terms(200j, a) / 16
 
 
-# The split route: one s at shifts the Taylor path cannot reach, such as
-# zeta1(s, alpha) for alpha in [0, 1], sums (a + k)^-s for k < m directly
-# and takes zeta_H(s, a + m) from the Taylor path, so the meter reads m
-# terms per shift plus the Taylor columns in place of n0.
+# The shift route at m > 0: one s at shifts the Taylor blocks cannot
+# reach at m = 0, such as zeta1(s, alpha) for alpha in [0, 1], sums
+# (a + k)^-s for k < m directly and takes zeta_H(s, a + m) from the
+# Taylor blocks, so the meter reads m terms per shift plus the Taylor
+# columns in place of n0.
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -616,6 +629,38 @@ def test_split_sum_counts_its_head():
         direct, direct_err = sp._em_sum(np.asarray(complex(s)), a)
         assert terms == _direct_terms(s, a)
         assert np.array_equal(values, direct) and err == direct_err.max()
+
+
+@pytest.mark.parametrize("s", [0.5 + 50j, 2.0 + 800j, 4.0, 0.5 + 3000j])
+def test_taylor_order_is_the_least_order_meeting_its_target(s):
+    # the order search, one array over every order, against its definition
+    # by a scalar loop: the least J <= cap whose remainder over the block
+    # about top is within one unit roundoff of (top (1 + k))^-sigma
+    s = complex(s)
+    k = min(sp._TAYLOR_REACH / abs(s), sp._TAYLOR_RATIO)
+    found = set()
+    for top in (1.0, 30.0, 1000.0, 1e5):
+        target = 2.0**-53 * (top * (1.0 + k)) ** -s.real
+        for cap in (0, 23, 24, 44, sp._TAYLOR_MAX_ORDER):
+            weights = sp._shift_weights(s, cap)
+            met = [J for J in range(1, cap + 1)
+                   if sp._shift_remainder(s, weights, J, k * top, top * (1.0 - k)) <= target]
+            expected = met[0] if met else None
+            assert sp._taylor_order(s, k, top, cap) == expected
+            found.add(expected)
+    assert None in found and len(found) > 2
+
+
+def test_shift_route_refuses_where_its_block_ratio_rounds_to_one():
+    # at |s| above about 1e16 the blocks' ratio (1 + widen)^blocks rounds
+    # to 1 and no split point m exists: the call keeps the direct sum,
+    # value for value, or its DomainError where that bound overflows
+    a = np.linspace(1.0, 2.0, 1024)
+    values, err = sp._em_hurwitz(1e17, a)
+    direct, direct_err = sp._em_sum(np.asarray(1e17 + 0j), a)
+    assert np.array_equal(values, direct) and err == direct_err.max()
+    with pytest.raises(DomainError):
+        sp._em_hurwitz(1e20 + 5j, a)
 
 
 @pytest.mark.parametrize("u, a", [
