@@ -380,9 +380,12 @@ def _shift_route(s: complex, a: np.ndarray):
 
 def _em_terms(t_max: float, a_min: float) -> int:
     """Base terms of the direct sum: enough to reach max(_EM_FLOOR,
-    2 t_max / pi) from the smallest shift, and at least one."""
-    target = max(float(_EM_FLOOR), 2.0 * t_max / math.pi)
-    return max(int(math.ceil(target - a_min)) + 1, 1)
+    2 t_max / pi) from the smallest shift, and at least one.
+    ConvergenceError where that count is not finite (t_max near 1e308)."""
+    target = max(float(_EM_FLOOR), 2.0 * t_max / math.pi) - a_min
+    if not math.isfinite(target):
+        raise ConvergenceError(f"Euler-Maclaurin base sum at |Im s| = {t_max:.3g} is not finite")
+    return max(int(math.ceil(target)) + 1, 1)
 
 
 def _base_sum(s, a, n0: int) -> np.ndarray:

@@ -344,6 +344,13 @@ def test_eval_bad_point_exits_two_without_traceback(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_eval_overflowing_height_is_convergence_error(capsys):
+    # 2 |Im s| / pi overflows to inf: the base-term count is not finite
+    assert main(["eval", "zeta", "--s=1e308+1e308i"]) == 2
+    err = capsys.readouterr().err
+    assert "ConvergenceError" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "zeta1", "--s", "2"],
     ["eval", "B_N", "--N", "5"],

@@ -134,6 +134,22 @@ def test_vertical_line_beta_values():
         assert abs(res.value - value) < 1e-10
 
 
+@pytest.mark.parametrize("shift", [0.75, 1.5, 2.0])
+def test_vertical_line_fold_meets_beta_closed_form(shift, spent):
+    # Gamma(z+a) Gamma(-z) is conjugate-symmetric for real a: the upper half
+    # alone meets Gamma(a) 2^-a within its error estimate, as the full line
+    # does, at no more than 55% of its evaluations
+    closed = math.gamma(shift) * 2.0**-shift
+    runs = [spent(idn._line_integral, _mb_integrand(shift), -0.5, [0.0, -shift], 2.0,
+                  1e-12, 1e-10, real=real) for real in (False, True)]
+    for res, evaluations in runs:
+        assert abs(res.value - closed) <= res.err_estimate
+        assert res.evaluations == evaluations
+    (full, _), (half, _) = runs
+    assert half.value.imag == 0.0
+    assert half.evaluations <= 0.55 * full.evaluations
+
+
 def test_vertical_line_pole_guard():
     with pytest.raises(PoleTooCloseError):
         idn._line_integral(_mb_integrand(1.0), -0.5, [0.0, -0.5 + 1e-5], 2.0, 1e-12, 1e-10)
