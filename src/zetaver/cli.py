@@ -83,15 +83,7 @@ def _load_config_file(path: str, suite_id: str):
 def _eval_value(args):
     fn = args.function
     if fn == "zeta":
-        s = _require(args, "s")
-        if s.real >= 0.0:
-            return special._em_hurwitz(s, 1.0)
-        # zeta(s) = chi(s) zeta(1 - s), as riemann_zeta takes it, with chi's
-        # stated relative error of 5e-14
-        factor = special.chi(s)
-        reflected, err = special._em_hurwitz(1.0 - s, 1.0)
-        value = factor * reflected
-        return value, abs(factor) * err + 5e-14 * abs(value)
+        return special._em_hurwitz(_require(args, "s"), 1.0)
     if fn == "zeta1":
         shift = special._zeta1_shift(_require_real_alpha(args))
         return special._em_hurwitz(_require(args, "s"), shift)

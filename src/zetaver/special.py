@@ -149,15 +149,10 @@ def bernoulli_numbers(m: int) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _b2j_over_factorial(j: int) -> float:
-    # B_{2j} / (2j)!  computed exactly, then rounded once
-    return float(_bernoulli_fraction(2 * j) / Fraction(math.factorial(2 * j)))
-
-
-@lru_cache(maxsize=None)
 def _bernoulli_tail_weights(j_max: int) -> np.ndarray:
-    # B_2j / (2j)! for j = 1..j_max+1
-    return np.array([_b2j_over_factorial(j) for j in range(1, j_max + 2)])
+    # B_2j / (2j)! for j = 1..j_max+1, each computed exactly, then rounded once
+    return np.array([float(_bernoulli_fraction(2 * j) / math.factorial(2 * j))
+                     for j in range(1, j_max + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +415,23 @@ def _base_sum(s, a, n0: int) -> np.ndarray:
     return base
 
 
+def _em_coeffs(s):
+    """The Euler-Maclaurin tail at s (a scalar or 1-d array) as (coeffs,
+    ratio): coeffs[j-1] = B_2j/(2j)! (s)_{2j-1}, j = 1..J+1 for J =
+    _EM_PAIRS, one column per element, row J that of the first omitted
+    term, whose ratio (|s| + 2J + 1) / (Re s + 2J + 1) multiple bounds all
+    that is omitted.  DomainError where Re s + 2J + 1 <= 1.  The Pochhammer
+    symbols overflow for |s| above about 1e18."""
+    sig_min = float(np.min(s.real))
+    if sig_min + 2 * _EM_PAIRS + 1 <= 1.0:
+        raise DomainError(f"Re s = {sig_min} too small for {_EM_PAIRS} Bernoulli pairs")
+    with np.errstate(over="ignore", invalid="ignore"):
+        poch = np.cumprod(np.arange(2.0 * _EM_PAIRS + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
+        coeffs = _bernoulli_tail_weights(_EM_PAIRS)[:, None] * poch[::2]
+        ratio = (abs(s) + 2 * _EM_PAIRS + 1) / (s.real + 2 * _EM_PAIRS + 1)
+    return coeffs, ratio
+
+
 def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
     """The direct Euler-Maclaurin evaluation behind _em_hurwitz, for
     validated arrays s_arr and a_arr: the values and their truncation
@@ -427,33 +439,42 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
 
     The number of direct terms grows like 2 max|Im s|/pi from the smallest
     shift, so the Bernoulli tail converges geometrically with ratio about
-    1/16 per correction pair.
+    1/16 per correction pair.  An element with Re s < 0 at shift exactly 1,
+    whose base terms would grow and cancel, takes zeta(s) = chi(s) zeta(1 -
+    s) (DLMF 25.4.1), bounded by |chi(s)| times the bound of zeta(1 - s)
+    plus 5e-14 |value| for chi; it is exactly 0 at s = -2n, as chi is.
     """
-    j_max = _EM_PAIRS
-    sig_min = float(s_arr.real.min())
-    if sig_min + 2 * j_max + 1 <= 1.0:
-        raise DomainError(f"Re s = {sig_min} too small for {j_max} Bernoulli pairs")
-    n0 = _em_terms(float(abs(s_arr.imag).max()), float(a_arr.min()))
-    if n0 > _EM_MAX_TERMS:
-        raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
-
+    shape = np.broadcast(s_arr, a_arr).shape
+    if s_arr.real.min() < 0.0:
+        left = np.broadcast_to((s_arr.real < 0.0) & (a_arr == 1.0), shape)
+        if left.any():
+            s_all = np.broadcast_to(s_arr, shape)
+            value, err = np.empty(shape, dtype=complex), np.empty(shape)
+            if not left.all():
+                a_rest = np.broadcast_to(a_arr, shape)[~left] if a_arr.size > 1 else a_arr.reshape(())
+                value[~left], err[~left] = _em_sum(s_all[~left], a_rest)
+            factor = np.array([chi(z) for z in s_all[left]])
+            reflected, reflected_err = _em_sum(1.0 - s_all[left], np.asarray(1.0))
+            value[left] = factor * reflected
+            err[left] = np.abs(factor) * reflected_err + 5e-14 * np.abs(value[left])
+            return value, err
     # An argument with one value stays a scalar; arrays are flattened
     # against each other.
-    shape = np.broadcast(s_arr, a_arr).shape
     many_s, many_a = s_arr.size > 1, a_arr.size > 1
     if many_s and many_a:
         s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
     s = s_arr.ravel() if many_s else s_arr.flat[0]
     a = a_arr.ravel() if many_a else a_arr.flat[0]
+    coeffs, ratio = _em_coeffs(s)
+    j_max = _EM_PAIRS
+    n0 = _em_terms(float(abs(s_arr.imag).max()), float(a_arr.min()))
+    if n0 > _EM_MAX_TERMS:
+        raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
     base = _base_sum(s, a, n0)
 
     # Tail x^-s [x/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} x^(1-2j)] at
-    # x = n0 + a, j = 1..J; row j-1 of coeffs is the j-th coefficient, and
-    # row J that of the first omitted term.
-    # the Pochhammer symbols overflow for |s| above about 1e18
+    # x = n0 + a, j = 1..J
     with np.errstate(over="ignore", invalid="ignore"):
-        poch = np.cumprod(np.arange(2.0 * j_max + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
-        coeffs = _bernoulli_tail_weights(j_max)[:, None] * poch[::2]
         x = n0 + a
         inv = 1.0 / x
         inv2 = inv * inv
@@ -462,8 +483,7 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
         xs = c if d is None else c - 1j * d
         value = base + xs * (x / (s - 1.0) + 0.5 + inv * poly)
         # the first omitted term, times the ratio that bounds the rest
-        fac = (abs(s) + 2 * j_max + 1) / (s.real + 2 * j_max + 1)
-        err = abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * fac
+        err = abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * ratio
     if not np.isfinite(err).all():
         raise DomainError(f"|s| = {float(np.abs(s).max()):.3g} too large for the "
                           f"Euler-Maclaurin bound")
@@ -471,23 +491,11 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
 
 
 def riemann_zeta(s):
-    """Riemann zeta(s), continued by Euler-Maclaurin.  PoleError at s = 1.
-
-    Where Re s < 0 the base terms grow and cancel, so each such element
-    takes the functional equation zeta(s) = chi(s) zeta(1 - s) (DLMF
-    25.4.1) instead; it is exactly 0 at the trivial zeros s = -2n, where
-    chi is.  s may be a numpy array; the result then has the same shape.
+    """Riemann zeta(s), continued by Euler-Maclaurin, by the functional
+    equation where Re s < 0 (see _em_sum).  PoleError at s = 1.  s may be
+    a numpy array; the result then has the same shape.
     """
-    s_arr = np.asarray(s, dtype=complex)
-    flat = s_arr.ravel()
-    left = flat.real < 0.0
-    if not left.any():
-        return _em_hurwitz(s, 1.0)[0]
-    out = np.empty(flat.size, dtype=complex)
-    if not left.all():
-        out[~left] = _em_hurwitz(flat[~left], 1.0)[0]
-    out[left] = [chi(z) * _em_hurwitz(1.0 - z, 1.0)[0] for z in flat[left]]
-    return out.reshape(s_arr.shape) if s_arr.shape else complex(out[0])
+    return _em_hurwitz(s, 1.0)[0]
 
 
 def hurwitz_zeta1(s, alpha):
@@ -684,17 +692,20 @@ def _norm_upper_gamma(a: complex, x: complex, exp_neg_x: complex | None = None) 
     axis).  exp_neg_x may supply an exact value of e^{-x} when the caller
     knows one (e.g. exactly 1.0 at x = 2 pi i n).
 
-    The continued fraction runs from |x| >= |a| + 6, the power series of
-    gamma(a, x) below it.  Beyond |a| + 6 the series cancels
-    catastrophically at large |Im a|: with the switch at 1.3 (|a| + 6),
-    a_n(1/2 + 400i) at n = -84 lost all its digits.
+    The continued fraction runs from |x| >= |a| + 6, and for Re a < 0.5
+    already from |x| >= |Im a| + 6; the power series of gamma(a, x) takes
+    the rest.  Beyond |a| + 6 the series cancels catastrophically at large
+    |Im a|: with the switch at 1.3 (|a| + 6), a_n(1/2 + 400i) at n = -84
+    lost all its digits.  At Re a < 0.5 the series is shifted to a + m and
+    recurred down, which loses every digit once |x| is well above |Im a|:
+    a_4(20 + 3i) was off by 82 relative.
     """
     a = complex(a)
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
     enx = complex(np.exp(-x)) if exp_neg_x is None else complex(exp_neg_x)
-    if abs(x) >= abs(a) + 6.0:
+    if abs(x) >= abs(a) + 6.0 or (a.real < 0.5 and abs(x) >= abs(a.imag) + 6.0):
         return _norm_upper_gamma_cf(a, x, enx)
     logx = complex(np.log(x))
     if a.real >= 0.5:
@@ -745,24 +756,17 @@ def _zeta1_powers(u: complex, A: float):
 
         a^{1-u}/(u-1) - a^{-u}/2 + sum_j B_2j/(2j)! (u)_{2j-1} a^{1-u-2j},
 
-    the two leading powers first.  The omitted part is at most
-    bound (a/A)^exponent on [A, inf): the first omitted term at A times the
-    _em_hurwitz ratio that bounds the rest.  PoleError at u = 1.
+    the two leading powers first, the rest from _em_coeffs.  The omitted
+    part is at most bound (a/A)^exponent on [A, inf): the first omitted term
+    at A times the _em_coeffs ratio that bounds the rest.  PoleError at u = 1.
     """
     if u == 1.0:
         raise PoleError("zeta1 pole at u = 1")
-    if u.real + 2 * _EM_PAIRS + 1 <= 1.0:
-        raise DomainError(f"Re u = {u.real} too small for {_EM_PAIRS} Bernoulli pairs")
+    coeffs, ratio = _em_coeffs(u)
     powers = {1.0 - u: 1.0 / (u - 1.0), -u: -0.5 + 0j}
-    poch = u
-    for j in range(1, _EM_PAIRS + 1):
-        if j > 1:
-            poch = poch * (u + 2 * j - 3) * (u + 2 * j - 2)
-        powers[1.0 - u - 2 * j] = _b2j_over_factorial(j) * poch
-    poch = poch * (u + 2 * _EM_PAIRS - 1) * (u + 2 * _EM_PAIRS)
+    powers.update((1.0 - u - 2 * j, complex(coeffs[j - 1, 0])) for j in range(1, _EM_PAIRS + 1))
     power = -u.real - 2 * _EM_PAIRS - 1
-    ratio = (abs(u) + 2 * _EM_PAIRS + 1) / (u.real + 2 * _EM_PAIRS + 1)
-    return powers, (abs(_b2j_over_factorial(_EM_PAIRS + 1) * poch) * ratio * A**power, power)
+    return powers, (float(abs(coeffs[_EM_PAIRS, 0]) * ratio) * A**power, power)
 
 
 def _product_powers(w: complex, us, A: float):

@@ -46,17 +46,19 @@ def _printed(out: str):
     return value, float(err.rstrip(")\n")), 5e-12 * (abs(value.real) + abs(value.imag))
 
 
-@pytest.mark.parametrize("s", ["-10.5", "-3.5+2i"])
-def test_eval_zeta_left_half_plane_within_its_error(capsys, s):
-    # Re s < 0 prints chi(s) zeta(1 - s), as riemann_zeta takes it; the
-    # direct sum was off by 6.5e-4 relative at -10.5.  The printed value is
-    # within the printed error of 120-bit mpmath, up to its own rounding
+@pytest.mark.parametrize("s, fn", [("-10.5", "zeta"), ("-3.5+2i", "zeta"), ("-10.5", "zeta1")],
+                         ids=["-10.5", "-3.5+2i", "zeta1--10.5-alpha0"])
+def test_eval_zeta_left_half_plane_within_its_error(capsys, s, fn):
+    # Re s < 0 prints chi(s) zeta(1 - s), as riemann_zeta takes it, also
+    # for zeta1 at alpha = 0; the direct sum was off by 6.5e-4 relative at
+    # -10.5.  The printed value is within the printed error of 120-bit
+    # mpmath, up to its own rounding
     import mpmath as mp
 
     from zetaver import special
 
     point = complex(s.replace("i", "j"))
-    assert main(["eval", "zeta", f"--s={s}"]) == 0
+    assert main(["eval", fn, f"--s={s}"] + (["--alpha=0"] if fn == "zeta1" else [])) == 0
     value, err, rounding = _printed(capsys.readouterr().out)
     with mp.workprec(120):
         ref = complex(mp.zeta(mp.mpc(point.real, point.imag)))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zetaver.errors import DomainError, PoleError
 from zetaver import special as sp
@@ -404,6 +404,18 @@ def test_an_incomplete_gamma_route_boundary(s, ns):
         assert abs(sp.fourier_coeff_a(n, s) - ref) <= 1e-10 * abs(ref), n
 
 
+@pytest.mark.parametrize("n, s", [
+    (4, 20 + 3j), (-4, 20 + 3j), (2, 12 + 3j), (-2, 12 + 3j), (-2, 8 + 3j), (-5, 20 + 20j),
+    (5, 30 + 0.5j), (-5, 30 + 0.5j),
+])
+def test_an_large_sigma_takes_the_continued_fraction(n, s):
+    # 2 pi |n| between |Im s| + 6 and |1 - s| + 6 with Re(1 - s) < 0.5: the
+    # shifted power series and its downward recurrence lost every digit
+    # there (82 relative at a_4(20 + 3i)), the continued fraction does not
+    ref = _an_oracle(n, s)
+    assert abs(sp.fourier_coeff_a(n, s) - ref) <= 1e-14 * abs(ref)
+
+
 def test_an_domain():
     with pytest.raises(DomainError):
         sp.fourier_coeff_a(3, -1.5)
@@ -501,6 +513,10 @@ def test_array_alpha_matches_scalar_calls(sigma, t, alphas):
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 500.0)), min_size=1, max_size=4),
        _alpha)
+# Re s < 0 at shift 1 beside large heights: the kernel reflects those
+# elements; the direct sum was off by 2.0e-12 at -0.875 against 1.4e-12
+@example([(-0.875, 0.0), (1.0, 233.0)], 0.0)
+@example([(-10.5, 0.0), (-3.0, 7.0), (2.0, 400.0), (-0.25, 40.0)], 0.0)
 def test_array_s_bound_covers_oracle_error(points, alpha):
     from zetaver import oracle
 
@@ -512,6 +528,19 @@ def test_array_s_bound_covers_oracle_error(points, alpha):
         # to a 1e-12 relative slack as in the oracle tier of criterion 11,
         # which holds while the base terms do not grow (Re s >= 0)
         assert abs(vi - ref) <= err + 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("u", [-5.5, -10.5, -3.5 + 2j, -0.5 + 1j])
+def test_shift_series_columns_at_unit_centre_meet_oracle(u):
+    # the columns zeta(u + j), j <= 40, of the unit head's Taylor series:
+    # those with Re < 0 take the functional equation in the kernel; the
+    # direct sum was off by 4.0e-11 at zeta(-5.5), against a bound of 1.9e-17
+    from zetaver import oracle
+
+    _, z, z_err = sp._shift_series(complex(u), [1.0], 40)
+    for j in range(41):
+        ref = oracle.riemann_zeta(u + j, prec_bits=120)
+        assert abs(z[j, 0] - ref) <= z_err[j, 0] + 1e-14 * abs(ref), j
 
 
 # The shift route at m = 0: one s with Re s >= 0 at many shifts takes its
