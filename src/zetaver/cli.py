@@ -87,12 +87,10 @@ def _eval_value(args):
     if fn == "zeta1":
         shift = special._zeta1_shift(_require_real_alpha(args))
         return special._em_hurwitz(_require(args, "s"), shift)
-    if fn == "chi":
-        value = special.chi(_require(args, "s"))
-        return value, 5e-14 * abs(value)
-    if fn == "gamma":
-        value = complex(special.gamma(_require(args, "s")))
-        return value, 5e-13 * abs(value)
+    if fn in ("chi", "gamma"):
+        s = _require(args, "s")
+        value = special.chi(s) if fn == "chi" else complex(special.gamma(s))
+        return value, float(special._log_space_rounding(s)) * abs(value)
     if fn == "B_N":
         value = complex(special.dirichlet_kernel(_require(args, "N"), _require_real_alpha(args)))
         return value, 1e-13 * max(abs(value), 1.0)

@@ -13,10 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .identities import IdentityReport
-from .quadrature import (_MAX_INITIAL_PANELS, _NODES, _PER_CYCLE, _WG_FULL, _WGK_FULL,
-                         QuadResult, _count, _evaluations, _march_panels)
+from .quadrature import QuadResult, _check_panel_cap, _evaluations, _fourier_coeffs
 # unused here, but the benchmark's tracer test reads fourier.integrate_finite
 from .quadrature import integrate_finite  # noqa: F401
 from .special import (
@@ -34,7 +33,6 @@ from .special import (
 from . import afe
 
 _2PI = 2.0 * math.pi
-_UNIT_ROUNDOFF = 2.0**-53
 
 __all__ = [
     "rane_representation",
@@ -181,17 +179,17 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
             for n in ns}
 
 
-def qn_direct(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> QuadResult:
+def qn_direct(n: int, u: complex, v: complex) -> QuadResult:
     """q_n(u,v) = a_n(u+v) + int_1^inf zeta1(u,a) a^{-v} e^{-2 pi i n a} da
     + (u <-> v), for Re u > 1 and Re v > 1."""
     u = complex(u)
     v = complex(v)
     if not (u.real > 1.0 and v.real > 1.0):
         raise DomainError("direct mode needs Re u > 1, Re v > 1")
-    return _q_coeffs(u, v, [n], abs_tol, direct=True)[n]
+    return _q_coeffs(u, v, [n], 1e-10, direct=True)[n]
 
 
-def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> QuadResult:
+def qn_continued(n: int, u: complex, v: complex) -> QuadResult:
     """Analytically continued q_n(u,v), valid for Re u, Re v > 0:
 
         [1/(u-1) + 1/(v-1)] a_n(u+v-1) + two regularized tail integrals.
@@ -203,23 +201,7 @@ def qn_continued(n: int, u: complex, v: complex, abs_tol: float = 1e-10) -> Quad
     v = complex(v)
     if not (u.real > 0.0 and v.real > 0.0):
         raise DomainError("continued mode needs Re u, Re v > 0")
-    return _q_coeffs(u, v, [n], abs_tol, direct=False)[n]
-
-
-# ---------------------------------------------------------------------------
-# All Fourier coefficients of one function on one panel set.
-# ---------------------------------------------------------------------------
-
-# Indices reached from one anchor by the phase recurrence: an exact
-# exponential starts each run, and every later index in it costs one complex
-# multiply whose rounding adds to the phase error.
-_PHASE_RUN = 32
-
-# K15 weights and the K15 - G7 difference weights on the 15 Kronrod nodes:
-# one (panels, 15) @ (15, 2) product gives every panel's value and error.
-_G7_ON_K15 = np.zeros_like(_WGK_FULL)
-_G7_ON_K15[1::2] = _WG_FULL
-_KD_WEIGHTS = np.column_stack((_WGK_FULL, _WGK_FULL - _G7_ON_K15))
+    return _q_coeffs(u, v, [n], 1e-10, direct=False)[n]
 
 
 def _zeta1_pair_cycles(t_u: float, t_v: float):
@@ -238,59 +220,6 @@ def _zeta1_pair_cycles(t_u: float, t_v: float):
     """
     kernel = math.sqrt(max(abs(t_u), 1.0) / _2PI) + 1.0
     return lambda a: max(abs(t_v / a), abs(t_v / a + t_u / (1.0 + a))) / _2PI + kernel
-
-
-def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
-    """int_a^b values(x) e^{-2 pi i n x} dx for every n in ns.
-
-    One panel set is marched by _march_panels (quadrature._PER_CYCLE = 2.5
-    panels per local cycle) for max |n| plus cycles(x), the frequency
-    content of values, and values is evaluated once on it; every n is then
-    a phase sum over the same nodes, with the embedded G7/K15 difference as
-    its error.  A largest error above tol raises ConvergenceError, so the
-    caller's cycles must make the panels fine enough.
-
-    The n are integers, so the phase needs only the fractional part of each
-    node (exact in floating point).  An anchor index gets its phase
-    e^{-2 pi i n frac} from one exponential; each following index, while
-    ns rises by 1 and for at most _PHASE_RUN indices per anchor, gets it by
-    one multiplication with e^{-2 pi i frac}.  Each err adds to the G7/K15
-    difference a bound on the phase rounding, (19 |n| + 36 m + 6) unit
-    roundoffs times sum |w f| over the nodes, m < _PHASE_RUN being the
-    steps from the anchor n0 (|n0| <= |n| + m): three roundings in each
-    exponential's argument, at most 2 pi |n0| at the anchor and 2 pi per
-    step, plus the exponentials and the complex multiplies.  Returns
-    (coeffs, errs) aligned to ns; the nodes count on the evaluation meter
-    of quadrature.
-    """
-    ns = np.asarray(ns, dtype=float)
-    n_big = float(np.max(np.abs(ns)))
-    pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x)))
-    halves = 0.5 * (pts[1:] - pts[:-1])
-    nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
-    _count(nodes.size)
-    fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
-    frac = nodes - np.floor(nodes)
-    step = np.exp(-_2PI * 1j * frac)
-    size = float(np.sum(np.abs(fv) @ _WGK_FULL))
-    coeffs = np.empty(ns.size, dtype=complex)
-    errs = np.empty(ns.size)
-    m = 0
-    for i, n in enumerate(ns):
-        if i == 0 or m == _PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
-            cur = fv * np.exp(-_2PI * 1j * n * frac)
-            m = 0
-        else:
-            cur *= step
-            m += 1
-        kd = cur @ _KD_WEIGHTS
-        coeffs[i] = kd[:, 0].sum()
-        rounding = (19.0 * abs(n) + 36.0 * m + 6.0) * _UNIT_ROUNDOFF * size
-        errs[i] = np.abs(kd[:, 1]).sum() + rounding
-    if not errs.max() <= tol:
-        raise ConvergenceError(f"Fourier coefficients stalled: err={errs.max():.3e} > "
-                               f"tol={tol:.3e} on {halves.size} panels")
-    return coeffs, errs
 
 
 def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: bool = False):
@@ -315,17 +244,15 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
     Every shifted value carries its node's Euler-Maclaurin error, at most
     the kernel's bound eps (the largest of the two calls), so every err
     adds eps int_1^b a^{-Re v} da; the subtracted powers of continued are
-    exact and add nothing.  Raises ConvergenceError, before any evaluation,
-    wherever _march_panels would refuse the unfolded [1, b] from its end
-    values; max |n| is read from the two ends of ns.  Returns (coeffs,
-    errs): the two parts' coefficients and errors added.
+    exact and add nothing.  Before any evaluation, _check_panel_cap refuses
+    an unfolded [1, b] over the cap, max |n| read from the ends of ns.
+    Returns (coeffs, errs): the two parts' coefficients and errors added.
     """
     if not b >= 1.0:
         raise DomainError("requires b >= 1")
     cycles = _zeta1_pair_cycles(u.imag, v.imag)
     n_big = max(abs(ns[0]), abs(ns[-1]))
-    if _PER_CYCLE * (b - 1.0) * (n_big + cycles(b)) > _MAX_INITIAL_PANELS:
-        raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
+    _check_panel_cap(1.0, b, n_big + cycles(1.0), n_big + cycles(b))
     conjugate_pair = v == u.conjugate()
     kernel_err = 0.0
 
@@ -368,8 +295,8 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
 
 
 def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
-                           eta: float = 1.0, conjugated: bool = False) -> complex:
-    """int_1^{t/2pi+eta} a^{-s1 +/- it} (a+y)^{-s2 -/+ it} e^{-2 pi i n a} da.
+                           conjugated: bool = False) -> complex:
+    """int_1^{t/2pi+1} a^{-s1 +/- it} (a+y)^{-s2 -/+ it} e^{-2 pi i n a} da.
 
     The two factors are a conjugate pair in their phases: e^{+/- it log(a/(a+y))}
     has the one band t y/(2 pi a (a + y)), not the sum of both log-phases.
@@ -377,7 +304,6 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
     if y <= 0.0:
         raise DomainError("y must be > 0")
     sign = -1.0 if conjugated else 1.0
-    B = t / _2PI + eta
 
     def f(a: np.ndarray) -> np.ndarray:
         phase = np.exp(sign * 1j * t * np.log(a / (a + y)))
@@ -386,7 +312,7 @@ def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
     def cycles(a: float) -> float:
         return t * y / (_2PI * a * (a + y)) + 1.0
 
-    (val,), _errs = _fourier_coeffs(f, cycles, [n], 1.0, B, 1e-12)
+    (val,), _errs = _fourier_coeffs(f, cycles, [n], 1.0, t / _2PI + 1.0, 1e-12)
     return complex(val)
 
 
@@ -413,13 +339,13 @@ def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> Ide
 # ---------------------------------------------------------------------------
 
 
-# Integrations by parts in the Parseval tails.  Past the default n_max each
+# Integrations by parts in the Parseval tails.  Past n_max each
 # order gains a factor of about |w| / (2 pi n) <= 1/4.
 _PARTS_ORDERS = 16
 
 
 def _parseval_n_max(t: float) -> int:
-    """Default last index of a Parseval sum: ceil(2|t|/pi) + 50."""
+    """Last index of a Parseval sum: ceil(2|t|/pi) + 50."""
     return int(math.ceil(2.0 * abs(t) / math.pi)) + 50
 
 
@@ -481,23 +407,22 @@ def _parts_tail(factors, n_max: int, l1: float) -> tuple[float, float]:
     terms = sign * np.outer(jumps, jumps.conjugate()) * weights
     a = np.abs(jumps)
     err = (np.sum((2.0 * np.outer(a, errs) + np.outer(errs, errs)) * weights)
-           + (K * K + 4) * _UNIT_ROUNDOFF * np.sum(np.abs(terms)))
+           + (K * K + 4) * 2.0**-53 * np.sum(np.abs(terms)))
     return float(terms.sum().real), float(err)
 
 
-def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityReport:
+def parseval_second_moment(s: complex) -> IdentityReport:
     """sum_n |a_n(s)|^2 against int_0^1 |zeta1(s,alpha)|^2 d(alpha), for
     sigma >= 1/2.
 
-    The sum runs over |n| <= n_max (default _parseval_n_max) and adds the
+    The sum runs over |n| <= n_max = _parseval_n_max(t) and adds the
     by-parts tail of _parts_tail past it; params carry the tail and its
     error bound tail_err.
     """
     s = complex(s)
     if s.real < 0.5:
         raise DomainError("requires sigma >= 1/2")
-    if n_max is None:
-        n_max = _parseval_n_max(s.imag)
+    n_max = _parseval_n_max(s.imag)
     lhs_res = afe._power_mean(s, 1, abs_tol=1e-11, rel_tol=1e-9)
     lhs = float(lhs_res.value.real)
     total = abs(fourier_coeff_a(0, s)) ** 2
@@ -510,12 +435,11 @@ def parseval_second_moment(s: complex, n_max: int | None = None) -> IdentityRepo
                                 lhs, total + tail)
 
 
-def parseval_fourth_moment(u: complex, eta: float = 1.0,
-                           n_max: int | None = None) -> IdentityReport:
+def parseval_fourth_moment(u: complex, eta: float = 1.0) -> IdentityReport:
     """int_0^1 |zeta1(u,alpha)|^4 d(alpha) against sum_n |q_n(u, conj u)|^2,
     for sigma >= 1/2 and t >= 0.
 
-    The sum runs over |n| <= n_max (default _parseval_n_max) and adds the
+    The sum runs over |n| <= n_max = _parseval_n_max(t) and adds the
     by-parts tail of _parts_tail for f = zeta1(u, .) zeta1(conj u, .) past
     it; params carry it as tail_bound and its error bound as tail_err.
     """
@@ -525,8 +449,7 @@ def parseval_fourth_moment(u: complex, eta: float = 1.0,
         raise DomainError("requires sigma >= 1/2")
     if t < 0.0:
         raise DomainError("requires t >= 0")
-    if n_max is None:
-        n_max = _parseval_n_max(t)
+    n_max = _parseval_n_max(t)
     lhs_res = afe._power_mean(u, 2, abs_tol=1e-10, rel_tol=1e-8)
     lhs = float(lhs_res.value.real)
     coeffs = _q_coeffs(u, u.conjugate(), range(-n_max, n_max + 1),

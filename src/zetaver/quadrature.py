@@ -1,4 +1,5 @@
-"""The one integration engine: adaptive Gauss-Kronrod on finite intervals.
+"""The one Gauss-Kronrod layer, GK15 panels for two engines: the adaptive
+integrate_finite and _fourier_coeffs, all Fourier coefficients at once.
 
 What brings an integral to a finite interval (the closed Taylor heads of
 unit-interval powers, the closed power tails of [1, inf) integrals and the
@@ -69,19 +70,29 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))
 # that build nodes x n matrices.
 _CHUNK = 32
 
-# Initial panels per local cycle of an integrand (fourier._fourier_coeffs
-# marches its one panel set at the same density), and the most initial
-# panels allowed.
+# Initial panels per local cycle of an integrand (also the density of the
+# one panel set of _fourier_coeffs), and the most initial panels allowed.
 _PER_CYCLE = 2.5
 _MAX_INITIAL_PANELS = 400_000
 
 # Most panels integrate_finite bisects beyond its initial ones.
 _MAX_BISECTIONS = 20_000
 
-# Integrand evaluations made in this process: _gk15_many and
-# fourier._fourier_coeffs add every node they hand to an integrand.  A
-# reader takes the difference of _evaluations() before and after the work
-# it measures, so readings nest; each pool worker counts its own.
+# Indices reached from one anchor by the phase recurrence of _fourier_coeffs:
+# an exact exponential starts each run, and every later index in it costs
+# one complex multiply whose rounding adds to the phase error.
+_PHASE_RUN = 32
+
+# K15 weights and the K15 - G7 difference weights on the 15 Kronrod nodes:
+# one (panels, 15) @ (15, 2) product gives every panel's value and error.
+_G7_ON_K15 = np.zeros_like(_WGK_FULL)
+_G7_ON_K15[1::2] = _WG_FULL
+_KD_WEIGHTS = np.column_stack((_WGK_FULL, _WGK_FULL - _G7_ON_K15))
+
+# Integrand evaluations made in this process: _panel_nodes adds every node
+# that _gk15_many or _fourier_coeffs hands to an integrand.  A reader takes
+# the difference of _evaluations() before and after the work it measures,
+# so readings nest; each pool worker counts its own.
 _evaluated = 0
 
 
@@ -107,6 +118,13 @@ class QuadResult:
             raise ValueError("err_estimate must be >= 0")
 
 
+def _panel_nodes(mids: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The (panels, 15) Kronrod nodes of mids +/- halves, counted on the meter."""
+    nodes = mids[:, None] + halves[:, None] * _NODES
+    _count(nodes.size)
+    return nodes
+
+
 def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     """GK15 values and error estimates of the panels [los[i], his[i]].
 
@@ -119,8 +137,7 @@ def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     errs = np.empty(los.size)
     for c in range(0, los.size, _CHUNK):
         half = halves[c:c + _CHUNK]
-        x = (mids[c:c + _CHUNK, None] + half[:, None] * _NODES).ravel()
-        _count(x.size)
+        x = _panel_nodes(mids[c:c + _CHUNK], half).ravel()
         fv = np.asarray(f(x)).reshape(-1, _NODES.size)
         if fv.dtype.kind == "f":
             kres = half * (fv @ _WGK_FULL)
@@ -138,15 +155,20 @@ def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     return vals, errs
 
 
+def _check_panel_cap(a: float, b: float, f_a: float, f_b: float, per_cycle: float = _PER_CYCLE):
+    """ConvergenceError if a march over [a, b] of a monotone frequency with
+    the end values f_a and f_b needs more than _MAX_INITIAL_PANELS panels,
+    as it needs at least per_cycle * (b - a) * min(f_a, f_b)."""
+    if per_cycle * (b - a) * min(f_a, f_b) > _MAX_INITIAL_PANELS:
+        raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
+
+
 def _march_panels(a: float, b: float, cycles_fn, per_cycle: float = _PER_CYCLE):
     """Break [a, b] so each panel spans at most 1/per_cycle of a local period;
     ConvergenceError on a frequency that is not finite and past
-    _MAX_INITIAL_PANELS panels.  For a monotone frequency the march needs at
-    least per_cycle * (b - a) * min(cycles(a), cycles(b)) panels, so a count
-    over the cap is rejected from the two end values before marching."""
-    f_x, f_b = cycles_fn(a), cycles_fn(b)
-    if per_cycle * (b - a) * min(f_x, f_b) > _MAX_INITIAL_PANELS:
-        raise ConvergenceError(f"panelling exceeded {_MAX_INITIAL_PANELS} panels")
+    _MAX_INITIAL_PANELS panels, by _check_panel_cap before marching."""
+    f_x = cycles_fn(a)
+    _check_panel_cap(a, b, f_x, cycles_fn(b), per_cycle)
     pts = [a]
     x = a
     while x < b:
@@ -235,3 +257,54 @@ def integrate_finite(
             f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={lo.size}"
         )
     return QuadResult(complex(total), float(total_err), 15 * (lo.size + bisections))
+
+
+def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
+    """int_a^b values(x) e^{-2 pi i n x} dx for every n in ns.
+
+    One panel set is marched by _march_panels (_PER_CYCLE = 2.5 panels per
+    local cycle) for max |n| plus cycles(x), the frequency content of
+    values, and values is evaluated once on it; every n is then a phase sum
+    over the same nodes, with the embedded G7/K15 difference as its error.
+    A largest error above tol raises ConvergenceError, so the caller's
+    cycles must make the panels fine enough.
+
+    The n are integers, so the phase needs only the fractional part of each
+    node (exact in floating point).  An anchor index gets its phase
+    e^{-2 pi i n frac} from one exponential; each following index, while
+    ns rises by 1 and for at most _PHASE_RUN indices per anchor, gets it by
+    one multiplication with e^{-2 pi i frac}.  Each err adds to the G7/K15
+    difference a bound on the phase rounding, (19 |n| + 36 m + 6) unit
+    roundoffs times sum |w f| over the nodes, m < _PHASE_RUN being the
+    steps from the anchor n0 (|n0| <= |n| + m): three roundings in each
+    exponential's argument, at most 2 pi |n0| at the anchor and 2 pi per
+    step, plus the exponentials and the complex multiplies.  Returns
+    (coeffs, errs) aligned to ns; _panel_nodes counts the nodes.
+    """
+    ns = np.asarray(ns, dtype=float)
+    n_big = float(np.max(np.abs(ns)))
+    pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x)))
+    halves = 0.5 * (pts[1:] - pts[:-1])
+    nodes = _panel_nodes(0.5 * (pts[1:] + pts[:-1]), halves)
+    fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
+    frac = nodes - np.floor(nodes)
+    step = np.exp(-2j * math.pi * frac)
+    size = float(np.sum(np.abs(fv) @ _WGK_FULL))
+    coeffs = np.empty(ns.size, dtype=complex)
+    errs = np.empty(ns.size)
+    m = 0
+    for i, n in enumerate(ns):
+        if i == 0 or m == _PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
+            cur = fv * np.exp(-2j * math.pi * n * frac)
+            m = 0
+        else:
+            cur *= step
+            m += 1
+        kd = cur @ _KD_WEIGHTS
+        coeffs[i] = kd[:, 0].sum()
+        rounding = (19.0 * abs(n) + 36.0 * m + 6.0) * 2.0**-53 * size
+        errs[i] = np.abs(kd[:, 1]).sum() + rounding
+    if not errs.max() <= tol:
+        raise ConvergenceError(f"Fourier coefficients stalled: err={errs.max():.3e} > "
+                               f"tol={tol:.3e} on {halves.size} panels")
+    return coeffs, errs

@@ -442,7 +442,7 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
     1/16 per correction pair.  An element with Re s < 0 at shift exactly 1,
     whose base terms would grow and cancel, takes zeta(s) = chi(s) zeta(1 -
     s) (DLMF 25.4.1), bounded by |chi(s)| times the bound of zeta(1 - s)
-    plus 5e-14 |value| for chi; it is exactly 0 at s = -2n, as chi is.
+    plus chi's _log_space_rounding; it is exactly 0 at s = -2n, as chi is.
     """
     shape = np.broadcast(s_arr, a_arr).shape
     if s_arr.real.min() < 0.0:
@@ -456,7 +456,8 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
             factor = np.array([chi(z) for z in s_all[left]])
             reflected, reflected_err = _em_sum(1.0 - s_all[left], np.asarray(1.0))
             value[left] = factor * reflected
-            err[left] = np.abs(factor) * reflected_err + 5e-14 * np.abs(value[left])
+            err[left] = (np.abs(factor) * reflected_err
+                         + _log_space_rounding(s_all[left]) * np.abs(value[left]))
             return value, err
     # An argument with one value stays a scalar; arrays are flattened
     # against each other.
@@ -526,6 +527,12 @@ def hurwitz_zeta(s, alpha):
 # ---------------------------------------------------------------------------
 # chi(s): the functional-equation factor zeta(s) = chi(s) zeta(1-s).
 # ---------------------------------------------------------------------------
+
+
+def _log_space_rounding(s):
+    """Relative error bound of chi or gamma at s, each exp of a log-space sum
+    whose rounding grows like |s| log |s|: 8 u (|s| + 1) log(|s| + 3), u = 2^-53."""
+    return 8.0 * 2.0**-53 * (np.abs(s) + 1.0) * np.log(np.abs(s) + 3.0)
 
 
 def log_chi(s) -> complex:
@@ -648,14 +655,14 @@ def beta_integral(u, v) -> complex:
     return complex(np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u)))
 
 
-def _norm_upper_gamma_cf(a: complex, x: complex, exp_neg_x: complex, max_iter: int = 4000) -> complex:
+def _norm_upper_gamma_cf(a: complex, x: complex, exp_neg_x: complex) -> complex:
     """x^{-a} Gamma(a, x) by continued fraction; reliable for |x| >~ |a|."""
     tiny = 1e-290
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / (b if b != 0 else tiny)
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, 4000):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -672,11 +679,11 @@ def _norm_upper_gamma_cf(a: complex, x: complex, exp_neg_x: complex, max_iter: i
     raise ConvergenceError("incomplete-gamma continued fraction stalled")
 
 
-def _lower_series_sum(a: complex, x: complex, max_iter: int = 4000) -> complex:
+def _lower_series_sum(a: complex, x: complex) -> complex:
     """sum_k x^k / (a (a+1) ... (a+k)), so gamma(a,x) = x^a e^{-x} * sum."""
     term = 1.0 / a
     total = term
-    for k in range(1, max_iter):
+    for k in range(1, 4000):
         term *= x / (a + k)
         total += term
         if abs(term) < 1e-17 * abs(total):

@@ -207,8 +207,7 @@ def _scaled_values(rows: list[dict], key: str = "scaled") -> list[float]:
     return [float(r["params"][key]) for r in rows if key in r["params"]]
 
 
-def _judge_bounded(rows: list[dict], key: str, slope_max: float = 0.1,
-                   spread_max: float = 5.0) -> bool:
+def _judge_bounded(rows: list[dict], key: str, spread_max: float = 5.0) -> bool:
     by_sigma: dict = {}
     for r in rows:
         by_sigma.setdefault(r["params"].get("sigma", 0.0), []).append(r)
@@ -217,7 +216,7 @@ def _judge_bounded(rows: list[dict], key: str, slope_max: float = 0.1,
         vals = _scaled_values(group, key)
         if len(vals) != len(group) or any(math.isnan(v) for v in vals):
             return False
-        if len(set(ts)) > 2 and afe.loglog_slope(ts, vals) > slope_max:
+        if len(set(ts)) > 2 and afe.loglog_slope(ts, vals) > 0.1:
             return False
         med = statistics.median(vals)
         if med > 0 and max(vals) > spread_max * med:

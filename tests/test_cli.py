@@ -46,8 +46,9 @@ def _printed(out: str):
     return value, float(err.rstrip(")\n")), 5e-12 * (abs(value.real) + abs(value.imag))
 
 
-@pytest.mark.parametrize("s, fn", [("-10.5", "zeta"), ("-3.5+2i", "zeta"), ("-10.5", "zeta1")],
-                         ids=["-10.5", "-3.5+2i", "zeta1--10.5-alpha0"])
+@pytest.mark.parametrize("s, fn", [("-10.5", "zeta"), ("-3.5+2i", "zeta"), ("-10.5", "zeta1"),
+                                   ("-0.5+1000i", "zeta"), ("-2.5+500i", "zeta")],
+                         ids=["-10.5", "-3.5+2i", "zeta1--10.5-alpha0", "-0.5+1000i", "-2.5+500i"])
 def test_eval_zeta_left_half_plane_within_its_error(capsys, s, fn):
     # Re s < 0 prints chi(s) zeta(1 - s), as riemann_zeta takes it, also
     # for zeta1 at alpha = 0; the direct sum was off by 6.5e-4 relative at
@@ -64,6 +65,21 @@ def test_eval_zeta_left_half_plane_within_its_error(capsys, s, fn):
         ref = complex(mp.zeta(mp.mpc(point.real, point.imag)))
     assert abs(value - ref) <= err + rounding
     assert abs(special.riemann_zeta(point) - ref) <= err
+
+
+@pytest.mark.parametrize("fn, s", [("chi", "0.5+400i"), ("chi", "9.5+400i"), ("chi", "0.5+3000i"),
+                                   ("gamma", "0.5+400i"), ("gamma", "9.5+400i"),
+                                   ("gamma", "14+400i")])
+def test_eval_chi_and_gamma_within_their_error_at_large_t(capsys, fn, s):
+    # both are exp of a log-space sum, whose rounding grows with |s|:
+    # Gamma(14 + 400i) is off by 5.9e-13 relative.  Gamma underflows past
+    # t = 400
+    from zetaver import oracle, special
+
+    point = complex(s.replace("i", "j"))
+    assert main(["eval", fn, f"--s={s}"]) == 0
+    _value, err, _rounding = _printed(capsys.readouterr().out)
+    assert abs(complex(getattr(special, fn)(point)) - getattr(oracle, fn)(point)) <= err
 
 
 def test_eval_real_axis_prints_no_imaginary_part(capsys):

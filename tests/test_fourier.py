@@ -13,15 +13,9 @@ from zetaver import afe
 from zetaver import fourier as fr
 from zetaver import special
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError
-from zetaver.quadrature import (
-    _NODES,
-    _WGK_FULL,
-    _march_panels,
-    integrate_finite,
-)
+from zetaver.quadrature import integrate_finite
 from zetaver.special import fourier_coeff_a, hurwitz_zeta1
 from zetaver.suites import SUITES
-from zetaver.zeta1_cache import Zeta1AlphaTable
 
 _2PI = 2.0 * math.pi
 
@@ -179,103 +173,6 @@ def test_q_set_hermitian_exact_and_consistent():
     # the product integral on [0, 1] is an independent route to a negative index
     direct = _direct_fourier_q(-2, u, u.conjugate())
     assert abs(direct - qs[-2]) <= 1e-9 * max(abs(direct), 1e-6)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-coefficient engine
-# ---------------------------------------------------------------------------
-
-
-def _theorem2_integrand(t):
-    s = complex(0.5, t)
-    b = t / _2PI + 1.0
-    table = Zeta1AlphaTable(s, 1.0, b + 1e-9)
-
-    def smooth(x):
-        return table(x) * np.power(x, -0.5)
-
-    return smooth, b
-
-
-def test_fourier_engine_matches_per_n_quadrature(spent):
-    t = 50.0
-    smooth, b = _theorem2_integrand(t)
-    cycles = fr._zeta1_pair_cycles(t, t)
-    ns = [-15, 0, 7, 15]
-    (coeffs, errs), evals = spent(fr._fourier_coeffs,
-                                  lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns,
-                                  1.0, b, 5e-7)
-    assert evals > 0
-    for n, c, e in zip(ns, coeffs, errs):
-        def f(x, n=n):
-            return smooth(x) * np.exp(1j * (t * np.log(x) - _2PI * n * x))
-
-        # panels of at most half a local period of the phase and of smooth
-        pts = _march_panels(1.0, b, lambda x, n=n: abs(t / (_2PI * x) - n) + cycles(x))
-        ref = integrate_finite(f, 1.0, b, initial_points=pts, abs_tol=1e-13, rel_tol=1e-11)
-        assert abs(c - ref.value) <= 1e-11
-        assert abs(c - ref.value) <= e + ref.err_estimate
-
-
-def test_fourier_engine_recurrence_matches_direct_phase_sum():
-    # contiguous n = -127..127 runs through the phase recurrence between
-    # anchors; the direct sum takes one exponential per n on the same nodes
-    t = 200.0
-    smooth, b = _theorem2_integrand(t)
-    cycles = fr._zeta1_pair_cycles(t, t)
-    seen = []
-
-    def values(x):
-        fx = smooth(x) * np.exp(1j * t * np.log(x))
-        seen.append((x, fx))
-        return fx
-
-    ns = np.arange(-127, 128)
-    coeffs, errs = fr._fourier_coeffs(values, cycles, ns, 1.0, b, 5e-7)
-    per_cycle = 2.5 * 1.7 ** (len(seen) - 1)
-    pts = np.array(_march_panels(1.0, b, lambda x: 127.0 + cycles(x), per_cycle=per_cycle))
-    halves = 0.5 * (pts[1:] - pts[:-1])
-    nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
-    x, fx = seen[-1]
-    assert np.array_equal(nodes.ravel(), x)
-    wf = fx.reshape(nodes.shape) * _WGK_FULL * halves[:, None]
-    size = float(np.abs(wf).sum())
-    frac = nodes - np.floor(nodes)
-    for n, c, e in zip(ns, coeffs, errs):
-        direct = complex(np.sum(wf * np.exp(-_2PI * 1j * n * frac)))
-        assert abs(c - direct) <= 1e-13 * size
-        assert abs(c - direct) <= e
-
-
-def test_fourier_engine_unreachable_tolerance_raises():
-    smooth, b = _theorem2_integrand(50.0)
-    with pytest.raises(ConvergenceError):
-        fr._fourier_coeffs(smooth, fr._zeta1_pair_cycles(50.0, 50.0), [0, 3], 1.0, b, 0.0)
-
-
-@pytest.mark.parametrize("tol", [5e-7, 0.0])
-def test_fourier_engine_calls_values_once(tol, spent):
-    # one march of max |n| plus cycles and one values call on its nodes,
-    # whether tol is met or missed (then ConvergenceError, no second march)
-    smooth, b = _theorem2_integrand(50.0)
-    cycles = fr._zeta1_pair_cycles(50.0, 50.0)
-    pts = np.array(_march_panels(1.0, b, lambda x: 3.0 + cycles(x)))
-    halves = 0.5 * (pts[1:] - pts[:-1])
-    nodes = 0.5 * (pts[1:] + pts[:-1])[:, None] + halves[:, None] * _NODES[None, :]
-    seen = []
-
-    def values(x):
-        seen.append(x)
-        return smooth(x)
-
-    if tol:
-        (_coeffs, errs), evals = spent(fr._fourier_coeffs, values, cycles, [0, 3], 1.0, b, tol)
-        assert errs.max() <= tol and evals == nodes.size
-    else:
-        with pytest.raises(ConvergenceError):
-            fr._fourier_coeffs(values, cycles, [0, 3], 1.0, b, tol)
-    assert len(seen) == 1
-    assert np.array_equal(seen[0], nodes.ravel())
 
 
 def test_theorem2_evaluates_once_for_all_n(spent):
@@ -526,7 +423,7 @@ def test_parseval_second_moment_above_half():
 
 
 def test_parseval_fourth_moment_real_case():
-    rep = fr.parseval_fourth_moment(complex(2.0, 0.0), n_max=60)
+    rep = fr.parseval_fourth_moment(complex(2.0, 0.0))
     assert rep.rel_residual <= 1e-6
 
 
@@ -539,7 +436,7 @@ def test_parseval_fourth_moment_by_parts_tail():
     rep = fr.parseval_fourth_moment(complex(0.5, 50.0))
     assert rep.params["n_max"] == 82
     assert rep.rel_residual <= 1e-11 and rep.params["tail_err"] <= 1e-12
-    assert fr.parseval_fourth_moment(complex(2.0, 0.0), n_max=60).rel_residual <= 1e-13
+    assert fr.parseval_fourth_moment(complex(2.0, 0.0)).rel_residual <= 1e-13
 
 
 @pytest.mark.parametrize("t", [100.0, 400.0])

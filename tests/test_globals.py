@@ -50,3 +50,25 @@ def test_every_export_and_package_import_resolves():
             missing += [f"{node.module}.{alias.name}" for alias in node.names
                         if not (hasattr(module, alias.name) and hasattr(zetaver, alias.name))]
     assert not missing, missing
+
+
+# The GK15 rule, its panel density and its budgets: only quadrature knows them.
+_GK15_PRIVATE = {"_XGK", "_WGK", "_WG", "_NODES", "_WGK_FULL", "_WG_FULL", "_PER_CYCLE",
+                 "_MAX_INITIAL_PANELS", "_MAX_BISECTIONS", "_CHUNK"}
+
+
+def test_only_quadrature_knows_the_gk15_rule():
+    leaks = []
+    for info in pkgutil.iter_modules(zetaver.__path__):
+        if info.name == "quadrature":
+            continue
+        module = importlib.import_module(f"zetaver.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "quadrature":
+                leaks += [f"{info.name}: {a.name}" for a in node.names if a.name in _GK15_PRIVATE]
+            elif (isinstance(node, ast.Attribute) and node.attr in _GK15_PRIVATE
+                  and isinstance(node.value, ast.Name) and node.value.id == "quadrature"):
+                leaks.append(f"{info.name}: quadrature.{node.attr}")
+    assert not leaks, leaks

@@ -9,11 +9,14 @@ import pytest
 from zetaver import afe, quadrature
 from zetaver import identities as idn
 from zetaver.errors import ConvergenceError, DomainError, PoleTooCloseError
-from zetaver.fourier import _fourier_coeffs
-from zetaver.quadrature import integrate_finite
+from zetaver.fourier import _zeta1_pair_cycles
+from zetaver.quadrature import _fourier_coeffs, _march_panels, _panel_nodes, integrate_finite
 from zetaver.special import hurwitz_zeta1, lgamma
+from zetaver.zeta1_cache import Zeta1AlphaTable
 
 mp.mp.dps = 25
+
+_2PI = 2.0 * math.pi
 
 
 def test_finite_polynomial():
@@ -114,6 +117,101 @@ def test_oscillatory_matches_finite_low_frequency():
 
     fin = integrate_finite(g, 0.0, 2.0)
     assert abs(val - fin.value) <= err + fin.err_estimate + 1e-13
+
+
+# The engine on theorem2's integrand, with zeta1 from the alpha-table: its
+# value at a node does not depend on the batch the node comes in, as the
+# kernel's does, so the engine and integrate_finite see the same function.
+
+
+def _theorem2_integrand(t):
+    s = complex(0.5, t)
+    b = t / _2PI + 1.0
+    table = Zeta1AlphaTable(s, 1.0, b + 1e-9)
+
+    def smooth(x):
+        return table(x) * np.power(x, -0.5)
+
+    return smooth, b
+
+
+def test_fourier_engine_matches_per_n_quadrature(spent):
+    t = 50.0
+    smooth, b = _theorem2_integrand(t)
+    cycles = _zeta1_pair_cycles(t, t)
+    ns = [-15, 0, 7, 15]
+    (coeffs, errs), evals = spent(_fourier_coeffs,
+                                  lambda x: smooth(x) * np.exp(1j * t * np.log(x)), cycles, ns,
+                                  1.0, b, 5e-7)
+    assert evals > 0
+    for n, c, e in zip(ns, coeffs, errs):
+        def f(x, n=n):
+            return smooth(x) * np.exp(1j * (t * np.log(x) - _2PI * n * x))
+
+        # panels of at most half a local period of the phase and of smooth
+        pts = _march_panels(1.0, b, lambda x, n=n: abs(t / (_2PI * x) - n) + cycles(x))
+        ref = integrate_finite(f, 1.0, b, initial_points=pts, abs_tol=1e-13, rel_tol=1e-11)
+        assert abs(c - ref.value) <= 1e-11
+        assert abs(c - ref.value) <= e + ref.err_estimate
+
+
+def test_fourier_engine_recurrence_matches_direct_phase_sum():
+    # contiguous n = -127..127 runs through the phase recurrence between
+    # anchors; the direct sum takes one exponential per n on the same nodes
+    t = 200.0
+    smooth, b = _theorem2_integrand(t)
+    cycles = _zeta1_pair_cycles(t, t)
+    seen = []
+
+    def values(x):
+        fx = smooth(x) * np.exp(1j * t * np.log(x))
+        seen.append((x, fx))
+        return fx
+
+    ns = np.arange(-127, 128)
+    coeffs, errs = _fourier_coeffs(values, cycles, ns, 1.0, b, 5e-7)
+    pts = np.array(_march_panels(1.0, b, lambda x: 127.0 + cycles(x)))
+    halves = 0.5 * (pts[1:] - pts[:-1])
+    nodes = _panel_nodes(0.5 * (pts[1:] + pts[:-1]), halves)
+    x, fx = seen[-1]
+    assert np.array_equal(nodes.ravel(), x)
+    wf = fx.reshape(nodes.shape) * quadrature._WGK_FULL * halves[:, None]
+    size = float(np.abs(wf).sum())
+    frac = nodes - np.floor(nodes)
+    for n, c, e in zip(ns, coeffs, errs):
+        direct = complex(np.sum(wf * np.exp(-_2PI * 1j * n * frac)))
+        assert abs(c - direct) <= 1e-13 * size
+        assert abs(c - direct) <= e
+
+
+def test_fourier_engine_unreachable_tolerance_raises():
+    smooth, b = _theorem2_integrand(50.0)
+    with pytest.raises(ConvergenceError):
+        _fourier_coeffs(smooth, _zeta1_pair_cycles(50.0, 50.0), [0, 3], 1.0, b, 0.0)
+
+
+@pytest.mark.parametrize("tol", [5e-7, 0.0])
+def test_fourier_engine_calls_values_once(tol, spent):
+    # one march of max |n| plus cycles and one values call on its nodes,
+    # whether tol is met or missed (then ConvergenceError, no second march)
+    smooth, b = _theorem2_integrand(50.0)
+    cycles = _zeta1_pair_cycles(50.0, 50.0)
+    pts = np.array(_march_panels(1.0, b, lambda x: 3.0 + cycles(x)))
+    nodes = _panel_nodes(0.5 * (pts[1:] + pts[:-1]), 0.5 * (pts[1:] - pts[:-1]))
+    seen = []
+
+    def values(x):
+        seen.append(x)
+        return smooth(x)
+
+    if tol:
+        (_coeffs, errs), evals = spent(_fourier_coeffs, values, cycles, [0, 3], 1.0, b, tol)
+        assert errs.max() <= tol and evals == nodes.size
+    else:
+        with pytest.raises(ConvergenceError):
+            _fourier_coeffs(values, cycles, [0, 3], 1.0, b, tol)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], nodes.ravel())
 
 
 def _mb_integrand(shift: float):
