@@ -25,6 +25,7 @@ from .special import (
     _product_powers,
     _shift_weights,
     _tail_abscissa,
+    _zeta1_powers,
     fourier_coeff_a,
     hurwitz_zeta1,
     osc_power_tail,
@@ -126,12 +127,12 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     cut = -(u + v).real - 0.5
 
     def expand(A: float):
-        powers, rem = _product_powers(v, (u,), A)
+        powers, rem = _product_powers(v, [_zeta1_powers(u, A)], A)
         if not direct:
             powers = {q: c for q, c in powers.items() if q.real < cut}
-        return powers, rem
+        return [(powers, rem)]
 
-    powers, A, rem = _certified_powers(expand, A, abs_tol)
+    [(powers, rem)], A = _certified_powers(expand, A, abs_tol)
     start = _evaluations()
     heads, errs = _zeta1_head(u, v, ns, A, abs_tol / 2.0, continued=not direct)
     evals = _evaluations() - start

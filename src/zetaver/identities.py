@@ -30,6 +30,7 @@ from .special import (
     _shift_weights,
     _tail_abscissa,
     _zeta1_cycles,
+    _zeta1_powers,
     hurwitz_zeta1,
     lgamma,
     riemann_zeta,
@@ -126,7 +127,7 @@ def f_series(u: complex, v: complex, alpha: float) -> complex:
     head = complex(np.sum(np.power(x, -v) * hurwitz_zeta1(u, x)))
 
     a0 = M + 1 + alpha
-    powers, rem = _product_powers(v, (u,), a0 - 1.0)
+    powers, rem = _product_powers(v, [_zeta1_powers(u, a0 - 1.0)], a0 - 1.0)
     if rem > 1e-13:
         raise ConvergenceError(f"f_series outer tail bound {rem:.3e} exceeds 1e-13")
     q = np.array(list(powers))
@@ -290,40 +291,79 @@ def verify_square_identity(
 # ---------------------------------------------------------------------------
 
 
-def _weighted_product(weight: complex, us):
-    """alpha -> alpha^{-weight} prod zeta1(u_i, alpha), and its cycles per
-    unit of alpha: the factors' cycles plus |Im weight| / 2 pi."""
-    zs = [_zeta1_cycles(u.imag) for u in us]
+def _weighted_products(pairs, a: float, b: float):
+    """alpha -> the (len(pairs), nodes) values alpha^{-w} prod zeta1(u_i, alpha)
+    of each (w, us) in pairs, every distinct zeta1(u, .) evaluated once per
+    node set; and their cycles per unit of alpha on [a, b], the most of any
+    pair's: its factors' cycles plus |Im w| / 2 pi.
 
-    def f(a: np.ndarray) -> np.ndarray:
-        acc = np.power(a, -weight)
-        for u in us:
-            acc = acc * hurwitz_zeta1(u, a)
-        return acc
+    Each pair's cycles are c / (1 + alpha) + k, so two pairs' differ by a
+    monotone function: a pair at or below another at both a and b is so
+    throughout, and only the pairs above every other at an end are
+    evaluated while marching.
+    """
+    factors = list(dict.fromkeys(u for _, us in pairs for u in us))
+    zs = {u: _zeta1_cycles(u.imag) for u in factors}
 
-    return f, lambda a: sum(z(a) for z in zs) + abs(weight.imag) / _2PI
+    def pair_cycles(w, us):
+        fs, c = [zs[u] for u in us], abs(w.imag) / _2PI
+        return lambda x: sum(z(x) for z in fs) + c
+
+    fns = [pair_cycles(w, us) for w, us in pairs]
+    ends = [(g(a), g(b)) for g in fns]
+    top = [g for i, (g, e) in enumerate(zip(fns, ends))
+           if not any(o[0] >= e[0] and o[1] >= e[1] and (o != e or j < i)
+                      for j, o in enumerate(ends) if j != i)]
+
+    def f(x: np.ndarray) -> np.ndarray:
+        z = {u: hurwitz_zeta1(u, x) for u in factors}
+        out = np.empty((len(pairs), x.size), dtype=complex)
+        for row, (w, us) in zip(out, pairs):
+            acc = np.power(x, -w)
+            for u in us:
+                acc = acc * z[u]
+            row[:] = acc
+        return out
+
+    return f, top[0] if len(top) == 1 else lambda x: max([g(x) for g in top])
 
 
 def _unit_moment_lhs(us):
-    f, cycles = _weighted_product(0j, us)
-    return integrate_finite(f, 0.0, 1.0, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
+    f, cycles = _weighted_products([(0j, us)], 0.0, 1.0)
+    res, = integrate_finite(f, 0.0, 1.0, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
+    return res
 
 
-def _weighted_tail(weight: complex, us) -> QuadResult:
-    """int_1^inf alpha^{-weight} prod zeta1(u_i, alpha) d(alpha), 0 to 3
-    factors: an integrate_finite head on [1, A] plus the closed power tail
-    from A, whose certified remainder (at most 1e-13) and the rounding of
-    its closed sum are added to err_estimate.  DivergenceError
-    for decay alpha^-1 or slower."""
-    weight = complex(weight)
-    us = tuple(complex(u) for u in us)
-    big_u = max((abs(u) for u in us), default=0.0)
-    powers, A, rem = _certified_powers(lambda A: _product_powers(weight, us, A),
-                                       _tail_abscissa(big_u, max(big_u, abs(weight))), 1e-13)
-    tail, rounding = _closed_power_tail(powers, 0, A)
-    f, cycles = _weighted_product(weight, us)
-    head = integrate_finite(f, 1.0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
-    return QuadResult(head.value + tail, head.err_estimate + rem + rounding, head.evaluations)
+def _weighted_tails(pairs) -> list[QuadResult]:
+    """int_1^inf alpha^{-w} prod zeta1(u_i, alpha) d(alpha) for each (w, us)
+    in pairs, 0 to 3 factors each, on one march: the closed power tail of
+    every pair from one abscissa A plus one vector integrate_finite head on
+    [1, A] that evaluates each distinct zeta1 factor once per node.
+
+    A starts at the largest _tail_abscissa of the pairs and moves out by
+    _certified_powers until every pair's remainder is at most 1e-13, each
+    distinct factor's _zeta1_powers taken once per A.  A pair's
+    err_estimate is its head's error plus its certified remainder and the
+    rounding of its closed sum; evaluations are the whole call's.
+    DivergenceError for decay alpha^-1 or slower.
+    """
+    pairs = [(complex(w), tuple(complex(u) for u in us)) for w, us in pairs]
+    factors = list(dict.fromkeys(u for _, us in pairs for u in us))
+
+    def start(w, us):
+        big_u = max((abs(u) for u in us), default=0.0)
+        return _tail_abscissa(big_u, max(big_u, abs(w)))
+
+    def expand(A):
+        powers = {u: _zeta1_powers(u, A) for u in factors}
+        return [_product_powers(w, [powers[u] for u in us], A) for w, us in pairs]
+
+    expansions, A = _certified_powers(expand, max(start(w, us) for w, us in pairs), 1e-13)
+    tails = [_closed_power_tail(powers, 0, A) for powers, _ in expansions]
+    f, cycles = _weighted_products(pairs, 1.0, A)
+    heads = integrate_finite(f, 1.0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
+    return [QuadResult(head.value + tail, head.err_estimate + rem + rounding, head.evaluations)
+            for head, (_, rem), (tail, rounding) in zip(heads, expansions, tails)]
 
 
 # Name of a tail term by the number of zeta1 factors it keeps.
@@ -343,13 +383,13 @@ def moment_rhs_terms(us) -> list[tuple[str, complex]]:
         raise DomainError("need 2 to 4 exponents")
     if any(u.real <= 1.0 for u in us):
         raise DomainError("direct verification needs Re u > 1 for every exponent")
-    terms = [("rational", 1.0 / (sum(us) - 1.0))]
-    for size in range(len(us) - 1, 0, -1):
-        for subset in itertools.combinations(range(len(us)), size):
-            kept = [j for j in range(len(us)) if j not in subset]
-            r = _weighted_tail(sum(us[j] for j in subset), tuple(us[j] for j in kept))
-            terms.append((f"{_KEPT[len(kept)]}_{''.join(map(str, kept))}", r.value))
-    return terms
+    kept = [[j for j in range(len(us)) if j not in subset]
+            for size in range(len(us) - 1, 0, -1)
+            for subset in itertools.combinations(range(len(us)), size)]
+    tails = _weighted_tails([(sum(us[j] for j in range(len(us)) if j not in k),
+                              tuple(us[j] for j in k)) for k in kept])
+    return [("rational", 1.0 / (sum(us) - 1.0))] + [
+        (f"{_KEPT[len(k)]}_{''.join(map(str, k))}", r.value) for k, r in zip(kept, tails)]
 
 
 def _verify_moment(identity_id: str, us, arity: int, layout) -> IdentityReport:
@@ -479,7 +519,7 @@ def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
     v = complex(v)
     closed = mellin_tail_closed_form(u, v)
     unit = _unit_power(u, -v)
-    tail = _weighted_tail(v, (u,))
+    tail, = _weighted_tails([(v, (u,))])
     return IdentityReport.build("mellin_tail", {"u": u, "v": v}, closed, unit.value + tail.value)
 
 
@@ -555,7 +595,7 @@ def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
     v = complex(v)
     if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
         raise DomainError("split check needs Re u, Re v in (1, 2)")
-    direct = _weighted_tail(v, (u,))
+    direct, = _weighted_tails([(v, (u,))])
     return IdentityReport.build("katsurada_split", {"u": u, "v": v}, direct.value,
                                 _mellin_closed(u, v) - _recursion_rhs(u, v))
 

@@ -5,7 +5,8 @@ What brings an integral to a finite interval (the closed Taylor heads of
 unit-interval powers, the closed power tails of [1, inf) integrals and the
 truncated vertical-line contours) lives with its caller.  Integrands may
 be real or complex-valued; they are called with a numpy array of nodes and
-must return an array of values of the same shape.  integrate_finite
+return one value per node, or an (m, nodes) array of m integrands that
+share the nodes, the panels and the meter.  integrate_finite
 evaluates every panel, initial or bisected, in batches of up to _CHUNK
 panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call and
 must keep its memory per node bounded.  A non-finite panel value or error
@@ -78,6 +79,13 @@ _MAX_INITIAL_PANELS = 400_000
 # Most panels integrate_finite bisects beyond its initial ones.
 _MAX_BISECTIONS = 20_000
 
+# Least error of a panel, as a share of its K15 sum of |f|.  The K15
+# weights above carry 15 decimals and are off by up to 9.9e-15 of
+# themselves (against the 33 digits of QUADPACK's dqk15), a bias of up to
+# that share on every panel; the rest covers the rounding of the panel's
+# 15-term sums.
+_ERR_FLOOR = 2e-14
+
 # Indices reached from one anchor by the phase recurrence of _fourier_coeffs:
 # an exact exponential starts each run, and every later index in it costs
 # one complex multiply whose rounding adds to the phase error.
@@ -128,31 +136,36 @@ def _panel_nodes(mids: np.ndarray, halves: np.ndarray) -> np.ndarray:
 def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     """GK15 values and error estimates of the panels [los[i], his[i]].
 
-    The nodes of up to _CHUNK panels go to f in one call.  Real floating
-    point values take real panel sums; any other values are taken as complex.
+    The nodes of up to _CHUNK panels go to f in one call.  f returns one
+    value per node, or an (m, nodes) array, m components per node; values
+    and errors come back in f's leading shape with one entry per panel on
+    the last axis.  Real floating point values take real panel sums; any
+    other values are taken as complex.
     """
     halves = 0.5 * (his - los)
     mids = 0.5 * (los + his)
-    vals = np.empty(los.size, dtype=complex)
-    errs = np.empty(los.size)
+    sums = []
     for c in range(0, los.size, _CHUNK):
-        half = halves[c:c + _CHUNK]
-        x = _panel_nodes(mids[c:c + _CHUNK], half).ravel()
-        fv = np.asarray(f(x)).reshape(-1, _NODES.size)
+        x = _panel_nodes(mids[c:c + _CHUNK], halves[c:c + _CHUNK]).ravel()
+        fv = np.asarray(f(x))
+        lead = fv.shape[:-1]
+        # one row of 15 nodes per component and panel, one matmul for all
+        fv = fv.reshape(-1, _NODES.size)
         if fv.dtype.kind == "f":
-            kres = half * (fv @ _WGK_FULL)
-            gres = half * (fv[:, 1::2] @ _WG_FULL)
+            k15, g7 = fv @ _WGK_FULL, fv[:, 1::2] @ _WG_FULL
         else:
             fv = np.asarray(fv, dtype=complex)
-            kres = half * (np.real(fv) @ _WGK_FULL + 1j * (np.imag(fv) @ _WGK_FULL))
             gv = fv[:, 1::2]
-            gres = half * (np.real(gv) @ _WG_FULL + 1j * (np.imag(gv) @ _WG_FULL))
-        resabs = half * (np.abs(fv) @ _WGK_FULL)
-        vals[c:c + _CHUNK] = kres
-        errs[c:c + _CHUNK] = np.maximum(np.abs(kres - gres), 5e-16 * resabs)
+            k15 = np.real(fv) @ _WGK_FULL + 1j * (np.imag(fv) @ _WGK_FULL)
+            g7 = np.real(gv) @ _WG_FULL + 1j * (np.imag(gv) @ _WG_FULL)
+        sums.append(np.array((k15, g7, np.abs(fv) @ _WGK_FULL)).reshape(3, -1, x.size // _NODES.size))
+    # the K15, G7 and K15-of-|f| sums of every component and panel, scaled
+    k15, g7, size = halves * (sums[0] if len(sums) == 1 else np.concatenate(sums, axis=2))
+    vals = k15.astype(complex, copy=False)
+    errs = np.maximum(np.abs(k15 - g7), _ERR_FLOOR * size.real)
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))):
         raise ConvergenceError("integrand is not finite on a panel")
-    return vals, errs
+    return vals.reshape(lead + (los.size,)), errs.reshape(lead + (los.size,))
 
 
 def _check_panel_cap(a: float, b: float, f_a: float, f_b: float, per_cycle: float = _PER_CYCLE):
@@ -196,8 +209,14 @@ def integrate_finite(
     initial_points=None,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
-) -> QuadResult:
+):
     """Adaptive Gauss-Kronrod integration of f over [a, b].
+
+    f returns one value per node, and integrate_finite one QuadResult; or
+    f returns (m, nodes) values, m integrands on the same nodes, and
+    integrate_finite a list of m QuadResults, each with its own value,
+    error and tolerance.  The panels are shared, so every result's
+    evaluations are the nodes of the whole call, counted once.
 
     cycles, the integrand's cycles per unit of x, sets the initial panels:
     a number gives ceil(_PER_CYCLE * cycles * (b - a)) equal ones, a
@@ -207,12 +226,14 @@ def integrate_finite(
     constants and t / (2 pi (x + d)) terms), so its end values bound the
     panel count and an over-cap frequency raises before the march.
     initial_points adds the non-smooth points of f as edges.  Refinement
-    goes by generations: while the error sum, taken in panel order,
-    exceeds max(abs_tol, rel_tol * |value|), the fewest worst panels whose
-    errors hold the excess are bisected together, at most
-    _MAX_BISECTIONS panels in all, and every panel goes through the
+    goes by generations: while a component's error sum, taken in panel
+    order, exceeds max(abs_tol, rel_tol * |value|), its fewest worst panels
+    whose errors hold the excess are picked, and the union of every
+    failing component's picks, in first-seen order, is bisected together,
+    at most _MAX_BISECTIONS panels in all; every panel goes through the
     batched _gk15_many.  Raises ConvergenceError if a panel value or
-    error is not finite, or if the error stalls above its tolerance.
+    error is not finite, or if a component's error stalls above its
+    tolerance.
     """
     if not a < b:
         raise DomainError("requires a < b")
@@ -230,33 +251,52 @@ def integrate_finite(
         edges = edges[np.append(True, edges[1:] != edges[:-1])]
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_many(f, lo, hi)
+    scalar = vals.ndim == 1
+    # (components, panels) from here on
+    vals, errs = vals.reshape(-1, lo.size), errs.reshape(-1, lo.size)
     bisections = 0
     while True:
-        total = sum(vals.tolist(), 0j)
-        total_err = sum(errs.tolist())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if total_err <= tol or bisections >= _MAX_BISECTIONS:
+        totals = [sum(row, 0j) for row in vals.tolist()]
+        total_errs = [sum(row) for row in errs.tolist()]
+        if bisections >= _MAX_BISECTIONS:
             break
-        order = np.argsort(-errs, kind="stable")
-        worst = order[:np.searchsorted(np.cumsum(errs[order]), total_err - tol) + 1]
+        picks = []
+        for j, (total, total_err) in enumerate(zip(totals, total_errs)):
+            over = total_err - max(abs_tol, rel_tol * abs(total))
+            if over > 0.0:
+                # the fewest worst panels that hold the excess; a panel
+                # without error (last in this order) stays whole
+                order = np.argsort(-errs[j], kind="stable")
+                cut = np.searchsorted(np.cumsum(errs[j, order]), over) + 1
+                picks.append(order[:min(cut, np.count_nonzero(errs[j]))])
+        if not picks:
+            break
+        worst = picks[0]
+        if len(picks) > 1:
+            worst = np.concatenate(picks)
+            worst = worst[np.sort(np.unique(worst, return_index=True)[1])]
         mid = 0.5 * (lo[worst] + hi[worst])
-        # a panel at floating-point resolution or without error stays whole
-        ok = np.flatnonzero((errs[worst] > 0.0) & (mid > lo[worst]) & (mid < hi[worst]))
+        # a panel at floating-point resolution stays whole
+        ok = np.flatnonzero((mid > lo[worst]) & (mid < hi[worst]))
         ok = ok[:_MAX_BISECTIONS - bisections]
         worst, mid = worst[ok], mid[ok]
         if not worst.size:
             break
         v, e = _gk15_many(f, np.concatenate((lo[worst], mid)), np.concatenate((mid, hi[worst])))
-        lo = np.concatenate((np.delete(lo, worst), lo[worst], mid))
-        hi = np.concatenate((np.delete(hi, worst), mid, hi[worst]))
-        vals = np.concatenate((np.delete(vals, worst), v))
-        errs = np.concatenate((np.delete(errs, worst), e))
+        keep = np.ones(lo.size, dtype=bool)
+        keep[worst] = False
+        lo = np.concatenate((lo[keep], lo[worst], mid))
+        hi = np.concatenate((hi[keep], mid, hi[worst]))
+        vals = np.concatenate((vals[:, keep], v.reshape(len(totals), -1)), axis=1)
+        errs = np.concatenate((errs[:, keep], e.reshape(len(totals), -1)), axis=1)
         bisections += worst.size
-    if total_err > max(abs_tol, rel_tol * abs(total), 1e-13 * abs(total)):
-        raise ConvergenceError(
-            f"finite integral stalled: err={total_err:.3e} value={abs(total):.3e} panels={lo.size}"
-        )
-    return QuadResult(complex(total), float(total_err), 15 * (lo.size + bisections))
+    for total, total_err in zip(totals, total_errs):
+        if total_err > max(abs_tol, rel_tol * abs(total), 1e-13 * abs(total)):
+            raise ConvergenceError(f"finite integral stalled: err={total_err:.3e} "
+                                   f"value={abs(total):.3e} panels={lo.size}")
+    evaluations = 15 * (lo.size + bisections)
+    results = [QuadResult(complex(t), float(e), evaluations) for t, e in zip(totals, total_errs)]
+    return results[0] if scalar else results
 
 
 def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):

@@ -776,20 +776,20 @@ def _zeta1_powers(u: complex, A: float):
     return powers, (float(abs(coeffs[_EM_PAIRS, 0]) * ratio) * A**power, power)
 
 
-def _product_powers(w: complex, us, A: float):
-    """a^{-w} prod_j zeta1(u_j, a) for a >= A as ({power: coef}, rem).
+def _product_powers(w: complex, factors, A: float):
+    """a^{-w} prod_j zeta1(u_j, a) for a >= A as ({power: coef}, rem),
+    factors being the _zeta1_powers(u_j, A) of its zeta1 factors.
 
-    The factors' power dicts of _zeta1_powers are multiplied, equal powers
-    merged, and coefficients below 1e-13 of the largest product merged into
-    them dropped as cancelled.  Each factor is its truncated sum P_j, at
-    most |P_j(A)| (a/A)^{max power}, plus a remainder R_j bounded the same
-    way; rem integrates over [A, inf) the bound this gives on
+    The factors' power dicts are multiplied, equal powers merged, and
+    coefficients below 1e-13 of the largest product merged into them
+    dropped as cancelled.  Each factor is its truncated sum P_j, at most
+    |P_j(A)| (a/A)^{max power}, plus a remainder R_j bounded the same way;
+    rem integrates over [A, inf) the bound this gives on
     prod (P_j + R_j) - prod P_j, one power per nonempty set of R factors.
     """
     keys, coefs, sizes = np.array([-w]), np.array([1.0 + 0j]), np.array([1.0])
     bounds = []
-    for u in us:
-        powers, rem_bound = _zeta1_powers(u, A)
+    for powers, rem_bound in factors:
         q = np.array(list(powers))
         c = np.array(list(powers.values()))
         bounds.append(((np.abs(c) * A**q.real).sum(), q.real.max(), rem_bound))
@@ -835,12 +835,13 @@ def _tail_abscissa(big_w: float, big: float) -> float:
 
 
 def _certified_powers(expand, A: float, abs_tol: float):
-    """expand(A) -> (powers, rem), A moving out by 1.6x until rem <= abs_tol;
-    returns (powers, A, rem)."""
+    """expand(A) -> [(powers, rem), ...], one expansion per integrand, A
+    moving out by 1.6x until every rem <= abs_tol (a remainder only shrinks
+    as A grows); returns (that list, A)."""
     for _ in range(4):
-        powers, rem = expand(A)
-        if rem <= abs_tol:
-            return powers, A, rem
+        expansions = expand(A)
+        if all(rem <= abs_tol for _, rem in expansions):
+            return expansions, A
         A *= 1.6
     raise ConvergenceError("power expansion of the tail failed to certify")
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zetaver import identities as idn
-from zetaver import oracle, quadrature
+from zetaver import oracle, quadrature, special
 from zetaver.errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from zetaver.special import hurwitz_zeta1, lgamma, riemann_zeta
 from zetaver.suites import SuiteSpec, run_suite
@@ -349,9 +349,9 @@ def test_bisection_generations_are_batched(suite_id, refinements, evals, monkeyp
 
 
 def test_weighted_tail_powers():
-    res = idn._weighted_tail(2.0, ())
+    res = idn._weighted_tails([(2.0, ())])[0]
     assert abs(res.value - 1.0) < 1e-10
-    res = idn._weighted_tail(1.5, ())
+    res = idn._weighted_tails([(1.5, ())])[0]
     assert abs(res.value - 2.0) < 1e-9
 
 
@@ -366,16 +366,16 @@ def test_weighted_tail_zeta1_vs_partial_fraction_oracle():
     s21 = 1.0 / (2.0 * x * x)
     s3 = math.log(x) / x**2 + 1.0 / (2.0 * x * x) + 2.0 / (3.0 * x**3)
     oracle_value = math.fsum(terms) + s2 + s21 - s3
-    res = idn._weighted_tail(2.0, (2.0,))
+    res = idn._weighted_tails([(2.0, (2.0,))])[0]
     assert abs(res.value - oracle_value) / abs(oracle_value) < 1e-9
 
 
 def test_weighted_tail_divergence_guard():
     # decay alpha^-1: the closed tail meets a non-integrable power
     with pytest.raises(DivergenceError):
-        idn._weighted_tail(1.0, ())
+        idn._weighted_tails([(1.0, ())])
     with pytest.raises(DivergenceError):
-        idn._weighted_tail(0.0, (2.0,))
+        idn._weighted_tails([(0.0, (2.0,))])
 
 
 # 120-bit zeta1 for the tail oracle: direct terms up to 1 + a + n >= 25, then
@@ -420,7 +420,7 @@ def _mp_weighted_tail(w, us, a0):
         return complex(value)
 
 
-# a0 is the oracle's lower limit; _weighted_tail always starts at 1
+# a0 is the oracle's lower limit; _weighted_tails always starts at 1
 @pytest.mark.parametrize("w, us, a0", [
     (2.3, (1.3 + 2j,), 1.0),                        # complex exponent
     (0.1, (2.0,), 1.0),                             # mellin_tail, decay alpha^-1.1
@@ -428,8 +428,44 @@ def _mp_weighted_tail(w, us, a0):
     (2.0 + 1j, (2.0 + 1j, 2.4 - 1j, 2.15), 1.0),    # its three factors, complex weight
 ])
 def test_weighted_tail_error_estimate_covers_oracle(w, us, a0):
-    res = idn._weighted_tail(w, us)
+    res = idn._weighted_tails([(w, us)])[0]
     assert abs(res.value - _mp_weighted_tail(complex(w), us, a0)) <= res.err_estimate
+
+
+def test_shared_tails_of_the_quadruple_row_cover_the_oracle(monkeypatch):
+    # the quadruple default row re = 2, im = 1: its 14 tails come from one
+    # _weighted_tails call, and a single, a pair and a triple tail of that
+    # call each lie within their own err_estimate of the 120-bit oracle
+    calls = []
+    shared = idn._weighted_tails
+
+    def recorded(pairs):
+        calls.append((pairs, shared(pairs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(idn, "_weighted_tails", recorded)
+    us = (2.0 + 1j, 2.0 - 1j, 2.3, 2.55)
+    names = [name for name, _ in idn.moment_rhs_terms(us)[1:]]
+    (pairs, results), = calls
+    assert len(pairs) == len(results) == 14
+    for name in ("single_1", "pair_23", "triple_023"):
+        w, kept = pairs[names.index(name)]
+        assert kept == tuple(us[int(j)] for j in name.split("_")[1])
+        res = results[names.index(name)]
+        assert abs(res.value - _mp_weighted_tail(complex(w), kept, 1.0)) <= res.err_estimate
+
+
+@pytest.mark.parametrize("suite_id,evals,base_terms", [
+    ("quadratic_moment", [375] * 9, 52_200),
+    ("triple_moment", [690, 750, 690, 750], 76_590),
+    ("quadruple_moment", [1050, 1110, 1125, 1185], 130_170),
+])
+def test_moment_default_rows_share_one_tail_march(suite_id, evals, base_terms):
+    # per row: the left side on [0, 1] and one march of [1, A] for all the
+    # 2^k - 2 tails, each zeta1 factor evaluated once per node
+    start = special._base_terms()
+    assert [row["evals"] for row in run_suite(SuiteSpec(suite_id)).rows] == evals
+    assert special._base_terms() - start == base_terms
 
 
 def _mp_unit_power(p, w, quotient=False, log_weight=False):

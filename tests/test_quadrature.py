@@ -415,6 +415,97 @@ def test_real_integrand_matches_its_complex_twin():
     assert abs(real.value - twin.value) <= 1e-15 * abs(twin.value)
 
 
+@pytest.mark.parametrize("cycles", [None, 2.0, 20.0])
+@pytest.mark.parametrize("k", [0, 1, 7, 14, 22])
+def test_error_estimate_covers_the_15_decimal_weights(k, cycles):
+    # K15 is exact for x^k, k <= 22, but its weights carry 15 decimals and
+    # bias every panel by up to 1e-14 of its |f| sum; a floor of 5e-16
+    # missed the constant on 50 panels (4.2e-15 against 3.6e-15)
+    res = integrate_finite(lambda x: x**k, 0.0, 1.0, cycles=cycles)
+    assert abs(res.value - 1.0 / (k + 1)) <= res.err_estimate
+    assert abs(math.fsum(quadrature._WGK_FULL) - 2.0) / 2.0 <= quadrature._ERR_FLOOR
+
+
+# Vector integrands: (m, nodes) values, m integrals on one set of panels.
+
+# integrands on [0, 1] with their closed forms: a kink at 0 that bisects,
+# a fast phase, a smooth real one and a complex power
+_ORACLES = [
+    (np.sqrt, 2.0 / 3.0),
+    (lambda x: np.exp(30j * x), (np.exp(30j) - 1.0) / 30j),
+    (lambda x: x * x * np.cos(x), 2.0 * math.cos(1.0) - math.sin(1.0)),
+    (lambda x: (1.0 + x) ** (-1.5 + 2j), (2.0 ** (-0.5 + 2j) - 1.0) / (-0.5 + 2j)),
+]
+
+
+@pytest.mark.parametrize("f, _exact", _ORACLES)
+@pytest.mark.parametrize("kw", [{}, {"cycles": 5.0}, {"initial_points": [0.3, 0.7]}])
+def test_one_component_vector_call_is_bit_identical_to_the_scalar_call(f, _exact, kw):
+    res, = integrate_finite(lambda x: f(x)[None, :], 0.0, 1.0, **kw)
+    assert res == integrate_finite(f, 0.0, 1.0, **kw)
+
+
+def test_vector_components_agree_with_their_scalar_calls(spent):
+    fs = [f for f, _ in _ORACLES]
+    results, evals = spent(integrate_finite, lambda x: np.array([f(x) for f in fs]), 0.0, 1.0,
+                           cycles=5.0)
+    assert len(results) == len(fs)
+    for res, (f, exact) in zip(results, _ORACLES):
+        alone = integrate_finite(f, 0.0, 1.0, cycles=5.0)
+        assert abs(res.value - alone.value) <= res.err_estimate + alone.err_estimate
+        assert abs(res.value - exact) <= res.err_estimate
+        assert res.err_estimate <= max(1e-12, 1e-10 * abs(res.value))
+        # the panels are shared: every component reports the call's nodes,
+        # and the meter counts them once
+        assert res.evaluations == evals
+
+
+def test_only_the_failing_component_picks_panels(spent):
+    # cos meets its tolerance on the initial panels and sqrt does not: the
+    # vector call bisects the panels of sqrt's scalar call and no others,
+    # and both components end within their own tolerances
+    (smooth, kink), evals = spent(integrate_finite, lambda x: np.array([np.cos(x), np.sqrt(x)]),
+                                  0.0, 1.0, cycles=2.0)
+    alone = integrate_finite(np.sqrt, 0.0, 1.0, cycles=2.0)
+    assert alone.evaluations > 15 * 5
+    assert kink.evaluations == smooth.evaluations == alone.evaluations == evals
+    assert abs(kink.value - alone.value) <= kink.err_estimate + alone.err_estimate
+    for res, exact in ((smooth, math.sin(1.0)), (kink, 2.0 / 3.0)):
+        assert res.err_estimate <= max(1e-12, 1e-10 * abs(res.value))
+        assert abs(res.value - exact) <= res.err_estimate
+
+
+def test_two_failing_components_bisect_the_union_of_their_picks():
+    # kinks at opposite ends pick disjoint panels, so each generation
+    # bisects both components' picks and each bisects as it does alone
+    def left(x):
+        return np.sqrt(x)
+
+    def right(x):
+        return np.sqrt(1.0 - x)
+
+    both = integrate_finite(lambda x: np.array([left(x), right(x)]), 0.0, 1.0, cycles=2.0)
+    alone = [integrate_finite(g, 0.0, 1.0, cycles=2.0) for g in (left, right)]
+    initial = 15 * 5
+    assert both[0].evaluations == sum(r.evaluations - initial for r in alone) + initial
+    for res, one in zip(both, alone):
+        assert one.evaluations > initial
+        assert res.err_estimate <= max(1e-12, 1e-10 * abs(res.value))
+        assert abs(res.value - 2.0 / 3.0) <= res.err_estimate
+
+
+def test_unreachable_tolerance_on_one_component_raises(monkeypatch):
+    # a jump at 1/3 leaves an error behind every bisection; the smooth
+    # component beside it does not rescue the call
+    monkeypatch.setattr(quadrature, "_MAX_BISECTIONS", 5)
+
+    def f(x):
+        return np.array([np.cos(x), np.where(x < 1.0 / 3.0, 0.0, 1.0)])
+
+    with pytest.raises(ConvergenceError, match="stalled"):
+        integrate_finite(f, 0.0, 1.0, cycles=4.0, abs_tol=1e-14, rel_tol=0.0)
+
+
 @pytest.mark.parametrize("cycles", [math.nan, math.inf, -math.inf, 1e6, -1.0])
 def test_bad_uniform_cycles_raise_before_any_evaluation(cycles):
     calls = []
