@@ -299,8 +299,7 @@ def _weighted_products(pairs, a: float, b: float):
 
     Each pair's cycles are c / (1 + alpha) + k, so two pairs' differ by a
     monotone function: a pair at or below another at both a and b is so
-    throughout, and only the pairs above every other at an end are
-    evaluated while marching.
+    throughout, and is left out of the maximum the march evaluates.
     """
     factors = list(dict.fromkeys(u for _, us in pairs for u in us))
     zs = {u: _zeta1_cycles(u.imag) for u in factors}

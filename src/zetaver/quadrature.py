@@ -209,7 +209,7 @@ def integrate_finite(
     initial_points=None,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
-):
+) -> QuadResult | list[QuadResult]:
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
     f returns one value per node, and integrate_finite one QuadResult; or

@@ -477,15 +477,23 @@ def test_only_the_failing_component_picks_panels(spent):
 
 def test_two_failing_components_bisect_the_union_of_their_picks():
     # kinks at opposite ends pick disjoint panels, so each generation
-    # bisects both components' picks and each bisects as it does alone
+    # bisects both components' picks in one integrand call, and each
+    # component bisects as it does alone
+    calls = []
+
     def left(x):
+        calls.append("left")
         return np.sqrt(x)
 
     def right(x):
+        calls.append("right")
         return np.sqrt(1.0 - x)
 
-    both = integrate_finite(lambda x: np.array([left(x), right(x)]), 0.0, 1.0, cycles=2.0)
     alone = [integrate_finite(g, 0.0, 1.0, cycles=2.0) for g in (left, right)]
+    generations = [calls.count(side) for side in ("left", "right")]
+    calls.clear()
+    both = integrate_finite(lambda x: np.array([left(x), right(x)]), 0.0, 1.0, cycles=2.0)
+    assert calls.count("left") == max(generations) < sum(generations) - 1
     initial = 15 * 5
     assert both[0].evaluations == sum(r.evaluations - initial for r in alone) + initial
     for res, one in zip(both, alone):
