@@ -7,9 +7,11 @@ truncated vertical-line contours) lives with its caller.  Integrands may
 be real or complex-valued; they are called with a numpy array of nodes and
 return one value per node, or an (m, nodes) array of m integrands that
 share the nodes, the panels and the meter.  integrate_finite
-evaluates every panel, initial or bisected, in batches of up to _CHUNK
-panels, so an integrand receives up to 15 * _CHUNK = 480 nodes per call and
-must keep its memory per node bounded.  A non-finite panel value or error
+evaluates every panel, initial or bisected, in batches of _CHUNK = 32
+panels, and a remainder shorter than _CHUNK joins the last batch: a batch
+holds 32 to 63 panels unless the whole set has fewer, so an integrand
+receives up to 15 * (2 * _CHUNK - 1) = 945 nodes per call and must keep
+its memory per node bounded.  A non-finite panel value or error
 estimate raises ConvergenceError.  Panels are picked here only: a caller
 states its integrand's frequency (cycles) and its non-smooth points
 (initial_points).  Panel processing order is deterministic, so repeated
@@ -66,9 +68,12 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))  # 15 ascending nodes
 _WGK_FULL = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))
 
-# Panels per batched integrand call: an integrand gets at most
-# 15 * _CHUNK = 480 nodes at once, which bounds the memory of integrands
-# that build nodes x n matrices.
+# Panels per batched integrand call.  A remainder shorter than _CHUNK
+# joins the last batch, so no batch has fewer than _CHUNK panels unless
+# the whole set has (a short batch of one s leaves the kernel's shift
+# route for its direct sum), and an integrand gets at most
+# 15 * (2 * _CHUNK - 1) = 945 nodes at once, which bounds the memory of
+# integrands that build nodes x n matrices.
 _CHUNK = 32
 
 # Initial panels per local cycle of an integrand (also the density of the
@@ -133,20 +138,28 @@ def _panel_nodes(mids: np.ndarray, halves: np.ndarray) -> np.ndarray:
     return nodes
 
 
+def _chunk_bounds(panels: int) -> list[int]:
+    """Where each batch of _gk15_many starts, then panels: batches of
+    _CHUNK panels in order, the last one taking a remainder shorter than
+    _CHUNK."""
+    return [*range(0, max(panels - _CHUNK, 0) + 1, _CHUNK), panels]
+
+
 def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     """GK15 values and error estimates of the panels [los[i], his[i]].
 
-    The nodes of up to _CHUNK panels go to f in one call.  f returns one
-    value per node, or an (m, nodes) array, m components per node; values
-    and errors come back in f's leading shape with one entry per panel on
-    the last axis.  Real floating point values take real panel sums; any
+    The nodes of each batch of _chunk_bounds go to f in one call.  f
+    returns one value per node, or an (m, nodes) array, m components per
+    node; values and errors come back in f's leading shape with one entry
+    per panel on the last axis.  Real floating point values take real panel sums; any
     other values are taken as complex.
     """
     halves = 0.5 * (his - los)
     mids = 0.5 * (los + his)
     sums = []
-    for c in range(0, los.size, _CHUNK):
-        x = _panel_nodes(mids[c:c + _CHUNK], halves[c:c + _CHUNK]).ravel()
+    bounds = _chunk_bounds(los.size)
+    for c, stop in zip(bounds[:-1], bounds[1:]):
+        x = _panel_nodes(mids[c:stop], halves[c:stop]).ravel()
         fv = np.asarray(f(x))
         lead = fv.shape[:-1]
         # one row of 15 nodes per component and panel, one matmul for all

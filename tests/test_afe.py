@@ -2,6 +2,7 @@
 integrals, power means, the dominant sum, and the power-mean bound chain."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from zetaver import afe, quadrature, special
 from zetaver.errors import DomainError
-from zetaver.suites import SUITES
+from zetaver.suites import SUITES, SuiteSpec, run_suite
 
 _2PI = 2.0 * math.pi
 
@@ -96,6 +97,33 @@ def test_projection_mirrored_matches():
     p2 = afe.projection_identity_check(z, 40, mirrored=True)
     assert abs(p1.lhs - p2.lhs) == 0.0
     assert abs(p1.rhs - p2.rhs) <= 1e-10 * max(abs(p1.rhs), 1.0)
+
+
+def _suite_z(n):
+    """The z of the projection suite's runner at N = n."""
+    rng = np.random.default_rng(1234 + n)
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+@pytest.mark.parametrize("which", ["suite", "high"])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_projection_by_horner_at_large_n(n, which, mirrored):
+    # the twisted sum by Horner's rule in w keeps the exact identity
+    z = _suite_z(n) if which == "suite" else 0.5 + 20j
+    assert afe.projection_identity_check(z, n, mirrored).rel_residual <= 1e-12
+
+
+def test_projection_memory_holds_no_nodes_by_n_matrix():
+    # a nodes x N complex matrix at N = 1000 alone would take 7.7 MB at
+    # 480 nodes, and 15 MB at the 945 nodes of the largest batch
+    tracemalloc.start()
+    try:
+        afe.projection_identity_check(0.5 + 20j, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_kernel_reconstruction_orthogonality():
@@ -277,6 +305,16 @@ def test_power_mean_panelling_matches_four_times_the_cycles(t, sigma, k):
         lambda a: np.abs(special.hurwitz_zeta1(s, a)) ** (2 * k) + 0j, 0.0, 1.0,
         cycles=lambda a: 4 * k * z(a), abs_tol=1e-13, rel_tol=1e-12)
     assert abs(res.value - ref.value) <= max(1e-13, 1e-12 * abs(res.value))
+
+
+@pytest.mark.parametrize("suite, base_terms", [("weak_afe", 883_527), ("theorem1", 765_326)])
+def test_unit_interval_default_grids_kernel_terms_pinned(suite, base_terms):
+    # deterministic cost guard on the kernel meter: every batch of a march
+    # has at least _CHUNK panels, so none leaves the shift route for the
+    # direct sum (a short last batch cost 1,514,511 and 1,022,590 terms)
+    start = special._base_terms()
+    run_suite(SuiteSpec(suite))
+    assert special._base_terms() - start == base_terms
 
 
 @pytest.mark.parametrize("suite, pinned", [

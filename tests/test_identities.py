@@ -457,8 +457,8 @@ def test_shared_tails_of_the_quadruple_row_cover_the_oracle(monkeypatch):
 
 @pytest.mark.parametrize("suite_id,evals,base_terms", [
     ("quadratic_moment", [375] * 9, 52_200),
-    ("triple_moment", [690, 750, 690, 750], 76_590),
-    ("quadruple_moment", [1050, 1110, 1125, 1185], 130_170),
+    ("triple_moment", [690, 750, 690, 750], 79_830),
+    ("quadruple_moment", [1050, 1110, 1125, 1185], 140_565),
 ])
 def test_moment_default_rows_share_one_tail_march(suite_id, evals, base_terms):
     # per row: the left side on [0, 1] and one march of [1, A] for all the

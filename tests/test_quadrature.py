@@ -300,7 +300,29 @@ def test_finite_initial_panels_batched():
     assert abs(res.value - math.sin(1.0)) < 1e-14
     bisections = (res.evaluations - 15 * 1000) // 30
     assert len(calls) <= math.ceil(1000 / quadrature._CHUNK) + bisections
-    assert max(calls) <= 15 * quadrature._CHUNK
+    assert max(calls) <= 15 * (2 * quadrature._CHUNK - 1)
+
+
+def test_batches_cover_the_panels_in_order_without_a_short_tail():
+    # a remainder shorter than _CHUNK joins the last batch, so a march
+    # hands no short trailing batch to its integrand
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.ones(x.size)
+
+    for panels in [*range(1, 301), 5000]:
+        calls.clear()
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        quadrature._gk15_many(f, edges[:-1], edges[1:])
+        mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        assert np.array_equal(np.concatenate(calls), _panel_nodes(mids, halves).ravel())
+        sizes = [x.size // quadrature._NODES.size for x in calls]
+        if panels < quadrature._CHUNK:
+            assert sizes == [panels]
+        else:
+            assert all(quadrature._CHUNK <= n <= 2 * quadrature._CHUNK - 1 for n in sizes), panels
 
 
 def test_finite_repeat_bit_identical():
