@@ -138,27 +138,21 @@ def _panel_nodes(mids: np.ndarray, halves: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _chunk_bounds(panels: int) -> list[int]:
-    """Where each batch of _gk15_many starts, then panels: batches of
-    _CHUNK panels in order, the last one taking a remainder shorter than
-    _CHUNK."""
-    return [*range(0, max(panels - _CHUNK, 0) + 1, _CHUNK), panels]
-
-
 def _gk15_many(f, los: np.ndarray, his: np.ndarray):
     """GK15 values and error estimates of the panels [los[i], his[i]].
 
-    The nodes of each batch of _chunk_bounds go to f in one call.  f
+    The panels go to f in order, in batches of _CHUNK with a shorter
+    remainder joining the last batch, the nodes of one batch per call.  f
     returns one value per node, or an (m, nodes) array, m components per
     node; values and errors come back in f's leading shape with one entry
-    per panel on the last axis.  Real floating point values take real panel sums; any
-    other values are taken as complex.
+    per panel on the last axis.  Real floating point values take real
+    panel sums; any other values are taken as complex.
     """
     halves = 0.5 * (his - los)
     mids = 0.5 * (los + his)
     sums = []
-    bounds = _chunk_bounds(los.size)
-    for c, stop in zip(bounds[:-1], bounds[1:]):
+    starts = range(0, max(los.size - _CHUNK, 0) + 1, _CHUNK)
+    for c, stop in zip(starts, [*starts[1:], los.size]):
         x = _panel_nodes(mids[c:stop], halves[c:stop]).ravel()
         fv = np.asarray(f(x))
         lead = fv.shape[:-1]

@@ -99,19 +99,14 @@ def test_projection_mirrored_matches():
     assert abs(p1.rhs - p2.rhs) <= 1e-10 * max(abs(p1.rhs), 1.0)
 
 
-def _suite_z(n):
-    """The z of the projection suite's runner at N = n."""
-    rng = np.random.default_rng(1234 + n)
-    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
-
-
 @pytest.mark.parametrize("n", [400, 1000])
-@pytest.mark.parametrize("which", ["suite", "high"])
-@pytest.mark.parametrize("mirrored", [False, True])
-def test_projection_by_horner_at_large_n(n, which, mirrored):
-    # the twisted sum by Horner's rule in w keeps the exact identity
-    z = _suite_z(n) if which == "suite" else 0.5 + 20j
-    assert afe.projection_identity_check(z, n, mirrored).rel_residual <= 1e-12
+def test_projection_by_horner_at_large_n(n):
+    # the twisted sum by Horner's rule in w keeps the exact identity, in
+    # both orientations, at the suite runner's z and at z = 0.5 + 20i
+    rows = SUITES["projection"].runner({"N": n})
+    rows += [afe.projection_identity_check(0.5 + 20j, n, m) for m in (False, True)]
+    assert len(rows) == 4
+    assert max(r.rel_residual for r in rows) <= 1e-12
 
 
 def test_projection_memory_holds_no_nodes_by_n_matrix():
