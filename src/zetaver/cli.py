@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import functools
 import json
 import os
 import sys
@@ -132,7 +133,10 @@ def _require_real_alpha(args) -> float:
     return alpha.real
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and an append option copies its default list before it adds."""
     p = argparse.ArgumentParser(prog="zetaver",
                                 description="verification suites for zeta/Hurwitz identities")
     sub = p.add_subparsers(dest="command", required=True)

@@ -240,7 +240,8 @@ def f_contour(
 
     def g(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        br = np.exp(lgamma(u + z) + lgamma(-z) - lg_u)
+        lg_uz, lg_mz = lgamma(np.concatenate((u + z, -z))).reshape(2, -1)
+        br = np.exp(lg_uz + lg_mz - lg_u)
         return br * riemann_zeta(-z) * hurwitz_zeta1(u + v + z, alpha)
 
     poles = [0.0, -1.0, 1.0 - (u + v).real, -u.real]
@@ -274,8 +275,8 @@ def verify_square_identity(
 
     def g(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        lgz = lgamma(-z)
-        br = np.exp(lgamma(s + z) - lg_s + lgz) + np.exp(lgamma(sb + z) - lg_sb + lgz)
+        lgz, lg_sz, lg_sbz = lgamma(np.concatenate((-z, s + z, sb + z))).reshape(3, -1)
+        br = np.exp(lg_sz - lg_s + lgz) + np.exp(lg_sbz - lg_sb + lgz)
         return br * riemann_zeta(-z) * hurwitz_zeta1(2.0 * sigma + z, alpha)
 
     poles = [0.0, -1.0, 1.0 - 2.0 * sigma, -sigma]

@@ -87,34 +87,54 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
     return np.where(upper, val, np.conj(val))
 
 
+# the k of the partial fractions C_k / (x + k), k >= 1, as one column
+_LANCZOS_STEPS = np.arange(1.0, _LANCZOS_C.size)[:, None]
+
+
 def _lanczos_core(z: np.ndarray) -> np.ndarray:
-    # valid for Re z >= 0.5
+    """log Gamma(z) by the Lanczos series at 1-d z with Re z >= 0.5.
+
+    The series C_0 + sum_k C_k / (x + k), x = z - 1, is one (15, n) array,
+    row 0 C_0 and rows 1-14 from one np.divide, summed over axis 0.  For
+    n >= 2 numpy sums that axis row by row, so the bits are those of adding
+    the terms one at a time in k; a (15, 1) array would sum pairwise (see
+    _base_sum), so one element is padded to two columns.
+    """
     x = z - 1.0
-    acc = np.full_like(x, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (x + k)
+    cols = x if x.size != 1 else np.concatenate((x, x))
+    terms = np.empty((_LANCZOS_C.size, cols.size), dtype=complex)
+    terms[0] = _LANCZOS_C[0]
+    np.divide(_LANCZOS_C[1:, None], cols + _LANCZOS_STEPS, out=terms[1:])
+    acc = terms.sum(axis=0)[:x.size]
     tt = x + _LANCZOS_G + 0.5
     return (x + 0.5) * np.log(tt) - tt + 0.5 * _LOG_2PI + np.log(acc)
+
+
+def _lanczos_reflected(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z) at 1-d z with Re z < 0.5, by reflection to 1 - z."""
+    return math.log(math.pi) - _log_sin_pi(z) - _lanczos_core(1.0 - z)
 
 
 def lgamma(z):
     """log Gamma(z) for complex z (principal value up to multiples of 2*pi*i).
 
-    Raises PoleError at non-positive integers.
+    Raises PoleError at non-positive integers.  Element by element: the
+    value at a point does not depend on the other points of the call.
     """
     arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(_is_nonpositive_integer(arr)):
+    flat = arr.ravel()
+    if np.any(_is_nonpositive_integer(flat)):
         raise PoleError("lgamma pole at non-positive integer")
-    out = np.empty_like(arr)
-    main = np.real(arr) >= 0.5
-    if np.any(main):
-        out[main] = _lanczos_core(arr[main])
-    if np.any(~main):
-        zr = arr[~main]
-        out[~main] = math.log(math.pi) - _log_sin_pi(zr) - _lanczos_core(1.0 - zr)
-    return out[0] if scalar else out
+    main = np.real(flat) >= 0.5
+    if main.all():
+        out = _lanczos_core(flat)
+    elif not main.any():
+        out = _lanczos_reflected(flat)
+    else:
+        out = np.empty_like(flat)
+        out[main] = _lanczos_core(flat[main])
+        out[~main] = _lanczos_reflected(flat[~main])
+    return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def gamma(z):
@@ -200,10 +220,26 @@ def _neg_power(x, log_x, sigma, t):
     The real power is exact for integer x and sigma, where exp(-s log x)
     is not, and two real trigonometric ufuncs are faster than one complex
     exp.
+
+    Where x is one column (n0, 1) against a row of many s, work is shared
+    across the columns: if every column has the same sigma, x^-sigma is
+    taken once per row; otherwise, if every column has the same t, the
+    cosine and sine of t log x are.  Each ufunc gives a value by its
+    element alone, so the shared factor is the value the full broadcast
+    takes in every column, and the products are bit-identical.  Never both
+    at once: the result must stay (n0, w), since an (n0, 1) column would
+    sum pairwise in _base_sum.
     """
-    power = np.power(x, -sigma)
-    if not t.any():
-        return power, None
+    shared = np.ndim(x) == 2 and x.shape[1] == 1 and np.size(sigma) > 1
+    oscillating = t.any()
+    if shared and oscillating and (sigma == sigma.flat[0]).all():
+        power = np.power(x, -sigma.flat[0])
+    else:
+        power = np.power(x, -sigma)
+        if not oscillating:
+            return power, None
+        if shared and (t == t.flat[0]).all():
+            t = t.flat[0]
     phase = t * log_x
     return power * np.cos(phase), power * np.sin(phase)
 

@@ -4,14 +4,17 @@ exit codes and reproducibility."""
 import contextlib
 import io
 import json
+import math
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetaver import cli
 from zetaver.cli import _grid_from_strings, main
 from zetaver.errors import ConfigError
-from zetaver.suites import MAX_GRID_POINTS, SUITES, AxisSpec, GridSpec, SuiteSpec, run_suite
+from zetaver.suites import (MAX_GRID_POINTS, SUITES, AxisSpec, GridSpec, SuiteSpec, config_hash,
+                            run_suite)
 
 
 def test_list_suites_text(capsys):
@@ -386,6 +389,61 @@ def test_config_file_bad_tol_is_config_error(tmp_path, capsys):
     cfgfile.write_text("[quadratic_moment]\ntol = x\n")
     assert main(["run-suite", "quadratic_moment", "--config", str(cfgfile)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+# a NaN tolerance breached every row of a tolerance-judged suite (exit 1)
+# and passed a bounded-judged one (exit 0); inf passed every row
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])
+@pytest.mark.parametrize("suite_argv", [
+    ["run-suite", "quadratic_moment", "--grid", "u_re=2", "--grid", "v_re=3"],
+    ["run-suite", "lemma3"],
+])
+def test_non_finite_or_negative_tol_is_config_error(capsys, suite_argv, tol):
+    # the = form: argparse takes "-inf" and "-1e-300" after a space for options
+    assert main(suite_argv + [f"--tol={tol}"]) == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_config_file_non_finite_or_negative_tol_is_config_error(tmp_path, capsys, tol):
+    cfgfile = tmp_path / "suite.ini"
+    cfgfile.write_text(f"[quadratic_moment]\ntol = {tol}\ngrid.u_re = 2\ngrid.v_re = 3\n")
+    assert main(["run-suite", "quadratic_moment", "--config", str(cfgfile)]) == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_suite_spec_rejects_non_finite_or_negative_tol(tol):
+    with pytest.raises(ConfigError):
+        SuiteSpec("quadratic_moment", tolerance=tol)
+
+
+def test_zero_tol_is_accepted(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["run-suite", "quadratic_moment", "--grid", "u_re=2", "--grid", "v_re=3",
+                 "--tol", "0", "--format", "json", "--out", str(out)])
+    assert code in (0, 1)
+    assert json.loads(out.read_text())["header"]["tolerance"] == 0.0
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    # the parser is built once per process; a second call without --grid
+    # and --tol gets the defaults, not the first call's values
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["run-suite", "quadratic_moment", "--grid", "u_re=2", "--grid", "v_re=2",
+                 "--tol", "1e-30", "--format", "json", "--out", str(first)]) == 1
+    assert main(["run-suite", "quadratic_moment", "--format", "json", "--out", str(second)]) == 0
+    one, two = json.loads(first.read_text()), json.loads(second.read_text())
+    assert one["header"]["tolerance"] == 1e-30 and len(one["rows"]) == 1
+    suite = SUITES["quadratic_moment"]
+    assert two["header"]["tolerance"] == suite.default_tol
+    assert two["header"]["config_hash"] == config_hash("quadratic_moment", suite.default_grid,
+                                                       suite.default_tol)
+    assert len(two["rows"]) == 9
+    parser = cli._build_parser()
+    assert parser is cli._build_parser()
+    args = parser.parse_args(["run-suite", "quadratic_moment"])
+    assert args.grid == [] and args.tol is None
 
 
 @pytest.mark.parametrize("grids", [["x=1"], ["=1"], ["t=50", " =1"]])

@@ -102,11 +102,8 @@ def test_f_contour_rejects_inadmissible():
         idn.f_contour(2.0, 2.0, 1.0, -0.7)
 
 
-def test_vertical_line_outside_strip_crosses_residue():
-    # at c = -0.7 the line has crossed the zeta pole at z = -1; the value
-    # differs from f(u,v,alpha) by exactly zeta1(u+v-1, alpha)/(u-1)
-    u = v = 2.0
-    alpha = 1.0
+def _f_integrand_separate(u, v, alpha):
+    """f_contour's integrand with one lgamma call per Gamma factor."""
     lg_u = complex(lgamma(u))
 
     def g(z):
@@ -114,6 +111,100 @@ def test_vertical_line_outside_strip_crosses_residue():
         return (np.exp(lgamma(u + z) + lgamma(-z) - lg_u)
                 * riemann_zeta(-z) * hurwitz_zeta1(u + v + z, alpha))
 
+    return g
+
+
+def _square_integrand_separate(s, alpha):
+    """verify_square_identity's integrand with one lgamma call per Gamma factor."""
+    sigma, sb = s.real, s.conjugate()
+    lg_s, lg_sb = complex(lgamma(s)), complex(lgamma(sb))
+
+    def g(z):
+        z = np.asarray(z, dtype=complex)
+        lgz = lgamma(-z)
+        br = np.exp(lgamma(s + z) - lg_s + lgz) + np.exp(lgamma(sb + z) - lg_sb + lgz)
+        return br * riemann_zeta(-z) * hurwitz_zeta1(2.0 * sigma + z, alpha)
+
+    return g
+
+
+def _line_integrands(monkeypatch, run):
+    """Run run() with the lgamma calls of identities counted: the
+    (integrand, abscissa) pairs passed to _line_integral, and the lgamma
+    calls each integrand call made."""
+    count = [0]
+    real_lgamma, real_line = idn.lgamma, idn._line_integral
+    lines, per_call = [], []
+
+    def counted_lgamma(z):
+        count[0] += 1
+        return real_lgamma(z)
+
+    def line(g, c, *args, **kwargs):
+        lines.append((g, c))
+
+        def counted(z):
+            before = count[0]
+            out = g(z)
+            per_call.append(count[0] - before)
+            return out
+
+        return real_line(counted, c, *args, **kwargs)
+
+    monkeypatch.setattr(idn, "lgamma", counted_lgamma)
+    monkeypatch.setattr(idn, "_line_integral", line)
+    run()
+    return lines, per_call
+
+
+@pytest.mark.parametrize("suite_id,evals,base_terms", [
+    ("square_identity", 15_762, 357_805),
+    ("f_routes", 3_822, 84_050),
+])
+def test_line_suites_default_grids_pinned_with_one_lgamma_call_per_batch(
+        monkeypatch, suite_id, evals, base_terms):
+    # each node batch of a line integrand passes all its Gamma arguments to
+    # one lgamma call
+    start = special._base_terms()
+    reports = []
+    lines, per_call = _line_integrands(monkeypatch, lambda: reports.append(run_suite(SuiteSpec(suite_id))))
+    rows = reports[0].rows
+    assert sum(row["evals"] for row in rows) == evals
+    assert special._base_terms() - start == base_terms
+    assert len(lines) == len(rows) and len(per_call) > len(rows)
+    assert set(per_call) == {1}
+
+
+def _line_nodes(c):
+    rng = np.random.default_rng(3)
+    return [c + 1j * ys for ys in (np.array([17.5]), np.array([0.0, -4.0]),
+                                   rng.uniform(-60.0, 60.0, 15), rng.uniform(0.0, 60.0, 945))]
+
+
+@pytest.mark.parametrize("s", [1.2 + 5j, 2.0 + 10j, 1.5 + 0j])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_square_integrand_merged_lgamma_is_bit_identical(monkeypatch, s, alpha):
+    (g, c), = _line_integrands(monkeypatch, lambda: idn.verify_square_identity(s, alpha))[0]
+    ref = _square_integrand_separate(s, alpha)
+    for z in _line_nodes(c):
+        assert np.array_equal(g(z), ref(z))
+
+
+@pytest.mark.parametrize("u, v", [(2.0, 2.0), (3.0, 2.0), (2.0 + 1j, 3.0 - 0.5j)])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_f_contour_integrand_merged_lgamma_is_bit_identical(monkeypatch, u, v, alpha):
+    (g, c), = _line_integrands(monkeypatch, lambda: idn.f_contour(u, v, alpha))[0]
+    ref = _f_integrand_separate(complex(u), complex(v), alpha)
+    for z in _line_nodes(c):
+        assert np.array_equal(g(z), ref(z))
+
+
+def test_vertical_line_outside_strip_crosses_residue():
+    # at c = -0.7 the line has crossed the zeta pole at z = -1; the value
+    # differs from f(u,v,alpha) by exactly zeta1(u+v-1, alpha)/(u-1)
+    u = v = 2.0
+    alpha = 1.0
+    g = _f_integrand_separate(u, v, alpha)
     res = idn._line_integral(g, -0.7, [0.0, -1.0], u + 1.7, 1e-12, 1e-10)
     residue_term = complex(hurwitz_zeta1(u + v - 1.0, alpha)) / (u - 1.0)
     fs = idn.f_series(u, v, alpha)

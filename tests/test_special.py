@@ -731,3 +731,100 @@ def test_chi_reflection_product_property(sigma, t):
     # log_chi raises PoleError within 1e-12 of the poles at s = 0 and w = 0
     assume(min(abs(s), abs(w)) > 1e-12)
     assert abs(sp.chi(s) * sp.chi(w) - 1.0) <= 1e-14 + 2e-15 * abs(t)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the shared and one-reduction kernel forms
+# ---------------------------------------------------------------------------
+
+
+def _lgamma_term_loop(z):
+    """lgamma as it summed the Lanczos series before the one-reduction
+    form: one term at a time in k, each branch masked out of the whole."""
+
+    def core(z):
+        x = z - 1.0
+        acc = np.full_like(x, sp._LANCZOS_C[0])
+        for k in range(1, len(sp._LANCZOS_C)):
+            acc = acc + sp._LANCZOS_C[k] / (x + k)
+        tt = x + sp._LANCZOS_G + 0.5
+        return (x + 0.5) * np.log(tt) - tt + 0.5 * sp._LOG_2PI + np.log(acc)
+
+    arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty_like(arr)
+    main = np.real(arr) >= 0.5
+    if np.any(main):
+        out[main] = core(arr[main])
+    if np.any(~main):
+        zr = arr[~main]
+        out[~main] = math.log(math.pi) - sp._log_sin_pi(zr) - core(1.0 - zr)
+    return out
+
+
+def _lgamma_points(size, re_lo, re_hi, seed):
+    rng = np.random.default_rng(seed)
+    im = rng.uniform(-3000.0, 3000.0, size) * rng.choice([1.0, 1e-3, 0.0], size)
+    return rng.uniform(re_lo, re_hi, size) + 1j * im
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 17, 1000])
+@pytest.mark.parametrize("re_lo, re_hi", [(0.5, 40.0), (-40.0, 0.49), (-40.0, 40.0)],
+                         ids=["main", "reflected", "mixed"])
+def test_lgamma_one_reduction_is_bit_identical_to_the_term_loop(size, re_lo, re_hi):
+    for seed in range(3):
+        z = _lgamma_points(size, re_lo, re_hi, seed)
+        assert np.array_equal(sp.lgamma(z), _lgamma_term_loop(z))
+        assert sp.lgamma(z[0]) == _lgamma_term_loop(z[0])[0]
+    edges = np.array([0.5, 0.5 + 3000j, 0.5 - 3000j, 0.49999999999999994 + 1j, 1.0, 2.0, 1e-300])
+    assert np.array_equal(sp.lgamma(edges), _lgamma_term_loop(edges))
+
+
+def test_lgamma_of_a_concatenation_is_the_separate_calls():
+    # the line integrands pass (-z, s + z, conj(s) + z) in one call
+    pieces = [_lgamma_points(n, lo, hi, seed) for seed, (n, lo, hi) in enumerate(
+        [(1, -5.0, 5.0), (2, 0.5, 9.0), (945, -12.0, 0.4), (300, -3.0, 30.0), (1, 1.0, 2.0)])]
+    whole = sp.lgamma(np.concatenate(pieces))
+    assert np.array_equal(whole, np.concatenate([sp.lgamma(p) for p in pieces]))
+    two_rows = np.stack([pieces[2][:300], pieces[3]])
+    assert np.array_equal(sp.lgamma(two_rows), np.stack([sp.lgamma(r) for r in two_rows]))
+
+
+def _neg_power_cases():
+    rng = np.random.default_rng(7)
+    for n0, w, a in [(13, 2, 1.0), (40, 57, 1.37), (510, 3, 0.25), (2, 945, 7.5)]:
+        x = (np.arange(n0, dtype=float) + a)[:, None]
+        sig, t = rng.uniform(-2.0, 4.0, w)[None, :], rng.uniform(-3000.0, 3000.0, w)[None, :]
+        yield x, np.full_like(sig, sig[0, 0]), t  # a vertical line: one sigma
+        yield x, sig, np.full_like(t, t[0, 0])  # the columns s + j at one centre
+        yield x, np.full_like(sig, 1.5), np.full_like(t, 20.0)  # both shared
+        yield x, np.full_like(sig, 0.5), np.zeros_like(t)  # real s
+        yield x, sig, t  # nothing shared
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_neg_power_shared_forms_are_bit_identical_to_the_full_broadcast(case):
+    x, sigma, t = list(_neg_power_cases())[case]
+    full_x = np.broadcast_to(x, (x.shape[0], sigma.shape[1])).copy()
+    c, d = sp._neg_power(x, np.log(x), sigma, t)
+    c_ref, d_ref = sp._neg_power(full_x, np.log(full_x), sigma, t)
+    assert c.shape == c_ref.shape == full_x.shape  # an (n0, 1) result would sum pairwise
+    assert np.array_equal(c, c_ref)
+    assert (d is None) == (d_ref is None) and (d is None or np.array_equal(d, d_ref))
+    # and the full broadcast is the element-wise formula
+    ref = full_x ** -sigma
+    assert np.array_equal(c_ref, ref if d_ref is None else ref * np.cos(t * np.log(full_x)))
+
+
+def test_neg_power_shares_the_power_or_the_phase(monkeypatch):
+    # x^-sigma on n0 elements for one sigma; cos and sin on n0 for one t
+    sizes = []
+    for name in ("power", "cos", "sin"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(sp.np, name, lambda *a, fn=fn, name=name: sizes.append(
+            (name, np.broadcast(*a).size)) or fn(*a))
+    x = (np.arange(30.0) + 1.0)[:, None]
+    sp._neg_power(x, np.log(x), np.full((1, 8), 0.5), np.linspace(1.0, 9.0, 8)[None, :])
+    assert sizes == [("power", 30), ("cos", 240), ("sin", 240)]
+    sizes.clear()
+    sp._neg_power(x, np.log(x), np.linspace(0.5, 7.5, 8)[None, :], np.full((1, 8), 20.0))
+    assert sizes == [("power", 240), ("cos", 30), ("sin", 30)]
