@@ -121,8 +121,8 @@ class SuiteSpec:
     def __post_init__(self) -> None:
         if self.suite_id not in SUITES:
             raise ConfigError(f"unknown suite: {self.suite_id}")
-        # NaN would breach every row and inf pass every row, and neither is
-        # valid JSON in the report header
+        # a NaN tolerance fails every tolerance-judged row and inf passes
+        # every one; neither is valid JSON in the report header
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 

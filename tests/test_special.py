@@ -801,9 +801,8 @@ def _neg_power_cases():
         yield x, sig, t  # nothing shared
 
 
-@pytest.mark.parametrize("case", range(20))
-def test_neg_power_shared_forms_are_bit_identical_to_the_full_broadcast(case):
-    x, sigma, t = list(_neg_power_cases())[case]
+@pytest.mark.parametrize("x, sigma, t", list(_neg_power_cases()))
+def test_neg_power_shared_forms_are_bit_identical_to_the_full_broadcast(x, sigma, t):
     full_x = np.broadcast_to(x, (x.shape[0], sigma.shape[1])).copy()
     c, d = sp._neg_power(x, np.log(x), sigma, t)
     c_ref, d_ref = sp._neg_power(full_x, np.log(full_x), sigma, t)
