@@ -32,7 +32,6 @@ __all__ = [
     "afe_hurwitz_residual",
     "projection_identity_check",
     "weak_afe_residual",
-    "weak_afe_forms_check",
     "lemma3_integral",
     "power_mean_Ik",
     "power_mean_Jk",
@@ -135,7 +134,7 @@ def _weak_afe_integrals(s: complex):
 
     i1 = integrate_finite(f1, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
     i2 = integrate_finite(f2, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
-    return i1, i2, N, cycles
+    return i1, i2
 
 
 def weak_afe_residual(s: complex) -> identities.IdentityReport:
@@ -145,40 +144,10 @@ def weak_afe_residual(s: complex) -> identities.IdentityReport:
     sigma, t = s.real, s.imag
     if not (0.0 < sigma < 1.0 and t >= 20.0):
         raise DomainError("requires 0 < sigma < 1 and t >= 20")
-    i1, i2, *_ = _weak_afe_integrals(s)
+    i1, i2 = _weak_afe_integrals(s)
     resid = abs(riemann_zeta(s) - i1.value - chi(s) * i2.value)
     params = {"sigma": sigma, "t": t, "scaled": resid * t ** (sigma / 2.0) / math.log(t)}
     return identities.IdentityReport.bound("weak_afe", params, resid, resid)
-
-
-def weak_afe_forms_check(s: complex) -> identities.IdentityReport:
-    """Two-integral versus four-integral form: the two differ exactly by the
-    kernel-projected partial sums Q1, Q2, each of which is itself
-    O(t^{-sigma/2} log t).  lhs = zeta - I1 - chi I2 (|lhs| is the
-    two-form residual) and rhs = -(Q1 + chi Q2), so abs_residual is the
-    four-form residual."""
-    s = complex(s)
-    sigma, t = s.real, s.imag
-    if not (0.0 < sigma < 1.0 and t >= 20.0):
-        raise DomainError("requires 0 < sigma < 1 and t >= 20")
-    i1, i2, N, cycles = _weak_afe_integrals(s)
-    n = np.arange(1, N + 1, dtype=float)
-
-    def c1(a: np.ndarray) -> np.ndarray:
-        return dirichlet_kernel(N, a) * (np.power(a[:, None] + n[None, :], -s) @ np.ones(N))
-
-    def c2(a: np.ndarray) -> np.ndarray:
-        return dirichlet_kernel(N, -a) * (np.power(a[:, None] + n[None, :], s - 1.0) @ np.ones(N))
-
-    q1 = integrate_finite(c1, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
-    q2 = integrate_finite(c2, 0.0, 1.0, cycles=cycles, abs_tol=1e-11, rel_tol=1e-9)
-    chi_val = chi(s)
-    corr1, corr2 = abs(q1.value), abs(chi_val * q2.value)
-    params = {"sigma": sigma, "t": t, "correction_1": corr1, "correction_2": corr2,
-              "corrections_over_envelope": (corr1 + corr2) / (t ** (-sigma / 2.0) * math.log(t))}
-    return identities.IdentityReport.build(
-        "weak_afe_forms", params, riemann_zeta(s) - i1.value - chi_val * i2.value,
-        -(q1.value + chi_val * q2.value))
 
 
 def lemma3_integral(s: complex) -> identities.IdentityReport:

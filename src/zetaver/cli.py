@@ -12,11 +12,14 @@ import cmath
 import configparser
 import functools
 import json
+import math
 import os
 import sys
 
+import numpy as np
+
 from . import afe, fourier, special
-from .errors import ConfigError, ZetaverError
+from .errors import ConfigError, DomainError, ZetaverError
 from .suites import AxisSpec, GridSpec, SuiteSpec, list_suites, run_suite
 
 
@@ -176,7 +179,12 @@ def main(argv=None) -> int:
         # inside the try: a ConfigError of a type converter passes argparse
         args = parser.parse_args(argv)
         if args.command == "eval":
-            value, err = _eval_value(args)
+            # an overflow shows as a value that is not finite, reported below
+            with np.errstate(over="ignore"):
+                value, err = _eval_value(args)
+            if not (cmath.isfinite(value) and math.isfinite(err)):
+                raise DomainError(f"{args.function} is not finite at this point: {value} "
+                                  f"(err estimate {err})")
             if value.imag == 0.0:
                 print(f"{value.real:.12g}  (err estimate {err:.2g})")
             else:

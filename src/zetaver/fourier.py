@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .identities import IdentityReport
-from .quadrature import QuadResult, _check_panel_cap, _evaluations, _fourier_coeffs
+from .quadrature import QuadResult, _check_panel_cap, _fourier_coeffs
 # unused here, but the benchmark's tracer test reads fourier.integrate_finite
 from .quadrature import integrate_finite  # noqa: F401
 from .special import (
@@ -115,9 +115,8 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
     a^{1-u-v}/(u-1) - a^{-u-v}/2 (continued): the _zeta1_head on [1, A]
     plus the closed power tail from A.  err_estimate is the head's error
     plus the certified bound on the tail's omitted part and the rounding of
-    its closed sum; evaluations, the head's folded nodes read off the
-    evaluation meter, are the cost of the whole call and the same for every
-    n."""
+    its closed sum.  The head's nodes count once on the evaluation meter for
+    all of ns."""
     big = max(abs(u), abs(v)) if direct else max(abs(u), abs(v), abs(1.0 - u - v), abs(u + v))
     # 24 and the last clause keep 2 pi |n| A, the argument of the incomplete
     # Gamma in osc_power_tail, large against the powers at every n != 0
@@ -133,11 +132,9 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
         return [(powers, rem)]
 
     [(powers, rem)], A = _certified_powers(expand, A, abs_tol)
-    start = _evaluations()
     heads, errs = _zeta1_head(u, v, ns, A, abs_tol / 2.0, continued=not direct)
-    evals = _evaluations() - start
     tails = [_closed_power_tail(powers, n, A) for n in ns]
-    return {n: QuadResult(head + tail, float(err) + rem + rounding, evals)
+    return {n: QuadResult(head + tail, float(err) + rem + rounding)
             for n, head, err, (tail, rounding) in zip(ns, heads, errs, tails)}
 
 
@@ -148,10 +145,10 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
     lead_n is a_n(u+v) (direct) or [1/(u-1) + 1/(v-1)] a_n(u+v-1)
     (continued), which at n = 0 is 1/((u-1)(v-1)) identically, since
     a_0(s) = 1/(s-1): its pole at u + v = 2 cancels.  I_u and I_v are the
-    side integrals of u and of v, whose errors add, and evaluations count
-    both sides' whole calls.  For
-    v = conj u, I_v(n) = conj I_u(-n), so only the u side is integrated and
-    q_{-n} = conj q_n holds exactly; the dict then holds -n for every n.
+    side integrals of u and of v, whose errors add.  For v = conj u,
+    I_v(n) = conj I_u(-n), so only the u side is integrated, at the cost of
+    one side call on the evaluation meter, and q_{-n} = conj q_n holds
+    exactly; the dict then holds -n for every n.
     """
     ns = list(ns)
 
@@ -168,15 +165,14 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
         for m in sorted({abs(n) for n in ns}):
             value = complex(lead(m) + side[m].value + side[-m].value.conjugate())
             err = side[m].err_estimate + side[-m].err_estimate
-            out[m] = QuadResult(value, err, side[m].evaluations)
+            out[m] = QuadResult(value, err)
             if m:
-                out[-m] = QuadResult(value.conjugate(), err, side[m].evaluations)
+                out[-m] = QuadResult(value.conjugate(), err)
         return out
     side_u = _side_integrals(u, v, ns, abs_tol, direct)
     side_v = _side_integrals(v, u, ns, abs_tol, direct)
     return {n: QuadResult(complex(lead(n) + side_u[n].value + side_v[n].value),
-                          side_u[n].err_estimate + side_v[n].err_estimate,
-                          side_u[n].evaluations + side_v[n].evaluations)
+                          side_u[n].err_estimate + side_v[n].err_estimate)
             for n in ns}
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "mellin_tail_check",
     "unit_interval_recursion",
     "verify_katsurada",
-    "katsurada_split_check",
     "i1_asymptotic_check",
     "remark_219_check",
     "sum_recip_m_mp1u",
@@ -195,17 +194,15 @@ def _line_integral(g, c: float, poles: list[float], poly_degree: float,
     conj(g(z)), so the lower half repeats the upper: the value is
     (1/pi) int_0^Y Re g(c + iy) dy, integrated at abs_tol / 2 so that the
     error budget is the full line's, and one end probe at c + iY stands
-    for both ends.  The end probes count on the evaluation meter and in
-    evaluations, with the engine's nodes.
+    for both ends.  The end probes count on the evaluation meter, with the
+    engine's nodes.
     """
     clearance = min(abs(c - p) for p in poles)
     if clearance < 1e-3:
         raise PoleTooCloseError(f"abscissa c={c} within {clearance} of a pole")
     Y = _stirling_height(abs_tol / 10.0, poly_degree)
     ends = np.array([1.0] if real else [1.0, -1.0])
-    probes = 0
     for _ in range(3):
-        probes += ends.size
         _count(ends.size)
         if np.abs(g(c + 1j * (Y * ends))).max() < abs_tol / 10.0:
             break
@@ -218,7 +215,7 @@ def _line_integral(g, c: float, poles: list[float], poly_degree: float,
         res = integrate_finite(lambda y: g(c + 1j * y), -Y, Y, cycles=_LINE_CYCLES,
                                abs_tol=abs_tol, rel_tol=rel_tol)
         scale = _2PI
-    return QuadResult(res.value / scale, res.err_estimate / scale, res.evaluations + probes)
+    return QuadResult(res.value / scale, res.err_estimate / scale)
 
 
 def f_contour(
@@ -344,7 +341,7 @@ def _weighted_tails(pairs) -> list[QuadResult]:
     _certified_powers until every pair's remainder is at most 1e-13, each
     distinct factor's _zeta1_powers taken once per A.  A pair's
     err_estimate is its head's error plus its certified remainder and the
-    rounding of its closed sum; evaluations are the whole call's.
+    rounding of its closed sum.
     DivergenceError for decay alpha^-1 or slower.
     """
     pairs = [(complex(w), tuple(complex(u) for u in us)) for w, us in pairs]
@@ -362,7 +359,7 @@ def _weighted_tails(pairs) -> list[QuadResult]:
     tails = [_closed_power_tail(powers, 0, A) for powers, _ in expansions]
     f, cycles = _weighted_products(pairs, 1.0, A)
     heads = integrate_finite(f, 1.0, A, cycles=cycles, abs_tol=1e-13, rel_tol=2e-11)
-    return [QuadResult(head.value + tail, head.err_estimate + rem + rounding, head.evaluations)
+    return [QuadResult(head.value + tail, head.err_estimate + rem + rounding)
             for head, (_, rem), (tail, rounding) in zip(heads, expansions, tails)]
 
 
@@ -506,7 +503,7 @@ def _unit_power(u: complex, power: complex, *, quotient: bool = False, log_weigh
     zeta1_cycles = _zeta1_cycles(u.imag)
     res = integrate_finite(f, b, 1.0, cycles=lambda a: zeta1_cycles(a) + abs(power) / (_2PI * a),
                            abs_tol=abs_tol, rel_tol=rel_tol)
-    return QuadResult(head + res.value, res.err_estimate + cut, res.evaluations)
+    return QuadResult(head + res.value, res.err_estimate + cut)
 
 
 def mellin_tail_check(u: complex, v: complex) -> IdentityReport:
@@ -586,18 +583,6 @@ def verify_katsurada(u: complex, v: complex) -> IdentityReport:
     rhs = (1.0 / (u + v - 1.0) + (_mellin_closed(u, v) - _recursion_rhs(u, v))
            + (_mellin_closed(v, u) - _recursion_rhs(v, u)))
     return IdentityReport.build("katsurada", {"u": u, "v": v}, lhs_res.value, rhs)
-
-
-def katsurada_split_check(u: complex, v: complex) -> IdentityReport:
-    """Term-level consistency: the weighted tail integral over [1, inf)
-    equals the Mellin closed form minus the unit-interval recursion terms."""
-    u = complex(u)
-    v = complex(v)
-    if not (1.0 < u.real < 2.0 and 1.0 < v.real < 2.0):
-        raise DomainError("split check needs Re u, Re v in (1, 2)")
-    direct, = _weighted_tails([(v, (u,))])
-    return IdentityReport.build("katsurada_split", {"u": u, "v": v}, direct.value,
-                                _mellin_closed(u, v) - _recursion_rhs(u, v))
 
 
 def sum_recip_m_mp1u(u: complex) -> complex:

@@ -11,11 +11,14 @@ evaluates every panel, initial or bisected, in batches of _CHUNK = 32
 panels, and a remainder shorter than _CHUNK joins the last batch: a batch
 holds 32 to 63 panels unless the whole set has fewer, so an integrand
 receives up to 15 * (2 * _CHUNK - 1) = 945 nodes per call and must keep
-its memory per node bounded.  A non-finite panel value or error
-estimate raises ConvergenceError.  Panels are picked here only: a caller
-states its integrand's frequency (cycles) and its non-smooth points
-(initial_points).  Panel processing order is deterministic, so repeated
-runs with the same configuration produce bit-identical results.
+its memory per node bounded.  Every node handed to an integrand counts
+once on the one evaluation meter, _evaluations(); a QuadResult holds a
+value and an error estimate and no cost of its own.  A non-finite panel
+value or error estimate raises ConvergenceError.  Panels are picked here
+only: a caller states its integrand's frequency (cycles) and its
+non-smooth points (initial_points).  Panel processing order is
+deterministic, so repeated runs with the same configuration produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -102,10 +105,12 @@ _G7_ON_K15 = np.zeros_like(_WGK_FULL)
 _G7_ON_K15[1::2] = _WG_FULL
 _KD_WEIGHTS = np.column_stack((_WGK_FULL, _WGK_FULL - _G7_ON_K15))
 
-# Integrand evaluations made in this process: _panel_nodes adds every node
-# that _gk15_many or _fourier_coeffs hands to an integrand.  A reader takes
-# the difference of _evaluations() before and after the work it measures,
-# so readings nest; each pool worker counts its own.
+# Integrand evaluations made in this process, the only count of them:
+# _panel_nodes adds every node that _gk15_many or _fourier_coeffs hands to
+# an integrand, and the line probes of identities._line_integral add theirs
+# by _count.  A reader takes the difference of _evaluations() before and
+# after the work it measures, so readings nest; each pool worker counts
+# its own.
 _evaluated = 0
 
 
@@ -120,11 +125,11 @@ def _evaluations() -> int:
 
 @dataclasses.dataclass
 class QuadResult:
-    """Value, error estimate and cost of one integration."""
+    """Value and error estimate of one integration; its cost is on the
+    evaluation meter."""
 
     value: complex
     err_estimate: float
-    evaluations: int
 
     def __post_init__(self) -> None:
         if self.err_estimate < 0:
@@ -222,8 +227,8 @@ def integrate_finite(
     f returns one value per node, and integrate_finite one QuadResult; or
     f returns (m, nodes) values, m integrands on the same nodes, and
     integrate_finite a list of m QuadResults, each with its own value,
-    error and tolerance.  The panels are shared, so every result's
-    evaluations are the nodes of the whole call, counted once.
+    error and tolerance.  The panels are shared, so the meter counts the
+    nodes of the whole call once.
 
     cycles, the integrand's cycles per unit of x, sets the initial panels:
     a number gives ceil(_PER_CYCLE * cycles * (b - a)) equal ones, a
@@ -301,8 +306,7 @@ def integrate_finite(
         if total_err > max(abs_tol, rel_tol * abs(total), 1e-13 * abs(total)):
             raise ConvergenceError(f"finite integral stalled: err={total_err:.3e} "
                                    f"value={abs(total):.3e} panels={lo.size}")
-    evaluations = 15 * (lo.size + bisections)
-    results = [QuadResult(complex(t), float(e), evaluations) for t, e in zip(totals, total_errs)]
+    results = [QuadResult(complex(t), float(e)) for t, e in zip(totals, total_errs)]
     return results[0] if scalar else results
 
 

@@ -125,6 +125,10 @@ class SuiteSpec:
         # every one; neither is valid JSON in the report header
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        # as with a grid axis the runner does not read: a tolerance that no
+        # judge reads would only change the header and the config hash
+        if self.tolerance is not None and SUITES[self.suite_id].judge is not None:
+            raise ConfigError(f"suite {self.suite_id} has its own judge and reads no tolerance")
 
 
 @dataclasses.dataclass

@@ -153,20 +153,45 @@ def test_weak_afe_slope_not_exploding():
     assert afe.loglog_slope(ts, vals) <= 0.1
 
 
-def test_weak_afe_row_counts_both_integrals(spent):
-    s = complex(0.5, 50.0)
-    i1, i2, *_ = afe._weak_afe_integrals(s)
-    assert spent(afe.weak_afe_residual, s)[1] == i1.evaluations + i2.evaluations > 0
+def test_weak_afe_row_counts_both_integrals(monkeypatch, spent):
+    costs = []
+
+    def metered(*args, **kwargs):
+        res, evals = spent(quadrature.integrate_finite, *args, **kwargs)
+        costs.append(evals)
+        return res
+
+    monkeypatch.setattr(afe, "integrate_finite", metered)
+    assert spent(afe.weak_afe_residual, complex(0.5, 50.0))[1] == sum(costs) > 0
+    assert len(costs) == 2
 
 
 def test_weak_afe_four_form_vs_two_form():
-    rep = afe.weak_afe_forms_check(complex(0.5, 100.0))
-    d = rep.params
-    # the two forms (residuals |lhs| and abs_residual) differ by exactly the
-    # explicit correction terms
-    assert abs(abs(rep.lhs) - rep.abs_residual) <= d["correction_1"] + d["correction_2"] + 1e-12
+    # the two-integral form zeta - I1 - chi I2 and the four-integral form,
+    # which adds back the kernel-projected partial sums Q1 + chi Q2
+    s = complex(0.5, 100.0)
+    sigma, t = s.real, s.imag
+    i1, i2 = afe._weak_afe_integrals(s)
+    N = special.kernel_index(t)
+    n = np.arange(1, N + 1, dtype=float)
+    zeta1_cycles = special._zeta1_cycles(t)
+
+    def projected_sum(sign, power):
+        def f(a):
+            partial = np.power(a[:, None] + n, power).sum(axis=1)
+            return special.dirichlet_kernel(N, sign * a) * partial
+
+        return quadrature.integrate_finite(f, 0.0, 1.0, cycles=lambda a: N + zeta1_cycles(a),
+                                           abs_tol=1e-11, rel_tol=1e-9).value
+
+    chi = special.chi(s)
+    q1, chi_q2 = projected_sum(1, -s), chi * projected_sum(-1, s - 1.0)
+    two_form = special.riemann_zeta(s) - i1.value - chi * i2.value
+    four_form = two_form + q1 + chi_q2
+    # the two forms differ by exactly the explicit correction terms
+    assert abs(abs(two_form) - abs(four_form)) <= abs(q1) + abs(chi_q2) + 1e-12
     # and those corrections sit inside their envelope
-    assert d["corrections_over_envelope"] <= 2.0
+    assert (abs(q1) + abs(chi_q2)) / (t ** (-sigma / 2.0) * math.log(t)) <= 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,23 @@ def test_eval_kernel(capsys):
 def test_eval_domain_error_mirrors_library(capsys):
     assert main(["eval", "zeta1", "--s", "2", "--alpha", "-1"]) == 2
     assert "DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["200", "200+1i"])
+def test_eval_value_that_is_not_finite_is_domain_error(capsys, s):
+    # Gamma(200) overflows: exit 2 with the error, not inf with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "gamma", "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert "DomainError: gamma is not finite" in captured.err and not captured.out
+    assert "Warning" not in captured.err
+
+
+def test_eval_largest_finite_gamma_is_printed(capsys):
+    assert main(["eval", "gamma", "--s", "171"]) == 0
+    value = float(capsys.readouterr().out.split()[0])
+    assert math.isclose(value, math.gamma(171.0), rel_tol=1e-10)
 
 
 def test_run_suite_pass_and_exit_zero(tmp_path, capsys):
@@ -416,6 +434,28 @@ def test_config_file_non_finite_or_negative_tol_is_config_error(tmp_path, capsys
 def test_suite_spec_rejects_non_finite_or_negative_tol(tol):
     with pytest.raises(ConfigError):
         SuiteSpec("quadratic_moment", tolerance=tol)
+
+
+@pytest.mark.parametrize("suite_id", sorted(SUITES))
+def test_suite_spec_takes_a_tolerance_only_where_no_judge_reads_its_own(suite_id):
+    if SUITES[suite_id].judge is None:
+        assert SuiteSpec(suite_id, tolerance=1e-6).tolerance == 1e-6
+    else:
+        with pytest.raises(ConfigError, match="reads no tolerance"):
+            SuiteSpec(suite_id, tolerance=1e-6)
+
+
+def test_judged_suite_tol_is_config_error(tmp_path, capsys):
+    # s1_sum is judged by its bound alone: a tolerance would only change
+    # the header and the config hash
+    out = tmp_path / "r.json"
+    assert main(["run-suite", "s1_sum", "--tol", "1e-30", "--out", str(out)]) == 2
+    assert "configuration error: suite s1_sum has its own judge" in capsys.readouterr().err
+    assert not out.exists()
+    cfgfile = tmp_path / "suite.ini"
+    cfgfile.write_text("[lemma3]\ntol = 1e-6\n")
+    assert main(["run-suite", "lemma3", "--config", str(cfgfile)]) == 2
+    assert "lemma3 has its own judge and reads no tolerance" in capsys.readouterr().err
 
 
 def test_zero_tol_is_accepted(tmp_path):

@@ -129,14 +129,15 @@ def test_qn_direct_vs_convolution_oracle():
     assert abs(q - conv) / abs(q) <= 1e-6
 
 
-def test_qn_modes_agree_in_overlap():
+def test_qn_modes_agree_in_overlap(spent):
     for n in (0, 2, 5):
-        qd = fr.qn_direct(n, 2.0 + 1j, 2.0 - 1j)
-        qc = fr.qn_continued(n, 2.0 + 1j, 2.0 - 1j)
+        qd, qd_evals = spent(fr.qn_direct, n, 2.0 + 1j, 2.0 - 1j)
+        qc, qc_evals = spent(fr.qn_continued, n, 2.0 + 1j, 2.0 - 1j)
         assert abs(qd.value - qc.value) / abs(qd.value) <= 1e-6
-        # each mode reports its cost and an error that covers the other route
+        # each mode costs evaluations on the meter and reports an error that
+        # covers the other route
         assert abs(qd.value - qc.value) <= qd.err_estimate + qc.err_estimate
-        assert qd.evaluations > 0 and qc.evaluations > 0
+        assert qd_evals > 0 and qc_evals > 0
 
 
 def test_qn_continued_below_line_vs_oracle():
@@ -266,7 +267,7 @@ def test_qn_continued_error_covers_oracle():
     assert abs(q.value - ref) <= q.err_estimate
 
 
-def test_fourier_rows_need_no_alpha_table(monkeypatch):
+def test_fourier_rows_need_no_alpha_table(monkeypatch, spent):
     from zetaver import zeta1_cache
 
     def refuse(*args, **kwargs):
@@ -276,8 +277,9 @@ def test_fourier_rows_need_no_alpha_table(monkeypatch):
     u = complex(0.5, 50.0)
     assert fr.theorem2_check([50.0])[0].params["coeff_sum"] > 0.0
     assert fr.highfreq_tail_check(20, u, u.conjugate()).params["ratio"] <= 1.0
-    for q in (fr.qn_direct(2, 2.0 + 1j, 2.0 - 1j), fr.qn_continued(2, 2.0 + 1j, 2.0 - 1j)):
-        assert q.evaluations > 0 and math.isfinite(abs(q.value))
+    for qn in (fr.qn_direct, fr.qn_continued):
+        q, evals = spent(qn, 2, 2.0 + 1j, 2.0 - 1j)
+        assert evals > 0 and math.isfinite(abs(q.value))
 
 
 @pytest.mark.parametrize("call", [
@@ -447,10 +449,10 @@ def test_parseval_second_moment_by_parts_tail(t):
 def test_parseval_rows_count_their_whole_cost(spent):
     # the power mean plus, for parseval4, the q_n head's folded nodes
     u = complex(0.5, 50.0)
-    mean = afe._power_mean(u, 2, abs_tol=1e-10, rel_tol=1e-8)
-    coeffs = fr._q_coeffs(u, u.conjugate(), range(-82, 83),
-                          max(1e-10, 2e-5 * mean.value.real / 82), direct=False)
-    assert (mean.evaluations, coeffs[0].evaluations) == (705, 3435)
+    mean, mean_evals = spent(afe._power_mean, u, 2, abs_tol=1e-10, rel_tol=1e-8)
+    _, coeffs_evals = spent(fr._q_coeffs, u, u.conjugate(), range(-82, 83),
+                            max(1e-10, 2e-5 * mean.value.real / 82), direct=False)
+    assert (mean_evals, coeffs_evals) == (705, 3435)
     assert spent(fr.parseval_fourth_moment, u)[1] == 705 + 3435
     assert spent(fr.parseval_second_moment, u)[1] == 360
 

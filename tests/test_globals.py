@@ -72,3 +72,32 @@ def test_only_quadrature_knows_the_gk15_rule():
                   and isinstance(node.value, ast.Name) and node.value.id == "quadrature"):
                 leaks.append(f"{info.name}: quadrature.{node.attr}")
     assert not leaks, leaks
+
+
+def _meter_users(name):
+    """The zetaver modules that call quadrature's meter function name, by
+    its bare name or as an attribute, or import it."""
+    users = set()
+    for info in pkgutil.iter_modules(zetaver.__path__):
+        module = importlib.import_module(f"zetaver.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "quadrature":
+                used = any(a.name == name for a in node.names)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                used = (isinstance(func, ast.Name) and func.id == name
+                        or isinstance(func, ast.Attribute) and func.attr == name)
+            else:
+                continue
+            if used:
+                users.add(info.name)
+    return users
+
+
+def test_one_module_reads_the_meter_and_two_count_on_it():
+    # quadrature counts the nodes it hands out and identities its line end
+    # probes; only the batch layer reads the count into report rows
+    assert _meter_users("_evaluations") == {"suites"}
+    assert _meter_users("_count") == {"quadrature", "identities"}

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import zetaver
+from zetaver import special
 from zetaver.suites import AxisSpec, GridSpec, SuiteSpec, SUITES, run_suite
 
 
@@ -79,6 +80,30 @@ def test_error_row_reports_the_evaluations_before_its_error():
     (row,) = run_suite(SuiteSpec("unit_recursion", grid=grid)).rows
     assert row["params"]["error"].startswith("ConvergenceError")
     assert row["evals"] == 15 * (4 + 2 * 20_000) == 600_060
+
+
+# Summed row evals of each default grid (a point's count stands on each of
+# its rows), and the base-sum terms of all 26 grids.  Both are
+# deterministic, so a change of cost shows here before any timing does; the
+# five suites that integrate nothing report 0.
+_DEFAULT_GRID_EVALS = {
+    "afe_hurwitz": 0, "afe_zeta": 0, "f_routes": 3_822, "highfreq_tail": 6_360,
+    "i1_asymptotic": 7_860, "katsurada": 1_575, "kernel_norms": 291_645, "lemma3": 11_640,
+    "mellin_tail": 2_835, "parseval4": 4_140, "power_mean_Ik": 2_895, "power_mean_Jk": 4_500,
+    "projection": 27_360, "qn_modes": 900, "quadratic_moment": 3_375,
+    "quadruple_moment": 4_470, "rane": 0, "remark_219": 4_920, "s1_sum": 0,
+    "square_identity": 15_762, "tail_lemma": 0, "theorem1": 23_475, "theorem2": 12_930,
+    "triple_moment": 2_880, "unit_recursion": 750, "weak_afe": 29_790,
+}
+_DEFAULT_GRIDS_BASE_TERMS = 3_171_319
+
+
+def test_default_grid_costs_are_pinned():
+    start = special._base_terms()
+    evals = {suite_id: sum(r["evals"] for r in run_suite(SuiteSpec(suite_id)).rows)
+             for suite_id in SUITES}
+    assert special._base_terms() - start == _DEFAULT_GRIDS_BASE_TERMS
+    assert evals == _DEFAULT_GRID_EVALS
 
 
 def test_rows_of_one_point_share_its_evaluations():
