@@ -64,7 +64,6 @@ from .fourier import (
     qn_continued,
     qn_direct,
     rane_representation,
-    reconstruct_zeta1,
     tail_lemma_check,
     theorem2_check,
 )

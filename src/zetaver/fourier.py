@@ -40,12 +40,10 @@ __all__ = [
     "tail_lemma_check",
     "qn_direct",
     "qn_continued",
-    "highfreq_pair_integral",
     "highfreq_tail_check",
     "parseval_second_moment",
     "parseval_fourth_moment",
     "theorem2_check",
-    "reconstruct_zeta1",
 ]
 
 
@@ -291,28 +289,6 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
 # ---------------------------------------------------------------------------
 
 
-def highfreq_pair_integral(y: float, s1: float, s2: float, t: float, n: int,
-                           conjugated: bool = False) -> complex:
-    """int_1^{t/2pi+1} a^{-s1 +/- it} (a+y)^{-s2 -/+ it} e^{-2 pi i n a} da.
-
-    The two factors are a conjugate pair in their phases: e^{+/- it log(a/(a+y))}
-    has the one band t y/(2 pi a (a + y)), not the sum of both log-phases.
-    """
-    if y <= 0.0:
-        raise DomainError("y must be > 0")
-    sign = -1.0 if conjugated else 1.0
-
-    def f(a: np.ndarray) -> np.ndarray:
-        phase = np.exp(sign * 1j * t * np.log(a / (a + y)))
-        return np.power(a, -s1) * np.power(a + y, -s2) * phase
-
-    def cycles(a: float) -> float:
-        return t * y / (_2PI * a * (a + y)) + 1.0
-
-    (val,), _errs = _fourier_coeffs(f, cycles, [n], 1.0, t / _2PI + 1.0, 1e-12)
-    return complex(val)
-
-
 def highfreq_tail_check(n: int, u: complex, v: complex, eta: float = 1.0) -> IdentityReport:
     """|int_1^{t/2pi+eta} a^{-v} zeta1(u,a) e^{-2 pi i n a} da| against the
     t^{1/2} / |n - t/2pi| envelope, for t > 0 (at t = 0 the envelope is 0)
@@ -486,48 +462,3 @@ def theorem2_check(t_grid, eta: float = 1.0) -> list[IdentityReport]:
         records.append(IdentityReport.record(
             "theorem2", {"t": t, "eta": eta, "ratio": ratio, "coeff_sum": total}, z4, ratio))
     return records
-
-
-# ---------------------------------------------------------------------------
-# Pointwise Fourier reconstruction of zeta1.
-# ---------------------------------------------------------------------------
-
-
-def reconstruct_zeta1(s: complex, alpha: float, M: int, accelerated: bool = True) -> complex:
-    """Partial Fourier sum sum_{|n| <= M} a_n(s) e^{2 pi i n alpha}.
-
-    With accelerated=True the first three integration-by-parts orders of
-    a_n are subtracted and resummed in closed form through the periodic
-    Bernoulli polynomials, leaving O(|s|^3/n^4) coefficients; the plain
-    partial sum converges only at the 1/M rate set by the unit jump of
-    zeta1 at the interval ends.
-    """
-    s = complex(s)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must be inside (0, 1)")
-    a0 = fourier_coeff_a(0, s)
-    if not accelerated:
-        acc = a0
-        for n in range(1, M + 1):
-            e = np.exp(2j * math.pi * n * alpha)
-            acc += fourier_coeff_a(n, s) * e + fourier_coeff_a(-n, s) / e
-        return complex(acc)
-    # by-parts orders: a_n ~ sum_k J_{k-1} / (2 pi i n)^k with the jumps
-    # J_j = (-1)^j (s)_j, and sum_{n != 0} e^{2 pi i n a} / (2 pi i n)^k = -B_k(a)/k!
-    bern_polys = [
-        alpha - 0.5,
-        alpha * alpha - alpha + 1.0 / 6.0,
-        alpha**3 - 1.5 * alpha * alpha + 0.5 * alpha,
-    ]
-    coefs = [1.0, -s, s * (s + 1.0)]
-    closed = a0
-    for k in (1, 2, 3):
-        closed += coefs[k - 1] * (-bern_polys[k - 1] / math.factorial(k))
-    acc = closed
-    for n in range(1, M + 1):
-        e = complex(np.exp(2j * math.pi * n * alpha))
-        for sign, ph in ((1, e), (-1, 1.0 / e)):
-            w = 2j * math.pi * sign * n
-            asym = coefs[0] / w + coefs[1] / w**2 + coefs[2] / w**3
-            acc += (fourier_coeff_a(sign * n, s) - asym) * ph
-    return complex(acc)

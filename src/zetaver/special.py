@@ -26,7 +26,6 @@ __all__ = [
     "hurwitz_zeta",
     "chi",
     "dirichlet_kernel",
-    "dirichlet_kernel_direct",
     "bernoulli_numbers",
     "beta_integral",
     "fourier_coeff_a",
@@ -667,14 +666,6 @@ def dirichlet_kernel(N: int, alpha):
     )
     val = np.where(zero, complex(N), val)
     return complex(val[0]) if scalar else val
-
-
-def dirichlet_kernel_direct(N: int, alpha: float) -> complex:
-    """Direct compensated summation of the kernel (reference route)."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    n = np.arange(1, N + 1, dtype=float)
-    return _csum(np.exp(2j * math.pi * n * float(alpha)))
 
 
 # ---------------------------------------------------------------------------

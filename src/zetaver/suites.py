@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import afe, fourier, identities, quadrature, special
-from .errors import ConfigError, ZetaverError
+from .errors import ConfigError, DomainError, ZetaverError
 
 _2PI = 2.0 * math.pi
 
@@ -241,6 +241,15 @@ def _axis(*vals) -> AxisSpec:
     return AxisSpec(explicit=tuple(vals))
 
 
+def _integer(value: float) -> int:
+    """The value of an integer grid axis as an int, or DomainError where
+    int() would truncate it."""
+    n = int(value)
+    if n != value:
+        raise DomainError(f"requires an integer, got {value}")
+    return n
+
+
 def _run_square(pt):
     s = complex(pt["sigma"], pt["t"])
     return [identities.verify_square_identity(s, pt["alpha"])]
@@ -308,7 +317,7 @@ def _run_afe_hurwitz(pt):
 
 
 def _run_projection(pt):
-    n = int(pt["N"])
+    n = _integer(pt["N"])
     rng = np.random.default_rng(1234 + n)
     z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0))
     return [afe.projection_identity_check(z, n, mirrored=m) for m in (False, True)]
@@ -323,13 +332,13 @@ def _run_lemma3(pt):
 
 
 def _run_power_mean_Ik(pt):
-    k = int(pt["k"])
+    k = _integer(pt["k"])
     value = afe.power_mean_Ik(k, pt["t"])
     return [identities.IdentityReport.record("power_mean_Ik", {"k": k, "t": pt["t"]}, value, value)]
 
 
 def _run_power_mean_Jk(pt):
-    k = int(pt["k"])
+    k = _integer(pt["k"])
     value = afe.power_mean_Jk(k, pt["T"])
     env = math.log(pt["T"] / _2PI) + 2.0 * float(np.euler_gamma) - 1.0 if k == 1 else value
     gap = abs(value - env)  # relative to the envelope, not to J_k
@@ -348,12 +357,12 @@ def _run_s1(pt):
 
 
 def _run_theorem1(pt):
-    return afe.theorem1_check(int(pt["k"]), [pt["t"]])
+    return afe.theorem1_check(_integer(pt["k"]), [pt["t"]])
 
 
 def _run_rane(pt):
     s = complex(pt["sigma"], pt["t"])
-    alpha, M = pt["alpha"], int(pt["M"])
+    alpha, M = pt["alpha"], _integer(pt["M"])
     val = fourier.rane_representation(s, alpha, M)
     ref = complex(special.hurwitz_zeta1(s, alpha))
     return [identities.IdentityReport.build(
@@ -367,7 +376,7 @@ def _run_tail_lemma(pt):
 
 
 def _run_qn_modes(pt):
-    n = int(pt["n"])
+    n = _integer(pt["n"])
     u = complex(pt["u_re"], pt["u_im"])
     v = u.conjugate()
     qd = fourier.qn_direct(n, u, v)
@@ -378,7 +387,11 @@ def _run_qn_modes(pt):
 
 def _run_highfreq(pt):
     u = complex(pt.get("sigma", 0.5), pt["t"])
-    return [fourier.highfreq_tail_check(int(pt["n"]), u, u.conjugate(), pt.get("eta", 1.0))]
+    return [fourier.highfreq_tail_check(_integer(pt["n"]), u, u.conjugate(), pt.get("eta", 1.0))]
+
+
+def _run_parseval2(pt):
+    return [fourier.parseval_second_moment(complex(pt["sigma"], pt["t"]))]
 
 
 def _run_parseval4(pt):
@@ -390,7 +403,7 @@ def _run_theorem2(pt):
 
 
 def _run_kernel_norms(pt):
-    n = int(pt["N"])
+    n = _integer(pt["N"])
     l1 = afe.kernel_norm_power(n, 1.0)
     l2sq = afe.kernel_norm_power(n, 2.0)
     params = {"N": n, "l1_over_logN": l1 / math.log(n) if n > 1 else l1}
@@ -546,6 +559,8 @@ _register(Suite("qn_modes", "Eq. convhalf", "direct vs continued product coeffic
 _register(Suite("highfreq_tail", "Lemma (sect. 5, final)", "high-frequency coefficient bound",
                 _run_highfreq, GridSpec({"t": _axis(50.0), "n": _axis(20, 40, 80)}),
                 None, _judge_ratio_record(1.0), optional_axes=("sigma", "eta")))
+_register(Suite("parseval2", "Parseval (sect. 5)", "second-moment Parseval identity", _run_parseval2,
+                GridSpec({"sigma": _axis(0.5), "t": _axis(50.0)}), 1e-11))
 _register(Suite("parseval4", "Parseval (sect. 5)", "fourth-moment Parseval identity", _run_parseval4,
                 GridSpec({"sigma": _axis(0.5), "t": _axis(50.0)}), 1e-3,
                 optional_axes=("eta",)))

@@ -541,6 +541,18 @@ def test_rane_desk_scale_M_annotates_row_at_once(tmp_path, capsys):
     assert rows[0]["params"]["error"].startswith("DomainError")
 
 
+def test_non_integral_integer_axis_exits_one_with_an_error_row(tmp_path, capsys):
+    # int() would truncate n = 0.5 and compute a second row at n = 0
+    out = tmp_path / "r.json"
+    code = main(["run-suite", "qn_modes", "--grid", "n=0,0.5", "--grid", "u_re=2",
+                 "--grid", "u_im=1", "--format", "json", "--out", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert "error" not in rows[0]["params"]
+    assert rows[1]["params"]["error"] == "DomainError: requires an integer, got 0.5"
+
+
 def test_continued_q0_at_u_plus_v_two(tmp_path, capsys):
     # the pole of a_0(u + v - 1) at u + v = 2 cancels in the continued lead
     assert main(["eval", "q_n", "--n", "0", "--u", "1+20i", "--v", "1-20i"]) == 0

@@ -101,3 +101,22 @@ def test_one_module_reads_the_meter_and_two_count_on_it():
     # probes; only the batch layer reads the count into report rows
     assert _meter_users("_evaluations") == {"suites"}
     assert _meter_users("_count") == {"quadrature", "identities"}
+
+
+def test_every_exported_verifier_is_called_in_src():
+    # a verifier only tests reach is a reference route, not product code;
+    # special's exports are the library's base API and stay exempt
+    loaded = set()
+    for info in pkgutil.iter_modules(zetaver.__path__):
+        module = importlib.import_module(f"zetaver.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unused = [f"{name}.{export}" for name in ("identities", "afe", "fourier")
+              for export in importlib.import_module(f"zetaver.{name}").__all__
+              if export not in loaded]
+    assert not unused, unused

@@ -45,6 +45,7 @@ CHEAP_GRIDS = {
     "tail_lemma": GridSpec({"t": _ax(50.0), "factor": _ax(2.0)}),
     "qn_modes": GridSpec({"n": _ax(0, 2), "u_re": _ax(2.0), "u_im": _ax(1.0)}),
     "highfreq_tail": GridSpec({"t": _ax(50.0), "n": _ax(20)}),
+    "parseval2": GridSpec({"sigma": _ax(0.5), "t": _ax(50.0)}),
     "parseval4": GridSpec({"sigma": _ax(0.5), "t": _ax(50.0)}),
     "theorem2": GridSpec({"t": _ax(50.0)}),
     "kernel_norms": GridSpec({"N": _ax(10, 100)}),
@@ -83,19 +84,19 @@ def test_error_row_reports_the_evaluations_before_its_error():
 
 
 # Summed row evals of each default grid (a point's count stands on each of
-# its rows), and the base-sum terms of all 26 grids.  Both are
+# its rows), and the base-sum terms of all 27 grids.  Both are
 # deterministic, so a change of cost shows here before any timing does; the
 # five suites that integrate nothing report 0.
 _DEFAULT_GRID_EVALS = {
     "afe_hurwitz": 0, "afe_zeta": 0, "f_routes": 3_822, "highfreq_tail": 6_360,
     "i1_asymptotic": 7_860, "katsurada": 1_575, "kernel_norms": 291_645, "lemma3": 11_640,
-    "mellin_tail": 2_835, "parseval4": 4_140, "power_mean_Ik": 2_895, "power_mean_Jk": 4_500,
-    "projection": 27_360, "qn_modes": 900, "quadratic_moment": 3_375,
+    "mellin_tail": 2_835, "parseval2": 360, "parseval4": 4_140, "power_mean_Ik": 2_895,
+    "power_mean_Jk": 4_500, "projection": 27_360, "qn_modes": 900, "quadratic_moment": 3_375,
     "quadruple_moment": 4_470, "rane": 0, "remark_219": 4_920, "s1_sum": 0,
     "square_identity": 15_762, "tail_lemma": 0, "theorem1": 23_475, "theorem2": 12_930,
     "triple_moment": 2_880, "unit_recursion": 750, "weak_afe": 29_790,
 }
-_DEFAULT_GRIDS_BASE_TERMS = 3_171_319
+_DEFAULT_GRIDS_BASE_TERMS = 3_183_894
 
 
 def test_default_grid_costs_are_pinned():
@@ -104,6 +105,38 @@ def test_default_grid_costs_are_pinned():
              for suite_id in SUITES}
     assert special._base_terms() - start == _DEFAULT_GRIDS_BASE_TERMS
     assert evals == _DEFAULT_GRID_EVALS
+
+
+# One non-integral value on each integer axis, the other axes from CHEAP_GRIDS.
+_NON_INTEGRAL = [("projection", "N", 7.5), ("kernel_norms", "N", 10.9),
+                 ("power_mean_Ik", "k", 1.5), ("power_mean_Jk", "k", 1.5),
+                 ("theorem1", "k", 1.5), ("rane", "M", 200.5), ("qn_modes", "n", 0.5),
+                 ("highfreq_tail", "n", 20.5)]
+
+
+@pytest.mark.parametrize("suite_id, axis, value", _NON_INTEGRAL)
+def test_non_integral_value_on_an_integer_axis_is_an_error_row(suite_id, axis, value):
+    # int() would truncate it and compute the row at the integer below
+    grid = GridSpec(dict(CHEAP_GRIDS[suite_id].axes, **{axis: _ax(value)}))
+    report = run_suite(SuiteSpec(suite_id, grid=grid))
+    assert not report.passed
+    errors = {r["params"]["error"] for r in report.rows}
+    assert errors == {f"DomainError: requires an integer, got {value}"}
+
+
+def test_every_integer_axis_is_checked():
+    integer_axes = {(sid, axis) for sid, suite in SUITES.items()
+                    for axis in re.findall(r'_integer\(pt\["(\w+)"\]\)',
+                                           inspect.getsource(suite.runner))}
+    assert integer_axes == {(sid, axis) for sid, axis, _ in _NON_INTEGRAL}
+    assert not [sid for sid, suite in SUITES.items()
+                if re.search(r'int\(pt\[', inspect.getsource(suite.runner))]
+
+
+def test_integral_float_on_an_integer_axis_is_that_integer():
+    grid = GridSpec({"n": _ax(2.0), "u_re": _ax(2.0), "u_im": _ax(1.0)})
+    (row,) = run_suite(SuiteSpec("qn_modes", grid=grid)).rows
+    assert row["params"]["n"] == 2 and type(row["params"]["n"]) is int
 
 
 def test_rows_of_one_point_share_its_evaluations():
