@@ -52,8 +52,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# The sum runs in Python at about 9 microseconds per m: 10^5 terms take
-# about a second, and a larger M is refused rather than left to run.
+# The 2(M - 1) tails come from one array call and the sum over m runs in
+# Python: 10^5 terms take about 0.13 s of CPU and 70 MiB at peak (on a
+# 2-CPU x86_64 machine), and a larger M is refused rather than left to run.
 _RANE_MAX_M = 10**5
 
 
@@ -73,10 +74,12 @@ def rane_representation(s: complex, alpha: float, M: int) -> complex:
     if not 2 <= M <= _RANE_MAX_M:
         raise DomainError(f"M must be in [2, {_RANE_MAX_M}]")
     val = alpha ** (1.0 - s) / (s - 1.0) - alpha**-s / 2.0
+    ms = np.arange(1, M)
+    tails = osc_power_tail(s, np.concatenate((ms, -ms)), alpha).tolist()
     acc = 0j
-    for m in range(1, M):
-        phase = np.exp(-2j * math.pi * m * alpha)
-        acc += osc_power_tail(s, m, alpha) * phase + osc_power_tail(s, -m, alpha) / phase
+    # summed in m as Python complex tails against numpy phases, one m at a time
+    for up, down, phase in zip(tails[:M - 1], tails[M - 1:], np.exp(-2j * math.pi * ms * alpha)):
+        acc += up * phase + down / phase
     return complex(val + acc)
 
 
@@ -131,9 +134,9 @@ def _side_integrals(u: complex, v: complex, ns, abs_tol: float, direct: bool) ->
 
     [(powers, rem)], A = _certified_powers(expand, A, abs_tol)
     heads, errs = _zeta1_head(u, v, ns, A, abs_tol / 2.0, continued=not direct)
-    tails = [_closed_power_tail(powers, n, A) for n in ns]
+    tails, roundings = _closed_power_tail(powers, np.asarray(ns), A)
     return {n: QuadResult(head + tail, float(err) + rem + rounding)
-            for n, head, err, (tail, rounding) in zip(ns, heads, errs, tails)}
+            for n, head, err, tail, rounding in zip(ns, heads, errs, tails.tolist(), roundings.tolist())}
 
 
 def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
@@ -150,18 +153,25 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
     """
     ns = list(ns)
 
-    def lead(n: int) -> complex:
+    def leads(ms: list) -> dict:
+        """{n: lead_n} for every n in ms, a_n from one fourier_coeff_a call."""
         if direct:
-            return fourier_coeff_a(n, u + v)
-        if n == 0:
-            return 1.0 / ((u - 1.0) * (v - 1.0))
-        return (1.0 / (u - 1.0) + 1.0 / (v - 1.0)) * fourier_coeff_a(n, u + v - 1.0)
+            return dict(zip(ms, fourier_coeff_a(np.asarray(ms), u + v).tolist()))
+        # a_0(u + v - 1) has a pole at u + v = 2 that lead_0 cancels
+        on = [n for n in ms if n]
+        factor = 1.0 / (u - 1.0) + 1.0 / (v - 1.0)
+        out = {n: factor * a for n, a in zip(on, fourier_coeff_a(np.asarray(on), u + v - 1.0).tolist())}
+        if len(on) < len(ms):
+            out[0] = 1.0 / ((u - 1.0) * (v - 1.0))
+        return out
 
     if v == u.conjugate():
         side = _side_integrals(u, v, sorted({m for n in ns for m in (n, -n)}), abs_tol, direct)
         out = {}
-        for m in sorted({abs(n) for n in ns}):
-            value = complex(lead(m) + side[m].value + side[-m].value.conjugate())
+        ms = sorted({abs(n) for n in ns})
+        lead = leads(ms)
+        for m in ms:
+            value = complex(lead[m] + side[m].value + side[-m].value.conjugate())
             err = side[m].err_estimate + side[-m].err_estimate
             out[m] = QuadResult(value, err)
             if m:
@@ -169,7 +179,8 @@ def _q_coeffs(u: complex, v: complex, ns, abs_tol: float, direct: bool) -> dict:
         return out
     side_u = _side_integrals(u, v, ns, abs_tol, direct)
     side_v = _side_integrals(v, u, ns, abs_tol, direct)
-    return {n: QuadResult(complex(lead(n) + side_u[n].value + side_v[n].value),
+    lead = leads(ns)
+    return {n: QuadResult(complex(lead[n] + side_u[n].value + side_v[n].value),
                           side_u[n].err_estimate + side_v[n].err_estimate)
             for n in ns}
 
@@ -398,9 +409,10 @@ def parseval_second_moment(s: complex) -> IdentityReport:
     n_max = _parseval_n_max(s.imag)
     lhs_res = afe._power_mean(s, 1, abs_tol=1e-11, rel_tol=1e-9)
     lhs = float(lhs_res.value.real)
-    total = abs(fourier_coeff_a(0, s)) ** 2
+    coeffs = fourier_coeff_a(np.arange(-n_max, n_max + 1), s).tolist()
+    total = abs(coeffs[n_max]) ** 2
     for n in range(1, n_max + 1):
-        total += abs(fourier_coeff_a(n, s)) ** 2 + abs(fourier_coeff_a(-n, s)) ** 2
+        total += abs(coeffs[n_max + n]) ** 2 + abs(coeffs[n_max - n]) ** 2
     # Hoelder: ||zeta1||_1 <= ||zeta1||_2
     tail, tail_err = _parts_tail([s], n_max, math.sqrt(lhs + lhs_res.err_estimate))
     return IdentityReport.build("parseval_second_moment",

@@ -18,7 +18,8 @@ value or error estimate raises ConvergenceError.  Panels are picked here
 only: a caller states its integrand's frequency (cycles) and its
 non-smooth points (initial_points).  Panel processing order is
 deterministic, so repeated runs with the same configuration produce
-bit-identical results.
+bit-identical results.  _fourier_coeffs takes every n of a call on one
+panel set, its phase rows in blocks of at most _PHASE_BLOCK complex values.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ _ERR_FLOOR = 2e-14
 # an exact exponential starts each run, and every later index in it costs
 # one complex multiply whose rounding adds to the phase error.
 _PHASE_RUN = 32
+
+# Most complex values in one block of phase rows of _fourier_coeffs: 2^14,
+# 256 KiB.  A block holds max(1, _PHASE_BLOCK // (15 panels)) rows, one
+# per n; theorem2 at t = 200 has 221 panels, 4 rows.
+_PHASE_BLOCK = 1 << 14
 
 # K15 weights and the K15 - G7 difference weights on the 15 Kronrod nodes:
 # one (panels, 15) @ (15, 2) product gives every panel's value and error.
@@ -331,6 +337,17 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     exponential's argument, at most 2 pi |n0| at the anchor and 2 pi per
     step, plus the exponentials and the complex multiplies.  Returns
     (coeffs, errs) aligned to ns; _panel_nodes counts the nodes.
+
+    The phase rows go through one (rows, panels, 15) buffer in blocks of
+    consecutive indices, rows = max(1, _PHASE_BLOCK // (15 panels)), so a
+    call holds at most about _PHASE_BLOCK complex values beyond its
+    (panels, 15) arrays.  A row is written by np.multiply into the buffer,
+    from the exponential at an anchor or from the row before (across a
+    block edge, the last row of the previous block); one @ _KD_WEIGHTS
+    product and one sum over the panels serve the whole block.  The bits
+    are those of one n at a time: the same multiply chain per run, a
+    product per (panels, 15) row and the same pairwise sum over the
+    panels of each n.
     """
     ns = np.asarray(ns, dtype=float)
     n_big = float(np.max(np.abs(ns)))
@@ -341,20 +358,27 @@ def _fourier_coeffs(values, cycles, ns, a: float, b: float, tol: float):
     frac = nodes - np.floor(nodes)
     step = np.exp(-2j * math.pi * frac)
     size = float(np.sum(np.abs(fv) @ _WGK_FULL))
+    # m: steps of each index from its anchor
+    index = np.arange(ns.size)
+    anchored = np.ones(ns.size, dtype=bool)
+    anchored[1:] = np.diff(ns) != 1.0
+    m = (index - np.maximum.accumulate(np.where(anchored, index, 0))) % _PHASE_RUN
+    rows = min(max(_PHASE_BLOCK // fv.size, 1), ns.size)
+    buf = np.empty((rows,) + fv.shape, dtype=complex)
     coeffs = np.empty(ns.size, dtype=complex)
     errs = np.empty(ns.size)
-    m = 0
-    for i, n in enumerate(ns):
-        if i == 0 or m == _PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
-            cur = fv * np.exp(-2j * math.pi * n * frac)
-            m = 0
-        else:
-            cur *= step
-            m += 1
-        kd = cur @ _KD_WEIGHTS
-        coeffs[i] = kd[:, 0].sum()
-        rounding = (19.0 * abs(n) + 36.0 * m + 6.0) * 2.0**-53 * size
-        errs[i] = np.abs(kd[:, 1]).sum() + rounding
+    for lo in range(0, ns.size, rows):
+        hi = min(lo + rows, ns.size)
+        for j, i in enumerate(range(lo, hi)):
+            if m[i]:
+                # buf[-1] is the last row of the block before
+                np.multiply(buf[j - 1], step, out=buf[j])
+            else:
+                np.multiply(fv, np.exp(-2j * math.pi * ns[i] * frac), out=buf[j])
+        kd = buf[:hi - lo] @ _KD_WEIGHTS
+        coeffs[lo:hi] = kd[..., 0].sum(axis=1)
+        errs[lo:hi] = np.abs(kd[..., 1]).sum(axis=1)
+    errs += (19.0 * np.abs(ns) + 36.0 * m + 6.0) * 2.0**-53 * size
     if not errs.max() <= tol:
         raise ConvergenceError(f"Fourier coefficients stalled: err={errs.max():.3e} > "
                                f"tol={tol:.3e} on {halves.size} panels")

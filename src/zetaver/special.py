@@ -488,7 +488,7 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
             if not left.all():
                 a_rest = np.broadcast_to(a_arr, shape)[~left] if a_arr.size > 1 else a_arr.reshape(())
                 value[~left], err[~left] = _em_sum(s_all[~left], a_rest)
-            factor = np.array([chi(z) for z in s_all[left]])
+            factor = chi(s_all[left])
             reflected, reflected_err = _em_sum(1.0 - s_all[left], np.asarray(1.0))
             value[left] = factor * reflected
             err[left] = (np.abs(factor) * reflected_err
@@ -570,46 +570,66 @@ def _log_space_rounding(s):
     return 8.0 * 2.0**-53 * (np.abs(s) + 1.0) * np.log(np.abs(s) + 3.0)
 
 
-def log_chi(s) -> complex:
-    """log chi(s) with chi(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s).
+def _log_chi_sin(z: np.ndarray) -> np.ndarray:
+    """log chi at 1-d z from 2^s pi^{s-1} sin(pi s/2) Gamma(1-s)."""
+    return (z * math.log(2.0) + (z - 1.0) * math.log(math.pi)
+            + _log_sin_pi(z / 2.0) + lgamma(1.0 - z))
+
+
+def _log_chi_cos(z: np.ndarray) -> np.ndarray:
+    """log chi at 1-d z from 2^{s-1} pi^s / (cos(pi s/2) Gamma(s)), with
+    cos(pi s/2) = sin(pi (1-s)/2)."""
+    return ((z - 1.0) * math.log(2.0) + z * math.log(math.pi)
+            - _log_sin_pi((1.0 - z) / 2.0) - lgamma(z))
+
+
+def log_chi(s):
+    """log chi(s) with chi(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s), for a
+    complex s or an array of them (then an array of the same shape).
 
     Assembled in log space so |Im s| up to several thousand cannot overflow.
     Near even integers >= 2 the sin zero cancels the Gamma pole; there the
     equivalent form chi(s) = 2^{s-1} pi^s / (cos(pi s/2) Gamma(s)) is used.
+    Each element takes its own form; PoleError if any element is within
+    1e-12 of a pole at an odd integer >= 1.
     """
-    s = complex(s)
-    near = round(s.real)
-    dist = abs(s - near)
-    if dist < 1e-12 and near >= 1 and near % 2 == 1:
-        raise PoleError(f"chi has a pole at s = {near}")
-    if dist < 0.25 and near >= 2 and near % 2 == 0:
-        # cos(pi s/2) = sin(pi (1-s)/2)
-        return (
-            (s - 1.0) * math.log(2.0)
-            + s * math.log(math.pi)
-            - complex(_log_sin_pi((1.0 - s) / 2.0))
-            - complex(lgamma(s))
-        )
-    return (
-        s * math.log(2.0)
-        + (s - 1.0) * math.log(math.pi)
-        + complex(_log_sin_pi(s / 2.0))
-        + complex(lgamma(1.0 - s))
-    )
+    arr = np.asarray(s, dtype=complex)
+    flat = arr.ravel()
+    near = np.round(flat.real)
+    dist = np.hypot(flat.real - near, flat.imag)
+    even = dist < 0.25
+    if even.any():
+        poles = (dist < 1e-12) & (near >= 1) & (near % 2 == 1)
+        if poles.any():
+            raise PoleError(f"chi has a pole at s = {int(near[poles][0])}")
+        even &= (near >= 2) & (near % 2 == 0)
+    if not even.any():
+        out = _log_chi_sin(flat)
+    else:
+        out = np.empty_like(flat)
+        out[even] = _log_chi_cos(flat[even])
+        out[~even] = _log_chi_sin(flat[~even])
+    return complex(out[0]) if not arr.shape else out.reshape(arr.shape)
 
 
-def chi(s) -> complex:
+def chi(s):
     """chi(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s); satisfies chi(s)chi(1-s) = 1.
 
-    Real at real s: the imaginary part that log space leaves there is dropped.
+    s is a complex or an array of them (then an array of the same shape).
+    Real at real s: the imaginary part that log space leaves there is
+    dropped; exactly 0 at the trivial zeros s = 0, -2, -4, ...
     """
-    s = complex(s)
-    if s.imag == 0.0 and s.real == math.floor(s.real):
-        n = int(s.real)
-        if n <= 0 and n % 2 == 0:
-            return 0j  # trivial zeros of the factor
-    value = complex(np.exp(log_chi(s)))
-    return complex(value.real) if s.imag == 0.0 else value
+    arr = np.asarray(s, dtype=complex)
+    flat = arr.ravel()
+    real = flat.imag == 0.0
+    zeros = real & (flat.real <= 0.0) & (flat.real % 2 == 0) if real.any() else real
+    if zeros.any():
+        out = np.zeros_like(flat)
+        out[~zeros] = np.exp(log_chi(flat[~zeros]))
+    else:
+        out = np.exp(log_chi(flat))
+    out.imag[real] = 0.0
+    return complex(out[0]) if not arr.shape else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -682,27 +702,92 @@ def beta_integral(u, v) -> complex:
     return complex(np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u)))
 
 
-def _norm_upper_gamma_cf(a: complex, x: complex, exp_neg_x: complex) -> complex:
-    """x^{-a} Gamma(a, x) by continued fraction; reliable for |x| >~ |a|."""
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as (real, imag), rounded as Python's complex
+    product: numpy's vectorised complex multiply may fuse a multiply and an
+    add, and then an element's last bits depend on its place in the array."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) as (real, imag) for a nonzero divisor,
+    rounded as Python's complex quotient: Smith's division by the larger
+    part of the divisor, ending in a divide where numpy multiplies by a
+    reciprocal.  Where |br| < |bi| it takes a (-i) / (b (-i)), the same
+    operations on the turned parts (ai, -ar) and (bi, -br)."""
+    by_real = np.abs(br) >= np.abs(bi)
+    count = np.count_nonzero(by_real)
+    if count == by_real.size:
+        p, q, x, y = br, bi, ar, ai
+    elif not count:
+        p, q, x, y = bi, -br, ai, -ar
+    else:
+        p, q = np.where(by_real, br, bi), np.where(by_real, bi, -br)
+        x, y = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
+    ratio = q / p
+    denom = p + q * ratio
+    return (x + y * ratio) / denom, (y - x * ratio) / denom
+
+
+def _complex(parts) -> np.ndarray:
+    """The complex array of (real, imag) parts."""
+    re, im = np.broadcast_arrays(*parts)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# 0-d constants: numpy takes a Python float in an operation more slowly
+_ZERO, _ONE, _TWO = np.array(0.0), np.array(1.0), np.array(2.0)
+
+
+def _norm_upper_gamma_cf(a, x, exp_neg_x) -> np.ndarray:
+    """x^{-a} Gamma(a, x) by the continued fraction of DLMF 8.9.2, reliable
+    for |x| >~ |a|, at a, x and exp_neg_x broadcast and flattened to 1-d.
+
+    A masked modified-Lentz iteration: each element runs until its own step
+    delta is within 1e-16 of 1, keeps the value of that step and leaves the
+    live set.  Its products and quotients round as Python's complex ones
+    (_cmul, _cdiv), and its sums are exact componentwise, so an element's
+    value does not depend on the others."""
+    a, x, enx = (np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=complex) for v in (a, x, exp_neg_x))))
     tiny = 1e-290
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / (b if b != 0 else tiny)
-    h = d
+    br, bi = b.real.copy(), b.imag.copy()
+    # a_i = -i (i - a) = (-i) (zr + i zi) with zr = i - Re a and zi = 0 - Im a
+    ar, zi = a.real.copy(), 0.0 - a.imag
+    cr, ci = np.full(br.shape, 1.0 / tiny), np.zeros(br.shape)
+    dr, di = _cdiv(_ONE, _ZERO, np.where((br == 0) & (bi == 0), tiny, br), bi)
+    hr, hi = dr, di
+    er, ei = enx.real.copy(), enx.imag.copy()
+    out_r, out_i = np.empty(br.size), np.empty(br.size)
+    live = np.arange(br.size)
     for i in range(1, 4000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if d == 0:
-            d = tiny
-        c = b + an / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return exp_neg_x * h
+        zr = np.array(float(i)) - ar
+        minus_i = np.array(-float(i))
+        anr, ani = _cmul(minus_i, _ZERO, zr, zi)
+        # b += 2 (Python's also adds 0 to Im b, which is never -0 here)
+        br = br + _TWO
+        dr, di = _cmul(anr, ani, dr, di)
+        dr, di = dr + br, di + bi
+        if np.count_nonzero(dr) < dr.size:
+            dr[(dr == 0) & (di == 0)] = tiny
+        cr, ci = _cdiv(anr, ani, cr, ci)
+        cr, ci = br + cr, bi + ci
+        if np.count_nonzero(cr) < cr.size:
+            cr[(cr == 0) & (ci == 0)] = tiny
+        dr, di = _cdiv(_ONE, _ZERO, dr, di)
+        delta_r, delta_i = _cmul(dr, di, cr, ci)
+        hr, hi = _cmul(hr, hi, delta_r, delta_i)
+        done = np.hypot(delta_r - _ONE, delta_i) < 1e-16
+        if np.count_nonzero(done):
+            out_r[live[done]], out_i[live[done]] = _cmul(er[done], ei[done], hr[done], hi[done])
+            more = ~done
+            if not np.count_nonzero(more):
+                return _complex((out_r, out_i))
+            live, ar, zi, er, ei, br, bi, cr, ci, dr, di, hr, hi = (
+                v[more] for v in (live, ar, zi, er, ei, br, bi, cr, ci, dr, di, hr, hi))
     raise ConvergenceError("incomplete-gamma continued fraction stalled")
 
 
@@ -718,29 +803,9 @@ def _lower_series_sum(a: complex, x: complex) -> complex:
     raise ConvergenceError("incomplete-gamma series stalled")
 
 
-def _norm_upper_gamma(a: complex, x: complex, exp_neg_x: complex | None = None) -> complex:
-    """x^{-a} Gamma(a, x) for complex a and x off the negative real axis.
-
-    The normalised form keeps every intermediate representable even when
-    Gamma(a, x) itself overflows (large |Im a| with x on the imaginary
-    axis).  exp_neg_x may supply an exact value of e^{-x} when the caller
-    knows one (e.g. exactly 1.0 at x = 2 pi i n).
-
-    The continued fraction runs from |x| >= |a| + 6, and for Re a < 0.5
-    already from |x| >= |Im a| + 6; the power series of gamma(a, x) takes
-    the rest.  Beyond |a| + 6 the series cancels catastrophically at large
-    |Im a|: with the switch at 1.3 (|a| + 6), a_n(1/2 + 400i) at n = -84
-    lost all its digits.  At Re a < 0.5 the series is shifted to a + m and
-    recurred down, which loses every digit once |x| is well above |Im a|:
-    a_4(20 + 3i) was off by 82 relative.
-    """
-    a = complex(a)
-    x = complex(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    enx = complex(np.exp(-x)) if exp_neg_x is None else complex(exp_neg_x)
-    if abs(x) >= abs(a) + 6.0 or (a.real < 0.5 and abs(x) >= abs(a.imag) + 6.0):
-        return _norm_upper_gamma_cf(a, x, enx)
+def _norm_upper_gamma_series(a: complex, x: complex, enx: complex) -> complex:
+    """x^{-a} Gamma(a, x) at one element off the continued fraction's
+    region, from the power series of gamma(a, x) (see _norm_upper_gamma)."""
     logx = complex(np.log(x))
     if a.real >= 0.5:
         return complex(np.exp(lgamma(a) - a * logx)) - enx * _lower_series_sum(a, x)
@@ -751,24 +816,70 @@ def _norm_upper_gamma(a: complex, x: complex, exp_neg_x: complex | None = None) 
     for j in range(m - 1, -1, -1):
         aj = a + j
         if aj == 0:
-            h = complex(np.exp(j * logx)) * _norm_upper_gamma_cf(0.0, x, enx)
+            h = complex(np.exp(j * logx)) * complex(_norm_upper_gamma_cf(0.0, x, enx)[0])
             continue
         h = (h - complex(np.exp(j * logx)) * enx) / aj
     return h
 
 
-def osc_power_tail(s: complex, m: int, a0: float) -> complex:
-    """int_{a0}^inf x^{-s} e^{2 pi i m x} dx via the incomplete Gamma function.
+def _norm_upper_gamma(a, x, exp_neg_x=None):
+    """x^{-a} Gamma(a, x) for complex a and x off the negative real axis,
+    broadcast against each other: a complex for scalars, else an array.
+
+    The normalised form keeps every intermediate representable even when
+    Gamma(a, x) itself overflows (large |Im a| with x on the imaginary
+    axis).  exp_neg_x may supply an exact value of e^{-x} when the caller
+    knows one (e.g. exactly 1.0 at x = 2 pi i n).
+
+    The continued fraction runs from |x| >= |a| + 6, and for Re a < 0.5
+    already from |x| >= |Im a| + 6, for all such elements in one
+    _norm_upper_gamma_cf call; the power series of gamma(a, x) takes the
+    rest, element by element.  Beyond |a| + 6 the series cancels
+    catastrophically at large |Im a|: with the switch at 1.3 (|a| + 6),
+    a_n(1/2 + 400i) at n = -84 lost all its digits.  At Re a < 0.5 the
+    series is shifted to a + m and recurred down, which loses every digit
+    once |x| is well above |Im a|: a_4(20 + 3i) was off by 82 relative.
+    """
+    a_arr, x_arr = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(x, dtype=complex))
+    shape = a_arr.shape
+    a_arr, x_arr = a_arr.ravel(), x_arr.ravel()
+    if (x_arr == 0).any():
+        raise DomainError("x must be nonzero")
+    enx = np.exp(-x_arr) if exp_neg_x is None else np.broadcast_to(
+        np.asarray(exp_neg_x, dtype=complex), shape).ravel()
+    size_x = np.hypot(x_arr.real, x_arr.imag)
+    cf = ((size_x >= np.hypot(a_arr.real, a_arr.imag) + 6.0)
+          | ((a_arr.real < 0.5) & (size_x >= np.abs(a_arr.imag) + 6.0)))
+    out = np.empty(a_arr.size, dtype=complex)
+    if cf.any():
+        out[cf] = _norm_upper_gamma_cf(a_arr[cf], x_arr[cf], enx[cf])
+    for k in np.flatnonzero(~cf):
+        out[k] = _norm_upper_gamma_series(complex(a_arr[k]), complex(x_arr[k]), complex(enx[k]))
+    return complex(out[0]) if not shape else out.reshape(shape)
+
+
+def osc_power_tail(s, m, a0: float):
+    """int_{a0}^inf x^{-s} e^{2 pi i m x} dx via the incomplete Gamma
+    function, for nonzero integers m: s and m broadcast against each other,
+    a complex for scalars, else an array.
 
     Principal branch: the power prefactor uses arg(-2 pi i m) = -sign(m) pi/2.
     """
-    if m == 0:
+    m = np.asarray(m)
+    if (m == 0).any():
         raise DomainError("m must be nonzero")
     if a0 <= 0:
         raise DomainError("a0 must be positive")
-    s = complex(s)
-    w = -2j * math.pi * m  # integral is int x^{-s} e^{-w x} dx
-    return complex(np.exp((1.0 - s) * math.log(a0)) * _norm_upper_gamma(1.0 - s, w * a0))
+    a = 1.0 - np.asarray(s, dtype=complex)
+    # the integral is int x^{-s} e^{-w x} dx with w = -2 pi i m; w a0 has
+    # the +0 real part of Python's -2j * pi * m * a0
+    x = np.empty(np.broadcast(a, m).shape, dtype=complex)
+    x.real = 0.0
+    x.imag = -_TWO_PI * m * a0
+    power = np.exp(_complex(_cmul(a.real, a.imag, math.log(a0), 0.0)))
+    gamma_part = _norm_upper_gamma(a, x)
+    value = _complex(_cmul(power.real, power.imag, np.real(gamma_part), np.imag(gamma_part)))
+    return complex(value) if not value.shape else value
 
 
 # ---------------------------------------------------------------------------
@@ -837,21 +948,43 @@ def _product_powers(w: complex, factors, A: float):
     return dict(zip(keys[kept].tolist(), coefs[kept].tolist())), rem
 
 
-def _closed_power_tail(powers: dict, n: int, A: float) -> tuple[complex, float]:
+def _closed_power_tail(powers: dict, n, A: float):
     """sum_q c_q int_A^inf a^q e^{-2 pi i n a} da in closed form, and a bound
     (terms + 4) 2^-53 sum |term| on the rounding of that sum (not of the
-    incomplete-Gamma values themselves)."""
-    total, size = 0j, 0.0
-    for q, c in powers.items():
-        if n == 0:
+    incomplete-Gamma values themselves).  n is an integer or an array of
+    them: (complex, float) for a scalar, else two arrays.  Every n != 0 takes
+    its terms from one osc_power_tail call, and each n sums its terms in
+    the order of powers."""
+    ns = np.asarray(n)
+    flat = ns.ravel()
+    qs = np.array(list(powers), dtype=complex)
+    coefs = list(powers.values())
+    total, size = np.zeros(flat.size, dtype=complex), np.zeros(flat.size)
+    zero = flat == 0
+    if zero.any():
+        for q in powers:
             if q.real >= -1.0:
                 raise DivergenceError(f"tail carries the non-integrable power {q} at n = 0")
+        total0, size0 = 0j, 0.0
+        for q, c in powers.items():
             term = -c * A ** (q + 1.0) / (q + 1.0)
-        else:
-            term = c * osc_power_tail(-q, -n, A)
-        total += term
-        size += abs(term)
-    return complex(total), (len(powers) + 4) * 2.0**-53 * size
+            total0 += term
+            size0 += abs(term)
+        total[zero], size[zero] = total0, size0
+    if not zero.all():
+        coefs = np.reshape(coefs, (-1, 1))
+        tails = osc_power_tail(-qs[:, None], -flat[~zero], A)
+        terms = _complex(_cmul(coefs.real, coefs.imag, tails.real, tails.imag))
+        # Python's total += term, one power after another
+        acc, sizes = np.zeros(terms.shape[1], dtype=complex), np.zeros(terms.shape[1])
+        for term in terms:
+            acc += term
+            sizes += np.hypot(term.real, term.imag)
+        total[~zero], size[~zero] = acc, sizes
+    rounding = (len(powers) + 4) * 2.0**-53 * size
+    if not ns.shape:
+        return complex(total[0]), float(rounding[0])
+    return total.reshape(ns.shape), rounding.reshape(ns.shape)
 
 
 def _tail_abscissa(big_w: float, big: float) -> float:
@@ -873,21 +1006,33 @@ def _certified_powers(expand, A: float, abs_tol: float):
     raise ConvergenceError("power expansion of the tail failed to certify")
 
 
-def fourier_coeff_a(n: int, s) -> complex:
-    """Fourier coefficient a_n(s) of zeta1(s, .) on the unit interval.
+def fourier_coeff_a(n, s):
+    """Fourier coefficient a_n(s) of zeta1(s, .) on the unit interval, for
+    integers n and complex s broadcast against each other: a complex for
+    scalars, else an array.
 
     a_0(s) = 1/(s-1); for n != 0, a_n(s) = int_1^inf x^{-s} e^{-2 pi i n x} dx,
     continued past Re s <= 1 through the incomplete-Gamma representation
     (equivalently, repeated integration by parts).  The power prefactor uses
     arg(2 pi i n) = sign(n) pi/2; with w = 2 pi i n the whole coefficient is
     the normalised quantity w^{-(1-s)} Gamma(1-s, w), and e^{-w} = 1 exactly.
+    Every n != 0 goes to one _norm_upper_gamma call.
     """
-    s = complex(s)
-    if n == 0:
-        if s == 1.0:
-            raise PoleError("a_0 pole at s = 1")
-        return 1.0 / (s - 1.0)
-    if s.real <= -1.0:
+    n_arr, s_arr = np.broadcast_arrays(np.asarray(n), np.asarray(s, dtype=complex))
+    shape = n_arr.shape
+    n_arr, s_arr = n_arr.ravel(), s_arr.ravel()
+    zero = n_arr == 0
+    if (s_arr[zero] == 1.0).any():
+        raise PoleError("a_0 pole at s = 1")
+    if (s_arr.real[~zero] <= -1.0).any():
         raise DomainError("a_n requires Re s > -1 for n != 0")
-    w = 2j * math.pi * n
-    return _norm_upper_gamma(1.0 - s, w, exp_neg_x=1.0)
+    out = np.empty(n_arr.size, dtype=complex)
+    out[zero] = _complex(_cdiv(_ONE, _ZERO, s_arr.real[zero] - 1.0, s_arr.imag[zero]))
+    on = ~zero
+    if on.any():
+        # w = 2 pi i n, with the signed zero real part of Python's 2j * pi * n
+        w = np.empty(np.count_nonzero(on), dtype=complex)
+        w.real = 0.0 * n_arr[on]
+        w.imag = _TWO_PI * n_arr[on]
+        out[on] = _norm_upper_gamma(1.0 - s_arr[on], w, exp_neg_x=1.0)
+    return complex(out[0]) if not shape else out.reshape(shape)

@@ -236,16 +236,20 @@ def test_criterion_9_fourier_layer():
     q = fourier.qn_direct(n, u, v).value
     pieces_r, pieces_i = [], []
     m_max = 3000
-    for m in range(-m_max, m_max + 1):
-        p = special.fourier_coeff_a(m, u) * special.fourier_coeff_a(n - m, v)
+    # a_m(u) and a_{n-m}(v) for every m, each from one array call
+    m_all = np.arange(-m_max, m_max + 1)
+    for a_u, a_v in zip(special.fourier_coeff_a(m_all, u).tolist(),
+                        special.fourier_coeff_a(n - m_all, v).tolist()):
+        p = a_u * a_v
         pieces_r.append(p.real)
         pieces_i.append(p.imag)
     conv = complex(math.fsum(pieces_r), math.fsum(pieces_i))
     ms = np.arange(m_max - 400, m_max + 1, dtype=float)
+    mi = ms.astype(int)
     rs = np.array([
-        special.fourier_coeff_a(int(m), u) * special.fourier_coeff_a(n - int(m), v)
-        + special.fourier_coeff_a(-int(m), u) * special.fourier_coeff_a(n + int(m), v)
-        for m in ms
+        a * b + c * d for a, b, c, d in zip(
+            special.fourier_coeff_a(mi, u).tolist(), special.fourier_coeff_a(n - mi, v).tolist(),
+            special.fourier_coeff_a(-mi, u).tolist(), special.fourier_coeff_a(n + mi, v).tolist())
     ])
     basis = np.vstack([ms**-2.0, ms**-3.0]).T
     cr, *_ = np.linalg.lstsq(basis, rs.real, rcond=None)

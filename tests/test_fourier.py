@@ -51,6 +51,22 @@ def test_rane_real_s_imaginary_drift():
     assert abs(val.imag) <= 1e-10
 
 
+def _rane_per_m(s, alpha, M):
+    """The representation with two scalar tails per m, summed in m."""
+    s = complex(s)
+    val = alpha ** (1.0 - s) / (s - 1.0) - alpha**-s / 2.0
+    acc = 0j
+    for m in range(1, M):
+        phase = np.exp(-2j * math.pi * m * alpha)
+        acc += special.osc_power_tail(s, m, alpha) * phase + special.osc_power_tail(s, -m, alpha) / phase
+    return complex(val + acc)
+
+
+@pytest.mark.parametrize("s, alpha", [(0.5 + 10j, 2.0), (1.5, 5.0), (1.5 + 10j, 0.3)])
+def test_rane_array_tails_are_the_per_m_sum_bit_for_bit(s, alpha):
+    assert fr.rane_representation(s, alpha, 40) == _rane_per_m(s, alpha, 40)
+
+
 # ---------------------------------------------------------------------------
 # tail lemmas
 # ---------------------------------------------------------------------------
@@ -109,14 +125,18 @@ def test_qn_direct_vs_convolution_oracle():
     n, u, v = 3, 2.5, 2.0
     q = fr.qn_direct(n, u, v).value
     m_max = 3000
-    pieces = [fourier_coeff_a(m, u) * fourier_coeff_a(n - m, v) for m in range(-m_max, m_max + 1)]
+    # a_m(u) and a_{n-m}(v) for every m, each from one array call
+    m_all = np.arange(-m_max, m_max + 1)
+    pieces = [a * b for a, b in zip(fourier_coeff_a(m_all, u).tolist(),
+                                    fourier_coeff_a(n - m_all, v).tolist())]
     conv = complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
     # certified tail: fit r_m = a_m(u) a_{n-m}(v) + a_{-m}(u) a_{n+m}(v) ~ C/m^2 + D/m^3
     ms = np.arange(m_max - 400, m_max + 1, dtype=float)
+    mi = ms.astype(int)
     rs = np.array([
-        fourier_coeff_a(int(m), u) * fourier_coeff_a(n - int(m), v)
-        + fourier_coeff_a(-int(m), u) * fourier_coeff_a(n + int(m), v)
-        for m in ms
+        a * b + c * d for a, b, c, d in zip(
+            fourier_coeff_a(mi, u).tolist(), fourier_coeff_a(n - mi, v).tolist(),
+            fourier_coeff_a(-mi, u).tolist(), fourier_coeff_a(n + mi, v).tolist())
     ])
     basis = np.vstack([ms**-2.0, ms**-3.0]).T
     cr, *_ = np.linalg.lstsq(basis, rs.real, rcond=None)

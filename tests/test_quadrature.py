@@ -1,6 +1,7 @@
 """Integration engines against closed forms and high-precision oracles."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -212,6 +213,88 @@ def test_fourier_engine_calls_values_once(tol, spent):
             _fourier_coeffs(values, cycles, [0, 3], 1.0, b, tol)
     assert len(seen) == 1
     assert np.array_equal(seen[0], nodes.ravel())
+
+
+# Blocked phase runs against the per-n loop they replaced (kept here as the
+# reference): the same multiply chain per run, product and sums per n.
+
+
+def _fourier_coeffs_per_n(values, cycles, ns, a, b):
+    """_fourier_coeffs one n at a time: (coeffs, errs), tol unchecked."""
+    ns = np.asarray(ns, dtype=float)
+    n_big = float(np.max(np.abs(ns)))
+    pts = np.array(_march_panels(a, b, lambda x: n_big + cycles(x)))
+    halves = 0.5 * (pts[1:] - pts[:-1])
+    nodes = _panel_nodes(0.5 * (pts[1:] + pts[:-1]), halves)
+    fv = values(nodes.ravel()).reshape(nodes.shape) * halves[:, None]
+    frac = nodes - np.floor(nodes)
+    step = np.exp(-2j * math.pi * frac)
+    size = float(np.sum(np.abs(fv) @ quadrature._WGK_FULL))
+    coeffs, errs = np.empty(ns.size, dtype=complex), np.empty(ns.size)
+    m = 0
+    for i, n in enumerate(ns):
+        if i == 0 or m == quadrature._PHASE_RUN - 1 or n - ns[i - 1] != 1.0:
+            cur = fv * np.exp(-2j * math.pi * n * frac)
+            m = 0
+        else:
+            cur *= step
+            m += 1
+        kd = cur @ quadrature._KD_WEIGHTS
+        coeffs[i] = kd[:, 0].sum()
+        errs[i] = np.abs(kd[:, 1]).sum() + (19.0 * abs(n) + 36.0 * m + 6.0) * 2.0**-53 * size
+    return coeffs, errs
+
+
+def _log_phase_values(t):
+    return lambda y: np.exp(1j * t * np.log(1.0 + y)) * (1.0 + y) ** -0.5
+
+
+@pytest.mark.parametrize("ns", [
+    np.arange(-40, 41),                # crosses _PHASE_RUN twice
+    [0, 1, 2, 5, 6, 7, 9, 30, 31],     # gaps restart the run
+    np.arange(-10, 0),                 # a negative run
+    [17],                              # a single n
+    np.arange(-63, 64),                # theorem2 at t = 200
+])
+@pytest.mark.parametrize("rows", [None, 1, 3, 7])
+def test_blocked_phase_runs_are_the_per_n_loop_bit_for_bit(ns, rows, monkeypatch):
+    # rows per block: the default cap, or so few that runs split across blocks
+    t = 200.0
+    cycles = _zeta1_pair_cycles(t, -t)
+    folded = lambda y: cycles(1.0 + y)  # noqa: E731
+    ref = _fourier_coeffs_per_n(_log_phase_values(t), folded, ns, 0.0, 0.83)
+    if rows:
+        n_big = float(np.max(np.abs(ns)))
+        panels = len(_march_panels(0.0, 0.83, lambda y: n_big + folded(y))) - 1
+        monkeypatch.setattr(quadrature, "_PHASE_BLOCK", rows * panels * 15)
+    coeffs, errs = _fourier_coeffs(_log_phase_values(t), folded, ns, 0.0, 0.83, 1.0)
+    assert coeffs.tobytes() == ref[0].tobytes() and errs.tobytes() == ref[1].tobytes()
+
+
+def test_phase_blocks_stay_within_their_cap():
+    # theorem2's largest part at t = 200: [0, frac b] with 127 n.  Beyond
+    # the (panels, 15) arrays that one n needs as well, the blocks take at
+    # most _PHASE_BLOCK complex values (plus their K15 and error products)
+    t = 200.0
+    b = t / _2PI + 1.0
+    cycles = _zeta1_pair_cycles(t, t)
+    folded = lambda y: cycles(1.0 + y)  # noqa: E731
+    ns = np.arange(-63, 64)
+    pts = np.array(_march_panels(0.0, b - math.floor(b), lambda y: 63.0 + folded(y)))
+    nodes = 15 * (pts.size - 1)
+    fx = np.exp(1j * np.arange(nodes))  # values allocate nothing of their own
+    peaks = []
+    for part_ns in ([63], ns):
+        tracemalloc.start()
+        try:
+            _fourier_coeffs(lambda y: fx, folded, part_ns, 0.0, b - math.floor(b), 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 16 * quadrature._PHASE_BLOCK
+    assert nodes * 16 < block  # more than one n fits a block
+    assert peaks[1] - peaks[0] <= 1.25 * block
+    assert peaks[0] <= 8 * nodes * 16
 
 
 def _mb_integrand(shift: float):

@@ -832,3 +832,180 @@ def test_neg_power_shares_the_power_or_the_phase(monkeypatch):
     sizes.clear()
     sp._neg_power(x, np.log(x), np.linspace(0.5, 7.5, 8)[None, :], np.full((1, 8), 20.0))
     assert sizes == [("power", 240), ("cos", 30), ("sin", 30)]
+
+
+# ---------------------------------------------------------------------------
+# array forms of the incomplete Gamma function and of chi, bit for bit the
+# scalar forms they replaced (kept here as references)
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> bytes:
+    """The bits of complex values, signed zeros included."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _cf_scalar(a, x, exp_neg_x):
+    """The scalar continued fraction in Python complex arithmetic."""
+    tiny = 1e-290
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / (b if b != 0 else tiny)
+    h = d
+    for i in range(1, 4000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if d == 0:
+            d = tiny
+        c = b + an / c
+        if c == 0:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return exp_neg_x * h
+    raise AssertionError("stalled")
+
+
+def _norm_upper_gamma_scalar(a, x, exp_neg_x=None):
+    """The scalar _norm_upper_gamma, branch by branch, on _cf_scalar."""
+    a, x = complex(a), complex(x)
+    enx = complex(np.exp(-x)) if exp_neg_x is None else complex(exp_neg_x)
+    if abs(x) >= abs(a) + 6.0 or (a.real < 0.5 and abs(x) >= abs(a.imag) + 6.0):
+        return _cf_scalar(a, x, enx)
+    logx = complex(np.log(x))
+    if a.real >= 0.5:
+        return complex(np.exp(sp.lgamma(a) - a * logx)) - enx * sp._lower_series_sum(a, x)
+    m = int(math.ceil(0.5 - a.real)) + 1
+    top = a + m
+    h = (complex(np.exp(sp.lgamma(top) - a * logx))
+         - enx * complex(np.exp(m * logx)) * sp._lower_series_sum(top, x))
+    for j in range(m - 1, -1, -1):
+        aj = a + j
+        if aj == 0:
+            h = complex(np.exp(j * logx)) * _cf_scalar(0.0, x, enx)
+            continue
+        h = (h - complex(np.exp(j * logx)) * enx) / aj
+    return h
+
+
+# powers 1 - s of the Fourier tails (complex, real, large |Im|, Re < 0.5)
+# against x = 2 pi i n A, whose elements stop after 3 to 24 steps
+_CF_POWERS = [1.0 - s for s in (0.5 + 10j, 0.5 - 400j, 1.5 + 3000j, 2.0, -0.5 + 3j, 0.25, 4.0 + 1j)]
+_CF_XS = [complex(0.0, -2.0 * math.pi * n * A) for n in (-50, -3, 1, 2, 7, 120) for A in (1.0, 24.0)]
+
+
+def test_continued_fraction_array_is_the_scalar_fraction_bit_for_bit():
+    a, x = (np.array(v).ravel() for v in np.meshgrid(_CF_POWERS, _CF_XS))
+    keep = np.abs(x) >= np.abs(a) + 6.0
+    a, x = a[keep], x[keep]
+    for enx in (np.exp(-x), np.ones_like(x)):
+        ref = [_cf_scalar(complex(p), complex(q), complex(e)) for p, q, e in zip(a, x, enx)]
+        assert _bits(sp._norm_upper_gamma_cf(a, x, enx)) == _bits(ref)
+
+
+def test_incomplete_gamma_mixed_array_is_per_element_bit_for_bit():
+    # continued-fraction, series (Re a >= 0.5) and shifted-series elements
+    # (Re a < 0.5, one through a + j = 0) in one call
+    a = np.array([-0.5 - 10j, 3.5 + 2j, 3.5 + 2j, -2.0, -1.5 + 0.5j, 0.25 - 40j, 10.0])
+    x = np.array([-40j, 2j, 30j, 3j, -4j, 100j, 1.0 + 3j])
+    ref = [_norm_upper_gamma_scalar(p, q) for p, q in zip(a, x)]
+    assert _bits(sp._norm_upper_gamma(a, x)) == _bits(ref)
+    assert [sp._norm_upper_gamma(p, q) for p, q in zip(a, x)] == ref
+
+
+def test_fourier_coefficients_array_is_per_element_bit_for_bit():
+    ns = np.array([-83, -7, -2, -1, 0, 1, 2, 5, 64])
+    for s in (0.5 + 50j, 1.5 - 3j, 3.0, 0.5 + 400j):
+        arr = sp.fourier_coeff_a(ns, s)
+        ref = [1.0 / (s - 1.0) if n == 0 else
+               _norm_upper_gamma_scalar(1.0 - s, 2j * math.pi * n, exp_neg_x=1.0) for n in ns.tolist()]
+        assert _bits(arr) == _bits(ref)
+
+
+def test_oscillatory_tails_array_is_per_element_bit_for_bit():
+    ms = np.array([-199, -3, -1, 1, 2, 40])
+    for s, a0 in ((0.5 + 10j, 2.0), (1.5 + 0j, 5.0), (2.25 - 30j, 24.0)):
+        ref = [complex(np.exp((1.0 - s) * math.log(a0))
+                       * _norm_upper_gamma_scalar(1.0 - s, -2j * math.pi * m * a0)) for m in ms.tolist()]
+        assert _bits(sp.osc_power_tail(s, ms, a0)) == _bits(ref)
+
+
+def _closed_tail_per_n(powers, n, A):
+    """The per-n sum of closed power tails, one scalar tail per power."""
+    total, size = 0j, 0.0
+    for q, c in powers.items():
+        term = -c * A ** (q + 1.0) / (q + 1.0) if n == 0 else c * sp.osc_power_tail(-q, -n, A)
+        total += term
+        size += abs(term)
+    return complex(total), (len(powers) + 4) * 2.0**-53 * size
+
+
+def test_closed_power_tail_over_n_is_the_per_n_sums_bit_for_bit():
+    powers = {-1.5 + 3j: 0.7 - 0.2j, -2.5 - 1j: 1.1 + 0.4j, -3.5 + 0j: -0.3 + 0j, -4.5 + 3j: 2e-3j}
+    ns = np.array([-7, -1, 0, 2, 5, 31])
+    tails, roundings = sp._closed_power_tail(powers, ns, 24.0)
+    ref = [_closed_tail_per_n(powers, n, 24.0) for n in ns.tolist()]
+    assert _bits(tails) == _bits([t for t, _ in ref])
+    assert roundings.tolist() == [r for _, r in ref]
+    assert sp._closed_power_tail(powers, 5, 24.0) == ref[4]
+
+
+def test_array_forms_keep_scalar_results_and_errors():
+    assert type(sp.osc_power_tail(0.5 + 1j, 3, 2.0)) is complex
+    assert type(sp.fourier_coeff_a(3, 0.5 + 2j)) is complex
+    assert type(sp.fourier_coeff_a(0, 0.5 + 2j)) is complex
+    assert type(sp.chi(0.5 + 3j)) is complex and type(sp.log_chi(0.5 + 3j)) is complex
+    assert sp.osc_power_tail(0.5 + 1j, np.array([[3, -3]]), 2.0).shape == (1, 2)
+    assert sp.fourier_coeff_a(np.arange(4), 0.5 + 2j).shape == (4,)
+    assert sp.chi(np.full((2, 3), 0.5 + 3j)).shape == (2, 3)
+    for m in (0, [2, 0]):
+        with pytest.raises(DomainError):
+            sp.osc_power_tail(0.5 + 1j, m, 2.0)
+    for n in (0, [0, 2]):
+        with pytest.raises(PoleError):
+            sp.fourier_coeff_a(n, 1.0)
+    with pytest.raises(DomainError):
+        sp.fourier_coeff_a([1, 2], -1.5)
+
+
+def _log_chi_scalar(s):
+    s = complex(s)
+    near = round(s.real)
+    dist = abs(s - near)
+    if dist < 1e-12 and near >= 1 and near % 2 == 1:
+        raise PoleError(f"chi has a pole at s = {near}")
+    if dist < 0.25 and near >= 2 and near % 2 == 0:
+        return ((s - 1.0) * math.log(2.0) + s * math.log(math.pi)
+                - complex(sp._log_sin_pi((1.0 - s) / 2.0)) - complex(sp.lgamma(s)))
+    return (s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
+            + complex(sp._log_sin_pi(s / 2.0)) + complex(sp.lgamma(1.0 - s)))
+
+
+def _chi_scalar(s):
+    s = complex(s)
+    if s.imag == 0.0 and s.real == math.floor(s.real):
+        n = int(s.real)
+        if n <= 0 and n % 2 == 0:
+            return 0j
+    value = complex(np.exp(_log_chi_scalar(s)))
+    return complex(value.real) if s.imag == 0.0 else value
+
+
+def test_chi_array_is_the_scalar_chi_bit_for_bit():
+    # real parts across the trivial zeros, the odd poles and the
+    # near-even-integer form; heights up to 3000 and the real axis
+    re = np.concatenate((np.linspace(-12.3, 12.7, 41),
+                         [-6.0, -4.0, -2.0, 0.0, -1.0, -5.0, 0.5, 2.0, 4.0, 2.1, 3.9, 6.2, 2.0 - 1e-9]))
+    im = np.array([0.0, 1e-13, 0.1, -0.2, 14.1, -50.0, 300.0, -1000.0, 2999.0, 3000.0])
+    s = (re[:, None] + 1j * im[None, :]).ravel()
+    near = np.round(s.real)
+    s = s[~((np.abs(s - near) < 1e-12) & (near >= 1) & (near % 2 == 1))]
+    ref = [_chi_scalar(z) for z in s]
+    assert _bits(sp.chi(s)) == _bits(ref)
+    assert _bits([sp.chi(z) for z in s[::7]]) == _bits(ref[::7])
+    assert _bits(sp.log_chi(s[s != 0])) == _bits([_log_chi_scalar(z) for z in s[s != 0]])
+    with pytest.raises(PoleError, match="s = 3"):
+        sp.chi(np.array([0.5 + 1j, 3.0]))
