@@ -5,6 +5,14 @@ and the Fourier coefficients a_n of the shifted zeta on the unit interval.
 Everything is evaluated in double precision with an Euler-Maclaurin
 continuation for the zeta-type series.  Functions accept numpy arrays for
 the argument over which the surrounding quadrature code vectorises.
+
+The incomplete-Gamma path (_norm_upper_gamma_cf, osc_power_tail,
+fourier_coeff_a, _closed_power_tail) keeps each element's value independent
+of the call it comes in: its arithmetic is numpy's complex ufuncs on arrays,
+whose elements round alike at any length, stride or mask, and a scalar call
+runs on 1-element arrays, because numpy's scalar complex product rounds as
+Python's does and not as its array loop.  Sums over powers run row by row,
+never as an axis reduction, which numpy does pairwise.
 """
 
 from __future__ import annotations
@@ -702,92 +710,40 @@ def beta_integral(u, v) -> complex:
     return complex(np.exp(lgamma(1.0 - v) + lgamma(u + v - 1.0) - lgamma(u)))
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as (real, imag), rounded as Python's complex
-    product: numpy's vectorised complex multiply may fuse a multiply and an
-    add, and then an element's last bits depend on its place in the array."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) as (real, imag) for a nonzero divisor,
-    rounded as Python's complex quotient: Smith's division by the larger
-    part of the divisor, ending in a divide where numpy multiplies by a
-    reciprocal.  Where |br| < |bi| it takes a (-i) / (b (-i)), the same
-    operations on the turned parts (ai, -ar) and (bi, -br)."""
-    by_real = np.abs(br) >= np.abs(bi)
-    count = np.count_nonzero(by_real)
-    if count == by_real.size:
-        p, q, x, y = br, bi, ar, ai
-    elif not count:
-        p, q, x, y = bi, -br, ai, -ar
-    else:
-        p, q = np.where(by_real, br, bi), np.where(by_real, bi, -br)
-        x, y = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
-    ratio = q / p
-    denom = p + q * ratio
-    return (x + y * ratio) / denom, (y - x * ratio) / denom
-
-
-def _complex(parts) -> np.ndarray:
-    """The complex array of (real, imag) parts."""
-    re, im = np.broadcast_arrays(*parts)
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-# 0-d constants: numpy takes a Python float in an operation more slowly
-_ZERO, _ONE, _TWO = np.array(0.0), np.array(1.0), np.array(2.0)
-
-
 def _norm_upper_gamma_cf(a, x, exp_neg_x) -> np.ndarray:
     """x^{-a} Gamma(a, x) by the continued fraction of DLMF 8.9.2, reliable
     for |x| >~ |a|, at a, x and exp_neg_x broadcast and flattened to 1-d.
 
     A masked modified-Lentz iteration: each element runs until its own step
     delta is within 1e-16 of 1, keeps the value of that step and leaves the
-    live set.  Its products and quotients round as Python's complex ones
-    (_cmul, _cdiv), and its sums are exact componentwise, so an element's
-    value does not depend on the others."""
+    live set.  Its arithmetic is numpy's complex ufuncs on 1-d arrays, so an
+    element's value does not depend on the others (see the module docstring)."""
     a, x, enx = (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (a, x, exp_neg_x))))
     tiny = 1e-290
     b = x + 1.0 - a
-    br, bi = b.real.copy(), b.imag.copy()
-    # a_i = -i (i - a) = (-i) (zr + i zi) with zr = i - Re a and zi = 0 - Im a
-    ar, zi = a.real.copy(), 0.0 - a.imag
-    cr, ci = np.full(br.shape, 1.0 / tiny), np.zeros(br.shape)
-    dr, di = _cdiv(_ONE, _ZERO, np.where((br == 0) & (bi == 0), tiny, br), bi)
-    hr, hi = dr, di
-    er, ei = enx.real.copy(), enx.imag.copy()
-    out_r, out_i = np.empty(br.size), np.empty(br.size)
-    live = np.arange(br.size)
+    c = np.full(b.shape, 1.0 / tiny, dtype=complex)
+    d = 1.0 / np.where(b == 0, tiny, b)
+    h = d
+    out = np.empty(b.size, dtype=complex)
+    live = np.arange(b.size)
     for i in range(1, 4000):
-        zr = np.array(float(i)) - ar
-        minus_i = np.array(-float(i))
-        anr, ani = _cmul(minus_i, _ZERO, zr, zi)
-        # b += 2 (Python's also adds 0 to Im b, which is never -0 here)
-        br = br + _TWO
-        dr, di = _cmul(anr, ani, dr, di)
-        dr, di = dr + br, di + bi
-        if np.count_nonzero(dr) < dr.size:
-            dr[(dr == 0) & (di == 0)] = tiny
-        cr, ci = _cdiv(anr, ani, cr, ci)
-        cr, ci = br + cr, bi + ci
-        if np.count_nonzero(cr) < cr.size:
-            cr[(cr == 0) & (ci == 0)] = tiny
-        dr, di = _cdiv(_ONE, _ZERO, dr, di)
-        delta_r, delta_i = _cmul(dr, di, cr, ci)
-        hr, hi = _cmul(hr, hi, delta_r, delta_i)
-        done = np.hypot(delta_r - _ONE, delta_i) < 1e-16
-        if np.count_nonzero(done):
-            out_r[live[done]], out_i[live[done]] = _cmul(er[done], ei[done], hr[done], hi[done])
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d[d == 0] = tiny
+        c = b + an / c
+        c[c == 0] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = enx[done] * h[done]
             more = ~done
-            if not np.count_nonzero(more):
-                return _complex((out_r, out_i))
-            live, ar, zi, er, ei, br, bi, cr, ci, dr, di, hr, hi = (
-                v[more] for v in (live, ar, zi, er, ei, br, bi, cr, ci, dr, di, hr, hi))
+            if not more.any():
+                return out
+            live, a, enx, b, c, d, h = (v[more] for v in (live, a, enx, b, c, d, h))
     raise ConvergenceError("incomplete-gamma continued fraction stalled")
 
 
@@ -861,25 +817,24 @@ def _norm_upper_gamma(a, x, exp_neg_x=None):
 def osc_power_tail(s, m, a0: float):
     """int_{a0}^inf x^{-s} e^{2 pi i m x} dx via the incomplete Gamma
     function, for nonzero integers m: s and m broadcast against each other,
-    a complex for scalars, else an array.
+    a complex for scalars, else an array.  One product on 1-d arrays, a
+    scalar call on 1-element ones (see the module docstring).
 
     Principal branch: the power prefactor uses arg(-2 pi i m) = -sign(m) pi/2.
     """
-    m = np.asarray(m)
-    if (m == 0).any():
+    s_arr, m_arr = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(m))
+    if (m_arr == 0).any():
         raise DomainError("m must be nonzero")
     if a0 <= 0:
         raise DomainError("a0 must be positive")
-    a = 1.0 - np.asarray(s, dtype=complex)
+    a = 1.0 - s_arr.ravel()
     # the integral is int x^{-s} e^{-w x} dx with w = -2 pi i m; w a0 has
     # the +0 real part of Python's -2j * pi * m * a0
-    x = np.empty(np.broadcast(a, m).shape, dtype=complex)
+    x = np.empty(a.size, dtype=complex)
     x.real = 0.0
-    x.imag = -_TWO_PI * m * a0
-    power = np.exp(_complex(_cmul(a.real, a.imag, math.log(a0), 0.0)))
-    gamma_part = _norm_upper_gamma(a, x)
-    value = _complex(_cmul(power.real, power.imag, np.real(gamma_part), np.imag(gamma_part)))
-    return complex(value) if not value.shape else value
+    x.imag = -_TWO_PI * m_arr.ravel() * a0
+    value = np.exp(a * math.log(a0)) * _norm_upper_gamma(a, x)
+    return complex(value[0]) if not s_arr.shape else value.reshape(s_arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +909,8 @@ def _closed_power_tail(powers: dict, n, A: float):
     incomplete-Gamma values themselves).  n is an integer or an array of
     them: (complex, float) for a scalar, else two arrays.  Every n != 0 takes
     its terms from one osc_power_tail call, and each n sums its terms in
-    the order of powers."""
+    the order of powers, row by row, so a single n gets the bits it has
+    among many (see the module docstring)."""
     ns = np.asarray(n)
     flat = ns.ravel()
     qs = np.array(list(powers), dtype=complex)
@@ -974,13 +930,9 @@ def _closed_power_tail(powers: dict, n, A: float):
     if not zero.all():
         coefs = np.reshape(coefs, (-1, 1))
         tails = osc_power_tail(-qs[:, None], -flat[~zero], A)
-        terms = _complex(_cmul(coefs.real, coefs.imag, tails.real, tails.imag))
-        # Python's total += term, one power after another
-        acc, sizes = np.zeros(terms.shape[1], dtype=complex), np.zeros(terms.shape[1])
-        for term in terms:
-            acc += term
-            sizes += np.hypot(term.real, term.imag)
-        total[~zero], size[~zero] = acc, sizes
+        terms = coefs * tails
+        # summed row by row, one power after another, as at n = 0
+        total[~zero], size[~zero] = sum(terms), sum(np.abs(terms))
     rounding = (len(powers) + 4) * 2.0**-53 * size
     if not ns.shape:
         return complex(total[0]), float(rounding[0])
@@ -1016,7 +968,9 @@ def fourier_coeff_a(n, s):
     (equivalently, repeated integration by parts).  The power prefactor uses
     arg(2 pi i n) = sign(n) pi/2; with w = 2 pi i n the whole coefficient is
     the normalised quantity w^{-(1-s)} Gamma(1-s, w), and e^{-w} = 1 exactly.
-    Every n != 0 goes to one _norm_upper_gamma call.
+    Every n != 0 goes to one _norm_upper_gamma call, and a_0 is taken on
+    the array too, so a scalar call is a 1-element one (see the module
+    docstring).
     """
     n_arr, s_arr = np.broadcast_arrays(np.asarray(n), np.asarray(s, dtype=complex))
     shape = n_arr.shape
@@ -1027,7 +981,7 @@ def fourier_coeff_a(n, s):
     if (s_arr.real[~zero] <= -1.0).any():
         raise DomainError("a_n requires Re s > -1 for n != 0")
     out = np.empty(n_arr.size, dtype=complex)
-    out[zero] = _complex(_cdiv(_ONE, _ZERO, s_arr.real[zero] - 1.0, s_arr.imag[zero]))
+    out[zero] = 1.0 / (s_arr[zero] - 1.0)
     on = ~zero
     if on.any():
         # w = 2 pi i n, with the signed zero real part of Python's 2j * pi * n

@@ -4,6 +4,7 @@ fourth-power harness."""
 
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -65,6 +66,26 @@ def _rane_per_m(s, alpha, M):
 @pytest.mark.parametrize("s, alpha", [(0.5 + 10j, 2.0), (1.5, 5.0), (1.5 + 10j, 0.3)])
 def test_rane_array_tails_are_the_per_m_sum_bit_for_bit(s, alpha):
     assert fr.rane_representation(s, alpha, 40) == _rane_per_m(s, alpha, 40)
+
+
+@pytest.mark.parametrize("M, block", [(9000, None), (60, 7), (60, 58)])
+def test_rane_blocks_are_the_one_block_sum_bit_for_bit(monkeypatch, M, block):
+    if block is not None:
+        monkeypatch.setattr(fr, "_RANE_BLOCK", block)
+    blocked = fr.rane_representation(0.5 + 10j, 2.0, M)
+    monkeypatch.setattr(fr, "_RANE_BLOCK", M - 1)
+    assert blocked == fr.rane_representation(0.5 + 10j, 2.0, M)
+
+
+def test_rane_peak_memory_is_bounded_by_its_blocks():
+    # one block of 10^5 m peaked at 70 MiB
+    tracemalloc.start()
+    try:
+        fr.rane_representation(0.5 + 10j, 2.0, fr._RANE_MAX_M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
