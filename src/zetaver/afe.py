@@ -253,6 +253,16 @@ def s1_sum(sigma: float, t: float, alpha: float) -> complex:
     return _twisted_power_sum(_s1_terms(t), complex(sigma, t) - 1.0, alpha, -1)
 
 
+def _s1_rounding(sigma: float, t: float, alpha: float, value: complex) -> float:
+    """A bound on the rounding of s1_sum's value: u (sum_n n^{sigma-1} (4 +
+    3 |t| log n + 6 pi n |alpha|) + |S_1|), u = 2^-53.  A term's error is
+    its size times that of its exponent, (sigma - 1 + i t) log n - 2 pi i n
+    alpha, plus a few roundings of exp; the sum is rounded once."""
+    n = np.arange(1, _s1_terms(t) + 1, dtype=float)
+    sizes = n ** (sigma - 1.0) * (4.0 + 3.0 * abs(t) * np.log(n) + 6.0 * math.pi * n * abs(alpha))
+    return 2.0**-53 * (math.fsum(sizes) + abs(value))
+
+
 def _s1_terms(t: float) -> int:
     """The last n of S_1: the largest integer below t/2pi."""
     x = t / _2PI

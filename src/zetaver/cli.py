@@ -63,23 +63,28 @@ def _grid_from_strings(items) -> GridSpec | None:
 
 
 def _load_config_file(path: str, suite_id: str):
+    """(tol, grid) from the [suite_id] section of an INI file; ConfigError
+    for a file that is missing or that configparser or UTF-8 cannot read."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        items = parser.items(suite_id) if parser.has_section(suite_id) else []
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; the report is one line
+        raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from None
     tol = None
     axes = {}
-    if parser.has_section(suite_id):
-        for key, value in parser.items(suite_id):
-            if key == "tol":
-                try:
-                    tol = float(value)
-                except ValueError:
-                    raise ConfigError(f"tol must be a number, got {value!r}") from None
-            elif key.startswith("grid."):
-                axes[key[5:]] = _parse_axis(value)
-            else:
-                raise ConfigError(f"unknown config key {key!r} in [{suite_id}]")
+    for key, value in items:
+        if key == "tol":
+            try:
+                tol = float(value)
+            except ValueError:
+                raise ConfigError(f"tol must be a number, got {value!r}") from None
+        elif key.startswith("grid."):
+            axes[key[5:]] = _parse_axis(value)
+        else:
+            raise ConfigError(f"unknown config key {key!r} in [{suite_id}]")
     grid = GridSpec(axes) if axes else None
     return tol, grid
 
@@ -96,8 +101,14 @@ def _eval_value(args):
         value = special.chi(s) if fn == "chi" else complex(special.gamma(s))
         return value, float(special._log_space_rounding(s)) * abs(value)
     if fn == "B_N":
-        value = complex(special.dirichlet_kernel(_require(args, "N"), _require_real_alpha(args)))
-        return value, 1e-13 * max(abs(value), 1.0)
+        N, alpha = _require(args, "N"), _require_real_alpha(args)
+        value = complex(special.dirichlet_kernel(N, alpha))
+        # the rounding of the reduced arguments N d, (N + 1) d and d, each
+        # times pi, and of the sine, the phase and the quotient
+        d = abs(alpha - round(alpha))
+        if d == 0.0:
+            return value, 0.0
+        return value, 2.0**-53 * (math.pi * (N * d + (N + 1) * d) + 4.0) / math.sin(math.pi * d)
     if fn == "a_n":
         value = special.fourier_coeff_a(_require(args, "n"), _require(args, "s"))
         return value, 1e-12 * abs(value)
@@ -111,8 +122,9 @@ def _eval_value(args):
             q = fourier.qn_continued(n, u, v)
         return q.value, q.err_estimate
     if fn == "S1":
-        value = afe.s1_sum(args.sigma, _require(args, "t"), _require_real_alpha(args))
-        return value, 1e-13 * max(abs(value), 1.0)
+        t, alpha = _require(args, "t"), _require_real_alpha(args)
+        value = afe.s1_sum(args.sigma, t, alpha)
+        return value, afe._s1_rounding(args.sigma, t, alpha, value)
     if fn == "I_k":
         value = afe.power_mean_Ik(args.k, _require(args, "t"))
         return complex(value), max(1e-10, 1e-8 * value)

@@ -252,10 +252,11 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
     For v = conj u every step takes a^{-v} = conj a^{-u}, one complex power.
 
     Every shifted value carries its node's Euler-Maclaurin error, at most
-    the kernel's bound eps (the largest of the two calls), so every err
-    adds eps int_1^b a^{-Re v} da; the subtracted powers of continued are
-    exact and add nothing.  Before any evaluation, _check_panel_cap refuses
-    an unfolded [1, b] over the cap, max |n| read from the ends of ns.
+    eps, the largest of the kernel's bounds over the nodes of the two
+    calls, so every err adds eps int_1^b a^{-Re v} da; the subtracted
+    powers of continued are exact and add nothing.  Before any evaluation,
+    _check_panel_cap refuses an unfolded [1, b] over the cap, max |n| read
+    from the ends of ns.
     Returns (coeffs, errs): the two parts' coefficients and errors added.
     """
     if not b >= 1.0:
@@ -270,7 +271,7 @@ def _zeta1_head(u: complex, v: complex, ns, b: float, tol: float, continued: boo
         def values(y: np.ndarray) -> np.ndarray:
             nonlocal kernel_err
             z, err = _em_hurwitz(u, y + float(terms + 1))
-            kernel_err = max(kernel_err, err)
+            kernel_err = max(kernel_err, float(err.max()))
             total = np.zeros_like(z)
             for k in range(terms, 0, -1):
                 a = y + k
@@ -351,8 +352,9 @@ def _parts_jumps(factors, l1: float) -> tuple[np.ndarray, np.ndarray]:
     zeta(u + j) + zeta(v + k - j) - 1.  ||f^(K)||_1 is bounded term by
     term, by zeta(Re w + j) for a factor zeta1(w + j, .) with j >= 1 and
     by l1 for the one underived factor.  The computed S_n is within
-    sum_k e_k / (2 pi |n|)^{k+1} of c_n: e holds the kernel's bound on the
-    zeta values in each J_k, and e_{K-1} adds ||f^(K)||_1.
+    sum_k e_k / (2 pi |n|)^{k+1} of c_n: e holds the largest of the
+    kernel's bounds on the zeta values in each J_k, and e_{K-1} adds
+    ||f^(K)||_1.
     """
     K = _PARTS_ORDERS
     j = np.arange(K + 1.0)
@@ -361,6 +363,7 @@ def _parts_jumps(factors, l1: float) -> tuple[np.ndarray, np.ndarray]:
     d = [_shift_weights(w, K - 1) for w in factors]
     # per factor: zeta(w + j), j < K, for the jumps; zeta(Re w + j), 1 <= j <= K, for the norm
     z, z_err = _em_hurwitz(np.array([(w + j[:K], w.real + j[1:]) for w in factors]), 1.0)
+    z_err = float(z_err.max())
     sizes = [np.abs(dw) * np.concatenate(([l1], zw[1].real)) for dw, zw in zip(d, z)]
     if len(factors) == 1:
         jumps, errs = d[0][:K], np.zeros(K)

@@ -6,6 +6,11 @@ Everything is evaluated in double precision with an Euler-Maclaurin
 continuation for the zeta-type series.  Functions accept numpy arrays for
 the argument over which the surrounding quadrature code vectorises.
 
+Every zeta and zeta1 value comes from one kernel entry, _em_hurwitz(s, a),
+which returns the values and a bound for each element.  It chooses among
+the shift route, the reflection and the direct sum; no other module calls
+their parts.
+
 The incomplete-Gamma path (_norm_upper_gamma_cf, osc_power_tail,
 fourier_coeff_a, _closed_power_tail) keeps each element's value independent
 of the call it comes in: its arithmetic is numpy's complex ufuncs on arrays,
@@ -251,7 +256,7 @@ def _neg_power(x, log_x, sigma, t):
     return power * np.cos(phase), power * np.sin(phase)
 
 
-# Base-sum terms summed in this process: each column of an _em_sum call
+# Base-sum terms summed in this process: each column of a _base_sum call
 # adds its n0 terms.  A reader takes the difference of _base_terms()
 # around the work it measures, as with quadrature._evaluations().
 _terms_summed = 0
@@ -259,35 +264,6 @@ _terms_summed = 0
 
 def _base_terms() -> int:
     return _terms_summed
-
-
-def _em_hurwitz(s, a):
-    """zeta_H(s, a) for complex s != 1 and real a > 0, broadcast against
-    each other (scalars or arrays).
-
-    Returns (value, error_bound): value has the broadcast shape (a complex
-    when both are scalars) and the bound is the largest over its elements.
-    One s with Re s >= 0 at many shifts goes through _shift_route where
-    its rule allows, and every other call through the direct sum of
-    _em_sum.  A bound that is not finite (|s| above about 1e18) raises
-    DomainError.
-    """
-    s_arr = np.asarray(s, dtype=complex)
-    a_arr = np.asarray(a, dtype=float)
-    if (s_arr == 1.0).any():
-        raise PoleError("zeta pole at s = 1")
-    if (a_arr <= 0.0).any():
-        raise DomainError("shift must be positive")
-    if s_arr.size == 1 and a_arr.size > 1:
-        s_one = complex(s_arr.flat[0])
-        if s_one.real >= 0.0 and s_one != 0.0:
-            shifts = a_arr.ravel()
-            found = _shift_route(s_one, shifts)
-            if found is not None:
-                value, err = found
-                return value.reshape(np.broadcast(s_arr, a_arr).shape), err
-    value, err = _em_sum(s_arr, a_arr)
-    return (complex(value) if not value.shape else value), float(err.max())
 
 
 def _shift_weights(s: complex, order: int) -> np.ndarray:
@@ -303,12 +279,11 @@ def _shift_series(s: complex, centres, order: int):
     _shift_weights w_j = (-1)^j (s)_j / j!, since d^j/da^j zeta_H(s, a) =
     (-1)^j (s)_j zeta_H(s + j, a) (DLMF 25.11.17).  Returns (w, z, z_err):
     w for j <= order + 1, and z[j, b] = zeta_H(s + j, c_b), j <= order, with
-    its kernel bounds, from one _em_sum call.  PoleError where s + j = 1.
+    their kernel bounds, from one _em_hurwitz call, whose PoleError stops a
+    column at s + j = 1.
     """
     js = np.arange(order + 1.0)
-    if (s + js == 1.0).any():
-        raise PoleError("zeta pole at s + j = 1 in the shift series")
-    z, z_err = _em_sum(s + js[:, None], np.asarray(centres, dtype=float)[None, :])
+    z, z_err = _em_hurwitz(s + js[:, None], np.asarray(centres, dtype=float)[None, :])
     return _shift_weights(s, order), z, z_err
 
 
@@ -337,8 +312,8 @@ def _taylor_order(s: complex, k: float, top: float, cap: int):
 
 def _shift_route(s: complex, a: np.ndarray):
     """zeta_H(s, a) at the 1-d shifts a for one s != 0 with Re s >= 0, as
-    (value, error_bound), or None where the route's rule leaves the call to
-    the direct sum.
+    (value, error_bound) with one bound per shift, or None where the
+    route's rule leaves the call to the direct sum.
 
     The call is split at m >= 0, zeta_H(s, a) = sum_{k<m} (a + k)^-s +
     zeta_H(s, a + m): the head is _base_sum with n0 = m, and the tail takes
@@ -356,13 +331,14 @@ def _shift_route(s: complex, a: np.ndarray):
     outweighs the terms saved.  The tail takes the order again at its own
     top block, which is no higher.
 
-    The bound is the largest over the blocks of the _shift_remainder at the
+    A shift's bound is that of its block: the _shift_remainder at the
     block's largest |delta| = D plus sum_j |w_j| D^j (e_j + (8 J + 8) u
     |zeta_H(s + j, c)|): the columns' kernel bounds e_j, and the rounding
     of the coefficients and of Horner's rule, u the unit roundoff.  A split
-    adds the head's rounding: u times the summed term sizes x^-sigma, x =
-    lo + k, each times its error in units of u, m + 3 + |s| (1 + 2 log(hi +
-    k)) (the summation, the rounding of x and the phase t log x).
+    adds to every shift the head's rounding: u times the summed term sizes
+    x^-sigma, x = lo + k, each times its error in units of u, m + 3 + |s|
+    (1 + 2 log(hi + k)) (the summation, the rounding of x and the phase
+    t log x).
     """
     lo, hi = float(a.min()), float(a.max())
     n0 = _em_terms(abs(s.imag), lo)
@@ -407,13 +383,15 @@ def _shift_route(s: complex, a: np.ndarray):
         values[order[start:start + size]] = acc
     spans = np.abs(weights[:-1, None]) * radii ** np.arange(J + 1.0)[:, None]
     err = _shift_remainder(s, weights, J, radii, centres - radii)
-    err = float((err + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)).max())
+    err = err + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)
     if m:
         values += _base_sum(np.complex128(s), a, m)
         ks = np.arange(m, dtype=float)
         terms = (lo + ks) ** -s.real * (m + 3.0 + abs(s) * (1.0 + 2.0 * np.log(hi + ks)))
         err += 2.0**-53 * float(terms.sum())
-    return values, err
+    bounds = np.empty(a.size)
+    bounds[order] = np.repeat(err, sizes)
+    return values, bounds
 
 
 def _em_terms(t_max: float, a_min: float) -> int:
@@ -475,19 +453,35 @@ def _em_coeffs(s):
     return coeffs, ratio
 
 
-def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
-    """The direct Euler-Maclaurin evaluation behind _em_hurwitz, for
-    validated arrays s_arr and a_arr: the values and their truncation
-    bounds, both in the broadcast shape.
+def _em_hurwitz(s, a):
+    """zeta_H(s, a) for complex s != 1 and real a > 0, broadcast against
+    each other (scalars or arrays).
 
-    The number of direct terms grows like 2 max|Im s|/pi from the smallest
-    shift, so the Bernoulli tail converges geometrically with ratio about
-    1/16 per correction pair.  An element with Re s < 0 at shift exactly 1,
+    Returns (value, error_bound), both in the broadcast shape (a complex
+    and a float when both are scalars), each element with its own bound.
+    One s with Re s >= 0 at many shifts goes through _shift_route where its
+    rule allows.  Otherwise an element with Re s < 0 at shift exactly 1,
     whose base terms would grow and cancel, takes zeta(s) = chi(s) zeta(1 -
     s) (DLMF 25.4.1), bounded by |chi(s)| times the bound of zeta(1 - s)
     plus chi's _log_space_rounding; it is exactly 0 at s = -2n, as chi is.
+    Every other element takes the direct sum, whose number of base terms
+    grows like 2 max|Im s|/pi from the smallest shift, so the Bernoulli tail
+    converges geometrically with ratio about 1/16 per correction pair.  A
+    bound that is not finite (|s| above about 1e18) raises DomainError.
     """
+    s_arr = np.asarray(s, dtype=complex)
+    a_arr = np.asarray(a, dtype=float)
+    if (s_arr == 1.0).any():
+        raise PoleError("zeta pole at s = 1")
+    if (a_arr <= 0.0).any():
+        raise DomainError("shift must be positive")
     shape = np.broadcast(s_arr, a_arr).shape
+    if s_arr.size == 1 and a_arr.size > 1:
+        s_one = complex(s_arr.flat[0])
+        if s_one.real >= 0.0 and s_one != 0.0:
+            found = _shift_route(s_one, a_arr.ravel())
+            if found is not None:
+                return found[0].reshape(shape), found[1].reshape(shape)
     if s_arr.real.min() < 0.0:
         left = np.broadcast_to((s_arr.real < 0.0) & (a_arr == 1.0), shape)
         if left.any():
@@ -495,15 +489,15 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
             value, err = np.empty(shape, dtype=complex), np.empty(shape)
             if not left.all():
                 a_rest = np.broadcast_to(a_arr, shape)[~left] if a_arr.size > 1 else a_arr.reshape(())
-                value[~left], err[~left] = _em_sum(s_all[~left], a_rest)
+                value[~left], err[~left] = _em_hurwitz(s_all[~left], a_rest)
             factor = chi(s_all[left])
-            reflected, reflected_err = _em_sum(1.0 - s_all[left], np.asarray(1.0))
+            reflected, reflected_err = _em_hurwitz(1.0 - s_all[left], 1.0)
             value[left] = factor * reflected
             err[left] = (np.abs(factor) * reflected_err
                          + _log_space_rounding(s_all[left]) * np.abs(value[left]))
-            return value, err
-    # An argument with one value stays a scalar; arrays are flattened
-    # against each other.
+            return (complex(value), float(err)) if not shape else (value, err)
+    # The direct sum.  An argument with one value stays a scalar; arrays
+    # are flattened against each other.
     many_s, many_a = s_arr.size > 1, a_arr.size > 1
     if many_s and many_a:
         s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
@@ -531,13 +525,14 @@ def _em_sum(s_arr: np.ndarray, a_arr: np.ndarray):
     if not np.isfinite(err).all():
         raise DomainError(f"|s| = {float(np.abs(s).max()):.3g} too large for the "
                           f"Euler-Maclaurin bound")
-    return value.reshape(shape), err.reshape(shape)
+    value, err = value.reshape(shape), err.reshape(shape)
+    return (complex(value), float(err)) if not shape else (value, err)
 
 
 def riemann_zeta(s):
     """Riemann zeta(s), continued by Euler-Maclaurin, by the functional
-    equation where Re s < 0 (see _em_sum).  PoleError at s = 1.  s may be
-    a numpy array; the result then has the same shape.
+    equation where Re s < 0 (see _em_hurwitz).  PoleError at s = 1.  s may
+    be a numpy array; the result then has the same shape.
     """
     return _em_hurwitz(s, 1.0)[0]
 

@@ -119,6 +119,41 @@ def test_eval_kernel(capsys):
     assert capsys.readouterr().out.startswith("5")
 
 
+@pytest.mark.parametrize("N, alpha", [(10**6, "0.3"), (10**7, "0.1"), (10**5, "1e-7"),
+                                      (10**4, "12.123456789"), (10**6, "-0.45"), (10**7, "0.5")])
+def test_eval_kernel_error_covers_mpmath(capsys, N, alpha):
+    # the printed error was 1e-13 max(|B_N|, 1), which B_N at N = 10^6,
+    # alpha = 0.3 missed by a factor 430
+    import mpmath as mp
+
+    from zetaver import special
+
+    assert main(["eval", "B_N", "--N", str(N), f"--alpha={alpha}"]) == 0
+    _value, err, _rounding = _printed(capsys.readouterr().out)
+    with mp.workprec(120):
+        d = mp.mpf(float(alpha)) - round(float(alpha))
+        ref = complex(mp.expjpi((N + 1) * d) * mp.sinpi(N * d) / mp.sinpi(d))
+    assert abs(special.dirichlet_kernel(N, float(alpha)) - ref) <= err
+
+
+@pytest.mark.parametrize("sigma, t, alpha", [(0.9, 1e4, 0.25), (0.1, 1e4, 0.3), (0.5, 3000.0, 2.5),
+                                             (0.9, 1000.0, -1.3), (0.5, 1000.0, 0.0)])
+def test_eval_s1_error_covers_mpmath(capsys, sigma, t, alpha):
+    # the printed error was 1e-13 max(|S1|, 1): 8.0e-13 at sigma = 0.9,
+    # t = 10^4, alpha = 0.25, where the value is off by 1.7e-10
+    import mpmath as mp
+
+    from zetaver import afe
+
+    assert main(["eval", "S1", f"--sigma={sigma}", f"--t={t}", f"--alpha={alpha}"]) == 0
+    _value, err, _rounding = _printed(capsys.readouterr().out)
+    with mp.workprec(120):
+        s, a = mp.mpc(sigma, t), mp.mpf(alpha)
+        ref = complex(mp.fsum(mp.power(n, s - 1) * mp.expjpi(-2 * n * a)
+                              for n in range(1, afe._s1_terms(t) + 1)))
+    assert abs(afe.s1_sum(sigma, t, alpha) - ref) <= err
+
+
 def test_eval_domain_error_mirrors_library(capsys):
     assert main(["eval", "zeta1", "--s", "2", "--alpha", "-1"]) == 2
     assert "DomainError" in capsys.readouterr().err
@@ -407,6 +442,27 @@ def test_config_file_bad_tol_is_config_error(tmp_path, capsys):
     cfgfile.write_text("[quadratic_moment]\ntol = x\n")
     assert main(["run-suite", "quadratic_moment", "--config", str(cfgfile)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+# an INI file configparser or UTF-8 cannot read printed a traceback and
+# exited 1, the code of a tolerance breach
+@pytest.mark.parametrize("content", [
+    b"tol = 1e-6\n",
+    b"[quadratic_moment]\ntol = 1e-6\n[quadratic_moment]\ntol = 1e-7\n",
+    b"[quadratic_moment]\ntol\n",
+    b"[quadratic_moment]\ntol = %(x)s\n",
+    b"[quadratic_moment]\ntol = 1e-6\n# \xff\xfe\n",
+], ids=["no-section-header", "duplicate-section", "key-without-value", "interpolation",
+        "not-utf-8"])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, content):
+    cfgfile = tmp_path / "suite.ini"
+    cfgfile.write_bytes(content)
+    out = tmp_path / "r.json"
+    assert main(["run-suite", "quadratic_moment", "--config", str(cfgfile), "--grid", "u_re=2",
+                 "--grid", "v_re=3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # a NaN tolerance breached every row of a tolerance-judged suite (exit 1)

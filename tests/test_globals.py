@@ -74,6 +74,33 @@ def test_only_quadrature_knows_the_gk15_rule():
     assert not leaks, leaks
 
 
+# The Euler-Maclaurin kernel's parts: every other module enters through
+# special._em_hurwitz (or the public functions built on it).
+_KERNEL_PRIVATE = {"_shift_route", "_base_sum", "_em_coeffs", "_em_terms", "_neg_power",
+                   "_taylor_order"}
+
+
+def test_only_special_knows_the_kernel_parts():
+    leaks = []
+    for info in pkgutil.iter_modules(zetaver.__path__):
+        module = importlib.import_module(f"zetaver.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            text = fh.read()
+        if "_em_sum" in text:
+            leaks.append(f"{info.name}: _em_sum")
+        if info.name == "special":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                leaks += [f"{info.name}: import {a.name}" for a in node.names
+                          if a.name in _KERNEL_PRIVATE]
+            elif isinstance(node, ast.Attribute) and node.attr in _KERNEL_PRIVATE:
+                leaks.append(f"{info.name}: .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in _KERNEL_PRIVATE:
+                leaks.append(f"{info.name}: {node.id}")
+    assert not leaks, leaks
+
+
 def _meter_users(name):
     """The zetaver modules that call quadrature's meter function name, by
     its bare name or as an attribute, or import it."""

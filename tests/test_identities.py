@@ -669,8 +669,8 @@ def test_zeta1_taylor_remainder_bound_holds_and_is_not_vacuous(monkeypatch, u):
 
 
 def test_shift_series_raises_at_a_pole_column():
-    # the kernel's direct sum has no pole check: a column at s + j = 1
-    # would come back NaN with a finite bound
+    # the kernel's entry refuses a column at s + j = 1, which its direct
+    # sum would return as NaN with a finite bound
     with pytest.raises(PoleError):
         idn._zeta1_taylor(1.0)
     with pytest.raises(PoleError):
