@@ -455,13 +455,14 @@ def _zeta1_taylor(u: complex):
     """
     u = complex(u)
     split = 1.0 / max(4.0, abs(u))
-    if not np.isfinite(_shift_weights(u, _TAYLOR_TERMS)).all():
+    w = _shift_weights(u, _TAYLOR_TERMS)
+    if not np.isfinite(w).all():
         raise DomainError(f"zeta1 Taylor coefficients overflow at u = {u}")
     if u.imag == 0.0 and -_TAYLOR_TERMS <= u.real == math.floor(u.real) <= 0.0:
         m = int(-u.real)
-        w, z, _ = _shift_series(u, [1.0], m)
-        return np.append(w[:-1] * z[:, 0], -1.0 / (m + 1)), split, 0.0
-    w, z, _ = _shift_series(u, [1.0], _TAYLOR_TERMS)
+        z, _ = _shift_series(u, [1.0], m)
+        return np.append(w[:m + 1] * z[:, 0], -1.0 / (m + 1)), split, 0.0
+    z, _ = _shift_series(u, [1.0], _TAYLOR_TERMS)
     return w[:-1] * z[:, 0], split, _shift_remainder(u, w, _TAYLOR_TERMS, 1.0, 1.0)
 
 

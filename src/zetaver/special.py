@@ -243,14 +243,14 @@ def _neg_power(x, log_x, sigma, t):
     sum pairwise in _base_sum.
     """
     shared = np.ndim(x) == 2 and x.shape[1] == 1 and np.size(sigma) > 1
-    oscillating = t.any()
-    if shared and oscillating and (sigma == sigma.flat[0]).all():
+    oscillating = np.count_nonzero(t)
+    if shared and oscillating and not np.count_nonzero(sigma != sigma.flat[0]):
         power = np.power(x, -sigma.flat[0])
     else:
         power = np.power(x, -sigma)
         if not oscillating:
             return power, None
-        if shared and (t == t.flat[0]).all():
+        if shared and not np.count_nonzero(t != t.flat[0]):
             t = t.flat[0]
     phase = t * log_x
     return power * np.cos(phase), power * np.sin(phase)
@@ -274,17 +274,17 @@ def _shift_weights(s: complex, order: int) -> np.ndarray:
 
 
 def _shift_series(s: complex, centres, order: int):
-    """The Taylor series of zeta_H(s, .) in the shift about the centres c,
-    zeta_H(s, c + delta) = sum_j w_j delta^j zeta_H(s + j, c) with the
-    _shift_weights w_j = (-1)^j (s)_j / j!, since d^j/da^j zeta_H(s, a) =
-    (-1)^j (s)_j zeta_H(s + j, a) (DLMF 25.11.17).  Returns (w, z, z_err):
-    w for j <= order + 1, and z[j, b] = zeta_H(s + j, c_b), j <= order, with
-    their kernel bounds, from one _em_hurwitz call, whose PoleError stops a
-    column at s + j = 1.
+    """The columns of the Taylor series of zeta_H(s, .) in the shift about
+    the centres c, zeta_H(s, c + delta) = sum_j w_j delta^j zeta_H(s + j, c)
+    with the _shift_weights(s, order) w_j = (-1)^j (s)_j / j!, since
+    d^j/da^j zeta_H(s, a) = (-1)^j (s)_j zeta_H(s + j, a) (DLMF 25.11.17).
+    Returns (z, z_err): z[j, b] = zeta_H(s + j, c_b), j <= order, with their
+    kernel bounds, from one _em_hurwitz call, whose PoleError stops a column
+    at s + j = 1.  The caller builds the weights once for every order it
+    tries: the weights of a lower order are a prefix of them, bit for bit.
     """
     js = np.arange(order + 1.0)
-    z, z_err = _em_hurwitz(s + js[:, None], np.asarray(centres, dtype=float)[None, :])
-    return _shift_weights(s, order), z, z_err
+    return _em_hurwitz(s + js[:, None], np.asarray(centres, dtype=float)[None, :])
 
 
 def _shift_remainder(s: complex, weights: np.ndarray, J, radius, low):
@@ -299,13 +299,14 @@ def _shift_remainder(s: complex, weights: np.ndarray, J, radius, low):
     return np.where(x > 1.0, bound, math.inf)[()]
 
 
-def _taylor_order(s: complex, k: float, top: float, cap: int):
-    """The least order J <= cap whose _shift_remainder over the block about
-    top, |delta| <= k top, is at or below one unit roundoff of (top (1 +
-    k))^-sigma, the block's largest base term; None if there is none.  The
-    ratio of the remainder to that target grows with top."""
-    orders = np.arange(1, cap + 1)
-    remainders = _shift_remainder(s, _shift_weights(s, cap), orders, k * top, top * (1.0 - k))
+def _taylor_order(s: complex, k: float, top: float, weights: np.ndarray):
+    """The least order J <= cap = weights.size - 2 whose _shift_remainder
+    over the block about top, |delta| <= k top, is at or below one unit
+    roundoff of (top (1 + k))^-sigma, the block's largest base term; None
+    if there is none.  weights are the _shift_weights(s, cap).  The ratio
+    of the remainder to that target grows with top."""
+    orders = np.arange(1, weights.size - 1)
+    remainders = _shift_remainder(s, weights, orders, k * top, top * (1.0 - k))
     met = orders[remainders <= 2.0**-53 * (top * (1.0 + k)) ** -s.real]
     return int(met[0]) if met.size else None
 
@@ -326,10 +327,14 @@ def _shift_route(s: complex, a: np.ndarray):
     order grows with the centre).  The blocks may number shifts //
     (_TAYLOR_SHARE (J + 1)); they cover [lo + m, hi + m] once (hi + m) / (lo
     + m) <= (1 + widen)^blocks, and m is the least such integer.  The route
-    is taken where 2 m <= n0 and J + 1 <= _TAYLOR_STEPS n0, and for m > 0
-    also n0 >= 4 _EM_FLOOR: below that the fixed cost of the Taylor columns
-    outweighs the terms saved.  The tail takes the order again at its own
-    top block, which is no higher.
+    is taken where there is at least one block, 2 m <= n0 and J + 1 <=
+    _TAYLOR_STEPS n0, and for m > 0 also n0 >= 4 _EM_FLOOR: below that the
+    fixed cost of the Taylor columns outweighs the terms saved.  The first
+    two limits cap the order search, J <= min(_TAYLOR_MAX_ORDER, shifts //
+    _TAYLOR_SHARE - 1, _TAYLOR_STEPS n0 - 1), since an order above the cap
+    could only be refused; a cap below 1 refuses before anything is built.
+    The tail takes the order again at its own top block, which is no
+    higher.  One _shift_weights array at the cap serves every order.
 
     A shift's bound is that of its block: the _shift_remainder at the
     block's largest |delta| = D plus sum_j |w_j| D^j (e_j + (8 J + 8) u
@@ -340,19 +345,23 @@ def _shift_route(s: complex, a: np.ndarray):
     (1 + 2 log(hi + k)) (the summation, the rounding of x and the phase
     t log x).
     """
-    lo, hi = float(a.min()), float(a.max())
+    lo, hi = float(np.minimum.reduce(a)), float(np.maximum.reduce(a))
     n0 = _em_terms(abs(s.imag), lo)
+    cap = min(_TAYLOR_MAX_ORDER, a.size // _TAYLOR_SHARE - 1, _TAYLOR_STEPS * n0 - 1)
+    if cap < 1:
+        return None
     k = min(_TAYLOR_REACH / abs(s), _TAYLOR_RATIO)
     widen = 2.0 * k / (1.0 - k)
-    J = _taylor_order(s, k, (hi + n0) / (1.0 - k), _TAYLOR_MAX_ORDER)
+    weights = _shift_weights(s, cap)
+    J = _taylor_order(s, k, (hi + n0) / (1.0 - k), weights)
     if J is None:
         return None
-    with np.errstate(over="ignore"):  # an overflow to inf leaves m = 0
-        grow = np.float64(1.0 + widen) ** (a.size // (_TAYLOR_SHARE * (J + 1)))
-    if grow == 1.0:  # too few shifts, or |s| above about 1e16: no m
+    # an overflow to inf leaves m = 0
+    grow = np.float64(1.0 + widen) ** (a.size // (_TAYLOR_SHARE * (J + 1)))
+    if grow == 1.0:  # |s| above about 1e16: no m
         return None
     m = 0 if hi <= grow * lo else math.ceil((hi - grow * lo) / (grow - 1.0))
-    if 2 * m > n0 or J + 1 > _TAYLOR_STEPS * n0 or (m > 0 and n0 < 4 * _EM_FLOOR):
+    if 2 * m > n0 or (m > 0 and n0 < 4 * _EM_FLOOR):
         return None
 
     shifted = a + m
@@ -360,35 +369,41 @@ def _shift_route(s: complex, a: np.ndarray):
     count = max(1, math.ceil(math.log((hi + m) / low) / math.log1p(widen)))
     # the tail's top block is no higher, so an order <= J meets its target
     # (J itself, should rounding say otherwise)
-    J = _taylor_order(s, k, low * (1.0 + widen) ** (count - 1) / (1.0 - k), J) or J
+    J = _taylor_order(s, k, low * (1.0 + widen) ** (count - 1) / (1.0 - k), weights[:J + 2]) or J
+    weights = weights[:J + 2]
     order = np.argsort(shifted, kind="stable")
     ordered = shifted[order]
     lows = low * (1.0 + widen) ** np.arange(count)
     edges = np.concatenate(([0], np.searchsorted(ordered, lows[1:]), [a.size]))
-    full = edges[1:] > edges[:-1]
-    starts, sizes, centres = edges[:-1][full], np.diff(edges)[full], lows[full] / (1.0 - k)
+    sizes = edges[1:] - edges[:-1]
+    full = sizes > 0
+    starts, sizes, centres = edges[:-1][full], sizes[full], lows[full] / (1.0 - k)
     # a - c is exact: every shift lies within a factor 2 of its centre
     steps = ordered - np.repeat(centres, sizes)
     radii = np.maximum.reduceat(np.abs(steps), starts)
 
-    weights, z, z_err = _shift_series(s, centres, J)
+    z, z_err = _shift_series(s, centres, J)
     coeffs = weights[:-1, None] * z
     values = np.empty(a.size, dtype=complex)
+    # Horner's steps multiply by delta + 0j, the complex operand numpy
+    # would cast each real delta to at every step
+    steps_c = steps.astype(complex)
     for b, (start, size) in enumerate(zip(starts, sizes)):
-        step = steps[start:start + size]
-        acc = np.full(size, coeffs[J, b])
-        for j in range(J - 1, -1, -1):
+        step = steps_c[start:start + size]
+        acc = coeffs[J, b] * step
+        acc += coeffs[J - 1, b]
+        for j in range(J - 2, -1, -1):
             acc *= step
             acc += coeffs[j, b]
         values[order[start:start + size]] = acc
     spans = np.abs(weights[:-1, None]) * radii ** np.arange(J + 1.0)[:, None]
     err = _shift_remainder(s, weights, J, radii, centres - radii)
-    err = err + (spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z))).sum(axis=0)
+    err = err + np.add.reduce(spans * (z_err + (8 * J + 8) * 2.0**-53 * np.abs(z)), axis=0)
     if m:
         values += _base_sum(np.complex128(s), a, m)
         ks = np.arange(m, dtype=float)
         terms = (lo + ks) ** -s.real * (m + 3.0 + abs(s) * (1.0 + 2.0 * np.log(hi + ks)))
-        err += 2.0**-53 * float(terms.sum())
+        err += 2.0**-53 * float(np.add.reduce(terms))
     bounds = np.empty(a.size)
     bounds[order] = np.repeat(err, sizes)
     return values, bounds
@@ -421,19 +436,29 @@ def _base_sum(s, a, n0: int) -> np.ndarray:
     # row by row for w >= 2 but pairwise for w = 1, so no block is one
     # column wide unless the output is: every column sums as in one matrix.
     cols = max(2, _EM_BLOCK_TERMS // n0)
-    edges = list(range(0, size, cols)) + [size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
     base = np.empty(size, dtype=complex)
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    hi = 0
+    while hi < size:
+        lo, hi = hi, (size if size - hi <= cols + 1 else hi + cols)
         if many_a:
             x = ks[:, None] + a[None, lo:hi]
             log_x = np.log(x)
         s_cols = s[None, lo:hi] if many_s else s
         c, d = _neg_power(x, log_x, s_cols.real, s_cols.imag)
-        base.real[lo:hi] = c.sum(axis=0)
-        base.imag[lo:hi] = 0.0 if d is None else -d.sum(axis=0)
+        base.real[lo:hi] = np.add.reduce(c, axis=0)
+        base.imag[lo:hi] = 0.0 if d is None else -np.add.reduce(d, axis=0)
     return base
+
+
+# Columns per block of the Pochhammer products of _em_coeffs: a wider
+# (17, w) product ran at up to three times the cost per column.
+_EM_COEFF_COLUMNS = 256
+# The factors k + 0j of the Pochhammer products and the Bernoulli weights
+# B_2j/(2j)!, as the complex columns numpy would cast them to.
+_POCH_STEPS = np.arange(2.0 * _EM_PAIRS + 1)[:, None] + 0j
+_EM_TAIL_WEIGHTS = _bernoulli_tail_weights(_EM_PAIRS)[:, None] + 0j
+# The tail's powers x^(-2j), j < _EM_PAIRS, as one column of exponents.
+_EM_TAIL_POWERS = np.arange(_EM_PAIRS)[:, None]
 
 
 def _em_coeffs(s):
@@ -442,14 +467,33 @@ def _em_coeffs(s):
     _EM_PAIRS, one column per element, row J that of the first omitted
     term, whose ratio (|s| + 2J + 1) / (Re s + 2J + 1) multiple bounds all
     that is omitted.  DomainError where Re s + 2J + 1 <= 1.  The Pochhammer
-    symbols overflow for |s| above about 1e18."""
-    sig_min = float(np.min(s.real))
+    symbols overflow for |s| above about 1e18: callers ignore numpy's
+    overflow and invalid warnings around the call.
+
+    Each column's product (s)(s + 1)...(s + k) is numpy's cumulative
+    product down the column, which rounds every step as Python's complex
+    product does; a scalar s takes it in Python complex arithmetic, and an
+    array in blocks of _EM_COEFF_COLUMNS columns, both bit for bit the one
+    (2J + 1, w) product."""
+    scalar = np.ndim(s) == 0
+    sig_min = float(s.real if scalar else np.minimum.reduce(s.real))
     if sig_min + 2 * _EM_PAIRS + 1 <= 1.0:
         raise DomainError(f"Re s = {sig_min} too small for {_EM_PAIRS} Bernoulli pairs")
-    with np.errstate(over="ignore", invalid="ignore"):
-        poch = np.cumprod(np.arange(2.0 * _EM_PAIRS + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
-        coeffs = _bernoulli_tail_weights(_EM_PAIRS)[:, None] * poch[::2]
-        ratio = (abs(s) + 2 * _EM_PAIRS + 1) / (s.real + 2 * _EM_PAIRS + 1)
+    if scalar:
+        # (k + 0j) + s as numpy adds it: k + Re s, 0 + Im s
+        re, im = float(s.real), 0.0 + float(s.imag)
+        step = complex(0.0 + re, im)
+        rows = [step]
+        for k in range(1, 2 * _EM_PAIRS + 1):
+            step *= complex(k + re, im)
+            rows.append(step)
+        poch = np.array(rows[::2])[:, None]
+    else:
+        blocks = [np.multiply.accumulate(_POCH_STEPS + s[None, lo:lo + _EM_COEFF_COLUMNS], axis=0)[::2]
+                  for lo in range(0, s.size, _EM_COEFF_COLUMNS)]
+        poch = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    coeffs = _EM_TAIL_WEIGHTS * poch
+    ratio = (abs(s) + 2 * _EM_PAIRS + 1) / (s.real + 2 * _EM_PAIRS + 1)
     return coeffs, ratio
 
 
@@ -468,21 +512,21 @@ def _em_hurwitz(s, a):
     grows like 2 max|Im s|/pi from the smallest shift, so the Bernoulli tail
     converges geometrically with ratio about 1/16 per correction pair.  A
     bound that is not finite (|s| above about 1e18) raises DomainError.
+
+    The shift route and the direct sum run inside one np.errstate that
+    ignores overflow and invalid operations, which show as infinite or NaN
+    values and bounds; the helpers they call open no context of their own,
+    except the shift series' _shift_weights and _shift_remainder, which
+    other modules call too.
     """
     s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
-    if (s_arr == 1.0).any():
+    if np.count_nonzero(s_arr == 1.0):
         raise PoleError("zeta pole at s = 1")
-    if (a_arr <= 0.0).any():
+    if np.count_nonzero(a_arr <= 0.0):
         raise DomainError("shift must be positive")
     shape = np.broadcast(s_arr, a_arr).shape
-    if s_arr.size == 1 and a_arr.size > 1:
-        s_one = complex(s_arr.flat[0])
-        if s_one.real >= 0.0 and s_one != 0.0:
-            found = _shift_route(s_one, a_arr.ravel())
-            if found is not None:
-                return found[0].reshape(shape), found[1].reshape(shape)
-    if s_arr.real.min() < 0.0:
+    if np.minimum.reduce(s_arr.real, axis=None) < 0.0:
         left = np.broadcast_to((s_arr.real < 0.0) & (a_arr == 1.0), shape)
         if left.any():
             s_all = np.broadcast_to(s_arr, shape)
@@ -496,33 +540,38 @@ def _em_hurwitz(s, a):
             err[left] = (np.abs(factor) * reflected_err
                          + _log_space_rounding(s_all[left]) * np.abs(value[left]))
             return (complex(value), float(err)) if not shape else (value, err)
-    # The direct sum.  An argument with one value stays a scalar; arrays
-    # are flattened against each other.
-    many_s, many_a = s_arr.size > 1, a_arr.size > 1
-    if many_s and many_a:
-        s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
-    s = s_arr.ravel() if many_s else s_arr.flat[0]
-    a = a_arr.ravel() if many_a else a_arr.flat[0]
-    coeffs, ratio = _em_coeffs(s)
-    j_max = _EM_PAIRS
-    n0 = _em_terms(float(abs(s_arr.imag).max()), float(a_arr.min()))
-    if n0 > _EM_MAX_TERMS:
-        raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
-    base = _base_sum(s, a, n0)
-
-    # Tail x^-s [x/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} x^(1-2j)] at
-    # x = n0 + a, j = 1..J
     with np.errstate(over="ignore", invalid="ignore"):
+        if s_arr.size == 1 and a_arr.size > 1:
+            s_one = complex(s_arr.flat[0])
+            if s_one.real >= 0.0 and s_one != 0.0:
+                found = _shift_route(s_one, a_arr.ravel())
+                if found is not None:
+                    return found[0].reshape(shape), found[1].reshape(shape)
+        # The direct sum.  An argument with one value stays a scalar; arrays
+        # are flattened against each other.
+        many_s, many_a = s_arr.size > 1, a_arr.size > 1
+        if many_s and many_a:
+            s_arr, a_arr = np.broadcast_arrays(s_arr, a_arr)
+        s = s_arr.ravel() if many_s else s_arr.flat[0]
+        a = a_arr.ravel() if many_a else a_arr.flat[0]
+        coeffs, ratio = _em_coeffs(s)
+        n0 = _em_terms(float(np.maximum.reduce(np.abs(s.imag)) if many_s else abs(s.imag)),
+                       float(np.minimum.reduce(a) if many_a else a))
+        if n0 > _EM_MAX_TERMS:
+            raise ConvergenceError(f"Euler-Maclaurin base sum exceeds {_EM_MAX_TERMS} terms")
+        base = _base_sum(s, a, n0)
+        # Tail x^-s [x/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} x^(1-2j)] at
+        # x = n0 + a, j = 1..J
         x = n0 + a
         inv = 1.0 / x
         inv2 = inv * inv
-        poly = (coeffs[:j_max] * inv2 ** np.arange(j_max)[:, None]).sum(axis=0)
+        poly = np.add.reduce(coeffs[:_EM_PAIRS] * inv2 ** _EM_TAIL_POWERS, axis=0)
         c, d = _neg_power(x, np.log(x), s.real, s.imag)
         xs = c if d is None else c - 1j * d
         value = base + xs * (x / (s - 1.0) + 0.5 + inv * poly)
         # the first omitted term, times the ratio that bounds the rest
-        err = abs(coeffs[j_max]) * abs(xs) * inv * inv2**j_max * ratio
-    if not np.isfinite(err).all():
+        err = abs(coeffs[_EM_PAIRS]) * abs(xs) * inv * inv2**_EM_PAIRS * ratio
+    if not np.logical_and.reduce(np.isfinite(err), axis=None):
         raise DomainError(f"|s| = {float(np.abs(s).max()):.3g} too large for the "
                           f"Euler-Maclaurin bound")
     value, err = value.reshape(shape), err.reshape(shape)
@@ -548,7 +597,7 @@ def hurwitz_zeta1(s, alpha):
 def _zeta1_shift(alpha):
     """The Hurwitz shift 1 + alpha of zeta1(s, alpha); DomainError for alpha < 0."""
     alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr < 0.0):
+    if np.count_nonzero(alpha_arr < 0.0):
         raise DomainError("alpha must be >= 0")
     return alpha_arr + 1.0
 
@@ -857,7 +906,8 @@ def _zeta1_powers(u: complex, A: float):
     """
     if u == 1.0:
         raise PoleError("zeta1 pole at u = 1")
-    coeffs, ratio = _em_coeffs(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, ratio = _em_coeffs(u)
     powers = {1.0 - u: 1.0 / (u - 1.0), -u: -0.5 + 0j}
     powers.update((1.0 - u - 2 * j, complex(coeffs[j - 1, 0])) for j in range(1, _EM_PAIRS + 1))
     power = -u.real - 2 * _EM_PAIRS - 1

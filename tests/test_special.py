@@ -544,7 +544,7 @@ def test_shift_series_columns_at_unit_centre_meet_oracle(u):
     # direct sum was off by 4.0e-11 at zeta(-5.5), against a bound of 1.9e-17
     from zetaver import oracle
 
-    _, z, z_err = sp._shift_series(complex(u), [1.0], 40)
+    z, z_err = sp._shift_series(complex(u), [1.0], 40)
     for j in range(41):
         ref = oracle.riemann_zeta(u + j, prec_bits=120)
         assert abs(z[j, 0] - ref) <= z_err[j, 0] + 1e-14 * abs(ref), j
@@ -689,7 +689,7 @@ def test_taylor_order_is_the_least_order_meeting_its_target(s):
             met = [J for J in range(1, cap + 1)
                    if sp._shift_remainder(s, weights, J, k * top, top * (1.0 - k)) <= target]
             expected = met[0] if met else None
-            assert sp._taylor_order(s, k, top, cap) == expected
+            assert sp._taylor_order(s, k, top, weights) == expected
             found.add(expected)
     assert None in found and len(found) > 2
 
@@ -705,6 +705,140 @@ def test_shift_route_refuses_where_its_block_ratio_rounds_to_one(monkeypatch):
     assert np.array_equal(values, direct) and np.array_equal(err, direct_err)
     with pytest.raises(DomainError):
         sp._em_hurwitz(1e20 + 5j, a)
+
+
+# The route's admission: the order search is capped by the rule's own
+# limits, so a call the rule refuses builds nothing when the cap is below
+# 1, and an admitted call builds its weights once.  The capped search must
+# take the decision, the order J and the split m of the uncapped one,
+# written out here as it was before the cap.
+
+
+def _uncapped_admission(s, a):
+    """(J, m) of the route's rule with the order searched up to
+    _TAYLOR_MAX_ORDER, or None where the rule refuses the call: J the
+    order the tail takes, m the split."""
+    lo, hi = float(a.min()), float(a.max())
+    n0 = sp._em_terms(abs(s.imag), lo)
+    k = min(sp._TAYLOR_REACH / abs(s), sp._TAYLOR_RATIO)
+    widen = 2.0 * k / (1.0 - k)
+    weights = sp._shift_weights(s, sp._TAYLOR_MAX_ORDER)
+    J = sp._taylor_order(s, k, (hi + n0) / (1.0 - k), weights)
+    if J is None:
+        return None
+    with np.errstate(over="ignore"):
+        grow = np.float64(1.0 + widen) ** (a.size // (sp._TAYLOR_SHARE * (J + 1)))
+    if grow == 1.0:
+        return None
+    m = 0 if hi <= grow * lo else math.ceil((hi - grow * lo) / (grow - 1.0))
+    if 2 * m > n0 or J + 1 > sp._TAYLOR_STEPS * n0 or (m > 0 and n0 < 4 * sp._EM_FLOOR):
+        return None
+    low = lo + m
+    count = max(1, math.ceil(math.log((hi + m) / low) / math.log1p(widen)))
+    J = sp._taylor_order(s, k, low * (1.0 + widen) ** (count - 1) / (1.0 - k), weights[:J + 2]) or J
+    return J, m
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the special functions named; returns {name: [args of each call]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        fn = getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda *args, fn=fn, name=name: calls[name].append(args) or fn(*args))
+    return calls
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.floats(0.0, 3.0), st.one_of(st.floats(-3000.0, 3000.0), st.floats(1e15, 1e17)),
+       st.integers(2, 1200), st.floats(1.0, 60.0), st.floats(0.0, 4.0))
+@example(0.5, 200.0, 1024, 33.0, 1.0)  # m = 0
+@example(0.5, 400.0, 1024, 1.0, 1.0)  # m > 0
+@example(2.0, 1.0, 180, 1.0, 1.0)  # refused: no order within the cap
+@example(0.5, 200.0, 400, 33.0, 1.0)  # J at the cap shifts // 16 - 1 = 24
+@example(0.1, 1.0, 1200, 7.0, 0.1)  # J at the cap 8 n0 - 1 = 31
+def test_capped_admission_takes_the_uncapped_decision(sigma, t, shifts, lo, width):
+    s = complex(sigma, t)
+    assume(s != 0.0)  # the kernel offers the route one s != 0 with Re s >= 0
+    a = lo + width * np.linspace(0.0, 1.0, shifts) ** 2
+    expected = _uncapped_admission(s, a)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_calls(patch, "_shift_series", "_base_sum")
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = sp._shift_route(s, a)
+    assert (found is None) == (expected is None)
+    if expected is not None:
+        # the same order and split give the same values and bounds
+        J, m = expected
+        assert [args[2] for args in calls["_shift_series"]] == [J]
+        assert [args[2] for args in calls["_base_sum"] if args[1] is a] == ([m] if m else [])
+
+
+def test_route_with_too_few_shifts_builds_nothing(monkeypatch):
+    # fewer than 2 _TAYLOR_SHARE shifts leave no order below the cap
+    calls = _count_calls(monkeypatch, "_taylor_order", "_shift_weights")
+    for size in (2, sp._TAYLOR_SHARE, 2 * sp._TAYLOR_SHARE - 1):
+        assert sp._shift_route(0.5 + 100j, np.linspace(1.0, 2.0, size)) is None
+    assert calls == {"_taylor_order": [], "_shift_weights": []}
+
+
+def test_admitted_route_builds_its_weights_once(monkeypatch):
+    # one array at the cap serves both order searches and the Horner sums
+    calls = _count_calls(monkeypatch, "_taylor_order", "_shift_weights")
+    for s, a in ((0.5 + 200j, np.linspace(33.0, 34.0, 1024)), (0.5 + 400j, np.linspace(1.0, 2.0, 1024))):
+        for name in calls:
+            calls[name].clear()
+        assert sp._em_hurwitz(s, a)[0].shape == a.shape
+        assert len(calls["_shift_weights"]) == 1
+        assert len(calls["_taylor_order"]) == 2
+
+
+# _em_coeffs takes a scalar s in Python complex arithmetic and an array in
+# column blocks; both must be the one (2J + 1, w) cumulative product.
+
+_poch_s = st.complex_numbers(max_magnitude=1e17, allow_nan=False, allow_infinity=False).filter(
+    lambda s: s.real > 1.0 - 2 * sp._EM_PAIRS - 1)
+
+
+def _whole_product_coeffs(s):
+    """coeffs of _em_coeffs from one cumulative product over every column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        poch = np.cumprod(np.arange(2.0 * sp._EM_PAIRS + 1)[:, None] + np.reshape(s, (1, -1)), axis=0)
+        return sp._bernoulli_tail_weights(sp._EM_PAIRS)[:, None] * poch[::2]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_poch_s, st.lists(_poch_s, max_size=5))
+@example(-15.999 + 0j, [])  # Re s at the DomainError limit
+@example(-15.5 + 3000j, [0.5 + 1e16j])
+@example(complex(0.5, -0.0), [complex(-0.0, 0.0)])  # signed zeros
+@example(complex(-0.0, -0.0), [])
+def test_scalar_pochhammer_is_the_array_column(s, others):
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, _ = sp._em_coeffs(np.complex128(s))
+        column = sp._em_coeffs(np.array([s] + others))[0][:, :1]
+    assert coeffs.shape == column.shape == (sp._EM_PAIRS + 1, 1)
+    assert _bits(coeffs) == _bits(column) == _bits(_whole_product_coeffs(s))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(_poch_s, min_size=1, max_size=40), st.integers(1, 7))
+@example([0.5 + 1e3j] * 9, 2)  # a one-column last block
+def test_blocked_em_coeffs_is_one_block(points, columns):
+    s = np.array(points)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sp, "_EM_COEFF_COLUMNS", columns)
+        blocked, ratio = sp._em_coeffs(s)
+        patch.setattr(sp, "_EM_COEFF_COLUMNS", s.size)
+        whole, whole_ratio = sp._em_coeffs(s)
+        assert _bits(blocked) == _bits(whole) == _bits(_whole_product_coeffs(s))
+    assert np.array_equal(ratio, whole_ratio)
+
+
+def test_em_coeffs_keeps_its_domain_error():
+    with pytest.raises(DomainError):
+        sp._em_coeffs(np.complex128(-16.0 + 5j))
+    with pytest.raises(DomainError):
+        sp._em_coeffs(np.array([2.0, -16.0 + 5j]))
 
 
 # One bound per element on each of the kernel's paths: the largest of a
