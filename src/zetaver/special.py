@@ -471,8 +471,9 @@ def _em_coeffs(s):
     overflow and invalid warnings around the call.
 
     Each column's product (s)(s + 1)...(s + k) is numpy's cumulative
-    product down the column, which rounds every step as Python's complex
-    product does; a scalar s takes it in Python complex arithmetic, and an
+    product down the column, which over three or more rows rounds every
+    step as Python's complex product does, unlike numpy's fused array
+    product; a scalar s takes it in Python complex arithmetic, and an
     array in blocks of _EM_COEFF_COLUMNS columns, both bit for bit the one
     (2J + 1, w) product."""
     scalar = np.ndim(s) == 0
